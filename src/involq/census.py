@@ -93,22 +93,18 @@ def _require_odd_characteristic(G: PermGroup):
     return cert
 
 
-def _triple_products(G: PermGroup, j_idx: np.ndarray, trans: np.ndarray) -> np.ndarray:
+def _triple_products(G: PermGroup, cert) -> np.ndarray:
     """Sorted element indices of { i.sigma : i in J, sigma in J.J }."""
-    cert = G._s2t_certificate
-    cached = getattr(cert, "_j3", None) if cert is not None else None
-    if cached is not None:
-        return cached
-    trows = G.elements[trans]
-    found: set[int] = set()
-    for jpos in range(len(j_idx)):
-        produced = trows[:, G.elements[j_idx[jpos]]]  # j then sigma
-        for k in range(len(trans)):
-            found.add(G.index[produced[k].tobytes()])
-    result = np.array(sorted(found), dtype=np.int64)
-    if cert is not None:
-        cert._j3 = result
-    return result
+    if cert._j3 is None:
+        cert._j3 = np.unique(G.mul(cert._j[:, None], cert._translations[None, :]))
+    return cert._j3
+
+
+def _x_alpha_masks(G: PermGroup, cert, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per alpha (rows) and involution i (columns): the index of i.alpha, and
+    whether it is a translation, i.e. whether i lies in X_alpha."""
+    products = G.mul(cert._j[None, :], alphas[:, None])
+    return products, np.isin(products, cert._translations)
 
 
 def _alpha_sample(G: PermGroup, j3: np.ndarray, alpha_cap: int | None) -> tuple[np.ndarray, bool]:
@@ -130,22 +126,11 @@ def x_alpha(G: PermGroup, alpha) -> np.ndarray:
     a_idx = int(alpha) if isinstance(alpha, (int, np.integer)) else G.index_of(alpha)
     if a_idx < 0 or a_idx >= G.order:
         raise NotInJ3(f"no element with index {a_idx}")
-    j3 = _triple_products(G, cert._j, cert._translations)
+    j3 = _triple_products(G, cert)
     if a_idx != G.identity_index and a_idx not in set(int(x) for x in j3):
         raise NotInJ3(f"element {a_idx} is not a product of three involutions")
-    return _x_alpha_positions(G, cert, a_idx)
-
-
-def _x_alpha_positions(G: PermGroup, cert, a_idx: int) -> np.ndarray:
-    jrows = G.elements[cert._j]
-    arow = G.elements[a_idx]
-    produced = arow[jrows]  # row p: involution_p then alpha
-    tset = set(int(t) for t in cert._translations)
-    hits = [
-        p for p in range(len(jrows))
-        if G.index[produced[p].tobytes()] in tset
-    ]
-    return np.array(hits, dtype=np.int64)
+    _, in_x = _x_alpha_masks(G, cert, np.array([a_idx]))
+    return np.nonzero(in_x[0])[0]
 
 
 def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
@@ -157,18 +142,17 @@ def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
     j2_size = len(trans)
 
     nontrivial = trans[trans != G.identity_index]
-    sizes = {len(centralizer(G, G.elements[t])) for t in nontrivial}
+    sizes = {len(centralizer(G, t)) for t in nontrivial.tolist()}
     khat_constant = len(sizes) == 1
     khat = sorted(sizes)[0]
 
-    j3 = _triple_products(G, j_idx, trans)
+    j3 = _triple_products(G, cert)
     j3_size = len(j3)
     j3_set = set(int(x) for x in j3)
 
     sample, complete = _alpha_sample(G, j3, alpha_cap)
-    xalpha_sizes = [
-        (int(a), len(_x_alpha_positions(G, cert, int(a)))) for a in sample
-    ]
+    _, in_x = _x_alpha_masks(G, cert, sample)
+    xalpha_sizes = list(zip(sample.tolist(), in_x.sum(axis=1).tolist()))
 
     jset = set(int(j) for j in j_idx)
     return CensusReport(
@@ -201,39 +185,25 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry,
     """
     cert = _require_odd_characteristic(G)
     j_idx = cert._j
-    n = len(j_idx)
-    jrows = G.elements[j_idx]
     trans = cert._translations
     nontrivial = trans[trans != G.identity_index]
-    khat = len(centralizer(G, G.elements[nontrivial[0]]))
+    khat = len(centralizer(G, int(nontrivial[0])))
 
-    # pair-product fibers: how many (r, s) in J x J give each translation
-    fiber: dict[int, int] = {}
-    for a in range(n):
-        produced = jrows[:, jrows[a]]  # a then b
-        for b in range(n):
-            idx = G.index[produced[b].tobytes()]
-            fiber[idx] = fiber.get(idx, 0) + 1
+    # pair-product fibers: how many (r, s) in J x J give each element
+    fiber = np.bincount(G.mul(j_idx[:, None], j_idx[None, :]).ravel(), minlength=G.order)
 
-    j3 = _triple_products(G, j_idx, trans)
+    j3 = _triple_products(G, cert)
     sample, complete = _alpha_sample(G, j3, alpha_cap)
+    products, in_x = _x_alpha_masks(G, cert, sample)
 
     line_point_sets = [set(line.points) for line in geom.lines]
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"
 
     witness_cover = witness_sat = witness_fiber = None
-    tset = set(int(t) for t in trans)
-    for a_val in sample:
+    for row, a_val in enumerate(sample):
         a_idx = int(a_val)
-        arow = G.elements[a_idx]
-        produced = arow[jrows]  # involution then alpha
-        sigma_of = {}
-        xpos = []
-        for p in range(n):
-            idx = G.index[produced[p].tobytes()]
-            if idx in tset:
-                xpos.append(p)
-                sigma_of[p] = idx
+        sigma_of = products[row].tolist()  # involution p then alpha
+        xpos = np.nonzero(in_x[row])[0].tolist()
         xset = set(xpos)
         inside: dict[int, bool] = {}   # line id -> line subset of X_alpha
 
@@ -244,7 +214,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry,
                 inside[lid] = hit
             return hit
 
-        triple_count = sum(fiber.get(sigma_of[p], 0) for p in xpos)
+        triple_count = int(fiber[products[row, xpos]].sum())
         if witness_fiber is None and triple_count != len(xpos) * khat:
             witness_fiber = (a_idx, triple_count, len(xpos) * khat)
 

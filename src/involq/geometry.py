@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CharacteristicAnomaly,
     CharacteristicTwo,
     CharacterizationMismatch,
     GeometryConditionsFailed,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .permgroup import PermGroup, centralizer
 from .reporting import Check, CheckReport
-from .s2t import _require_certified
+from .s2t import _j_positions, _require_certified
 
 
 # ---------------------------------------------------------------------------
@@ -49,16 +50,11 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     j_idx = cert._j
     trans = cert._translations
     nontrivial = trans[trans != G.identity_index].astype(np.int64)
-    m = len(nontrivial)
     checks: list[Check] = []
 
     # (a) commuting is transitive on the nontrivial translations
-    rows = G.elements[nontrivial]
-    commute = np.empty((m, m), dtype=bool)
-    for a in range(m):
-        left = rows[a][rows]       # t then t_a
-        right = rows[:, rows[a]]   # t_a then t
-        commute[a] = np.all(left == right, axis=1)
+    products = G.mul(nontrivial[:, None], nontrivial[None, :])
+    commute = products == products.T
     reach = (commute.astype(np.int64) @ commute.astype(np.int64)) > 0
     bad = reach & ~commute
     witness = None
@@ -71,16 +67,12 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
 
     # products iJ for each involution, as index sets
     n = len(j_idx)
-    jrows = G.elements[j_idx]
-    i_j_products = []
-    for i in range(n):
-        produced = jrows[:, jrows[i]]
-        i_j_products.append(
-            frozenset(G.index[produced[k].tobytes()] for k in range(n))
-        )
+    ij = G.mul(j_idx[:, None], j_idx[None, :])  # row i: i then each involution
+    i_j_products = [frozenset(row.tolist()) for row in ij]
 
     # (b) squaring is a bijection of iJ meet kJ for all involution pairs
-    square_of = G.square_indices
+    every = np.arange(G.order)
+    square_of = G.mul(every, every)
     witness = None
     for i in range(n):
         if witness:
@@ -99,38 +91,26 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
                         witness=witness))
 
     # (c) Cen(ik) equals iJ meet kJ, is abelian, and is inverted by k
-    inverse_of = G.inverse_indices
     abelian_cache: dict[frozenset, bool] = {}
     witness = None
     for i in range(n):
         if witness:
             break
-        irow = jrows[i]
         for k in range(n):
             if i == k:
                 continue
-            sigma_row = jrows[k][irow]  # i then k
-            cen = centralizer(G, sigma_row)
-            cen_set = frozenset(int(c) for c in cen)
+            cen = centralizer(G, int(ij[i, k]))
+            cen_set = frozenset(cen.tolist())
             if cen_set != (i_j_products[i] & i_j_products[k]):
                 witness = (int(j_idx[i]), int(j_idx[k]), "centralizer-mismatch")
                 break
             if cen_set not in abelian_cache:
-                crows = G.elements[cen]
-                ab = True
-                for a in range(len(cen)):
-                    if not np.all(crows[a][crows] == crows[:, crows[a]]):
-                        ab = False
-                        break
-                abelian_cache[cen_set] = ab
+                cen_products = G.mul(cen[:, None], cen[None, :])
+                abelian_cache[cen_set] = bool(np.all(cen_products == cen_products.T))
             if not abelian_cache[cen_set]:
                 witness = (int(j_idx[i]), int(j_idx[k]), "not-abelian")
                 break
-            crows = G.elements[cen]
-            krow = jrows[k]
-            conj = krow[crows[:, krow]]  # k c k, with k its own inverse
-            inv_rows = G.elements[inverse_of[cen]]
-            if not np.array_equal(conj, inv_rows):
+            if not np.array_equal(G.conj(cen, j_idx[k]), G.inv(cen)):
                 witness = (int(j_idx[i]), int(j_idx[k]), "not-inverted")
                 break
     checks.append(Check("centralizers-match-products-abelian-inverted", witness is None,
@@ -139,8 +119,8 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     # (d) centralizer classes partition the nontrivial translations
     class_sets = []
     seen: set[frozenset] = set()
-    for t in nontrivial:
-        cen = centralizer(G, G.elements[t])
+    for t in nontrivial.tolist():
+        cen = centralizer(G, t)
         cls = frozenset(int(c) for c in cen if c != G.identity_index)
         if cls not in seen:
             seen.add(cls)
@@ -225,14 +205,12 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     geom = Geometry(G)
     j_idx = cert._j
     n = len(j_idx)
-    jrows = G.elements[j_idx]
     geom.points = j_idx.copy()
     geom.points.setflags(write=False)
     if cert._fix_points is not None:
         geom.fix_points = cert._fix_points
     geom.position_of = {int(j_idx[p]): p for p in range(n)}
     geom.translation_ids = cert._translations
-    pos_of_row = {jrows[k].tobytes(): k for k in range(n)}
 
     nontrivial = [int(t) for t in cert._translations if t != G.identity_index]
 
@@ -245,7 +223,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
         cls = tuple(
             sorted(
                 int(c)
-                for c in centralizer(G, G.elements[t])
+                for c in centralizer(G, t)
                 if c != G.identity_index
             )
         )
@@ -257,32 +235,21 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
             geom.class_of_translation[t] = cid
 
     # per-translation line via membership and conjugation characterizations
-    inv_element_set = set(int(j) for j in j_idx)
     line_pts_of_translation: dict[int, tuple[int, ...]] = {}
 
     def line_positions(sigma_idx: int) -> tuple[int, ...]:
         cached = line_pts_of_translation.get(sigma_idx)
         if cached is not None:
             return cached
-        srow = G.elements[sigma_idx]
-        produced = srow[jrows]  # row k: k then sigma
-        member = [
-            k
-            for k in range(n)
-            if G.index[produced[k].tobytes()] in inv_element_set
-        ]
+        # membership form: k then sigma is an involution
+        member = np.nonzero(cert._jpos[G.mul(j_idx, sigma_idx)] >= 0)[0]
         # conjugation form: k^-1 sigma k == sigma^-1 with k an involution
-        sinv = G.elements[G.inverse_indices[sigma_idx]]
-        by_conj = [
-            k
-            for k in range(n)
-            if np.array_equal(jrows[k][srow[jrows[k]]], sinv)
-        ]
-        if member != by_conj:
+        by_conj = np.nonzero(G.conj(sigma_idx, j_idx) == G.inv(sigma_idx))[0]
+        if not np.array_equal(member, by_conj):
             raise CharacterizationMismatch(
                 f"membership and conjugation disagree for translation {sigma_idx}"
             )
-        pts = tuple(member)
+        pts = tuple(member.tolist())
         line_pts_of_translation[sigma_idx] = pts
         return pts
 
@@ -290,24 +257,19 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     geom.line_of_pair = np.full((n, n), -1, dtype=np.int64)
     lines: list[Line] = []
 
+    ab = G.mul(j_idx[:, None], j_idx[None, :])  # a then b
     for a in range(n):
-        arow = jrows[a]
         for b in range(a + 1, n):
-            sigma_row = jrows[b][arow]  # a then b
-            sigma_idx = G.index[sigma_row.tobytes()]
+            sigma_idx = int(ab[a, b])
             pts = line_positions(sigma_idx)
             # coset characterization for this particular pair
-            cen = centralizer(G, sigma_row)
-            coset_rows = G.elements[cen][:, arow]  # a then c for each centralizing c
-            coset_pos = set()
-            for r in range(len(cen)):
-                kpos = pos_of_row.get(coset_rows[r].tobytes())
-                if kpos is None:
-                    raise CharacterizationMismatch(
-                        f"coset of pair ({int(j_idx[a])},{int(j_idx[b])}) leaves J"
-                    )
-                coset_pos.add(kpos)
-            if coset_pos != set(pts):
+            cen = centralizer(G, sigma_idx)
+            coset_pos = cert._jpos[G.mul(j_idx[a], cen)]  # a then c, c centralizing
+            if np.any(coset_pos < 0):
+                raise CharacterizationMismatch(
+                    f"coset of pair ({int(j_idx[a])},{int(j_idx[b])}) leaves J"
+                )
+            if set(coset_pos.tolist()) != set(pts):
                 raise CharacterizationMismatch(
                     f"coset and membership disagree for pair ({int(j_idx[a])},{int(j_idx[b])})"
                 )
@@ -351,15 +313,12 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
 
     # product of two points of a line centralizes the defining translation class
     for lid, line in enumerate(lines):
-        cls = set(geom.classes[line.class_id]) | {G.identity_index}
-        prow = jrows[list(line.points)]
-        for u in range(len(line.points)):
-            produced = prow[:, prow[u]]  # u then v, each v on the line
-            for v in range(len(line.points)):
-                if G.index[produced[v].tobytes()] not in cls:
-                    raise CharacterizationMismatch(
-                        f"line {lid} is not closed into its translation class"
-                    )
+        cls = geom.classes[line.class_id] + (G.identity_index,)
+        pts = j_idx[list(line.points)]
+        if not np.isin(G.mul(pts[:, None], pts[None, :]), cls).all():
+            raise CharacterizationMismatch(
+                f"line {lid} is not closed into its translation class"
+            )
 
     geom.incidence = [
         tuple(lid for lid, line in enumerate(lines) if p in line.points)
@@ -385,15 +344,7 @@ def _conjugation_position_table(geom: Geometry) -> np.ndarray:
     the involution at position k."""
     G = geom.group
     j_idx = geom.points
-    n = len(j_idx)
-    jrows = G.elements[j_idx]
-    pos_of = {jrows[p].tobytes(): p for p in range(n)}
-    table = np.empty((n, n), dtype=np.int64)
-    for k in range(n):
-        krow = jrows[k]
-        rows = krow[jrows[:, krow]]  # k j k for each involution j
-        table[k] = [pos_of[rows[p].tobytes()] for p in range(n)]
-    return table
+    return _j_positions(_require_certified(G), G.conj(j_idx[None, :], j_idx[:, None]))
 
 
 def verify_line_lemma(geom: Geometry) -> CheckReport:
@@ -559,20 +510,18 @@ def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanRepor
     counted in skipped_over_cap and the report is marked incomplete.
     """
     G = geom.group
-    trans = [int(t) for t in geom.translation_ids]
-    t_pos = {t: k for k, t in enumerate(trans)}
+    trans_idx = geom.translation_ids
+    trans = trans_idx.tolist()
     nt = len(trans)
+    t_pos = np.full(G.order, -1, dtype=np.int64)  # element -> translation position
+    t_pos[trans_idx] = np.arange(nt)
 
     # partial Cayley table on the translation set; -1 marks products outside it
-    table = np.full((nt, nt), -1, dtype=np.int64)
-    rows = G.elements[np.array(trans)]
-    for a in range(nt):
-        produced = rows[:, rows[a]]  # a then b, for every b
-        for b in range(nt):
-            idx = G.index.get(produced[b].tobytes())
-            table[a, b] = t_pos.get(idx, -1) if idx is not None else -1
+    table = t_pos[G.mul(trans_idx[:, None], trans_idx[None, :])]
 
-    ident_pos = t_pos[G.identity_index]
+    ident_pos = int(t_pos[G.identity_index])
+    if ident_pos < 0:
+        raise CharacteristicAnomaly("the identity is not a translation")
     _CAPPED = frozenset({-1})
 
     def close_set(seed_positions) -> frozenset | None:
@@ -634,28 +583,15 @@ def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanRepor
                 continue
             subgroups.add(cl)
 
-    # conjugation of translation positions by each involution
-    j_idx = geom.points
-    jrows = G.elements[j_idx]
-    conj_tables = []
-    for k in range(len(j_idx)):
-        krow = jrows[k]
-        conj_rows = krow[rows[:, krow]]
-        perm = np.full(nt, -1, dtype=np.int64)
-        ok = True
-        for a in range(nt):
-            idx = G.index.get(conj_rows[a].tobytes())
-            pos = t_pos.get(idx) if idx is not None else None
-            if pos is None:
-                ok = False
-                break
-            perm[a] = pos
-        conj_tables.append(perm if ok else None)
+    # conjugation of translation positions by each involution; None where a
+    # conjugate leaves the translation set
+    conj_pos = t_pos[G.conj(trans_idx[None, :], geom.points[:, None])]
+    conj_tables = [perm if (perm >= 0).all() else None for perm in conj_pos]
 
     cen_sets = []
     for cls in geom.classes:
         rep = cls[0]
-        cen = set(int(c) for c in centralizer(G, G.elements[rep]))
+        cen = set(int(c) for c in centralizer(G, rep))
         cen_sets.append(cen)
 
     found = 0

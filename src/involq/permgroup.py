@@ -7,10 +7,12 @@ A permutation of degree d is a 1-D int32 numpy array of images on the points
     compose(g, h)(x) == h(g(x))        conjugate(g, h) == h^-1 g h
 
 A :class:`PermGroup` stores every element as a row of a single (order, degree)
-array plus a bytes -> index lookup, so membership tests, centralizers and
-conjugacy classes are plain vectorized scans. Enumeration order is
-deterministic: breadth-first from the identity with generators applied in
-document order, each new layer sorted by image sequence.
+array and addresses elements by their row index. A base -- a few points whose
+images tell every element apart (0 and 1 for a sharply 2-transitive group) --
+indexes the rows, so products, inverses, conjugates, membership tests,
+centralizers and conjugacy classes are vectorized scans over index arrays.
+Enumeration order is deterministic: breadth-first from the identity with
+generators applied in document order, each new layer sorted by image sequence.
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -43,13 +45,15 @@ def identity_perm(degree: int) -> np.ndarray:
 
 
 def as_perm(images, degree: int | None = None) -> np.ndarray:
-    arr = np.ascontiguousarray(images, dtype=np.int32)
+    arr = np.asarray(images)
+    if arr.dtype.kind not in "iu":
+        raise MalformedDocument(f"images must be integers, got {arr.dtype}")
     if arr.ndim != 1:
         raise NotABijection("a permutation must be a flat image sequence")
     d = len(arr) if degree is None else degree
     if len(arr) != d or not np.array_equal(np.sort(arr), np.arange(d)):
         raise NotABijection(f"{arr.tolist()} is not a bijection on 0..{d - 1}")
-    return arr
+    return np.ascontiguousarray(arr, dtype=np.int32)
 
 
 def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -80,8 +84,45 @@ def perm_order(g: np.ndarray) -> int:
 # the group container
 
 
+def _base_index(elements: np.ndarray):
+    """Choose a base greedily and build its sorted key arrays.
+
+    Point b joins the base when its images split some class of elements that
+    the images of the earlier base points leave together; the scan stops once
+    every element is told apart. Level k stores the sorted distinct keys
+    ``rank * degree + image``, where rank is an element's position among the
+    keys of level k-1, so ranks stay below ``order`` and keys below
+    ``order * degree``.
+    """
+    order, degree = elements.shape
+    rank = np.zeros(order, dtype=np.int64)
+    classes = 1
+    base: list[int] = []
+    keys: list[np.ndarray] = []
+    for b in range(degree):
+        if classes == order:
+            break
+        level, refined = np.unique(rank * degree + elements[:, b], return_inverse=True)
+        if len(level) > classes:
+            base.append(b)
+            keys.append(level)
+            rank = refined.reshape(order)
+            classes = len(level)
+    if classes != order:
+        raise ValueError("duplicate elements")
+    element_of_rank = np.empty(order, dtype=np.int64)
+    element_of_rank[rank] = np.arange(order)
+    return base, keys, element_of_rank
+
+
 class PermGroup:
-    """Immutable, fully enumerated permutation group."""
+    """Immutable, fully enumerated permutation group.
+
+    Elements are addressed by index. A base (points whose images tell every
+    element apart) gives each element a key per base point; a lookup is one
+    ``np.searchsorted`` per base point, so products, inverses and conjugates
+    of index arrays never hash or compare whole rows.
+    """
 
     def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
         elements = np.ascontiguousarray(elements, dtype=np.int32)
@@ -91,17 +132,17 @@ class PermGroup:
         self.degree = int(degree)
         self.elements = elements
         self.generators = generators
-        self.index: dict[bytes, int] = {
-            elements[i].tobytes(): i for i in range(len(elements))
-        }
-        if len(self.index) != len(elements):
-            raise ValueError("duplicate elements")
-        ident = identity_perm(degree).tobytes()
-        if ident not in self.index:
+        self.base, self._keys, self._element_of_rank = _base_index(elements)
+        self._base_images = elements[:, self.base]
+        ident = self._locate(identity_perm(degree)[self.base])
+        if not np.array_equal(elements[ident], identity_perm(degree)):
             raise ValueError("identity missing from element list")
-        self.identity_index = self.index[ident]
-        self._inverse_indices: np.ndarray | None = None
-        self._square_indices: np.ndarray | None = None
+        self.identity_index = int(ident)
+        # a^-1 sends base point b to the point that a sends to b
+        inverse_images = np.array(
+            [np.argmax(elements == b, axis=1) for b in self.base], dtype=np.int64
+        ).reshape(len(self.base), self.order).T
+        self._inverse = self._locate(inverse_images)
         self._centralizer_cache: dict[int, np.ndarray] = {}
         self._s2t_certificate = None  # filled lazily by involq.s2t
 
@@ -115,14 +156,44 @@ class PermGroup:
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
-    def index_of(self, perm) -> int:
-        row = np.ascontiguousarray(perm, dtype=np.int32)
-        if row.shape != (self.degree,):
-            raise NotAMember(f"degree mismatch: {row.shape} vs {self.degree}")
-        idx = self.index.get(row.tobytes())
-        if idx is None:
-            raise NotAMember(f"{row.tolist()} is not an element")
-        return idx
+    def _locate(self, images) -> np.ndarray:
+        """Element indices with the given base images (shape (..., |base|)).
+
+        Exact for the base images of elements. Other images land on some
+        element, so a caller looking up outside input confirms the full row.
+        """
+        rank = np.zeros(np.shape(images)[:-1], dtype=np.int64)
+        for level, keys in enumerate(self._keys):
+            rank = keys.searchsorted(rank * self.degree + images[..., level])
+        return self._element_of_rank[np.minimum(rank, self.order - 1)]
+
+    def mul(self, a, b):
+        """Indices of (a then b), broadcast over index arrays a and b."""
+        b = np.asarray(b)
+        return self._locate(self.elements[b[..., None], self._base_images[a]])
+
+    def inv(self, a):
+        """Indices of the inverses of the elements with indices a."""
+        return self._inverse[a]
+
+    def conj(self, a, h):
+        """Indices of h^-1 a h, broadcast over index arrays a and h."""
+        return self.mul(self.mul(self._inverse[h], a), h)
+
+    def index_of(self, perm):
+        """Index of a permutation, or an index array for a stack of rows.
+
+        The base lookup is confirmed on the full row, so a permutation that
+        agrees with an element on the base only still raises NotAMember.
+        """
+        rows = np.asarray(perm)
+        if rows.ndim == 0 or rows.shape[-1] != self.degree:
+            raise NotAMember(f"degree mismatch: {rows.shape} vs {self.degree}")
+        idx = self._locate(rows[..., self.base])
+        outside = np.any(self.elements[idx] != rows, axis=-1)
+        if np.any(outside):
+            raise NotAMember(f"{rows[outside][0].tolist()} is not an element")
+        return int(idx) if idx.ndim == 0 else idx
 
     def contains(self, perm) -> bool:
         try:
@@ -130,46 +201,6 @@ class PermGroup:
             return True
         except NotAMember:
             return False
-
-    def indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
-        out = np.empty(len(rows), dtype=np.int64)
-        for k in range(len(rows)):
-            idx = self.index.get(rows[k].tobytes())
-            if idx is None:
-                raise NotAMember("row is not an element")
-            out[k] = idx
-        return out
-
-    @property
-    def inverse_indices(self) -> np.ndarray:
-        if self._inverse_indices is None:
-            inv_rows = np.argsort(self.elements, axis=1).astype(np.int32)
-            self._inverse_indices = self.indices_of_rows(inv_rows)
-        return self._inverse_indices
-
-    @property
-    def square_indices(self) -> np.ndarray:
-        if self._square_indices is None:
-            sq = np.take_along_axis(self.elements, self.elements, axis=1)
-            self._square_indices = self.indices_of_rows(sq)
-        return self._square_indices
-
-    def product_index(self, i: int, j: int) -> int:
-        row = compose(self.elements[i], self.elements[j])
-        return self.index[row.tobytes()]
-
-    def product_indices_with(self, idxs: np.ndarray, j: int) -> np.ndarray:
-        """Indices of (element_i then element_j) for every i in idxs."""
-        rows = self.elements[j][self.elements[idxs]]
-        return self.indices_of_rows(rows)
-
-    def conjugate_indices_by(self, idxs: np.ndarray, h: int) -> np.ndarray:
-        """Indices of h^-1 g h for every g in idxs."""
-        hrow = self.elements[h]
-        hinv = self.elements[self.inverse_indices[h]]
-        rows = hrow[self.elements[idxs][:, hinv]]
-        return self.indices_of_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +232,11 @@ def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
     return np.array(ordered, dtype=np.int32)
 
 
+def _is_int(x) -> bool:
+    """True for JSON integers; bool is an int subclass and is refused."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def parse_group_doc(doc, order_cap: int | None = None) -> PermGroup:
     """Enumerate the group generated by a GroupDoc (dict or JSON text)."""
     if isinstance(doc, (str, bytes)):
@@ -213,8 +249,8 @@ def parse_group_doc(doc, order_cap: int | None = None) -> PermGroup:
     if "degree" not in doc or "generators" not in doc:
         raise MalformedDocument("document needs 'degree' and 'generators'")
     degree = doc["degree"]
-    if not isinstance(degree, int) or degree < 1:
-        raise MalformedDocument(f"degree must be a positive integer, got {degree!r}")
+    if not _is_int(degree) or degree < 2:
+        raise MalformedDocument(f"degree must be an integer >= 2, got {degree!r}")
     raw_gens = doc["generators"]
     if not isinstance(raw_gens, list):
         raise MalformedDocument("'generators' must be a list of image sequences")
@@ -223,6 +259,8 @@ def parse_group_doc(doc, order_cap: int | None = None) -> PermGroup:
     for k, seq in enumerate(raw_gens):
         if not isinstance(seq, list) or len(seq) != degree:
             raise MalformedDocument(f"generator {k} is not a length-{degree} list")
+        if not all(_is_int(x) for x in seq):
+            raise MalformedDocument(f"generator {k} has an image that is not an integer")
         try:
             gens.append(as_perm(seq, degree))
         except NotABijection as exc:
@@ -260,9 +298,9 @@ def affine_group(nf: NearField, order_cap: int | None = None) -> PermGroup:
     for m in range(1, q):
         scaled = nf.mul[:, m]          # x -> x mul m
         blocks.append(nf.add[scaled].T)  # row a: x -> (x mul m) add a
+    # distinct (m, a) give distinct maps: a is the image of 0 and m add a
+    # that of 1; PermGroup still refuses duplicate elements
     elements = np.concatenate(blocks, axis=0).astype(np.int32)
-    if len({elements[i].tobytes() for i in range(len(elements))}) != len(elements):
-        raise AxiomFailure("distinct (a, m) pairs produced equal affine maps")
 
     gens = []
     for a in range(1, q):
@@ -276,15 +314,25 @@ def affine_group(nf: NearField, order_cap: int | None = None) -> PermGroup:
 # scans
 
 
+def _element_index(G: PermGroup, g) -> int:
+    """g given as an element index or as a permutation row."""
+    if not isinstance(g, (int, np.integer)):
+        return G.index_of(g)
+    if not 0 <= g < G.order:
+        raise NotAMember(f"no element with index {g}")
+    return int(g)
+
+
 def centralizer(G: PermGroup, g) -> np.ndarray:
-    """Element indices of everything commuting with g, in enumeration order."""
-    gi = G.index_of(g)
+    """Element indices of everything commuting with g (an element index or a
+    permutation row), in enumeration order."""
+    gi = _element_index(G, g)
     cached = G._centralizer_cache.get(gi)
     if cached is not None:
         return cached
     grow = G.elements[gi]
-    left = grow[G.elements]        # h then g
-    right = G.elements[:, grow]    # g then h
+    left = grow[G._base_images]          # h then g, on the base
+    right = G.elements[:, grow[G.base]]  # g then h, on the base
     mask = np.all(left == right, axis=1)
     result = np.nonzero(mask)[0].astype(np.int64)
     result.setflags(write=False)
@@ -293,14 +341,9 @@ def centralizer(G: PermGroup, g) -> np.ndarray:
 
 
 def conjugacy_class(G: PermGroup, g) -> np.ndarray:
-    """Element indices of { h^-1 g h : h in G }, in enumeration order."""
-    gi = G.index_of(g)
-    grow = G.elements[gi]
-    inv_rows = G.elements[G.inverse_indices]
-    part = grow[inv_rows]                       # x -> g(h^-1(x))
-    rows = np.take_along_axis(G.elements, part, axis=1)
-    idxs = sorted({G.index[rows[k].tobytes()] for k in range(len(rows))})
-    return np.array(idxs, dtype=np.int64)
+    """Element indices of { h^-1 g h : h in G } (g an element index or a
+    permutation row), in enumeration order."""
+    return np.unique(G.conj(_element_index(G, g), np.arange(G.order)))
 
 
 def is_subgroup(G: PermGroup, indices) -> bool:
@@ -308,11 +351,9 @@ def is_subgroup(G: PermGroup, indices) -> bool:
     idxs = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
     if np.any(idxs < 0) or np.any(idxs >= G.order):
         raise NotAMember("index out of range")
-    member = set(idxs.tolist())
-    if G.identity_index not in member:
+    if G.identity_index not in idxs:
         return False
     for i in idxs:
-        products = G.product_indices_with(idxs, int(i))
-        if not all(int(pk) in member for pk in products):
+        if not np.isin(G.mul(idxs, i), idxs).all():
             return False
     return True

@@ -43,8 +43,10 @@ class S2TCertificate:
     j2_single_class: bool | None = None
     # caches for downstream modules, not serialized
     _j: np.ndarray | None = field(default=None, repr=False)
+    _jpos: np.ndarray | None = field(default=None, repr=False)  # -1 outside J
     _translations: np.ndarray | None = field(default=None, repr=False)
     _fix_points: np.ndarray | None = field(default=None, repr=False)
+    _j3: np.ndarray | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -63,20 +65,27 @@ class S2TCertificate:
 
 
 def _involution_indices(G: PermGroup) -> np.ndarray:
-    squared = np.take_along_axis(G.elements, G.elements, axis=1)
-    is_sq_id = np.all(squared == np.arange(G.degree), axis=1)
-    is_id = np.all(G.elements == np.arange(G.degree), axis=1)
-    return np.nonzero(is_sq_id & ~is_id)[0].astype(np.int64)
+    every = np.arange(G.order)
+    is_sq_id = G.mul(every, every) == G.identity_index
+    return np.nonzero(is_sq_id & (every != G.identity_index))[0].astype(np.int64)
 
 
-def _translation_indices(G: PermGroup, j_idx: np.ndarray) -> np.ndarray:
-    rows = G.elements[j_idx]
-    found: set[int] = set()
-    for i in range(len(j_idx)):
-        produced = rows[:, rows[i]]  # row k: i then j_k
-        for k in range(len(j_idx)):
-            found.add(G.index[produced[k].tobytes()])
-    return np.array(sorted(found), dtype=np.int64)
+def _translation_indices(G: PermGroup, cert: S2TCertificate) -> np.ndarray:
+    """J.J, and in characteristic 2 also J: there the involutions are the
+    nontrivial translations, and J.J may miss them (J.J = {1} at degree 2)."""
+    j_idx = cert._j
+    trans = np.unique(G.mul(j_idx[:, None], j_idx[None, :]))
+    if cert.characteristic == 2:
+        trans = np.union1d(trans, j_idx)
+    return trans
+
+
+def _j_positions(cert: S2TCertificate, idxs) -> np.ndarray:
+    """Positions in J of the elements idxs, which must all be involutions."""
+    pos = cert._jpos[idxs]
+    if np.any(pos < 0):
+        raise CharacteristicAnomaly("an element expected in J is not an involution")
+    return pos
 
 
 def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
@@ -123,6 +132,8 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
     if len(j_idx) == 0:
         raise CharacteristicAnomaly("a sharply 2-transitive group has involutions")
     cert._j = j_idx
+    cert._jpos = np.full(G.order, -1, dtype=np.int64)
+    cert._jpos[j_idx] = np.arange(len(j_idx))
     cert.involution_count = len(j_idx)
 
     fixed = G.elements[j_idx] == np.arange(d)
@@ -136,7 +147,7 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
     else:
         raise CharacteristicAnomaly("mixed involution fixed-point counts")
 
-    trans = _translation_indices(G, j_idx)
+    trans = _translation_indices(G, cert)
     cert._translations = trans
 
     nontrivial = trans[trans != G.identity_index]
@@ -151,10 +162,10 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
             raise CharacteristicAnomaly(f"translation order {p} is not prime")
         cert.characteristic = p
 
-    cls = conjugacy_class(G, G.elements[j_idx[0]])
+    cls = conjugacy_class(G, int(j_idx[0]))
     cert.j_single_class = np.array_equal(cls, j_idx)
     if cert.characteristic != 2 and len(nontrivial):
-        cls2 = conjugacy_class(G, G.elements[nontrivial[0]])
+        cls2 = conjugacy_class(G, int(nontrivial[0]))
         cert.j2_single_class = np.array_equal(cls2, nontrivial)
 
 
@@ -230,50 +241,37 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
         raise CharacteristicTwo("these properties presuppose involutions with fixed points")
     j_idx = cert._j
     n = len(j_idx)
-    jrows = G.elements[j_idx]
-    pos_of = {jrows[k].tobytes(): k for k in range(n)}
-
-    def conj_positions(h: int) -> np.ndarray:
-        """Positions in J of h^-1 j h for every involution j."""
-        hrow = G.elements[h]
-        hinv = G.elements[G.inverse_indices[h]]
-        rows = hrow[jrows[:, hinv]]
-        return np.array([pos_of[rows[k].tobytes()] for k in range(n)], dtype=np.int64)
-
+    positions = np.arange(n)
     checks = []
 
     witness = None
     for ipos in range(n):
-        cen = centralizer(G, G.elements[j_idx[ipos]])
+        cen = centralizer(G, int(j_idx[ipos]))
         if len(cen) != n - 1:
             witness = (int(j_idx[ipos]), "centralizer-size", len(cen), n - 1)
             break
-        table = np.array([conj_positions(int(c)) for c in cen])
-        expected = [p for p in range(n) if p != ipos]
-        for jpos in expected:
-            col = sorted(table[:, jpos].tolist())
-            if col != expected:
-                witness = (int(j_idx[ipos]), int(j_idx[jpos]))
-                break
-        if witness:
+        # column p: positions of c^-1 j_p c over c in the centralizer
+        others = positions[positions != ipos]
+        table = _j_positions(cert, G.conj(j_idx[others][None, :], cen[:, None]))
+        bad = np.nonzero(np.any(np.sort(table, axis=0) != others[:, None], axis=0))[0]
+        if len(bad):
+            witness = (int(j_idx[ipos]), int(j_idx[others[bad[0]]]))
             break
     checks.append(Check("centralizer-regular-on-other-involutions", witness is None,
                         witness=witness))
 
-    witness = None
-    full = list(range(n))
-    conj_by_involution = np.array([conj_positions(int(k)) for k in j_idx])
-    for ipos in range(n):
-        if sorted(conj_by_involution[:, ipos].tolist()) != full:
-            witness = (int(j_idx[ipos]),)
-            break
+    # row k: positions of k^-1 j k over j in J
+    conj_by_involution = _j_positions(cert, G.conj(j_idx[None, :], j_idx[:, None]))
+    bad = np.nonzero(np.any(np.sort(conj_by_involution, axis=0) != positions[:, None],
+                            axis=0))[0]
+    witness = (int(j_idx[bad[0]]),) if len(bad) else None
     checks.append(Check("involution-conjugation-regular", witness is None,
                         witness=witness))
 
     witness = None
     trans = set(cert._translations.tolist())
     for ipos in range(n):
-        cen = set(centralizer(G, G.elements[j_idx[ipos]]).tolist())
+        cen = set(centralizer(G, int(j_idx[ipos])).tolist())
         meet = trans & cen
         if meet != {G.identity_index}:
             witness = (int(j_idx[ipos]), sorted(meet))

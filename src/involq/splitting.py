@@ -66,41 +66,22 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
     abelian and conjugation-stable, which is asserted rather than assumed."""
     cert = _require_certified(G)
     trans = cert._translations
-    tset = set(int(t) for t in trans)
-    rows = G.elements[trans]
-    nt = len(trans)
 
-    closed = True
-    witness = None
-    for a in range(nt):
-        produced = rows[:, rows[a]]  # a then b
-        for b in range(nt):
-            if G.index.get(produced[b].tobytes()) not in tset:
-                closed = False
-                witness = (int(trans[a]), int(trans[b]))
-                break
-        if not closed:
-            break
-
-    if not closed:
+    products = G.mul(trans[:, None], trans[None, :])  # a then b
+    outside = np.argwhere(~np.isin(products, trans))
+    if len(outside):
+        a, b = outside[0]
         return SplitReport(
             j2_is_subgroup=False, j2_abelian=False, split=False,
-            closure_witness=witness,
+            closure_witness=(int(trans[a]), int(trans[b])),
         )
 
-    for a in range(nt):
-        left = rows[a][rows]
-        right = rows[:, rows[a]]
-        if not np.all(left == right):
-            raise CharacteristicAnomaly("translation subgroup is not abelian")
+    if not np.array_equal(products, products.T):
+        raise CharacteristicAnomaly("translation subgroup is not abelian")
 
-    for g in range(len(G.generators)):
-        grow = G.generators[g]
-        ginv = np.argsort(grow).astype(np.int32)
-        conj = grow[rows[:, ginv]]
-        for b in range(nt):
-            if G.index.get(conj[b].tobytes()) not in tset:
-                raise CharacteristicAnomaly("translation subgroup is not normal")
+    gens = G.index_of(G.generators)
+    if not np.isin(G.conj(trans[None, :], gens[:, None]), trans).all():
+        raise CharacteristicAnomaly("translation subgroup is not normal")
 
     return SplitReport(
         j2_is_subgroup=True,
@@ -170,5 +151,5 @@ def roundtrip_check(G: PermGroup, coord: Coordinatization | None = None) -> bool
     rel = coord.relabeling.astype(np.int32)
     rel_inv = np.argsort(rel).astype(np.int32)
     relabeled = rel[H.elements[:, rel_inv]]  # x -> rel(h(rel^-1(x)))
-    keys = {relabeled[k].tobytes() for k in range(len(relabeled))}
-    return keys == set(G.index.keys())
+    # H has no repeated elements and |H| == |G|, so H inside G means H == G
+    return G.contains(relabeled)

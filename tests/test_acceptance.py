@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The catalog used throughout is the default one (degree bound 121).
 """
 
+import hashlib
 import json
 import time
 
@@ -35,6 +36,8 @@ from involq.pipeline import _closure_seed_sets, run_verify, verify_group
 
 CRITERION_1_FIELDS = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 CRITERION_2_DICKSON = [(3, 2), (5, 2), (7, 2), (11, 2)]
+# sha256 of `involq verify all --report` over the default catalog
+FULL_REPORT_SHA256 = "bc183694f9afefe90c3ba61284c2fb1a745233e8c4ef8fa0ce1cc6470ad86002"
 
 
 def report_line(number: int, ok: bool, label: str) -> None:
@@ -210,6 +213,7 @@ def test_criterion_8_deterministic_reports(tmp_path):
     rc2 = run_verify("all", str(second), quiet=True)
     ok = rc1 == 0 and rc2 == 0
     ok &= first.read_bytes() == second.read_bytes()
+    ok &= hashlib.sha256(first.read_bytes()).hexdigest() == FULL_REPORT_SHA256
     payload = json.loads(first.read_text())
     ok &= payload["ok"] is True and len(payload["entries"]) == len(catalog_entries())
-    report_line(8, ok, "two full-catalog verify runs are byte-identical")
+    report_line(8, ok, "two full-catalog verify runs are byte-identical and golden")

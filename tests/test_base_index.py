@@ -1,0 +1,121 @@
+"""The base-image index against whole-row reference arithmetic.
+
+Every group primitive (mul, inv, conj, index_of, centralizer) is compared with
+compose / invert / conjugate on full rows plus a test-local dict from row
+bytes to element index, a lookup that never consults the base. Small groups
+are checked on every pair, the 32768-element group (C2)^15 (a base of 15
+points) on a seeded sample.
+"""
+
+import numpy as np
+import pytest
+
+from involq import (
+    NotAMember,
+    centralizer,
+    compose,
+    conjugate,
+    invert,
+    parse_group_doc,
+)
+
+
+def relabelled_doc(G, seed):
+    """G's generators conjugated by a seeded relabelling of the points."""
+    rng = np.random.default_rng(seed)
+    h = rng.permutation(G.degree).astype(np.int32)
+    return {
+        "degree": G.degree,
+        "generators": [conjugate(g, h).tolist() for g in G.generators],
+    }
+
+
+def c2_power_doc(k):
+    """(C2)^k on 2k points: generator i swaps the points 2i and 2i+1."""
+    gens = []
+    for i in range(k):
+        g = list(range(2 * k))
+        g[2 * i], g[2 * i + 1] = g[2 * i + 1], g[2 * i]
+        gens.append(g)
+    return {"degree": 2 * k, "generators": gens}
+
+
+@pytest.fixture(scope="module")
+def agl_f9_relabelled(agl_f9):
+    return parse_group_doc(relabelled_doc(agl_f9, seed=3))
+
+
+@pytest.fixture(scope="module")
+def c2_15():
+    return parse_group_doc(c2_power_doc(15))
+
+
+def row_index(G):
+    return {row.tobytes(): i for i, row in enumerate(G.elements)}
+
+
+def check_pairs(G, a, b):
+    """mul, conj on the index pairs (a[k], b[k]) and inv on a, against rows."""
+    index = row_index(G)
+    E = G.elements
+    got_mul = G.mul(a, b)
+    got_conj = G.conj(a, b)
+    got_inv = G.inv(a)
+    for k in range(len(a)):
+        x, y = E[a[k]], E[b[k]]
+        assert got_mul[k] == index[compose(x, y).tobytes()]
+        assert got_conj[k] == index[conjugate(x, y).tobytes()]
+        assert got_inv[k] == index[invert(x).tobytes()]
+
+
+def check_non_member_on_base(G):
+    """A row equal to the identity on the base but not a member is refused."""
+    off_base = [p for p in range(G.degree) if p not in G.base]
+    row = np.arange(G.degree, dtype=np.int32)
+    row[off_base[0]], row[off_base[1]] = off_base[1], off_base[0]
+    assert not any(np.array_equal(row, e) for e in G.elements)
+    with pytest.raises(NotAMember):
+        G.index_of(row)
+    assert not G.contains(row)
+
+
+@pytest.mark.parametrize("name", ["agl_f5", "agl_d9", "sym4", "agl_f9_relabelled"])
+def test_small_groups_every_pair(name, request):
+    G = request.getfixturevalue(name)
+    assert G.base == ([0, 1, 2] if name == "sym4" else [0, 1])
+    ar = np.arange(G.order)
+    a, b = np.repeat(ar, G.order), np.tile(ar, G.order)
+    check_pairs(G, a, b)
+    # broadcasting gives the same table as the flat pairs
+    assert np.array_equal(G.mul(ar[:, None], ar[None, :]).ravel(), G.mul(a, b))
+    assert np.array_equal(G.conj(ar[:, None], ar[None, :]).ravel(), G.conj(a, b))
+
+    index = row_index(G)
+    for i, row in enumerate(G.elements):
+        assert G.index_of(row) == i == index[row.tobytes()]
+        naive = [h for h in range(G.order)
+                 if np.array_equal(compose(G.elements[h], row), compose(row, G.elements[h]))]
+        assert list(centralizer(G, row)) == naive
+        assert list(centralizer(G, i)) == naive  # the same scan given the index
+    assert np.array_equal(G.index_of(G.elements), ar)
+    for outside in (-1, G.order):
+        with pytest.raises(NotAMember):
+            centralizer(G, outside)
+    if name != "sym4":  # S4 holds every permutation of its 4 points
+        check_non_member_on_base(G)
+
+
+def test_c2_power_sampled(c2_15):
+    G = c2_15
+    assert G.order == 32768
+    assert G.base == list(range(0, 30, 2))
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, G.order, 2000)
+    b = rng.integers(0, G.order, 2000)
+    check_pairs(G, a, b)
+    index = row_index(G)
+    for i in a[:200]:
+        assert G.index_of(G.elements[i]) == i == index[G.elements[i].tobytes()]
+    for i in a[:3]:
+        assert list(centralizer(G, G.elements[i])) == list(range(G.order))  # abelian
+    check_non_member_on_base(G)

@@ -94,6 +94,18 @@ def test_run_verify_group_document(tmp_path):
     assert run_verify(str(bad), quiet=True) == 2
 
 
+def test_cli_verify_malformed_documents_are_input_errors(tmp_path, capsys):
+    for k, text in enumerate([
+        '{"degree": 3, "generators": [[1, 2, 0.5], [1, 0, 2]]}',  # float image
+        '{"degree": 1, "generators": [[0]]}',                     # degree below 2
+        '{"degree": true, "generators": [[0]]}',                  # bool degree
+    ]):
+        doc = tmp_path / f"bad{k}.json"
+        doc.write_text(text)
+        assert main(["verify", str(doc)]) == 2
+        assert "input error:" in capsys.readouterr().out
+
+
 def test_verify_group_report_shape(agl_f5):
     entry = find_entry("agl-field-5")
     report = verify_group(agl_f5, entry)

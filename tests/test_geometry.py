@@ -118,7 +118,7 @@ def test_line_products_lie_in_class(agl_f7):
         for b in line.points:
             arow = G.elements[geom.points[a]]
             brow = G.elements[geom.points[b]]
-            assert G.index[brow[arow].tobytes()] in cls
+            assert G.index_of(brow[arow]) in cls
 
 
 def test_conjugation_inverts_defining_translation(agl_f5):

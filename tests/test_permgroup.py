@@ -73,6 +73,12 @@ def test_parse_rejects_malformed():
         {"degree": 0, "generators": []},
         {"degree": 3, "generators": [[0, 1]]},
         {"degree": 3, "generators": "nope"},
+        {"degree": 3, "generators": [[1, 2, 0.5], [1, 0, 2]]},  # float image
+        {"degree": 3, "generators": [[1, 2, 0.0]]},
+        {"degree": 3, "generators": [[True, False, 2]]},        # bool images
+        {"degree": 1, "generators": [[0]]},                     # degree below 2
+        {"degree": True, "generators": [[0]]},                  # bool degree
+        {"degree": 2.0, "generators": [[1, 0]]},
     ]:
         with pytest.raises(MalformedDocument):
             parse_group_doc(doc)
@@ -127,9 +133,9 @@ def test_invert_and_conjugate(agl_f5):
 
 
 def test_every_element_has_inverse_in_group(agl_f9):
-    inv = agl_f9.inverse_indices
+    inv = agl_f9.inv(np.arange(agl_f9.order))
     for i in range(agl_f9.order):
-        assert agl_f9.product_index(i, int(inv[i])) == agl_f9.identity_index
+        assert agl_f9.mul(i, int(inv[i])) == agl_f9.identity_index
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +191,8 @@ def naive_class(G, idx):
         h = tuple(G.elements[k])
         hinv = tuple(np.argsort(np.array(h)))
         seen.add(naive_compose(naive_compose(hinv, g), h))
-    return sorted(G.index[np.array(p, dtype=np.int32).tobytes()] for p in seen)
+    index = {row.tobytes(): i for i, row in enumerate(G.elements)}
+    return sorted(index[np.array(p, dtype=np.int32).tobytes()] for p in seen)
 
 
 def test_centralizer_of_identity_is_everything(agl_f5):

@@ -6,13 +6,16 @@ import pytest
 from involq import (
     NotSharply2Transitive,
     affine_group,
+    characteristic,
     coordinatize,
     involutions,
     make_field,
     neumann_split_test,
+    parse_group_doc,
     perm_order,
     roundtrip_check,
     translations,
+    verify_group,
     verify_nearfield_axioms,
 )
 
@@ -108,6 +111,21 @@ def test_char2_entry_still_coordinatizes(agl_f4):
     assert nf.order == 4 and nf.char_p == 2
     assert np.array_equal(nf.mul, nf.mul.T)
     assert roundtrip_check(agl_f4, coord)
+
+
+def test_degree_2_group_recovers_gf2():
+    """In characteristic 2 the translations are J.J together with J; at degree
+    2 J.J is only the identity, so J itself supplies the translation 0 -> 1."""
+    G = parse_group_doc({"degree": 2, "generators": [[1, 0]]})
+    assert characteristic(G) == 2
+    assert list(translations(G)) == [0, 1]
+    nf = coordinatize(G).nearfield
+    gf2 = make_field(2, 1)
+    assert np.array_equal(nf.add, gf2.add) and np.array_equal(nf.mul, gf2.mul)
+    assert roundtrip_check(G)
+    report = verify_group(G)
+    assert report["ok"] is True
+    assert report["sections"]["roundtrip"]["equal"] is True
 
 
 def test_recovered_addition_matches_translation_action(agl_f9):
