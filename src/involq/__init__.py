@@ -14,13 +14,13 @@ from .census import CensusReport, census, verify_xalpha_covering, x_alpha
 from .errors import (
     AxiomFailure,
     AxiomRecoveryFailure,
-    CapExceeded,
     CharacteristicAnomaly,
     CharacteristicTwo,
     CharacterizationMismatch,
     ConstructionSanityFailure,
     EvenCharacteristicUnsupported,
     GeometryConditionsFailed,
+    InputError,
     InvolqError,
     MalformedDocument,
     NotABijection,
@@ -90,11 +90,11 @@ from .splitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomFailure", "AxiomRecoveryFailure", "CapExceeded", "CatalogEntry",
+    "AxiomFailure", "AxiomRecoveryFailure", "CatalogEntry",
     "CensusReport", "CharacteristicAnomaly", "CharacteristicTwo",
     "CharacterizationMismatch", "ClosureResult", "ConstructionSanityFailure",
     "Coordinatization", "EvenCharacteristicUnsupported", "Geometry",
-    "GeometryConditionsFailed", "InvolqError", "Line", "MalformedDocument",
+    "GeometryConditionsFailed", "InputError", "InvolqError", "Line", "MalformedDocument",
     "NearField", "NoPlaneVerdict", "NotABijection", "NotAMember",
     "NotDicksonPair", "NotInJ3", "NotPrime", "NotSharply2Transitive",
     "NotSplit", "OrderCapExceeded", "PermGroup", "PointsEqual",

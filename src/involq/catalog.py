@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvolqError
+from .errors import InputError, InvolqError
 from .nearfield import is_dickson_pair, make_dickson, make_field, prime_power
 from .permgroup import PermGroup, affine_group, parse_group_doc
 
@@ -57,7 +57,7 @@ def _odd_prime_powers(limit: int) -> list[int]:
 def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
     """All built-in entries of degree <= max_degree, in sorted id order."""
     if max_degree < 3:
-        raise ValueError("need max_degree >= 3")
+        raise InputError(f"need max_degree >= 3, got {max_degree}")
     entries = []
     for q in _odd_prime_powers(max_degree):
         p, e = prime_power(q)

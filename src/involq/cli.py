@@ -9,9 +9,13 @@ Subcommands:
 
 Targets are catalog entry ids (``involq catalog`` lists them) or paths to
 group documents ``{"degree": d, "generators": [[...], ...]}``. Exit codes:
-0 all applicable checks passed, 1 verification failure, 2 input error.
-Nothing is randomized; --seed is accepted for interface stability and
-ignored. INVOLQ_ORDER_CAP overrides the default size caps.
+0 all applicable checks passed, 1 verification failure (a failing or raising
+stage, or a target that cannot be recovered), 2 input error. Every
+subcommand maps errors through :func:`involq.pipeline.exit_status`, so input
+errors always print ``input error: ...`` on stderr; ``--quiet`` silences the
+progress lines of ``verify`` only. Nothing is randomized; --seed is accepted
+for interface stability and ignored. INVOLQ_ORDER_CAP overrides the default
+size caps.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import json
 import sys
 
 from .catalog import DEFAULT_MAX_DEGREE, run_catalog
-from .errors import InvolqError, MalformedDocument, NotABijection, NotSplit
 from .pipeline import (
     DEFAULT_SUBGROUP_CAP,
     census_target,
+    exit_status,
     recover_target,
     run_verify,
     write_report,
@@ -95,13 +99,12 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    return exit_status(_run, args)
 
+
+def _run(args) -> int:
     if args.command == "catalog":
-        try:
-            entries = run_catalog(args.max_degree)
-        except ValueError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
+        entries = run_catalog(args.max_degree)
         if args.json:
             print(json.dumps([e.as_dict() for e in entries], sort_keys=True, indent=2))
         else:
@@ -125,26 +128,12 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.command == "recover":
-        try:
-            payload = recover_target(args.target, args.max_degree)
-        except (FileNotFoundError, MalformedDocument, NotABijection) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
-        except (NotSplit, InvolqError) as exc:
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return 1
+        payload = recover_target(args.target, args.max_degree)
         _emit(payload, args.out)
         return 0 if payload["roundtrip"] else 1
 
     if args.command == "census":
-        try:
-            payload = census_target(args.target, args.max_degree, args.cap_alpha_sample)
-        except (FileNotFoundError, MalformedDocument, NotABijection) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
-        except InvolqError as exc:
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return 1
+        payload = census_target(args.target, args.max_degree, args.cap_alpha_sample)
         if args.csv:
             keys = ["target", "nhat", "khat", "khat_constant", "j2_size",
                     "j3_size", "lhat", "fiber_identity_ok", "status"]

@@ -5,6 +5,10 @@ class InvolqError(Exception):
     """Base class for all involq errors."""
 
 
+class InputError(InvolqError):
+    """The target, document or option cannot be used (exit code 2)."""
+
+
 # -- near-field construction ------------------------------------------------
 
 class NotPrime(InvolqError):
@@ -33,11 +37,11 @@ class ConstructionSanityFailure(InvolqError):
 
 # -- permutation groups -----------------------------------------------------
 
-class MalformedDocument(InvolqError):
+class MalformedDocument(InputError):
     pass
 
 
-class NotABijection(InvolqError):
+class NotABijection(InputError):
     def __init__(self, message: str, generator_index: int | None = None):
         super().__init__(message)
         self.generator_index = generator_index
@@ -96,10 +100,4 @@ class NotSplit(InvolqError):
 
 
 class AxiomRecoveryFailure(InvolqError):
-    pass
-
-
-# -- scans ------------------------------------------------------------------
-
-class CapExceeded(InvolqError):
     pass

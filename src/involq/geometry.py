@@ -165,7 +165,6 @@ class Geometry:
     def __init__(self, G: PermGroup):
         self.group = G
         self.points: np.ndarray | None = None        # J positions -> element index
-        self.fix_points: np.ndarray | None = None
         self.translation_ids: np.ndarray | None = None
         self.classes: list[tuple[int, ...]] = []     # element indices per class
         self.class_of_translation: dict[int, int] = {}
@@ -173,14 +172,10 @@ class Geometry:
         self.line_of_pair: np.ndarray | None = None  # (|J|,|J|), -1 on diagonal
         self.line_of_translation: dict[int, int] = {}
         self.incidence: list[tuple[int, ...]] = []
-        self.position_of: dict[int, int] = {}        # element index -> J position
 
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-    def line_points_elements(self, line: Line) -> list[int]:
-        return [int(self.points[p]) for p in line.points]
 
     def as_json_dict(self) -> dict:
         return {
@@ -207,9 +202,6 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     n = len(j_idx)
     geom.points = j_idx.copy()
     geom.points.setflags(write=False)
-    if cert._fix_points is not None:
-        geom.fix_points = cert._fix_points
-    geom.position_of = {int(j_idx[p]): p for p in range(n)}
     geom.translation_ids = cert._translations
 
     nontrivial = [int(t) for t in cert._translations if t != G.identity_index]

@@ -176,13 +176,6 @@ class NearField:
     def is_field_family(self) -> bool:
         return self.family.startswith("field(")
 
-    def neg(self, a: int) -> int:
-        row = self.add[a]
-        hits = np.nonzero(row == 0)[0]
-        if len(hits) != 1:
-            raise ValueError(f"element {a} has {len(hits)} additive inverses")
-        return int(hits[0])
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")

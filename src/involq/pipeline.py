@@ -1,11 +1,19 @@
 """The batch verification pipeline and its JSON report.
 
-One entry runs the stages in a fixed order: certificate, basic regularity,
-geometry preconditions, geometry build, line conjugation lemma, plane
-closures, odd-subgroup scan, split test, coordinatization, roundtrip,
-census, line covering. A stage that cannot apply (characteristic 2, or an
-invalid certificate) is marked "skipped: <reason>" instead of failing; a
-fixture that is expected to fail certification conforms when it does.
+``STAGES`` declares the twelve report stages once, in the order they run:
+certificate, basic regularity, geometry preconditions, geometry build, line
+conjugation lemma, plane closures, odd-subgroup scan, split test,
+coordinatization, roundtrip, census, line covering. Each row names the one
+earlier stage it needs, and one rule decides whether the row runs:
+
+* the needed stage was skipped: inherit its exact ``skipped: <reason>``;
+* the needed stage did not pass: ``skipped: <this row's reason>``;
+* the row is odd-only and the characteristic is 2: ``skipped: characteristic
+  two``;
+* otherwise run it. An ``InvolqError`` raised by the stage becomes
+  ``{"status": "fail", "error": "<Type>: <message>"}`` and the batch goes on.
+
+A fixture that is expected to fail certification conforms when it does.
 
 Reports contain only sorted keys, integers, booleans and strings, and the
 closure seeds come from a fixed linear-congruential sequence, so two runs on
@@ -16,6 +24,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from types import SimpleNamespace
 
 from . import geometry as geometry_mod
 from . import s2t
@@ -29,7 +39,7 @@ from .catalog import (
     find_entry,
     run_catalog,
 )
-from .errors import CharacteristicTwo, InvolqError, MalformedDocument, NotABijection
+from .errors import CharacteristicTwo, InputError, InvolqError
 from .permgroup import PermGroup, parse_group_doc
 from .reporting import jsonable
 
@@ -38,6 +48,7 @@ DEFAULT_CLOSURE_SEEDS = 100
 
 SKIP_CHAR2 = "skipped: characteristic two"
 SKIP_NOT_S2T = "skipped: not sharply 2-transitive"
+SKIP_NO_GEOMETRY = "skipped: no geometry"
 
 
 def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
@@ -54,169 +65,137 @@ def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
     return seeds
 
 
+# ---------------------------------------------------------------------------
+# the stage table
+#
+# A stage's run(s) gets the namespace s holding G, the caps and the value of
+# every stage that passed so far (s.certificate, s.geometry, ...), and
+# returns (value, section). It names the traced functions through their
+# modules, so a wrapper installed on a module attribute sees every call.
+
+
+def _checked(rep, flag: str = "ok"):
+    """(rep, section): status from rep.<flag>, then rep's own fields."""
+    return rep, {
+        "status": "pass" if getattr(rep, flag) else "fail",
+        **jsonable(rep.as_dict()),
+    }
+
+
+def _geometry(s):
+    geom = geometry_mod.build_geometry(s.G, s.geometry_conditions)
+    return geom, {
+        "status": "pass",
+        "n_points": geom.n_points,
+        "n_lines": len(geom.lines),
+        "line_sizes": sorted(len(line.points) for line in geom.lines),
+        "n_classes": len(geom.classes),
+    }
+
+
+def _no_proper_plane(s):
+    geom = s.geometry
+    closures_ok = idempotence_ok = True
+    met_line_counts = []
+    for seed in _closure_seed_sets(DEFAULT_CLOSURE_SEEDS, geom.n_points):
+        closure = geometry_mod.plane_closure(geom, seed)
+        again = geometry_mod.plane_closure(geom, closure.points)
+        idempotence_ok = idempotence_ok and again.points == closure.points
+        verdict = geometry_mod.verify_no_proper_plane(geom, closure.points)
+        closures_ok = closures_ok and verdict.ok
+        if verdict.hypotheses_met:
+            met_line_counts.append(verdict.line_count)
+    return None, {
+        "status": "pass" if (closures_ok and idempotence_ok) else "fail",
+        "seeds": DEFAULT_CLOSURE_SEEDS,
+        "closures_meeting_hypotheses": len(met_line_counts),
+        "max_contained_lines": max(met_line_counts, default=0),
+        "idempotence_ok": idempotence_ok,
+    }
+
+
+def _coordinatization(s):
+    coord = splitting.coordinatize(s.G, s.splitting)
+    nf = coord.nearfield
+    return coord, {
+        "status": "pass",
+        "order": nf.order,
+        "family": nf.family,
+        "char_p": nf.char_p,
+        "mul_commutative": bool((nf.mul == nf.mul.T).all()),
+    }
+
+
+def _roundtrip(s):
+    rt = splitting.roundtrip_check(s.G, s.coordinatization)
+    return rt, {"status": "pass" if rt else "fail", "equal": rt}
+
+
+def _xalpha_covering(s):
+    cover = verify_xalpha_covering(s.G, s.geometry, alpha_cap=s.alpha_cap)
+    return cover, {
+        **_checked(cover)[1],
+        "alphas_checked": cover.alphas_checked,
+        "alphas_total": cover.alphas_total,
+        "complete": cover.complete,
+    }
+
+
+# (name, requires, reason, odd_only, run)
+STAGES = (
+    ("certificate", None, None, False,
+     lambda s: _checked(s2t.certify_sharply_2_transitive(s.G), "valid")),
+    ("basic_properties", "certificate", SKIP_NOT_S2T, True,
+     lambda s: _checked(s2t.verify_basic_properties(s.G))),
+    ("geometry_conditions", "certificate", SKIP_NOT_S2T, True,
+     lambda s: _checked(geometry_mod.check_geometry_conditions(s.G))),
+    ("geometry", "geometry_conditions", "skipped: geometry conditions failed", False,
+     _geometry),
+    ("line_lemma", "geometry", SKIP_NO_GEOMETRY, False,
+     lambda s: _checked(geometry_mod.verify_line_lemma(s.geometry))),
+    ("no_proper_plane", "geometry", SKIP_NO_GEOMETRY, False, _no_proper_plane),
+    ("divisible_subgroups", "geometry", SKIP_NO_GEOMETRY, False,
+     lambda s: _checked(geometry_mod.divisible_subgroup_scan(s.geometry, cap=s.subgroup_cap))),
+    ("splitting", "certificate", SKIP_NOT_S2T, False,
+     lambda s: _checked(splitting.neumann_split_test(s.G), "split")),
+    ("coordinatization", "splitting", "skipped: not split", False, _coordinatization),
+    ("roundtrip", "coordinatization", "skipped: no coordinatization", False, _roundtrip),
+    ("census", "certificate", SKIP_NOT_S2T, True,
+     lambda s: _checked(compute_census(s.G, alpha_cap=s.alpha_cap))),
+    ("xalpha_covering", "geometry", SKIP_NO_GEOMETRY, False, _xalpha_covering),
+)
+
+
 def verify_group(
     G: PermGroup,
     entry: CatalogEntry | None = None,
     subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
     alpha_cap: int | None = None,
-    closure_seed_count: int = DEFAULT_CLOSURE_SEEDS,
 ) -> dict:
-    """Run the full stage list on one group and return its report section."""
+    """Run every row of STAGES on one group and return its report section."""
+    s = SimpleNamespace(G=G, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap)
     sections: dict[str, dict] = {}
-
-    cert = s2t.certify_sharply_2_transitive(G)
-    sections["certificate"] = {
-        "status": "pass" if cert.valid else "fail",
-        **jsonable(cert.as_dict()),
-    }
-
-    def skip_rest(reason: str, names: list[str]):
-        for name in names:
+    for name, requires, reason, odd_only, run in STAGES:
+        needed = sections[requires]["status"] if requires else "pass"
+        if needed.startswith("skipped:"):
+            sections[name] = {"status": needed}
+        elif needed != "pass":
             sections[name] = {"status": reason}
-
-    geometry_stages = [
-        "basic_properties",
-        "geometry_conditions",
-        "geometry",
-        "line_lemma",
-        "no_proper_plane",
-        "divisible_subgroups",
-    ]
-    later_stages = ["splitting", "coordinatization", "roundtrip", "census", "xalpha_covering"]
-
-    if not cert.valid:
-        skip_rest(SKIP_NOT_S2T, geometry_stages + later_stages)
-        ok = False
-        return _finish(G, entry, sections, ok)
-
-    char2 = cert.characteristic == 2
-    geom = None
-
-    if char2:
-        for name in geometry_stages:
+        elif odd_only and s.certificate.characteristic == 2:
             sections[name] = {"status": SKIP_CHAR2}
-    else:
-        rep = s2t.verify_basic_properties(G)
-        sections["basic_properties"] = {
-            "status": "pass" if rep.ok else "fail",
-            **rep.as_dict(),
-        }
-
-        conditions = geometry_mod.check_geometry_conditions(G)
-        sections["geometry_conditions"] = {
-            "status": "pass" if conditions.ok else "fail",
-            **conditions.as_dict(),
-        }
-
-        if conditions.ok:
-            geom = geometry_mod.build_geometry(G, conditions)
-            line_sizes = sorted(len(line.points) for line in geom.lines)
-            sections["geometry"] = {
-                "status": "pass",
-                "n_points": geom.n_points,
-                "n_lines": len(geom.lines),
-                "line_sizes": line_sizes,
-                "n_classes": len(geom.classes),
-            }
-
-            lemma = geometry_mod.verify_line_lemma(geom)
-            sections["line_lemma"] = {
-                "status": "pass" if lemma.ok else "fail",
-                **lemma.as_dict(),
-            }
-
-            closures_ok = True
-            idempotence_ok = True
-            max_lines = 0
-            hypotheses_met = 0
-            for seed in _closure_seed_sets(closure_seed_count, geom.n_points):
-                closure = geometry_mod.plane_closure(geom, seed)
-                again = geometry_mod.plane_closure(geom, closure.points)
-                if again.points != closure.points:
-                    idempotence_ok = False
-                verdict = geometry_mod.verify_no_proper_plane(geom, closure.points)
-                if verdict.hypotheses_met:
-                    hypotheses_met += 1
-                    max_lines = max(max_lines, verdict.line_count)
-                if not verdict.ok:
-                    closures_ok = False
-            sections["no_proper_plane"] = {
-                "status": "pass" if (closures_ok and idempotence_ok) else "fail",
-                "seeds": closure_seed_count,
-                "closures_meeting_hypotheses": hypotheses_met,
-                "max_contained_lines": max_lines,
-                "idempotence_ok": idempotence_ok,
-            }
-
-            scan = geometry_mod.divisible_subgroup_scan(geom, cap=subgroup_cap)
-            sections["divisible_subgroups"] = {
-                "status": "pass" if scan.ok else "fail",
-                **jsonable(scan.as_dict()),
-            }
         else:
-            sections["geometry"] = {"status": "skipped: geometry conditions failed"}
-            sections["line_lemma"] = {"status": "skipped: geometry conditions failed"}
-            sections["no_proper_plane"] = {"status": "skipped: geometry conditions failed"}
-            sections["divisible_subgroups"] = {"status": "skipped: geometry conditions failed"}
-
-    split_report = splitting.neumann_split_test(G)
-    sections["splitting"] = {
-        "status": "pass" if split_report.split else "fail",
-        **jsonable(split_report.as_dict()),
-    }
-
-    if split_report.split:
-        coord = splitting.coordinatize(G, split_report)
-        nf = coord.nearfield
-        mul_commutative = bool((nf.mul == nf.mul.T).all())
-        sections["coordinatization"] = {
-            "status": "pass",
-            "order": nf.order,
-            "family": nf.family,
-            "char_p": nf.char_p,
-            "mul_commutative": mul_commutative,
-        }
-        rt = splitting.roundtrip_check(G, coord)
-        sections["roundtrip"] = {"status": "pass" if rt else "fail", "equal": rt}
-    else:
-        sections["coordinatization"] = {"status": "skipped: not split"}
-        sections["roundtrip"] = {"status": "skipped: not split"}
-
-    if char2:
-        sections["census"] = {"status": SKIP_CHAR2}
-        sections["xalpha_covering"] = {"status": SKIP_CHAR2}
-    else:
-        rep = compute_census(G, alpha_cap=alpha_cap)
-        sections["census"] = {
-            "status": "pass" if rep.ok else "fail",
-            **jsonable(rep.as_dict()),
-        }
-        if geom is not None:
-            cover = verify_xalpha_covering(G, geom, alpha_cap=alpha_cap)
-            sections["xalpha_covering"] = {
-                "status": "pass" if cover.ok else "fail",
-                "alphas_checked": cover.alphas_checked,
-                "alphas_total": cover.alphas_total,
-                "complete": cover.complete,
-                **cover.as_dict(),
-            }
-        else:
-            sections["xalpha_covering"] = {"status": "skipped: no geometry"}
+            try:
+                value, sections[name] = run(s)
+            except InvolqError as exc:
+                sections[name] = {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
+            else:
+                setattr(s, name, value)
 
     ok = all(
         sec["status"] == "pass" or sec["status"].startswith("skipped:")
         for sec in sections.values()
-    ) and cert.valid
-    return _finish(G, entry, sections, ok)
-
-
-def _finish(G: PermGroup, entry: CatalogEntry | None, sections: dict, ok: bool) -> dict:
-    report = {
-        "degree": G.degree,
-        "order": G.order,
-        "sections": sections,
-        "ok": ok,
-    }
+    )
+    report = {"degree": G.degree, "order": G.order, "sections": sections, "ok": ok}
     if entry is not None:
         report["entry"] = entry.as_dict()
         report["conforms"] = _conforms(entry, sections, ok)
@@ -225,7 +204,7 @@ def _finish(G: PermGroup, entry: CatalogEntry | None, sections: dict, ok: bool) 
 
 def _conforms(entry: CatalogEntry, sections: dict, ok: bool) -> bool:
     cert = sections["certificate"]
-    if cert["valid"] != entry.expected_certified:
+    if cert.get("valid") != entry.expected_certified:
         return False
     if not entry.expected_certified:
         return True  # designed-to-fail fixture behaved as designed
@@ -258,6 +237,24 @@ def resolve_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE):
     raise FileNotFoundError(f"no catalog entry or file named {target!r}")
 
 
+def exit_status(run, *args) -> int:
+    """Call run and return its exit status, mapping the errors that escape it.
+
+    An unusable target, document, path or option prints ``input error: ...``
+    on stderr and gives 2; any other involq error (one raised outside a
+    stage, such as building an entry) prints ``verification failure: ...``
+    and gives 1.
+    """
+    try:
+        return run(*args)
+    except (OSError, InputError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except InvolqError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+
+
 def run_verify(
     target: str,
     report_path: str | None = None,
@@ -269,39 +266,36 @@ def run_verify(
     """Verify one target (or the whole catalog for target 'all').
 
     Exit codes: 0 when every applicable check passed, 1 on verification
-    failure, 2 on input errors. In catalog mode the exit is 0 when every
-    entry conforms to its expected flags, so designed-to-fail fixtures do
-    not fail the batch.
+    failure (a failing or raising stage included), 2 on input errors. In
+    catalog mode the exit is 0 when every entry conforms to its expected
+    flags, so designed-to-fail fixtures do not fail the batch. ``quiet``
+    silences the progress lines, never an error message.
     """
+    return exit_status(
+        _verify, target, report_path, max_degree, subgroup_cap, alpha_cap, quiet
+    )
+
+
+def _verify(target, report_path, max_degree, subgroup_cap, alpha_cap, quiet) -> int:
     say = (lambda *_: None) if quiet else print
-    try:
-        if target == "all":
-            report = {"max_degree": max_degree, "entries": {}}
-            all_conform = True
-            for entry in run_catalog(max_degree):
-                result = verify_group(
-                    build_entry(entry), entry,
-                    subgroup_cap=subgroup_cap, alpha_cap=alpha_cap,
-                )
-                report["entries"][entry.id] = result
-                all_conform &= result["conforms"]
-                say(f"{entry.id}: {'conforms' if result['conforms'] else 'DEVIATES'}")
-            report["ok"] = all_conform
-            exit_code = 0 if all_conform else 1
-        else:
-            entry, G = resolve_target(target, max_degree)
+    if target == "all":
+        report = {"max_degree": max_degree, "entries": {}}
+        all_conform = True
+        for entry in run_catalog(max_degree):
             result = verify_group(
-                G, entry, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap
+                build_entry(entry), entry,
+                subgroup_cap=subgroup_cap, alpha_cap=alpha_cap,
             )
-            report = result
-            exit_code = 0 if result["ok"] else 1
-            say(f"{target}: {'ok' if result['ok'] else 'FAILED'}")
-    except (FileNotFoundError, MalformedDocument, NotABijection) as exc:
-        say(f"input error: {exc}")
-        return 2
-    except InvolqError as exc:
-        say(f"error: {exc}")
-        return 2
+            report["entries"][entry.id] = result
+            all_conform &= result["conforms"]
+            say(f"{entry.id}: {'conforms' if result['conforms'] else 'DEVIATES'}")
+        report["ok"] = all_conform
+        exit_code = 0 if all_conform else 1
+    else:
+        entry, G = resolve_target(target, max_degree)
+        report = verify_group(G, entry, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap)
+        exit_code = 0 if report["ok"] else 1
+        say(f"{target}: {'ok' if report['ok'] else 'FAILED'}")
 
     if report_path:
         write_report(report, report_path)

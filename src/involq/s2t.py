@@ -202,14 +202,6 @@ def characteristic(G: PermGroup) -> int:
     return int(cert.characteristic)
 
 
-def fixed_point_of(G: PermGroup, j_position: int) -> int:
-    """The unique fixed point of the involution at position j_position in J."""
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
-        raise CharacteristicTwo("fixed points undefined: involutions are free")
-    return int(cert._fix_points[j_position])
-
-
 def swap_involution(G: PermGroup, x: int, y: int) -> np.ndarray:
     """The unique element exchanging the points x and y; always order 2."""
     _require_certified(G)

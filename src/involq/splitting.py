@@ -17,7 +17,7 @@ which :func:`roundtrip_check` verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +50,11 @@ class Coordinatization:
     zero_point: int
     one_point: int
     nearfield: NearField
-    relabeling: np.ndarray = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
             "zero_point": self.zero_point,
             "one_point": self.one_point,
-            "relabeling": [int(x) for x in self.relabeling],
             "nearfield": self.nearfield.to_json_dict(),
         }
 
@@ -94,9 +92,8 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
 def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coordinatization:
     """Recover the coordinatizing near-field of a split group.
 
-    Base points are the least indices 0 and 1. Because points double as
-    element indices and the base points are already 0 and 1, the recorded
-    point-to-element relabeling is the identity map.
+    Base points are the least indices 0 and 1, and the recovered near-field
+    element ``x`` is the point ``x``: no relabeling is involved.
     """
     if split_report is None:
         split_report = neumann_split_test(G)
@@ -134,22 +131,16 @@ def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coord
         bad = report.failures()[0]
         raise AxiomRecoveryFailure(f"recovered tables fail {bad.name} at {bad.witness}")
     nf._verified = True
-    return Coordinatization(
-        zero_point=0, one_point=1, nearfield=nf,
-        relabeling=np.arange(d, dtype=np.int64),
-    )
+    return Coordinatization(zero_point=0, one_point=1, nearfield=nf)
 
 
 def roundtrip_check(G: PermGroup, coord: Coordinatization | None = None) -> bool:
-    """True iff the affine group of the recovered near-field, relabeled back,
-    equals the input group as a set of permutations."""
+    """True iff the affine group of the recovered near-field equals the input
+    group as a set of permutations."""
     if coord is None:
         coord = coordinatize(G)
     H = affine_group(coord.nearfield)
     if H.order != G.order or H.degree != G.degree:
         return False
-    rel = coord.relabeling.astype(np.int32)
-    rel_inv = np.argsort(rel).astype(np.int32)
-    relabeled = rel[H.elements[:, rel_inv]]  # x -> rel(h(rel^-1(x)))
     # H has no repeated elements and |H| == |G|, so H inside G means H == G
-    return G.contains(relabeled)
+    return G.contains(H.elements)

@@ -4,9 +4,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from involq import geometry as geometry_mod
+from involq import s2t
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.cli import main
+from involq.errors import CharacterizationMismatch, CharacteristicAnomaly
 from involq.pipeline import run_verify, verify_group
+from involq.reporting import Check, CheckReport
 
 
 def test_catalog_degree_9():
@@ -103,7 +109,82 @@ def test_cli_verify_malformed_documents_are_input_errors(tmp_path, capsys):
         doc = tmp_path / f"bad{k}.json"
         doc.write_text(text)
         assert main(["verify", str(doc)]) == 2
-        assert "input error:" in capsys.readouterr().out
+        assert "input error:" in capsys.readouterr().err
+        assert main(["verify", str(doc), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "input error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"], ["verify"], ["verify", "agl-field-3"], ["recover", "agl-field-3"],
+    ["census", "agl-field-3"],
+])
+def test_cli_max_degree_below_3_is_an_input_error(argv, capsys):
+    assert main(argv + ["--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# the stage runner: skip inheritance and fault isolation
+
+GEOMETRY_DEPENDENTS = ("line_lemma", "no_proper_plane", "divisible_subgroups", "xalpha_covering")
+
+
+def test_raising_stage_fails_alone_and_its_dependents_skip(agl_f5, monkeypatch, tmp_path):
+    def broken(G, conditions=None):
+        raise CharacterizationMismatch("line characterizations disagree")
+
+    monkeypatch.setattr(geometry_mod, "build_geometry", broken)
+    report = verify_group(agl_f5, find_entry("agl-field-5"))
+    sections = report["sections"]
+    assert sections["geometry"] == {
+        "status": "fail",
+        "error": "CharacterizationMismatch: line characterizations disagree",
+    }
+    for name in GEOMETRY_DEPENDENTS:
+        assert sections[name] == {"status": "skipped: no geometry"}
+    for name in ("certificate", "basic_properties", "geometry_conditions",
+                 "splitting", "coordinatization", "roundtrip", "census"):
+        assert sections[name]["status"] == "pass"
+    assert report["ok"] is False and report["conforms"] is False
+
+    report_path = tmp_path / "all.json"
+    assert run_verify("all", str(report_path), max_degree=9, quiet=True) == 1
+    batch = json.loads(report_path.read_text())
+    assert set(batch["entries"]) == {e.id for e in run_catalog(9)}
+    assert batch["ok"] is False
+    assert batch["entries"]["agl-field-3"]["sections"]["geometry"]["status"] == "fail"
+    assert batch["entries"]["sym4-fixture"]["conforms"] is True  # never reaches geometry
+
+
+def test_failed_geometry_conditions_pin_every_inherited_skip(agl_f5, monkeypatch):
+    def failing(G):
+        return CheckReport("geometry conditions", [Check("(a)", False, witness=(1, 2))])
+
+    monkeypatch.setattr(geometry_mod, "check_geometry_conditions", failing)
+    sections = verify_group(agl_f5)["sections"]
+    assert sections["geometry_conditions"]["status"] == "fail"
+    for name in ("geometry",) + GEOMETRY_DEPENDENTS:
+        assert sections[name] == {"status": "skipped: geometry conditions failed"}
+    for name in ("splitting", "coordinatization", "roundtrip", "census"):
+        assert sections[name]["status"] == "pass"
+
+
+def test_raising_certificate_skips_every_stage(agl_f5, monkeypatch):
+    def broken(G):
+        raise CharacteristicAnomaly("pair orbit out of range")
+
+    monkeypatch.setattr(s2t, "certify_sharply_2_transitive", broken)
+    report = verify_group(agl_f5, find_entry("agl-field-5"))
+    sections = report["sections"]
+    assert sections["certificate"] == {
+        "status": "fail", "error": "CharacteristicAnomaly: pair orbit out of range",
+    }
+    assert {name: sec["status"] for name, sec in sections.items() if name != "certificate"} == {
+        name: "skipped: not sharply 2-transitive" for name in list(sections)[1:]
+    }
+    assert report["ok"] is False and report["conforms"] is False
 
 
 def test_verify_group_report_shape(agl_f5):

@@ -87,13 +87,6 @@ def test_recovered_order_equals_degree(agl_f9, agl_d25):
         assert coordinatize(G).nearfield.order == G.degree
 
 
-def test_relabeling_is_identity_and_involutive(agl_f5):
-    coord = coordinatize(agl_f5)
-    rel = coord.relabeling
-    assert np.array_equal(rel, np.arange(5))
-    assert np.array_equal(rel[rel], np.arange(5))
-
-
 def test_roundtrip_fields():
     for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2)]:
         G = affine_group(make_field(p, e))
