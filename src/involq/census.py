@@ -126,8 +126,7 @@ def x_alpha(G: PermGroup, alpha) -> np.ndarray:
     a_idx = int(alpha) if isinstance(alpha, (int, np.integer)) else G.index_of(alpha)
     if a_idx < 0 or a_idx >= G.order:
         raise NotInJ3(f"no element with index {a_idx}")
-    j3 = _triple_products(G, cert)
-    if a_idx != G.identity_index and a_idx not in set(int(x) for x in j3):
+    if a_idx != G.identity_index and not np.isin(a_idx, _triple_products(G, cert)):
         raise NotInJ3(f"element {a_idx} is not a product of three involutions")
     _, in_x = _x_alpha_masks(G, cert, np.array([a_idx]))
     return np.nonzero(in_x[0])[0]
@@ -148,13 +147,11 @@ def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
 
     j3 = _triple_products(G, cert)
     j3_size = len(j3)
-    j3_set = set(int(x) for x in j3)
 
     sample, complete = _alpha_sample(G, j3, alpha_cap)
     _, in_x = _x_alpha_masks(G, cert, sample)
     xalpha_sizes = list(zip(sample.tolist(), in_x.sum(axis=1).tolist()))
 
-    jset = set(int(j) for j in j_idx)
     return CensusReport(
         nhat=nhat,
         khat=khat,
@@ -163,8 +160,8 @@ def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
         j3_size=j3_size,
         lhat=j3_size - j2_size,
         fiber_identity_ok=j2_size * khat == nhat * nhat,
-        j_disjoint_from_j2=not (jset & set(int(t) for t in trans)),
-        j3_contains_j=jset <= j3_set,
+        j_disjoint_from_j2=not np.isin(j_idx, trans).any(),
+        j3_contains_j=bool(np.isin(j_idx, j3).all()),
         xalpha_sizes=xalpha_sizes,
         alpha_sample_complete=complete,
     )
@@ -196,48 +193,34 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry,
     sample, complete = _alpha_sample(G, j3, alpha_cap)
     products, in_x = _x_alpha_masks(G, cert, sample)
 
-    line_point_sets = [set(line.points) for line in geom.lines]
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"
+    inside = geom.lines_inside(in_x[:, None, :])  # (alpha, line)
 
-    witness_cover = witness_sat = witness_fiber = None
-    for row, a_val in enumerate(sample):
-        a_idx = int(a_val)
-        sigma_of = products[row].tolist()  # involution p then alpha
-        xpos = np.nonzero(in_x[row])[0].tolist()
-        xset = set(xpos)
-        inside: dict[int, bool] = {}   # line id -> line subset of X_alpha
+    triple_counts = (fiber[products] * in_x).sum(axis=1)
+    expected = in_x.sum(axis=1) * khat
+    hits = np.flatnonzero(triple_counts != expected)
+    witness_fiber = None
+    if len(hits):
+        row = hits[0]
+        witness_fiber = (int(sample[row]), int(triple_counts[row]), int(expected[row]))
 
-        def line_inside(lid: int) -> bool:
-            hit = inside.get(lid)
-            if hit is None:
-                hit = line_point_sets[lid] <= xset
-                inside[lid] = hit
-            return hit
+    # (alpha, p, v): p in X_alpha, v != p on the line of p.alpha (none when
+    # p.alpha is the identity: r == s carries no line), and the line of
+    # (p, v) leaves X_alpha
+    line_of = geom.line_of_translation[products]
+    on_line = geom.incidence[line_of] & ((line_of >= 0) & in_x)[..., None]
+    on_line[:, np.arange(len(j_idx)), np.arange(len(j_idx))] = False
+    hits = np.argwhere(on_line & ~inside[:, geom.line_of_pair])
+    witness_cover = None
+    if len(hits):
+        row, p, v = hits[0]
+        witness_cover = (int(sample[row]), int(j_idx[p]), int(j_idx[v]))
 
-        triple_count = int(fiber[products[row, xpos]].sum())
-        if witness_fiber is None and triple_count != len(xpos) * khat:
-            witness_fiber = (a_idx, triple_count, len(xpos) * khat)
-
-        if witness_cover is None:
-            for p in xpos:
-                sigma = sigma_of[p]
-                if sigma == G.identity_index:
-                    continue  # degenerate: r == s carries no line
-                lid = geom.line_of_translation[sigma]
-                for v in geom.lines[lid].points:
-                    if v == p:
-                        continue
-                    if not line_inside(int(geom.line_of_pair[p, v])):
-                        witness_cover = (a_idx, int(j_idx[p]), int(j_idx[v]))
-                        break
-                if witness_cover:
-                    break
-
-        if witness_sat is None:
-            for p in xpos:
-                if not any(line_inside(lid) for lid in geom.incidence[p]):
-                    witness_sat = (a_idx, int(j_idx[p]))
-                    break
+    hits = np.argwhere(in_x & ~(inside @ geom.incidence))
+    witness_sat = None
+    if len(hits):
+        row, p = hits[0]
+        witness_sat = (int(sample[row]), int(j_idx[p]))
 
     checks = [
         Check("line-covering", witness_cover is None, witness=witness_cover,

@@ -1,11 +1,14 @@
 """Default size caps and their environment override.
 
 INVOLQ_ORDER_CAP, when set to a positive integer, overrides both default
-caps (near-field order and enumerated group order). Nothing in the package
-is randomized; caps only bound the cost of exhaustive scans.
+caps (near-field order and enumerated group order); any other value raises
+``InputError``. Nothing in the package is randomized; caps only bound the
+cost of exhaustive scans.
 """
 
 import os
+
+from .errors import InputError
 
 DEFAULT_NEARFIELD_ORDER_CAP = 4096
 DEFAULT_GROUP_ORDER_CAP = 10**6
@@ -20,9 +23,9 @@ def _env_cap() -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}")
+        raise InputError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"{_ENV_VAR} must be positive, got {value}")
+        raise InputError(f"{_ENV_VAR} must be positive, got {value}")
     return value
 
 

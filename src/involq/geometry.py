@@ -1,12 +1,16 @@
 """The point-line incidence structure on the involutions of a certified group.
 
 Points are the involutions. For distinct involutions i, j the line through
-them can be described three ways, and all three are recomputed and compared
-for every pair during the build:
+them can be described three ways, and all three are computed and compared
+during the build:
 
 * membership:   { k in J : k (i j) lies in J }
 * coset:        { i c : c centralizing i j }          (must land inside J)
 * conjugation:  { k in J : k^-1 (i j) k == j i }
+
+The membership and conjugation forms are one boolean row per distinct
+translation i j; the coset form is checked once per distinct translation,
+over every pair with that product.
 
 The build only proceeds when the four equivalent preconditions hold
 (commuting transitive on nontrivial translations; unique square roots in the
@@ -16,7 +20,12 @@ The finished structure satisfies the partial-plane axioms: two points span
 exactly one line, two lines meet in at most one point.
 
 Inside this module points are positions 0..|J|-1 into the involution list;
-the ``points`` array maps positions back to group element indices.
+the ``points`` array maps positions back to group element indices. Lines are
+the rows of ``Geometry.incidence``, an (n_lines, n_points) boolean matrix,
+and ``Geometry.line_of_translation`` is an order-length array giving the
+line of each nontrivial translation (-1 on every other element). Closures,
+the no-proper-plane verdict, the line lemma and the X_alpha covering all
+read that matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +46,23 @@ from .reporting import Check, CheckReport
 from .s2t import _j_positions, _require_certified
 
 
+def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) for the rows of a boolean matrix: the first row of each
+    distinct row, and the group of every row, groups numbered by first
+    appearance."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[group]
+
+
 # ---------------------------------------------------------------------------
 # the four equivalent preconditions
+
+_C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
 
 
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
@@ -65,81 +89,90 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     checks.append(Check("commuting-transitive-on-translations", witness is None,
                         witness=witness))
 
-    # products iJ for each involution, as index sets
+    # iJ as a membership mask, row i for the involution at position i; the
+    # diagonal products ii are the identity, every other product ik a
+    # translation. Scans of row i read the columns ij[i], the elements of iJ.
     n = len(j_idx)
     ij = G.mul(j_idx[:, None], j_idx[None, :])  # row i: i then each involution
-    i_j_products = [frozenset(row.tolist()) for row in ij]
+    in_ij = np.zeros((n, G.order), dtype=bool)
+    in_ij[np.arange(n)[:, None], ij] = True
 
     # (b) squaring is a bijection of iJ meet kJ for all involution pairs
     every = np.arange(G.order)
     square_of = G.mul(every, every)
     witness = None
-    for i in range(n):
-        if witness:
+    for i in range(n - 1):
+        column = np.full(G.order, n)  # column n collects squares outside iJ
+        column[ij[i]] = np.arange(n)
+        meet = in_ij[i + 1:, ij[i]]  # row k - i - 1: iJ meet kJ
+        rows, cols = np.nonzero(meet)
+        image = np.zeros((len(meet), n + 1), dtype=bool)
+        image[rows, column[square_of[ij[i, cols]]]] = True
+        bad = np.flatnonzero((image[:, :n] != meet).any(axis=1) | image[:, n])
+        if len(bad):
+            witness = (int(j_idx[i]), int(j_idx[i + 1 + bad[0]]))
             break
-        for k in range(i + 1, n):
-            meet = sorted(i_j_products[i] & i_j_products[k])
-            squares = [int(square_of[s]) for s in meet]
-            if any(s not in i_j_products[i] or s not in i_j_products[k] for s in squares) \
-                    or len(set(squares)) != len(squares):
-                witness = (int(j_idx[i]), int(j_idx[k]))
-                break
-            if set(squares) != set(meet):
-                witness = (int(j_idx[i]), int(j_idx[k]))
-                break
     checks.append(Check("unique-square-roots-in-product-meets", witness is None,
                         witness=witness))
 
+    # one centralizer mask per distinct translation: the products ik (i != k)
+    # and the listed nontrivial translations
+    sigmas = np.union1d(ij[~np.eye(n, dtype=bool)], nontrivial)
+    row_of = np.full(G.order, -1, dtype=np.int64)
+    row_of[sigmas] = np.arange(len(sigmas))
+    cen = np.zeros((len(sigmas), G.order), dtype=bool)
+    for r, t in enumerate(sigmas.tolist()):
+        cen[r, centralizer(G, t)] = True
+
     # (c) Cen(ik) equals iJ meet kJ, is abelian, and is inverted by k
-    abelian_cache: dict[frozenset, bool] = {}
+    first, group = _distinct_rows(cen)
+    abelian = np.empty(len(first), dtype=bool)
+    for g, r in enumerate(first):
+        members = np.flatnonzero(cen[r])
+        table = G.mul(members[:, None], members[None, :])
+        abelian[g] = np.array_equal(table, table.T)
+    abelian = abelian[group]
+    # Cen(ik) is compared on the columns of iJ, and a centralizer element
+    # outside iJ shows as a size difference; mismatch is tested first, so
+    # inversion by k need only be tabulated on the elements of J.J
+    cen_size = cen.sum(axis=1)
+    jj = np.unique(ij)
+    inverted = np.zeros((n, G.order), dtype=bool)
+    inverted[:, jj] = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
     witness = None
     for i in range(n):
-        if witness:
+        ks = np.delete(np.arange(n), i)
+        rows = row_of[ij[i, ks]]  # Cen(ik) for each k != i
+        cen_on_ij = cen[np.ix_(rows, ij[i])]
+        failed = np.stack([
+            (cen_on_ij != in_ij[np.ix_(ks, ij[i])]).any(axis=1)
+            | (cen_on_ij.sum(axis=1) != cen_size[rows]),
+            ~abelian[rows],
+            (cen_on_ij & ~inverted[np.ix_(ks, ij[i])]).any(axis=1),
+        ])
+        hits = np.flatnonzero(failed.any(axis=0))
+        if len(hits):
+            k = hits[0]
+            reason = _C_REASONS[int(np.argmax(failed[:, k]))]
+            witness = (int(j_idx[i]), int(j_idx[ks[k]]), reason)
             break
-        for k in range(n):
-            if i == k:
-                continue
-            cen = centralizer(G, int(ij[i, k]))
-            cen_set = frozenset(cen.tolist())
-            if cen_set != (i_j_products[i] & i_j_products[k]):
-                witness = (int(j_idx[i]), int(j_idx[k]), "centralizer-mismatch")
-                break
-            if cen_set not in abelian_cache:
-                cen_products = G.mul(cen[:, None], cen[None, :])
-                abelian_cache[cen_set] = bool(np.all(cen_products == cen_products.T))
-            if not abelian_cache[cen_set]:
-                witness = (int(j_idx[i]), int(j_idx[k]), "not-abelian")
-                break
-            if not np.array_equal(G.conj(cen, j_idx[k]), G.inv(cen)):
-                witness = (int(j_idx[i]), int(j_idx[k]), "not-inverted")
-                break
     checks.append(Check("centralizers-match-products-abelian-inverted", witness is None,
                         witness=witness))
 
     # (d) centralizer classes partition the nontrivial translations
-    class_sets = []
-    seen: set[frozenset] = set()
-    for t in nontrivial.tolist():
-        cen = centralizer(G, t)
-        cls = frozenset(int(c) for c in cen if c != G.identity_index)
-        if cls not in seen:
-            seen.add(cls)
-            class_sets.append(cls)
-    counts = {int(t): 0 for t in nontrivial}
+    classes = cen[row_of[nontrivial]]
+    classes = classes[_distinct_rows(classes)[0]]
+    classes[:, G.identity_index] = False
+    is_translation = np.zeros(G.order, dtype=bool)
+    is_translation[nontrivial] = True
+    outside = np.flatnonzero(classes.any(axis=0) & ~is_translation)
+    counts = classes.sum(axis=0)[nontrivial]
+    off = np.flatnonzero(counts != 1)
     witness = None
-    for cls in class_sets:
-        for t in cls:
-            if t not in counts:
-                witness = (t, "outside-translations")
-                break
-            counts[t] += 1
-        if witness:
-            break
-    if witness is None:
-        for t, c in sorted(counts.items()):
-            if c != 1:
-                witness = (t, f"in-{c}-classes")
-                break
+    if len(outside):
+        witness = (int(outside[0]), "outside-translations")
+    elif len(off):
+        witness = (int(nontrivial[off[0]]), f"in-{counts[off[0]]}-classes")
     checks.append(Check("centralizer-classes-partition-translations", witness is None,
                         witness=witness))
 
@@ -167,15 +200,19 @@ class Geometry:
         self.points: np.ndarray | None = None        # J positions -> element index
         self.translation_ids: np.ndarray | None = None
         self.classes: list[tuple[int, ...]] = []     # element indices per class
-        self.class_of_translation: dict[int, int] = {}
         self.lines: list[Line] = []
+        self.incidence: np.ndarray | None = None     # (n_lines, n_points) bool
         self.line_of_pair: np.ndarray | None = None  # (|J|,|J|), -1 on diagonal
-        self.line_of_translation: dict[int, int] = {}
-        self.incidence: list[tuple[int, ...]] = []
+        self.line_of_translation: np.ndarray | None = None  # order-length, -1 off lines
 
     @property
     def n_points(self) -> int:
         return len(self.points)
+
+    def lines_inside(self, on: np.ndarray) -> np.ndarray:
+        """Which lines have every point in the point mask ``on`` (the last
+        axis; leading axes broadcast)."""
+        return ~(self.incidence & ~on).any(axis=-1)
 
     def as_json_dict(self) -> dict:
         return {
@@ -204,118 +241,83 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     geom.points.setflags(write=False)
     geom.translation_ids = cert._translations
 
-    nontrivial = [int(t) for t in cert._translations if t != G.identity_index]
-
     # translation classes: Cen(sigma) minus identity, ordered by least member
-    remaining = set(nontrivial)
-    class_list: list[tuple[int, ...]] = []
-    for t in sorted(nontrivial):
-        if t not in remaining:
+    class_of = np.full(G.order, -1, dtype=np.int64)
+    for t in cert._translations.tolist():
+        if t == G.identity_index or class_of[t] >= 0:
             continue
-        cls = tuple(
-            sorted(
-                int(c)
-                for c in centralizer(G, t)
-                if c != G.identity_index
-            )
+        cls = centralizer(G, t)
+        cls = cls[cls != G.identity_index]
+        class_of[cls] = len(geom.classes)
+        geom.classes.append(tuple(cls.tolist()))
+
+    # the pairs a < b in row-major order, and the distinct translations ab in
+    # order of first appearance
+    a, b = np.triu_indices(n, 1)
+    sigma_of_pair = G.mul(j_idx[a], j_idx[b])  # a then b
+    _, first_pair = np.unique(sigma_of_pair, return_index=True)
+    sigmas = sigma_of_pair[np.sort(first_pair)]
+    row_of = np.full(G.order, -1, dtype=np.int64)
+    row_of[sigmas] = np.arange(len(sigmas))
+    row_of_pair = row_of[sigma_of_pair]
+
+    # membership form: k then sigma is an involution
+    member = cert._jpos[G.mul(j_idx[None, :], sigmas[:, None])] >= 0
+    # conjugation form: k^-1 sigma k == sigma^-1 with k an involution
+    by_conj = G.conj(sigmas[:, None], j_idx[None, :]) == G.inv(sigmas)[:, None]
+    differ = np.flatnonzero((member != by_conj).any(axis=1))
+    if len(differ):
+        raise CharacterizationMismatch(
+            f"membership and conjugation disagree for translation {int(sigmas[differ[0]])}"
         )
-        class_list.append(cls)
-        remaining -= set(cls)
-    geom.classes = class_list
-    for cid, cls in enumerate(class_list):
-        for t in cls:
-            geom.class_of_translation[t] = cid
 
-    # per-translation line via membership and conjugation characterizations
-    line_pts_of_translation: dict[int, tuple[int, ...]] = {}
+    # coset form, for every pair (a, b) with product sigma: a then c, c
+    # centralizing sigma, gives the membership line (so the line holds a and
+    # b and has |Cen(sigma)| points)
+    for r, sigma in enumerate(sigmas.tolist()):
+        pa, pb = a[row_of_pair == r], b[row_of_pair == r]
+        coset = cert._jpos[G.mul(j_idx[pa][:, None], centralizer(G, sigma)[None, :])]
+        leaves = (coset < 0).any(axis=1)
+        on_coset = np.zeros((len(pa), n), dtype=bool)
+        on_coset[np.arange(len(pa))[:, None], coset] = True
+        bad = np.flatnonzero(leaves | (on_coset != member[r]).any(axis=1))
+        if len(bad):
+            x, y = int(j_idx[pa[bad[0]]]), int(j_idx[pb[bad[0]]])
+            what = "leaves J" if leaves[bad[0]] else "disagrees with membership"
+            raise CharacterizationMismatch(f"coset of pair ({x},{y}) {what}")
 
-    def line_positions(sigma_idx: int) -> tuple[int, ...]:
-        cached = line_pts_of_translation.get(sigma_idx)
-        if cached is not None:
-            return cached
-        # membership form: k then sigma is an involution
-        member = np.nonzero(cert._jpos[G.mul(j_idx, sigma_idx)] >= 0)[0]
-        # conjugation form: k^-1 sigma k == sigma^-1 with k an involution
-        by_conj = np.nonzero(G.conj(sigma_idx, j_idx) == G.inv(sigma_idx))[0]
-        if not np.array_equal(member, by_conj):
-            raise CharacterizationMismatch(
-                f"membership and conjugation disagree for translation {sigma_idx}"
-            )
-        pts = tuple(member.tolist())
-        line_pts_of_translation[sigma_idx] = pts
-        return pts
-
-    line_index: dict[tuple[int, ...], int] = {}
+    first_sigma, line_of_sigma = _distinct_rows(member)
+    geom.incidence = member[first_sigma]
+    geom.incidence.setflags(write=False)
+    geom.lines = [
+        Line(points=tuple(np.flatnonzero(on).tolist()), class_id=int(class_of[sigma]))
+        for on, sigma in zip(geom.incidence, sigmas[first_sigma])
+    ]
+    geom.line_of_translation = np.full(G.order, -1, dtype=np.int64)
+    geom.line_of_translation[sigmas] = line_of_sigma
+    geom.line_of_translation.setflags(write=False)
     geom.line_of_pair = np.full((n, n), -1, dtype=np.int64)
-    lines: list[Line] = []
-
-    ab = G.mul(j_idx[:, None], j_idx[None, :])  # a then b
-    for a in range(n):
-        for b in range(a + 1, n):
-            sigma_idx = int(ab[a, b])
-            pts = line_positions(sigma_idx)
-            # coset characterization for this particular pair
-            cen = centralizer(G, sigma_idx)
-            coset_pos = cert._jpos[G.mul(j_idx[a], cen)]  # a then c, c centralizing
-            if np.any(coset_pos < 0):
-                raise CharacterizationMismatch(
-                    f"coset of pair ({int(j_idx[a])},{int(j_idx[b])}) leaves J"
-                )
-            if set(coset_pos.tolist()) != set(pts):
-                raise CharacterizationMismatch(
-                    f"coset and membership disagree for pair ({int(j_idx[a])},{int(j_idx[b])})"
-                )
-            if a not in pts or b not in pts:
-                raise CharacterizationMismatch("a line misses its defining points")
-
-            lid = line_index.get(pts)
-            if lid is None:
-                lid = len(lines)
-                line_index[pts] = lid
-                cid = geom.class_of_translation[sigma_idx]
-                lines.append(Line(points=pts, class_id=cid))
-                if len(pts) != len(cen):
-                    raise CharacterizationMismatch(
-                        f"line size {len(pts)} != centralizer size {len(cen)}"
-                    )
-            geom.line_of_translation[sigma_idx] = lid
-            prev = geom.line_of_pair[a, b]
-            if prev != -1 and prev != lid:
-                raise CharacterizationMismatch(
-                    f"pair ({a},{b}) lies on two lines {prev} and {lid}"
-                )
-            geom.line_of_pair[a, b] = lid
-            geom.line_of_pair[b, a] = lid
-
-    geom.lines = lines
+    geom.line_of_pair[a, b] = geom.line_of_pair[b, a] = line_of_sigma[row_of_pair]
     geom.line_of_pair.setflags(write=False)
 
-    # partial-plane axioms
-    for a in range(n):
-        for b in range(a + 1, n):
-            if geom.line_of_pair[a, b] < 0:
-                raise CharacterizationMismatch(f"pair ({a},{b}) spans no line")
-    for la in range(len(lines)):
-        for lb in range(la + 1, len(lines)):
-            common = set(lines[la].points) & set(lines[lb].points)
-            if len(common) > 1:
-                raise CharacterizationMismatch(
-                    f"lines {la} and {lb} share {len(common)} points"
-                )
+    # partial-plane axioms: every pair lies on its line by construction; two
+    # lines share at most one point
+    inc = geom.incidence.astype(np.int64)
+    shared = np.triu(inc @ inc.T, 1)
+    if (shared > 1).any():
+        la, lb = np.argwhere(shared > 1)[0]
+        raise CharacterizationMismatch(
+            f"lines {la} and {lb} share {shared[la, lb]} points"
+        )
 
     # product of two points of a line centralizes the defining translation class
-    for lid, line in enumerate(lines):
+    for lid, line in enumerate(geom.lines):
         cls = geom.classes[line.class_id] + (G.identity_index,)
         pts = j_idx[list(line.points)]
         if not np.isin(G.mul(pts[:, None], pts[None, :]), cls).all():
             raise CharacterizationMismatch(
                 f"line {lid} is not closed into its translation class"
             )
-
-    geom.incidence = [
-        tuple(lid for lid, line in enumerate(lines) if p in line.points)
-        for p in range(n)
-    ]
     return geom
 
 
@@ -353,22 +355,22 @@ def verify_line_lemma(geom: Geometry) -> CheckReport:
     checks = []
 
     witness_a = witness_b = witness_fix = None
-    for lid, line in enumerate(geom.lines):
-        pts = set(line.points)
-        images = {}
-        for k in range(n):
-            img = frozenset(int(table[k, p]) for p in line.points)
-            images.setdefault(img, []).append(k)
-            if k in pts and img != frozenset(pts) and witness_fix is None:
-                witness_fix = (lid, int(geom.points[k]))
-            if img & pts and k not in pts and witness_b is None:
-                witness_b = (lid, int(geom.points[k]))
+    for lid, on_line in enumerate(geom.incidence):
+        images = np.zeros((n, n), dtype=bool)  # row k: the line conjugated by k
+        images[np.arange(n)[:, None], table[:, on_line]] = True
+        off_line = np.flatnonzero(~on_line)
+        moved = np.flatnonzero(on_line & (images != on_line).any(axis=1))
+        meeting = off_line[(images[off_line] & on_line).any(axis=1)]
+        if witness_fix is None and len(moved):
+            witness_fix = (lid, int(geom.points[moved[0]]))
+        if witness_b is None and len(meeting):
+            witness_b = (lid, int(geom.points[meeting[0]]))
         if witness_a is None:
-            for img, ks in sorted(images.items(), key=lambda kv: kv[1]):
-                if len(ks) >= 2 and any(k not in pts for k in ks):
-                    bad = [k for k in ks if k not in pts]
-                    witness_a = (lid, int(geom.points[bad[0]]))
-                    break
+            # image groups are numbered by their least involution
+            _, group = _distinct_rows(images)
+            shared = off_line[np.bincount(group)[group[off_line]] >= 2]
+            if len(shared):
+                witness_a = (lid, int(geom.points[shared[np.argmin(group[shared])]]))
     checks.append(Check("equal-conjugates-force-membership", witness_a is None,
                         witness=witness_a))
     checks.append(Check("meeting-conjugate-forces-membership", witness_b is None,
@@ -382,6 +384,12 @@ def verify_line_lemma(geom: Geometry) -> CheckReport:
 # closures and the no-proper-plane verdict
 
 
+def _point_mask(geom: Geometry, point_set) -> np.ndarray:
+    on = np.zeros(geom.n_points, dtype=bool)
+    on[np.array([int(p) for p in point_set], dtype=np.int64)] = True
+    return on
+
+
 @dataclass(frozen=True)
 class ClosureResult:
     points: tuple[int, ...]
@@ -391,32 +399,21 @@ class ClosureResult:
 
 def plane_closure(geom: Geometry, seed) -> ClosureResult:
     """Least superset of ``seed`` closed under joining two points by their line."""
-    current = set(int(p) for p in seed)
-    merged_lines: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(current)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                lid = int(geom.line_of_pair[members[i], members[j]])
-                if lid in merged_lines:
-                    continue  # its points are already in the closure
-                merged_lines.add(lid)
-                for p in geom.lines[lid].points:
-                    if p not in current:
-                        current.add(p)
-                        changed = True
-    pts = tuple(sorted(current))
-    contained = tuple(
-        lid for lid, line in enumerate(geom.lines) if set(line.points) <= current
+    current = _point_mask(geom, seed)
+    while True:
+        # a line holding two points of the set is the line joining them
+        joining = (geom.incidence & current).sum(axis=1) >= 2
+        grown = current | geom.incidence[joining].any(axis=0)
+        if np.array_equal(grown, current):
+            break
+        current = grown
+    inside = geom.lines_inside(current)
+    contained = geom.incidence[inside]
+    return ClosureResult(
+        points=tuple(np.flatnonzero(current).tolist()),
+        contained_lines=tuple(np.flatnonzero(inside).tolist()),
+        pairwise_meeting=bool((contained @ contained.T).all()),
     )
-    meeting = all(
-        set(geom.lines[a].points) & set(geom.lines[b].points)
-        for ai, a in enumerate(contained)
-        for b in contained[ai + 1:]
-    )
-    return ClosureResult(points=pts, contained_lines=contained, pairwise_meeting=meeting)
 
 
 @dataclass(frozen=True)
@@ -442,22 +439,22 @@ class NoPlaneVerdict:
 
 def verify_no_proper_plane(geom: Geometry, point_set) -> NoPlaneVerdict:
     """If the set is line-closed and its lines pairwise meet, it holds <= 1 line."""
-    X = set(int(p) for p in point_set)
-    members = sorted(X)
-    inside: dict[int, bool] = {}
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            lid = int(geom.line_of_pair[members[i], members[j]])
-            if lid not in inside:
-                inside[lid] = set(geom.lines[lid].points) <= X
-            if not inside[lid]:
-                return NoPlaneVerdict(False, "a", (members[i], members[j]), None)
-    contained = [lid for lid, line in enumerate(geom.lines) if set(line.points) <= X]
-    for ai in range(len(contained)):
-        for bi in range(ai + 1, len(contained)):
-            a, b = contained[ai], contained[bi]
-            if not (set(geom.lines[a].points) & set(geom.lines[b].points)):
-                return NoPlaneVerdict(False, "b", (a, b), None)
+    on = _point_mask(geom, point_set)
+    inside = geom.lines_inside(on)
+    members = np.flatnonzero(on)
+    # (a) the line through every pair of members lies inside the set
+    leaves = ~inside[geom.line_of_pair[np.ix_(members, members)]]
+    hits = np.argwhere(np.triu(leaves, 1))
+    if len(hits):
+        i, j = hits[0]
+        return NoPlaneVerdict(False, "a", (int(members[i]), int(members[j])), None)
+    # (b) the contained lines pairwise meet
+    contained = np.flatnonzero(inside)
+    on_contained = geom.incidence[contained]
+    hits = np.argwhere(np.triu(~(on_contained @ on_contained.T), 1))
+    if len(hits):
+        i, j = hits[0]
+        return NoPlaneVerdict(False, "b", (int(contained[i]), int(contained[j])), None)
     return NoPlaneVerdict(True, None, None, len(contained))
 
 

@@ -176,15 +176,6 @@ class NearField:
     def is_field_family(self) -> bool:
         return self.family.startswith("field(")
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        row = self.mul[a]
-        hits = [b for b in np.nonzero(row == 1)[0] if self.mul[b, a] == 1]
-        if len(hits) != 1:
-            raise ValueError(f"element {a} has {len(hits)} two-sided inverses")
-        return int(hits[0])
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -205,7 +196,7 @@ def nearfield_from_json(doc: dict) -> NearField:
 # field construction
 
 
-def make_field(p: int, e: int = 1, order_cap: int | None = None, verify: bool = True) -> NearField:
+def make_field(p: int, e: int = 1, order_cap: int | None = None) -> NearField:
     """Build GF(p^e) as index tables.
 
     The representation is canonical: polynomial basis modulo
@@ -262,13 +253,12 @@ def make_field(p: int, e: int = 1, order_cap: int | None = None, verify: bool = 
         nf = NearField(q, f"field({p},{e})", add, mul)
         nf.modulus = f
 
-    if verify:
-        report = verify_nearfield_axioms(nf)
-        if not report.ok:
-            raise ConstructionSanityFailure(
-                f"field({p},{e}) failed axiom {report.failures()[0].name}"
-            )
-        nf._verified = True
+    report = verify_nearfield_axioms(nf)
+    if not report.ok:
+        raise ConstructionSanityFailure(
+            f"field({p},{e}) failed axiom {report.failures()[0].name}"
+        )
+    nf._verified = True
     return nf
 
 

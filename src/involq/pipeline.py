@@ -13,7 +13,9 @@ earlier stage it needs, and one rule decides whether the row runs:
 * otherwise run it. An ``InvolqError`` raised by the stage becomes
   ``{"status": "fail", "error": "<Type>: <message>"}`` and the batch goes on.
 
-A fixture that is expected to fail certification conforms when it does.
+A fixture that is expected to fail certification conforms when it does. In
+``verify all`` an entry whose group cannot be built is recorded with its
+error and does not conform; the batch goes on.
 
 Reports contain only sorted keys, integers, booleans and strings, and the
 closure seeds come from a fixed linear-congruential sequence, so two runs on
@@ -72,6 +74,10 @@ def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
 # every stage that passed so far (s.certificate, s.geometry, ...), and
 # returns (value, section). It names the traced functions through their
 # modules, so a wrapper installed on a module attribute sees every call.
+
+
+def _error(exc: InvolqError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _checked(rep, flag: str = "ok"):
@@ -187,7 +193,7 @@ def verify_group(
             try:
                 value, sections[name] = run(s)
             except InvolqError as exc:
-                sections[name] = {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
+                sections[name] = {"status": "fail", "error": _error(exc)}
             else:
                 setattr(s, name, value)
 
@@ -282,10 +288,17 @@ def _verify(target, report_path, max_degree, subgroup_cap, alpha_cap, quiet) -> 
         report = {"max_degree": max_degree, "entries": {}}
         all_conform = True
         for entry in run_catalog(max_degree):
-            result = verify_group(
-                build_entry(entry), entry,
-                subgroup_cap=subgroup_cap, alpha_cap=alpha_cap,
-            )
+            try:
+                G = build_entry(entry)
+            except InputError:
+                raise
+            except InvolqError as exc:
+                result = {"entry": entry.as_dict(), "conforms": False, "ok": False,
+                          "error": _error(exc)}
+            else:
+                result = verify_group(
+                    G, entry, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap,
+                )
             report["entries"][entry.id] = result
             all_conform &= result["conforms"]
             say(f"{entry.id}: {'conforms' if result['conforms'] else 'DEVIATES'}")

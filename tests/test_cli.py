@@ -125,6 +125,32 @@ def test_cli_max_degree_below_3_is_an_input_error(argv, capsys):
     assert captured.err.startswith("input error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_cli_malformed_order_cap_is_an_input_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", raw)
+    assert main(["verify", "agl-field-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: INVOLQ_ORDER_CAP") and captured.out == ""
+
+
+def test_failed_entry_build_is_recorded_and_the_batch_goes_on(monkeypatch, tmp_path):
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "20")
+    report_path = tmp_path / "all.json"
+    assert run_verify("all", str(report_path), max_degree=9, quiet=True) == 1
+    batch = json.loads(report_path.read_text())
+    assert set(batch["entries"]) == {e.id for e in run_catalog(9)}
+    assert batch["ok"] is False
+    assert batch["entries"]["agl-field-7"] == {
+        "entry": find_entry("agl-field-7").as_dict(),
+        "conforms": False,
+        "ok": False,
+        "error": "OrderCapExceeded: group order 42 exceeds cap 20",
+    }
+    built = {name for name, rec in batch["entries"].items() if "error" not in rec}
+    assert built == {"agl-field-3", "agl-field-4", "agl-field-5"}
+    assert all(batch["entries"][name]["conforms"] for name in built)
+
+
 # ---------------------------------------------------------------------------
 # the stage runner: skip inheritance and fault isolation
 

@@ -5,6 +5,8 @@ import pytest
 
 from involq import (
     CharacteristicTwo,
+    Geometry,
+    Line,
     PointsEqual,
     build_geometry,
     centralizer,
@@ -17,6 +19,7 @@ from involq import (
     verify_line_lemma,
     verify_no_proper_plane,
 )
+from involq.s2t import certify_sharply_2_transitive
 
 
 def test_conditions_hold_and_agree(agl_f5, agl_f7, agl_d9):
@@ -32,6 +35,23 @@ def test_conditions_hold_and_agree(agl_f5, agl_f7, agl_d9):
             "conditions-agree",
         ]
         assert all(c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("group, outside", [("agl_f7", 6), ("agl_d9", 8)])
+def test_conditions_witnesses_on_tampered_certificate(group, outside, request, monkeypatch):
+    """With the last translation dropped from the certificate, only (d) fails:
+    its least element outside the listed translations is the dropped one."""
+    G = request.getfixturevalue(group)
+    cert = certify_sharply_2_transitive(G)
+    monkeypatch.setattr(cert, "_translations", cert._translations[:-1])
+    report = check_geometry_conditions(G)
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        ("commuting-transitive-on-translations", True, None),
+        ("unique-square-roots-in-product-meets", True, None),
+        ("centralizers-match-products-abelian-inverted", True, None),
+        ("centralizer-classes-partition-translations", False, (outside, "outside-translations")),
+        ("conditions-agree", False, None),
+    ]
 
 
 def test_conditions_char2_raises(agl_f4):
@@ -60,7 +80,7 @@ def test_line_size_equals_centralizer_size(agl_f7):
     geom = build_geometry(agl_f7)
     line = line_through(geom, 0, 1)
     assert len(line.points) == 7
-    sigma = next(iter(geom.line_of_translation))
+    sigma = int(np.flatnonzero(geom.line_of_translation >= 0)[0])
     assert len(centralizer(agl_f7, agl_f7.elements[sigma])) == 7
 
 
@@ -103,7 +123,7 @@ def test_lines_meet_in_at_most_one_point(agl_d25):
 def test_incidence_constant_line_count(agl_f5, agl_d9):
     for G in (agl_f5, agl_d9):
         geom = build_geometry(G)
-        counts = {len(geom.incidence[p]) for p in range(geom.n_points)}
+        counts = {int(geom.incidence[:, p].sum()) for p in range(geom.n_points)}
         assert len(counts) == 1
         assert counts.pop() >= 1
 
@@ -257,3 +277,74 @@ def test_subgroup_scan_cap(agl_d9):
     assert not report.complete
     assert report.skipped_over_cap > 0
     assert report.size_histogram == {3: 4}  # order-9 closure was abandoned
+
+
+# ---------------------------------------------------------------------------
+# hand-built geometries with more than one line
+
+
+def hand_geometry(lines, n_points) -> Geometry:
+    """A Geometry on points 0..n_points-1 with the given lines (a linear
+    space: every pair of points on exactly one line), numbered in sorted
+    order. It has no group, so only the closure and verdict scans apply."""
+    lines = sorted(tuple(sorted(line)) for line in lines)
+    geom = Geometry(None)
+    geom.points = np.arange(n_points)
+    geom.lines = [Line(points=line, class_id=lid) for lid, line in enumerate(lines)]
+    geom.incidence = np.zeros((len(lines), n_points), dtype=bool)
+    geom.line_of_pair = np.full((n_points, n_points), -1)
+    for lid, line in enumerate(lines):
+        geom.incidence[lid, list(line)] = True
+        for a in line:
+            for b in line:
+                if a != b:
+                    geom.line_of_pair[a, b] = lid
+    return geom
+
+
+FANO = hand_geometry([(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)], 7)
+AG22 = hand_geometry([(a, b) for a in range(4) for b in range(a + 1, 4)], 4)
+
+
+def test_hand_geometries_are_linear_spaces():
+    assert [line.points for line in FANO.lines] == [
+        (0, 1, 3), (0, 2, 6), (0, 4, 5), (1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6),
+    ]
+    for geom in (FANO, AG22):
+        n = geom.n_points
+        assert (geom.line_of_pair[~np.eye(n, dtype=bool)] >= 0).all()
+
+
+@pytest.mark.parametrize("geom, seed, points, contained, meeting", [
+    (FANO, [0, 1], (0, 1, 3), (0,), True),
+    (FANO, [0, 1, 2], tuple(range(7)), tuple(range(7)), True),
+    (FANO, [3], (3,), (), True),
+    (AG22, [0, 1], (0, 1), (0,), True),
+    (AG22, [0, 1, 2], (0, 1, 2), (0, 1, 3), True),
+    (AG22, [2, 3], (2, 3), (5,), True),
+    (AG22, [0, 1, 2, 3], (0, 1, 2, 3), tuple(range(6)), False),
+])
+def test_closures_with_many_lines(geom, seed, points, contained, meeting):
+    closure = plane_closure(geom, seed)
+    assert closure.points == points
+    assert closure.contained_lines == contained
+    assert closure.pairwise_meeting is meeting
+    assert plane_closure(geom, closure.points) == closure
+
+
+def test_whole_fano_plane_refutes_the_verdict():
+    verdict = verify_no_proper_plane(FANO, range(7))
+    assert verdict.hypotheses_met and verdict.line_count == 7
+    assert verdict.ok is False
+    triangle = verify_no_proper_plane(AG22, [0, 1, 2])
+    assert triangle.hypotheses_met and triangle.line_count == 3 and not triangle.ok
+
+
+def test_failed_hypothesis_witnesses_with_many_lines():
+    for X in ([0, 1], [0, 1, 2]):
+        verdict = verify_no_proper_plane(FANO, X)
+        assert (verdict.failed_hypothesis, verdict.witness) == ("a", (0, 1))
+        assert verdict.ok
+    verdict = verify_no_proper_plane(AG22, range(4))  # lines {0,1} and {2,3} are parallel
+    assert (verdict.hypotheses_met, verdict.failed_hypothesis, verdict.witness) == (False, "b", (0, 5))
+    assert verdict.ok

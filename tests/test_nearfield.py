@@ -21,6 +21,7 @@ from involq import (
     nearfield_from_json,
     verify_nearfield_axioms,
 )
+from involq.errors import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +170,10 @@ def test_env_cap_override(monkeypatch):
         make_field(3, 2)  # order 9 exceeds the overridden cap
     monkeypatch.setenv("INVOLQ_ORDER_CAP", "9")
     assert make_field(3, 2).order == 9
-    monkeypatch.setenv("INVOLQ_ORDER_CAP", "junk")
-    with pytest.raises(ValueError):
-        make_field(3, 2)
+    for raw in ("junk", "0", "-3"):
+        monkeypatch.setenv("INVOLQ_ORDER_CAP", raw)
+        with pytest.raises(InputError):
+            make_field(3, 2)
 
 
 # ---------------------------------------------------------------------------
