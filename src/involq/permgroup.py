@@ -208,28 +208,32 @@ class PermGroup:
 
 
 def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
-    ident = identity_perm(degree)
-    seen = {ident.tobytes()}
-    ordered = [ident]
-    layer = np.array([ident], dtype=np.int32)
-    while len(layer):
-        fresh = {}
+    """Breadth-first closure from the identity, each new layer sorted by
+    image sequence.
+
+    A row's key is its big-endian int32 bytes; images are non-negative, so
+    keys compare as bytes in the order of the image sequences and sorting
+    the keys sorts the layer.
+    """
+    width = 4 * degree
+    layer = identity_perm(degree)[None, :]
+    seen = {layer.astype(">i4").tobytes()}
+    layers = [layer]
+    while True:
+        fresh = set()
         for g in gens:
-            produced = g[layer]  # rows: u then g
-            for row in produced:
-                key = row.tobytes()
-                if key not in seen and key not in fresh:
-                    fresh[key] = row
+            block = g[layer].astype(">i4").tobytes()  # rows: u then g
+            fresh.update(block[k:k + width] for k in range(0, len(block), width))
+        fresh -= seen
         if not fresh:
             break
-        rows = sorted(fresh.values(), key=lambda r: tuple(r))
-        for row in rows:
-            seen.add(row.tobytes())
-            ordered.append(row)
-        if len(ordered) > cap:
+        seen |= fresh
+        keys = b"".join(sorted(fresh))
+        layer = np.frombuffer(keys, dtype=">i4").reshape(-1, degree).astype(np.int32)
+        layers.append(layer)
+        if len(seen) > cap:
             raise OrderCapExceeded(f"group order exceeds cap {cap}")
-        layer = np.array(rows, dtype=np.int32)
-    return np.array(ordered, dtype=np.int32)
+    return np.concatenate(layers)
 
 
 def _is_int(x) -> bool:

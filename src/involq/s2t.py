@@ -24,7 +24,7 @@ from .errors import (
     PointsEqual,
     UniquenessViolated,
 )
-from .permgroup import PermGroup, conjugacy_class, centralizer, perm_order
+from .permgroup import PermGroup, conjugacy_class, centralizer
 from .reporting import Check, CheckReport
 
 
@@ -80,6 +80,19 @@ def _translation_indices(G: PermGroup, cert: S2TCertificate) -> np.ndarray:
     return trans
 
 
+def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
+    """Orders of the elements idxs, from their powers taken all at once."""
+    orders = np.zeros(len(idxs), dtype=np.int64)
+    power = np.asarray(idxs)
+    n = 1
+    while True:
+        orders[(orders == 0) & (power == G.identity_index)] = n
+        if orders.all():
+            return orders
+        power = G.mul(power, idxs)
+        n += 1
+
+
 def _j_positions(cert: S2TCertificate, idxs) -> np.ndarray:
     """Positions in J of the elements idxs, which must all be involutions."""
     pos = cert._jpos[idxs]
@@ -99,9 +112,10 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
     expected = d * (d - 1)
     order_ok = order == expected
 
-    pair_rows = G.elements[:, [0, 1]]
-    pairs = {(int(a), int(b)) for a, b in pair_rows}
-    pair_transitive = len(pairs) == expected
+    # cell (x, y) stays set while no element sends 0 to x and 1 to y
+    unreached = ~np.eye(d, dtype=bool)
+    unreached[G.elements[:, 0], G.elements[:, 1]] = False
+    pair_transitive = not unreached.any()
     cert = S2TCertificate(
         degree=d,
         order=order,
@@ -112,13 +126,8 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
     if not order_ok:
         cert.failure = {"check": "order", "expected": expected, "actual": order}
     elif not pair_transitive:
-        missing = next(
-            (x, y)
-            for x in range(d)
-            for y in range(d)
-            if x != y and (x, y) not in pairs
-        )
-        cert.failure = {"check": "pair-orbit", "missing_pair": list(missing)}
+        missing = np.argwhere(unreached)[0]  # row-major first
+        cert.failure = {"check": "pair-orbit", "missing_pair": missing.tolist()}
 
     if cert.valid:
         _fill_certificate(G, cert)
@@ -152,10 +161,10 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
 
     nontrivial = trans[trans != G.identity_index]
     if cert.characteristic != 2:
-        orders = {perm_order(G.elements[t]) for t in nontrivial}
+        orders = np.unique(_element_orders(G, nontrivial)).tolist()
         if len(orders) != 1:
-            raise CharacteristicAnomaly(f"translation orders not constant: {sorted(orders)}")
-        p = orders.pop()
+            raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
+        p = orders[0]
         from .nearfield import is_prime
 
         if not is_prime(p):
@@ -261,12 +270,13 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
                         witness=witness))
 
     witness = None
-    trans = set(cert._translations.tolist())
+    is_translation = np.zeros(G.order, dtype=bool)
+    is_translation[cert._translations] = True
     for ipos in range(n):
-        cen = set(centralizer(G, int(j_idx[ipos])).tolist())
-        meet = trans & cen
-        if meet != {G.identity_index}:
-            witness = (int(j_idx[ipos]), sorted(meet))
+        cen = centralizer(G, int(j_idx[ipos]))
+        meet = cen[is_translation[cen]].tolist()  # sorted, as cen is
+        if meet != [G.identity_index]:
+            witness = (int(j_idx[ipos]), meet)
             break
     checks.append(Check("translations-meet-centralizers-trivially", witness is None,
                         witness=witness))

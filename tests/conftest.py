@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from involq import affine_group, make_dickson, make_field, parse_group_doc
@@ -77,3 +80,15 @@ def agl_d25(d25):
 @pytest.fixture(scope="session")
 def sym4():
     return parse_group_doc(SYM4_DOC)
+
+
+@pytest.fixture(scope="session")
+def d9_relabelled_doc():
+    """The degree-9 Dickson group under a point relabelling, given by two
+    generators (order 72)."""
+    return json.loads((Path(__file__).parent / "data" / "dickson-9-relabelled.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def d9_relabelled(d9_relabelled_doc):
+    return parse_group_doc(d9_relabelled_doc)

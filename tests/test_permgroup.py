@@ -26,6 +26,7 @@ from involq import (
     parse_group_doc,
     perm_order,
 )
+from involq.catalog import SYM4_DOC
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
 
@@ -87,6 +88,64 @@ def test_parse_rejects_malformed():
 def test_parse_json_text():
     G = parse_group_doc('{"degree": 3, "generators": [[1, 2, 0]]}')
     assert G.order == 3
+
+
+def bfs_oracle(degree, gens):
+    """Reference enumeration: new rows collected in a dict, each layer sorted
+    by the tuples of its images, so the order never rests on comparing byte
+    keys."""
+    ident = identity_perm(degree)
+    seen = {ident.tobytes()}
+    ordered = [ident]
+    layer = np.array([ident], dtype=np.int32)
+    while len(layer):
+        fresh = {}
+        for g in gens:
+            for row in g[layer]:
+                key = row.tobytes()
+                if key not in seen and key not in fresh:
+                    fresh[key] = row
+        if not fresh:
+            break
+        rows = sorted(fresh.values(), key=lambda r: tuple(r))
+        for row in rows:
+            seen.add(row.tobytes())
+            ordered.append(row)
+        layer = np.array(rows, dtype=np.int32)
+    return np.array(ordered, dtype=np.int32)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        S3_DOC,
+        SYM4_DOC,
+        {"degree": 2, "generators": [[1, 0]]},
+        {"degree": 4, "generators": []},
+        {"degree": 4, "generators": [[1, 0, 3, 2], [0, 1, 2, 3], [1, 0, 3, 2], [1, 2, 3, 0]]},
+        "d9_relabelled_doc",  # a fixture
+        # (0 1) and (0 256): a layer whose order is wrong under little-endian
+        # keys, where 256 would sort before 1
+        {"degree": 257, "generators": [
+            [1, 0, *range(2, 257)],
+            [256, *range(1, 256), 0],
+        ]},
+    ],
+    ids=["s3", "sym4", "degree-2", "no-generators", "repeated-and-identity", "d9-relabelled",
+         "images-above-255"],
+)
+def test_enumeration_order_matches_oracle(doc, request):
+    if isinstance(doc, str):
+        doc = request.getfixturevalue(doc)
+    gens = [np.array(g, dtype=np.int32) for g in doc["generators"]]
+    expected = bfs_oracle(doc["degree"], gens)
+    assert np.array_equal(parse_group_doc(doc).elements, expected)
+
+
+def test_order_cap_at_the_boundary(d9_relabelled_doc):
+    assert parse_group_doc(d9_relabelled_doc, order_cap=72).order == 72
+    with pytest.raises(OrderCapExceeded):
+        parse_group_doc(d9_relabelled_doc, order_cap=71)
 
 
 def test_order_cap():

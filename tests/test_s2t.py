@@ -15,7 +15,8 @@ from involq import (
     translations,
     verify_basic_properties,
 )
-from involq.s2t import fixed_point_bijection_ok
+from involq.permgroup import perm_order
+from involq.s2t import _element_orders, fixed_point_bijection_ok
 
 
 def test_certificate_agl_f5(agl_f5):
@@ -63,6 +64,57 @@ def test_certificate_pair_orbit_failure():
     assert cert.order_ok and not cert.pair_transitive and not cert.valid
     assert cert.failure["check"] == "pair-orbit"
     assert cert.failure["missing_pair"] == [0, 4]  # (0,0) -> (1,1) unreachable
+
+
+@pytest.mark.parametrize("group", ["agl_f7", "agl_d9", "d9_relabelled"])
+def test_translation_orders_match_perm_order(group, request):
+    G = request.getfixturevalue(group)
+    trans = translations(G)
+    nontrivial = trans[trans != G.identity_index]
+    assert len(nontrivial) == G.degree - 1
+    expected = [perm_order(G.elements[t]) for t in nontrivial]
+    assert _element_orders(G, nontrivial).tolist() == expected
+
+
+def test_translation_order_errors(monkeypatch):
+    """A translation set of mixed or composite element orders is refused.
+    AGL(1, 7) is rebuilt for each case: the certificate is cached on the group."""
+    from involq import CharacteristicAnomaly, affine_group, make_field
+    from involq import s2t
+
+    f7 = make_field(7, 1)
+    G = affine_group(f7)
+    # add the involution x -> -x to the translations: orders 2 and 7
+    negation = G.index_of(np.array([(-x) % 7 for x in range(7)], dtype=np.int32))
+    real = s2t._translation_indices
+    monkeypatch.setattr(s2t, "_translation_indices",
+                        lambda G, cert: np.union1d(real(G, cert), [negation]))
+    with pytest.raises(CharacteristicAnomaly, match=r"translation orders not constant: \[2, 7\]"):
+        certify_sharply_2_transitive(G)
+
+    G = affine_group(f7)
+    # the maps x -> 3x + a all have order 6, as 3 is primitive mod 7
+    times3 = [G.index_of(np.array([(3 * x + a) % 7 for x in range(7)], dtype=np.int32))
+              for a in range(7)]
+    monkeypatch.setattr(s2t, "_translation_indices",
+                        lambda G, cert: np.array([G.identity_index, *sorted(times3)]))
+    with pytest.raises(CharacteristicAnomaly, match="translation order 6 is not prime"):
+        certify_sharply_2_transitive(G)
+
+
+def test_translations_meeting_a_centralizer_witness():
+    from involq import affine_group, make_field
+
+    G = affine_group(make_field(7, 1))
+    cert = certify_sharply_2_transitive(G)
+    first = int(involutions(G)[0])
+    extra = int(centralizer(G, first)[-1])
+    assert extra != G.identity_index
+    cert._translations = np.union1d(cert._translations, [extra])
+    check = verify_basic_properties(G).checks[2]
+    assert check.name == "translations-meet-centralizers-trivially"
+    assert not check.passed
+    assert check.witness == (first, sorted([G.identity_index, extra]))
 
 
 def test_certificate_dickson(agl_d9):
