@@ -9,7 +9,8 @@ A permutation of degree d is a 1-D int32 numpy array of images on the points
 A :class:`PermGroup` stores every element as a row of a single (order, degree)
 array and addresses elements by their row index. A base -- a few points whose
 images tell every element apart (0 and 1 for a sharply 2-transitive group) --
-indexes the rows, so products, inverses, conjugates, membership tests,
+indexes the rows through one dense table per base point, so a lookup is one
+gather per base point, and products, inverses, conjugates, membership tests,
 centralizers and conjugacy classes are vectorized scans over index arrays.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted by image sequence.
@@ -85,43 +86,66 @@ def perm_order(g: np.ndarray) -> int:
 
 
 def _base_index(elements: np.ndarray):
-    """Choose a base greedily and build its sorted key arrays.
+    """Choose a base greedily and build one dense lookup table per base point.
 
     Point b joins the base when its images split some class of elements that
     the images of the earlier base points leave together; the scan stops once
-    every element is told apart. Level k stores the sorted distinct keys
-    ``rank * degree + image``, where rank is an element's position among the
-    keys of level k-1, so ranks stay below ``order`` and keys below
-    ``order * degree``.
+    every element is told apart (the trivial group still takes point 0, so
+    every lookup passes through a table). An element's rank at level k
+    numbers its class, the elements agreeing with it on base points 0..k.
+    Table k is indexed by ``prev_rank * degree + image`` and holds
+    ``(classes_{k-1} + 1) * degree`` slots, with classes_{-1} = 1. Every
+    slot that no element reaches, the whole last row included, holds the
+    sentinel rank ``classes_k``, so an image sequence that no element has
+    falls into the last row of the next table and stays in the last rows.
+    The tables store ranks premultiplied by ``degree`` (row offsets into the
+    next table) and the last table stores element indices, with element 0
+    as its sentinel, so every lookup of images in 0..degree-1 lands on an
+    element.
+
+    Memory: the classes at level k are the cosets of S_k, the pointwise
+    stabilizer of base points 0..k, so classes_k = classes_{k-1} times the
+    size of the S_{k-1}-orbit of b_k, and b_k joins only when that orbit has
+    two or more points. The classes thus at least double per level, so the
+    slots sum to at most ``(order + len(base)) * degree``, about one element
+    array.
     """
     order, degree = elements.shape
     rank = np.zeros(order, dtype=np.int64)
     classes = 1
     base: list[int] = []
-    keys: list[np.ndarray] = []
+    tables: list[np.ndarray] = []
     for b in range(degree):
-        if classes == order:
+        if classes == order and tables:
             break
-        level, refined = np.unique(rank * degree + elements[:, b], return_inverse=True)
-        if len(level) > classes:
+        keys = rank * degree + elements[:, b]
+        hit = np.zeros((classes + 1) * degree, dtype=bool)
+        hit[keys] = True
+        table = np.cumsum(hit) - 1
+        refined = int(table[-1]) + 1
+        if refined > classes or classes == order:  # order 1 still takes point 0
+            table[~hit] = refined
             base.append(b)
-            keys.append(level)
-            rank = refined.reshape(order)
-            classes = len(level)
+            tables.append(table)
+            rank = table[keys]
+            classes = refined
     if classes != order:
         raise ValueError("duplicate elements")
-    element_of_rank = np.empty(order, dtype=np.int64)
+    for table in tables[:-1]:
+        table *= degree
+    element_of_rank = np.zeros(order + 1, dtype=np.int64)
     element_of_rank[rank] = np.arange(order)
-    return base, keys, element_of_rank
+    tables[-1] = element_of_rank[tables[-1]]
+    return base, tables
 
 
 class PermGroup:
     """Immutable, fully enumerated permutation group.
 
     Elements are addressed by index. A base (points whose images tell every
-    element apart) gives each element a key per base point; a lookup is one
-    ``np.searchsorted`` per base point, so products, inverses and conjugates
-    of index arrays never hash or compare whole rows.
+    element apart) indexes them through one dense table per base point; a
+    lookup is one gather per base point, so products, inverses and
+    conjugates of index arrays never hash, sort or compare whole rows.
     """
 
     def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
@@ -132,7 +156,7 @@ class PermGroup:
         self.degree = int(degree)
         self.elements = elements
         self.generators = generators
-        self.base, self._keys, self._element_of_rank = _base_index(elements)
+        self.base, self._tables = _base_index(elements)
         self._base_images = elements[:, self.base]
         ident = self._locate(identity_perm(degree)[self.base])
         if not np.array_equal(elements[ident], identity_perm(degree)):
@@ -159,13 +183,15 @@ class PermGroup:
     def _locate(self, images) -> np.ndarray:
         """Element indices with the given base images (shape (..., |base|)).
 
-        Exact for the base images of elements. Other images land on some
-        element, so a caller looking up outside input confirms the full row.
+        One gather per base point. Exact for the base images of elements;
+        other images in 0..degree-1 reach a sentinel slot and land on element
+        0, so a caller looking up outside input range-checks it first and
+        confirms the full row.
         """
-        rank = np.zeros(np.shape(images)[:-1], dtype=np.int64)
-        for level, keys in enumerate(self._keys):
-            rank = keys.searchsorted(rank * self.degree + images[..., level])
-        return self._element_of_rank[np.minimum(rank, self.order - 1)]
+        slot = 0
+        for level, table in enumerate(self._tables):
+            slot = table[slot + images[..., level]]
+        return slot
 
     def mul(self, a, b):
         """Indices of (a then b), broadcast over index arrays a and b."""
@@ -178,18 +204,23 @@ class PermGroup:
 
     def conj(self, a, h):
         """Indices of h^-1 a h, broadcast over index arrays a and h."""
-        return self.mul(self.mul(self._inverse[h], a), h)
+        first = self.elements[np.expand_dims(a, -1), self._base_images[self._inverse[h]]]
+        return self._locate(self.elements[np.expand_dims(h, -1), first])
 
     def index_of(self, perm):
         """Index of a permutation, or an index array for a stack of rows.
 
         The base lookup is confirmed on the full row, so a permutation that
-        agrees with an element on the base only still raises NotAMember.
+        agrees with an element on the base only still raises NotAMember, as
+        does a row of non-integers or of images outside 0..degree-1.
         """
         rows = np.asarray(perm)
         if rows.ndim == 0 or rows.shape[-1] != self.degree:
             raise NotAMember(f"degree mismatch: {rows.shape} vs {self.degree}")
-        idx = self._locate(rows[..., self.base])
+        images = rows[..., self.base]
+        if rows.dtype.kind not in "iu" or np.any((images < 0) | (images >= self.degree)):
+            raise NotAMember(f"images must be integers in 0..{self.degree - 1}")
+        idx = self._locate(images)
         outside = np.any(self.elements[idx] != rows, axis=-1)
         if np.any(outside):
             raise NotAMember(f"{rows[outside][0].tolist()} is not an element")

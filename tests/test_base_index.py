@@ -4,7 +4,9 @@ Every group primitive (mul, inv, conj, index_of, centralizer) is compared with
 compose / invert / conjugate on full rows plus a test-local dict from row
 bytes to element index, a lookup that never consults the base. Small groups
 are checked on every pair, the 32768-element group (C2)^15 (a base of 15
-points) on a seeded sample.
+points) on a seeded sample. Rows outside the group, out-of-range images
+among them, must raise NotAMember, and the dense tables must stay within
+one element array.
 """
 
 import numpy as np
@@ -119,3 +121,63 @@ def test_c2_power_sampled(c2_15):
     for i in a[:3]:
         assert list(centralizer(G, G.elements[i])) == list(range(G.order))  # abelian
     check_non_member_on_base(G)
+
+
+@pytest.mark.parametrize("bad", ["degree", 200, -1])
+@pytest.mark.parametrize("name", ["agl_f7", "sym4", "c2_15"])
+def test_out_of_range_images_are_not_members(name, bad, request):
+    G = request.getfixturevalue(name)
+    bad = G.degree if bad == "degree" else bad
+    for point in G.base[:2]:
+        row = np.arange(G.degree)
+        row[point] = bad
+        with pytest.raises(NotAMember):
+            G.index_of(row)
+        assert not G.contains(row)
+        with pytest.raises(NotAMember):
+            G.index_of(np.stack([G.elements[0], row]))
+        assert not G.contains(np.stack([G.elements[0], row]))
+
+
+@pytest.mark.parametrize("row", [[7, 8, 2, 3, 4, 5, 6], np.arange(7, dtype=float)],
+                         ids=["two-out-of-range", "float-identity"])
+def test_rows_no_table_can_take_are_not_members(agl_f7, row):
+    with pytest.raises(NotAMember):
+        agl_f7.index_of(row)
+    assert not agl_f7.contains(row)
+
+
+@pytest.mark.parametrize("name", ["agl_f7", "sym4", "c2_15"])
+def test_base_images_no_element_has_reach_the_sentinel(name, request):
+    """In-range images that no element has on the base: the lookup falls into
+    the sentinel slots and the full-row check refuses the row."""
+    G = request.getfixturevalue(name)
+    row = np.arange(G.degree)
+    if name == "c2_15":  # every element sends point 0 to 0 or 1
+        row[0], row[4] = 4, 0
+    else:  # every element keeps base points 0 and 1 apart
+        row[1] = 0
+    with pytest.raises(NotAMember):
+        G.index_of(row)
+    assert not G.contains(row)
+
+
+@pytest.mark.parametrize("name", ["agl_f5", "sym4", "agl_d9", "c2_15"])
+def test_tables_fit_in_one_element_array(name, request):
+    G = request.getfixturevalue(name)
+    sizes = [t.size for t in G._tables]
+    assert len(sizes) == len(G.base)
+    assert sum(sizes) <= (G.order + len(G.base)) * G.degree
+    classes = [size // G.degree - 1 for size in sizes]  # classes before each level
+    assert classes[0] == 1
+    assert all(later >= 2 * earlier for earlier, later in zip(classes, classes[1:]))
+
+
+def test_trivial_group_lookups():
+    G = parse_group_doc({"degree": 4, "generators": []})
+    assert G.order == 1 and G.base == [0]
+    zeros = np.zeros(3, dtype=np.int64)
+    assert np.array_equal(G.mul(zeros, zeros), zeros)
+    assert np.array_equal(G.conj(zeros, zeros), zeros)
+    assert G.inv(0) == 0 and G.index_of(np.arange(4)) == 0
+    assert not G.contains([1, 0, 2, 3])
