@@ -20,8 +20,6 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        if value.dtype != object:
-            return value.tolist()  # already plain Python scalars
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, np.integer):
         return int(value)
