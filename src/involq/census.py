@@ -187,7 +187,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry,
     khat = len(centralizer(G, int(nontrivial[0])))
 
     # pair-product fibers: how many (r, s) in J x J give each element
-    fiber = np.bincount(G.mul(j_idx[:, None], j_idx[None, :]).ravel(), minlength=G.order)
+    fiber = np.bincount(cert._jj.ravel(), minlength=G.order)
 
     j3 = _triple_products(G, cert)
     sample, complete = _alpha_sample(G, j3, alpha_cap)

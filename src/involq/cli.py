@@ -13,9 +13,8 @@ group documents ``{"degree": d, "generators": [[...], ...]}``. Exit codes:
 stage, or a target that cannot be recovered), 2 input error. Every
 subcommand maps errors through :func:`involq.pipeline.exit_status`, so input
 errors always print ``input error: ...`` on stderr; ``--quiet`` silences the
-progress lines of ``verify`` only. Nothing is randomized; --seed is accepted
-for interface stability and ignored. INVOLQ_ORDER_CAP overrides the default
-size caps.
+progress lines of ``verify`` only. Nothing is randomized. INVOLQ_ORDER_CAP
+overrides the default size caps.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_ver)
     p_ver.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    p_ver.add_argument(
-        "--seed", type=int, default=0,
-        help="accepted and ignored; every scan is deterministic",
-    )
     p_ver.add_argument(
         "--cap-subgroup-order", type=int, default=DEFAULT_SUBGROUP_CAP,
         help=f"bound for the odd-subgroup scan (default {DEFAULT_SUBGROUP_CAP})",

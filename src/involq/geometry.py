@@ -43,7 +43,7 @@ from .errors import (
 )
 from .permgroup import PermGroup, centralizer
 from .reporting import Check, CheckReport
-from .s2t import _j_positions, _require_certified
+from .s2t import _require_certified
 
 
 def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +93,7 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     # diagonal products ii are the identity, every other product ik a
     # translation. Scans of row i read the columns ij[i], the elements of iJ.
     n = len(j_idx)
-    ij = G.mul(j_idx[:, None], j_idx[None, :])  # row i: i then each involution
+    ij = cert._jj  # row i: i then each involution
     in_ij = np.zeros((n, G.order), dtype=bool)
     in_ij[np.arange(n)[:, None], ij] = True
 
@@ -254,7 +254,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # the pairs a < b in row-major order, and the distinct translations ab in
     # order of first appearance
     a, b = np.triu_indices(n, 1)
-    sigma_of_pair = G.mul(j_idx[a], j_idx[b])  # a then b
+    sigma_of_pair = cert._jj[a, b]  # a then b
     _, first_pair = np.unique(sigma_of_pair, return_index=True)
     sigmas = sigma_of_pair[np.sort(first_pair)]
     row_of = np.full(G.order, -1, dtype=np.int64)
@@ -333,14 +333,6 @@ def line_through(geom: Geometry, i: int, j: int) -> Line:
 # conjugation action on lines
 
 
-def _conjugation_position_table(geom: Geometry) -> np.ndarray:
-    """table[k] = permutation of point positions induced by conjugating with
-    the involution at position k."""
-    G = geom.group
-    j_idx = geom.points
-    return _j_positions(_require_certified(G), G.conj(j_idx[None, :], j_idx[:, None]))
-
-
 def verify_line_lemma(geom: Geometry) -> CheckReport:
     """Conjugation facts about lines, scanned over every (line, involution):
 
@@ -350,7 +342,7 @@ def verify_line_lemma(geom: Geometry) -> CheckReport:
         lies on the line;
     plus the sanity fact that points of a line fix it under conjugation.
     """
-    table = _conjugation_position_table(geom)
+    table = _require_certified(geom.group)._j_conj  # row k: the points conjugated by k
     n = geom.n_points
     checks = []
 
@@ -492,122 +484,102 @@ def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanRepor
     """Enumerate odd-order subgroups inside the translation set that some
     involution normalizes, and check each sits inside a translation centralizer.
 
-    Candidates are closures of one or two translations (subgroups needing more
-    generators are outside the scan; the report says so via generator_depth).
-    A closure that leaves the translation set is discarded -- it cannot be a
-    subgroup contained in the translations. Closures exceeding ``cap`` are
-    counted in skipped_over_cap and the report is marked incomplete.
+    A subgroup is a boolean mask over the translation positions. Candidates
+    are the closures of one or two translations (subgroups needing more
+    generators are outside the scan; the report says so via generator_depth):
+
+    * the cyclic subgroup of each nontrivial translation, from its powers,
+      walked for all translations at once;
+    * the closure of each pair of distinct cyclic subgroups, grown in rounds
+      that multiply every member by every member.
+
+    A candidate with a power or product outside the translation set is
+    discarded: it cannot be a subgroup contained in the translations. One
+    that grows past ``cap`` members is abandoned and counted in
+    skipped_over_cap (once per translation or pair), and the report is marked
+    incomplete; within a round an escaping product is found before the cap is
+    tested. Violations are listed in (size, sorted translation positions)
+    order.
     """
     G = geom.group
-    trans_idx = geom.translation_ids
-    trans = trans_idx.tolist()
+    trans = geom.translation_ids
     nt = len(trans)
     t_pos = np.full(G.order, -1, dtype=np.int64)  # element -> translation position
-    t_pos[trans_idx] = np.arange(nt)
+    t_pos[trans] = np.arange(nt)
+    ident = int(t_pos[G.identity_index])
+    if ident < 0:
+        raise CharacteristicAnomaly("the identity is not a translation")
 
     # partial Cayley table on the translation set; -1 marks products outside it
-    table = t_pos[G.mul(trans_idx[:, None], trans_idx[None, :])]
+    table = t_pos[G.mul(trans[:, None], trans[None, :])]
 
-    ident_pos = int(t_pos[G.identity_index])
-    if ident_pos < 0:
-        raise CharacteristicAnomaly("the identity is not a translation")
-    _CAPPED = frozenset({-1})
+    # cyclic subgroups: row r walks the powers of gens[r]; the first repeated
+    # power is the identity, and every live row holds `size` members
+    gens = np.flatnonzero(np.arange(nt) != ident)
+    cyclic = np.zeros((len(gens), nt), dtype=bool)
+    cyclic[:, ident] = True
+    cyclic[np.arange(len(gens)), gens] = True
+    closed = np.zeros(len(gens), dtype=bool)
+    live, power, size = np.arange(len(gens)), gens, 2
+    while len(live):
+        power = table[power, gens[live]]
+        closed[live[power == ident]] = True
+        grows = (power >= 0) & (power != ident)
+        live, power = live[grows], power[grows]
+        cyclic[live, power] = True
+        size += 1
+        if size > cap:
+            break
+    skipped = len(live)
+    cyclic = cyclic[closed]
+    cyclic = cyclic[_distinct_rows(cyclic)[0]]
 
-    def close_set(seed_positions) -> frozenset | None:
-        members = sorted(set(int(s) for s in seed_positions) | {ident_pos})
+    # a pair generates what its two cyclic subgroups generate, so distinct
+    # cyclic subgroups are paired; the identity is a member of every closure,
+    # so each round's products hold its members
+    closures = [cyclic]
+    for a, b in zip(*np.triu_indices(len(cyclic), 1)):
+        members = np.flatnonzero(cyclic[a] | cyclic[b])
         while True:
-            arr = np.array(members, dtype=np.int64)
-            prods = table[np.ix_(arr, arr)]
-            if (prods < 0).any():
-                return None  # a product escaped the translation set
-            produced = set(prods.flatten().tolist())
-            fresh = produced - set(members)
-            if not fresh:
-                return frozenset(members)
-            members = sorted(set(members) | produced)
+            products = table[members[:, None], members]
+            if products.min() < 0:
+                break
+            grown = np.zeros(nt, dtype=bool)
+            grown[products] = True
+            if np.count_nonzero(grown) == len(members):
+                closures.append(grown[None, :])
+                break
+            members = np.flatnonzero(grown)
             if len(members) > cap:
-                return _CAPPED
-
-    nontrivial_pos = [k for k in range(nt) if k != ident_pos]
-
-    # cyclic subgroup of each element; the subgroup generated by a pair only
-    # depends on the pair of cyclic subgroups, which keeps the pair phase small
-    subgroups: set[frozenset] = set()
-    skipped = 0
-    cyclic_of: dict[int, frozenset | None] = {}
-    for k in nontrivial_pos:
-        members = {ident_pos, k}
-        cur, ok = k, True
-        while True:
-            cur = int(table[cur, k])
-            if cur < 0:
-                ok = False
-                break
-            if cur in members:
-                break
-            members.add(cur)
-            if len(members) > cap:
-                ok = None
-                break
-        if ok is True:
-            cyclic_of[k] = frozenset(members)
-            subgroups.add(cyclic_of[k])
-        elif ok is None:
-            cyclic_of[k] = _CAPPED
-            skipped += 1
-        else:
-            cyclic_of[k] = None
-
-    distinct_cyclic = sorted(
-        {c for c in cyclic_of.values() if c not in (None, _CAPPED)},
-        key=sorted,
-    )
-    for ai in range(len(distinct_cyclic)):
-        for bi in range(ai + 1, len(distinct_cyclic)):
-            cl = close_set(distinct_cyclic[ai] | distinct_cyclic[bi])
-            if cl is None:
-                continue
-            if cl == _CAPPED:
                 skipped += 1
-                continue
-            subgroups.add(cl)
+                break
 
-    # conjugation of translation positions by each involution; None where a
-    # conjugate leaves the translation set
-    conj_pos = t_pos[G.conj(trans_idx[None, :], geom.points[:, None])]
-    conj_tables = [perm if (perm >= 0).all() else None for perm in conj_pos]
+    subgroups = np.concatenate(closures)
+    subgroups = subgroups[_distinct_rows(subgroups)[0]]
+    sizes = subgroups.sum(axis=1)
 
-    cen_sets = []
-    for cls in geom.classes:
-        rep = cls[0]
-        cen = set(int(c) for c in centralizer(G, rep))
-        cen_sets.append(cen)
+    # odd subgroups normalized by an involution whose conjugation keeps the
+    # translations: the conjugate of every member is a member
+    conj = t_pos[G.conj(trans[None, :], geom.points[:, None])]
+    conj = conj[(conj >= 0).all(axis=1)]
+    odd = subgroups[(sizes % 2 == 1) & (sizes > 1)]
+    found = odd[(odd[:, conj] | ~odd[:, None, :]).all(axis=2).any(axis=1)]
 
-    found = 0
-    histogram: dict[int, int] = {}
-    violations: list[tuple] = []
-    examined = 0
-    for sub in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
-        examined += 1
-        if len(sub) % 2 == 0 or len(sub) == 1:
-            continue
-        normalized = any(
-            perm is not None and frozenset(int(perm[a]) for a in sub) == sub
-            for perm in conj_tables
-        )
-        if not normalized:
-            continue
-        found += 1
-        histogram[len(sub)] = histogram.get(len(sub), 0) + 1
-        elems = {trans[a] for a in sub}
-        if not any(elems <= cen for cen in cen_sets):
-            violations.append(tuple(sorted(elems)))
+    # centralizers of the translation classes, on the translation positions
+    cen = np.zeros((len(geom.classes), nt), dtype=bool)
+    for c, cls in enumerate(geom.classes):
+        on = t_pos[centralizer(G, cls[0])]
+        cen[c, on[on >= 0]] = True
+    outside = (found[:, None, :] & ~cen).any(axis=2).all(axis=1)
+    violations = sorted((np.flatnonzero(m) for m in found[outside]),
+                        key=lambda p: (len(p), p.tolist()))
 
+    histogram = np.bincount(found.sum(axis=1))
     return SubgroupScanReport(
-        examined=examined,
-        found=found,
-        size_histogram=histogram,
-        violations=violations,
+        examined=len(subgroups),
+        found=len(found),
+        size_histogram={int(k): int(histogram[k]) for k in np.flatnonzero(histogram)},
+        violations=[tuple(np.sort(trans[p]).tolist()) for p in violations],
         skipped_over_cap=skipped,
         complete=skipped == 0,
     )

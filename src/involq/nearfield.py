@@ -385,8 +385,11 @@ def make_dickson(q: int, n: int, order_cap: int | None = None) -> NearField:
 
 
 def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
-    """Least (a,b,c) where the chunked triple comparison fails, else None."""
-    step = max(1, (1 << 21) // max(q * q, 1))
+    """Least (a,b,c) where the chunked triple comparison fails, else None.
+
+    A chunk spans about 2**18 triples, so its int64 operands stay near 2 MB
+    whatever q is; chunks are scanned in order, so the first hit is least."""
+    step = max(1, (1 << 18) // max(q * q, 1))
     for s in range(0, q, step):
         bad = lhs_fn(s, min(s + step, q))
         if bad.any():

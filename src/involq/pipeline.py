@@ -330,7 +330,7 @@ def recover_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE) -> dict:
         "target": target,
         "split": True,
         "roundtrip": splitting.roundtrip_check(G, coord),
-        "coordinatization": jsonable(coord.as_dict()),
+        "coordinatization": coord.as_dict(),
     }
 
 

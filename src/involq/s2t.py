@@ -3,7 +3,8 @@
 A degree-d group is sharply 2-transitive iff its order is d(d-1) and it is
 transitive on ordered distinct pairs; one pair orbit suffices for the latter
 since orbits partition the pairs. The certificate also records the involution
-set J, the translation set (all products of two involutions), the permutation
+set J, the J x J product table, the conjugation of J by each involution, the
+translation set (all products of two involutions), the permutation
 characteristic (2 when involutions are fixed-point-free, else the common
 prime order of nontrivial translations) and the conjugacy-class flags.
 
@@ -44,6 +45,8 @@ class S2TCertificate:
     # caches for downstream modules, not serialized
     _j: np.ndarray | None = field(default=None, repr=False)
     _jpos: np.ndarray | None = field(default=None, repr=False)  # -1 outside J
+    _jj: np.ndarray | None = field(default=None, repr=False)  # (|J|, |J|): i then j
+    _j_conj: np.ndarray | None = field(default=None, repr=False)  # row k: k^-1 j k, positions
     _translations: np.ndarray | None = field(default=None, repr=False)
     _fix_points: np.ndarray | None = field(default=None, repr=False)
     _j3: np.ndarray | None = field(default=None, repr=False)
@@ -73,10 +76,9 @@ def _involution_indices(G: PermGroup) -> np.ndarray:
 def _translation_indices(G: PermGroup, cert: S2TCertificate) -> np.ndarray:
     """J.J, and in characteristic 2 also J: there the involutions are the
     nontrivial translations, and J.J may miss them (J.J = {1} at degree 2)."""
-    j_idx = cert._j
-    trans = np.unique(G.mul(j_idx[:, None], j_idx[None, :]))
+    trans = np.unique(cert._jj)
     if cert.characteristic == 2:
-        trans = np.union1d(trans, j_idx)
+        trans = np.union1d(trans, cert._j)
     return trans
 
 
@@ -144,6 +146,8 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
     cert._jpos = np.full(G.order, -1, dtype=np.int64)
     cert._jpos[j_idx] = np.arange(len(j_idx))
     cert.involution_count = len(j_idx)
+    cert._jj = G.mul(j_idx[:, None], j_idx[None, :])
+    cert._j_conj = _j_positions(cert, G.conj(j_idx[None, :], j_idx[:, None]))
 
     fixed = G.elements[j_idx] == np.arange(d)
     counts = fixed.sum(axis=1)
@@ -261,9 +265,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     checks.append(Check("centralizer-regular-on-other-involutions", witness is None,
                         witness=witness))
 
-    # row k: positions of k^-1 j k over j in J
-    conj_by_involution = _j_positions(cert, G.conj(j_idx[None, :], j_idx[:, None]))
-    bad = np.nonzero(np.any(np.sort(conj_by_involution, axis=0) != positions[:, None],
+    bad = np.nonzero(np.any(np.sort(cert._j_conj, axis=0) != positions[:, None],
                             axis=0))[0]
     witness = (int(j_idx[bad[0]]),) if len(bad) else None
     checks.append(Check("involution-conjugation-regular", witness is None,

@@ -101,29 +101,25 @@ def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coord
         raise NotSplit("translations are not a subgroup")
     d = G.degree
     trans_rows = G.elements[_require_certified(G)._translations]
-
+    counts = np.bincount(trans_rows[:, 0], minlength=d)
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        raise AxiomRecoveryFailure(
+            f"{counts[bad[0]]} translations send 0 to {bad[0]}; the action is not regular"
+        )
     add = np.empty((d, d), dtype=np.int32)
-    for b in range(d):
-        mask = trans_rows[:, 0] == b
-        count = int(mask.sum())
-        if count != 1:
-            raise AxiomRecoveryFailure(
-                f"{count} translations send 0 to {b}; the action is not regular"
-            )
-        add[:, b] = trans_rows[np.nonzero(mask)[0][0]]
+    add[:, trans_rows[:, 0]] = trans_rows.T
 
-    stab_mask = G.elements[:, 0] == 0
-    stab_rows = G.elements[np.nonzero(stab_mask)[0]]
+    stab_rows = G.elements[G.elements[:, 0] == 0]
+    counts = np.bincount(stab_rows[:, 1], minlength=d)
+    bad = np.flatnonzero(counts[1:] != 1) + 1
+    if len(bad):
+        raise AxiomRecoveryFailure(
+            f"{counts[bad[0]]} stabilizer elements send 1 to {bad[0]}; the action is not regular"
+        )
     mul = np.empty((d, d), dtype=np.int32)
     mul[:, 0] = 0
-    for m in range(1, d):
-        mask = stab_rows[:, 1] == m
-        count = int(mask.sum())
-        if count != 1:
-            raise AxiomRecoveryFailure(
-                f"{count} stabilizer elements send 1 to {m}; the action is not regular"
-            )
-        mul[:, m] = stab_rows[np.nonzero(mask)[0][0]]
+    mul[:, stab_rows[:, 1]] = stab_rows.T
 
     nf = NearField(d, f"recovered({d})", add, mul)
     report = verify_nearfield_axioms(nf)

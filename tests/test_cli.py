@@ -11,7 +11,7 @@ from involq import s2t
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.cli import main
 from involq.errors import CharacterizationMismatch, CharacteristicAnomaly
-from involq.pipeline import run_verify, verify_group
+from involq.pipeline import recover_target, run_verify, verify_group
 from involq.reporting import Check, CheckReport
 
 
@@ -242,11 +242,19 @@ def test_cli_verify_entry(tmp_path, capsys):
     assert report_path.exists()
 
 
-def test_cli_verify_seed_flag_is_ignored(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "agl-field-5", "--report", str(a), "--quiet", "--seed", "1"]) == 0
-    assert main(["verify", "agl-field-5", "--report", str(b), "--quiet", "--seed", "99"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_cli_verify_refuses_seed(capsys):
+    """Nothing is randomized, so there is no --seed flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "agl-field-5", "--quiet", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_recover_payload_is_plain_json_and_what_the_cli_prints(capsys):
+    payload = recover_target("agl-dickson-3-2")
+    assert json.loads(json.dumps(payload)) == payload
+    assert main(["recover", "agl-dickson-3-2"]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_cli_recover(capsys):

@@ -19,6 +19,7 @@ from involq import (
     verify_line_lemma,
     verify_no_proper_plane,
 )
+from involq.catalog import build_entry, find_entry, run_catalog
 from involq.s2t import certify_sharply_2_transitive
 
 
@@ -277,6 +278,116 @@ def test_subgroup_scan_cap(agl_d9):
     assert not report.complete
     assert report.skipped_over_cap > 0
     assert report.size_histogram == {3: 4}  # order-9 closure was abandoned
+
+
+def naive_subgroup_scan(geom, cap):
+    """Test-local oracle for divisible_subgroup_scan on permutation rows.
+
+    Cyclic subgroups come from walking the powers of each translation, pair
+    closures from multiplying every member by every member until nothing new
+    appears; a power or product outside the translations discards the
+    candidate, and passing ``cap`` members abandons it (counted once per
+    translation or pair). Normalizers and centralizers are found by composing
+    rows."""
+    G = geom.group
+    rows = [tuple(int(x) for x in row) for row in G.elements]
+    index = {row: i for i, row in enumerate(rows)}
+    trans = {int(t) for t in geom.translation_ids}
+    identity = G.identity_index
+
+    def mul(a, b):  # a then b
+        return index[tuple(rows[b][x] for x in rows[a])]
+
+    over_cap = "over cap"
+
+    def cyclic(k):
+        members, power = {identity, k}, k
+        while True:
+            power = mul(power, k)
+            if power not in trans:
+                return None
+            if power in members:
+                return frozenset(members)
+            members.add(power)
+            if len(members) > cap:
+                return over_cap
+
+    def close(members):
+        while True:
+            products = {mul(a, b) for a in members for b in members}
+            if not products <= trans:
+                return None
+            if products <= members:
+                return frozenset(members)
+            members = members | products
+            if len(members) > cap:
+                return over_cap
+
+    outcomes = [cyclic(k) for k in sorted(trans - {identity})]
+    distinct = sorted({c for c in outcomes if c not in (None, over_cap)}, key=sorted)
+    outcomes += [close(a | b) for i, a in enumerate(distinct) for b in distinct[i + 1:]]
+    subgroups = {c for c in outcomes if c not in (None, over_cap)}
+    skipped = outcomes.count(over_cap)
+
+    def conj(t, j):  # j t j, for an involution j
+        return mul(mul(j, t), j)
+
+    normalizers = [j for j in geom.points.tolist() if all(conj(t, j) in trans for t in trans)]
+    centralizers = [{c for c in range(G.order) if mul(c, cls[0]) == mul(cls[0], c)}
+                    for cls in geom.classes]
+    found = sorted((s for s in subgroups
+                    if len(s) % 2 == 1 and len(s) > 1
+                    and any({conj(t, j) for t in s} == s for j in normalizers)),
+                   key=lambda s: (len(s), sorted(s)))
+    histogram = {}
+    for s in found:
+        histogram[len(s)] = histogram.get(len(s), 0) + 1
+    return {
+        "examined": len(subgroups),
+        "found": len(found),
+        "size_histogram": histogram,
+        "violations": [tuple(sorted(s)) for s in found
+                       if not any(s <= cen for cen in centralizers)],
+        "skipped_over_cap": skipped,
+    }
+
+
+ODD_UP_TO_27 = [e.id for e in run_catalog(27)
+                if e.expected_certified and e.expected_characteristic != 2]
+
+
+@pytest.mark.parametrize("entry_id", ODD_UP_TO_27)
+def test_subgroup_scan_matches_naive_oracle(entry_id):
+    geom = build_geometry(build_entry(find_entry(entry_id)))
+    for cap in (3, 5, 512):
+        report = divisible_subgroup_scan(geom, cap=cap)
+        expected = naive_subgroup_scan(geom, cap)
+        assert {key: getattr(report, key) for key in expected} == expected, cap
+        assert report.complete is (expected["skipped_over_cap"] == 0)
+
+
+def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9):
+    """With an inverse pair of translations dropped, candidates that reach it
+    are discarded: on agl_f7 at cap 3 the escape at the third power is found
+    before the cap, at cap 2 two walks pass the cap first. With no translation
+    class every found subgroup is a violation, listed by size, then members."""
+    skipped = {}
+    for G in (agl_f7, agl_d9):
+        thinned = build_geometry(G)
+        t = int(thinned.translation_ids[2])
+        thinned.translation_ids = np.setdiff1d(thinned.translation_ids, [t, G.inv(t)])
+        no_classes = build_geometry(G)
+        no_classes.classes = []
+        for name, geom in (("thinned", thinned), ("no classes", no_classes)):
+            for cap in (2, 3, 512):
+                report = divisible_subgroup_scan(geom, cap=cap)
+                expected = naive_subgroup_scan(geom, cap)
+                assert {key: getattr(report, key) for key in expected} == expected
+                skipped[G.degree, name, cap] = report.skipped_over_cap
+    assert skipped[7, "thinned", 2] == 2 and skipped[7, "thinned", 3] == 0
+    assert divisible_subgroup_scan(no_classes).violations == [
+        (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), tuple(range(9)),
+    ]
 
 
 # ---------------------------------------------------------------------------

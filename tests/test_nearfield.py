@@ -146,6 +146,29 @@ def test_frobenius_is_automorphism():
         assert steps == e
 
 
+def test_cubic_scan_witnesses_past_the_first_chunk():
+    """The cubic scans run in chunks of 2**18 // 81**2 = 39 first coordinates
+    at order 81. Corrupting one cell in row 50 of GF(81)'s multiplication
+    breaks left distributivity only at a = 50, in the second chunk; every
+    cubic witness is the least failing triple of the whole cube."""
+    gf81 = make_field(3, 4)
+    mul = gf81.mul.copy()
+    mul[50, 7] = mul[50, 8]
+    report = verify_nearfield_axioms(NearField(81, "corrupted", gf81.add, mul))
+    add, mul = gf81.add.astype(np.int64), mul.astype(np.int64)
+    a, b, c = np.ix_(np.arange(81), np.arange(81), np.arange(81))
+    cubes = {
+        "add-associativity": add[add[a, b], c] != add[a, add[b, c]],
+        "mul-associativity": mul[mul[a, b], c] != mul[a, mul[b, c]],
+        "right-distributivity": mul[add[a, b], c] != add[mul[a, c], mul[b, c]],
+        "left-distributivity": mul[a, add[b, c]] != add[mul[a, b], mul[a, c]],
+    }
+    for name, bad in cubes.items():
+        least = tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+        assert report.check(name).witness == least, name
+    assert report.check("left-distributivity").witness[0] == 50
+
+
 def test_field_errors():
     with pytest.raises(NotPrime):
         make_field(4, 1)

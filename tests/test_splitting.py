@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from involq import (
+    AxiomRecoveryFailure,
     NotSharply2Transitive,
     affine_group,
     characteristic,
@@ -18,6 +19,8 @@ from involq import (
     verify_group,
     verify_nearfield_axioms,
 )
+from involq.s2t import certify_sharply_2_transitive
+from involq.splitting import SplitReport
 
 
 def test_split_small_fields():
@@ -137,3 +140,38 @@ def test_split_group_count_of_involutions(agl_f5):
     # same size as the involution set in the split case
     report = neumann_split_test(agl_f5)
     assert len(report.abelian_normal_subgroup) == len(involutions(agl_f5))
+
+
+SPLIT = SplitReport(j2_is_subgroup=True, j2_abelian=True, split=True)
+
+
+@pytest.mark.parametrize("replaced, by, message", [
+    (5, 2, "2 translations send 0 to 2"),
+    (1, 4, "0 translations send 0 to 1"),
+])
+def test_coordinatize_refuses_irregular_translations(agl_f7, replaced, by, message, monkeypatch):
+    """The translation taking 0 to ``replaced`` is swapped for the one taking
+    0 to ``by``; the least point reached by no translation or by two is named."""
+    cert = certify_sharply_2_transitive(agl_f7)
+    to = agl_f7.elements[cert._translations, 0]
+    trans = cert._translations.copy()
+    trans[to == replaced] = trans[to == by]
+    monkeypatch.setattr(cert, "_translations", trans)
+    with pytest.raises(AxiomRecoveryFailure, match=f"^{message}; the action is not regular$"):
+        coordinatize(agl_f7, SPLIT)
+
+
+@pytest.mark.parametrize("replaced, by, message", [
+    (5, 2, "2 stabilizer elements send 1 to 2"),
+    (2, 5, "0 stabilizer elements send 1 to 2"),
+])
+def test_coordinatize_refuses_irregular_stabilizer(agl_f7, replaced, by, message, monkeypatch):
+    """The stabilizer element of 0 taking 1 to ``replaced`` is overwritten by
+    the one taking 1 to ``by``; the least point with a wrong count is named."""
+    certify_sharply_2_transitive(agl_f7)
+    elements = agl_f7.elements.copy()
+    stab = elements[:, 0] == 0
+    elements[stab & (elements[:, 1] == replaced)] = elements[stab & (elements[:, 1] == by)]
+    monkeypatch.setattr(agl_f7, "elements", elements)
+    with pytest.raises(AxiomRecoveryFailure, match=f"^{message}; the action is not regular$"):
+        coordinatize(agl_f7, SPLIT)
