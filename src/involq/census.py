@@ -10,8 +10,9 @@ report says so explicitly rather than asserting any inequality between the
 quantities.
 
 Alphas are sampled exhaustively for degree <= FULL_ALPHA_DEGREE and otherwise
-as the first ``alpha_cap`` elements of the triple-product set in enumeration
-order, which keeps every run byte-identical.
+as the first DEFAULT_ALPHA_CAP elements of the triple-product set in
+enumeration order, which keeps every run byte-identical. Both bounds are
+constants; nothing sets them per call.
 """
 
 from __future__ import annotations
@@ -73,18 +74,6 @@ class CensusReport:
             "disclaimer": self.disclaimer,
         }
 
-    def csv_row(self, entry_id: str = "") -> dict:
-        return {
-            "id": entry_id,
-            "nhat": self.nhat,
-            "khat": self.khat,
-            "khat_constant": int(self.khat_constant),
-            "j2_size": self.j2_size,
-            "j3_size": self.j3_size,
-            "lhat": self.lhat,
-            "fiber_identity_ok": int(self.fiber_identity_ok),
-        }
-
 
 def _require_odd_characteristic(G: PermGroup):
     cert = _require_certified(G)
@@ -107,11 +96,10 @@ def _x_alpha_masks(G: PermGroup, cert, alphas: np.ndarray) -> tuple[np.ndarray, 
     return products, np.isin(products, cert._translations)
 
 
-def _alpha_sample(G: PermGroup, j3: np.ndarray, alpha_cap: int | None) -> tuple[np.ndarray, bool]:
-    cap = DEFAULT_ALPHA_CAP if alpha_cap is None else alpha_cap
-    if G.degree <= FULL_ALPHA_DEGREE or len(j3) <= cap:
+def _alpha_sample(G: PermGroup, j3: np.ndarray) -> tuple[np.ndarray, bool]:
+    if G.degree <= FULL_ALPHA_DEGREE or len(j3) <= DEFAULT_ALPHA_CAP:
         return j3, True
-    return j3[:cap], False
+    return j3[:DEFAULT_ALPHA_CAP], False
 
 
 def x_alpha(G: PermGroup, alpha) -> np.ndarray:
@@ -132,7 +120,7 @@ def x_alpha(G: PermGroup, alpha) -> np.ndarray:
     return np.nonzero(in_x[0])[0]
 
 
-def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
+def census(G: PermGroup) -> CensusReport:
     """Compute all census quantities by exhaustive product enumeration."""
     cert = _require_odd_characteristic(G)
     j_idx = cert._j
@@ -148,7 +136,7 @@ def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
     j3 = _triple_products(G, cert)
     j3_size = len(j3)
 
-    sample, complete = _alpha_sample(G, j3, alpha_cap)
+    sample, complete = _alpha_sample(G, j3)
     _, in_x = _x_alpha_masks(G, cert, sample)
     xalpha_sizes = list(zip(sample.tolist(), in_x.sum(axis=1).tolist()))
 
@@ -167,8 +155,7 @@ def census(G: PermGroup, alpha_cap: int | None = None) -> CensusReport:
     )
 
 
-def verify_xalpha_covering(G: PermGroup, geom: Geometry,
-                           alpha_cap: int | None = None) -> CheckReport:
+def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     """The line-covering step behind the X_alpha sets, scanned per alpha:
 
     * line-covering: whenever i.r.s == alpha and v is on the line of (r,s),
@@ -190,7 +177,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry,
     fiber = np.bincount(cert._jj.ravel(), minlength=G.order)
 
     j3 = _triple_products(G, cert)
-    sample, complete = _alpha_sample(G, j3, alpha_cap)
+    sample, complete = _alpha_sample(G, j3)
     products, in_x = _x_alpha_masks(G, cert, sample)
 
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"

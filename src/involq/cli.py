@@ -13,8 +13,10 @@ group documents ``{"degree": d, "generators": [[...], ...]}``. Exit codes:
 stage, or a target that cannot be recovered), 2 input error. Every
 subcommand maps errors through :func:`involq.pipeline.exit_status`, so input
 errors always print ``input error: ...`` on stderr; ``--quiet`` silences the
-progress lines of ``verify`` only. Nothing is randomized. INVOLQ_ORDER_CAP
-overrides the default size caps.
+progress lines of ``verify`` only. Nothing is randomized. Every scan bound
+is a constant of the module that uses it (the odd-subgroup scan stops at 512
+members, the X_alpha sample at 100 alphas above degree 9); INVOLQ_ORDER_CAP,
+which overrides the default size caps, is the only override.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 
 from .catalog import DEFAULT_MAX_DEGREE, run_catalog
 from .pipeline import (
-    DEFAULT_SUBGROUP_CAP,
     census_target,
     exit_status,
     recover_target,
@@ -60,14 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_ver)
     p_ver.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    p_ver.add_argument(
-        "--cap-subgroup-order", type=int, default=DEFAULT_SUBGROUP_CAP,
-        help=f"bound for the odd-subgroup scan (default {DEFAULT_SUBGROUP_CAP})",
-    )
-    p_ver.add_argument(
-        "--cap-alpha-sample", type=int, default=None,
-        help="bound for sampled alphas above degree 9 (default 100)",
-    )
     p_ver.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     p_rec = sub.add_parser("recover", help="coordinatize a split target")
@@ -80,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cen)
     p_cen.add_argument("--out", metavar="PATH", help="write the census JSON here")
     p_cen.add_argument("--csv", action="store_true", help="emit a CSV row instead of JSON")
-    p_cen.add_argument("--cap-alpha-sample", type=int, default=None)
 
     return parser
 
@@ -117,8 +109,6 @@ def _run(args) -> int:
             args.target,
             report_path=args.report,
             max_degree=args.max_degree,
-            subgroup_cap=args.cap_subgroup_order,
-            alpha_cap=args.cap_alpha_sample,
             quiet=args.quiet,
         )
 
@@ -128,7 +118,7 @@ def _run(args) -> int:
         return 0 if payload["roundtrip"] else 1
 
     if args.command == "census":
-        payload = census_target(args.target, args.max_degree, args.cap_alpha_sample)
+        payload = census_target(args.target, args.max_degree)
         if args.csv:
             keys = ["target", "nhat", "khat", "khat_constant", "j2_size",
                     "j3_size", "lhat", "fiber_identity_ok", "status"]

@@ -2,8 +2,10 @@
 
 INVOLQ_ORDER_CAP, when set to a positive integer, overrides both default
 caps (near-field order and enumerated group order); any other value raises
-``InputError``. Nothing in the package is randomized; caps only bound the
-cost of exhaustive scans.
+``InputError``. It is the only way to change a cap: the scan bounds are
+constants of the modules that use them (``geometry.DEFAULT_SUBGROUP_CAP``,
+``census.DEFAULT_ALPHA_CAP``). Nothing in the package is randomized; caps
+only bound the cost of exhaustive scans.
 """
 
 import os
@@ -29,13 +31,9 @@ def _env_cap() -> int | None:
     return value
 
 
-def nearfield_order_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
+def max_nearfield_order() -> int:
     return _env_cap() or DEFAULT_NEARFIELD_ORDER_CAP
 
 
-def group_order_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
+def max_group_order() -> int:
     return _env_cap() or DEFAULT_GROUP_ORDER_CAP

@@ -453,6 +453,8 @@ def verify_no_proper_plane(geom: Geometry, point_set) -> NoPlaneVerdict:
 # ---------------------------------------------------------------------------
 # odd-order subgroup scan
 
+DEFAULT_SUBGROUP_CAP = 512  # size past which a scan candidate is abandoned
+
 
 @dataclass
 class SubgroupScanReport:
@@ -480,7 +482,7 @@ class SubgroupScanReport:
         }
 
 
-def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanReport:
+def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:
     """Enumerate odd-order subgroups inside the translation set that some
     involution normalizes, and check each sits inside a translation centralizer.
 
@@ -495,7 +497,7 @@ def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanRepor
 
     A candidate with a power or product outside the translation set is
     discarded: it cannot be a subgroup contained in the translations. One
-    that grows past ``cap`` members is abandoned and counted in
+    that grows past DEFAULT_SUBGROUP_CAP members is abandoned and counted in
     skipped_over_cap (once per translation or pair), and the report is marked
     incomplete; within a round an escaping product is found before the cap is
     tested. Violations are listed in (size, sorted translation positions)
@@ -528,7 +530,7 @@ def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanRepor
         live, power = live[grows], power[grows]
         cyclic[live, power] = True
         size += 1
-        if size > cap:
+        if size > DEFAULT_SUBGROUP_CAP:
             break
     skipped = len(live)
     cyclic = cyclic[closed]
@@ -550,7 +552,7 @@ def divisible_subgroup_scan(geom: Geometry, cap: int = 512) -> SubgroupScanRepor
                 closures.append(grown[None, :])
                 break
             members = np.flatnonzero(grown)
-            if len(members) > cap:
+            if len(members) > DEFAULT_SUBGROUP_CAP:
                 skipped += 1
                 break
 

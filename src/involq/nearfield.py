@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import nearfield_order_cap
+from .config import max_nearfield_order
 from .errors import (
     ConstructionSanityFailure,
     EvenCharacteristicUnsupported,
@@ -196,7 +196,7 @@ def nearfield_from_json(doc: dict) -> NearField:
 # field construction
 
 
-def make_field(p: int, e: int = 1, order_cap: int | None = None) -> NearField:
+def make_field(p: int, e: int = 1) -> NearField:
     """Build GF(p^e) as index tables.
 
     The representation is canonical: polynomial basis modulo
@@ -209,7 +209,7 @@ def make_field(p: int, e: int = 1, order_cap: int | None = None) -> NearField:
     if e < 1:
         raise ValueError("e must be >= 1")
     q = p**e
-    cap = nearfield_order_cap(order_cap)
+    cap = max_nearfield_order()
     if q > cap:
         raise OrderCapExceeded(f"order {q} exceeds cap {cap}")
 
@@ -287,7 +287,7 @@ def _multiplicative_order(mul: np.ndarray, g: int, bound: int) -> int:
     return count
 
 
-def make_dickson(q: int, n: int, order_cap: int | None = None) -> NearField:
+def make_dickson(q: int, n: int) -> NearField:
     """Build the Dickson near-field of order q^n (q an odd prime power, n >= 2).
 
     Underlying additive group: GF(q^n). Multiplication: ``x * y`` is the field
@@ -309,11 +309,11 @@ def make_dickson(q: int, n: int, order_cap: int | None = None) -> NearField:
         raise ValueError("need n >= 2; use make_field for n = 1")
     p, e = pe
     order = q**n
-    cap = nearfield_order_cap(order_cap)
+    cap = max_nearfield_order()
     if order > cap:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
 
-    K = make_field(p, e * n, order_cap=order_cap)
+    K = make_field(p, e * n)
     m = order - 1
 
     g = 0

@@ -27,7 +27,7 @@ import json
 
 import numpy as np
 
-from .config import group_order_cap
+from .config import max_group_order
 from .errors import (
     AxiomFailure,
     MalformedDocument,
@@ -272,7 +272,7 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def parse_group_doc(doc, order_cap: int | None = None) -> PermGroup:
+def parse_group_doc(doc) -> PermGroup:
     """Enumerate the group generated by a GroupDoc (dict or JSON text)."""
     if isinstance(doc, (str, bytes)):
         try:
@@ -301,17 +301,16 @@ def parse_group_doc(doc, order_cap: int | None = None) -> PermGroup:
         except NotABijection as exc:
             raise NotABijection(str(exc), generator_index=k) from exc
 
-    cap = group_order_cap(order_cap)
     gen_arr = (
         np.array(gens, dtype=np.int32)
         if gens
         else np.empty((0, degree), dtype=np.int32)
     )
-    elements = _bfs_enumerate(degree, gen_arr, cap)
+    elements = _bfs_enumerate(degree, gen_arr, max_group_order())
     return PermGroup(degree, elements, gen_arr)
 
 
-def affine_group(nf: NearField, order_cap: int | None = None) -> PermGroup:
+def affine_group(nf: NearField) -> PermGroup:
     """The group { x -> (x mul m) add a : m != 0 } acting on 0..|nf|-1.
 
     Element order is deterministic: m ascending, then a ascending, so the
@@ -325,7 +324,7 @@ def affine_group(nf: NearField, order_cap: int | None = None) -> PermGroup:
             )
         nf._verified = True
     q = nf.order
-    cap = group_order_cap(order_cap)
+    cap = max_group_order()
     if q * (q - 1) > cap:
         raise OrderCapExceeded(f"group order {q * (q - 1)} exceeds cap {cap}")
 

@@ -45,7 +45,6 @@ from .errors import CharacteristicTwo, InputError, InvolqError
 from .permgroup import PermGroup, parse_group_doc
 from .reporting import jsonable
 
-DEFAULT_SUBGROUP_CAP = 512
 DEFAULT_CLOSURE_SEEDS = 100
 
 SKIP_CHAR2 = "skipped: characteristic two"
@@ -70,9 +69,9 @@ def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # the stage table
 #
-# A stage's run(s) gets the namespace s holding G, the caps and the value of
-# every stage that passed so far (s.certificate, s.geometry, ...), and
-# returns (value, section). It names the traced functions through their
+# A stage's run(s) gets the namespace s holding G and the value of every
+# stage that passed so far (s.certificate, s.geometry, ...), and returns
+# (value, section). It names the traced functions through their
 # modules, so a wrapper installed on a module attribute sees every call.
 
 
@@ -138,7 +137,7 @@ def _roundtrip(s):
 
 
 def _xalpha_covering(s):
-    cover = verify_xalpha_covering(s.G, s.geometry, alpha_cap=s.alpha_cap)
+    cover = verify_xalpha_covering(s.G, s.geometry)
     return cover, {
         **_checked(cover)[1],
         "alphas_checked": cover.alphas_checked,
@@ -161,25 +160,20 @@ STAGES = (
      lambda s: _checked(geometry_mod.verify_line_lemma(s.geometry))),
     ("no_proper_plane", "geometry", SKIP_NO_GEOMETRY, False, _no_proper_plane),
     ("divisible_subgroups", "geometry", SKIP_NO_GEOMETRY, False,
-     lambda s: _checked(geometry_mod.divisible_subgroup_scan(s.geometry, cap=s.subgroup_cap))),
+     lambda s: _checked(geometry_mod.divisible_subgroup_scan(s.geometry))),
     ("splitting", "certificate", SKIP_NOT_S2T, False,
      lambda s: _checked(splitting.neumann_split_test(s.G), "split")),
     ("coordinatization", "splitting", "skipped: not split", False, _coordinatization),
     ("roundtrip", "coordinatization", "skipped: no coordinatization", False, _roundtrip),
     ("census", "certificate", SKIP_NOT_S2T, True,
-     lambda s: _checked(compute_census(s.G, alpha_cap=s.alpha_cap))),
+     lambda s: _checked(compute_census(s.G))),
     ("xalpha_covering", "geometry", SKIP_NO_GEOMETRY, False, _xalpha_covering),
 )
 
 
-def verify_group(
-    G: PermGroup,
-    entry: CatalogEntry | None = None,
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-    alpha_cap: int | None = None,
-) -> dict:
+def verify_group(G: PermGroup, entry: CatalogEntry | None = None) -> dict:
     """Run every row of STAGES on one group and return its report section."""
-    s = SimpleNamespace(G=G, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap)
+    s = SimpleNamespace(G=G)
     sections: dict[str, dict] = {}
     for name, requires, reason, odd_only, run in STAGES:
         needed = sections[requires]["status"] if requires else "pass"
@@ -265,8 +259,6 @@ def run_verify(
     target: str,
     report_path: str | None = None,
     max_degree: int = DEFAULT_MAX_DEGREE,
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-    alpha_cap: int | None = None,
     quiet: bool = False,
 ) -> int:
     """Verify one target (or the whole catalog for target 'all').
@@ -277,12 +269,10 @@ def run_verify(
     flags, so designed-to-fail fixtures do not fail the batch. ``quiet``
     silences the progress lines, never an error message.
     """
-    return exit_status(
-        _verify, target, report_path, max_degree, subgroup_cap, alpha_cap, quiet
-    )
+    return exit_status(_verify, target, report_path, max_degree, quiet)
 
 
-def _verify(target, report_path, max_degree, subgroup_cap, alpha_cap, quiet) -> int:
+def _verify(target, report_path, max_degree, quiet) -> int:
     say = (lambda *_: None) if quiet else print
     if target == "all":
         report = {"max_degree": max_degree, "entries": {}}
@@ -296,9 +286,7 @@ def _verify(target, report_path, max_degree, subgroup_cap, alpha_cap, quiet) -> 
                 result = {"entry": entry.as_dict(), "conforms": False, "ok": False,
                           "error": _error(exc)}
             else:
-                result = verify_group(
-                    G, entry, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap,
-                )
+                result = verify_group(G, entry)
             report["entries"][entry.id] = result
             all_conform &= result["conforms"]
             say(f"{entry.id}: {'conforms' if result['conforms'] else 'DEVIATES'}")
@@ -306,7 +294,7 @@ def _verify(target, report_path, max_degree, subgroup_cap, alpha_cap, quiet) -> 
         exit_code = 0 if all_conform else 1
     else:
         entry, G = resolve_target(target, max_degree)
-        report = verify_group(G, entry, subgroup_cap=subgroup_cap, alpha_cap=alpha_cap)
+        report = verify_group(G, entry)
         exit_code = 0 if report["ok"] else 1
         say(f"{target}: {'ok' if report['ok'] else 'FAILED'}")
 
@@ -334,14 +322,14 @@ def recover_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE) -> dict:
     }
 
 
-def census_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE,
-                  alpha_cap: int | None = None) -> dict:
+def census_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE) -> dict:
+    """Census a target and return the JSON payload."""
     entry, G = resolve_target(target, max_degree)
     try:
-        rep = compute_census(G, alpha_cap=alpha_cap)
+        rep = compute_census(G)
     except CharacteristicTwo:
         return {"target": target, "status": SKIP_CHAR2}
-    payload = jsonable(rep.as_dict())
+    payload = rep.as_dict()
     payload["target"] = target
     payload["status"] = "pass" if rep.ok else "fail"
     return payload

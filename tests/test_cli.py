@@ -11,7 +11,7 @@ from involq import s2t
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.cli import main
 from involq.errors import CharacterizationMismatch, CharacteristicAnomaly
-from involq.pipeline import recover_target, run_verify, verify_group
+from involq.pipeline import census_target, recover_target, run_verify, verify_group
 from involq.reporting import Check, CheckReport
 
 
@@ -242,18 +242,30 @@ def test_cli_verify_entry(tmp_path, capsys):
     assert report_path.exists()
 
 
-def test_cli_verify_refuses_seed(capsys):
-    """Nothing is randomized, so there is no --seed flag."""
+@pytest.mark.parametrize("command, flag", [
+    ("verify", ["--seed", "1"]),
+    ("verify", ["--cap-alpha-sample", "3"]),
+    ("verify", ["--cap-subgroup-order", "5"]),
+    ("census", ["--cap-alpha-sample", "3"]),
+], ids=["verify-seed", "verify-cap-alpha-sample", "verify-cap-subgroup-order",
+        "census-cap-alpha-sample"])
+def test_cli_verify_refuses_seed(command, flag, capsys):
+    """Nothing is randomized, so there is no --seed flag; the scan bounds are
+    constants, so there are no cap flags."""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "agl-field-5", "--quiet", "--seed", "1"])
+        main([command, "agl-field-5", *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-def test_recover_payload_is_plain_json_and_what_the_cli_prints(capsys):
-    payload = recover_target("agl-dickson-3-2")
+@pytest.mark.parametrize("command, payload_of", [
+    ("recover", recover_target),
+    ("census", census_target),
+], ids=["recover", "census"])
+def test_recover_payload_is_plain_json_and_what_the_cli_prints(command, payload_of, capsys):
+    payload = payload_of("agl-dickson-3-2")
     assert json.loads(json.dumps(payload)) == payload
-    assert main(["recover", "agl-dickson-3-2"]) == 0
+    assert main([command, "agl-dickson-3-2"]) == 0
     assert json.loads(capsys.readouterr().out) == payload
 
 
@@ -283,7 +295,7 @@ def test_cli_census_csv(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("target,nhat,khat")
-    assert lines[1].startswith("agl-field-5,5,5")
+    assert lines[1] == "agl-field-5,5,5,True,5,5,0,True,pass"
 
 
 def test_cli_census_char2_skips(capsys):

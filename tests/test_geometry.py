@@ -19,6 +19,7 @@ from involq import (
     verify_line_lemma,
     verify_no_proper_plane,
 )
+from involq import geometry as geometry_mod
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.s2t import certify_sharply_2_transitive
 
@@ -257,24 +258,23 @@ def test_subgroup_scan_dickson9(agl_d9):
 
 
 def test_subgroup_scan_found_groups_are_inverted(agl_d9):
-    """Every found subgroup is normalized by every involution (conjugation
-    inverts translations), so the scan must see at least the cyclic ones."""
-    geom = build_geometry(agl_d9)
-    G = agl_d9
-    trans = translations(G)
-    for t in trans:
-        if t == G.identity_index:
-            continue
-        trow = G.elements[t]
-        for j in involutions(G):
-            jrow = G.elements[j]
-            conj = jrow[trow[jrow]]
-            assert np.array_equal(conj, np.argsort(trow))  # t^j == t^-1
+    """Every involution inverts every translation, so it normalizes every
+    subgroup of the translations: each subgroup the scan examines is found,
+    and each lies in the translation group, the centralizer of its members."""
+    for G, found, histogram in (
+        (agl_d9, 5, {3: 4, 9: 1}),
+        (build_entry(find_entry("agl-field-27")), 26, {3: 13, 9: 13}),
+    ):
+        report = divisible_subgroup_scan(build_geometry(G))
+        assert report.found == report.examined == found
+        assert report.size_histogram == histogram
+        assert report.violations == []
 
 
-def test_subgroup_scan_cap(agl_d9):
+def test_subgroup_scan_cap(agl_d9, monkeypatch):
+    monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", 5)
     geom = build_geometry(agl_d9)
-    report = divisible_subgroup_scan(geom, cap=5)
+    report = divisible_subgroup_scan(geom)
     assert not report.complete
     assert report.skipped_over_cap > 0
     assert report.size_histogram == {3: 4}  # order-9 closure was abandoned
@@ -357,16 +357,18 @@ ODD_UP_TO_27 = [e.id for e in run_catalog(27)
 
 
 @pytest.mark.parametrize("entry_id", ODD_UP_TO_27)
-def test_subgroup_scan_matches_naive_oracle(entry_id):
+def test_subgroup_scan_matches_naive_oracle(entry_id, monkeypatch):
     geom = build_geometry(build_entry(find_entry(entry_id)))
     for cap in (3, 5, 512):
-        report = divisible_subgroup_scan(geom, cap=cap)
+        monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
+        report = divisible_subgroup_scan(geom)
         expected = naive_subgroup_scan(geom, cap)
         assert {key: getattr(report, key) for key in expected} == expected, cap
         assert report.complete is (expected["skipped_over_cap"] == 0)
 
 
-def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9):
+def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
+                                                                 monkeypatch):
     """With an inverse pair of translations dropped, candidates that reach it
     are discarded: on agl_f7 at cap 3 the escape at the third power is found
     before the cap, at cap 2 two walks pass the cap first. With no translation
@@ -380,11 +382,13 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9)
         no_classes.classes = []
         for name, geom in (("thinned", thinned), ("no classes", no_classes)):
             for cap in (2, 3, 512):
-                report = divisible_subgroup_scan(geom, cap=cap)
+                monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
+                report = divisible_subgroup_scan(geom)
                 expected = naive_subgroup_scan(geom, cap)
                 assert {key: getattr(report, key) for key in expected} == expected
                 skipped[G.degree, name, cap] = report.skipped_over_cap
     assert skipped[7, "thinned", 2] == 2 and skipped[7, "thinned", 3] == 0
+    monkeypatch.undo()
     assert divisible_subgroup_scan(no_classes).violations == [
         (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), tuple(range(9)),
     ]

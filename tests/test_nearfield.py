@@ -273,7 +273,7 @@ def test_dickson_25(d25):
     assert naive_axiom_violations(d25.add.tolist(), d25.mul.tolist()) == set()
 
 
-def test_dickson_errors():
+def test_dickson_errors(monkeypatch):
     with pytest.raises(NotDicksonPair):
         make_dickson(3, 4)
     with pytest.raises(NotDicksonPair):
@@ -282,8 +282,9 @@ def test_dickson_errors():
         make_dickson(4, 3)
     with pytest.raises(ValueError):
         make_dickson(3, 1)
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "8")
     with pytest.raises(OrderCapExceeded):
-        make_dickson(3, 2, order_cap=8)
+        make_dickson(3, 2)
 
 
 def test_dickson_determinism():

@@ -142,18 +142,22 @@ def test_enumeration_order_matches_oracle(doc, request):
     assert np.array_equal(parse_group_doc(doc).elements, expected)
 
 
-def test_order_cap_at_the_boundary(d9_relabelled_doc):
-    assert parse_group_doc(d9_relabelled_doc, order_cap=72).order == 72
+def test_order_cap_at_the_boundary(d9_relabelled_doc, monkeypatch):
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "72")
+    assert parse_group_doc(d9_relabelled_doc).order == 72
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "71")
     with pytest.raises(OrderCapExceeded):
-        parse_group_doc(d9_relabelled_doc, order_cap=71)
+        parse_group_doc(d9_relabelled_doc)
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
     # S5 has order 120
     doc = {"degree": 5, "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "100")
     with pytest.raises(OrderCapExceeded):
-        parse_group_doc(doc, order_cap=100)
-    assert parse_group_doc(doc, order_cap=120).order == 120
+        parse_group_doc(doc)
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "120")
+    assert parse_group_doc(doc).order == 120
 
 
 # ---------------------------------------------------------------------------
