@@ -265,6 +265,11 @@ def test_subgroup_scan_found_groups_are_inverted(agl_d9):
         (agl_d9, 5, {3: 4, 9: 1}),
         (build_entry(find_entry("agl-field-27")), 26, {3: 13, 9: 13}),
     ):
+        for t in translations(G):
+            trow = G.elements[t]
+            for j in involutions(G):
+                jrow = G.elements[j]
+                assert np.array_equal(jrow[trow[jrow]], np.argsort(trow))  # t^j == t^-1
         report = divisible_subgroup_scan(build_geometry(G))
         assert report.found == report.examined == found
         assert report.size_histogram == histogram
