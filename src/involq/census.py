@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CharacteristicTwo, NotInJ3
+from .errors import NotInJ3
 from .geometry import Geometry
-from .permgroup import PermGroup, centralizer
+from .permgroup import PermGroup, _element_index, centralizer
 from .reporting import Check, CheckReport
-from .s2t import _require_certified
+from .s2t import _require_odd_characteristic
 
 FULL_ALPHA_DEGREE = 9
 DEFAULT_ALPHA_CAP = 100
@@ -75,13 +75,6 @@ class CensusReport:
         }
 
 
-def _require_odd_characteristic(G: PermGroup):
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
-        raise CharacteristicTwo("the census presupposes characteristic != 2")
-    return cert
-
-
 def _triple_products(G: PermGroup, cert) -> np.ndarray:
     """Sorted element indices of { i.sigma : i in J, sigma in J.J }."""
     if cert._j3 is None:
@@ -111,9 +104,7 @@ def x_alpha(G: PermGroup, alpha) -> np.ndarray:
     translation).
     """
     cert = _require_odd_characteristic(G)
-    a_idx = int(alpha) if isinstance(alpha, (int, np.integer)) else G.index_of(alpha)
-    if a_idx < 0 or a_idx >= G.order:
-        raise NotInJ3(f"no element with index {a_idx}")
+    a_idx = _element_index(G, alpha)
     if a_idx != G.identity_index and not np.isin(a_idx, _triple_products(G, cert)):
         raise NotInJ3(f"element {a_idx} is not a product of three involutions")
     _, in_x = _x_alpha_masks(G, cert, np.array([a_idx]))

@@ -31,7 +31,6 @@ from .pipeline import (
     exit_status,
     recover_target,
     run_verify,
-    write_report,
 )
 from .reporting import jsonable
 
@@ -77,11 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    if out_path:
-        write_report(payload, out_path)
+CENSUS_CSV_KEYS = ("target", "nhat", "khat", "khat_constant", "j2_size",
+                   "j3_size", "lhat", "fiber_identity_ok", "status")
+
+
+def _emit(payload: dict, out_path: str | None, csv_keys=None) -> None:
+    """Write payload as JSON, or as a CSV header and row over csv_keys, to
+    out_path or to stdout."""
+    if csv_keys is None:
+        text = json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
     else:
-        print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
+        row = [str(payload.get(k, "")) for k in csv_keys]
+        text = f"{','.join(csv_keys)}\n{','.join(row)}\n"
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,13 +130,7 @@ def _run(args) -> int:
 
     if args.command == "census":
         payload = census_target(args.target, args.max_degree)
-        if args.csv:
-            keys = ["target", "nhat", "khat", "khat_constant", "j2_size",
-                    "j3_size", "lhat", "fiber_identity_ok", "status"]
-            print(",".join(keys))
-            print(",".join(str(payload.get(k, "")) for k in keys))
-        else:
-            _emit(payload, args.out)
+        _emit(payload, args.out, CENSUS_CSV_KEYS if args.csv else None)
         return 0 if payload.get("status", "pass").startswith(("pass", "skipped")) else 1
 
     return 2  # pragma: no cover

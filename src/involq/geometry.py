@@ -36,14 +36,13 @@ import numpy as np
 
 from .errors import (
     CharacteristicAnomaly,
-    CharacteristicTwo,
     CharacterizationMismatch,
     GeometryConditionsFailed,
     PointsEqual,
 )
 from .permgroup import PermGroup, centralizer
 from .reporting import Check, CheckReport
-from .s2t import _require_certified
+from .s2t import _require_certified, _require_odd_characteristic
 
 
 def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,9 +66,7 @@ _C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
 
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
     """Evaluate the four conditions independently and report agreement."""
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
-        raise CharacteristicTwo("the incidence structure needs char != 2")
+    cert = _require_odd_characteristic(G)
 
     j_idx = cert._j
     trans = cert._translations
@@ -224,9 +221,7 @@ class Geometry:
 
 def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geometry:
     """Construct all lines, cross-validating the three characterizations."""
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
-        raise CharacteristicTwo("the incidence structure needs char != 2")
+    cert = _require_odd_characteristic(G)
     if conditions is None:
         conditions = check_geometry_conditions(G)
     if not conditions.ok:

@@ -34,6 +34,7 @@ from .config import max_nearfield_order
 from .errors import (
     ConstructionSanityFailure,
     EvenCharacteristicUnsupported,
+    InvolqError,
     NotDicksonPair,
     NotPrime,
     OrderCapExceeded,
@@ -253,13 +254,7 @@ def make_field(p: int, e: int = 1) -> NearField:
         nf = NearField(q, f"field({p},{e})", add, mul)
         nf.modulus = f
 
-    report = verify_nearfield_axioms(nf)
-    if not report.ok:
-        raise ConstructionSanityFailure(
-            f"field({p},{e}) failed axiom {report.failures()[0].name}"
-        )
-    nf._verified = True
-    return nf
+    return _require_axioms(nf, ConstructionSanityFailure)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +304,6 @@ def make_dickson(q: int, n: int) -> NearField:
         raise ValueError("need n >= 2; use make_field for n = 1")
     p, e = pe
     order = q**n
-    cap = max_nearfield_order()
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
-
     K = make_field(p, e * n)
     m = order - 1
 
@@ -368,14 +359,8 @@ def make_dickson(q: int, n: int) -> NearField:
     for y in range(1, order):
         mul[:, y] = K.mul[frob_qr[class_of[y]], y]
 
-    nf = NearField(order, f"dickson({q},{n})", K.add, mul)
-    report = verify_nearfield_axioms(nf)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise ConstructionSanityFailure(
-            f"dickson({q},{n}) failed axiom {bad.name} at {bad.witness}"
-        )
-    nf._verified = True
+    nf = _require_axioms(NearField(order, f"dickson({q},{n})", K.add, mul),
+                        ConstructionSanityFailure)
     nf.twist_generator = g
     return nf
 
@@ -507,6 +492,17 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
 
     checks.sort(key=lambda c: (c.name, c.witness or ()))
     return CheckReport(f"near-field axioms for {nf.family}", checks)
+
+
+def _require_axioms(nf: NearField, error: type[InvolqError]) -> NearField:
+    """The axiom gate: scan every axiom of ``nf``, raise ``error`` naming the
+    first failed required axiom and its witness, else mark ``nf`` verified."""
+    report = verify_nearfield_axioms(nf)
+    if not report.ok:
+        bad = report.failures()[0]
+        raise error(f"{nf.family} fails axiom {bad.name} at {bad.witness}")
+    nf._verified = True
+    return nf
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     NotAMember,
     OrderCapExceeded,
 )
-from .nearfield import NearField, verify_nearfield_axioms
+from .nearfield import NearField, _require_axioms
 
 # ---------------------------------------------------------------------------
 # single-permutation helpers
@@ -317,12 +317,7 @@ def affine_group(nf: NearField) -> PermGroup:
     identity (m=1, a=0) is element 0.
     """
     if not nf._verified:
-        report = verify_nearfield_axioms(nf)
-        if not report.ok:
-            raise AxiomFailure(
-                f"near-field fails axiom {report.failures()[0].name}"
-            )
-        nf._verified = True
+        _require_axioms(nf, AxiomFailure)
     q = nf.order
     cap = max_group_order()
     if q * (q - 1) > cap:

@@ -7,10 +7,10 @@ coordinatization, roundtrip, census, line covering. Each row names the one
 earlier stage it needs, and one rule decides whether the row runs:
 
 * the needed stage was skipped: inherit its exact ``skipped: <reason>``;
-* the needed stage did not pass: ``skipped: <this row's reason>``;
-* the row is odd-only and the characteristic is 2: ``skipped: characteristic
-  two``;
-* otherwise run it. An ``InvolqError`` raised by the stage becomes
+* the needed stage did not pass: ``skipped: <reason>``, the reason that
+  ``SKIP_WHEN_FAILED`` declares for the needed stage;
+* otherwise run it. A stage that raises ``CharacteristicTwo`` reads
+  ``skipped: characteristic two``; any other ``InvolqError`` it raises becomes
   ``{"status": "fail", "error": "<Type>: <message>"}`` and the batch goes on.
 
 A fixture that is expected to fail certification conforms when it does. In
@@ -48,8 +48,16 @@ from .reporting import jsonable
 DEFAULT_CLOSURE_SEEDS = 100
 
 SKIP_CHAR2 = "skipped: characteristic two"
-SKIP_NOT_S2T = "skipped: not sharply 2-transitive"
-SKIP_NO_GEOMETRY = "skipped: no geometry"
+
+# the status of a stage whose needed stage ran and did not pass, keyed by
+# the needed stage
+SKIP_WHEN_FAILED = {
+    "certificate": "skipped: not sharply 2-transitive",
+    "geometry_conditions": "skipped: geometry conditions failed",
+    "geometry": "skipped: no geometry",
+    "splitting": "skipped: not split",
+    "coordinatization": "skipped: no coordinatization",
+}
 
 
 def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
@@ -83,7 +91,7 @@ def _checked(rep, flag: str = "ok"):
     """(rep, section): status from rep.<flag>, then rep's own fields."""
     return rep, {
         "status": "pass" if getattr(rep, flag) else "fail",
-        **jsonable(rep.as_dict()),
+        **rep.as_dict(),
     }
 
 
@@ -146,28 +154,27 @@ def _xalpha_covering(s):
     }
 
 
-# (name, requires, reason, odd_only, run)
+# (name, requires, run); a stage that raises CharacteristicTwo reads
+# SKIP_CHAR2, which its dependents inherit
 STAGES = (
-    ("certificate", None, None, False,
+    ("certificate", None,
      lambda s: _checked(s2t.certify_sharply_2_transitive(s.G), "valid")),
-    ("basic_properties", "certificate", SKIP_NOT_S2T, True,
+    ("basic_properties", "certificate",
      lambda s: _checked(s2t.verify_basic_properties(s.G))),
-    ("geometry_conditions", "certificate", SKIP_NOT_S2T, True,
+    ("geometry_conditions", "certificate",
      lambda s: _checked(geometry_mod.check_geometry_conditions(s.G))),
-    ("geometry", "geometry_conditions", "skipped: geometry conditions failed", False,
-     _geometry),
-    ("line_lemma", "geometry", SKIP_NO_GEOMETRY, False,
+    ("geometry", "geometry_conditions", _geometry),
+    ("line_lemma", "geometry",
      lambda s: _checked(geometry_mod.verify_line_lemma(s.geometry))),
-    ("no_proper_plane", "geometry", SKIP_NO_GEOMETRY, False, _no_proper_plane),
-    ("divisible_subgroups", "geometry", SKIP_NO_GEOMETRY, False,
+    ("no_proper_plane", "geometry", _no_proper_plane),
+    ("divisible_subgroups", "geometry",
      lambda s: _checked(geometry_mod.divisible_subgroup_scan(s.geometry))),
-    ("splitting", "certificate", SKIP_NOT_S2T, False,
+    ("splitting", "certificate",
      lambda s: _checked(splitting.neumann_split_test(s.G), "split")),
-    ("coordinatization", "splitting", "skipped: not split", False, _coordinatization),
-    ("roundtrip", "coordinatization", "skipped: no coordinatization", False, _roundtrip),
-    ("census", "certificate", SKIP_NOT_S2T, True,
-     lambda s: _checked(compute_census(s.G))),
-    ("xalpha_covering", "geometry", SKIP_NO_GEOMETRY, False, _xalpha_covering),
+    ("coordinatization", "splitting", _coordinatization),
+    ("roundtrip", "coordinatization", _roundtrip),
+    ("census", "certificate", lambda s: _checked(compute_census(s.G))),
+    ("xalpha_covering", "geometry", _xalpha_covering),
 )
 
 
@@ -175,17 +182,17 @@ def verify_group(G: PermGroup, entry: CatalogEntry | None = None) -> dict:
     """Run every row of STAGES on one group and return its report section."""
     s = SimpleNamespace(G=G)
     sections: dict[str, dict] = {}
-    for name, requires, reason, odd_only, run in STAGES:
+    for name, requires, run in STAGES:
         needed = sections[requires]["status"] if requires else "pass"
         if needed.startswith("skipped:"):
             sections[name] = {"status": needed}
         elif needed != "pass":
-            sections[name] = {"status": reason}
-        elif odd_only and s.certificate.characteristic == 2:
-            sections[name] = {"status": SKIP_CHAR2}
+            sections[name] = {"status": SKIP_WHEN_FAILED[requires]}
         else:
             try:
                 value, sections[name] = run(s)
+            except CharacteristicTwo:
+                sections[name] = {"status": SKIP_CHAR2}
             except InvolqError as exc:
                 sections[name] = {"status": "fail", "error": _error(exc)}
             else:

@@ -39,7 +39,7 @@ class Check:
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": bool(self.passed), "required": bool(self.required)}
         if self.witness is not None:
-            out["witness"] = jsonable(self.witness)
+            out["witness"] = list(self.witness)
         if self.note:
             out["note"] = self.note
         return out

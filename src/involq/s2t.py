@@ -189,6 +189,15 @@ def _require_certified(G: PermGroup) -> S2TCertificate:
     return cert
 
 
+def _require_odd_characteristic(G: PermGroup) -> S2TCertificate:
+    """The certificate of G, refused in characteristic 2: the involution
+    geometry and everything built on it need involutions with fixed points."""
+    cert = _require_certified(G)
+    if cert.characteristic == 2:
+        raise CharacteristicTwo("involutions have no fixed points in characteristic 2")
+    return cert
+
+
 def involutions(G: PermGroup) -> np.ndarray:
     """Element indices of all order-2 elements, in enumeration order."""
     cert = _require_certified(G)
@@ -241,9 +250,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
         k^-1 i k = j;
     (c) the translations meet every involution centralizer only in 1.
     """
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
-        raise CharacteristicTwo("these properties presuppose involutions with fixed points")
+    cert = _require_odd_characteristic(G)
     j_idx = cert._j
     n = len(j_idx)
     positions = np.arange(n)
@@ -288,7 +295,5 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
 
 def fixed_point_bijection_ok(G: PermGroup) -> bool:
     """True iff involution -> fixed point is a bijection onto the points."""
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
-        raise CharacteristicTwo("no fixed points in characteristic 2")
+    cert = _require_odd_characteristic(G)
     return sorted(cert._fix_points.tolist()) == list(range(G.degree))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomRecoveryFailure, CharacteristicAnomaly, NotSplit
-from .nearfield import NearField, verify_nearfield_axioms
+from .nearfield import NearField, _require_axioms
 from .permgroup import PermGroup, affine_group
 from .s2t import _require_certified
 
@@ -121,12 +121,7 @@ def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coord
     mul[:, 0] = 0
     mul[:, stab_rows[:, 1]] = stab_rows.T
 
-    nf = NearField(d, f"recovered({d})", add, mul)
-    report = verify_nearfield_axioms(nf)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise AxiomRecoveryFailure(f"recovered tables fail {bad.name} at {bad.witness}")
-    nf._verified = True
+    nf = _require_axioms(NearField(d, f"recovered({d})", add, mul), AxiomRecoveryFailure)
     return Coordinatization(zero_point=0, one_point=1, nearfield=nf)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from involq import (
     CharacteristicTwo,
+    NotAMember,
     NotInJ3,
     build_geometry,
     census,
@@ -89,6 +90,12 @@ def test_x_alpha_rejects_non_triple_products(agl_f5):
     doubling = np.array([(2 * x) % 5 for x in range(5)], dtype=np.int32)
     with pytest.raises(NotInJ3):
         x_alpha(agl_f5, agl_f5.index_of(doubling))
+
+
+def test_x_alpha_rejects_out_of_range_indices(agl_f5):
+    for alpha in (-1, agl_f5.order):
+        with pytest.raises(NotAMember, match=f"^no element with index {alpha}$"):
+            x_alpha(agl_f5, alpha)
 
 
 def test_x_alpha_definition(agl_d9):

@@ -10,7 +10,7 @@ from involq import geometry as geometry_mod
 from involq import s2t
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.cli import main
-from involq.errors import CharacterizationMismatch, CharacteristicAnomaly
+from involq.errors import CharacterizationMismatch, CharacteristicAnomaly, CharacteristicTwo
 from involq.pipeline import census_target, recover_target, run_verify, verify_group
 from involq.reporting import Check, CheckReport
 
@@ -213,6 +213,23 @@ def test_raising_certificate_skips_every_stage(agl_f5, monkeypatch):
     assert report["ok"] is False and report["conforms"] is False
 
 
+def test_any_stage_raising_characteristic_two_reads_skipped(agl_f5, monkeypatch):
+    """The characteristic-two rule is the runner's, not a list of stages:
+    whichever stage raises CharacteristicTwo is skipped, and only that."""
+    def refused(G, conditions=None):
+        raise CharacteristicTwo("refused")
+
+    monkeypatch.setattr(geometry_mod, "build_geometry", refused)
+    report = verify_group(agl_f5, find_entry("agl-field-5"))
+    sections = report["sections"]
+    for name in ("geometry",) + GEOMETRY_DEPENDENTS:
+        assert sections[name] == {"status": "skipped: characteristic two"}
+    for name in ("certificate", "basic_properties", "geometry_conditions",
+                 "splitting", "coordinatization", "roundtrip", "census"):
+        assert sections[name]["status"] == "pass"
+    assert report["ok"] is True and report["conforms"] is True
+
+
 def test_verify_group_report_shape(agl_f5):
     entry = find_entry("agl-field-5")
     report = verify_group(agl_f5, entry)
@@ -290,12 +307,17 @@ def test_cli_census(capsys):
     assert payload["nhat"] == 7 and payload["khat"] == 7
 
 
-def test_cli_census_csv(capsys):
+def test_cli_census_csv(capsys, tmp_path):
     rc = main(["census", "agl-field-5", "--csv"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("target,nhat,khat")
     assert lines[1] == "agl-field-5,5,5,True,5,5,0,True,pass"
+
+    out = tmp_path / "c.csv"
+    assert main(["census", "agl-field-5", "--csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == f"{lines[0]}\n{lines[1]}\n"
 
 
 def test_cli_census_char2_skips(capsys):

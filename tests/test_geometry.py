@@ -1,5 +1,7 @@
 """Incidence structure construction and the scans over it."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,21 @@ def test_incidence_constant_line_count(agl_f5, agl_d9):
         counts = {int(geom.incidence[:, p].sum()) for p in range(geom.n_points)}
         assert len(counts) == 1
         assert counts.pop() >= 1
+
+
+def test_one_line_theorem_on_the_catalog():
+    """Every finite sharply 2-transitive group splits, and in K x| K* the
+    centralizer of a nontrivial translation is the translation group T; so
+    every line a.Cen(ab) is a.T = J, and the geometry has exactly one line."""
+    odd = [e for e in run_catalog(31)
+           if e.expected_certified and e.expected_characteristic != 2]
+    assert len(odd) == 15
+    for entry in odd:
+        G = build_entry(entry)
+        trans = translations(G)
+        for t in trans[trans != G.identity_index].tolist():
+            assert np.array_equal(centralizer(G, t), trans), (entry.id, t)
+        assert len(build_geometry(G).lines) == 1, entry.id
 
 
 def test_line_products_lie_in_class(agl_f7):
@@ -426,11 +443,55 @@ FANO = hand_geometry([(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5,
 AG22 = hand_geometry([(a, b) for a in range(4) for b in range(a + 1, 4)], 4)
 
 
+def _affine_plane_3():
+    """AG(2,3): the point (x, y) of GF(3)^2 is 3x + y; a line is
+    {p + t d : t in GF(3)} for a point p and a direction d != 0."""
+    vectors = list(itertools.product(range(3), repeat=2))
+    lines = {
+        tuple(sorted(3 * ((x + t * dx) % 3) + (y + t * dy) % 3 for t in range(3)))
+        for x, y in vectors for dx, dy in vectors if (dx, dy) != (0, 0)
+    }
+    return hand_geometry(lines, 9)
+
+
+def _projective_plane_3():
+    """PG(2,3): points are the vectors of GF(3)^3 whose first nonzero
+    coordinate is 1, numbered in lexicographic order; the line of w is the
+    set of points orthogonal to w."""
+    points = [v for v in itertools.product(range(3), repeat=3)
+              if any(v) and v[next(k for k in range(3) if v[k])] == 1]
+    lines = [
+        [i for i, v in enumerate(points) if sum(a * b for a, b in zip(v, w)) % 3 == 0]
+        for w in points
+    ]
+    return hand_geometry(lines, 13)
+
+
+def _projective_space_2():
+    """PG(3,2): the point i is the nonzero vector i + 1 of GF(2)^4; the line
+    through a and b holds a, b and a + b."""
+    lines = {tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
+             for a in range(1, 16) for b in range(1, 16) if a != b}
+    return hand_geometry(lines, 15)
+
+
+AG23 = _affine_plane_3()
+PG23 = _projective_plane_3()
+PG32 = _projective_space_2()
+
+
 def test_hand_geometries_are_linear_spaces():
     assert [line.points for line in FANO.lines] == [
         (0, 1, 3), (0, 2, 6), (0, 4, 5), (1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6),
     ]
-    for geom in (FANO, AG22):
+    for geom, n_points, n_lines, line_size in (
+        (AG23, 9, 12, 3), (PG23, 13, 13, 4), (PG32, 15, 35, 3),
+    ):
+        assert (geom.n_points, len(geom.lines)) == (n_points, n_lines)
+        assert (geom.incidence.sum(axis=1) == line_size).all()
+        inc = geom.incidence.astype(int)
+        assert (np.triu(inc @ inc.T, 1) <= 1).all()  # two lines share at most a point
+    for geom in (FANO, AG22, AG23, PG23, PG32):
         n = geom.n_points
         assert (geom.line_of_pair[~np.eye(n, dtype=bool)] >= 0).all()
 
@@ -458,6 +519,27 @@ def test_whole_fano_plane_refutes_the_verdict():
     assert verdict.ok is False
     triangle = verify_no_proper_plane(AG22, [0, 1, 2])
     assert triangle.hypotheses_met and triangle.line_count == 3 and not triangle.ok
+
+
+@pytest.mark.parametrize("geom, n_points, n_lines, meeting, failed, ok", [
+    (AG23, 9, 12, False, "b", True),
+    (PG23, 13, 13, True, None, False),
+    (PG32, 7, 7, True, None, False),  # a Fano plane inside PG(3,2)
+], ids=["AG(2,3)", "PG(2,3)", "PG(3,2)"])
+def test_closure_of_a_triangle_in_real_linear_spaces(geom, n_points, n_lines,
+                                                      meeting, failed, ok):
+    """The closure of {0, 1, c}, c the least point off the line through 0
+    and 1, is the plane the three points span."""
+    c = int(np.flatnonzero(~geom.incidence[geom.line_of_pair[0, 1]])[0])
+    closure = plane_closure(geom, [0, 1, c])
+    assert len(closure.points) == n_points
+    assert len(closure.contained_lines) == n_lines
+    assert closure.pairwise_meeting is meeting
+    verdict = verify_no_proper_plane(geom, closure.points)
+    assert verdict.hypotheses_met is (failed is None)
+    assert verdict.failed_hypothesis == failed
+    assert verdict.line_count == (n_lines if failed is None else None)
+    assert verdict.ok is ok
 
 
 def test_failed_hypothesis_witnesses_with_many_lines():

@@ -283,7 +283,7 @@ def test_dickson_errors(monkeypatch):
     with pytest.raises(ValueError):
         make_dickson(3, 1)
     monkeypatch.setenv("INVOLQ_ORDER_CAP", "8")
-    with pytest.raises(OrderCapExceeded):
+    with pytest.raises(OrderCapExceeded, match="^order 9 exceeds cap 8$"):
         make_dickson(3, 2)
 
 

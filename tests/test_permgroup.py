@@ -328,7 +328,8 @@ def test_affine_needs_valid_nearfield():
     mul = f5.mul.copy()
     mul[2, 3] = 4
     broken = NearField(5, "field(5,1)", f5.add, mul)
-    with pytest.raises(AxiomFailure):
+    with pytest.raises(AxiomFailure,
+                       match=r"^field\(5,1\) fails axiom left-distributivity at \(2, 1, 2\)$"):
         affine_group(broken)
 
 

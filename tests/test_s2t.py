@@ -7,13 +7,18 @@ from involq import (
     CharacteristicTwo,
     NotSharply2Transitive,
     PointsEqual,
+    build_geometry,
+    census,
     certify_sharply_2_transitive,
     characteristic,
     centralizer,
+    check_geometry_conditions,
     involutions,
     swap_involution,
     translations,
     verify_basic_properties,
+    verify_xalpha_covering,
+    x_alpha,
 )
 from involq.permgroup import perm_order
 from involq.s2t import _element_orders, fixed_point_bijection_ok
@@ -228,6 +233,24 @@ def test_basic_properties_unique_selfconjugator(agl_f5):
 def test_basic_properties_char2_raises(agl_f4):
     with pytest.raises(CharacteristicTwo):
         verify_basic_properties(agl_f4)
+
+
+def test_every_odd_characteristic_entry_point_shares_one_guard(agl_f4):
+    calls = (
+        verify_basic_properties,
+        fixed_point_bijection_ok,
+        check_geometry_conditions,
+        build_geometry,
+        census,
+        lambda G: x_alpha(G, G.identity_index),
+        lambda G: verify_xalpha_covering(G, None),  # refused before the geometry is read
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(CharacteristicTwo) as exc:
+            call(agl_f4)
+        messages.add(str(exc.value))
+    assert messages == {"involutions have no fixed points in characteristic 2"}
 
 
 def test_fixed_point_equivariance(agl_f5, agl_d9):
