@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NotInJ3
 from .geometry import Geometry
 from .permgroup import PermGroup, _element_index, centralizer
-from .reporting import Check, CheckReport
+from .reporting import Check, CheckReport, least_cell
 from .s2t import _require_odd_characteristic
 
 FULL_ALPHA_DEGREE = 9
@@ -176,10 +176,10 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
 
     triple_counts = (fiber[products] * in_x).sum(axis=1)
     expected = in_x.sum(axis=1) * khat
-    hits = np.flatnonzero(triple_counts != expected)
+    hit = least_cell(triple_counts != expected)
     witness_fiber = None
-    if len(hits):
-        row = hits[0]
+    if hit is not None:
+        (row,) = hit
         witness_fiber = (int(sample[row]), int(triple_counts[row]), int(expected[row]))
 
     # (alpha, p, v): p in X_alpha, v != p on the line of p.alpha (none when
@@ -188,16 +188,16 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     line_of = geom.line_of_translation[products]
     on_line = geom.incidence[line_of] & ((line_of >= 0) & in_x)[..., None]
     on_line[:, np.arange(len(j_idx)), np.arange(len(j_idx))] = False
-    hits = np.argwhere(on_line & ~inside[:, geom.line_of_pair])
+    hit = least_cell(on_line & ~inside[:, geom.line_of_pair])
     witness_cover = None
-    if len(hits):
-        row, p, v = hits[0]
+    if hit is not None:
+        row, p, v = hit
         witness_cover = (int(sample[row]), int(j_idx[p]), int(j_idx[v]))
 
-    hits = np.argwhere(in_x & ~(inside @ geom.incidence))
+    hit = least_cell(in_x & ~(inside @ geom.incidence))
     witness_sat = None
-    if len(hits):
-        row, p = hits[0]
+    if hit is not None:
+        row, p = hit
         witness_sat = (int(sample[row]), int(j_idx[p]))
 
     checks = [

@@ -32,7 +32,6 @@ from .pipeline import (
     recover_target,
     run_verify,
 )
-from .reporting import jsonable
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +83,7 @@ def _emit(payload: dict, out_path: str | None, csv_keys=None) -> None:
     """Write payload as JSON, or as a CSV header and row over csv_keys, to
     out_path or to stdout."""
     if csv_keys is None:
-        text = json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         row = [str(payload.get(k, "")) for k in csv_keys]
         text = f"{','.join(csv_keys)}\n{','.join(row)}\n"

@@ -41,7 +41,7 @@ from .errors import (
     PointsEqual,
 )
 from .permgroup import PermGroup, centralizer
-from .reporting import Check, CheckReport
+from .reporting import Check, CheckReport, least_cell
 from .s2t import _require_certified, _require_odd_characteristic
 
 
@@ -299,8 +299,9 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # lines share at most one point
     inc = geom.incidence.astype(np.int64)
     shared = np.triu(inc @ inc.T, 1)
-    if (shared > 1).any():
-        la, lb = np.argwhere(shared > 1)[0]
+    pair = least_cell(shared > 1)
+    if pair is not None:
+        la, lb = pair
         raise CharacterizationMismatch(
             f"lines {la} and {lb} share {shared[la, lb]} points"
         )
@@ -431,16 +432,16 @@ def verify_no_proper_plane(geom: Geometry, point_set) -> NoPlaneVerdict:
     members = np.flatnonzero(on)
     # (a) the line through every pair of members lies inside the set
     leaves = ~inside[geom.line_of_pair[np.ix_(members, members)]]
-    hits = np.argwhere(np.triu(leaves, 1))
-    if len(hits):
-        i, j = hits[0]
+    hit = least_cell(np.triu(leaves, 1))
+    if hit is not None:
+        i, j = hit
         return NoPlaneVerdict(False, "a", (int(members[i]), int(members[j])), None)
     # (b) the contained lines pairwise meet
     contained = np.flatnonzero(inside)
     on_contained = geom.incidence[contained]
-    hits = np.argwhere(np.triu(~(on_contained @ on_contained.T), 1))
-    if len(hits):
-        i, j = hits[0]
+    hit = least_cell(np.triu(~(on_contained @ on_contained.T), 1))
+    if hit is not None:
+        i, j = hit
         return NoPlaneVerdict(False, "b", (int(contained[i]), int(contained[j])), None)
     return NoPlaneVerdict(True, None, None, len(contained))
 

@@ -3,7 +3,8 @@
 Two constructions are provided:
 
 * ``make_field(p, e)`` -- the field GF(p^e) over the lexicographically least
-  monic irreducible polynomial of degree e over GF(p).
+  monic irreducible polynomial f of degree e over GF(p), built for every e,
+  e = 1 included, by Horner's rule over the base-p digits (see there).
 * ``make_dickson(q, n)`` -- the twisted near-field of order q^n obtained from
   GF(q^n) by replacing multiplication with ``x * y = frob(x, r(y)) * y``,
   where ``r(y)`` is the twist class of ``y``.
@@ -15,10 +16,10 @@ convention matching the affine action ``x -> (x mul m) add a`` used by
 :func:`involq.permgroup.affine_group`.
 
 Index encoding for GF(p^e): the element ``sum c_i * X**i`` (polynomial basis
-modulo the chosen irreducible) has index ``sum c_i * p**i``. "Lexicographically
-least" irreducible means the non-leading coefficient vector, read from the
-highest degree down, is smallest -- equivalently the polynomial whose
-coefficient digits encode the smallest base-p integer.
+modulo f) has index ``sum c_i * p**i``. "Lexicographically least"
+irreducible means the non-leading coefficient vector, read from the highest
+degree down, is smallest -- equivalently the polynomial whose coefficient
+digits encode the smallest base-p integer.
 
 Tables are numpy int32 arrays, write-protected after construction, so values
 are immutable and safe to share.
@@ -26,6 +27,7 @@ are immutable and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,25 +41,14 @@ from .errors import (
     NotPrime,
     OrderCapExceeded,
 )
-from .reporting import Check, CheckReport
+from .reporting import Check, CheckReport, least_cell
 
 # ---------------------------------------------------------------------------
 # small integer helpers
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -76,8 +67,6 @@ def prime_factors(n: int) -> list[int]:
 
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q == p**e, or None if q is not a prime power."""
-    if q < 2:
-        return None
     ps = prime_factors(q)
     if len(ps) != 1:
         return None
@@ -116,8 +105,6 @@ def least_irreducible(p: int, e: int) -> list[int]:
     encoded by the coefficient digits of c; a candidate is irreducible iff no
     monic polynomial of degree 1..e//2 divides it.
     """
-    if e == 1:
-        return [0, 1]
     divisors = []
     for d in range(1, e // 2 + 1):
         for t in range(p**d):
@@ -161,17 +148,8 @@ class NearField:
         self.family = family
         self.add = add
         self.mul = mul
-        self.char_p = self._additive_order_of_one()
+        self.char_p = _order(add, 1, 0, order + 1)
         self._verified = False
-
-    def _additive_order_of_one(self) -> int:
-        cur, count = 1, 1
-        while cur != 0:
-            cur = int(self.add[cur, 1])
-            count += 1
-            if count > self.order + 1:
-                return 0
-        return count
 
     @property
     def is_field_family(self) -> bool:
@@ -193,6 +171,18 @@ def nearfield_from_json(doc: dict) -> NearField:
     return NearField(int(doc["order"]), str(doc["family"]), doc["add"], doc["mul"])
 
 
+def _order(table: np.ndarray, g: int, identity: int, bound: int) -> int:
+    """Least k with the k-fold ``table`` power of g equal to ``identity``, or 0
+    when no k <= bound is (only a broken table has such a g)."""
+    cur, count = g, 1
+    while cur != identity:
+        cur = int(table[cur, g])
+        count += 1
+        if count > bound:
+            return 0
+    return count
+
+
 # ---------------------------------------------------------------------------
 # field construction
 
@@ -201,7 +191,10 @@ def make_field(p: int, e: int = 1) -> NearField:
     """Build GF(p^e) as index tables.
 
     The representation is canonical: polynomial basis modulo
-    :func:`least_irreducible`. Identical inputs produce identical tables.
+    f = :func:`least_irreducible`. ``add`` sums base-p digits mod p; ``a * b``
+    is Horner's rule over the digits of ``a``, top first: multiply by X, add
+    the digit times ``b``. For e = 1, f = X, so X is 0 and this is the
+    product mod p. Identical inputs produce identical tables.
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise TypeError("p and e must be integers")
@@ -214,46 +207,20 @@ def make_field(p: int, e: int = 1) -> NearField:
     if q > cap:
         raise OrderCapExceeded(f"order {q} exceeds cap {cap}")
 
-    if e == 1:
-        idx = np.arange(q, dtype=np.int64)
-        add = (idx[:, None] + idx[None, :]) % p
-        mul = (idx[:, None] * idx[None, :]) % p
-        nf = NearField(q, f"field({p},{e})", add, mul)
-        nf.modulus = least_irreducible(p, 1)
-    else:
-        f = least_irreducible(p, e)
-        pw = p ** np.arange(e, dtype=np.int64)
-        D = (np.arange(q, dtype=np.int64)[:, None] // pw[None, :]) % p
-
-        add = np.empty((q, q), dtype=np.int32)
-        step = max(1, (1 << 20) // q)
-        for s in range(0, q, step):
-            block = (D[s : s + step, None, :] + D[None, :, :]) % p
-            add[s : s + step] = block @ pw
-
-        # red[j] = coefficient vector of X**(e+j) modulo f
-        red = np.zeros((e - 1, e), dtype=np.int64)
-        cur = [(-c) % p for c in f[:e]]
-        red[0] = cur
-        for j in range(1, e - 1):
-            overflow = cur[-1]
-            cur = [0] + cur[:-1]
-            cur = [(cur[i] + overflow * red[0][i]) % p for i in range(e)]
-            red[j] = cur
-
-        mul = np.empty((q, q), dtype=np.int32)
-        conv = np.zeros((q, 2 * e - 1), dtype=np.int64)
-        for a in range(q):
-            conv[:] = 0
-            da = D[a]
-            for i in range(e):
-                if da[i]:
-                    conv[:, i : i + e] += da[i] * D
-            vec = (conv[:, :e] + conv[:, e:] @ red) % p
-            mul[a] = vec @ pw
-        nf = NearField(q, f"field({p},{e})", add, mul)
-        nf.modulus = f
-
+    f = least_irreducible(p, e)
+    pw = p ** np.arange(e, dtype=np.int64)
+    digits = (np.arange(q, dtype=np.int64)[:, None] // pw) % p
+    add = sum(((digits[:, None, i] + digits[None, :, i]) % p) * pw[i] for i in range(e))
+    # times[d, b] = d * b digit by digit; x_times[c] = c * X: shift the digits
+    # up and fold the top digit back through X**e = -(f - X**e)
+    times = ((np.arange(p)[:, None, None] * digits) % p) @ pw
+    fold = int((-np.array(f[:e]) % p) @ pw)
+    x_times = add[digits[:, :-1] @ pw[1:], times[digits[:, -1], fold]]
+    mul = times[digits[:, -1]]
+    for i in range(e - 2, -1, -1):
+        mul = add[x_times[mul], times[digits[:, i]]]
+    nf = NearField(q, f"field({p},{e})", add, mul)
+    nf.modulus = f
     return _require_axioms(nf, ConstructionSanityFailure)
 
 
@@ -272,16 +239,6 @@ def is_dickson_pair(q: int, n: int) -> bool:
     return True
 
 
-def _multiplicative_order(mul: np.ndarray, g: int, bound: int) -> int:
-    cur, count = g, 1
-    while cur != 1:
-        cur = int(mul[cur, g])
-        count += 1
-        if count > bound:
-            return 0
-    return count
-
-
 def make_dickson(q: int, n: int) -> NearField:
     """Build the Dickson near-field of order q^n (q an odd prime power, n >= 2).
 
@@ -289,9 +246,11 @@ def make_dickson(q: int, n: int) -> NearField:
     product of ``y`` with ``x`` raised to the q^r-th power, r being the twist
     class of y. Classes: fix the least-index generator g of GF(q^n)*; the
     class of ``y = g**i`` is the unique r in 0..n-1 with
-    ``i = (q**r - 1)/(q - 1) (mod n)``. The classes must partition the nonzero
-    elements into n blocks of size (q^n - 1)/n and the finished table must
-    pass every required near-field axiom; both are enforced.
+    ``i = (q**r - 1)/(q - 1) (mod n)``. One lookup of ``i mod n`` gives every
+    class, and one gather through the q^r-th power maps fills the table. The
+    classes must partition the nonzero elements into n blocks of size
+    (q^n - 1)/n and the finished table must pass every required near-field
+    axiom; both are enforced.
     """
     pe = prime_power(q)
     if pe is None:
@@ -307,11 +266,7 @@ def make_dickson(q: int, n: int) -> NearField:
     K = make_field(p, e * n)
     m = order - 1
 
-    g = 0
-    for cand in range(2, order):
-        if _multiplicative_order(K.mul, cand, m) == m:
-            g = cand
-            break
+    g = next((c for c in range(2, order) if _order(K.mul, c, 1, m) == m), 0)
     if g == 0:
         raise ConstructionSanityFailure("no multiplicative generator found")
 
@@ -324,45 +279,32 @@ def make_dickson(q: int, n: int) -> NearField:
     if np.any(dlog[1:] < 0):
         raise ConstructionSanityFailure("generator powers do not cover nonzeros")
 
-    # residue of the twist-class anchor exponent for each r
+    # twist_class[i % n] is the r whose anchor exponent (q**r - 1)/(q - 1) is
+    # i mod n; 0 (dlog -1) lands in some class, and its column is 0 whatever r
     anchors = [((q**r - 1) // (q - 1)) % n for r in range(n)]
     if len(set(anchors)) != n:
         raise ConstructionSanityFailure("twist anchors do not separate classes mod n")
-    class_of_residue = {res: r for r, res in enumerate(anchors)}
-
-    class_of = np.full(order, -1, dtype=np.int64)
-    for y in range(1, order):
-        res = int(dlog[y]) % n
-        r = class_of_residue.get(res)
-        if r is None:
-            raise ConstructionSanityFailure(f"element {y} falls outside every twist class")
-        class_of[y] = r
+    twist_class = np.empty(n, dtype=np.int64)
+    twist_class[anchors] = np.arange(n)
+    class_of = twist_class[dlog % n]
     sizes = np.bincount(class_of[1:], minlength=n)
     if not np.all(sizes == m // n):
         raise ConstructionSanityFailure(f"twist classes have sizes {sizes.tolist()}")
 
-    # frobenius x -> x^p as an index permutation, then q^r-th powers by iteration
+    # x -> x^q as an index permutation; frob_qr[r] is its r-th iterate x^(q^r)
     idx = np.arange(order, dtype=np.int64)
-    frob_p = idx.copy()
-    for _ in range(p - 1):
-        frob_p = K.mul[frob_p, idx]
-    frob_qr = np.empty((n, order), dtype=np.int64)
-    frob_qr[0] = idx
-    for r in range(1, n):
-        step = frob_qr[r - 1]
-        for _ in range(e):
-            step = frob_p[step]
-        frob_qr[r] = step
+    frob_q = idx
+    for _ in range(q - 1):
+        frob_q = K.mul[frob_q, idx]
+    frob_qr = [idx]
+    for _ in range(1, n):
+        frob_qr.append(frob_q[frob_qr[-1]])
+    frob_qr = np.array(frob_qr)
 
-    mul = np.empty((order, order), dtype=np.int32)
-    mul[:, 0] = 0
-    for y in range(1, order):
-        mul[:, y] = K.mul[frob_qr[class_of[y]], y]
-
-    nf = _require_axioms(NearField(order, f"dickson({q},{n})", K.add, mul),
-                        ConstructionSanityFailure)
-    nf.twist_generator = g
-    return nf
+    # mul[x, y] = K.mul[frob_qr[class_of[y], x], y]
+    mul = K.mul[frob_qr[class_of].T, idx]
+    return _require_axioms(NearField(order, f"dickson({q},{n})", K.add, mul),
+                           ConstructionSanityFailure)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +318,11 @@ def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
     whatever q is; chunks are scanned in order, so the first hit is least."""
     step = max(1, (1 << 18) // max(q * q, 1))
     for s in range(0, q, step):
+        # bound until the next chunk exists: freeing it first doubles scan time
         bad = lhs_fn(s, min(s + step, q))
-        if bad.any():
-            a, b, c = np.argwhere(bad)[0]
-            return (int(s + a), int(b), int(c))
+        w = least_cell(bad)
+        if w is not None:
+            return (s + w[0], w[1], w[2])
     return None
 
 
@@ -388,80 +331,58 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
 
     Every check scans all of its tuples (cubic scans are chunked over the
     first coordinate). Failures carry the lexicographically least violating
-    tuple. Commutativity and left distributivity are only *required* for the
-    field family; for other families they are still evaluated and reported
-    with required=False.
+    tuple, read by :func:`involq.reporting.least_cell`. Commutativity and
+    left distributivity are only *required* for the field family; for other
+    families they are still evaluated and reported with required=False.
     """
     q = nf.order
     add, mul = nf.add.astype(np.int64), nf.mul.astype(np.int64)
     idx = np.arange(q, dtype=np.int64)
+    nonzero = idx > 0
     checks: list[Check] = []
 
-    def add3(lo, hi):
-        lhs = add[add[lo:hi]]
-        rhs = add[lo:hi][:, add]
-        return lhs != rhs
+    def associativity(t):
+        return lambda lo, hi: t[t[lo:hi]] != t[lo:hi][:, t]   # (ab)c vs a(bc)
 
-    w = _first_mismatch3(add3, q)
+    w = _first_mismatch3(associativity(add), q)
     checks.append(Check("add-associativity", w is None, witness=w))
 
-    bad = add != add.T
-    w = tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+    w = least_cell(add != add.T)
     checks.append(Check("add-commutativity", w is None, witness=w))
 
-    bad = (add[:, 0] != idx) | (add[0, :] != idx)
-    w = (int(np.nonzero(bad)[0][0]),) if bad.any() else None
+    w = least_cell((add[:, 0] != idx) | (add[0, :] != idx))
     checks.append(Check("add-identity", w is None, witness=w))
 
-    bad = ~np.any(add == 0, axis=1)
-    w = (int(np.nonzero(bad)[0][0]),) if bad.any() else None
+    w = least_cell(~np.any(add == 0, axis=1))
     checks.append(Check("add-inverses", w is None, witness=w))
 
     # char_p prime and char_p . x == 0 for every x
-    w = None
-    if nf.char_p == 0 or not is_prime(nf.char_p):
-        w = (1,)
-    else:
+    w = (1,)
+    if is_prime(nf.char_p):
         acc = np.zeros(q, dtype=np.int64)
         for _ in range(nf.char_p):
             acc = add[acc, idx]
-        if np.any(acc != 0):
-            w = (int(np.nonzero(acc != 0)[0][0]),)
+        w = least_cell(acc != 0)
     checks.append(
         Check("add-exponent-char", w is None, witness=w,
               note=f"char_p={nf.char_p}")
     )
 
-    bad = (mul[0, :] != 0) | (mul[:, 0] != 0)
-    w = (int(np.nonzero(bad)[0][0]),) if bad.any() else None
+    w = least_cell((mul[0, :] != 0) | (mul[:, 0] != 0))
     checks.append(Check("mul-zero-annihilation", w is None, witness=w))
 
-    bad = mul[1:, 1:] == 0
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        w = (int(a) + 1, int(b) + 1)
-    else:
-        w = None
+    w = least_cell((mul == 0) & nonzero[:, None] & nonzero)
     checks.append(Check("mul-nonzero-closure", w is None, witness=w))
 
-    def mul3(lo, hi):
-        lhs = mul[mul[lo:hi]]
-        rhs = mul[lo:hi][:, mul]
-        return lhs != rhs
-
-    w = _first_mismatch3(mul3, q)
+    w = _first_mismatch3(associativity(mul), q)
     checks.append(Check("mul-associativity", w is None, witness=w))
 
-    bad = (mul[:, 1] != idx) | (mul[1, :] != idx)
-    w = (int(np.nonzero(bad)[0][0]),) if bad.any() else None
+    w = least_cell((mul[:, 1] != idx) | (mul[1, :] != idx))
     checks.append(Check("mul-identity", w is None, witness=w))
 
-    w = None
-    for a in range(1, q):
-        rights = np.nonzero(mul[a, 1:] == 1)[0] + 1
-        if not any(mul[b, a] == 1 for b in rights):
-            w = (a,)
-            break
+    # a != 0 needs some b != 0 with a mul b == b mul a == 1
+    inverse = (mul == 1) & (mul.T == 1) & nonzero
+    w = least_cell(nonzero & ~inverse.any(axis=1))
     checks.append(Check("mul-inverses", w is None, witness=w))
 
     def rdist(lo, hi):
@@ -475,8 +396,7 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     required_extra = nf.is_field_family
     note = "" if required_extra else "not required for near-fields"
 
-    bad = mul != mul.T
-    w = tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+    w = least_cell(mul != mul.T)
     checks.append(Check("mul-commutativity", w is None, required=required_extra,
                         witness=w, note=note))
 
@@ -519,20 +439,14 @@ class MultiplicativeGroupSummary:
 def multiplicative_group_summary(nf: NearField) -> MultiplicativeGroupSummary:
     q = nf.order
     mul = nf.mul
-    orders = []
-    for a in range(1, q):
-        o = _multiplicative_order(mul, a, q)
-        if o == 0:
-            raise ConstructionSanityFailure(f"element {a} has no finite order")
-        orders.append(o)
-    exponent = 1
-    for o in orders:
-        exponent = exponent * o // np.gcd(exponent, o)
+    orders = [_order(mul, a, 1, q) for a in range(1, q)]
+    if 0 in orders:
+        raise ConstructionSanityFailure(f"element {orders.index(0) + 1} has no finite order")
     sub = mul[1:, 1:]
     return MultiplicativeGroupSummary(
         order=q - 1,
         abelian=bool(np.array_equal(sub, sub.T)),
         involution_count=sum(1 for o in orders if o == 2),
-        exponent=int(exponent),
+        exponent=math.lcm(*orders),
         element_orders=tuple(sorted(orders)),
     )

@@ -43,7 +43,6 @@ from .catalog import (
 )
 from .errors import CharacteristicTwo, InputError, InvolqError
 from .permgroup import PermGroup, parse_group_doc
-from .reporting import jsonable
 
 DEFAULT_CLOSURE_SEEDS = 100
 
@@ -311,7 +310,7 @@ def _verify(target, report_path, max_degree, quiet) -> int:
 
 
 def write_report(report: dict, path: str) -> None:
-    text = json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

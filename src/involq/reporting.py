@@ -3,29 +3,23 @@
 Every scan in the package reports its outcome as a list of named checks,
 each pass/fail with an optional witness tuple. Witnesses are always the
 lexicographically least violating tuple the scan encountered, so repeated
-runs produce identical reports.
+runs produce identical reports; :func:`least_cell` reads that tuple off a
+boolean mask of violations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
-def jsonable(value):
-    """Recursively convert numpy scalars/arrays and tuples to plain Python."""
-    import numpy as np
 
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+def least_cell(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The witness rule: the row-major first True cell of ``mask`` as a tuple
+    of plain ints, or None when no cell is set."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .errors import (
     UniquenessViolated,
 )
 from .permgroup import PermGroup, conjugacy_class, centralizer
-from .reporting import Check, CheckReport
+from .reporting import Check, CheckReport, least_cell
 
 
 @dataclass
@@ -128,8 +128,7 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
     if not order_ok:
         cert.failure = {"check": "order", "expected": expected, "actual": order}
     elif not pair_transitive:
-        missing = np.argwhere(unreached)[0]  # row-major first
-        cert.failure = {"check": "pair-orbit", "missing_pair": missing.tolist()}
+        cert.failure = {"check": "pair-orbit", "missing_pair": list(least_cell(unreached))}
 
     if cert.valid:
         _fill_certificate(G, cert)

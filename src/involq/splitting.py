@@ -24,6 +24,7 @@ import numpy as np
 from .errors import AxiomRecoveryFailure, CharacteristicAnomaly, NotSplit
 from .nearfield import NearField, _require_axioms
 from .permgroup import PermGroup, affine_group
+from .reporting import least_cell
 from .s2t import _require_certified
 
 
@@ -66,9 +67,9 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
     trans = cert._translations
 
     products = G.mul(trans[:, None], trans[None, :])  # a then b
-    outside = np.argwhere(~np.isin(products, trans))
-    if len(outside):
-        a, b = outside[0]
+    outside = least_cell(~np.isin(products, trans))
+    if outside is not None:
+        a, b = outside
         return SplitReport(
             j2_is_subgroup=False, j2_abelian=False, split=False,
             closure_witness=(int(trans[a]), int(trans[b])),

@@ -1,9 +1,13 @@
 """Near-field construction and axiom-scan tests.
 
-The oracle here is a deliberately naive pure-Python triple loop
-(`naive_axiom_violations`), independent of the vectorized scan in the
-package; both are applied to the same tables and must agree.
+The oracles here are independent of the vectorized code in the package: a
+deliberately naive pure-Python scan of the 13 axiom checks
+(`naive_witnesses`), schoolbook digit-polynomial field tables
+(`schoolbook_field`) and a brute-force twisted Dickson product. Each sees the
+same inputs as the package and must agree with it.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,45 +26,85 @@ from involq import (
     verify_nearfield_axioms,
 )
 from involq.errors import InputError
+from involq.nearfield import least_irreducible
 
 
 # ---------------------------------------------------------------------------
-# independent oracle
+# independent oracles
+
+EXTRA = {"mul-commutativity", "left-distributivity"}  # required of fields only
+
+
+def naive_witnesses(add, mul):
+    """Exhaustive pure-Python scan of the 13 axiom checks: each name maps to
+    its least violating tuple in lexicographic order, or None."""
+    q = len(add)
+    out = {}
+
+    def first(name, tuples, bad):
+        out[name] = next((t for t in tuples if bad(*t)), None)
+
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    triples = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+    singles = [(a,) for a in range(q)]
+    first("add-associativity", triples, lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]])
+    first("add-commutativity", pairs, lambda a, b: add[a][b] != add[b][a])
+    first("add-identity", singles, lambda a: add[a][0] != a or add[0][a] != a)
+    first("add-inverses", singles, lambda a: all(add[a][b] != 0 for b in range(q)))
+    char, cur = 1, 1  # the additive order of 1, 0 when the walk from 1 never reaches 0
+    while cur != 0 and char <= q:
+        cur, char = add[cur][1], char + 1
+    char = 0 if cur != 0 else char
+
+    def char_multiple(x):
+        acc = 0
+        for _ in range(char):
+            acc = add[acc][x]
+        return acc
+
+    if char < 2 or any(char % d == 0 for d in range(2, char)):
+        out["add-exponent-char"] = (1,)
+    else:
+        first("add-exponent-char", singles, lambda x: char_multiple(x) != 0)
+    first("mul-zero-annihilation", singles, lambda a: mul[a][0] != 0 or mul[0][a] != 0)
+    first("mul-nonzero-closure", pairs, lambda a, b: a and b and mul[a][b] == 0)
+    first("mul-associativity", triples, lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]])
+    first("mul-identity", singles, lambda a: mul[a][1] != a or mul[1][a] != a)
+    first("mul-inverses", singles, lambda a: a and not any(
+        mul[a][b] == 1 and mul[b][a] == 1 for b in range(1, q)))
+    first("right-distributivity", triples,
+          lambda a, b, c: mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]])
+    first("mul-commutativity", pairs, lambda a, b: mul[a][b] != mul[b][a])
+    first("left-distributivity", triples,
+          lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]])
+    return out
 
 
 def naive_axiom_violations(add, mul, require_two_sided=False):
-    """Exhaustive pure-Python near-field axiom scan; returns violation names."""
-    q = len(add)
-    bad = set()
-    for a in range(q):
-        for b in range(q):
-            if add[a][b] != add[b][a]:
-                bad.add("add-commutative")
-            for c in range(q):
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    bad.add("add-associative")
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    bad.add("mul-associative")
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-                    bad.add("right-distributive")
-                if require_two_sided and mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    bad.add("left-distributive")
-    for a in range(q):
-        if add[a][0] != a or add[0][a] != a:
-            bad.add("add-identity")
-        if not any(add[a][b] == 0 for b in range(q)):
-            bad.add("add-inverse")
-        if mul[a][0] != 0 or mul[0][a] != 0:
-            bad.add("mul-zero")
-        if mul[a][1] != a or mul[1][a] != a:
-            bad.add("mul-identity")
-    for a in range(1, q):
-        if not any(mul[a][b] == 1 and mul[b][a] == 1 for b in range(1, q)):
-            bad.add("mul-inverse")
-        for b in range(1, q):
-            if mul[a][b] == 0:
-                bad.add("zero-divisor")
-    return bad
+    """Names of the axioms the naive scan finds violated; the two extras only
+    when two-sided laws are required."""
+    return {name for name, w in naive_witnesses(add, mul).items()
+            if w is not None and (require_two_sided or name not in EXTRA)}
+
+
+def schoolbook_field(p, e):
+    """GF(p^e) by digit-polynomial arithmetic: add digit by digit, multiply by
+    convolving the digit vectors and reducing the top coefficients, highest
+    first, through the monic f = least_irreducible(p, e)."""
+    f = least_irreducible(p, e)
+    q = p**e
+    weights = p ** np.arange(e)
+    digits = (np.arange(q)[:, None] // weights) % p
+    add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+    for i in range(e):
+        for j in range(e):
+            prod[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
+    for k in range(2 * e - 2, e - 1, -1):  # X**k = X**(k-e) * (X**e - f)
+        top = prod[:, :, k].copy()
+        for i in range(e + 1):
+            prod[:, :, k - e + i] -= top * f[i]
+    return add, (prod[:, :, :e] % p) @ weights
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +213,20 @@ def test_cubic_scan_witnesses_past_the_first_chunk():
     assert report.check("left-distributivity").witness[0] == 50
 
 
+PRIME_POWERS_TO_128 = [(p, e) for p in range(2, 129) if all(p % d for d in range(2, p))
+                      for e in range(1, 8) if p**e <= 128]
+
+
+@pytest.mark.parametrize("p,e", PRIME_POWERS_TO_128,
+                         ids=[f"{p}^{e}" for p, e in PRIME_POWERS_TO_128])
+def test_field_tables_match_schoolbook_oracle(p, e):
+    nf = make_field(p, e)
+    add, mul = schoolbook_field(p, e)
+    assert nf.modulus == least_irreducible(p, e)
+    assert np.array_equal(nf.add, add)
+    assert np.array_equal(nf.mul, mul)
+
+
 def test_field_errors():
     with pytest.raises(NotPrime):
         make_field(4, 1)
@@ -221,6 +279,39 @@ def test_env_cap_override(monkeypatch):
 )
 def test_is_dickson_pair(q, n, expected):
     assert is_dickson_pair(q, n) is expected
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (9, 2), (11, 2)])
+def test_catalog_dickson_matches_twisted_field_product(q, n):
+    """x * y = frob^r(y)(x) . y over the field tables, with the twist class
+    r(y) of y = g**i the r having i = (q**r - 1)/(q - 1) mod n, for g the
+    least-index generator. Everything is found by brute force here."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    K = make_field(p, round(math.log(q**n, p)))
+    order, mul = q**n, K.mul.tolist()
+
+    def powers(x):
+        out = [1]
+        while len(out) == 1 or out[-1] != 1:
+            out.append(mul[out[-1]][x])
+        return out[:-1]
+
+    g = next(x for x in range(2, order) if len(powers(x)) == order - 1)
+    dlog = {y: i for i, y in enumerate(powers(g))}
+    twist = {y: next(r for r in range(n) if (i - (q**r - 1) // (q - 1)) % n == 0)
+             for y, i in dlog.items()}
+    def power(x, k):
+        if x == 0:
+            return 0
+        cycle = powers(x)
+        return cycle[k % len(cycle)]
+
+    frob = [[power(x, q**r) for x in range(order)] for r in range(n)]
+    expected = [[mul[frob[twist[y]][x]][y] if y else 0 for y in range(order)]
+                for x in range(order)]
+    nf = make_dickson(q, n)
+    assert nf.mul.tolist() == expected
+    assert np.array_equal(nf.add, K.add)
 
 
 def test_dickson_9_matches_square_twist(d9, f9):
@@ -318,7 +409,54 @@ def test_corrupt_multiplication_row_is_caught(f4):
     assert not closure.passed and closure.witness == (3, 1)
     assert not report.check("mul-inverses").passed
     # the naive oracle sees the same failure
-    assert "zero-divisor" in naive_axiom_violations(f4.add.tolist(), mul.tolist())
+    assert "mul-nonzero-closure" in naive_axiom_violations(f4.add.tolist(), mul.tolist())
+
+
+def single_cell_corruptions(nf):
+    """(table name, cell, new value) for the cells where rows 0, 1, 2, q-1
+    meet columns 0, 1, 2, q-1, plus the cell holding the additive or
+    multiplicative inverse of 2; each cell takes its value + 1 and 0."""
+    q = nf.order
+    edges = (0, 1, 2, q - 1)
+    for name, table, unit in (("add", nf.add, 0), ("mul", nf.mul, 1)):
+        cells = [(r, c) for r in edges for c in edges]
+        cells.append((2, int(np.flatnonzero(table[2] == unit)[0])))
+        for r, c in cells:
+            for value in {(int(table[r, c]) + 1) % q, 0} - {int(table[r, c])}:
+                yield name, (r, c), value
+
+
+def test_axiom_witnesses_match_naive_scan(f7, f9, d9):
+    """Every one of the 13 checks reports the least violating tuple the naive
+    scan finds, on single-cell corruptions of GF(7), GF(9) and the order-9
+    Dickson tables; across them every check fails at least once."""
+    failed = set()
+    for base in (f7, f9, d9):
+        for name, cell, value in single_cell_corruptions(base):
+            tables = {"add": base.add.copy(), "mul": base.mul.copy()}
+            tables[name][cell] = value
+            report = verify_nearfield_axioms(
+                NearField(base.order, base.family, tables["add"], tables["mul"]))
+            naive = naive_witnesses(tables["add"].tolist(), tables["mul"].tolist())
+            assert len(report.checks) == 13
+            for check in report.checks:
+                assert check.witness == naive[check.name], (base.family, name, cell, value,
+                                                             check.name)
+                assert check.passed == (naive[check.name] is None)
+                if not check.passed:
+                    failed.add(check.name)
+    assert failed == set(naive)
+
+
+def test_one_without_finite_additive_order(f7):
+    """Sending 6 + 1 back to 1 traps the walk from 1 in 1, 2, ..., 6, so 1 has
+    no finite additive order: char_p reads 0 and the witness is (1,)."""
+    add = f7.add.copy()
+    add[6, 1] = 1
+    broken = NearField(7, "corrupted", add, f7.mul)
+    assert broken.char_p == 0
+    check = verify_nearfield_axioms(broken).check("add-exponent-char")
+    assert not check.passed and check.witness == (1,) and check.note == "char_p=0"
 
 
 def test_witness_is_lexicographically_least(f5):
