@@ -23,6 +23,12 @@ digits encode the smallest base-p integer.
 
 Tables are numpy int32 arrays, write-protected after construction, so values
 are immutable and safe to share.
+
+:func:`verify_nearfield_axioms` decides every axiom exactly. The quadratic
+ones are scanned whole; associativity and the distributive laws are reduced
+to q**2 checks per element of a small generating set (Light's test, and
+additivity on additive generators). The cubic scan over all triples only
+locates the least witness of a law that fails.
 """
 
 from __future__ import annotations
@@ -308,13 +314,43 @@ def make_dickson(q: int, n: int) -> NearField:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive axiom verification
+# axiom verification: each law is decided exactly by a reduction; the cube is
+# scanned only to locate the least witness of a law that fails
+
+
+def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
+    """A greedy generating set of the magma (S, t), S being the True cells of
+    the boolean mask ``members``; None when S is not closed under ``t``.
+
+    The least element of S outside the closure so far joins the set, and the
+    closure grows by masks: each round takes the products, both ways round,
+    of the elements the previous round found with every element found so
+    far, so each product is taken at most twice. No labelling is assumed.
+    (``take`` and ``put`` cost a fraction of fancy indexing on small tables.)"""
+    elements = members.nonzero()[0]
+    if not members[t.take(elements, 0).take(elements, 1)].all():
+        return None
+    inside = np.zeros(len(t), dtype=bool)
+    gens = []
+    while (rest := (members > inside).nonzero()[0]).size:
+        new = rest[:1]
+        gens.append(int(new[0]))
+        while new.size:
+            inside[new] = True
+            old = inside.nonzero()[0]
+            grown = inside.copy()
+            grown.put(t.take(new, 0).take(old, 1), True)
+            grown.put(t.take(old, 0).take(new, 1), True)
+            new = (grown > inside).nonzero()[0]
+    return gens
 
 
 def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
     """Least (a,b,c) where the chunked triple comparison fails, else None.
 
-    A chunk spans about 2**18 triples, so its int64 operands stay near 2 MB
+    This cubic scan only locates the witness of a law the reductions of
+    :func:`verify_nearfield_axioms` found broken (or could not apply to).
+    A chunk spans about 2**18 triples, so its operands stay near 2 MB
     whatever q is; chunks are scanned in order, so the first hit is least."""
     step = max(1, (1 << 18) // max(q * q, 1))
     for s in range(0, q, step):
@@ -326,26 +362,60 @@ def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
     return None
 
 
-def verify_nearfield_axioms(nf: NearField) -> CheckReport:
-    """Exhaustively check every near-field invariant of ``nf``.
+def _law_witness(reduced, gens: list[int] | None, cube, q: int) -> tuple | None:
+    """None when ``reduced(g)``, a mask of failures, is clear for every g in
+    ``gens``; otherwise, or when no ``gens`` apply, the cube's least witness."""
+    if gens is not None and not any(reduced(g).any() for g in gens):
+        return None
+    return _first_mismatch3(cube, q)
 
-    Every check scans all of its tuples (cubic scans are chunked over the
-    first coordinate). Failures carry the lexicographically least violating
-    tuple, read by :func:`involq.reporting.least_cell`. Commutativity and
-    left distributivity are only *required* for the field family; for other
-    families they are still evaluated and reported with required=False.
+
+def verify_nearfield_axioms(nf: NearField) -> CheckReport:
+    """Decide every near-field invariant of ``nf`` exactly.
+
+    The quadratic checks scan all their tuples. The four cubic laws are
+    decided in q**2 per generator by two reductions, A being a greedy
+    generating set (:func:`_generators`):
+
+    * Associativity, by Light's test: if (x a) y = x (a y) for all x, y and
+      each a in A, the law holds. The a that pass form a submagma: for a, b
+      passing, (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y))
+      = x ((a b) y). It contains A, so it is everything. For ``mul``, A
+      generates K*; that needs nonzero closure, and zero annihilation
+      settles every triple holding 0.
+    * Distributivity, once ``add`` is associative: a map f is additive if
+      f(x add g) = f(x) add f(g) for all x and each g in A_add, since the g
+      that pass are closed under ``add``: f(x add (g add h))
+      = f((x add g) add h) = (f(x) add f(g)) add f(h) = f(x) add f(g add h).
+      The maps are the columns of ``mul`` (right distributivity) and its
+      rows (left distributivity).
+
+    A failing reduced check exhibits a violating triple, so a law fails
+    exactly when its reduction fails. Only then, or when a reduction's
+    premise fails, is the cube scanned (chunked over the first coordinate)
+    to find the witness. Failures carry the lexicographically least
+    violating tuple, read by :func:`involq.reporting.least_cell`.
+    Commutativity and left distributivity are only *required* for the field
+    family; for other families they are still evaluated and reported with
+    required=False.
     """
     q = nf.order
-    add, mul = nf.add.astype(np.int64), nf.mul.astype(np.int64)
+    add, mul = nf.add, nf.mul
     idx = np.arange(q, dtype=np.int64)
     nonzero = idx > 0
     checks: list[Check] = []
 
+    def light(t):
+        return lambda a: t.take(t[:, a], 0) != t.take(t[a], 1)  # (xa)y vs x(ay)
+
     def associativity(t):
         return lambda lo, hi: t[t[lo:hi]] != t[lo:hi][:, t]   # (ab)c vs a(bc)
 
-    w = _first_mismatch3(associativity(add), q)
+    add_gens = _generators(add, np.ones(q, dtype=bool))
+    w = _law_witness(light(add), add_gens, associativity(add), q)
     checks.append(Check("add-associativity", w is None, witness=w))
+    if w is not None:
+        add_gens = None                    # the distributive reductions need it
 
     w = least_cell(add != add.T)
     checks.append(Check("add-commutativity", w is None, witness=w))
@@ -370,11 +440,13 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
 
     w = least_cell((mul[0, :] != 0) | (mul[:, 0] != 0))
     checks.append(Check("mul-zero-annihilation", w is None, witness=w))
+    annihilates = w is None
 
     w = least_cell((mul == 0) & nonzero[:, None] & nonzero)
     checks.append(Check("mul-nonzero-closure", w is None, witness=w))
 
-    w = _first_mismatch3(associativity(mul), q)
+    mul_gens = _generators(mul, nonzero) if annihilates and w is None else None
+    w = _law_witness(light(mul), mul_gens, associativity(mul), q)
     checks.append(Check("mul-associativity", w is None, witness=w))
 
     w = least_cell((mul[:, 1] != idx) | (mul[1, :] != idx))
@@ -385,12 +457,18 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     w = least_cell(nonzero & ~inverse.any(axis=1))
     checks.append(Check("mul-inverses", w is None, witness=w))
 
+    # f(x) add f(g) through the flat add table: twice as fast as a 2-d gather
+    flat_add, mul_rows = add.ravel(), mul.astype(np.int64) * q
+
+    def rdist_by(g):                               # f = x -> x mul c, every c
+        return mul.take(add[:, g], 0) != flat_add.take(mul_rows + mul[g])
+
     def rdist(lo, hi):
         lhs = mul[add[lo:hi]]                      # (a add b) mul c
         rhs = add[mul[lo:hi][:, None, :], mul[None, :, :]]
         return lhs != rhs
 
-    w = _first_mismatch3(rdist, q)
+    w = _law_witness(rdist_by, add_gens, rdist, q)
     checks.append(Check("right-distributivity", w is None, witness=w))
 
     required_extra = nf.is_field_family
@@ -400,13 +478,16 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-commutativity", w is None, required=required_extra,
                         witness=w, note=note))
 
+    def ldist_by(g):                               # f = x -> a mul x, every a
+        return mul.take(add[:, g], 1) != flat_add.take(mul_rows + mul[:, g, None])
+
     def ldist(lo, hi):
         lhs = mul[lo:hi][:, add]                   # a mul (b add c)
         part = mul[lo:hi]
         rhs = add[part[:, :, None], part[:, None, :]]
         return lhs != rhs
 
-    w = _first_mismatch3(ldist, q)
+    w = _law_witness(ldist_by, add_gens, ldist, q)
     checks.append(Check("left-distributivity", w is None, required=required_extra,
                         witness=w, note=note))
 
@@ -415,7 +496,7 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
 
 
 def _require_axioms(nf: NearField, error: type[InvolqError]) -> NearField:
-    """The axiom gate: scan every axiom of ``nf``, raise ``error`` naming the
+    """The axiom gate: decide every axiom of ``nf``, raise ``error`` naming the
     first failed required axiom and its witness, else mark ``nf`` verified."""
     report = verify_nearfield_axioms(nf)
     if not report.ok:

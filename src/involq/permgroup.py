@@ -323,13 +323,11 @@ def affine_group(nf: NearField) -> PermGroup:
     if q * (q - 1) > cap:
         raise OrderCapExceeded(f"group order {q * (q - 1)} exceeds cap {cap}")
 
-    blocks = []
-    for m in range(1, q):
-        scaled = nf.mul[:, m]          # x -> x mul m
-        blocks.append(nf.add[scaled].T)  # row a: x -> (x mul m) add a
-    # distinct (m, a) give distinct maps: a is the image of 0 and m add a
-    # that of 1; PermGroup still refuses duplicate elements
-    elements = np.concatenate(blocks, axis=0).astype(np.int32)
+    # row (m - 1) q + a is x -> (x mul m) add a: one gather of whole rows of
+    # add (cache-friendly, unlike a gather of single cells), then one
+    # transposing copy; distinct (m, a) give distinct maps: a is the image of
+    # 0 and m add a that of 1; PermGroup still refuses duplicate elements
+    elements = nf.add[nf.mul[:, 1:].T].transpose(0, 2, 1).reshape(-1, q)
 
     gens = []
     for a in range(1, q):

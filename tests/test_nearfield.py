@@ -2,7 +2,8 @@
 
 The oracles here are independent of the vectorized code in the package: a
 deliberately naive pure-Python scan of the 13 axiom checks
-(`naive_witnesses`), schoolbook digit-polynomial field tables
+(`naive_witnesses`), the whole q**3 cube of each cubic law
+(`cube_witnesses`), schoolbook digit-polynomial field tables
 (`schoolbook_field`) and a brute-force twisted Dickson product. Each sees the
 same inputs as the package and must agree with it.
 """
@@ -25,8 +26,12 @@ from involq import (
     nearfield_from_json,
     verify_nearfield_axioms,
 )
+from involq import nearfield
+from involq.catalog import run_catalog
+from involq.config import DEFAULT_NEARFIELD_ORDER_CAP
 from involq.errors import InputError
-from involq.nearfield import least_irreducible
+from involq.nearfield import _generators, least_irreducible
+from involq.splitting import coordinatize
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,25 @@ def naive_axiom_violations(add, mul, require_two_sided=False):
     when two-sided laws are required."""
     return {name for name, w in naive_witnesses(add, mul).items()
             if w is not None and (require_two_sided or name not in EXTRA)}
+
+
+CUBIC = ("add-associativity", "mul-associativity", "right-distributivity",
+         "left-distributivity")
+
+
+def cube_witnesses(add, mul):
+    """Least violating triple of each cubic law, from the whole q**3 cube."""
+    q = len(add)
+    add, mul = add.astype(np.int64), mul.astype(np.int64)
+    a, b, c = np.ix_(np.arange(q), np.arange(q), np.arange(q))
+    cubes = {
+        "add-associativity": add[add[a, b], c] != add[a, add[b, c]],
+        "mul-associativity": mul[mul[a, b], c] != mul[a, mul[b, c]],
+        "right-distributivity": mul[add[a, b], c] != add[mul[a, c], mul[b, c]],
+        "left-distributivity": mul[a, add[b, c]] != add[mul[a, b], mul[a, c]],
+    }
+    return {name: tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+            for name, bad in cubes.items()}
 
 
 def schoolbook_field(p, e):
@@ -199,16 +223,7 @@ def test_cubic_scan_witnesses_past_the_first_chunk():
     mul = gf81.mul.copy()
     mul[50, 7] = mul[50, 8]
     report = verify_nearfield_axioms(NearField(81, "corrupted", gf81.add, mul))
-    add, mul = gf81.add.astype(np.int64), mul.astype(np.int64)
-    a, b, c = np.ix_(np.arange(81), np.arange(81), np.arange(81))
-    cubes = {
-        "add-associativity": add[add[a, b], c] != add[a, add[b, c]],
-        "mul-associativity": mul[mul[a, b], c] != mul[a, mul[b, c]],
-        "right-distributivity": mul[add[a, b], c] != add[mul[a, c], mul[b, c]],
-        "left-distributivity": mul[a, add[b, c]] != add[mul[a, b], mul[a, c]],
-    }
-    for name, bad in cubes.items():
-        least = tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+    for name, least in cube_witnesses(gf81.add, mul).items():
         assert report.check(name).witness == least, name
     assert report.check("left-distributivity").witness[0] == 50
 
@@ -236,6 +251,18 @@ def test_field_errors():
         make_field(2, 13)  # 8192 > default cap 4096
     with pytest.raises(ValueError):
         make_field(3, 0)
+
+
+@pytest.mark.slow
+def test_field_at_the_default_order_cap(monkeypatch):
+    """GF(2^12) has the default near-field order cap, 4096, and its tables
+    are built and every axiom decided (about 20 s and 840 MB peak RSS on a
+    2-core host; the triple scan alone would take hours)."""
+    monkeypatch.delenv("INVOLQ_ORDER_CAP", raising=False)
+    nf = make_field(2, 12)
+    assert nf.order == DEFAULT_NEARFIELD_ORDER_CAP == 4096
+    assert nf._verified and nf.char_p == 2
+    assert nf.modulus == least_irreducible(2, 12)
 
 
 def test_field_determinism():
@@ -385,8 +412,6 @@ def test_dickson_determinism():
 
 
 def test_every_catalog_dickson_is_noncommutative():
-    from involq.catalog import run_catalog
-
     pairs = [e.params for e in run_catalog(121) if e.family == "agl-dickson"]
     assert pairs == [(11, 2), (3, 2), (5, 2), (7, 2), (9, 2)]  # sorted by id
     for q, n in pairs:
@@ -446,6 +471,161 @@ def test_axiom_witnesses_match_naive_scan(f7, f9, d9):
                 if not check.passed:
                     failed.add(check.name)
     assert failed == set(naive)
+
+
+def spy_on_cube(monkeypatch):
+    """Record every call of the cubic witness scan and let it run."""
+    calls = []
+    scan = nearfield._first_mismatch3
+
+    def spy(lhs_fn, q):
+        calls.append(scan(lhs_fn, q))
+        return calls[-1]
+
+    monkeypatch.setattr(nearfield, "_first_mismatch3", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,e,kind", [(5, 2, "field"), (3, 3, "field"), (5, 2, "dickson")])
+def test_cubic_fallback_witnesses_match_the_cube(p, e, kind, monkeypatch):
+    """On single-cell corruptions of GF(25), GF(27) and the order-25 Dickson
+    tables, every cubic law that fails is located by the chunked scan, and
+    its witness is the least violating triple of the whole cube. While the
+    premises of the reductions hold (``add`` associative, zero annihilation,
+    nonzero closure), the scan runs for failing laws only."""
+    base = make_field(p, e) if kind == "field" else make_dickson(p, e)
+    calls = spy_on_cube(monkeypatch)
+    failed = set()
+    for name, cell, value in single_cell_corruptions(base):
+        tables = {"add": base.add.copy(), "mul": base.mul.copy()}
+        tables[name][cell] = value
+        report = verify_nearfield_axioms(
+            NearField(base.order, base.family, tables["add"], tables["mul"]))
+        cube = cube_witnesses(tables["add"], tables["mul"])
+        for law in CUBIC:
+            assert report.check(law).witness == cube[law], (name, cell, value, law)
+            if cube[law] is not None:
+                failed.add(law)
+                assert cube[law] in calls
+        premises = ("add-associativity", "mul-zero-annihilation", "mul-nonzero-closure")
+        if all(report.check(c).passed for c in premises):
+            assert None not in calls, (name, cell, value)
+        calls.clear()
+    assert failed >= {"add-associativity", "mul-associativity", "right-distributivity"}
+
+
+def corrupted_gf25_add():
+    """GF(25) with add[3, 4] = add[4, 3] = add[3, 3]: still commutative, no
+    longer associative, and both distributive laws fail."""
+    f = make_field(5, 2)
+    add = f.add.copy()
+    add[3, 4], add[4, 3] = add[3, 3], add[3, 3]
+    return add, f.mul
+
+
+def skewed_gf7_add():
+    """x add y = 4x + 5y over GF(7): not associative (4 * 4 != 4), yet every
+    scaling x -> x c maps it to itself, so both distributive laws hold."""
+    x = np.arange(7)
+    return (4 * x[:, None] + 5 * x[None, :]) % 7, (x[:, None] * x[None, :]) % 7
+
+
+@pytest.mark.parametrize("tables", [corrupted_gf25_add, skewed_gf7_add])
+def test_distributive_laws_take_the_cube_without_additive_associativity(tables, monkeypatch):
+    """With ``add`` not associative the generator reduction of the
+    distributive laws has no premise, so both are decided by the chunked
+    scan, whether they fail or hold; every cubic witness equals the cube's
+    and the naive scan's."""
+    add, mul = tables()
+    calls = spy_on_cube(monkeypatch)
+    report = verify_nearfield_axioms(NearField(len(add), "corrupted", add, mul))
+    cube = cube_witnesses(add, mul)
+    naive = naive_witnesses(add.tolist(), mul.tolist())
+    assert cube["add-associativity"] is not None
+    assert report.check("add-commutativity").passed == (tables is corrupted_gf25_add)
+    for law in CUBIC:
+        assert report.check(law).witness == cube[law] == naive[law], law
+    # add associativity, then right and left distributivity
+    assert calls == [cube["add-associativity"], cube["right-distributivity"],
+                     cube["left-distributivity"]]
+
+
+def catalog_nearfields():
+    """Every near-field of the default catalog (order <= 121), built from its
+    entry's parameters."""
+    out = []
+    for entry in run_catalog(121):
+        if entry.family == "agl-field":
+            out.append(make_field(*entry.params))
+        elif entry.family == "agl-dickson":
+            out.append(make_dickson(*entry.params))
+    return out
+
+
+def test_valid_nearfields_never_scan_the_cube(monkeypatch, d9_relabelled):
+    """The reductions decide every law of a valid near-field, so the cubic
+    scan runs only for left distributivity of a proper near-field, where it
+    is expected to fail. The recovered order-9 near-field carries arbitrary
+    labels, so no encoding is assumed."""
+    nfs = catalog_nearfields() + [coordinatize(d9_relabelled).nearfield]
+    assert len(nfs) == 42 and sum(nf.is_field_family for nf in nfs) == 36
+    scanned = []
+
+    def cube_only_for_witness(lhs_fn, q):
+        scanned.append(q)
+        return (-1, -1, -1)
+
+    monkeypatch.setattr(nearfield, "_first_mismatch3", cube_only_for_witness)
+    for nf in nfs:
+        report = verify_nearfield_axioms(nf)
+        expected = [] if nf.is_field_family else ["left-distributivity"]
+        assert [c.name for c in report.checks if c.witness == (-1, -1, -1)] == expected, nf
+        assert report.ok
+    assert len(scanned) == sum(not nf.is_field_family for nf in nfs)
+
+
+def naive_closure(t, gens):
+    """The closure of ``gens`` under the table ``t``, by pairwise products."""
+    inside = set(gens)
+    while more := {int(t[a][b]) for a in inside for b in inside} - inside:
+        inside |= more
+    return inside
+
+
+def test_generators_are_greedy_and_generate(f9, d9, d9_relabelled):
+    """Each generator is the least element outside the closure of those
+    before it, and together they generate the set: (K, add), (K*, mul) and a
+    closed proper subset, on fields, a Dickson near-field and the recovered
+    near-field with arbitrary labels."""
+    recovered = coordinatize(d9_relabelled).nearfield
+    subfield = np.isin(np.arange(9), [0, 1, 2])           # GF(3) inside GF(9)
+    cases = []
+    for nf in (f9, d9, recovered, make_field(5, 2)):
+        q = nf.order
+        cases += [(nf.add, np.ones(q, dtype=bool)), (nf.mul, np.arange(q) > 0)]
+    cases.append((f9.add, subfield))
+    # x . y = x except 0 . 1 = 2: the closure of {0, 1} needs the product of
+    # the older element on the left, so the set is [0, 1]
+    magma = np.array([[0, 2, 0], [1, 1, 1], [2, 2, 2]])
+    assert _generators(magma, np.ones(3, dtype=bool)) == [0, 1]
+    cases.append((magma, np.ones(3, dtype=bool)))
+    for t, members in cases:
+        gens = _generators(t, members)
+        wanted = {int(x) for x in np.flatnonzero(members)}
+        assert naive_closure(t, gens) == wanted
+        for k, g in enumerate(gens):
+            assert g == min(wanted - naive_closure(t, gens[:k]))
+
+
+def test_generators_refuse_a_set_that_is_not_closed(f9, d9):
+    """A single product leaving the set, at any cell, is seen."""
+    for nf in (f9, d9):
+        for x in range(1, 9):
+            for y in range(1, 9):
+                mul = nf.mul.copy()
+                mul[x, y] = 0                              # a zero divisor
+                assert _generators(mul, np.arange(9) > 0) is None, (nf, x, y)
+    assert _generators(f9.add, np.isin(np.arange(9), [0, 1])) is None  # 1 + 1 = 2
 
 
 def test_one_without_finite_additive_order(f7):
