@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import InputError, InvolqError
 from .nearfield import is_dickson_pair, make_dickson, make_field, prime_power
 from .permgroup import PermGroup, affine_group, parse_group_doc
+from .reporting import field_dict
 
 DEFAULT_MAX_DEGREE = 121
 
@@ -35,15 +36,7 @@ class CatalogEntry:
     expected_characteristic: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "family": self.family,
-            "params": list(self.params),
-            "degree": self.degree,
-            "expected_certified": self.expected_certified,
-            "expected_split": self.expected_split,
-            "expected_characteristic": self.expected_characteristic,
-        }
+        return field_dict(self, params=list(self.params))
 
 
 def _odd_prime_powers(limit: int) -> list[int]:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NotInJ3
 from .geometry import Geometry
 from .permgroup import PermGroup, _element_index, centralizer
-from .reporting import Check, CheckReport, least_cell
+from .reporting import Check, CheckReport, field_dict, least_cell
 from .s2t import _require_odd_characteristic
 
 FULL_ALPHA_DEGREE = 9
@@ -59,20 +59,7 @@ class CensusReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "nhat": self.nhat,
-            "khat": self.khat,
-            "khat_constant": self.khat_constant,
-            "j2_size": self.j2_size,
-            "j3_size": self.j3_size,
-            "lhat": self.lhat,
-            "fiber_identity_ok": self.fiber_identity_ok,
-            "j_disjoint_from_j2": self.j_disjoint_from_j2,
-            "j3_contains_j": self.j3_contains_j,
-            "xalpha_sizes": [[int(a), int(s)] for a, s in self.xalpha_sizes],
-            "alpha_sample_complete": self.alpha_sample_complete,
-            "disclaimer": self.disclaimer,
-        }
+        return field_dict(self, xalpha_sizes=[[int(a), int(s)] for a, s in self.xalpha_sizes])
 
 
 def _triple_products(G: PermGroup, cert) -> np.ndarray:

@@ -41,7 +41,7 @@ from .errors import (
     PointsEqual,
 )
 from .permgroup import PermGroup, centralizer
-from .reporting import Check, CheckReport, least_cell
+from .reporting import Check, CheckReport, field_dict, least_cell
 from .s2t import _require_certified, _require_odd_characteristic
 
 
@@ -62,6 +62,7 @@ def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the four equivalent preconditions
 
 _C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
+_CHUNK_CELLS = 1 << 18  # cells per chunk of the condition (c) cube
 
 
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
@@ -136,22 +137,30 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     jj = np.unique(ij)
     inverted = np.zeros((n, G.order), dtype=bool)
     inverted[:, jj] = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
+    # cube (i, k, c): cell c of iJ for the pair (i, k), masked on k == i.
+    # Chunks over i are scanned in order, so the first hit is row-major least
+    flat_cen, flat_in, flat_inv = cen.ravel(), in_ij.ravel(), inverted.ravel()
+    k_rows = np.arange(n)[:, None] * G.order
+    step = max(1, _CHUNK_CELLS // (n * n))
     witness = None
-    for i in range(n):
-        ks = np.delete(np.arange(n), i)
-        rows = row_of[ij[i, ks]]  # Cen(ik) for each k != i
-        cen_on_ij = cen[np.ix_(rows, ij[i])]
+    for start in range(0, n, step):
+        i = np.arange(start, min(start + step, n))
+        rows = row_of[ij[i]]  # Cen(ik); -1 on the diagonal
+        cells = ij[i][:, None, :]
+        cen_on_ij = flat_cen[rows[:, :, None] * G.order + cells]
+        on_k = k_rows + cells
         failed = np.stack([
-            (cen_on_ij != in_ij[np.ix_(ks, ij[i])]).any(axis=1)
-            | (cen_on_ij.sum(axis=1) != cen_size[rows]),
+            (cen_on_ij != flat_in[on_k]).any(axis=2)
+            | (np.count_nonzero(cen_on_ij, axis=2) != cen_size[rows]),
             ~abelian[rows],
-            (cen_on_ij & ~inverted[np.ix_(ks, ij[i])]).any(axis=1),
+            (cen_on_ij & ~flat_inv[on_k]).any(axis=2),
         ])
-        hits = np.flatnonzero(failed.any(axis=0))
-        if len(hits):
-            k = hits[0]
-            reason = _C_REASONS[int(np.argmax(failed[:, k]))]
-            witness = (int(j_idx[i]), int(j_idx[ks[k]]), reason)
+        failed[:, i - start, i] = False
+        hit = least_cell(failed.any(axis=0))
+        if hit is not None:
+            r, k = hit
+            reason = _C_REASONS[int(np.argmax(failed[:, r, k]))]
+            witness = (int(j_idx[start + r]), int(j_idx[k]), reason)
             break
     checks.append(Check("centralizers-match-products-abelian-inverted", witness is None,
                         witness=witness))
@@ -467,15 +476,11 @@ class SubgroupScanReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "examined": self.examined,
-            "found": self.found,
-            "size_histogram": {str(k): v for k, v in sorted(self.size_histogram.items())},
-            "violations": [list(v) for v in self.violations],
-            "skipped_over_cap": self.skipped_over_cap,
-            "complete": self.complete,
-            "generator_depth": self.generator_depth,
-        }
+        return field_dict(
+            self,
+            size_histogram={str(k): v for k, v in sorted(self.size_histogram.items())},
+            violations=[list(v) for v in self.violations],
+        )
 
 
 def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:

@@ -216,15 +216,27 @@ def make_field(p: int, e: int = 1) -> NearField:
     f = least_irreducible(p, e)
     pw = p ** np.arange(e, dtype=np.int64)
     digits = (np.arange(q, dtype=np.int64)[:, None] // pw) % p
-    add = sum(((digits[:, None, i] + digits[None, :, i]) % p) * pw[i] for i in range(e))
+    # add one digit at a time, the new digit on top: for a = hi * size + lo,
+    # add[a, b] = (hi_a + hi_b mod p) * size + add[lo_a, lo_b]
+    digit_add = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(np.int32)
+    add = np.zeros((1, 1), dtype=np.int32)
+    for size in pw.tolist():
+        add = (digit_add[:, None, :, None] * size + add[:, None, :]).reshape(p * size, -1)
     # times[d, b] = d * b digit by digit; x_times[c] = c * X: shift the digits
     # up and fold the top digit back through X**e = -(f - X**e)
     times = ((np.arange(p)[:, None, None] * digits) % p) @ pw
     fold = int((-np.array(f[:e]) % p) @ pw)
-    x_times = add[digits[:, :-1] @ pw[1:], times[digits[:, -1], fold]]
-    mul = times[digits[:, -1]]
-    for i in range(e - 2, -1, -1):
-        mul = add[x_times[mul], times[digits[:, i]]]
+    x_times = add[digits[:, :-1] @ pw[1:], times[digits[:, -1], fold]].astype(np.int64)
+    # Horner's rule by flat gathers from add, over row chunks of about 2**18
+    # cells, so the only full-size arrays are the two int32 tables
+    flat_add, mul = add.ravel(), np.empty((q, q), dtype=np.int32)
+    rows = max(1, (1 << 18) // q)
+    for lo in range(0, q, rows):
+        top = digits[lo:lo + rows]
+        part = times[top[:, -1]]
+        for i in range(e - 2, -1, -1):
+            part = flat_add[x_times[part] * q + times[top[:, i]]]
+        mul[lo:lo + rows] = part
     nf = NearField(q, f"field({p},{e})", add, mul)
     nf.modulus = f
     return _require_axioms(nf, ConstructionSanityFailure)

@@ -9,7 +9,7 @@ boolean mask of violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,13 @@ def least_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     if not mask.any():
         return None
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def field_dict(obj, **converted) -> dict:
+    """The public fields of a dataclass in declaration order, each value
+    taken from ``converted`` when named there."""
+    return {f.name: converted[f.name] if f.name in converted else getattr(obj, f.name)
+            for f in fields(obj) if not f.name.startswith("_")}
 
 
 @dataclass

@@ -3,10 +3,15 @@
 A degree-d group is sharply 2-transitive iff its order is d(d-1) and it is
 transitive on ordered distinct pairs; one pair orbit suffices for the latter
 since orbits partition the pairs. The certificate also records the involution
-set J, the J x J product table, the conjugation of J by each involution, the
-translation set (all products of two involutions), the permutation
-characteristic (2 when involutions are fixed-point-free, else the common
-prime order of nontrivial translations) and the conjugacy-class flags.
+set J, the J x J product table, the translation set (all products of two
+involutions), the permutation characteristic (2 when involutions are
+fixed-point-free, else the common prime order of nontrivial translations) and
+the conjugacy-class flags.
+
+In odd characteristic each involution fixes one point, and the certificate
+raises CharacteristicAnomaly unless involution -> fixed point is a bijection
+onto the points. Then h^-1 j h is the involution fixing h(fix j), so the
+conjugates of J are gathers from the element array, with no group products.
 
 Certificates are cached on the group object; all downstream modules
 (geometry, splitting, census) read the same certificate.
@@ -26,7 +31,7 @@ from .errors import (
     UniquenessViolated,
 )
 from .permgroup import PermGroup, conjugacy_class, centralizer
-from .reporting import Check, CheckReport, least_cell
+from .reporting import Check, CheckReport, field_dict, least_cell
 
 
 @dataclass
@@ -46,25 +51,14 @@ class S2TCertificate:
     _j: np.ndarray | None = field(default=None, repr=False)
     _jpos: np.ndarray | None = field(default=None, repr=False)  # -1 outside J
     _jj: np.ndarray | None = field(default=None, repr=False)  # (|J|, |J|): i then j
-    _j_conj: np.ndarray | None = field(default=None, repr=False)  # row k: k^-1 j k, positions
+    _j_conj: np.ndarray | None = field(default=None, repr=False)  # odd char; row k: k^-1 j k
     _translations: np.ndarray | None = field(default=None, repr=False)
-    _fix_points: np.ndarray | None = field(default=None, repr=False)
+    _fix_points: np.ndarray | None = field(default=None, repr=False)  # J position -> point
+    _j_of_point: np.ndarray | None = field(default=None, repr=False)  # point -> J position
     _j3: np.ndarray | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "order": self.order,
-            "order_ok": self.order_ok,
-            "pair_transitive": self.pair_transitive,
-            "valid": self.valid,
-            "failure": self.failure,
-            "involution_count": self.involution_count,
-            "fixed_point_profile": self.fixed_point_profile,
-            "characteristic": self.characteristic,
-            "j_single_class": self.j_single_class,
-            "j2_single_class": self.j2_single_class,
-        }
+        return field_dict(self)
 
 
 def _involution_indices(G: PermGroup) -> np.ndarray:
@@ -95,12 +89,10 @@ def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
         n += 1
 
 
-def _j_positions(cert: S2TCertificate, idxs) -> np.ndarray:
-    """Positions in J of the elements idxs, which must all be involutions."""
-    pos = cert._jpos[idxs]
-    if np.any(pos < 0):
-        raise CharacteristicAnomaly("an element expected in J is not an involution")
-    return pos
+def _conjugate_fixed_points(G: PermGroup, cert: S2TCertificate, hs, positions):
+    """fix(h^-1 j h) == h(fix j), for h in hs (rows) and the involutions j at
+    the J positions ``positions`` (columns); odd characteristic only."""
+    return G.elements[np.asarray(hs)[:, None], cert._fix_points[positions][None, :]]
 
 
 def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
@@ -146,7 +138,6 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
     cert._jpos[j_idx] = np.arange(len(j_idx))
     cert.involution_count = len(j_idx)
     cert._jj = G.mul(j_idx[:, None], j_idx[None, :])
-    cert._j_conj = _j_positions(cert, G.conj(j_idx[None, :], j_idx[:, None]))
 
     fixed = G.elements[j_idx] == np.arange(d)
     counts = fixed.sum(axis=1)
@@ -155,7 +146,13 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
         cert.characteristic = 2
     elif np.all(counts == 1):
         cert.fixed_point_profile = "all-one-fixed"
-        cert._fix_points = fixed.argmax(axis=1).astype(np.int64)
+        fix = fixed.argmax(axis=1).astype(np.int64)
+        if not np.array_equal(np.sort(fix), np.arange(d)):
+            raise CharacteristicAnomaly("involution -> fixed point is not a bijection")
+        cert._fix_points = fix
+        cert._j_of_point = np.empty(d, dtype=np.int64)
+        cert._j_of_point[fix] = np.arange(len(j_idx))
+        cert._j_conj = cert._j_of_point[_conjugate_fixed_points(G, cert, j_idx, slice(None))]
     else:
         raise CharacteristicAnomaly("mixed involution fixed-point counts")
 
@@ -248,6 +245,10 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     (b) for any involutions i, j there is a unique involution k with
         k^-1 i k = j;
     (c) the translations meet every involution centralizer only in 1.
+
+    Involution -> fixed point is a bijection (the certificate checks it) and
+    fix(c^-1 j c) == c(fix j), so in (a) the column of j lists every point
+    but fix(i) once exactly when it would list every other involution once.
     """
     cert = _require_odd_characteristic(G)
     j_idx = cert._j
@@ -261,10 +262,11 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
         if len(cen) != n - 1:
             witness = (int(j_idx[ipos]), "centralizer-size", len(cen), n - 1)
             break
-        # column p: positions of c^-1 j_p c over c in the centralizer
+        # column p: the points fixed by c^-1 j_p c over c in the centralizer
         others = positions[positions != ipos]
-        table = _j_positions(cert, G.conj(j_idx[others][None, :], cen[:, None]))
-        bad = np.nonzero(np.any(np.sort(table, axis=0) != others[:, None], axis=0))[0]
+        table = _conjugate_fixed_points(G, cert, cen, others)
+        rest = np.delete(np.arange(G.degree), cert._fix_points[ipos])
+        bad = np.nonzero(np.any(np.sort(table, axis=0) != rest[:, None], axis=0))[0]
         if len(bad):
             witness = (int(j_idx[ipos]), int(j_idx[others[bad[0]]]))
             break
@@ -293,6 +295,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
 
 
 def fixed_point_bijection_ok(G: PermGroup) -> bool:
-    """True iff involution -> fixed point is a bijection onto the points."""
+    """True iff involution -> fixed point is a bijection onto the points, as
+    the certificate checked, recording the inverse map, when it was filled."""
     cert = _require_odd_characteristic(G)
-    return sorted(cert._fix_points.tolist()) == list(range(G.degree))
+    return cert._j_of_point is not None

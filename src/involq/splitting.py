@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AxiomRecoveryFailure, CharacteristicAnomaly, NotSplit
 from .nearfield import NearField, _require_axioms
 from .permgroup import PermGroup, affine_group
-from .reporting import least_cell
+from .reporting import field_dict, least_cell
 from .s2t import _require_certified
 
 
@@ -37,13 +37,8 @@ class SplitReport:
     closure_witness: tuple | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "j2_is_subgroup": self.j2_is_subgroup,
-            "j2_abelian": self.j2_abelian,
-            "split": self.split,
-            "abelian_normal_subgroup": self.abelian_normal_subgroup,
-            "closure_witness": list(self.closure_witness) if self.closure_witness else None,
-        }
+        witness = self.closure_witness
+        return field_dict(self, closure_witness=list(witness) if witness else None)
 
 
 @dataclass
@@ -53,11 +48,7 @@ class Coordinatization:
     nearfield: NearField
 
     def as_dict(self) -> dict:
-        return {
-            "zero_point": self.zero_point,
-            "one_point": self.one_point,
-            "nearfield": self.nearfield.to_json_dict(),
-        }
+        return field_dict(self, nearfield=self.nearfield.to_json_dict())
 
 
 def neumann_split_test(G: PermGroup) -> SplitReport:

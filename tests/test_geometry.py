@@ -58,6 +58,73 @@ def test_conditions_witnesses_on_tampered_certificate(group, outside, request, m
     ]
 
 
+def _condition_c_by_loop(G):
+    """Condition (c) one involution at a time, with the masks built directly:
+    the witness of the scan before it read the (i, k, c) cube."""
+    cert = certify_sharply_2_transitive(G)
+    j, ij = cert._j, cert._jj
+    n = len(j)
+    in_ij = np.zeros((n, G.order), dtype=bool)
+    in_ij[np.arange(n)[:, None], ij] = True
+    every = np.arange(G.order)
+    inverted = G.conj(every[None, :], j[:, None]) == G.inv(every)[None, :]
+    for i in range(n):
+        for k in range(n):
+            if k == i:
+                continue
+            cen = np.zeros(G.order, dtype=bool)
+            members = centralizer(G, int(ij[i, k]))
+            cen[members] = True
+            products = G.mul(members[:, None], members[None, :])
+            failed = [
+                (cen[ij[i]] != in_ij[k, ij[i]]).any() or cen[ij[i]].sum() != len(members),
+                not np.array_equal(products, products.T),
+                (cen[ij[i]] & ~inverted[k, ij[i]]).any(),
+            ]
+            if any(failed):
+                return (int(j[i]), int(j[k]), geometry_mod._C_REASONS[failed.index(True)])
+    return None
+
+
+def _fresh_groups():
+    """New group objects, so tampering stays local to the test."""
+    from involq import affine_group, make_dickson, make_field
+
+    return [affine_group(make_field(7, 1)), affine_group(make_dickson(3, 2)),
+            affine_group(make_field(5, 2))]
+
+
+@pytest.mark.parametrize("chunk_cells", [1 << 18, 1])
+@pytest.mark.parametrize("tamper, reason", [
+    ("drop-centralizer-member", "centralizer-mismatch"),
+    ("wrong-inverse", "not-inverted"),
+])
+def test_condition_c_witness_matches_the_loop(tamper, reason, chunk_cells, monkeypatch):
+    """A translation whose cached centralizer lost a member fails (c) as a
+    mismatch. Not-inverted cannot be reached through the centralizer cache:
+    a row that matches iJ meet kJ is inverted by k. It is reached through a
+    wrong inverse of the first involution k, which breaks conjugation by k,
+    so the first failing pair has i = 1. Either way, in one chunk or one
+    chunk per involution, the cube's witness is the loop's."""
+    monkeypatch.setattr(geometry_mod, "_CHUNK_CELLS", chunk_cells)
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        assert _condition_c_by_loop(G) is None
+        if tamper == "drop-centralizer-member":
+            sigma = int(cert._jj[3, 5])
+            cen = centralizer(G, sigma)
+            G._centralizer_cache[sigma] = cen[cen != sigma]
+        else:
+            G._inverse = G._inverse.copy()
+            G._inverse[cert._j[0]] = G.identity_index
+        expected = _condition_c_by_loop(G)
+        assert expected is not None and expected[2] == reason
+        check = check_geometry_conditions(G).check(
+            "centralizers-match-products-abelian-inverted")
+        assert not check.passed
+        assert check.witness == expected
+
+
 def test_conditions_char2_raises(agl_f4):
     with pytest.raises(CharacteristicTwo):
         check_geometry_conditions(agl_f4)

@@ -256,8 +256,9 @@ def test_field_errors():
 @pytest.mark.slow
 def test_field_at_the_default_order_cap(monkeypatch):
     """GF(2^12) has the default near-field order cap, 4096, and its tables
-    are built and every axiom decided (about 20 s and 840 MB peak RSS on a
-    2-core host; the triple scan alone would take hours)."""
+    are built and every axiom decided (about 16 s and 600 MB peak RSS on a
+    2-core host, the tables 2.6 s and 165 MB of it; the triple scan alone
+    would take hours)."""
     monkeypatch.delenv("INVOLQ_ORDER_CAP", raising=False)
     nf = make_field(2, 12)
     assert nf.order == DEFAULT_NEARFIELD_ORDER_CAP == 4096

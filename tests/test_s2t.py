@@ -288,3 +288,100 @@ def test_certificate_json_shape(agl_f5):
         "j_single_class", "j2_single_class",
     ]
     json.dumps(doc)  # everything serializable
+
+
+# ---------------------------------------------------------------------------
+# conjugation of involutions read through their fixed points
+
+
+def _odd_groups_up_to_31():
+    from involq.catalog import build_entry, run_catalog
+
+    for entry in run_catalog(max_degree=31):
+        G = build_entry(entry)
+        cert = certify_sharply_2_transitive(G)
+        if cert.valid and cert.characteristic != 2:
+            yield entry.id, G
+
+
+def test_conjugation_by_fixed_points_matches_group_conjugation(d9_relabelled):
+    """cert._j_conj, and the fixed points of the conjugates scanned by
+    verify_basic_properties (a), agree with G.conj on every odd catalog entry
+    of degree <= 31 and on a group whose elements are not in affine order."""
+    from involq.s2t import _conjugate_fixed_points
+
+    groups = list(_odd_groups_up_to_31()) + [("d9-relabelled", d9_relabelled)]
+    assert len(groups) >= 10
+    for _, G in groups:
+        cert = certify_sharply_2_transitive(G)
+        j = cert._j
+        n = len(j)
+        assert np.array_equal(cert._j_conj, cert._jpos[G.conj(j[None, :], j[:, None])])
+        for ipos in range(n):
+            cen = centralizer(G, int(j[ipos]))
+            others = np.delete(np.arange(n), ipos)
+            by_conj = cert._jpos[G.conj(j[others][None, :], cen[:, None])]
+            assert np.array_equal(_conjugate_fixed_points(G, cert, cen, others),
+                                  cert._fix_points[by_conj])
+
+
+def _basic_a_by_conjugation(G):
+    """Basic property (a) as one G.conj table per involution: the witness of
+    the scan before conjugates were read through fixed points."""
+    cert = certify_sharply_2_transitive(G)
+    j = cert._j
+    n = len(j)
+    positions = np.arange(n)
+    for ipos in range(n):
+        cen = centralizer(G, int(j[ipos]))
+        if len(cen) != n - 1:
+            return (int(j[ipos]), "centralizer-size", len(cen), n - 1)
+        others = positions[positions != ipos]
+        table = cert._jpos[G.conj(j[others][None, :], cen[:, None])]
+        assert (table >= 0).all()
+        bad = np.nonzero(np.any(np.sort(table, axis=0) != others[:, None], axis=0))[0]
+        if len(bad):
+            return (int(j[ipos]), int(j[others[bad[0]]]))
+    return None
+
+
+def _fresh_groups():
+    """New group objects, so tampered centralizer caches stay local."""
+    from involq import affine_group, make_dickson, make_field
+
+    return [affine_group(make_field(7, 1)), affine_group(make_dickson(3, 2))]
+
+
+@pytest.mark.parametrize("tamper", ["drop-member", "foreign-member"])
+def test_basic_a_witness_on_tampered_centralizers(tamper):
+    """A centralizer one element short fails (a) on its size; one with a
+    member swapped for another involution fails on a column. Either way the
+    witness is the one the G.conj table gives."""
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        j = cert._j
+        target = int(j[3])
+        cen = centralizer(G, target)
+        if tamper == "drop-member":
+            tampered = cen[:-1]
+        else:
+            tampered = np.sort(np.append(cen[:-1], j[5]))
+        G._centralizer_cache[target] = tampered
+        expected = _basic_a_by_conjugation(G)
+        assert expected is not None and expected[0] == target
+        assert (expected[1] == "centralizer-size") == (tamper == "drop-member")
+        check = verify_basic_properties(G).check("centralizer-regular-on-other-involutions")
+        assert not check.passed
+        assert check.witness == expected
+
+
+def test_fixed_point_map_must_be_a_bijection(monkeypatch):
+    """With one involution missing, a point is fixed by no listed involution:
+    the certificate refuses to conjugate through fixed points."""
+    from involq import CharacteristicAnomaly, s2t
+
+    G = _fresh_groups()[0]
+    listed = s2t._involution_indices
+    monkeypatch.setattr(s2t, "_involution_indices", lambda G: listed(G)[1:])
+    with pytest.raises(CharacteristicAnomaly, match="not a bijection"):
+        certify_sharply_2_transitive(G)
