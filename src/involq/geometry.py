@@ -139,21 +139,18 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     inverted[:, jj] = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
     # cube (i, k, c): cell c of iJ for the pair (i, k), masked on k == i.
     # Chunks over i are scanned in order, so the first hit is row-major least
-    flat_cen, flat_in, flat_inv = cen.ravel(), in_ij.ravel(), inverted.ravel()
-    k_rows = np.arange(n)[:, None] * G.order
     step = max(1, _CHUNK_CELLS // (n * n))
     witness = None
     for start in range(0, n, step):
         i = np.arange(start, min(start + step, n))
-        rows = row_of[ij[i]]  # Cen(ik); -1 on the diagonal
-        cells = ij[i][:, None, :]
-        cen_on_ij = flat_cen[rows[:, :, None] * G.order + cells]
-        on_k = k_rows + cells
+        cells = ij[i]  # the elements of iJ
+        rows = row_of[cells]  # Cen(ik); -1 on the diagonal
+        cen_on_ij = cen[:, cells][rows, np.arange(len(i))[:, None]]
         failed = np.stack([
-            (cen_on_ij != flat_in[on_k]).any(axis=2)
+            (cen_on_ij != in_ij[:, cells].transpose(1, 0, 2)).any(axis=2)
             | (np.count_nonzero(cen_on_ij, axis=2) != cen_size[rows]),
             ~abelian[rows],
-            (cen_on_ij & ~flat_inv[on_k]).any(axis=2),
+            (cen_on_ij & ~inverted[:, cells].transpose(1, 0, 2)).any(axis=2),
         ])
         failed[:, i - start, i] = False
         hit = least_cell(failed.any(axis=0))

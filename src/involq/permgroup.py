@@ -221,9 +221,14 @@ class PermGroup:
         if rows.dtype.kind not in "iu" or np.any((images < 0) | (images >= self.degree)):
             raise NotAMember(f"images must be integers in 0..{self.degree - 1}")
         idx = self._locate(images)
-        outside = np.any(self.elements[idx] != rows, axis=-1)
+        # confirmed in chunks of about 2**18 cells, so a stack is never copied
+        at, flat = idx.reshape(-1), rows.reshape(-1, self.degree)
+        outside = np.zeros(len(at), dtype=bool)
+        step = 1 + (1 << 18) // self.degree
+        for s in range(0, len(at), step):
+            outside[s:s + step] = (self.elements[at[s:s + step]] != flat[s:s + step]).any(axis=1)
         if np.any(outside):
-            raise NotAMember(f"{rows[outside][0].tolist()} is not an element")
+            raise NotAMember(f"{flat[outside][0].tolist()} is not an element")
         return int(idx) if idx.ndim == 0 else idx
 
     def contains(self, perm) -> bool:
@@ -323,18 +328,20 @@ def affine_group(nf: NearField) -> PermGroup:
     if q * (q - 1) > cap:
         raise OrderCapExceeded(f"group order {q * (q - 1)} exceeds cap {cap}")
 
-    # row (m - 1) q + a is x -> (x mul m) add a: one gather of whole rows of
-    # add (cache-friendly, unlike a gather of single cells), then one
-    # transposing copy; distinct (m, a) give distinct maps: a is the image of
-    # 0 and m add a that of 1; PermGroup still refuses duplicate elements
-    elements = nf.add[nf.mul[:, 1:].T].transpose(0, 2, 1).reshape(-1, q)
+    # row (m - 1) q + a is x -> (x mul m) add a: per m, a gather of whole rows
+    # of add (cache-friendly) copied transposed into place, so the elements
+    # are never copied whole; distinct (m, a) give distinct maps (a is the
+    # image of 0, m add a that of 1), and PermGroup refuses duplicates anyway
+    elements = np.empty((q - 1, q, q), dtype=np.int32)
+    for m in range(1, q):
+        elements[m - 1] = nf.add[nf.mul[:, m]].T
 
     gens = []
     for a in range(1, q):
         gens.append(nf.add[:, a])      # x -> x add a
     for m in range(2, q):
         gens.append(nf.mul[:, m])      # x -> x mul m
-    return PermGroup(q, elements, np.array(gens, dtype=np.int32))
+    return PermGroup(q, elements.reshape(-1, q), np.array(gens, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------

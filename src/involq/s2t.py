@@ -150,8 +150,7 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
         if not np.array_equal(np.sort(fix), np.arange(d)):
             raise CharacteristicAnomaly("involution -> fixed point is not a bijection")
         cert._fix_points = fix
-        cert._j_of_point = np.empty(d, dtype=np.int64)
-        cert._j_of_point[fix] = np.arange(len(j_idx))
+        cert._j_of_point = np.argsort(fix)  # fix is a permutation of the points
         cert._j_conj = cert._j_of_point[_conjugate_fixed_points(G, cert, j_idx, slice(None))]
     else:
         raise CharacteristicAnomaly("mixed involution fixed-point counts")
@@ -295,7 +294,6 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
 
 
 def fixed_point_bijection_ok(G: PermGroup) -> bool:
-    """True iff involution -> fixed point is a bijection onto the points, as
-    the certificate checked, recording the inverse map, when it was filled."""
+    """True iff involution -> fixed point is a bijection, as the certificate checked."""
     cert = _require_odd_characteristic(G)
     return cert._j_of_point is not None
