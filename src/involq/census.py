@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotInJ3
 from .geometry import Geometry
-from .permgroup import PermGroup, _element_index, centralizer
+from .permgroup import PermGroup, _element_index, centralizer, distinct
 from .reporting import Check, CheckReport, field_dict, least_cell
 from .s2t import _require_odd_characteristic
 
@@ -65,7 +65,7 @@ class CensusReport:
 def _triple_products(G: PermGroup, cert) -> np.ndarray:
     """Sorted element indices of { i.sigma : i in J, sigma in J.J }."""
     if cert._j3 is None:
-        cert._j3 = np.unique(G.mul(cert._j[:, None], cert._translations[None, :]))
+        cert._j3 = distinct(G.mul(cert._j[:, None], cert._translations[None, :]))
     return cert._j3
 
 

@@ -40,7 +40,7 @@ from .errors import (
     GeometryConditionsFailed,
     PointsEqual,
 )
-from .permgroup import PermGroup, centralizer
+from .permgroup import PermGroup, centralizer, distinct
 from .reporting import Check, CheckReport, field_dict, least_cell
 from .s2t import _require_certified, _require_odd_characteristic
 
@@ -115,7 +115,7 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
 
     # one centralizer mask per distinct translation: the products ik (i != k)
     # and the listed nontrivial translations
-    sigmas = np.union1d(ij[~np.eye(n, dtype=bool)], nontrivial)
+    sigmas = distinct(np.append(ij[~np.eye(n, dtype=bool)], nontrivial))
     row_of = np.full(G.order, -1, dtype=np.int64)
     row_of[sigmas] = np.arange(len(sigmas))
     cen = np.zeros((len(sigmas), G.order), dtype=bool)
@@ -134,7 +134,7 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     # outside iJ shows as a size difference; mismatch is tested first, so
     # inversion by k need only be tabulated on the elements of J.J
     cen_size = cen.sum(axis=1)
-    jj = np.unique(ij)
+    jj = distinct(ij)
     inverted = np.zeros((n, G.order), dtype=bool)
     inverted[:, jj] = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
     # cube (i, k, c): cell c of iJ for the pair (i, k), masked on k == i.

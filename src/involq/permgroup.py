@@ -221,7 +221,7 @@ class PermGroup:
         if rows.dtype.kind not in "iu" or np.any((images < 0) | (images >= self.degree)):
             raise NotAMember(f"images must be integers in 0..{self.degree - 1}")
         idx = self._locate(images)
-        # confirmed in chunks of about 2**18 cells, so a stack is never copied
+        # confirmed in chunks of about 2**18 cells, not by one full-size gather
         at, flat = idx.reshape(-1), rows.reshape(-1, self.degree)
         outside = np.zeros(len(at), dtype=bool)
         step = 1 + (1 << 18) // self.degree
@@ -328,10 +328,9 @@ def affine_group(nf: NearField) -> PermGroup:
     if q * (q - 1) > cap:
         raise OrderCapExceeded(f"group order {q * (q - 1)} exceeds cap {cap}")
 
-    # row (m - 1) q + a is x -> (x mul m) add a: per m, a gather of whole rows
-    # of add (cache-friendly) copied transposed into place, so the elements
-    # are never copied whole; distinct (m, a) give distinct maps (a is the
-    # image of 0, m add a that of 1), and PermGroup refuses duplicates anyway
+    # row (m - 1) q + a is x -> (x mul m) add a, copied per m from a gather of
+    # whole rows of add (cache-friendly), so the elements are built once;
+    # distinct (m, a) give distinct maps, and PermGroup refuses duplicates
     elements = np.empty((q - 1, q, q), dtype=np.int32)
     for m in range(1, q):
         elements[m - 1] = nf.add[nf.mul[:, m]].T
@@ -374,10 +373,17 @@ def centralizer(G: PermGroup, g) -> np.ndarray:
     return result
 
 
+def distinct(values) -> np.ndarray:
+    """Sorted distinct values, by one sort: np.unique is several times slower
+    here, and its first use imports numpy.ma (about 1 MB resident)."""
+    flat = np.sort(values, axis=None)
+    return flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
+
+
 def conjugacy_class(G: PermGroup, g) -> np.ndarray:
     """Element indices of { h^-1 g h : h in G } (g an element index or a
     permutation row), in enumeration order."""
-    return np.unique(G.conj(_element_index(G, g), np.arange(G.order)))
+    return distinct(G.conj(_element_index(G, g), np.arange(G.order)))
 
 
 def is_subgroup(G: PermGroup, indices) -> bool:

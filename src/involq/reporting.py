@@ -23,8 +23,7 @@ def least_cell(mask: np.ndarray) -> tuple[int, ...] | None:
 
 
 def field_dict(obj, **converted) -> dict:
-    """The public fields of a dataclass in declaration order, each value
-    taken from ``converted`` when named there."""
+    """A dataclass's public fields in order, with the values in ``converted``."""
     return {f.name: converted[f.name] if f.name in converted else getattr(obj, f.name)
             for f in fields(obj) if not f.name.startswith("_")}
 

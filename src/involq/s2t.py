@@ -8,10 +8,9 @@ involutions), the permutation characteristic (2 when involutions are
 fixed-point-free, else the common prime order of nontrivial translations) and
 the conjugacy-class flags.
 
-In odd characteristic each involution fixes one point, and the certificate
-raises CharacteristicAnomaly unless involution -> fixed point is a bijection
-onto the points. Then h^-1 j h is the involution fixing h(fix j), so the
-conjugates of J are gathers from the element array, with no group products.
+In odd characteristic the certificate raises CharacteristicAnomaly unless
+involution -> fixed point is a bijection onto the points; then h^-1 j h is the
+involution fixing h(fix j), so conjugates of J are gathers, not group products.
 
 Certificates are cached on the group object; all downstream modules
 (geometry, splitting, census) read the same certificate.
@@ -30,7 +29,7 @@ from .errors import (
     PointsEqual,
     UniquenessViolated,
 )
-from .permgroup import PermGroup, conjugacy_class, centralizer
+from .permgroup import PermGroup, centralizer, conjugacy_class, distinct
 from .reporting import Check, CheckReport, field_dict, least_cell
 
 
@@ -70,10 +69,7 @@ def _involution_indices(G: PermGroup) -> np.ndarray:
 def _translation_indices(G: PermGroup, cert: S2TCertificate) -> np.ndarray:
     """J.J, and in characteristic 2 also J: there the involutions are the
     nontrivial translations, and J.J may miss them (J.J = {1} at degree 2)."""
-    trans = np.unique(cert._jj)
-    if cert.characteristic == 2:
-        trans = np.union1d(trans, cert._j)
-    return trans
+    return distinct(np.append(cert._jj, cert._j) if cert.characteristic == 2 else cert._jj)
 
 
 def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
@@ -90,8 +86,7 @@ def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
 
 
 def _conjugate_fixed_points(G: PermGroup, cert: S2TCertificate, hs, positions):
-    """fix(h^-1 j h) == h(fix j), for h in hs (rows) and the involutions j at
-    the J positions ``positions`` (columns); odd characteristic only."""
+    """fix(h^-1 j h) == h(fix j): rows h in hs, columns j at J ``positions``."""
     return G.elements[np.asarray(hs)[:, None], cert._fix_points[positions][None, :]]
 
 
@@ -160,7 +155,7 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
 
     nontrivial = trans[trans != G.identity_index]
     if cert.characteristic != 2:
-        orders = np.unique(_element_orders(G, nontrivial)).tolist()
+        orders = distinct(_element_orders(G, nontrivial)).tolist()
         if len(orders) != 1:
             raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
         p = orders[0]
@@ -295,5 +290,4 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
 
 def fixed_point_bijection_ok(G: PermGroup) -> bool:
     """True iff involution -> fixed point is a bijection, as the certificate checked."""
-    cert = _require_odd_characteristic(G)
-    return cert._j_of_point is not None
+    return _require_odd_characteristic(G)._j_of_point is not None

@@ -338,6 +338,38 @@ def test_index_of_confirms_every_row_of_a_long_stack():
     assert G.index_of(np.zeros((2, 0, G.degree), dtype=np.int32)).shape == (2, 0)
 
 
+def test_distinct_matches_np_unique():
+    from involq.permgroup import distinct
+
+    rng = np.random.default_rng(0)
+    for shape in [(0,), (1,), (9,), (200,), (7, 9)]:
+        values = rng.integers(0, 12, shape)
+        assert np.array_equal(distinct(values), np.unique(values))
+
+
+def test_verification_never_imports_numpy_ma():
+    """np.unique's first use imports numpy.ma (about 1 MB resident); the
+    stages and the ingest commands reach their sets through distinct."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from involq import pipeline, catalog\n"
+        "for eid in ('agl-field-7', 'agl-dickson-3-2', 'agl-field-4', 'sym4-fixture'):\n"
+        "    pipeline.verify_group(catalog.build_entry(catalog.find_entry(eid)))\n"
+        "pipeline.recover_target('tests/data/dickson-9-relabelled.json')\n"
+        "pipeline.census_target('tests/data/dickson-9-relabelled.json')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
+                         text=True, env={"PYTHONPATH": str(root / "src")}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_affine_needs_valid_nearfield():
     from involq import NearField, AxiomFailure
 
