@@ -159,7 +159,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     products, in_x = _x_alpha_masks(G, cert, sample)
 
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"
-    inside = geom.lines_inside(in_x[:, None, :])  # (alpha, line)
+    inside = geom.lines_inside(in_x)  # (alpha, line)
 
     triple_counts = (fiber[products] * in_x).sum(axis=1)
     expected = in_x.sum(axis=1) * khat

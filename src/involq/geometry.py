@@ -26,6 +26,14 @@ and ``Geometry.line_of_translation`` is an order-length array giving the
 line of each nontrivial translation (-1 on every other element). Closures,
 the no-proper-plane verdict, the line lemma and the X_alpha covering all
 read that matrix.
+
+Closures and the no-proper-plane verdict are batched kernels over an
+(S, n_points) stack of point masks: :func:`close_point_masks` grows every
+row by the lines holding two of its points until no row changes, and
+:func:`no_plane_verdicts` tests both hypotheses of every row, building its
+(S, n, n) and (S, L, L) masks in chunks of about _CHUNK_CELLS cells.
+:func:`plane_closure` and :func:`verify_no_proper_plane` are one-row calls
+of the same kernels.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .errors import (
     PointsEqual,
 )
 from .permgroup import PermGroup, centralizer, distinct
-from .reporting import Check, CheckReport, field_dict, least_cell
+from .reporting import Check, CheckReport, field_dict, least_cell, least_cells
 from .s2t import _require_certified, _require_odd_characteristic
 
 
@@ -62,7 +70,7 @@ def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the four equivalent preconditions
 
 _C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
-_CHUNK_CELLS = 1 << 18  # cells per chunk of the condition (c) cube
+_CHUNK_CELLS = 1 << 18  # cells per chunk of a cube: condition (c), closure verdicts
 
 
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
@@ -213,9 +221,9 @@ class Geometry:
         return len(self.points)
 
     def lines_inside(self, on: np.ndarray) -> np.ndarray:
-        """Which lines have every point in the point mask ``on`` (the last
-        axis; leading axes broadcast)."""
-        return ~(self.incidence & ~on).any(axis=-1)
+        """Which lines have every point in the point mask ``on``: the last
+        axis of ``on`` holds the points, and of the result the lines."""
+        return ~(~on @ self.incidence.T)
 
     def as_json_dict(self) -> dict:
         return {
@@ -379,9 +387,47 @@ def verify_line_lemma(geom: Geometry) -> CheckReport:
 
 
 def _point_mask(geom: Geometry, point_set) -> np.ndarray:
-    on = np.zeros(geom.n_points, dtype=bool)
-    on[np.array([int(p) for p in point_set], dtype=np.int64)] = True
+    """The one-row stack (1, n_points) holding the mask of ``point_set``."""
+    on = np.zeros((1, geom.n_points), dtype=bool)
+    on[0, np.array([int(p) for p in point_set], dtype=np.int64)] = True
     return on
+
+
+def close_point_masks(geom: Geometry, masks: np.ndarray) -> np.ndarray:
+    """Close every row of an (S, n_points) stack of point masks under joining
+    two points by their line: a line holding two points of a row joins them,
+    so all its points join the row. All rows grow together until none
+    changes; a closed row is a fixed point, so each row ends at its own
+    least closed superset."""
+    on_line = geom.incidence.T.astype(np.int32)  # point counts per line
+    current = masks
+    while True:
+        joining = (current @ on_line) >= 2
+        grown = current | (joining @ geom.incidence)
+        if np.array_equal(grown, current):
+            return grown
+        current = grown
+
+
+def _stacked_least_cells(mask_of_rows, rows: int, cells: int) -> np.ndarray:
+    """least_cells of the stack that ``mask_of_rows(lo, hi)`` gives for rows
+    lo:hi, built in chunks of about _CHUNK_CELLS cells."""
+    step = max(1, _CHUNK_CELLS // max(cells, 1))
+    return np.concatenate([least_cells(mask_of_rows(lo, lo + step))
+                           for lo in range(0, max(rows, 1), step)])
+
+
+def _unmet_line_pairs(geom: Geometry, inside: np.ndarray) -> np.ndarray:
+    """Per row of the (S, n_lines) mask ``inside``, the least pair of its lines
+    that do not meet, or (-1, -1)."""
+    n_lines = len(geom.incidence)
+    apart = np.triu(~(geom.incidence @ geom.incidence.T), 1)
+
+    def unmet(lo, hi):
+        within = inside[lo:hi]
+        return within[:, :, None] & within[:, None, :] & apart
+
+    return _stacked_least_cells(unmet, len(inside), n_lines * n_lines)
 
 
 @dataclass(frozen=True)
@@ -392,21 +438,14 @@ class ClosureResult:
 
 
 def plane_closure(geom: Geometry, seed) -> ClosureResult:
-    """Least superset of ``seed`` closed under joining two points by their line."""
-    current = _point_mask(geom, seed)
-    while True:
-        # a line holding two points of the set is the line joining them
-        joining = (geom.incidence & current).sum(axis=1) >= 2
-        grown = current | geom.incidence[joining].any(axis=0)
-        if np.array_equal(grown, current):
-            break
-        current = grown
-    inside = geom.lines_inside(current)
-    contained = geom.incidence[inside]
+    """Least superset of ``seed`` closed under joining two points by their
+    line: one row of :func:`close_point_masks`."""
+    closed = close_point_masks(geom, _point_mask(geom, seed))
+    inside = geom.lines_inside(closed)
     return ClosureResult(
-        points=tuple(np.flatnonzero(current).tolist()),
-        contained_lines=tuple(np.flatnonzero(inside).tolist()),
-        pairwise_meeting=bool((contained @ contained.T).all()),
+        points=tuple(np.flatnonzero(closed[0]).tolist()),
+        contained_lines=tuple(np.flatnonzero(inside[0]).tolist()),
+        pairwise_meeting=bool(_unmet_line_pairs(geom, inside)[0, 0] < 0),
     )
 
 
@@ -431,25 +470,50 @@ class NoPlaneVerdict:
         }
 
 
+HYPOTHESES = (None, "a", "b")  # the failed hypothesis, by no_plane_verdicts code
+
+
+def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
+    """The no-proper-plane hypotheses of every row of an (S, n_points) stack
+    of point masks, each tested on its own:
+
+    (a) the line through every pair of members lies inside the set;
+    (b) the lines inside the set pairwise meet.
+
+    Returns (failed, witness, line_count). ``failed[s]`` indexes HYPOTHESES:
+    0 when both hold, 1 when (a) fails, 2 when only (b) fails. ``witness[s]``
+    is the least failing pair of that hypothesis (points for (a), lines for
+    (b)), (-1, -1) when both hold. ``line_count[s]`` counts the lines inside
+    the set. The (S, n, n) and (S, L, L) masks are built in chunks of rows.
+    """
+    n = geom.n_points
+    inside = geom.lines_inside(masks)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+
+    def leaving(lo, hi):  # member pairs p < q whose line is not inside
+        on = masks[lo:hi]
+        out = np.take(~inside[lo:hi], geom.line_of_pair, axis=1)
+        out &= on[:, :, None]
+        out &= on[:, None, :]
+        out &= upper
+        return out
+
+    pairs_a = _stacked_least_cells(leaving, len(masks), n * n)
+    pairs_b = _unmet_line_pairs(geom, inside)
+    fails_a = pairs_a[:, 0] >= 0
+    failed = np.where(fails_a, 1, np.where(pairs_b[:, 0] >= 0, 2, 0))
+    witness = np.where(fails_a[:, None], pairs_a, pairs_b)
+    return failed, witness, np.count_nonzero(inside, axis=1)
+
+
 def verify_no_proper_plane(geom: Geometry, point_set) -> NoPlaneVerdict:
-    """If the set is line-closed and its lines pairwise meet, it holds <= 1 line."""
-    on = _point_mask(geom, point_set)
-    inside = geom.lines_inside(on)
-    members = np.flatnonzero(on)
-    # (a) the line through every pair of members lies inside the set
-    leaves = ~inside[geom.line_of_pair[np.ix_(members, members)]]
-    hit = least_cell(np.triu(leaves, 1))
-    if hit is not None:
-        i, j = hit
-        return NoPlaneVerdict(False, "a", (int(members[i]), int(members[j])), None)
-    # (b) the contained lines pairwise meet
-    contained = np.flatnonzero(inside)
-    on_contained = geom.incidence[contained]
-    hit = least_cell(np.triu(~(on_contained @ on_contained.T), 1))
-    if hit is not None:
-        i, j = hit
-        return NoPlaneVerdict(False, "b", (int(contained[i]), int(contained[j])), None)
-    return NoPlaneVerdict(True, None, None, len(contained))
+    """If the set is line-closed and its lines pairwise meet, it holds <= 1
+    line: one row of :func:`no_plane_verdicts`."""
+    failed, witness, line_count = (v[0] for v in no_plane_verdicts(
+        geom, _point_mask(geom, point_set)))
+    if failed:
+        return NoPlaneVerdict(False, HYPOTHESES[failed], tuple(witness.tolist()), None)
+    return NoPlaneVerdict(True, None, None, int(line_count))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ from .errors import (
 )
 from .reporting import Check, CheckReport, least_cell
 
+_CHUNK_CELLS = 1 << 18  # cells per chunk of a table build or an axiom scan
+
 # ---------------------------------------------------------------------------
 # small integer helpers
 
@@ -230,7 +232,7 @@ def make_field(p: int, e: int = 1) -> NearField:
     # Horner's rule by flat gathers from add, over row chunks of about 2**18
     # cells, so the only full-size arrays are the two int32 tables
     flat_add, mul = add.ravel(), np.empty((q, q), dtype=np.int32)
-    rows = max(1, (1 << 18) // q)
+    rows = max(1, _CHUNK_CELLS // q)
     for lo in range(0, q, rows):
         top = digits[lo:lo + rows]
         part = times[top[:, -1]]
@@ -337,12 +339,18 @@ def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
     The least element of S outside the closure so far joins the set, and the
     closure grows by masks: each round takes the products, both ways round,
     of the elements the previous round found with every element found so
-    far, so each product is taken at most twice. No labelling is assumed.
+    far, so each product is taken at most twice; the products are taken in
+    chunks of the new elements. No labelling is assumed.
     (``take`` and ``put`` cost a fraction of fancy indexing on small tables.)"""
     elements = members.nonzero()[0]
-    if not members[t.take(elements, 0).take(elements, 1)].all():
+
+    def escapes(lo, hi):
+        return ~members[t.take(elements[lo:hi], 0).take(elements, 1)]
+
+    if _least_in_chunks(escapes, len(elements), len(elements)) is not None:
         return None
     inside = np.zeros(len(t), dtype=bool)
+    step = max(1, _CHUNK_CELLS // len(t))  # new elements per chunk of products
     gens = []
     while (rest := (members > inside).nonzero()[0]).size:
         new = rest[:1]
@@ -351,10 +359,27 @@ def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
             inside[new] = True
             old = inside.nonzero()[0]
             grown = inside.copy()
-            grown.put(t.take(new, 0).take(old, 1), True)
-            grown.put(t.take(old, 0).take(new, 1), True)
+            for lo in range(0, len(new), step):
+                part = new[lo:lo + step]
+                grown.put(t.take(part, 0).take(old, 1), True)
+                grown.put(t.take(part, 1).take(old, 0), True)
             new = (grown > inside).nonzero()[0]
     return gens
+
+
+def _least_in_chunks(mask_of_rows, rows: int, row_cells: int) -> tuple | None:
+    """least_cell of the mask whose rows lo:hi ``mask_of_rows(lo, hi)`` gives,
+    each row holding ``row_cells`` cells. Chunks span about _CHUNK_CELLS
+    cells, so no temporary grows with the whole mask; they are scanned in
+    order, so the first hit is least."""
+    step = max(1, _CHUNK_CELLS // max(row_cells, 1))
+    for lo in range(0, rows, step):
+        # bound until the next chunk exists: freeing it first doubles scan time
+        bad = mask_of_rows(lo, min(lo + step, rows))
+        w = least_cell(bad)
+        if w is not None:
+            return (lo + w[0],) + w[1:]
+    return None
 
 
 def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
@@ -362,22 +387,18 @@ def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
 
     This cubic scan only locates the witness of a law the reductions of
     :func:`verify_nearfield_axioms` found broken (or could not apply to).
-    A chunk spans about 2**18 triples, so its operands stay near 2 MB
-    whatever q is; chunks are scanned in order, so the first hit is least."""
-    step = max(1, (1 << 18) // max(q * q, 1))
-    for s in range(0, q, step):
-        # bound until the next chunk exists: freeing it first doubles scan time
-        bad = lhs_fn(s, min(s + step, q))
-        w = least_cell(bad)
-        if w is not None:
-            return (s + w[0], w[1], w[2])
-    return None
+    Chunks run over the first coordinate."""
+    return _least_in_chunks(lhs_fn, q, q * q)
 
 
 def _law_witness(reduced, gens: list[int] | None, cube, q: int) -> tuple | None:
-    """None when ``reduced(g)``, a mask of failures, is clear for every g in
-    ``gens``; otherwise, or when no ``gens`` apply, the cube's least witness."""
-    if gens is not None and not any(reduced(g).any() for g in gens):
+    """None when ``reduced(g, lo, hi)``, the rows lo:hi of a q x q mask of
+    failures, is clear for every g in ``gens``; otherwise, or when no
+    ``gens`` apply, the cube's least witness."""
+    if gens is not None and not any(
+        _least_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, q) is not None
+        for g in gens
+    ):
         return None
     return _first_mismatch3(cube, q)
 
@@ -406,7 +427,10 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     exactly when its reduction fails. Only then, or when a reduction's
     premise fails, is the cube scanned (chunked over the first coordinate)
     to find the witness. Failures carry the lexicographically least
-    violating tuple, read by :func:`involq.reporting.least_cell`.
+    violating tuple, read by :func:`involq.reporting.least_cell`. Every scan
+    that would hold a q x q temporary other than a boolean mask runs in row
+    chunks (:func:`_least_in_chunks`), so the gate's memory stays near that
+    of one mask beside the tables.
     Commutativity and left distributivity are only *required* for the field
     family; for other families they are still evaluated and reported with
     required=False.
@@ -417,8 +441,8 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     nonzero = idx > 0
     checks: list[Check] = []
 
-    def light(t):
-        return lambda a: t.take(t[:, a], 0) != t.take(t[a], 1)  # (xa)y vs x(ay)
+    def light(t):  # (xa)y vs x(ay), rows x
+        return lambda a, lo, hi: t.take(t[lo:hi, a], 0) != t[lo:hi].take(t[a], 1)
 
     def associativity(t):
         return lambda lo, hi: t[t[lo:hi]] != t[lo:hi][:, t]   # (ab)c vs a(bc)
@@ -454,7 +478,8 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-zero-annihilation", w is None, witness=w))
     annihilates = w is None
 
-    w = least_cell((mul == 0) & nonzero[:, None] & nonzero)
+    w = _least_in_chunks(
+        lambda lo, hi: (mul[lo:hi] == 0) & nonzero[lo:hi, None] & nonzero, q, q)
     checks.append(Check("mul-nonzero-closure", w is None, witness=w))
 
     mul_gens = _generators(mul, nonzero) if annihilates and w is None else None
@@ -465,15 +490,19 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-identity", w is None, witness=w))
 
     # a != 0 needs some b != 0 with a mul b == b mul a == 1
-    inverse = (mul == 1) & (mul.T == 1) & nonzero
-    w = least_cell(nonzero & ~inverse.any(axis=1))
+    def lacks_inverse(lo, hi):
+        inverse = (mul[lo:hi] == 1) & (mul[:, lo:hi].T == 1) & nonzero
+        return nonzero[lo:hi] & ~inverse.any(axis=1)
+
+    w = _least_in_chunks(lacks_inverse, q, q)
     checks.append(Check("mul-inverses", w is None, witness=w))
 
     # f(x) add f(g) through the flat add table: twice as fast as a 2-d gather
-    flat_add, mul_rows = add.ravel(), mul.astype(np.int64) * q
+    flat_add = add.ravel()
 
-    def rdist_by(g):                               # f = x -> x mul c, every c
-        return mul.take(add[:, g], 0) != flat_add.take(mul_rows + mul[g])
+    def rdist_by(g, lo, hi):                       # f = x -> x mul c, every c
+        return (mul.take(add[lo:hi, g], 0)
+                != flat_add.take(mul[lo:hi].astype(np.int64) * q + mul[g]))
 
     def rdist(lo, hi):
         lhs = mul[add[lo:hi]]                      # (a add b) mul c
@@ -490,8 +519,10 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-commutativity", w is None, required=required_extra,
                         witness=w, note=note))
 
-    def ldist_by(g):                               # f = x -> a mul x, every a
-        return mul.take(add[:, g], 1) != flat_add.take(mul_rows + mul[:, g, None])
+    def ldist_by(g, lo, hi):                       # f = x -> a mul x, rows a
+        part = mul[lo:hi]
+        return (part.take(add[:, g], 1)
+                != flat_add.take(part.astype(np.int64) * q + part[:, g, None]))
 
     def ldist(lo, hi):
         lhs = mul[lo:hi][:, add]                   # a mul (b add c)

@@ -174,9 +174,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 

@@ -19,7 +19,10 @@ error and does not conform; the batch goes on.
 
 Reports contain only sorted keys, integers, booleans and strings, and the
 closure seeds come from a fixed linear-congruential sequence, so two runs on
-the same input produce byte-identical files.
+the same input produce byte-identical files. The plane-closure stage builds
+its 100 seeds as one stack of point masks, closes the stack in one call of
+``geometry.close_point_masks``, closes it again for the idempotence check,
+and judges every closure in one call of ``geometry.no_plane_verdicts``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import json
 import os
 import sys
 from types import SimpleNamespace
+
+import numpy as np
 
 from . import geometry as geometry_mod
 from . import s2t
@@ -59,18 +64,23 @@ SKIP_WHEN_FAILED = {
 }
 
 
-def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
-    """Deterministic seed subsets of sizes cycling 0..4 from a fixed LCG."""
+def _closure_seed_masks(count: int, n_points: int) -> np.ndarray:
+    """Deterministic seeds as a (count, n_points) stack of point masks: seed t
+    marks the next t % 5 draws, modulo n_points, of a fixed LCG."""
+    sizes = np.arange(count) % 5
+    draws = np.empty(int(sizes.sum()), dtype=np.int64)
     state = 0x2545F491
-    seeds = []
-    for t in range(count):
-        size = t % 5
-        members = set()
-        for _ in range(size):
-            state = (1103515245 * state + 12345) % (1 << 31)
-            members.add(state % n_points)
-        seeds.append(sorted(members))
-    return seeds
+    for d in range(len(draws)):
+        state = (1103515245 * state + 12345) % (1 << 31)
+        draws[d] = state
+    masks = np.zeros((count, n_points), dtype=bool)
+    masks[np.repeat(np.arange(count), sizes), draws % n_points] = True
+    return masks
+
+
+def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
+    """The seeds of :func:`_closure_seed_masks` as sorted point lists."""
+    return [np.flatnonzero(on).tolist() for on in _closure_seed_masks(count, n_points)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +117,18 @@ def _geometry(s):
 
 def _no_proper_plane(s):
     geom = s.geometry
-    closures_ok = idempotence_ok = True
-    met_line_counts = []
-    for seed in _closure_seed_sets(DEFAULT_CLOSURE_SEEDS, geom.n_points):
-        closure = geometry_mod.plane_closure(geom, seed)
-        again = geometry_mod.plane_closure(geom, closure.points)
-        idempotence_ok = idempotence_ok and again.points == closure.points
-        verdict = geometry_mod.verify_no_proper_plane(geom, closure.points)
-        closures_ok = closures_ok and verdict.ok
-        if verdict.hypotheses_met:
-            met_line_counts.append(verdict.line_count)
+    seeds = _closure_seed_masks(DEFAULT_CLOSURE_SEEDS, geom.n_points)
+    closures = geometry_mod.close_point_masks(geom, seeds)
+    again = geometry_mod.close_point_masks(geom, closures)
+    idempotence_ok = bool(np.array_equal(again, closures))
+    failed, _, line_counts = geometry_mod.no_plane_verdicts(geom, closures)
+    met_line_counts = line_counts[failed == 0]
+    closures_ok = bool((met_line_counts <= 1).all())
     return None, {
         "status": "pass" if (closures_ok and idempotence_ok) else "fail",
         "seeds": DEFAULT_CLOSURE_SEEDS,
         "closures_meeting_hypotheses": len(met_line_counts),
-        "max_contained_lines": max(met_line_counts, default=0),
+        "max_contained_lines": int(met_line_counts.max(initial=0)),
         "idempotence_ok": idempotence_ok,
     }
 
@@ -154,7 +161,8 @@ def _xalpha_covering(s):
 
 
 # (name, requires, run); a stage that raises CharacteristicTwo reads
-# SKIP_CHAR2, which its dependents inherit
+# SKIP_CHAR2, which its dependents inherit. no_proper_plane closes and judges
+# all its seeds at once through the batched geometry kernels
 STAGES = (
     ("certificate", None,
      lambda s: _checked(s2t.certify_sharply_2_transitive(s.G), "valid")),

@@ -22,6 +22,19 @@ def least_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
+def least_cells(masks: np.ndarray) -> np.ndarray:
+    """:func:`least_cell` of every mask of a stack at once: row s of the
+    (S, masks.ndim - 1) int result is the least cell of ``masks[s]``, or -1
+    throughout where that mask has no True cell."""
+    flat = masks.reshape(len(masks), -1)
+    if flat.shape[1] == 0:
+        return np.full((len(masks), masks.ndim - 1), -1, dtype=np.int64)
+    first = flat.argmax(axis=1)
+    cells = np.stack(np.unravel_index(first, masks.shape[1:]), axis=-1)
+    cells[~flat[np.arange(len(flat)), first]] = -1
+    return cells
+
+
 def field_dict(obj, **converted) -> dict:
     """A dataclass's public fields in order, with the values in ``converted``."""
     return {f.name: converted[f.name] if f.name in converted else getattr(obj, f.name)

@@ -1,6 +1,7 @@
 """Incidence structure construction and the scans over it."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from involq import (
     verify_no_proper_plane,
 )
 from involq import geometry as geometry_mod
+from involq import pipeline
 from involq.catalog import build_entry, find_entry, run_catalog
+from involq.geometry import close_point_masks, no_plane_verdicts
+from involq.reporting import least_cell, least_cells
 from involq.s2t import certify_sharply_2_transitive
 
 
@@ -617,3 +621,119 @@ def test_failed_hypothesis_witnesses_with_many_lines():
     verdict = verify_no_proper_plane(AG22, range(4))  # lines {0,1} and {2,3} are parallel
     assert (verdict.hypotheses_met, verdict.failed_hypothesis, verdict.witness) == (False, "b", (0, 5))
     assert verdict.ok
+
+
+# ---------------------------------------------------------------------------
+# the batched closure and verdict kernels against naive set loops
+
+
+def naive_closure(geom, seed):
+    """The least superset of ``seed`` holding the line of each of its pairs,
+    by a loop over Python sets."""
+    lines = [set(line.points) for line in geom.lines]
+    current = set(seed)
+    while True:
+        grown = set(current)
+        for a, b in itertools.permutations(current, 2):
+            grown |= lines[geom.line_of_pair[a, b]]
+        if grown == current:
+            return current
+        current = grown
+
+
+def naive_verdict(geom, point_set):
+    """(failed hypothesis, witness, line count) of the set, pair by pair:
+    (a) the least member pair whose line leaves the set, then (b) the least
+    pair of contained lines that do not meet."""
+    X = set(point_set)
+    lines = [set(line.points) for line in geom.lines]
+    inside = [lid for lid, points in enumerate(lines) if points <= X]
+    for a, b in itertools.combinations(sorted(X), 2):
+        if not lines[geom.line_of_pair[a, b]] <= X:
+            return "a", (a, b), None
+    for l, m in itertools.combinations(inside, 2):
+        if not lines[l] & lines[m]:
+            return "b", (l, m), None
+    return None, None, len(inside)
+
+
+def test_least_cells_reads_the_witness_rule_per_mask():
+    masks = np.zeros((3, 2, 4), dtype=bool)
+    masks[0, 1, 2] = masks[0, 1, 3] = masks[2, 0, 3] = masks[2, 1, 0] = True
+    assert least_cells(masks).tolist() == [[1, 2], [-1, -1], [0, 3]]
+    assert [least_cell(m) for m in masks] == [(1, 2), None, (0, 3)]
+    assert least_cells(np.zeros((2, 0, 0), dtype=bool)).tolist() == [[-1, -1], [-1, -1]]
+    assert least_cell(np.zeros((0, 3), dtype=bool)) is None
+
+
+def assert_kernels_match_naive(geom, seeds):
+    masks = np.zeros((len(seeds), geom.n_points), dtype=bool)
+    for row, seed in enumerate(seeds):
+        masks[row, list(seed)] = True
+    closed = close_point_masks(geom, masks)
+    # the verdicts of the seeds themselves reach (a), those of closures (b)
+    for stack, sets in ((masks, seeds), (closed, [naive_closure(geom, s) for s in seeds])):
+        failed, witness, line_count = no_plane_verdicts(geom, stack)
+        for row, point_set in enumerate(sets):
+            hypothesis, pair, lines = naive_verdict(geom, point_set)
+            assert geometry_mod.HYPOTHESES[failed[row]] == hypothesis, point_set
+            assert tuple(witness[row]) == (pair or (-1, -1)), point_set
+            if hypothesis is None:
+                assert line_count[row] == lines, point_set
+            verdict = verify_no_proper_plane(geom, point_set)
+            assert (verdict.failed_hypothesis, verdict.witness, verdict.line_count) == (
+                hypothesis, pair, lines)
+    for row, seed in enumerate(seeds):
+        points = naive_closure(geom, seed)
+        assert set(np.flatnonzero(closed[row])) == points, seed
+        closure = plane_closure(geom, seed)
+        inside = [lid for lid, line in enumerate(geom.lines) if set(line.points) <= points]
+        assert closure == geometry_mod.ClosureResult(
+            points=tuple(sorted(points)),
+            contained_lines=tuple(inside),
+            pairwise_meeting=naive_verdict(geom, points)[0] != "b",
+        ), seed
+
+
+@pytest.mark.parametrize("geom", [FANO, AG22, AG23, PG23, PG32],
+                         ids=["Fano", "AG(2,2)", "AG(2,3)", "PG(2,3)", "PG(3,2)"])
+def test_kernels_match_naive_loops_on_small_subsets(geom):
+    """Every subset of at most three points: closures, verdicts, witnesses."""
+    seeds = [list(c) for size in range(4)
+             for c in itertools.combinations(range(geom.n_points), size)]
+    assert_kernels_match_naive(geom, seeds)
+
+
+@pytest.mark.parametrize("chunk_cells", [geometry_mod._CHUNK_CELLS, 1])
+def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
+    """The 100 seeds of the no_proper_plane stage on every odd catalog entry
+    of degree <= 31, with the default chunks and with one seed per chunk."""
+    monkeypatch.setattr(geometry_mod, "_CHUNK_CELLS", chunk_cells)
+    odd = [e for e in run_catalog(31)
+           if e.expected_certified and e.expected_characteristic != 2]
+    for entry in odd:
+        geom = build_geometry(build_entry(entry))
+        seeds = pipeline._closure_seed_sets(pipeline.DEFAULT_CLOSURE_SEEDS, geom.n_points)
+        assert_kernels_match_naive(geom, seeds)
+    assert_kernels_match_naive(PG32, pipeline._closure_seed_sets(100, PG32.n_points))
+
+
+@pytest.mark.parametrize("geom, section", [
+    (FANO, {"status": "fail", "seeds": 100, "closures_meeting_hypotheses": 100,
+            "max_contained_lines": 7, "idempotence_ok": True}),
+    (PG32, {"status": "fail", "seeds": 100, "closures_meeting_hypotheses": 92,
+            "max_contained_lines": 7, "idempotence_ok": True}),
+], ids=["Fano", "PG(3,2)"])
+def test_no_proper_plane_stage_fails_on_a_projective_plane(geom, section):
+    """The stage's fail branch: some seed closes to a Fano plane, which meets
+    both hypotheses and holds 7 lines."""
+    assert pipeline._no_proper_plane(SimpleNamespace(geometry=geom)) == (None, section)
+
+
+def test_no_proper_plane_stage_on_a_one_line_geometry(agl_d9):
+    """Each seed closes to itself (fewer than two points) or to the line J:
+    every closure meets both hypotheses and holds at most one line."""
+    value, section = pipeline._no_proper_plane(SimpleNamespace(geometry=build_geometry(agl_d9)))
+    assert value is None
+    assert section == {"status": "pass", "seeds": 100, "closures_meeting_hypotheses": 100,
+                       "max_contained_lines": 1, "idempotence_ok": True}

@@ -256,9 +256,9 @@ def test_field_errors():
 @pytest.mark.slow
 def test_field_at_the_default_order_cap(monkeypatch):
     """GF(2^12) has the default near-field order cap, 4096, and its tables
-    are built and every axiom decided (about 16 s and 600 MB peak RSS on a
-    2-core host, the tables 2.6 s and 165 MB of it; the triple scan alone
-    would take hours)."""
+    are built and every axiom decided (about 15 s and 180 MB peak RSS on a
+    2-core host, the tables 2.6 s and 165 MB of it, since the axiom gate
+    scans in row chunks; the triple scan alone would take hours)."""
     monkeypatch.delenv("INVOLQ_ORDER_CAP", raising=False)
     nf = make_field(2, 12)
     assert nf.order == DEFAULT_NEARFIELD_ORDER_CAP == 4096
@@ -670,3 +670,31 @@ def test_json_roundtrip(d9):
     assert back.order == d9.order and back.family == d9.family
     assert np.array_equal(back.add, d9.add)
     assert np.array_equal(back.mul, d9.mul)
+
+
+def test_row_chunked_scans_keep_every_witness(f7, f9, d9, monkeypatch):
+    """With one row per chunk, every axiom report on the single-cell
+    corruptions of GF(7), GF(9), the order-9 Dickson tables and GF(25) equals
+    the report with the default chunks, and the greedy generators and the
+    closure refusals are unchanged."""
+    bases = (f7, f9, d9, make_field(5, 2))
+    cases = []
+    for base in bases:
+        for name, cell, value in single_cell_corruptions(base):
+            tables = {"add": base.add.copy(), "mul": base.mul.copy()}
+            tables[name][cell] = value
+            cases.append(NearField(base.order, base.family, tables["add"], tables["mul"]))
+
+    def outcomes():
+        reports = [[(c.name, c.passed, c.witness) for c in verify_nearfield_axioms(nf).checks]
+                   for nf in cases]
+        gens = [_generators(t, members) for nf in bases
+                for t, members in ((nf.add, np.ones(nf.order, dtype=bool)),
+                                   (nf.mul, np.arange(nf.order) > 0),
+                                   (nf.mul, np.arange(nf.order) > 1))]
+        return reports, gens
+
+    default = outcomes()
+    assert None in default[1] and any(not passed for rep in default[0] for _, passed, _ in rep)
+    monkeypatch.setattr(nearfield, "_CHUNK_CELLS", 1)
+    assert outcomes() == default
