@@ -460,15 +460,6 @@ class NoPlaneVerdict:
     def ok(self) -> bool:
         return (not self.hypotheses_met) or self.line_count <= 1
 
-    def as_dict(self) -> dict:
-        return {
-            "hypotheses_met": self.hypotheses_met,
-            "failed_hypothesis": self.failed_hypothesis,
-            "witness": list(self.witness) if self.witness else None,
-            "line_count": self.line_count,
-            "ok": self.ok,
-        }
-
 
 HYPOTHESES = (None, "a", "b")  # the failed hypothesis, by no_plane_verdicts code
 

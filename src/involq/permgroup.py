@@ -312,14 +312,25 @@ def parse_group_doc(doc) -> PermGroup:
     return PermGroup(degree, elements, gen_arr)
 
 
+def affine_generators(nf: NearField) -> np.ndarray:
+    """The generators of the affine group of ``nf``, as int32 rows: x -> x add a
+    for a = 1..q-1, then x -> x mul m for m = 2..q-1.
+
+    The near-field axioms are checked first, unless already verified.
+    """
+    if not nf._verified:
+        _require_axioms(nf, AxiomFailure)
+    return np.concatenate([nf.add.T[1:], nf.mul.T[2:]])
+
+
 def affine_group(nf: NearField) -> PermGroup:
-    """The group { x -> (x mul m) add a : m != 0 } acting on 0..|nf|-1.
+    """The group { x -> (x mul m) add a : m != 0 } acting on 0..|nf|-1, with
+    the generators of :func:`affine_generators`.
 
     Element order is deterministic: m ascending, then a ascending, so the
     identity (m=1, a=0) is element 0.
     """
-    if not nf._verified:
-        _require_axioms(nf, AxiomFailure)
+    gens = affine_generators(nf)
     q = nf.order
     cap = max_group_order()
     if q * (q - 1) > cap:
@@ -331,13 +342,7 @@ def affine_group(nf: NearField) -> PermGroup:
     elements = np.empty((q - 1, q, q), dtype=np.int32)
     for m in range(1, q):
         elements[m - 1] = nf.add[nf.mul[:, m]].T
-
-    gens = []
-    for a in range(1, q):
-        gens.append(nf.add[:, a])      # x -> x add a
-    for m in range(2, q):
-        gens.append(nf.mul[:, m])      # x -> x mul m
-    return PermGroup(q, elements.reshape(-1, q), np.array(gens, dtype=np.int32))
+    return PermGroup(q, elements.reshape(-1, q), gens)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 
 from involq import (
+    AxiomFailure,
     AxiomRecoveryFailure,
+    CharacteristicAnomaly,
+    Coordinatization,
+    InvolqError,
+    NearField,
     NotSharply2Transitive,
+    NotSplit,
     affine_group,
+    build_entry,
     characteristic,
+    compose,
     coordinatize,
     involutions,
+    make_dickson,
     make_field,
     neumann_split_test,
     parse_group_doc,
     perm_order,
     roundtrip_check,
+    run_catalog,
     translations,
     verify_group,
     verify_nearfield_axioms,
@@ -175,3 +185,130 @@ def test_coordinatize_refuses_irregular_stabilizer(agl_f7, replaced, by, message
     monkeypatch.setattr(agl_f7, "elements", elements)
     with pytest.raises(AxiomRecoveryFailure, match=f"^{message}; the action is not regular$"):
         coordinatize(agl_f7, SPLIT)
+
+
+def _rebuilt_roundtrip(G, coord):
+    """Oracle: build the whole affine group of the recovered near-field and
+    test set equality with G."""
+    H = affine_group(coord.nearfield)
+    return H.order == G.order and G.contains(H.elements)
+
+
+def test_roundtrip_agrees_with_the_rebuilt_group_on_the_catalog():
+    coordinatized = 0
+    for entry in run_catalog(31):
+        G = build_entry(entry)
+        try:
+            coord = coordinatize(G)
+        except InvolqError:
+            assert entry.id == "sym4-fixture"
+            continue
+        coordinatized += 1
+        assert roundtrip_check(G, coord) is True
+        assert _rebuilt_roundtrip(G, coord) is True
+    assert coordinatized == 16
+
+
+def test_roundtrip_agrees_with_the_rebuilt_group_after_relabelling(d9_relabelled):
+    coord = coordinatize(d9_relabelled)
+    assert roundtrip_check(d9_relabelled, coord) is True
+    assert _rebuilt_roundtrip(d9_relabelled, coord) is True
+
+
+def _gf9_swapping_2_and_3():
+    """GF(9) with the points 2 and 3 exchanged: a field again, whose affine
+    group is AGL(1, 9) conjugated by the transposition (2 3)."""
+    f9 = make_field(3, 2)
+    pi = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])  # its own inverse
+    return NearField(9, "field(3,2) with 2 and 3 exchanged",
+                     pi[f9.add[np.ix_(pi, pi)]], pi[f9.mul[np.ix_(pi, pi)]])
+
+
+@pytest.mark.parametrize("group, nearfield", [
+    ("agl_d9", lambda: make_field(3, 2)),
+    ("agl_f9", lambda: make_dickson(3, 2)),
+    ("agl_f9", lambda: make_field(7, 1)),
+    ("agl_f9", _gf9_swapping_2_and_3),
+    ("sym4", lambda: make_field(2, 2)),  # holds AGL(1, 4) with index 2
+], ids=["d9-by-f9", "f9-by-d9", "f9-by-f7", "f9-by-relabelled-f9", "s4-by-f4"])
+def test_roundtrip_rejects_a_foreign_nearfield(request, group, nearfield):
+    G = request.getfixturevalue(group)
+    coord = Coordinatization(zero_point=0, one_point=1, nearfield=nearfield())
+    assert roundtrip_check(G, coord) is False
+    assert _rebuilt_roundtrip(G, coord) is False
+
+
+def test_roundtrip_gates_an_unverified_nearfield(agl_f5):
+    f5 = make_field(5, 1)
+    mul = f5.mul.copy()
+    mul[2, 3] = 4
+    broken = NearField(5, "field(5,1)", f5.add, mul)
+    coord = Coordinatization(zero_point=0, one_point=1, nearfield=broken)
+    with pytest.raises(AxiomFailure,
+                       match=r"^field\(5,1\) fails axiom left-distributivity at \(2, 1, 2\)$"):
+        roundtrip_check(agl_f5, coord)
+
+
+@pytest.mark.parametrize("nf", [make_field(7, 1), make_dickson(3, 2)], ids=["f7", "d9"])
+def test_affine_generators_keep_their_order(nf):
+    gens = []
+    for a in range(1, nf.order):
+        gens.append(nf.add[:, a])      # x -> x add a
+    for m in range(2, nf.order):
+        gens.append(nf.mul[:, m])      # x -> x mul m
+    generators = affine_group(nf).generators
+    assert generators.dtype == np.int32
+    assert np.array_equal(generators, np.array(gens, dtype=np.int32))
+
+
+def _fresh_agl_f5_with_translations(monkeypatch, choose):
+    """A newly built AGL(1, 5) whose certificate lists ``choose(G, trans)``
+    as its translations."""
+    G = affine_group(make_field(5, 1))
+    cert = certify_sharply_2_transitive(G)
+    monkeypatch.setattr(cert, "_translations", np.asarray(choose(G, cert._translations)))
+    return G
+
+
+def _least_product_outside(G, trans):
+    """Naive double loop: the first (a, b), in list order, with a then b
+    not in the list."""
+    members = set(int(t) for t in trans)
+    for a in trans:
+        for b in trans:
+            if G.index_of(compose(G.elements[a], G.elements[b])) not in members:
+                return int(a), int(b)
+    return None
+
+
+@pytest.mark.parametrize("dropped", [1, 2, 3, 4])
+def test_split_test_names_the_least_product_leaving_the_translations(monkeypatch, dropped):
+    """Without one nontrivial translation the set is not product-closed, and
+    the group is not coordinatized."""
+    G = _fresh_agl_f5_with_translations(monkeypatch, lambda G, trans: np.delete(trans, dropped))
+    trans = certify_sharply_2_transitive(G)._translations
+    assert len(trans) == 4 and G.identity_index in trans
+    report = neumann_split_test(G)
+    witness = _least_product_outside(G, trans)
+    assert witness is not None
+    assert report == SplitReport(j2_is_subgroup=False, j2_abelian=False, split=False,
+                                 closure_witness=witness)
+    assert report.as_dict()["closure_witness"] == list(witness)
+    with pytest.raises(NotSplit, match="^translations are not a subgroup$"):
+        coordinatize(G, report)
+
+
+def test_split_test_refuses_a_nonabelian_translation_set(monkeypatch):
+    """All of G is closed but not abelian."""
+    G = _fresh_agl_f5_with_translations(monkeypatch, lambda G, trans: np.arange(G.order))
+    with pytest.raises(CharacteristicAnomaly, match="^translation subgroup is not abelian$"):
+        neumann_split_test(G)
+
+
+def test_split_test_refuses_a_translation_set_that_is_not_normal(monkeypatch):
+    """The stabilizer of 0 is closed, cyclic of order 4, and not normal."""
+    G = _fresh_agl_f5_with_translations(
+        monkeypatch, lambda G, trans: np.flatnonzero(G.elements[:, 0] == 0))
+    assert len(certify_sharply_2_transitive(G)._translations) == 4
+    with pytest.raises(CharacteristicAnomaly, match="^translation subgroup is not normal$"):
+        neumann_split_test(G)
