@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NotInJ3
 from .geometry import Geometry
 from .permgroup import PermGroup, _element_index, centralizer, distinct
-from .reporting import Check, CheckReport, field_dict, least_cell
+from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
 
 FULL_ALPHA_DEGREE = 9
@@ -171,11 +171,17 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
 
     # (alpha, p, v): p in X_alpha, v != p on the line of p.alpha (none when
     # p.alpha is the identity: r == s carries no line), and the line of
-    # (p, v) leaves X_alpha
+    # (p, v) leaves X_alpha; built for a chunk of alphas at a time
     line_of = geom.line_of_translation[products]
-    on_line = geom.incidence[line_of] & ((line_of >= 0) & in_x)[..., None]
-    on_line[:, np.arange(len(j_idx)), np.arange(len(j_idx))] = False
-    hit = least_cell(on_line & ~inside[:, geom.line_of_pair])
+    on = (line_of >= 0) & in_x
+    diagonal = np.arange(len(j_idx))
+
+    def uncovered(lo, hi):
+        cube = geom.incidence[line_of[lo:hi]] & on[lo:hi, :, None]
+        cube[:, diagonal, diagonal] = False
+        return cube & ~inside[lo:hi, geom.line_of_pair]
+
+    hit = least_cell_in_chunks(uncovered, len(sample), len(j_idx) ** 2)
     witness_cover = None
     if hit is not None:
         row, p, v = hit

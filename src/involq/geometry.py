@@ -31,7 +31,7 @@ Closures and the no-proper-plane verdict are batched kernels over an
 (S, n_points) stack of point masks: :func:`close_point_masks` grows every
 row by the lines holding two of its points until no row changes, and
 :func:`no_plane_verdicts` tests both hypotheses of every row, building its
-(S, n, n) and (S, L, L) masks in chunks of about _CHUNK_CELLS cells.
+(S, n, n) and (S, L, L) masks in the row chunks of :mod:`involq.reporting`.
 :func:`plane_closure` and :func:`verify_no_proper_plane` are one-row calls
 of the same kernels.
 """
@@ -49,7 +49,8 @@ from .errors import (
     PointsEqual,
 )
 from .permgroup import PermGroup, centralizer, distinct
-from .reporting import Check, CheckReport, field_dict, least_cell, least_cells
+from .reporting import (Check, CheckReport, field_dict, in_chunks, least_cell,
+                        least_cell_in_chunks, least_cells)
 from .s2t import _require_certified, _require_odd_characteristic
 
 
@@ -70,7 +71,6 @@ def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the four equivalent preconditions
 
 _C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
-_CHUNK_CELLS = 1 << 18  # cells per chunk of a cube: condition (c), closure verdicts
 
 
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
@@ -145,28 +145,27 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     jj = distinct(ij)
     inverted = np.zeros((n, G.order), dtype=bool)
     inverted[:, jj] = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
-    # cube (i, k, c): cell c of iJ for the pair (i, k), masked on k == i.
-    # Chunks over i are scanned in order, so the first hit is row-major least
-    step = max(1, _CHUNK_CELLS // (n * n))
-    witness = None
-    for start in range(0, n, step):
-        i = np.arange(start, min(start + step, n))
+    # cube (i, k, c): cell c of iJ for the pair (i, k), masked on k == i;
+    # failed(lo, hi) holds the (3, i, k) failure reasons of rows lo:hi of i
+    def failed(lo, hi):
+        i = np.arange(lo, hi)
         cells = ij[i]  # the elements of iJ
         rows = row_of[cells]  # Cen(ik); -1 on the diagonal
         cen_on_ij = cen[:, cells][rows, np.arange(len(i))[:, None]]
-        failed = np.stack([
+        reasons = np.stack([
             (cen_on_ij != in_ij[:, cells].transpose(1, 0, 2)).any(axis=2)
             | (np.count_nonzero(cen_on_ij, axis=2) != cen_size[rows]),
             ~abelian[rows],
             (cen_on_ij & ~inverted[:, cells].transpose(1, 0, 2)).any(axis=2),
         ])
-        failed[:, i - start, i] = False
-        hit = least_cell(failed.any(axis=0))
-        if hit is not None:
-            r, k = hit
-            reason = _C_REASONS[int(np.argmax(failed[:, r, k]))]
-            witness = (int(j_idx[start + r]), int(j_idx[k]), reason)
-            break
+        reasons[:, i - lo, i] = False
+        return reasons
+
+    witness = None
+    if hit := least_cell_in_chunks(lambda lo, hi: failed(lo, hi).any(axis=0), n, n * n):
+        i, k = hit
+        reason = _C_REASONS[int(np.argmax(failed(i, i + 1)[:, 0, k]))]
+        witness = (int(j_idx[i]), int(j_idx[k]), reason)
     checks.append(Check("centralizers-match-products-abelian-inverted", witness is None,
                         witness=witness))
 
@@ -409,25 +408,16 @@ def close_point_masks(geom: Geometry, masks: np.ndarray) -> np.ndarray:
         current = grown
 
 
-def _stacked_least_cells(mask_of_rows, rows: int, cells: int) -> np.ndarray:
-    """least_cells of the stack that ``mask_of_rows(lo, hi)`` gives for rows
-    lo:hi, built in chunks of about _CHUNK_CELLS cells."""
-    step = max(1, _CHUNK_CELLS // max(cells, 1))
-    return np.concatenate([least_cells(mask_of_rows(lo, lo + step))
-                           for lo in range(0, max(rows, 1), step)])
-
-
 def _unmet_line_pairs(geom: Geometry, inside: np.ndarray) -> np.ndarray:
     """Per row of the (S, n_lines) mask ``inside``, the least pair of its lines
     that do not meet, or (-1, -1)."""
-    n_lines = len(geom.incidence)
     apart = np.triu(~(geom.incidence @ geom.incidence.T), 1)
 
     def unmet(lo, hi):
         within = inside[lo:hi]
-        return within[:, :, None] & within[:, None, :] & apart
+        return least_cells(within[:, :, None] & within[:, None, :] & apart)
 
-    return _stacked_least_cells(unmet, len(inside), n_lines * n_lines)
+    return in_chunks(unmet, len(inside), apart.size)
 
 
 @dataclass(frozen=True)
@@ -481,15 +471,15 @@ def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     inside = geom.lines_inside(masks)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
 
-    def leaving(lo, hi):  # member pairs p < q whose line is not inside
+    def leaving(lo, hi):  # least member pair p < q whose line is not inside
         on = masks[lo:hi]
         out = np.take(~inside[lo:hi], geom.line_of_pair, axis=1)
         out &= on[:, :, None]
         out &= on[:, None, :]
         out &= upper
-        return out
+        return least_cells(out)
 
-    pairs_a = _stacked_least_cells(leaving, len(masks), n * n)
+    pairs_a = in_chunks(leaving, len(masks), n * n)
     pairs_b = _unmet_line_pairs(geom, inside)
     fails_a = pairs_a[:, 0] >= 0
     failed = np.where(fails_a, 1, np.where(pairs_b[:, 0] >= 0, 2, 0))
@@ -618,7 +608,8 @@ def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:
     conj = t_pos[G.conj(trans[None, :], geom.points[:, None])]
     conj = conj[(conj >= 0).all(axis=1)]
     odd = subgroups[(sizes % 2 == 1) & (sizes > 1)]
-    found = odd[(odd[:, conj] | ~odd[:, None, :]).all(axis=2).any(axis=1)]
+    found = odd[in_chunks(lambda lo, hi: (odd[lo:hi, conj] | ~odd[lo:hi, None, :])
+                          .all(axis=2).any(axis=1), len(odd), conj.size)]
 
     # centralizers of the translation classes, on the translation positions
     cen = np.zeros((len(geom.classes), nt), dtype=bool)

@@ -28,7 +28,8 @@ are immutable and safe to share.
 ones are scanned whole; associativity and the distributive laws are reduced
 to q**2 checks per element of a small generating set (Light's test, and
 additivity on additive generators). The cubic scan over all triples only
-locates the least witness of a law that fails.
+locates the least witness of a law that fails. Table builds and scans run
+in the row chunks of :mod:`involq.reporting`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from .errors import (
     NotPrime,
     OrderCapExceeded,
 )
-from .reporting import Check, CheckReport, least_cell
-
-_CHUNK_CELLS = 1 << 18  # cells per chunk of a table build or an axiom scan
+from .reporting import Check, CheckReport, chunk_rows, least_cell, least_cell_in_chunks
 
 # ---------------------------------------------------------------------------
 # small integer helpers
@@ -229,10 +228,10 @@ def make_field(p: int, e: int = 1) -> NearField:
     times = ((np.arange(p)[:, None, None] * digits) % p) @ pw
     fold = int((-np.array(f[:e]) % p) @ pw)
     x_times = add[digits[:, :-1] @ pw[1:], times[digits[:, -1], fold]].astype(np.int64)
-    # Horner's rule by flat gathers from add, over row chunks of about 2**18
-    # cells, so the only full-size arrays are the two int32 tables
+    # Horner's rule by flat gathers from add, over row chunks, so the only
+    # full-size arrays are the two int32 tables
     flat_add, mul = add.ravel(), np.empty((q, q), dtype=np.int32)
-    rows = max(1, _CHUNK_CELLS // q)
+    rows = chunk_rows(q)
     for lo in range(0, q, rows):
         top = digits[lo:lo + rows]
         part = times[top[:, -1]]
@@ -347,10 +346,10 @@ def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
     def escapes(lo, hi):
         return ~members[t.take(elements[lo:hi], 0).take(elements, 1)]
 
-    if _least_in_chunks(escapes, len(elements), len(elements)) is not None:
+    if least_cell_in_chunks(escapes, len(elements), len(elements)) is not None:
         return None
     inside = np.zeros(len(t), dtype=bool)
-    step = max(1, _CHUNK_CELLS // len(t))  # new elements per chunk of products
+    step = chunk_rows(len(t))  # new elements per chunk of products
     gens = []
     while (rest := (members > inside).nonzero()[0]).size:
         new = rest[:1]
@@ -367,28 +366,10 @@ def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
     return gens
 
 
-def _least_in_chunks(mask_of_rows, rows: int, row_cells: int) -> tuple | None:
-    """least_cell of the mask whose rows lo:hi ``mask_of_rows(lo, hi)`` gives,
-    each row holding ``row_cells`` cells. Chunks span about _CHUNK_CELLS
-    cells, so no temporary grows with the whole mask; they are scanned in
-    order, so the first hit is least."""
-    step = max(1, _CHUNK_CELLS // max(row_cells, 1))
-    for lo in range(0, rows, step):
-        # bound until the next chunk exists: freeing it first doubles scan time
-        bad = mask_of_rows(lo, min(lo + step, rows))
-        w = least_cell(bad)
-        if w is not None:
-            return (lo + w[0],) + w[1:]
-    return None
-
-
 def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
-    """Least (a,b,c) where the chunked triple comparison fails, else None.
-
-    This cubic scan only locates the witness of a law the reductions of
-    :func:`verify_nearfield_axioms` found broken (or could not apply to).
-    Chunks run over the first coordinate."""
-    return _least_in_chunks(lhs_fn, q, q * q)
+    """Least (a,b,c) where the triple comparison, chunked over a, fails, else
+    None: the witness of a law the reductions found broken or could not try."""
+    return least_cell_in_chunks(lhs_fn, q, q * q)
 
 
 def _law_witness(reduced, gens: list[int] | None, cube, q: int) -> tuple | None:
@@ -396,7 +377,7 @@ def _law_witness(reduced, gens: list[int] | None, cube, q: int) -> tuple | None:
     failures, is clear for every g in ``gens``; otherwise, or when no
     ``gens`` apply, the cube's least witness."""
     if gens is not None and not any(
-        _least_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, q) is not None
+        least_cell_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, q) is not None
         for g in gens
     ):
         return None
@@ -429,8 +410,8 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     to find the witness. Failures carry the lexicographically least
     violating tuple, read by :func:`involq.reporting.least_cell`. Every scan
     that would hold a q x q temporary other than a boolean mask runs in row
-    chunks (:func:`_least_in_chunks`), so the gate's memory stays near that
-    of one mask beside the tables.
+    chunks (:func:`involq.reporting.least_cell_in_chunks`), so the gate's
+    memory stays near that of one mask beside the tables.
     Commutativity and left distributivity are only *required* for the field
     family; for other families they are still evaluated and reported with
     required=False.
@@ -478,7 +459,7 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-zero-annihilation", w is None, witness=w))
     annihilates = w is None
 
-    w = _least_in_chunks(
+    w = least_cell_in_chunks(
         lambda lo, hi: (mul[lo:hi] == 0) & nonzero[lo:hi, None] & nonzero, q, q)
     checks.append(Check("mul-nonzero-closure", w is None, witness=w))
 
@@ -494,7 +475,7 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
         inverse = (mul[lo:hi] == 1) & (mul[:, lo:hi].T == 1) & nonzero
         return nonzero[lo:hi] & ~inverse.any(axis=1)
 
-    w = _least_in_chunks(lacks_inverse, q, q)
+    w = least_cell_in_chunks(lacks_inverse, q, q)
     checks.append(Check("mul-inverses", w is None, witness=w))
 
     # f(x) add f(g) through the flat add table: twice as fast as a 2-d gather

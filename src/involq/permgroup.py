@@ -36,6 +36,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .nearfield import NearField, _require_axioms
+from .reporting import least_cell_in_chunks
 
 # ---------------------------------------------------------------------------
 # single-permutation helpers
@@ -218,14 +219,11 @@ class PermGroup:
         if rows.dtype.kind not in "iu" or np.any((images < 0) | (images >= self.degree)):
             raise NotAMember(f"images must be integers in 0..{self.degree - 1}")
         idx = self._locate(images)
-        # confirmed in chunks of about 2**18 cells, not by one full-size gather
+        # confirmed in row chunks, not by one full-size gather
         at, flat = idx.reshape(-1), rows.reshape(-1, self.degree)
-        outside = np.zeros(len(at), dtype=bool)
-        step = 1 + (1 << 18) // self.degree
-        for s in range(0, len(at), step):
-            outside[s:s + step] = (self.elements[at[s:s + step]] != flat[s:s + step]).any(axis=1)
-        if np.any(outside):
-            raise NotAMember(f"{flat[outside][0].tolist()} is not an element")
+        if hit := least_cell_in_chunks(lambda lo, hi: (self.elements[at[lo:hi]] != flat[lo:hi])
+                                       .any(axis=1), len(at), self.degree):
+            raise NotAMember(f"{flat[hit[0]].tolist()} is not an element")
         return int(idx) if idx.ndim == 0 else idx
 
     def contains(self, perm) -> bool:

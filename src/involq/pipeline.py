@@ -78,11 +78,6 @@ def _closure_seed_masks(count: int, n_points: int) -> np.ndarray:
     return masks
 
 
-def _closure_seed_sets(count: int, n_points: int) -> list[list[int]]:
-    """The seeds of :func:`_closure_seed_masks` as sorted point lists."""
-    return [np.flatnonzero(on).tolist() for on in _closure_seed_masks(count, n_points)]
-
-
 # ---------------------------------------------------------------------------
 # the stage table
 #
@@ -301,6 +296,7 @@ def _verify(target, report_path, max_degree, quiet) -> int:
                           "error": _error(exc)}
             else:
                 result = verify_group(G, entry)
+                del G  # so the next entry is built without this group alive
             report["entries"][entry.id] = result
             all_conform &= result["conforms"]
             say(f"{entry.id}: {'conforms' if result['conforms'] else 'DEVIATES'}")

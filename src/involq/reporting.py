@@ -4,7 +4,9 @@ Every scan in the package reports its outcome as a list of named checks,
 each pass/fail with an optional witness tuple. Witnesses are always the
 lexicographically least violating tuple the scan encountered, so repeated
 runs produce identical reports; :func:`least_cell` reads that tuple off a
-boolean mask of violations.
+boolean mask of violations. Every mask too large to hold at once is built
+in row chunks of about CHUNK_CELLS cells (:func:`chunk_rows`), and read by
+:func:`least_cell_in_chunks` or :func:`in_chunks`.
 """
 
 from __future__ import annotations
@@ -26,13 +28,39 @@ def least_cells(masks: np.ndarray) -> np.ndarray:
     """:func:`least_cell` of every mask of a stack at once: row s of the
     (S, masks.ndim - 1) int result is the least cell of ``masks[s]``, or -1
     throughout where that mask has no True cell."""
-    flat = masks.reshape(len(masks), -1)
+    flat = masks.reshape(len(masks), np.prod(masks.shape[1:], dtype=int))
     if flat.shape[1] == 0:
         return np.full((len(masks), masks.ndim - 1), -1, dtype=np.int64)
     first = flat.argmax(axis=1)
     cells = np.stack(np.unravel_index(first, masks.shape[1:]), axis=-1)
     cells[~flat[np.arange(len(flat)), first]] = -1
     return cells
+
+
+CHUNK_CELLS = 1 << 18  # cells per chunk of a mask built in rows
+
+
+def chunk_rows(row_cells: int) -> int:
+    """Rows per chunk when a row holds ``row_cells`` cells; reads CHUNK_CELLS per call."""
+    return max(1, CHUNK_CELLS // max(row_cells, 1))
+
+
+def least_cell_in_chunks(mask_of_rows, rows: int, row_cells: int) -> tuple | None:
+    """least_cell of the mask whose rows lo:hi ``mask_of_rows(lo, hi)`` gives,
+    built and scanned one chunk at a time, in order, so the first hit is least."""
+    step = chunk_rows(row_cells)
+    for lo in range(0, rows, step):
+        # bound until the next chunk exists: freeing it first doubles scan time
+        bad = mask_of_rows(lo, min(lo + step, rows))
+        if (w := least_cell(bad)) is not None:
+            return (lo + w[0],) + w[1:]
+    return None
+
+
+def in_chunks(fn, rows: int, row_cells: int) -> np.ndarray:
+    """``fn(lo, hi)`` concatenated over the row chunks; an empty stack keeps its shape."""
+    step = chunk_rows(row_cells)
+    return np.concatenate([fn(lo, min(lo + step, rows)) for lo in range(0, max(rows, 1), step)])
 
 
 def field_dict(obj, **converted) -> dict:

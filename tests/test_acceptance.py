@@ -32,7 +32,7 @@ from involq import (
 )
 from involq.catalog import build_entry, run_catalog
 from involq.nearfield import prime_power
-from involq.pipeline import _closure_seed_sets, run_verify, verify_group
+from involq.pipeline import _closure_seed_masks, run_verify, verify_group
 
 CRITERION_1_FIELDS = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 CRITERION_2_DICKSON = [(3, 2), (5, 2), (7, 2), (11, 2)]
@@ -166,8 +166,8 @@ def test_criterion_5_plane_closures():
     ok = True
     for entry in odd_certified_entries():
         geom = geometry_of(entry)
-        for seed in _closure_seed_sets(100, geom.n_points):
-            closure = plane_closure(geom, seed)
+        for seed in _closure_seed_masks(100, geom.n_points):
+            closure = plane_closure(geom, np.flatnonzero(seed))
             again = plane_closure(geom, closure.points)
             ok &= again.points == closure.points
             verdict = verify_no_proper_plane(geom, closure.points)

@@ -1,6 +1,7 @@
 """Census quantities and the triple-product covering scan."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ from involq import (
     CharacteristicTwo,
     NotAMember,
     NotInJ3,
+    affine_group,
     build_geometry,
     census,
     centralizer,
     involutions,
+    make_dickson,
+    make_field,
     translations,
     verify_xalpha_covering,
     x_alpha,
 )
+from involq import reporting
+from involq.s2t import certify_sharply_2_transitive
 
 # the package's name `census` is the function, so reach the module by its path
 census_mod = importlib.import_module("involq.census")
@@ -135,14 +141,90 @@ def test_fiber_identity_per_alpha(agl_f5, agl_f7):
             assert triples == size * khat
 
 
-def test_covering_report(agl_f5, agl_f7, agl_d9, agl_d25):
-    for G in (agl_f5, agl_f7, agl_d9, agl_d25):
+def test_covering_report(agl_f5, agl_f7, agl_d9, agl_d25, monkeypatch):
+    """With the default chunks and with one alpha per chunk."""
+    for G, chunk_cells in itertools.product((agl_f5, agl_f7, agl_d9, agl_d25),
+                                            (reporting.CHUNK_CELLS, 1)):
+        monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
         geom = build_geometry(G)
         report = verify_xalpha_covering(G, geom)
         assert report.ok
         assert report.complete
         names = [c.name for c in report.checks]
         assert names == ["line-covering", "point-line-saturation", "fiber-size-identity"]
+
+
+def naive_covering_witnesses(G, geom):
+    """The witnesses of verify_xalpha_covering by loops over (alpha, p, v),
+    alphas in sample order and p, v over the positions of J; None where a
+    check holds. A triple (i, r, s) counts for alpha when i.r.s == alpha and
+    i lies in X_alpha (every i does when the translations are J.J)."""
+    cert = certify_sharply_2_transitive(G)
+    J = cert._j.tolist()
+    trans = set(cert._translations.tolist())
+    n = len(J)
+    khat = len(centralizer(G, next(t for t in cert._translations.tolist()
+                                   if t != G.identity_index)))
+    lines = [set(np.flatnonzero(row).tolist()) for row in geom.incidence]
+    sample, _ = census_mod._alpha_sample(G, census_mod._triple_products(G, cert))
+    cover = saturation = fiber = None
+    for alpha in sample.tolist():
+        in_x = [int(G.mul(J[p], alpha)) in trans for p in range(n)]
+        x = {p for p in range(n) if in_x[p]}
+        inside = [line <= x for line in lines]
+        for p in sorted(x):
+            line = int(geom.line_of_translation[int(G.mul(J[p], alpha))])
+            for v in range(n):
+                if (cover is None and line >= 0 and v != p and v in lines[line]
+                        and not inside[geom.line_of_pair[p, v]]):
+                    cover = (alpha, J[p], J[v])
+            if saturation is None and not any(inside[k] and p in lines[k]
+                                              for k in range(len(lines))):
+                saturation = (alpha, J[p])
+        triples = sum(1 for i in range(n) for r in J for s in J
+                      if in_x[i] and int(G.mul(G.mul(J[i], r), s)) == alpha)
+        if fiber is None and triples != len(x) * khat:
+            fiber = (alpha, triples, len(x) * khat)
+    return {"line-covering": cover, "point-line-saturation": saturation,
+            "fiber-size-identity": fiber}
+
+
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+@pytest.mark.parametrize("tamper", ["line-covering", "point-line-saturation",
+                                    "fiber-size-identity"])
+def test_covering_witnesses_on_tampered_inputs_match_the_loops(tamper, chunk_cells,
+                                                               monkeypatch):
+    """Each failure witness of the covering scan, on fresh groups:
+
+    * line-covering: every X_alpha of a split group is all of J, so every
+      line lies inside it whatever the line of a translation reads; with one
+      translation dropped from the certificate, X_alpha misses one point and
+      the line through it leaves X_alpha. The alphas are taken in reverse, so
+      the first one has its pair (p, v) = (0, 0) on the masked diagonal;
+    * point-line-saturation: a point taken off the only line of a perturbed
+      incidence matrix lies on no line inside X_alpha;
+    * fiber-size-identity: khat read through a centralizer cache that lost a
+      member.
+
+    Each witness equals the loops', in one chunk and in one alpha per chunk."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    for G in (affine_group(make_field(7, 1)), affine_group(make_dickson(3, 2))):
+        geom = build_geometry(G)
+        cert = certify_sharply_2_transitive(G)
+        assert set(naive_covering_witnesses(G, geom).values()) == {None}
+        if tamper == "line-covering":
+            cert._translations = np.delete(cert._translations, 1)
+            monkeypatch.setattr(census_mod, "_alpha_sample", lambda G, j3: (j3[::-1], True))
+        elif tamper == "point-line-saturation":
+            geom.incidence = geom.incidence.copy()
+            geom.incidence[0, 2] = False
+        else:
+            t = int(cert._translations[cert._translations != G.identity_index][0])
+            G._centralizer_cache[t] = centralizer(G, t)[:-1]
+        expected = naive_covering_witnesses(G, geom)
+        assert expected[tamper] is not None
+        report = verify_xalpha_covering(G, geom)
+        assert {c.name: c.witness for c in report.checks} == expected
 
 
 def test_covering_sample_cap(agl_d25, monkeypatch):

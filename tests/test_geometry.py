@@ -23,7 +23,7 @@ from involq import (
     verify_no_proper_plane,
 )
 from involq import geometry as geometry_mod
-from involq import pipeline
+from involq import pipeline, reporting
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.geometry import close_point_masks, no_plane_verdicts
 from involq.reporting import least_cell, least_cells
@@ -98,7 +98,7 @@ def _fresh_groups():
             affine_group(make_field(5, 2))]
 
 
-@pytest.mark.parametrize("chunk_cells", [1 << 18, 1])
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
 @pytest.mark.parametrize("tamper, reason", [
     ("drop-centralizer-member", "centralizer-mismatch"),
     ("wrong-inverse", "not-inverted"),
@@ -110,7 +110,7 @@ def test_condition_c_witness_matches_the_loop(tamper, reason, chunk_cells, monke
     wrong inverse of the first involution k, which breaks conjugation by k,
     so the first failing pair has i = 1. Either way, in one chunk or one
     chunk per involution, the cube's witness is the loop's."""
-    monkeypatch.setattr(geometry_mod, "_CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     for G in _fresh_groups():
         cert = certify_sharply_2_transitive(G)
         assert _condition_c_by_loop(G) is None
@@ -449,23 +449,29 @@ ODD_UP_TO_27 = [e.id for e in run_catalog(27)
                 if e.expected_certified and e.expected_characteristic != 2]
 
 
+CHUNK_SIZES = (reporting.CHUNK_CELLS, 1)  # the default, and one row per chunk
+
+
 @pytest.mark.parametrize("entry_id", ODD_UP_TO_27)
 def test_subgroup_scan_matches_naive_oracle(entry_id, monkeypatch):
+    """With the default chunks and with one subgroup per normalizer chunk."""
     geom = build_geometry(build_entry(find_entry(entry_id)))
     for cap in (3, 5, 512):
         monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
-        report = divisible_subgroup_scan(geom)
         expected = naive_subgroup_scan(geom, cap)
-        assert {key: getattr(report, key) for key in expected} == expected, cap
-        assert report.complete is (expected["skipped_over_cap"] == 0)
+        for chunk_cells in CHUNK_SIZES:
+            monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+            report = divisible_subgroup_scan(geom)
+            assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
+            assert report.complete is (expected["skipped_over_cap"] == 0)
 
 
-def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
-                                                                 monkeypatch):
+def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9, monkeypatch):
     """With an inverse pair of translations dropped, candidates that reach it
     are discarded: on agl_f7 at cap 3 the escape at the third power is found
     before the cap, at cap 2 two walks pass the cap first. With no translation
-    class every found subgroup is a violation, listed by size, then members."""
+    class every found subgroup is a violation, listed by size, then members.
+    The same holds with the default chunks and with one subgroup per chunk."""
     skipped = {}
     for G in (agl_f7, agl_d9):
         thinned = build_geometry(G)
@@ -476,15 +482,21 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
         for name, geom in (("thinned", thinned), ("no classes", no_classes)):
             for cap in (2, 3, 512):
                 monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
-                report = divisible_subgroup_scan(geom)
                 expected = naive_subgroup_scan(geom, cap)
-                assert {key: getattr(report, key) for key in expected} == expected
-                skipped[G.degree, name, cap] = report.skipped_over_cap
-    assert skipped[7, "thinned", 2] == 2 and skipped[7, "thinned", 3] == 0
+                for chunk_cells in CHUNK_SIZES:
+                    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+                    report = divisible_subgroup_scan(geom)
+                    assert {key: getattr(report, key) for key in expected} == expected
+                    skipped[G.degree, name, cap, chunk_cells] = report.skipped_over_cap
+    for chunk_cells in CHUNK_SIZES:
+        assert skipped[7, "thinned", 2, chunk_cells] == 2
+        assert skipped[7, "thinned", 3, chunk_cells] == 0
     monkeypatch.undo()
-    assert divisible_subgroup_scan(no_classes).violations == [
-        (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), tuple(range(9)),
-    ]
+    for chunk_cells in CHUNK_SIZES:
+        monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+        assert divisible_subgroup_scan(no_classes).violations == [
+            (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), tuple(range(9)),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +678,11 @@ def test_least_cells_reads_the_witness_rule_per_mask():
     assert least_cell(np.zeros((0, 3), dtype=bool)) is None
 
 
+def stage_seed_sets(count, n_points):
+    """The seeds of the no_proper_plane stage as sorted point lists."""
+    return [np.flatnonzero(on).tolist() for on in pipeline._closure_seed_masks(count, n_points)]
+
+
 def assert_kernels_match_naive(geom, seeds):
     masks = np.zeros((len(seeds), geom.n_points), dtype=bool)
     for row, seed in enumerate(seeds):
@@ -704,18 +721,18 @@ def test_kernels_match_naive_loops_on_small_subsets(geom):
     assert_kernels_match_naive(geom, seeds)
 
 
-@pytest.mark.parametrize("chunk_cells", [geometry_mod._CHUNK_CELLS, 1])
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
 def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
     """The 100 seeds of the no_proper_plane stage on every odd catalog entry
     of degree <= 31, with the default chunks and with one seed per chunk."""
-    monkeypatch.setattr(geometry_mod, "_CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     odd = [e for e in run_catalog(31)
            if e.expected_certified and e.expected_characteristic != 2]
     for entry in odd:
         geom = build_geometry(build_entry(entry))
-        seeds = pipeline._closure_seed_sets(pipeline.DEFAULT_CLOSURE_SEEDS, geom.n_points)
+        seeds = stage_seed_sets(pipeline.DEFAULT_CLOSURE_SEEDS, geom.n_points)
         assert_kernels_match_naive(geom, seeds)
-    assert_kernels_match_naive(PG32, pipeline._closure_seed_sets(100, PG32.n_points))
+    assert_kernels_match_naive(PG32, stage_seed_sets(100, PG32.n_points))
 
 
 @pytest.mark.parametrize("geom, section", [

@@ -26,7 +26,7 @@ from involq import (
     nearfield_from_json,
     verify_nearfield_axioms,
 )
-from involq import nearfield
+from involq import nearfield, reporting
 from involq.catalog import run_catalog
 from involq.config import DEFAULT_NEARFIELD_ORDER_CAP
 from involq.errors import InputError
@@ -696,5 +696,5 @@ def test_row_chunked_scans_keep_every_witness(f7, f9, d9, monkeypatch):
 
     default = outcomes()
     assert None in default[1] and any(not passed for rep in default[0] for _, passed, _ in rep)
-    monkeypatch.setattr(nearfield, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", 1)
     assert outcomes() == default

@@ -26,6 +26,7 @@ from involq import (
     parse_group_doc,
     perm_order,
 )
+from involq import reporting
 from involq.catalog import SYM4_DOC
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
@@ -321,21 +322,24 @@ def test_index_of_rejects_outsiders(agl_f5):
         agl_f5.index_of(np.array([2, 1, 0, 3, 4], dtype=np.int32))  # a transposition
 
 
-def test_index_of_confirms_every_row_of_a_long_stack():
-    """A stack longer than one comparison chunk (about 2**18 cells) is
-    confirmed row by row: the outsider in its last chunk is named, and an
-    empty stack keeps its shape."""
+def test_index_of_confirms_every_row_of_a_long_stack(monkeypatch):
+    """A stack longer than one comparison chunk (about 2**18 cells by
+    default, or one row per chunk) is confirmed row by row: the outsider in
+    its last chunk is named, and an empty stack keeps its shape."""
     import re
 
     G = affine_group(make_field(67, 1))
-    assert G.order * G.degree > (1 << 18)
-    rows = G.elements[::-1].copy()
-    assert np.array_equal(G.index_of(rows), np.arange(G.order)[::-1])
-    rows[-2, [5, 6]] = rows[-2, [6, 5]]  # same base images (0, 1), not an element
-    with pytest.raises(NotAMember, match=re.escape(f"{rows[-2].tolist()} is not an element")):
-        G.index_of(rows)
-    assert G.index_of(rows[:0]).shape == (0,)
-    assert G.index_of(np.zeros((2, 0, G.degree), dtype=np.int32)).shape == (2, 0)
+    assert G.order * G.degree > reporting.CHUNK_CELLS
+    for chunk_cells in (reporting.CHUNK_CELLS, 1):
+        monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+        rows = G.elements[::-1].copy()
+        assert np.array_equal(G.index_of(rows), np.arange(G.order)[::-1])
+        rows[-2, [5, 6]] = rows[-2, [6, 5]]  # same base images (0, 1), not an element
+        with pytest.raises(NotAMember,
+                           match=re.escape(f"{rows[-2].tolist()} is not an element")):
+            G.index_of(rows)
+        assert G.index_of(rows[:0]).shape == (0,)
+        assert G.index_of(np.zeros((2, 0, G.degree), dtype=np.int32)).shape == (2, 0)
 
 
 def test_distinct_matches_np_unique():
