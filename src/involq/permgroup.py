@@ -11,7 +11,8 @@ array and addresses elements by their row index. A base -- a few points whose
 images tell every element apart (0 and 1 for a sharply 2-transitive group) --
 indexes the rows through one dense table per base point, so a lookup is one
 gather per base point, and products, inverses, conjugates, membership tests,
-centralizers and conjugacy classes are vectorized scans over index arrays.
+centralizers and conjugacy classes are vectorized scans over index arrays;
+one centralizer scan serves a whole class, filled in by conjugation.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted by image sequence.
 
@@ -356,21 +357,28 @@ def _element_index(G: PermGroup, g) -> int:
     return int(g)
 
 
+def _centralizer_scan(G: PermGroup, gi: int) -> np.ndarray:
+    """Cen(gi) by one scan of the group: h commutes with g on the base."""
+    grow = G.elements[gi]
+    return np.nonzero(np.all(grow[G._base_images] == G.elements[:, grow[G.base]], axis=1))[0]
+
+
 def centralizer(G: PermGroup, g) -> np.ndarray:
     """Element indices of everything commuting with g (an element index or a
-    permutation row), in enumeration order."""
+    permutation row), in enumeration order, read-only.
+
+    A cache miss scans Cen(g) once and caches Cen(h^-1 g h) = h^-1 Cen(g) h
+    for the whole class of g, keeping entries already cached: three
+    order-length passes (scan, conjugators, |class| x |Cen| = order cells)
+    instead of one scan per member of the class."""
     gi = _element_index(G, g)
-    cached = G._centralizer_cache.get(gi)
-    if cached is not None:
-        return cached
-    grow = G.elements[gi]
-    left = grow[G._base_images]          # h then g, on the base
-    right = G.elements[:, grow[G.base]]  # g then h, on the base
-    mask = np.all(left == right, axis=1)
-    result = np.nonzero(mask)[0].astype(np.int64)
-    result.setflags(write=False)
-    G._centralizer_cache[gi] = result
-    return result
+    if gi not in G._centralizer_cache:
+        cls, h = _conjugators(G, gi)
+        rows = np.sort(G.conj(_centralizer_scan(G, gi)[None, :], h[:, None]), axis=1)
+        rows.setflags(write=False)
+        for c, row in zip(cls.tolist(), rows):
+            G._centralizer_cache.setdefault(c, row)
+    return G._centralizer_cache[gi]
 
 
 def distinct(values) -> np.ndarray:
@@ -380,20 +388,27 @@ def distinct(values) -> np.ndarray:
     return flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
 
 
+def _conjugators(G: PermGroup, gi: int):
+    """The class of element gi in enumeration order, and beside each member c
+    the least h with h^-1 gi h = c: one conjugation pass and a stable sort."""
+    conj = G.conj(gi, np.arange(G.order))
+    h = np.argsort(conj, kind="stable")
+    first = np.diff(conj[h], prepend=-1) != 0
+    return conj[h][first], h[first]
+
+
 def conjugacy_class(G: PermGroup, g) -> np.ndarray:
     """Element indices of { h^-1 g h : h in G } (g an element index or a
     permutation row), in enumeration order."""
-    return distinct(G.conj(_element_index(G, g), np.arange(G.order)))
+    return _conjugators(G, _element_index(G, g))[0]
 
 
 def is_subgroup(G: PermGroup, indices) -> bool:
-    """True iff the listed elements contain the identity and are product-closed."""
+    """True iff the listed elements contain the identity and are
+    product-closed, read off one product table built in row chunks."""
     idxs = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
     if np.any(idxs < 0) or np.any(idxs >= G.order):
         raise NotAMember("index out of range")
-    if G.identity_index not in idxs:
-        return False
-    for i in idxs:
-        if not np.isin(G.mul(idxs, i), idxs).all():
-            return False
-    return True
+    member = np.bincount(idxs, minlength=G.order) > 0
+    return bool(member[G.identity_index]) and least_cell_in_chunks(
+        lambda lo, hi: ~member[G.mul(idxs[lo:hi, None], idxs)], len(idxs), len(idxs)) is None

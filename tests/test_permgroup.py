@@ -26,7 +26,8 @@ from involq import (
     parse_group_doc,
     perm_order,
 )
-from involq import reporting
+from involq import permgroup, reporting
+from involq.permgroup import PermGroup, as_perm
 from involq.catalog import SYM4_DOC
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
@@ -313,13 +314,124 @@ def test_is_subgroup(agl_f7, agl_f5):
         for b in range(5)
     ]
     assert not is_subgroup(agl_f5, involutions)  # identity missing
+    shift = agl_f5.index_of(np.array([(x + 1) % 5 for x in range(5)], dtype=np.int32))
+    assert not is_subgroup(agl_f5, [agl_f5.identity_index, shift])  # not product-closed
+    assert not is_subgroup(agl_f5, [])
     with pytest.raises(NotAMember):
         is_subgroup(agl_f5, [0, 99])
+
+
+def naive_is_subgroup(G, idxs):
+    rows = {tuple(G.elements[i]) for i in idxs}
+    return (tuple(range(G.degree)) in rows
+            and all(naive_compose(a, b) in rows for a in rows for b in rows))
+
+
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+def test_is_subgroup_matches_the_naive_closure(sym4, agl_d9, chunk_cells, monkeypatch):
+    """Centralizers and classes with the identity added, in one chunk and one
+    row of the product table per chunk."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    verdicts = set()
+    for G in (sym4, agl_d9):
+        for i in range(0, G.order, 3):
+            for idxs in (centralizer(G, i).tolist(),
+                         [G.identity_index, *conjugacy_class(G, i).tolist()]):
+                verdict = is_subgroup(G, idxs)
+                assert verdict == naive_is_subgroup(G, idxs), (G, i, idxs)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def fresh(G):
+    """The same group with an empty centralizer cache (the fixtures share theirs)."""
+    return PermGroup(G.degree, G.elements, G.generators)
+
+
+def counted_scans(monkeypatch):
+    """Record the element of every full centralizer scan."""
+    scans = []
+    scan = permgroup._centralizer_scan
+    monkeypatch.setattr(permgroup, "_centralizer_scan",
+                        lambda G, gi: scans.append(gi) or scan(G, gi))
+    return scans
+
+
+@pytest.mark.parametrize("name", ["agl_f5", "agl_f7", "agl_d9", "d9_relabelled", "sym4"])
+def test_one_scan_fills_the_class(name, request, monkeypatch):
+    """A miss scans once and caches the centralizer of every member of the
+    class, each equal to the naive loop's and read-only; so the full scans
+    number the classes. sym4 is not sharply 2-transitive and has five."""
+    G = fresh(request.getfixturevalue(name))
+    scans = counted_scans(monkeypatch)
+    classes = []
+    for i in range(G.order):
+        if i in G._centralizer_cache:
+            continue
+        cls = naive_class(G, i)
+        assert not set(cls) & set(G._centralizer_cache)
+        assert list(centralizer(G, i)) == naive_centralizer(G, i)
+        classes.append(cls)
+        for c in cls:
+            cen = G._centralizer_cache[c]
+            assert cen.dtype == np.int64 and not cen.flags.writeable
+            assert list(cen) == naive_centralizer(G, c), (c, i)
+        with pytest.raises(ValueError):
+            G._centralizer_cache[cls[-1]][0] = 0
+    assert scans == [cls[0] for cls in classes]
+    assert sorted(G._centralizer_cache) == list(range(G.order))
+    if name == "sym4":
+        assert len(classes) == 5
+
+
+def test_a_miss_keeps_cached_entries_of_its_class(agl_d9, monkeypatch):
+    """An entry put in the cache by hand survives a later miss in its class;
+    the other members are filled, and a hit scans nothing."""
+    G = fresh(agl_d9)
+    scans = counted_scans(monkeypatch)
+    shift = G.elements[1]
+    cls = naive_class(G, 1)
+    kept = np.array([G.identity_index], dtype=np.int64)
+    G._centralizer_cache[cls[-1]] = kept
+    assert list(centralizer(G, shift)) == naive_centralizer(G, 1)
+    assert G._centralizer_cache[cls[-1]] is kept
+    assert all(list(G._centralizer_cache[c]) == naive_centralizer(G, c) for c in cls[:-1])
+    assert centralizer(G, cls[-1]) is kept
+    assert scans == [1]
 
 
 def test_index_of_rejects_outsiders(agl_f5):
     with pytest.raises(NotAMember):
         agl_f5.index_of(np.array([2, 1, 0, 3, 4], dtype=np.int32))  # a transposition
+
+
+def test_element_indices_out_of_range(agl_f5):
+    for bad in (-1, agl_f5.order, np.int64(99)):
+        with pytest.raises(NotAMember, match=f"no element with index {bad}"):
+            centralizer(agl_f5, bad)
+        with pytest.raises(NotAMember):
+            conjugacy_class(agl_f5, bad)
+
+
+def test_as_perm_refuses_non_integers_and_stacks():
+    with pytest.raises(MalformedDocument, match="images must be integers"):
+        as_perm([1.0, 0.0])
+    with pytest.raises(NotABijection, match="flat image sequence"):
+        as_perm([[1, 0], [0, 1]])
+    assert as_perm([1, 2, 0]).dtype == np.int32
+
+
+def test_constructor_refuses_duplicates_and_a_missing_identity():
+    cycle = np.array([[1, 2, 0], [2, 0, 1]], dtype=np.int32)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        PermGroup(3, cycle[[0, 0]], cycle[:1])
+    with pytest.raises(ValueError, match="identity missing"):
+        PermGroup(3, cycle, cycle[:1])
+
+
+def test_repr(agl_f5, sym4):
+    assert repr(agl_f5) == "PermGroup(degree=5, order=20)"
+    assert repr(sym4) == "PermGroup(degree=4, order=24)"
 
 
 def test_index_of_confirms_every_row_of_a_long_stack(monkeypatch):
