@@ -403,14 +403,9 @@ def test_a_miss_keeps_cached_entries_of_its_class(agl_d9, monkeypatch):
 def test_index_of_rejects_outsiders(agl_f5):
     with pytest.raises(NotAMember):
         agl_f5.index_of(np.array([2, 1, 0, 3, 4], dtype=np.int32))  # a transposition
-
-
-def test_element_indices_out_of_range(agl_f5):
-    for bad in (-1, agl_f5.order, np.int64(99)):
-        with pytest.raises(NotAMember, match=f"no element with index {bad}"):
-            centralizer(agl_f5, bad)
-        with pytest.raises(NotAMember):
-            conjugacy_class(agl_f5, bad)
+    for bad in (np.arange(4), np.int32(3), np.zeros((2, 6), dtype=np.int32)):
+        with pytest.raises(NotAMember, match="degree mismatch"):
+            agl_f5.index_of(bad)
 
 
 def test_as_perm_refuses_non_integers_and_stacks():
