@@ -9,13 +9,16 @@ during the build:
 * conjugation:  { k in J : k^-1 (i j) k == j i }
 
 The membership and conjugation forms are one boolean row per distinct
-translation i j; the coset form is checked once per distinct translation,
-over every pair with that product.
+translation i j; the coset form is checked for every pair, each coset a
+gather from one product table of J by the union of the centralizers.
 
 The build only proceeds when the four equivalent preconditions hold
 (commuting transitive on nontrivial translations; unique square roots in the
 products iJ meet kJ; centralizers equal to those products, abelian and
 inverted; centralizer classes partitioning the nontrivial translations).
+:func:`check_geometry_conditions` decides each for every pair from tables of
+about |J|^2 cells over the columns of J.J, by the exact reductions its
+docstring states.
 The finished structure satisfies the partial-plane axioms: two points span
 exactly one line, two lines meet in at most one point.
 
@@ -54,17 +57,25 @@ from .reporting import (Check, CheckReport, field_dict, in_chunks, least_cell,
 from .s2t import _require_certified, _require_odd_characteristic
 
 
-def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, group) for the rows of a boolean matrix: the first row of each
-    distinct row, and the group of every row, groups numbered by first
-    appearance."""
-    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) for the rows of a boolean or integer matrix: the first
+    row of each distinct row, and the group of every row, groups numbered by
+    first appearance."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1) if rows.dtype == bool else rows)
+    keys = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[group]
+
+
+def _padded(rows: list[np.ndarray], pad) -> np.ndarray:
+    """The arrays ``rows`` as the rows of one matrix, padded with ``pad``."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), pad, dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r, :len(row)] = row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +85,30 @@ _C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
 
 
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
-    """Evaluate the four conditions independently and report agreement."""
+    """Evaluate the four conditions independently and report agreement.
+
+    (b) and (c) are decided for every pair of involutions by exact
+    reductions to tables of about |J|^2 cells, and each witness is the least
+    failing tuple of the pair loop that the reduction replaces:
+
+    * iJ is held as a boolean row over the columns of J.J only: iJ, and so
+      every meet iJ ∩ kJ, lies inside J.J.
+    * (b) asks whether squaring maps iJ ∩ kJ onto itself, a property of the
+      two sets alone. It is tested once per pair of distinct iJ rows, on
+      representatives, in row chunks, and each pair (i, k) reads the verdict
+      of its pair of rows. In every catalog group iJ = J.J for all i, so
+      one pair of rows is tested.
+    * (c) is read from three count matrices over the J.J columns:
+      |iJ ∩ kJ| per (i, k), |Cen(σ) ∩ iJ| per (σ, i), and the members of
+      Cen(σ) that k does not invert per (σ, k). For σ = ik, Cen(σ) differs
+      from iJ ∩ kJ exactly when |Cen(σ)| differs from |Cen(σ) ∩ iJ|, from
+      |Cen(σ) ∩ kJ| or from |iJ ∩ kJ|. When it does not, Cen(σ) lies inside
+      iJ, so k inverts all of Cen(σ) exactly when it inverts the members in
+      iJ that the loop tested. The counts are int64, so no product goes
+      through float BLAS, whose thread count a caller need not pin.
+    * The abelian test of (c), the count rows and (d) run once per distinct
+      centralizer set.
+    """
     cert = _require_odd_characteristic(G)
 
     j_idx = cert._j
@@ -95,92 +129,90 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     checks.append(Check("commuting-transitive-on-translations", witness is None,
                         witness=witness))
 
-    # iJ as a membership mask, row i for the involution at position i; the
-    # diagonal products ii are the identity, every other product ik a
-    # translation. Scans of row i read the columns ij[i], the elements of iJ.
+    # iJ as a membership row over the columns of J.J, row i for the
+    # involution at position i; column m collects elements outside J.J
     n = len(j_idx)
     ij = cert._jj  # row i: i then each involution
-    in_ij = np.zeros((n, G.order), dtype=bool)
-    in_ij[np.arange(n)[:, None], ij] = True
+    jj = distinct(ij)
+    m = len(jj)
+    column = np.full(G.order, m, dtype=np.int64)
+    column[jj] = np.arange(m)
+    in_ij = np.zeros((n, m), dtype=bool)
+    in_ij[np.arange(n)[:, None], column[ij]] = True
+    first_ij, group_ij = _distinct_rows(in_ij)
 
-    # (b) squaring is a bijection of iJ meet kJ for all involution pairs
-    every = np.arange(G.order)
-    square_of = G.mul(every, every)
-    witness = None
-    for i in range(n - 1):
-        column = np.full(G.order, n)  # column n collects squares outside iJ
-        column[ij[i]] = np.arange(n)
-        meet = in_ij[i + 1:, ij[i]]  # row k - i - 1: iJ meet kJ
+    # (b) squaring is a bijection of iJ meet kJ for all involution pairs,
+    # decided per pair left <= right of distinct iJ rows
+    square_column = column[G.mul(jj, jj)]
+    left, right = np.triu_indices(len(first_ij))
+
+    def squares_differ(lo, hi):
+        meet = in_ij[first_ij[left[lo:hi]]] & in_ij[first_ij[right[lo:hi]]]
         rows, cols = np.nonzero(meet)
-        image = np.zeros((len(meet), n + 1), dtype=bool)
-        image[rows, column[square_of[ij[i, cols]]]] = True
-        bad = np.flatnonzero((image[:, :n] != meet).any(axis=1) | image[:, n])
-        if len(bad):
-            witness = (int(j_idx[i]), int(j_idx[i + 1 + bad[0]]))
-            break
+        image = np.zeros((hi - lo, m + 1), dtype=bool)
+        image[rows, square_column[cols]] = True
+        return image[:, m] | (image[:, :m] != meet).any(axis=1)
+
+    fails = np.zeros((len(first_ij),) * 2, dtype=bool)
+    fails[left, right] = fails[right, left] = in_chunks(squares_differ, len(left), m)
+    witness = least_cell(np.triu(fails[group_ij[:, None], group_ij[None, :]], 1))
+    if witness is not None:
+        witness = (int(j_idx[witness[0]]), int(j_idx[witness[1]]))
     checks.append(Check("unique-square-roots-in-product-meets", witness is None,
                         witness=witness))
 
-    # one centralizer mask per distinct translation: the products ik (i != k)
-    # and the listed nontrivial translations
+    # one centralizer set per distinct translation: the products ik (i != k)
+    # and the listed nontrivial translations; set r of the distinct sets is
+    # cens[first_cen[r]], and row_of sends each translation to its cens row
     sigmas = distinct(np.append(ij[~np.eye(n, dtype=bool)], nontrivial))
     row_of = np.full(G.order, -1, dtype=np.int64)
     row_of[sigmas] = np.arange(len(sigmas))
-    cen = np.zeros((len(sigmas), G.order), dtype=bool)
-    for r, t in enumerate(sigmas.tolist()):
-        cen[r, centralizer(G, t)] = True
+    cens = [distinct(centralizer(G, t)) for t in sigmas.tolist()]
+    first_cen, set_of = _distinct_rows(_padded(cens, -1))
+    sets = [cens[r] for r in first_cen]
+    set_size = np.array([len(members) for members in sets])
 
     # (c) Cen(ik) equals iJ meet kJ, is abelian, and is inverted by k
-    first, group = _distinct_rows(cen)
-    abelian = np.empty(len(first), dtype=bool)
-    for g, r in enumerate(first):
-        members = np.flatnonzero(cen[r])
+    set_on_jj = np.zeros((len(sets), m + 1), dtype=np.int64)  # on the J.J columns
+    abelian = np.empty(len(sets), dtype=bool)
+    for r, members in enumerate(sets):
+        set_on_jj[r, column[members]] = 1
         table = G.mul(members[:, None], members[None, :])
-        abelian[g] = np.array_equal(table, table.T)
-    abelian = abelian[group]
-    # Cen(ik) is compared on the columns of iJ, and a centralizer element
-    # outside iJ shows as a size difference; mismatch is tested first, so
-    # inversion by k need only be tabulated on the elements of J.J
-    cen_size = cen.sum(axis=1)
-    jj = distinct(ij)
-    inverted = np.zeros((n, G.order), dtype=bool)
-    inverted[:, jj] = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
-    # cube (i, k, c): cell c of iJ for the pair (i, k), masked on k == i;
-    # failed(lo, hi) holds the (3, i, k) failure reasons of rows lo:hi of i
-    def failed(lo, hi):
-        i = np.arange(lo, hi)
-        cells = ij[i]  # the elements of iJ
-        rows = row_of[cells]  # Cen(ik); -1 on the diagonal
-        cen_on_ij = cen[:, cells][rows, np.arange(len(i))[:, None]]
-        reasons = np.stack([
-            (cen_on_ij != in_ij[:, cells].transpose(1, 0, 2)).any(axis=2)
-            | (np.count_nonzero(cen_on_ij, axis=2) != cen_size[rows]),
-            ~abelian[rows],
-            (cen_on_ij & ~inverted[:, cells].transpose(1, 0, 2)).any(axis=2),
-        ])
-        reasons[:, i - lo, i] = False
-        return reasons
+        abelian[r] = np.array_equal(table, table.T)
+    set_on_jj = set_on_jj[:, :m]
+    inverted = G.conj(jj[None, :], j_idx[:, None]) == G.inv(jj)[None, :]
+    rows_ij = in_ij[first_ij].astype(np.int64)
+    meet_size = (rows_ij @ rows_ij.T)[group_ij[:, None], group_ij[None, :]]  # (i, k)
+    set_in_ij = (set_on_jj @ rows_ij.T)[:, group_ij]  # (set, i)
+    not_inverted = set_on_jj @ (~inverted).T.astype(np.int64)  # (set, k)
 
+    i, k = np.indices((n, n))
+    s = set_of[row_of[ij]]  # (i, k): the set Cen(ik); any set on the diagonal
+    size = set_size[s]
+    reasons = np.stack([
+        (meet_size != size) | (set_in_ij[s, i] != size) | (set_in_ij[s, k] != size),
+        ~abelian[s],
+        not_inverted[s, k] > 0,
+    ])
+    reasons[:, i == k] = False
     witness = None
-    if hit := least_cell_in_chunks(lambda lo, hi: failed(lo, hi).any(axis=0), n, n * n):
-        i, k = hit
-        reason = _C_REASONS[int(np.argmax(failed(i, i + 1)[:, 0, k]))]
-        witness = (int(j_idx[i]), int(j_idx[k]), reason)
+    if (hit := least_cell(reasons.any(axis=0))) is not None:
+        a, b = hit
+        witness = (int(j_idx[a]), int(j_idx[b]), _C_REASONS[int(np.argmax(reasons[:, a, b]))])
     checks.append(Check("centralizers-match-products-abelian-inverted", witness is None,
                         witness=witness))
 
     # (d) centralizer classes partition the nontrivial translations
-    classes = cen[row_of[nontrivial]]
-    classes = classes[_distinct_rows(classes)[0]]
-    classes[:, G.identity_index] = False
+    members = np.concatenate([sets[r] for r in distinct(set_of[row_of[nontrivial]])])
+    members = members[members != G.identity_index]
     is_translation = np.zeros(G.order, dtype=bool)
     is_translation[nontrivial] = True
-    outside = np.flatnonzero(classes.any(axis=0) & ~is_translation)
-    counts = classes.sum(axis=0)[nontrivial]
+    outside = members[~is_translation[members]]
+    counts = np.bincount(members, minlength=G.order)[nontrivial]
     off = np.flatnonzero(counts != 1)
     witness = None
     if len(outside):
-        witness = (int(outside[0]), "outside-translations")
+        witness = (int(outside.min()), "outside-translations")
     elif len(off):
         witness = (int(nontrivial[off[0]]), f"in-{counts[off[0]]}-classes")
     checks.append(Check("centralizer-classes-partition-translations", witness is None,
@@ -281,18 +313,34 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
 
     # coset form, for every pair (a, b) with product sigma: a then c, c
     # centralizing sigma, gives the membership line (so the line holds a and
-    # b and has |Cen(sigma)| points)
-    for r, sigma in enumerate(sigmas.tolist()):
-        pa, pb = a[row_of_pair == r], b[row_of_pair == r]
-        coset = cert._jpos[G.mul(j_idx[pa][:, None], centralizer(G, sigma)[None, :])]
-        leaves = (coset < 0).any(axis=1)
-        on_coset = np.zeros((len(pa), n), dtype=bool)
-        on_coset[np.arange(len(pa))[:, None], coset] = True
-        bad = np.flatnonzero(leaves | (on_coset != member[r]).any(axis=1))
-        if len(bad):
-            x, y = int(j_idx[pa[bad[0]]]), int(j_idx[pb[bad[0]]])
-            what = "leaves J" if leaves[bad[0]] else "disagrees with membership"
-            raise CharacterizationMismatch(f"coset of pair ({x},{y}) {what}")
+    # b and has |Cen(sigma)| points). Every coset is a gather from one table
+    # of J times U, the union of the centralizers, holding J positions, with
+    # n + 1 for a product outside J and a last column n for padding; row r
+    # of `at` lists the columns of Cen(sigma_r), padded. Pairs are taken by
+    # sigma in order of first appearance, then in pair order, so the pair
+    # named is the first failing pair of the first failing sigma.
+    cens = [centralizer(G, sigma) for sigma in sigmas.tolist()]
+    union = distinct(np.concatenate(cens))
+    on_union = np.full((n, len(union) + 1), n, dtype=np.int32)
+    on_union[:, :-1] = cert._jpos[G.mul(j_idx[:, None], union[None, :])]
+    on_union[on_union < 0] = n + 1
+    at = _padded([np.searchsorted(union, cen) for cen in cens], len(union))
+    by_sigma = np.argsort(row_of_pair, kind="stable")
+
+    def coset_fails(lo, hi):  # column 0: leaves J; column 1: leaves J or disagrees
+        pairs = by_sigma[lo:hi]
+        coset = on_union[a[pairs, None], at[row_of_pair[pairs]]]
+        on_coset = np.zeros((hi - lo, n + 2), dtype=bool)
+        on_coset.ravel()[coset + (n + 2) * np.arange(hi - lo)[:, None]] = True
+        leaves = on_coset[:, n + 1]
+        differs = (on_coset[:, :n] != member[row_of_pair[pairs]]).any(axis=1)
+        return np.stack([leaves, leaves | differs], axis=1)
+
+    if hit := least_cell_in_chunks(coset_fails, len(by_sigma), at.shape[1] + 2 * n):
+        pair = by_sigma[hit[0]]
+        x, y = int(j_idx[a[pair]]), int(j_idx[b[pair]])
+        what = "leaves J" if hit[1] == 0 else "disagrees with membership"
+        raise CharacterizationMismatch(f"coset of pair ({x},{y}) {what}")
 
     first_sigma, line_of_sigma = _distinct_rows(member)
     geom.incidence = member[first_sigma]

@@ -232,7 +232,7 @@ def swap_involution(G: PermGroup, x: int, y: int) -> np.ndarray:
 
 
 def verify_basic_properties(G: PermGroup) -> CheckReport:
-    """Exhaustive scan of the three standard regularity facts (char != 2):
+    """Exhaustive check of the three standard regularity facts (char != 2):
 
     (a) the centralizer of each involution acts regularly, by conjugation,
         on the remaining involutions;
@@ -241,29 +241,50 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     (c) the translations meet every involution centralizer only in 1.
 
     Involution -> fixed point is a bijection (the certificate checks it) and
-    fix(c^-1 j c) == c(fix j), so in (a) the column of j lists every point
-    but fix(i) once exactly when it would list every other involution once.
+    fix(c^-1 j c) == c(fix j), so (a) holds for i exactly when, for every
+    other involution j, the column of points c(fix j) over c in Cen(i) lists
+    every point but fix(i) once. That holds exactly when Cen(i) has n - 1
+    distinct members and each fixes fix(i):
+
+    * if every column passes, two equal members would repeat a point, and a
+      member sending some fix(j) to fix(i) would put fix(i) in a column;
+    * conversely, n - 1 distinct members of Stab(fix i) are all of it, as
+      the certified sharp 2-transitivity gives it exactly d - 1 = n - 1
+      elements, acting regularly on the other points.
+
+    So one (n, n - 1) gather over the stacked centralizers decides every i,
+    and the column table is built only for the first failing i, to read its
+    witness. (c) reads the same stack.
     """
     cert = _require_odd_characteristic(G)
     j_idx = cert._j
     n = len(j_idx)
     positions = np.arange(n)
+    fix = cert._fix_points
     checks = []
 
+    cens = [centralizer(G, int(j)) for j in j_idx.tolist()]
+    sizes = np.array([len(cen) for cen in cens])
+    members = np.concatenate(cens)
+    owner = np.repeat(positions, sizes)
+
+    # the rows before the first wrong size stack to an (s, n - 1) table
+    wrong_size = np.flatnonzero(sizes != n - 1)
+    sized = int(wrong_size[0]) if len(wrong_size) else n
+    stack = members[:sized * (n - 1)].reshape(sized, n - 1)
+    regular = ((np.diff(np.sort(stack, axis=1), axis=1) != 0).all(axis=1)
+               & (G.elements[stack, fix[:sized, None]] == fix[:sized, None]).all(axis=1))
     witness = None
-    for ipos in range(n):
-        cen = centralizer(G, int(j_idx[ipos]))
-        if len(cen) != n - 1:
-            witness = (int(j_idx[ipos]), "centralizer-size", len(cen), n - 1)
-            break
+    if not regular.all():
+        ipos = int(np.argmin(regular))
         # column p: the points fixed by c^-1 j_p c over c in the centralizer
         others = positions[positions != ipos]
-        table = _conjugate_fixed_points(G, cert, cen, others)
-        rest = np.delete(np.arange(G.degree), cert._fix_points[ipos])
+        table = _conjugate_fixed_points(G, cert, stack[ipos], others)
+        rest = np.delete(np.arange(G.degree), fix[ipos])
         bad = np.nonzero(np.any(np.sort(table, axis=0) != rest[:, None], axis=0))[0]
-        if len(bad):
-            witness = (int(j_idx[ipos]), int(j_idx[others[bad[0]]]))
-            break
+        witness = (int(j_idx[ipos]), int(j_idx[others[bad[0]]]))
+    elif sized < n:
+        witness = (int(j_idx[sized]), "centralizer-size", int(sizes[sized]), n - 1)
     checks.append(Check("centralizer-regular-on-other-involutions", witness is None,
                         witness=witness))
 
@@ -273,15 +294,18 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     checks.append(Check("involution-conjugation-regular", witness is None,
                         witness=witness))
 
-    witness = None
+    # the centralizer of i meets the translations in {1} exactly when one
+    # member is a translation and that member is 1
     is_translation = np.zeros(G.order, dtype=bool)
     is_translation[cert._translations] = True
-    for ipos in range(n):
-        cen = centralizer(G, int(j_idx[ipos]))
-        meet = cen[is_translation[cen]].tolist()  # sorted, as cen is
-        if meet != [G.identity_index]:
-            witness = (int(j_idx[ipos]), meet)
-            break
+    meets = is_translation[members]
+    trivial = ((np.bincount(owner[meets], minlength=n) == 1)
+               & (np.bincount(owner[meets & (members == G.identity_index)], minlength=n) == 1))
+    witness = None
+    if not trivial.all():
+        ipos = int(np.argmin(trivial))
+        cen = cens[ipos]
+        witness = (int(j_idx[ipos]), cen[is_translation[cen]].tolist())
     checks.append(Check("translations-meet-centralizers-trivially", witness is None,
                         witness=witness))
 

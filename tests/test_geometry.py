@@ -8,7 +8,9 @@ import pytest
 
 from involq import (
     CharacteristicTwo,
+    CharacterizationMismatch,
     Geometry,
+    GeometryConditionsFailed,
     Line,
     PointsEqual,
     build_geometry,
@@ -60,6 +62,15 @@ def test_conditions_witnesses_on_tampered_certificate(group, outside, request, m
         ("centralizer-classes-partition-translations", False, (outside, "outside-translations")),
         ("conditions-agree", False, None),
     ]
+
+
+def test_build_refuses_failed_conditions(agl_f7, monkeypatch):
+    """With the last translation dropped, (d) fails and the build names it."""
+    cert = certify_sharply_2_transitive(agl_f7)
+    monkeypatch.setattr(cert, "_translations", cert._translations[:-1])
+    with pytest.raises(GeometryConditionsFailed,
+                       match="centralizer-classes-partition-translations"):
+        build_geometry(agl_f7)
 
 
 def _condition_c_by_loop(G):
@@ -127,6 +138,121 @@ def test_condition_c_witness_matches_the_loop(tamper, reason, chunk_cells, monke
             "centralizers-match-products-abelian-inverted")
         assert not check.passed
         assert check.witness == expected
+
+
+def test_condition_c_foreign_member_matches_the_loop(monkeypatch):
+    """A cached centralizer with a member swapped for an involution, which
+    lies outside every iJ, has the size of iJ meet kJ but is not inside it:
+    (c) fails as a mismatch at the loop's pair."""
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        sigma = int(cert._jj[3, 5])
+        cen = centralizer(G, sigma)
+        G._centralizer_cache[sigma] = np.sort(np.append(cen[:-1], cert._j[0]))
+        expected = _condition_c_by_loop(G)
+        assert expected is not None and expected[2] == "centralizer-mismatch"
+        check = check_geometry_conditions(G).check(
+            "centralizers-match-products-abelian-inverted")
+        assert check.witness == expected
+
+
+def _condition_b_by_loop(G):
+    """Condition (b) one pair i < k at a time, squaring the members of
+    iJ meet kJ: the witness of the scan before it ran per pair of distinct
+    iJ rows."""
+    cert = certify_sharply_2_transitive(G)
+    j, ij = cert._j, cert._jj
+    n = len(j)
+    for i in range(n):
+        for k in range(i + 1, n):
+            meet = set(ij[i].tolist()) & set(ij[k].tolist())
+            squares = set(G.mul(np.array(sorted(meet)), np.array(sorted(meet))).tolist())
+            if squares != meet:
+                return (int(j[i]), int(j[k]))
+    return None
+
+
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+@pytest.mark.parametrize("rows, column, expected", [
+    ((3, 5), "diagonal", (3, 5)),    # only the pair of tampered rows fails
+    ((3,), "diagonal", None),        # 1 leaves one row: squaring still maps meets onto themselves
+    ((3,), "off-diagonal", (0, 3)),  # a translation leaves: its square root's square leaves too
+    ((2, 4, 6), "diagonal", (2, 4)),
+])
+def test_condition_b_on_distinct_product_sets(rows, column, expected, chunk_cells,
+                                              monkeypatch):
+    """Rows of the product table whose identity (on the diagonal) or one
+    translation (the product with the next involution) is replaced by the
+    first involution give two distinct sets iJ. Squaring maps iJ meet kJ
+    onto itself unless a square leaves it: the involution squares to 1, and
+    the square root of a dropped translation squares to it. The witness is
+    the loop's, read back from the pair of distinct rows to the least
+    involution pair."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        ij = cert._jj.copy()
+        for r in rows:
+            ij[r, r if column == "diagonal" else r + 1] = cert._j[0]
+        monkeypatch.setattr(cert, "_jj", ij)
+        assert len(geometry_mod._distinct_rows(
+            np.sort(ij, axis=1))[0]) == 2
+        want = None if expected is None else tuple(int(cert._j[p]) for p in expected)
+        assert _condition_b_by_loop(G) == want
+        check = check_geometry_conditions(G).check("unique-square-roots-in-product-meets")
+        assert check.passed == (want is None)
+        assert check.witness == want
+
+
+def _coset_failure_by_loop(G):
+    """The coset form one pair at a time, by distinct translation in order
+    of first appearance: the message the build raised before every coset
+    was a gather from one table."""
+    cert = certify_sharply_2_transitive(G)
+    j = cert._j
+    a, b = np.triu_indices(len(j), 1)
+    sigma_of_pair = cert._jj[a, b]
+    sigmas = list(dict.fromkeys(sigma_of_pair.tolist()))
+    for sigma in sigmas:
+        line = set(np.flatnonzero(cert._jpos[G.mul(j, sigma)] >= 0).tolist())
+        for p in np.flatnonzero(sigma_of_pair == sigma):
+            coset = cert._jpos[G.mul(j[a[p]], centralizer(G, sigma))]
+            what = ("leaves J" if (coset < 0).any()
+                    else "disagrees with membership" if set(coset.tolist()) != line else None)
+            if what:
+                return f"coset of pair ({int(j[a[p]])},{int(j[b[p]])}) {what}"
+    return None
+
+
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+@pytest.mark.parametrize("tamper, what", [
+    ("involution-member", "leaves J"),
+    ("drop-member", "disagrees with membership"),
+    ("duplicate-member", "disagrees with membership"),
+])
+def test_coset_form_mismatch_matches_the_loop(tamper, what, chunk_cells, monkeypatch):
+    """With a cached centralizer tampered after the conditions passed, the
+    coset a.Cen(sigma) of each pair with that product leaves J (a member
+    swapped for an involution: a times it is a translation) or misses a
+    point of the line (a member dropped, or swapped for a second copy of
+    another). The build raises the loop's message, naming its first pair."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        conditions = check_geometry_conditions(G)
+        assert conditions.ok and _coset_failure_by_loop(G) is None
+        sigma = int(cert._jj[3, 5])
+        cen = centralizer(G, sigma)
+        G._centralizer_cache[sigma] = {
+            "involution-member": np.sort(np.append(cen[:-1], cert._j[0])),
+            "drop-member": cen[:-1],
+            "duplicate-member": np.sort(np.append(cen[:-1], cen[0])),
+        }[tamper]
+        expected = _coset_failure_by_loop(G)
+        assert expected is not None and expected.endswith(what)
+        with pytest.raises(CharacterizationMismatch) as raised:
+            build_geometry(G, conditions)
+        assert str(raised.value) == expected
 
 
 def test_conditions_char2_raises(agl_f4):

@@ -352,11 +352,12 @@ def _fresh_groups():
     return [affine_group(make_field(7, 1)), affine_group(make_dickson(3, 2))]
 
 
-@pytest.mark.parametrize("tamper", ["drop-member", "foreign-member"])
+@pytest.mark.parametrize("tamper", ["drop-member", "foreign-member", "duplicate-member"])
 def test_basic_a_witness_on_tampered_centralizers(tamper):
     """A centralizer one element short fails (a) on its size; one with a
-    member swapped for another involution fails on a column. Either way the
-    witness is the one the G.conj table gives."""
+    member swapped for another involution, or for a second copy of a member,
+    fails on a column. Either way the witness is the one the G.conj table
+    gives."""
     for G in _fresh_groups():
         cert = certify_sharply_2_transitive(G)
         j = cert._j
@@ -364,13 +365,53 @@ def test_basic_a_witness_on_tampered_centralizers(tamper):
         cen = centralizer(G, target)
         if tamper == "drop-member":
             tampered = cen[:-1]
-        else:
+        elif tamper == "foreign-member":
             tampered = np.sort(np.append(cen[:-1], j[5]))
+        else:
+            tampered = np.sort(np.append(cen[:-1], cen[0]))
         G._centralizer_cache[target] = tampered
         expected = _basic_a_by_conjugation(G)
         assert expected is not None and expected[0] == target
         assert (expected[1] == "centralizer-size") == (tamper == "drop-member")
         check = verify_basic_properties(G).check("centralizer-regular-on-other-involutions")
+        assert not check.passed
+        assert check.witness == expected
+
+
+def _basic_c_by_loop(G):
+    """Basic property (c) one involution at a time: the scan before the
+    centralizers were stacked."""
+    cert = certify_sharply_2_transitive(G)
+    is_translation = np.zeros(G.order, dtype=bool)
+    is_translation[cert._translations] = True
+    for i in cert._j.tolist():
+        cen = centralizer(G, i)
+        meet = cen[is_translation[cen]].tolist()
+        if meet != [G.identity_index]:
+            return (i, meet)
+    return None
+
+
+@pytest.mark.parametrize("tamper", ["drop-identity", "duplicate-identity", "add-translation"])
+def test_basic_c_witness_on_tampered_centralizers(tamper):
+    """A centralizer without 1, with 1 twice, or with a translation besides
+    1 meets the translations in something other than {1}; the stacked scan
+    names the involution and the meet the loop names."""
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        assert _basic_c_by_loop(G) is None
+        target = int(cert._j[3])
+        cen = centralizer(G, target)
+        if tamper == "drop-identity":
+            tampered = cen[cen != G.identity_index]
+        elif tamper == "duplicate-identity":
+            tampered = np.sort(np.append(cen, G.identity_index))
+        else:
+            tampered = np.sort(np.append(cen[:-1], cert._translations[-1]))
+        G._centralizer_cache[target] = tampered
+        expected = _basic_c_by_loop(G)
+        assert expected is not None and expected[0] == target
+        check = verify_basic_properties(G).check("translations-meet-centralizers-trivially")
         assert not check.passed
         assert check.witness == expected
 
