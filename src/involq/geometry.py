@@ -8,9 +8,9 @@ during the build:
 * coset:        { i c : c centralizing i j }          (must land inside J)
 * conjugation:  { k in J : k^-1 (i j) k == j i }
 
-The membership and conjugation forms are one boolean row per distinct
-translation i j; the coset form is checked for every pair, each coset a
-gather from one product table of J by the union of the centralizers.
+The three forms are one boolean row per distinct translation i j: the coset
+of its first pair decides every pair with that product, as
+:func:`build_geometry` argues.
 
 The build only proceeds when the four equivalent preconditions hold
 (commuting transitive on nontrivial translations; unique square roots in the
@@ -52,8 +52,7 @@ from .errors import (
     PointsEqual,
 )
 from .permgroup import PermGroup, centralizer, distinct
-from .reporting import (Check, CheckReport, field_dict, in_chunks, least_cell,
-                        least_cell_in_chunks, least_cells)
+from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell, least_cells
 from .s2t import _require_certified, _require_odd_characteristic
 
 
@@ -265,7 +264,10 @@ class Geometry:
 
 
 def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geometry:
-    """Construct all lines, cross-validating the three characterizations."""
+    """Construct all lines, cross-validating the three characterizations,
+    each once per distinct translation: the coset form on the first pair with
+    that product, which decides every such pair as centralizer() returns a
+    subgroup (the argument is stated at that step)."""
     cert = _require_odd_characteristic(G)
     if conditions is None:
         conditions = check_geometry_conditions(G)
@@ -292,14 +294,11 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
         geom.classes.append(tuple(cls.tolist()))
 
     # the pairs a < b in row-major order, and the distinct translations ab in
-    # order of first appearance
+    # order of first appearance, each with its first pair
     a, b = np.triu_indices(n, 1)
     sigma_of_pair = cert._jj[a, b]  # a then b
-    _, first_pair = np.unique(sigma_of_pair, return_index=True)
-    sigmas = sigma_of_pair[np.sort(first_pair)]
-    row_of = np.full(G.order, -1, dtype=np.int64)
-    row_of[sigmas] = np.arange(len(sigmas))
-    row_of_pair = row_of[sigma_of_pair]
+    first_pair = _distinct_rows(sigma_of_pair[:, None])[0]
+    sigmas = sigma_of_pair[first_pair]
 
     # membership form: k then sigma is an involution
     member = cert._jpos[G.mul(j_idx[None, :], sigmas[:, None])] >= 0
@@ -313,33 +312,25 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
 
     # coset form, for every pair (a, b) with product sigma: a then c, c
     # centralizing sigma, gives the membership line (so the line holds a and
-    # b and has |Cen(sigma)| points). Every coset is a gather from one table
-    # of J times U, the union of the centralizers, holding J positions, with
-    # n + 1 for a product outside J and a last column n for padding; row r
-    # of `at` lists the columns of Cen(sigma_r), padded. Pairs are taken by
-    # sigma in order of first appearance, then in pair order, so the pair
-    # named is the first failing pair of the first failing sigma.
+    # b and has |Cen(sigma)| points). The first pair of each sigma decides
+    # every pair (a', b') with that product, because centralizer() returns a
+    # subgroup: a' lies on the line, as a' sigma = b' is in J, so when
+    # a Cen(sigma) is the line, a' = a c' with c' in Cen(sigma) and
+    # a' Cen(sigma) = a Cen(sigma); when it is not, no a' Cen(sigma) is, or
+    # it would hold a. So the pair named is the first failing pair of the
+    # first failing sigma. Row r of `on_coset` marks the J positions of the
+    # coset of sigma_r, and its last column the products outside J (-1).
     cens = [centralizer(G, sigma) for sigma in sigmas.tolist()]
-    union = distinct(np.concatenate(cens))
-    on_union = np.full((n, len(union) + 1), n, dtype=np.int32)
-    on_union[:, :-1] = cert._jpos[G.mul(j_idx[:, None], union[None, :])]
-    on_union[on_union < 0] = n + 1
-    at = _padded([np.searchsorted(union, cen) for cen in cens], len(union))
-    by_sigma = np.argsort(row_of_pair, kind="stable")
-
-    def coset_fails(lo, hi):  # column 0: leaves J; column 1: leaves J or disagrees
-        pairs = by_sigma[lo:hi]
-        coset = on_union[a[pairs, None], at[row_of_pair[pairs]]]
-        on_coset = np.zeros((hi - lo, n + 2), dtype=bool)
-        on_coset.ravel()[coset + (n + 2) * np.arange(hi - lo)[:, None]] = True
-        leaves = on_coset[:, n + 1]
-        differs = (on_coset[:, :n] != member[row_of_pair[pairs]]).any(axis=1)
-        return np.stack([leaves, leaves | differs], axis=1)
-
-    if hit := least_cell_in_chunks(coset_fails, len(by_sigma), at.shape[1] + 2 * n):
-        pair = by_sigma[hit[0]]
+    owner = np.repeat(np.arange(len(sigmas)), [len(cen) for cen in cens])
+    coset = cert._jpos[G.mul(j_idx[a[first_pair]][owner], np.concatenate(cens))]
+    on_coset = np.zeros((len(sigmas), n + 1), dtype=bool)
+    on_coset[owner, coset] = True
+    leaves = on_coset[:, n]
+    fails = np.flatnonzero(leaves | (on_coset[:, :n] != member).any(axis=1))
+    if len(fails):
+        pair = first_pair[fails[0]]
         x, y = int(j_idx[a[pair]]), int(j_idx[b[pair]])
-        what = "leaves J" if hit[1] == 0 else "disagrees with membership"
+        what = "leaves J" if leaves[fails[0]] else "disagrees with membership"
         raise CharacterizationMismatch(f"coset of pair ({x},{y}) {what}")
 
     first_sigma, line_of_sigma = _distinct_rows(member)
@@ -353,7 +344,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     geom.line_of_translation[sigmas] = line_of_sigma
     geom.line_of_translation.setflags(write=False)
     geom.line_of_pair = np.full((n, n), -1, dtype=np.int64)
-    geom.line_of_pair[a, b] = geom.line_of_pair[b, a] = line_of_sigma[row_of_pair]
+    geom.line_of_pair[a, b] = geom.line_of_pair[b, a] = geom.line_of_translation[sigma_of_pair]
     geom.line_of_pair.setflags(write=False)
 
     # partial-plane axioms: every pair lies on its line by construction; two

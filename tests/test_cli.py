@@ -1,5 +1,6 @@
 """Catalog contents, pipeline wiring, CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -133,6 +134,15 @@ def test_cli_malformed_order_cap_is_an_input_error(raw, monkeypatch, capsys):
     assert captured.err.startswith("input error: INVOLQ_ORDER_CAP") and captured.out == ""
 
 
+def test_cli_verify_all_with_a_malformed_order_cap_is_an_input_error(monkeypatch, capsys):
+    """The batch reads the cap when it builds its first entry, and re-raises
+    the input error rather than recording a failed entry."""
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "abc")
+    assert main(["verify", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: INVOLQ_ORDER_CAP") and captured.out == ""
+
+
 def test_failed_entry_build_is_recorded_and_the_batch_goes_on(monkeypatch, tmp_path):
     monkeypatch.setenv("INVOLQ_ORDER_CAP", "20")
     report_path = tmp_path / "all.json"
@@ -242,8 +252,28 @@ def test_verify_group_report_shape(agl_f5):
     assert report["conforms"] is True
 
 
+@pytest.mark.parametrize("flag, value", [("expected_characteristic", 3),
+                                         ("expected_split", False)])
+def test_entry_expecting_other_flags_does_not_conform(agl_f5, flag, value):
+    """Every stage passes, but the entry expected another characteristic or
+    split verdict than the report's."""
+    entry = dataclasses.replace(find_entry("agl-field-5"), **{flag: value})
+    report = verify_group(agl_f5, entry)
+    assert report["ok"] is True and report["conforms"] is False
+
+
 # ---------------------------------------------------------------------------
 # argparse surface
+
+
+def test_cli_catalog_plain_text(capsys):
+    assert main(["catalog", "--max-degree", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "agl-field-3            degree=3    char=3 split=True",
+        "agl-field-4            degree=4    char=2 split=True",
+        "agl-field-5            degree=5    char=5 split=True",
+        "sym4-fixture           degree=4    expected to fail certification",
+    ]
 
 
 def test_cli_catalog_json(capsys):

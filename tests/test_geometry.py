@@ -227,13 +227,15 @@ def _coset_failure_by_loop(G):
 @pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
 @pytest.mark.parametrize("tamper, what", [
     ("involution-member", "leaves J"),
+    ("involution-added", "leaves J"),
     ("drop-member", "disagrees with membership"),
     ("duplicate-member", "disagrees with membership"),
 ])
 def test_coset_form_mismatch_matches_the_loop(tamper, what, chunk_cells, monkeypatch):
     """With a cached centralizer tampered after the conditions passed, the
     coset a.Cen(sigma) of each pair with that product leaves J (a member
-    swapped for an involution: a times it is a translation) or misses a
+    swapped for an involution, or an involution added, so that the coset
+    also holds the whole line: a times it is a translation) or misses a
     point of the line (a member dropped, or swapped for a second copy of
     another). The build raises the loop's message, naming its first pair."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
@@ -245,11 +247,95 @@ def test_coset_form_mismatch_matches_the_loop(tamper, what, chunk_cells, monkeyp
         cen = centralizer(G, sigma)
         G._centralizer_cache[sigma] = {
             "involution-member": np.sort(np.append(cen[:-1], cert._j[0])),
+            "involution-added": np.sort(np.append(cen, cert._j[0])),
             "drop-member": cen[:-1],
             "duplicate-member": np.sort(np.append(cen[:-1], cen[0])),
         }[tamper]
         expected = _coset_failure_by_loop(G)
         assert expected is not None and expected.endswith(what)
+        with pytest.raises(CharacterizationMismatch) as raised:
+            build_geometry(G, conditions)
+        assert str(raised.value) == expected
+
+
+def _build_failure_by_loop(G):
+    """Every raise of the build after its conditions, one translation, point
+    and pair at a time and in the build's order: membership against
+    conjugation, the coset form (by :func:`_coset_failure_by_loop`), two
+    lines sharing points, then a line whose point products leave the class
+    of its first translation (no class when that is not a listed one)."""
+    cert = certify_sharply_2_transitive(G)
+    j = cert._j.tolist()
+    n = len(j)
+    sigmas = dict.fromkeys(int(cert._jj[a, b]) for a, b in itertools.combinations(range(n), 2))
+    lines = {}  # points -> the first translation of the line, in order of appearance
+    for sigma in sigmas:
+        member = frozenset(k for k in range(n) if cert._jpos[G.mul(j[k], sigma)] >= 0)
+        by_conj = frozenset(k for k in range(n) if G.conj(sigma, j[k]) == G.inv(sigma))
+        if member != by_conj:
+            return f"membership and conjugation disagree for translation {sigma}"
+        lines.setdefault(member, sigma)
+    if (coset := _coset_failure_by_loop(G)) is not None:
+        return coset
+    points = list(lines)
+    for la, lb in itertools.combinations(range(len(points)), 2):
+        if len(points[la] & points[lb]) > 1:
+            return f"lines {la} and {lb} share {len(points[la] & points[lb])} points"
+    listed = set(cert._translations.tolist()) - {G.identity_index}
+    for lid, (line, sigma) in enumerate(lines.items()):
+        cls = set(centralizer(G, sigma).tolist()) if sigma in listed else {G.identity_index}
+        if any(int(G.mul(j[p], j[q])) not in cls for p in line for q in line):
+            return f"line {lid} is not closed into its translation class"
+    return None
+
+
+def _identity_as_a_point(G, cert):
+    """Append the identity to the points of the certificate, with the
+    products of the new pairs. The pair (j, 1) has product j, whose
+    membership and conjugation lines are both {j, 1}, and caching {1, j} as
+    the centralizer of each involution j makes its coset {j, 1} too."""
+    points = np.append(cert._j, G.identity_index)
+    jpos = cert._jpos.copy()
+    jpos[G.identity_index] = len(cert._j)
+    for k in cert._j.tolist():
+        G._centralizer_cache[k] = np.array(sorted([G.identity_index, k]))
+    cert._j, cert._jpos = points, jpos
+    cert._jj = G.mul(points[:, None], points[None, :])
+    return points
+
+
+@pytest.mark.parametrize("tamper, what", [
+    ("wrong-inverses", "membership and conjugation disagree for translation"),
+    ("identity-product", "share"),
+    ("identity-point", "not closed into its translation class"),
+])
+def test_partial_plane_raises_match_the_loop(tamper, what):
+    """The raises after the coset form, reached after the conditions passed:
+
+    * two translations given the identity as inverse: no involution
+      conjugates them to it, yet every involution times them is one;
+    * the identity as a point, and the product of one pair (j2, 1) replaced
+      by the identity, cached with the centralizer j2 times the points: the
+      identity's line is every point, so it shares all of J with the line
+      of the translations;
+    * the identity as a point alone: the line {j0, 1} of the involution
+      j0, which is in no translation class, is not closed into one.
+
+    The build raises the loop's message."""
+    for G in _fresh_groups():
+        cert = certify_sharply_2_transitive(G)
+        conditions = check_geometry_conditions(G)
+        assert conditions.ok and _build_failure_by_loop(G) is None
+        if tamper == "wrong-inverses":
+            G._inverse = G._inverse.copy()
+            G._inverse[[cert._jj[3, 5], cert._jj[2, 6]]] = G.identity_index
+        else:
+            points = _identity_as_a_point(G, cert)
+            if tamper == "identity-product":
+                cert._jj[2, -1] = cert._jj[-1, 2] = G.identity_index
+                G._centralizer_cache[G.identity_index] = np.sort(G.mul(points[2], points))
+        expected = _build_failure_by_loop(G)
+        assert expected is not None and what in expected
         with pytest.raises(CharacterizationMismatch) as raised:
             build_geometry(G, conditions)
         assert str(raised.value) == expected
