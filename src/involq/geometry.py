@@ -336,9 +336,10 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     first_sigma, line_of_sigma = _distinct_rows(member)
     geom.incidence = member[first_sigma]
     geom.incidence.setflags(write=False)
+    line_class = class_of[sigmas[first_sigma]]  # -1: the translation is in no class
     geom.lines = [
-        Line(points=tuple(np.flatnonzero(on).tolist()), class_id=int(class_of[sigma]))
-        for on, sigma in zip(geom.incidence, sigmas[first_sigma])
+        Line(points=tuple(np.flatnonzero(on).tolist()), class_id=int(cid))
+        for on, cid in zip(geom.incidence, line_class)
     ]
     geom.line_of_translation = np.full(G.order, -1, dtype=np.int64)
     geom.line_of_translation[sigmas] = line_of_sigma
@@ -358,14 +359,18 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
             f"lines {la} and {lb} share {shared[la, lb]} points"
         )
 
-    # product of two points of a line centralizes the defining translation class
-    for lid, line in enumerate(geom.lines):
-        cls = geom.classes[line.class_id] + (G.identity_index,)
-        pts = j_idx[list(line.points)]
-        if not np.isin(G.mul(pts[:, None], pts[None, :]), cls).all():
-            raise CharacterizationMismatch(
-                f"line {lid} is not closed into its translation class"
-            )
+    # product of two points of a line centralizes the defining translation
+    # class: after the check above, the pairs of distinct points of a line are
+    # the pairs whose line it is, and each product must be in the line's
+    # class. The diagonal (j j is the identity, which every class admits; -1
+    # in line_of_pair) is masked. A line whose translation is in no class
+    # fails explicitly, as its products, in no class either, would match it.
+    pair_class = line_class[geom.line_of_pair]
+    bad = ~np.eye(n, dtype=bool) & ((class_of[cert._jj] != pair_class) | (pair_class < 0))
+    if bad.any():
+        raise CharacterizationMismatch(
+            f"line {geom.line_of_pair[bad].min()} is not closed into its translation class"
+        )
     return geom
 
 

@@ -25,10 +25,12 @@ Tables are numpy int32 arrays, write-protected after construction, so values
 are immutable and safe to share.
 
 :func:`verify_nearfield_axioms` decides every axiom exactly. The quadratic
-ones are scanned whole; associativity and the distributive laws are reduced
-to q**2 checks per element of a small generating set (Light's test, and
-additivity on additive generators). The cubic scan over all triples only
-locates the least witness of a law that fails. Table builds and scans run
+ones are scanned whole; associativity is reduced to q**2 checks per element
+of a small generating set (Light's test), and each distributive law to the
+additivity, on the additive generators, of the maps x -> x c (or c x) of 0
+and the multiplicative generators, every c when multiplication is not
+associative. The cubic scan over all triples only locates the least witness
+of a law that fails. Table builds and scans run
 in the row chunks of :mod:`involq.reporting`.
 """
 
@@ -372,12 +374,12 @@ def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
     return least_cell_in_chunks(lhs_fn, q, q * q)
 
 
-def _law_witness(reduced, gens: list[int] | None, cube, q: int) -> tuple | None:
-    """None when ``reduced(g, lo, hi)``, the rows lo:hi of a q x q mask of
-    failures, is clear for every g in ``gens``; otherwise, or when no
+def _law_witness(reduced, gens: list[int] | None, cube, q: int, width: int) -> tuple | None:
+    """None when ``reduced(g, lo, hi)``, the rows lo:hi of a q x ``width``
+    mask of failures, is clear for every g in ``gens``; otherwise, or when no
     ``gens`` apply, the cube's least witness."""
     if gens is not None and not any(
-        least_cell_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, q) is not None
+        least_cell_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, width) is not None
         for g in gens
     ):
         return None
@@ -388,8 +390,8 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     """Decide every near-field invariant of ``nf`` exactly.
 
     The quadratic checks scan all their tuples. The four cubic laws are
-    decided in q**2 per generator by two reductions, A being a greedy
-    generating set (:func:`_generators`):
+    decided by two reductions, A being a greedy generating set
+    (:func:`_generators`):
 
     * Associativity, by Light's test: if (x a) y = x (a y) for all x, y and
       each a in A, the law holds. The a that pass form a submagma: for a, b
@@ -401,8 +403,14 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
       f(x add g) = f(x) add f(g) for all x and each g in A_add, since the g
       that pass are closed under ``add``: f(x add (g add h))
       = f((x add g) add h) = (f(x) add f(g)) add f(h) = f(x) add f(g add h).
-      The maps are the columns of ``mul`` (right distributivity) and its
-      rows (left distributivity).
+      The maps are x -> x mul c (right distributivity) and x -> c mul x
+      (left distributivity). When ``mul`` is associative, x (c d) = (x c) d
+      and (c d) x = c (d x), so the map of c d is a composition of the maps
+      of c and d; a composition of additive maps is additive, so the c
+      whose map is additive are closed under ``mul``. If they hold 0 and
+      A_mul, they are all of K. So only those 1 + |A_mul| maps are read,
+      and each law costs q |A_add| (1 + |A_mul|) cells; otherwise every c
+      is read, q**2 |A_add| cells.
 
     A failing reduced check exhibits a violating triple, so a law fails
     exactly when its reduction fails. Only then, or when a reduction's
@@ -429,7 +437,7 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
         return lambda lo, hi: t[t[lo:hi]] != t[lo:hi][:, t]   # (ab)c vs a(bc)
 
     add_gens = _generators(add, np.ones(q, dtype=bool))
-    w = _law_witness(light(add), add_gens, associativity(add), q)
+    w = _law_witness(light(add), add_gens, associativity(add), q, q)
     checks.append(Check("add-associativity", w is None, witness=w))
     if w is not None:
         add_gens = None                    # the distributive reductions need it
@@ -464,8 +472,11 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-nonzero-closure", w is None, witness=w))
 
     mul_gens = _generators(mul, nonzero) if annihilates and w is None else None
-    w = _law_witness(light(mul), mul_gens, associativity(mul), q)
+    w = _law_witness(light(mul), mul_gens, associativity(mul), q, q)
     checks.append(Check("mul-associativity", w is None, witness=w))
+    # the c whose maps decide distributivity (see above); the slice, every c,
+    # keeps mul a view
+    maps = [0] + mul_gens if mul_gens is not None and w is None else slice(None)
 
     w = least_cell((mul[:, 1] != idx) | (mul[1, :] != idx))
     checks.append(Check("mul-identity", w is None, witness=w))
@@ -478,21 +489,6 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     w = least_cell_in_chunks(lacks_inverse, q, q)
     checks.append(Check("mul-inverses", w is None, witness=w))
 
-    # f(x) add f(g) through the flat add table: twice as fast as a 2-d gather
-    flat_add = add.ravel()
-
-    def rdist_by(g, lo, hi):                       # f = x -> x mul c, every c
-        return (mul.take(add[lo:hi, g], 0)
-                != flat_add.take(mul[lo:hi].astype(np.int64) * q + mul[g]))
-
-    def rdist(lo, hi):
-        lhs = mul[add[lo:hi]]                      # (a add b) mul c
-        rhs = add[mul[lo:hi][:, None, :], mul[None, :, :]]
-        return lhs != rhs
-
-    w = _law_witness(rdist_by, add_gens, rdist, q)
-    checks.append(Check("right-distributivity", w is None, witness=w))
-
     required_extra = nf.is_field_family
     note = "" if required_extra else "not required for near-fields"
 
@@ -500,10 +496,16 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     checks.append(Check("mul-commutativity", w is None, required=required_extra,
                         witness=w, note=note))
 
-    def ldist_by(g, lo, hi):                       # f = x -> a mul x, rows a
-        part = mul[lo:hi]
-        return (part.take(add[:, g], 1)
-                != flat_add.take(part.astype(np.int64) * q + part[:, g, None]))
+    # column c of f is a map: f(x add g) vs f(x) add f(g), the sum read from
+    # the flat add table (twice as fast as a 2-d gather)
+    def additivity(f):
+        return lambda g, lo, hi: (f.take(add[lo:hi, g], 0)
+                                  != add.take(f[lo:hi].astype(np.int64) * q + f[g]))
+
+    def rdist(lo, hi):
+        lhs = mul[add[lo:hi]]                      # (a add b) mul c
+        rhs = add[mul[lo:hi][:, None, :], mul[None, :, :]]
+        return lhs != rhs
 
     def ldist(lo, hi):
         lhs = mul[lo:hi][:, add]                   # a mul (b add c)
@@ -511,9 +513,13 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
         rhs = add[part[:, :, None], part[:, None, :]]
         return lhs != rhs
 
-    w = _law_witness(ldist_by, add_gens, ldist, q)
-    checks.append(Check("left-distributivity", w is None, required=required_extra,
-                        witness=w, note=note))
+    for name, f, cube, required in (
+        ("right-distributivity", mul[:, maps], rdist, True),           # x -> x mul c
+        ("left-distributivity", mul[maps].T, ldist, required_extra),   # x -> c mul x
+    ):
+        w = _law_witness(additivity(f), add_gens, cube, q, f.shape[1])
+        checks.append(Check(name, w is None, required=required, witness=w,
+                            note="" if required else note))
 
     checks.sort(key=lambda c: (c.name, c.witness or ()))
     return CheckReport(f"near-field axioms for {nf.family}", checks)

@@ -9,9 +9,10 @@ import pytest
 
 from involq import geometry as geometry_mod
 from involq import s2t
-from involq.catalog import build_entry, find_entry, run_catalog
+from involq.catalog import CatalogEntry, build_entry, find_entry, run_catalog
 from involq.cli import main
-from involq.errors import CharacterizationMismatch, CharacteristicAnomaly, CharacteristicTwo
+from involq.errors import (CharacterizationMismatch, CharacteristicAnomaly, CharacteristicTwo,
+                           InvolqError)
 from involq.pipeline import census_target, recover_target, run_verify, verify_group
 from involq.reporting import Check, CheckReport
 
@@ -49,6 +50,16 @@ def test_catalog_ids_unique_and_params_valid():
         if e.degree <= 9:  # keep the test quick; larger entries build elsewhere
             G = build_entry(e)
             assert G.degree == e.degree
+
+
+def test_build_entry_refuses_an_unknown_family():
+    """An entry of no family build_entry knows, and not the sym4 fixture, is
+    refused by name."""
+    entry = CatalogEntry(id="agl-mystery-5", family="agl-mystery", params=(5,), degree=5,
+                         expected_certified=True, expected_split=True,
+                         expected_characteristic=5)
+    with pytest.raises(InvolqError, match="^cannot build entry agl-mystery-5$"):
+        build_entry(entry)
 
 
 def test_run_verify_positive(tmp_path):

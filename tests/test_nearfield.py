@@ -256,9 +256,11 @@ def test_field_errors():
 @pytest.mark.slow
 def test_field_at_the_default_order_cap(monkeypatch):
     """GF(2^12) has the default near-field order cap, 4096, and its tables
-    are built and every axiom decided (about 15 s and 180 MB peak RSS on a
+    are built and every axiom decided (about 5 s and 180 MB peak RSS on a
     2-core host, the tables 2.6 s and 165 MB of it, since the axiom gate
-    scans in row chunks; the triple scan alone would take hours)."""
+    scans in row chunks and reads the maps of 0 and of the 3 multiplicative
+    generators alone for distributivity; the triple scan alone would take
+    hours)."""
     monkeypatch.delenv("INVOLQ_ORDER_CAP", raising=False)
     nf = make_field(2, 12)
     assert nf.order == DEFAULT_NEARFIELD_ORDER_CAP == 4096
@@ -438,6 +440,29 @@ def test_corrupt_multiplication_row_is_caught(f4):
     assert "mul-nonzero-closure" in naive_axiom_violations(f4.add.tolist(), mul.tolist())
 
 
+def test_constructor_checks_shape_and_range_only(f5):
+    """The constructor refuses tables that are not order x order, an order
+    below 2 and entries outside 0..order-1; it checks no axiom, so a broken
+    table within range is built (and names itself by order and family)."""
+    with pytest.raises(ValueError, match="order x order"):
+        NearField(5, "tables", f5.add[:4], f5.mul)
+    with pytest.raises(ValueError, match="order x order"):
+        NearField(5, "tables", f5.add, f5.mul[:, :4])
+    with pytest.raises(ValueError, match="at least the elements 0 and 1"):
+        NearField(1, "tables", [[0]], [[0]])
+    for value in (-1, 5):
+        bad = f5.add.copy()
+        bad[2, 3] = value
+        with pytest.raises(ValueError, match="out of range"):
+            NearField(5, "tables", bad, f5.mul)
+        with pytest.raises(ValueError, match="out of range"):
+            NearField(5, "tables", f5.add, bad)
+    broken = NearField(5, "tables", f5.add, np.zeros((5, 5)))
+    assert not verify_nearfield_axioms(broken).ok
+    assert repr(broken) == "NearField(order=5, family='tables')"
+    assert repr(f5) == "NearField(order=5, family='field(5,1)')"
+
+
 def single_cell_corruptions(nf):
     """(table name, cell, new value) for the cells where rows 0, 1, 2, q-1
     meet columns 0, 1, 2, q-1, plus the cell holding the additive or
@@ -551,6 +576,53 @@ def test_distributive_laws_take_the_cube_without_additive_associativity(tables, 
                      cube["left-distributivity"]]
 
 
+def constant_one_add():
+    """q = 2 with x add y = 1 for every x, y: associative, but 0 add 0 != 0,
+    so the map of 0, x -> 0, is not additive, while the map of the one
+    multiplicative generator, 1, is the identity. Both laws fail at (0, 0, 0),
+    seen only through the map of 0."""
+    return np.ones((2, 2), dtype=np.int64), np.array([[0, 0], [0, 1]])
+
+
+def gf7_relabelled_units():
+    """GF(7) addition with the product relabelled through the swap of 2 and
+    3: ``mul`` is associative and closed on the nonzero elements, isomorphic
+    to GF(7)*, but neither distributive law holds."""
+    x = np.arange(7)
+    swap = np.array([0, 1, 3, 2, 4, 5, 6])
+    return (x[:, None] + x) % 7, swap[(swap[:, None] * swap) % 7]
+
+
+def z4_add_gf4_mul():
+    """Z/4 addition under the GF(4) product: (K, add) is a group, but not an
+    elementary abelian one, and neither distributive law holds."""
+    x = np.arange(4)
+    return (x[:, None] + x) % 4, make_field(2, 2).mul
+
+
+@pytest.mark.parametrize("tables", [constant_one_add, gf7_relabelled_units, z4_add_gf4_mul])
+def test_distributive_reduction_reads_the_maps_of_zero_and_the_units(tables, monkeypatch):
+    """With ``add`` and ``mul`` associative, the distributive laws are decided
+    on the maps of 0 and of the multiplicative generators alone: each table
+    fails both laws, and every witness equals the cube's and the naive
+    scan's."""
+    add, mul = tables()
+    calls = spy_on_cube(monkeypatch)
+    report = verify_nearfield_axioms(NearField(len(add), "tables", add, mul))
+    cube = cube_witnesses(add, mul)
+    naive = naive_witnesses(add.tolist(), mul.tolist())
+    assert report.check("add-associativity").passed and report.check("mul-associativity").passed
+    assert not report.check("right-distributivity").passed
+    assert not report.check("left-distributivity").passed
+    for law in CUBIC:
+        assert report.check(law).witness == cube[law], law
+    for check in report.checks:
+        assert check.witness == naive[check.name], check.name
+    assert calls == [cube["right-distributivity"], cube["left-distributivity"]]
+    if tables is constant_one_add:
+        assert cube["right-distributivity"] == cube["left-distributivity"] == (0, 0, 0)
+
+
 def catalog_nearfields():
     """Every near-field of the default catalog (order <= 121), built from its
     entry's parameters."""
@@ -566,22 +638,38 @@ def catalog_nearfields():
 def test_valid_nearfields_never_scan_the_cube(monkeypatch, d9_relabelled):
     """The reductions decide every law of a valid near-field, so the cubic
     scan runs only for left distributivity of a proper near-field, where it
-    is expected to fail. The recovered order-9 near-field carries arbitrary
+    is expected to fail. Each distributive reduction reads the maps of 0 and
+    of the multiplicative generators, 1 + len(mul_gens) of them, for each
+    additive generator. The recovered order-9 near-field carries arbitrary
     labels, so no encoding is assumed."""
     nfs = catalog_nearfields() + [coordinatize(d9_relabelled).nearfield]
     assert len(nfs) == 42 and sum(nf.is_field_family for nf in nfs) == 36
-    scanned = []
+    scanned, widths = [], []
 
     def cube_only_for_witness(lhs_fn, q):
         scanned.append(q)
         return (-1, -1, -1)
 
+    law_witness = nearfield._law_witness
+
+    def read_widths(reduced, gens, cube, q, width):
+        widths.append([reduced(g, 0, q).shape for g in gens])
+        return law_witness(reduced, gens, cube, q, width)
+
     monkeypatch.setattr(nearfield, "_first_mismatch3", cube_only_for_witness)
+    monkeypatch.setattr(nearfield, "_law_witness", read_widths)
     for nf in nfs:
+        q = nf.order
+        add_gens = _generators(nf.add, np.ones(q, dtype=bool))
+        mul_gens = _generators(nf.mul, np.arange(q) > 0)
         report = verify_nearfield_axioms(nf)
         expected = [] if nf.is_field_family else ["left-distributivity"]
         assert [c.name for c in report.checks if c.witness == (-1, -1, -1)] == expected, nf
         assert report.ok
+        # add and mul associativity (Light's test), then the two distributive laws
+        assert widths == [[(q, q)] * len(add_gens), [(q, q)] * len(mul_gens)] + \
+            [[(q, 1 + len(mul_gens))] * len(add_gens)] * 2, nf
+        widths.clear()
     assert len(scanned) == sum(not nf.is_field_family for nf in nfs)
 
 
