@@ -47,36 +47,28 @@ def _odd_prime_powers(limit: int) -> list[int]:
     return out
 
 
+def _affine(entry_id: str, family: str, params: tuple, q: int) -> CatalogEntry:
+    """The entry of an affine group over a near-field of order q: certified,
+    split, and of the characteristic of q."""
+    return CatalogEntry(
+        id=entry_id,
+        family=family,
+        params=params,
+        degree=q,
+        expected_certified=True,
+        expected_split=True,
+        expected_characteristic=prime_power(q)[0],
+    )
+
+
 def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
     """All built-in entries of degree <= max_degree, in sorted id order."""
     if max_degree < 3:
         raise InputError(f"need max_degree >= 3, got {max_degree}")
-    entries = []
-    for q in _odd_prime_powers(max_degree):
-        p, e = prime_power(q)
-        entries.append(
-            CatalogEntry(
-                id=f"agl-field-{q}",
-                family="agl-field",
-                params=(p, e),
-                degree=q,
-                expected_certified=True,
-                expected_split=True,
-                expected_characteristic=p,
-            )
-        )
+    entries = [_affine(f"agl-field-{q}", "agl-field", prime_power(q), q)
+               for q in _odd_prime_powers(max_degree)]
     if max_degree >= 4:
-        entries.append(
-            CatalogEntry(
-                id="agl-field-4",
-                family="agl-field",
-                params=(2, 2),
-                degree=4,
-                expected_certified=True,
-                expected_split=True,
-                expected_characteristic=2,
-            )
-        )
+        entries.append(_affine("agl-field-4", "agl-field", (2, 2), 4))
         entries.append(
             CatalogEntry(
                 id="sym4-fixture",
@@ -92,17 +84,7 @@ def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
         n = 2
         while q**n <= max_degree:
             if is_dickson_pair(q, n):
-                entries.append(
-                    CatalogEntry(
-                        id=f"agl-dickson-{q}-{n}",
-                        family="agl-dickson",
-                        params=(q, n),
-                        degree=q**n,
-                        expected_certified=True,
-                        expected_split=True,
-                        expected_characteristic=prime_power(q)[0],
-                    )
-                )
+                entries.append(_affine(f"agl-dickson-{q}-{n}", "agl-dickson", (q, n), q**n))
             n += 1
     return sorted(entries, key=lambda e: e.id)
 

@@ -9,10 +9,11 @@ Everything here is a plain finite count. lhat can be zero or negative; the
 report says so explicitly rather than asserting any inequality between the
 quantities.
 
-Alphas are sampled exhaustively for degree <= FULL_ALPHA_DEGREE and otherwise
-as the first DEFAULT_ALPHA_CAP elements of the triple-product set in
-enumeration order, which keeps every run byte-identical. Both bounds are
-constants; nothing sets them per call.
+Alphas are the first DEFAULT_ALPHA_CAP elements of the triple-product set in
+enumeration order, all of them when there are no more, which keeps every run
+byte-identical. A certified group of degree d <= 9 has order d(d - 1) <= 72,
+so its alphas are always exhaustive. The cap is a constant; nothing sets it
+per call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .permgroup import PermGroup, _element_index, centralizer, distinct
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
 
-FULL_ALPHA_DEGREE = 9
 DEFAULT_ALPHA_CAP = 100
 
 
@@ -77,7 +77,7 @@ def _x_alpha_masks(G: PermGroup, cert, alphas: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _alpha_sample(G: PermGroup, j3: np.ndarray) -> tuple[np.ndarray, bool]:
-    if G.degree <= FULL_ALPHA_DEGREE or len(j3) <= DEFAULT_ALPHA_CAP:
+    if len(j3) <= DEFAULT_ALPHA_CAP:
         return j3, True
     return j3[:DEFAULT_ALPHA_CAP], False
 

@@ -333,9 +333,12 @@ def make_dickson(q: int, n: int) -> NearField:
 # scanned only to locate the least witness of a law that fails
 
 
-def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
+def _generators(t: np.ndarray, members: np.ndarray) -> list[int]:
     """A greedy generating set of the magma (S, t), S being the True cells of
-    the boolean mask ``members``; None when S is not closed under ``t``.
+    the boolean mask ``members``. S must be closed under ``t``; both callers
+    have decided that already (every element under ``add``, whose entries
+    the constructor range-checks, and the nonzero elements under ``mul``
+    once ``mul-nonzero-closure`` passed).
 
     The least element of S outside the closure so far joins the set, and the
     closure grows by masks: each round takes the products, both ways round,
@@ -343,13 +346,6 @@ def _generators(t: np.ndarray, members: np.ndarray) -> list[int] | None:
     far, so each product is taken at most twice; the products are taken in
     chunks of the new elements. No labelling is assumed.
     (``take`` and ``put`` cost a fraction of fancy indexing on small tables.)"""
-    elements = members.nonzero()[0]
-
-    def escapes(lo, hi):
-        return ~members[t.take(elements[lo:hi], 0).take(elements, 1)]
-
-    if least_cell_in_chunks(escapes, len(elements), len(elements)) is not None:
-        return None
     inside = np.zeros(len(t), dtype=bool)
     step = chunk_rows(len(t))  # new elements per chunk of products
     gens = []

@@ -302,12 +302,17 @@ def parse_group_doc(doc) -> PermGroup:
         except NotABijection as exc:
             raise NotABijection(str(exc), generator_index=k) from exc
 
+    # a sharply 2-transitive group of degree d has order d(d - 1), so no
+    # degree above the order cap can be certified
+    cap = max_group_order()
+    if degree > cap:
+        raise OrderCapExceeded(f"degree {degree} exceeds the group order cap {cap}")
     gen_arr = (
         np.array(gens, dtype=np.int32)
         if gens
         else np.empty((0, degree), dtype=np.int32)
     )
-    elements = _bfs_enumerate(degree, gen_arr, max_group_order())
+    elements = _bfs_enumerate(degree, gen_arr, cap)
     return PermGroup(degree, elements, gen_arr)
 
 

@@ -101,10 +101,13 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
     expected = d * (d - 1)
     order_ok = order == expected
 
-    # cell (x, y) stays set while no element sends 0 to x and 1 to y
-    unreached = ~np.eye(d, dtype=bool)
-    unreached[G.elements[:, 0], G.elements[:, 1]] = False
-    pair_transitive = not unreached.any()
+    # cell (x, y) stays set while no element sends 0 to x and 1 to y; fewer
+    # than d(d - 1) elements cannot reach every pair, so then no (d, d) mask
+    pair_transitive = False
+    if order >= expected:
+        unreached = ~np.eye(d, dtype=bool)
+        unreached[G.elements[:, 0], G.elements[:, 1]] = False
+        pair_transitive = not unreached.any()
     cert = S2TCertificate(
         degree=d,
         order=order,

@@ -11,6 +11,7 @@ from involq import geometry as geometry_mod
 from involq import s2t
 from involq.catalog import CatalogEntry, build_entry, find_entry, run_catalog
 from involq.cli import main
+from involq.config import max_group_order
 from involq.errors import (CharacterizationMismatch, CharacteristicAnomaly, CharacteristicTwo,
                            InvolqError)
 from involq.pipeline import census_target, recover_target, run_verify, verify_group
@@ -125,6 +126,16 @@ def test_cli_verify_malformed_documents_are_input_errors(tmp_path, capsys):
         assert main(["verify", str(doc), "--quiet"]) == 2
         captured = capsys.readouterr()
         assert "input error:" in captured.err and captured.out == ""
+
+
+def test_cli_verify_refuses_a_degree_above_the_order_cap(tmp_path, capsys):
+    """A 40-byte document of degree cap + 1 is a verification failure, refused
+    before any permutation or pair mask is built."""
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"degree": max_group_order() + 1, "generators": []}))
+    assert main(["verify", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from involq import (
+    CharacteristicAnomaly,
     CharacteristicTwo,
     CharacterizationMismatch,
     Geometry,
@@ -62,6 +63,43 @@ def test_conditions_witnesses_on_tampered_certificate(group, outside, request, m
         ("centralizer-classes-partition-translations", False, (outside, "outside-translations")),
         ("conditions-agree", False, None),
     ]
+
+
+def _condition_a_by_loop(G):
+    """Condition (a) one triple at a time on permutation rows: the least pair
+    (a, c) of listed nontrivial translations that do not commute although
+    some b commutes with both, with the least such b."""
+    cert = certify_sharply_2_transitive(G)
+    listed = [t for t in cert._translations.tolist() if t != G.identity_index]
+    rows = G.elements[listed]
+    commute = [[np.array_equal(x[y], y[x]) for y in rows] for x in rows]
+    for a, c in itertools.product(range(len(listed)), repeat=2):
+        if not commute[a][c]:
+            for b in range(len(listed)):
+                if commute[a][b] and commute[b][c]:
+                    return listed[a], listed[b], listed[c]
+    return None
+
+
+def test_condition_a_witness_matches_the_loop():
+    """With the stabilizer of point 0 listed among the translations, commuting
+    stays transitive over a field, where the nonidentity elements fall into
+    abelian centralizers, but not over a Dickson near-field, whose
+    multiplicative group is not abelian: there (a) names the loop's triple."""
+    from involq import affine_group, make_dickson
+
+    witnesses = []
+    for G in _fresh_groups() + [affine_group(make_dickson(5, 2))]:
+        cert = certify_sharply_2_transitive(G)
+        assert _condition_a_by_loop(G) is None
+        stabilizer = np.flatnonzero(G.elements[:, 0] == 0)
+        cert._translations = np.union1d(cert._translations, stabilizer)
+        expected = _condition_a_by_loop(G)
+        check = check_geometry_conditions(G).check("commuting-transitive-on-translations")
+        assert check.passed is (expected is None) and check.witness == expected
+        witnesses.append(expected)
+    assert witnesses[0] is witnesses[2] is None
+    assert witnesses[1] is not None and witnesses[3] is not None
 
 
 def test_build_refuses_failed_conditions(agl_f7, monkeypatch):
@@ -466,6 +504,64 @@ def test_line_lemma(agl_f5, agl_f7, agl_d9, agl_d25):
         assert report.ok
 
 
+def _line_lemma_by_loop(geom):
+    """The witnesses of verify_line_lemma, one (line, involution) at a time,
+    each conjugate k^-1 j k composed from permutation rows:
+
+    (a) of the classes of involutions with equal line images, taken by least
+        member, the first of two or more involutions not all on the line
+        names its least member off the line;
+    (b) the least involution off the line whose image meets it;
+    the least point of the line whose image is not the line;
+
+    each on the first line that has one."""
+    rows = geom.group.elements[geom.points]
+    position = {tuple(row): k for k, row in enumerate(rows)}
+    n = len(rows)
+
+    def conj(j, k):  # k^-1 j k for an involution k: x -> k(j(k(x)))
+        return position[tuple(rows[k][rows[j][rows[k]]])]
+
+    witness_a = witness_b = witness_fix = None
+    for lid, on in enumerate(geom.incidence):
+        line = set(np.flatnonzero(on).tolist())
+        images = [{conj(j, k) for j in line} for k in range(n)]
+        for k in range(n):
+            if witness_fix is None and k in line and images[k] != line:
+                witness_fix = (lid, int(geom.points[k]))
+            if witness_b is None and k not in line and images[k] & line:
+                witness_b = (lid, int(geom.points[k]))
+            same = [m for m in range(n) if images[m] == images[k]]
+            off = [m for m in same if m not in line]
+            if witness_a is None and same[0] == k and len(same) >= 2 and off:
+                witness_a = (lid, int(geom.points[off[0]]))
+    return witness_a, witness_b, witness_fix
+
+
+def test_line_lemma_witnesses_match_the_loop():
+    """On geometries whose lines are replaced by J, the involutions fixing a
+    point of the prime field, and those fixing 0, 1 or p, in both orders of
+    the last two, each witness is the loop's. Conjugation by the involution
+    fixing k reflects the fixed points through k, so a line on an additive
+    subgroup is fixed by its own points and shares its image across a coset
+    of involutions off it (a), while {0, 1, p} is moved by 0 (the sanity
+    fact) and meets its image under an involution off it (b)."""
+    found = set()
+    for G in _fresh_groups():
+        geom = build_geometry(G)
+        assert _line_lemma_by_loop(geom) == (None, None, None)
+        cert = certify_sharply_2_transitive(G)
+        fix, p = cert._fix_points, cert.characteristic
+        prime_field, other = fix < p, np.isin(fix, [0, 1, p])
+        for lines in ([prime_field, other], [other, prime_field]):
+            geom.incidence = np.array([np.ones(geom.n_points, dtype=bool)] + lines)
+            expected = _line_lemma_by_loop(geom)
+            report = verify_line_lemma(geom)
+            assert tuple(c.witness for c in report.checks) == expected
+            found.update(k for k, w in enumerate(expected) if w is not None)
+    assert found == {0, 1, 2}
+
+
 def test_geometry_json(agl_f5):
     geom = build_geometry(agl_f5)
     doc = geom.as_json_dict()
@@ -709,6 +805,15 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
         assert divisible_subgroup_scan(no_classes).violations == [
             (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), tuple(range(9)),
         ]
+
+
+def test_subgroup_scan_refuses_translations_without_the_identity(agl_f7):
+    """The scan's Cayley table needs the identity among the translations."""
+    geom = build_geometry(agl_f7)
+    geom.translation_ids = geom.translation_ids[geom.translation_ids != agl_f7.identity_index]
+    assert agl_f7.identity_index not in geom.translation_ids.tolist()
+    with pytest.raises(CharacteristicAnomaly, match="the identity is not a translation"):
+        divisible_subgroup_scan(geom)
 
 
 # ---------------------------------------------------------------------------

@@ -706,17 +706,6 @@ def test_generators_are_greedy_and_generate(f9, d9, d9_relabelled):
             assert g == min(wanted - naive_closure(t, gens[:k]))
 
 
-def test_generators_refuse_a_set_that_is_not_closed(f9, d9):
-    """A single product leaving the set, at any cell, is seen."""
-    for nf in (f9, d9):
-        for x in range(1, 9):
-            for y in range(1, 9):
-                mul = nf.mul.copy()
-                mul[x, y] = 0                              # a zero divisor
-                assert _generators(mul, np.arange(9) > 0) is None, (nf, x, y)
-    assert _generators(f9.add, np.isin(np.arange(9), [0, 1])) is None  # 1 + 1 = 2
-
-
 def test_one_without_finite_additive_order(f7):
     """Sending 6 + 1 back to 1 traps the walk from 1 in 1, 2, ..., 6, so 1 has
     no finite additive order: char_p reads 0 and the witness is (1,)."""
@@ -763,8 +752,8 @@ def test_json_roundtrip(d9):
 def test_row_chunked_scans_keep_every_witness(f7, f9, d9, monkeypatch):
     """With one row per chunk, every axiom report on the single-cell
     corruptions of GF(7), GF(9), the order-9 Dickson tables and GF(25) equals
-    the report with the default chunks, and the greedy generators and the
-    closure refusals are unchanged."""
+    the report with the default chunks, and the greedy generators are
+    unchanged."""
     bases = (f7, f9, d9, make_field(5, 2))
     cases = []
     for base in bases:
@@ -783,6 +772,6 @@ def test_row_chunked_scans_keep_every_witness(f7, f9, d9, monkeypatch):
         return reports, gens
 
     default = outcomes()
-    assert None in default[1] and any(not passed for rep in default[0] for _, passed, _ in rep)
+    assert any(not passed for rep in default[0] for _, passed, _ in rep)
     monkeypatch.setattr(reporting, "CHUNK_CELLS", 1)
     assert outcomes() == default

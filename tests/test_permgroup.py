@@ -27,6 +27,7 @@ from involq import (
     perm_order,
 )
 from involq import permgroup, reporting
+from involq.config import max_group_order
 from involq.permgroup import PermGroup, as_perm
 from involq.catalog import SYM4_DOC
 
@@ -160,6 +161,19 @@ def test_order_cap(monkeypatch):
         parse_group_doc(doc)
     monkeypatch.setenv("INVOLQ_ORDER_CAP", "120")
     assert parse_group_doc(doc).order == 120
+
+
+def test_degree_above_the_order_cap_is_refused(monkeypatch):
+    """A certifiable group of degree d has order d(d - 1), so a degree above
+    the group-order cap is refused before any permutation is built; a degree
+    at the cap is still enumerated."""
+    cap = max_group_order()
+    with pytest.raises(OrderCapExceeded, match=f"degree {cap + 1} exceeds"):
+        parse_group_doc({"degree": cap + 1, "generators": []})
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "30")
+    with pytest.raises(OrderCapExceeded, match="degree 31 exceeds"):
+        parse_group_doc({"degree": 31, "generators": []})
+    assert parse_group_doc({"degree": 30, "generators": []}).order == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sharp 2-transitivity certificates and the derived element sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from involq import (
     centralizer,
     check_geometry_conditions,
     involutions,
+    parse_group_doc,
     swap_involution,
     translations,
     verify_basic_properties,
@@ -38,8 +41,36 @@ def test_certificate_sym4_fails_on_order(sym4):
     cert = certify_sharply_2_transitive(sym4)
     assert not cert.valid
     assert cert.failure == {"check": "order", "expected": 12, "actual": 24}
+    # order 24 >= 12, so the pair mask is built and every pair is reached
+    assert cert.as_dict() == {
+        "degree": 4, "order": 24, "order_ok": False, "pair_transitive": True,
+        "valid": False, "failure": {"check": "order", "expected": 12, "actual": 24},
+        "involution_count": None, "fixed_point_profile": None, "characteristic": None,
+        "j_single_class": None, "j2_single_class": None,
+    }
     with pytest.raises(NotSharply2Transitive):
         involutions(sym4)
+
+
+def test_certificate_of_a_small_group_builds_no_pair_mask():
+    """Fewer than d(d - 1) elements cannot reach every ordered pair, so the
+    certificate fails on order without the (d, d) pair mask: at degree
+    20,000, where the mask alone is 381 MiB, the trivial group's certificate
+    peaks under 8 MiB traced."""
+    G = parse_group_doc({"degree": 20000, "generators": []})
+    tracemalloc.start()
+    try:
+        cert = certify_sharply_2_transitive(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert cert.as_dict() == {
+        "degree": 20000, "order": 1, "order_ok": False, "pair_transitive": False,
+        "valid": False, "failure": {"check": "order", "expected": 20000 * 19999, "actual": 1},
+        "involution_count": None, "fixed_point_profile": None, "characteristic": None,
+        "j_single_class": None, "j2_single_class": None,
+    }
 
 
 def test_certificate_pair_orbit_failure():
