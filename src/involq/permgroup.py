@@ -14,7 +14,12 @@ gather per base point, and products, inverses, conjugates, membership tests,
 centralizers and conjugacy classes are vectorized scans over index arrays;
 one centralizer scan serves a whole class, filled in by conjugation.
 Enumeration order is deterministic: breadth-first from the identity with
-generators applied in document order, each new layer sorted by image sequence.
+generators applied in document order, each new layer sorted in the
+lexicographic order of its image sequences. A document's group is found by a
+breadth-first search over the orbit of the prefix of points 0..k-1, keyed by
+the prefix images through one dense table per prefix point, and proved
+closed by a Schreier check on whole rows (:func:`_bfs_enumerate`), so no
+row is hashed and only new elements get whole rows.
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -37,7 +42,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .nearfield import NearField, _require_axioms
-from .reporting import least_cell_in_chunks
+from .reporting import chunk_rows, least_cell_in_chunks
 
 # ---------------------------------------------------------------------------
 # single-permutation helpers
@@ -239,33 +244,189 @@ class PermGroup:
 # ingestion
 
 
+class _PrefixIndex:
+    """Exact index from the images of points 0..k-1 to element indices.
+
+    One dense table per prefix point, in the slot scheme of
+    :func:`_base_index`: table j is indexed by ``node * degree + image``,
+    where a node numbers a j-point prefix already inserted, and holds the
+    node of the (j + 1)-point prefix; the last table holds element index + 1.
+    Nodes count from 1 (the root is the empty prefix); node 0 stands for
+    every prefix not inserted, and its table row is all 0, so a lookup that
+    leaves the inserted prefixes stays at 0 and returns -1. Keys are chained
+    ranks, never products of powers of the degree, so they are exact at any
+    prefix length.
+
+    Memory: table j holds a row of ``degree`` slots per j-point prefix
+    inserted, plus the row of node 0, and grows by doubling, so it has at
+    most twice as many rows as keys; the table of point 1 holds at most
+    (degree + 1) * degree slots.
+    """
+
+    def __init__(self, degree: int, k: int):
+        self.degree = degree
+        self.tables = [np.zeros(2 * degree, dtype=np.int64)] + [
+            np.zeros(degree, dtype=np.int64) for _ in range(k - 1)]
+        self.nodes = [1] + [0] * (k - 1)  # inserted prefixes of j points
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Element index of each key (a column of the (k, n) ``keys``), -1
+        where none was inserted."""
+        node = 1
+        for table, images in zip(self.tables, keys):
+            node = table[node * self.degree + images]
+        return node - 1
+
+    def insert(self, keys: np.ndarray, first: int) -> None:
+        """Insert keys (columns) that no element has, distinct and in
+        lexicographic order, as the elements first, first + 1, ...; equal
+        prefixes of sorted keys are adjacent, so a new node starts wherever
+        the slot changes."""
+        node = np.ones(keys.shape[1], dtype=np.int64)
+        for j in range(len(self.tables) - 1):
+            slot = node * self.degree + keys[j]
+            node = self.tables[j][slot]
+            new = node == 0
+            start = new & _run_starts(slot)
+            node[new] = (self.nodes[j + 1] + np.cumsum(start))[new]
+            self.tables[j][slot[start]] = node[start]
+            self.nodes[j + 1] += int(np.count_nonzero(start))
+            self._grow(j + 1)
+        self.tables[-1][node * self.degree + keys[-1]] = np.arange(first + 1, first + 1 + len(node))
+
+    def _grow(self, j: int) -> None:
+        """Room for a row per node of depth j, doubling, but never past one
+        row per child slot of depth j - 1."""
+        rows = len(self.tables[j]) // self.degree
+        if rows <= self.nodes[j]:
+            rows = min(max(2 * rows, self.nodes[j] + 1), self.nodes[j - 1] * self.degree + 1)
+            grown = np.zeros(rows * self.degree, dtype=np.int64)
+            grown[:len(self.tables[j])] = self.tables[j]
+            self.tables[j] = grown
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _lex_words(keys: np.ndarray, degree: int) -> np.ndarray:
+    """One int64 per column of the (k, n) ``keys`` that orders the columns
+    as image sequences and tells them apart: radix-degree digits, with the
+    partial word replaced by its rank among the columns wherever one more
+    digit could overflow, so it is exact at any k."""
+    word = np.zeros(keys.shape[1], dtype=np.int64)
+    bound = 0  # no word exceeds it
+    for images in keys:
+        if bound > (_INT64_MAX - degree) // degree:
+            word = np.unique(word, return_inverse=True)[1]
+            bound = len(word)
+        word = word * degree + images
+        bound = bound * degree + degree - 1
+    return word
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True where a value differs from the one before it, and at 0."""
+    starts = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
+    """Breadth-first search over the orbit of the prefix (0, ..., k-1).
+
+    Returns the rows found, one per key, in layers sorted by key; the index
+    ``target[u, g]`` of the row with the key of u then g, for every edge (row
+    u, generator g); and whether that edge is the tree edge that built its
+    target row.
+    """
+    index = _PrefixIndex(degree, k)
+    layer = identity_perm(degree)[None, :]
+    index.insert(layer[:, :k].T, 0)
+    layers, targets, trees = [layer], [], []
+    count, step = 1, chunk_rows(degree)
+    while len(layer):
+        # column u * len(gens) + g is the key of u then g: g of u's prefix
+        keys = np.take(gens.T, layer[:, :k].T, axis=0).reshape(k, -1)
+        target = index.lookup(keys)
+        fresh = np.flatnonzero(target < 0)
+        word = _lex_words(keys[:, fresh], degree)
+        order = np.argsort(word)
+        fresh, word = fresh[order], word[order]
+        first = _run_starts(word)
+        # the least edge with a new key is its tree edge, whatever order
+        # argsort leaves equal words in
+        built = np.minimum.reduceat(fresh, np.flatnonzero(first))
+        if count + len(built) > cap:
+            raise OrderCapExceeded(f"group order exceeds cap {cap}")
+        index.insert(keys[:, built], count)
+        target[fresh] = count - 1 + np.cumsum(first)
+        tree = np.zeros(len(target), dtype=bool)
+        tree[built] = True
+        targets.append(target.reshape(len(layer), len(gens)))
+        trees.append(tree.reshape(len(layer), len(gens)))
+        # full rows only for the new elements, from their tree edges,
+        # generator by generator, in row chunks
+        parent, by = np.divmod(built, len(gens))
+        rows = np.empty((len(built), degree), dtype=np.int32)
+        for g, perm in enumerate(gens):
+            made = np.flatnonzero(by == g)
+            for lo in range(0, len(made), step):
+                rows[made[lo:lo + step]] = np.take(perm, layer[parent[made[lo:lo + step]]])
+        layer = rows
+        layers.append(layer)
+        count += len(built)
+    return np.concatenate(layers), np.concatenate(targets), np.concatenate(trees)
+
+
+def _split_point(elements: np.ndarray, gens: np.ndarray, target: np.ndarray, tree: np.ndarray):
+    """The Schreier check: the point where the first failing non-tree edge
+    u then g first differs from the row with its key, or None when every
+    such edge lands on that row. Checked generator by generator, in row
+    chunks."""
+    degree = elements.shape[1]
+    for g, to, in_tree in zip(gens, target.T, tree.T):
+        u = np.flatnonzero(~in_tree)
+        hit = least_cell_in_chunks(
+            lambda lo, hi: np.take(g, elements[u[lo:hi]]) != elements[to[u[lo:hi]]],
+            len(u), degree)
+        if hit is not None:
+            return hit[1]
+    return None
+
+
 def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
     """Breadth-first closure from the identity, each new layer sorted by
-    image sequence.
+    image sequence, found as the orbit of a prefix of points.
 
-    A row's key is its big-endian int32 bytes; images are non-negative, so
-    keys compare as bytes in the order of the image sequences and sorting
-    the keys sorts the layer.
+    The search runs over the orbit of the prefix (0, ..., k-1), starting at
+    k = 2: a candidate u then g is keyed by its prefix images (g applied to
+    u's) and looked up in a :class:`_PrefixIndex`. Only a new key gets a
+    full row, gathered from its parent u and generator g; these edges form a
+    Schreier tree. The Schreier check then compares every other edge u then
+    g, on its full row, with the row that has its key (a tree edge holds by
+    construction).
+
+    Why this is exact. Every row found is a product of generators. If every
+    edge passes the check, the rows are closed under the generators and hold
+    the identity, so they are the whole group, one row per key; distinct
+    keys then mean distinct elements, so the search meets elements in the
+    order a search over whole rows would. Two distinct elements then differ
+    first at a prefix point, so the lexicographic order of their keys is
+    that of their image sequences, and sorting a new layer by key sorts it
+    by image sequence. The order cap counts keys, never more than elements.
+
+    The restart rule. If an edge fails, u then g and the row with its key
+    are two elements with one key, so they differ first at some point p >=
+    k; the prefix is extended through p (k = p + 1) and the search restarts.
+    At k = degree keys are whole rows, so the loop ends.
     """
-    width = 4 * degree
-    layer = identity_perm(degree)[None, :]
-    seen = {layer.astype(">i4").tobytes()}
-    layers = [layer]
+    k = 2
     while True:
-        fresh = set()
-        for g in gens:
-            block = g[layer].astype(">i4").tobytes()  # rows: u then g
-            fresh.update(block[k:k + width] for k in range(0, len(block), width))
-        fresh -= seen
-        if not fresh:
-            break
-        seen |= fresh
-        keys = b"".join(sorted(fresh))
-        layer = np.frombuffer(keys, dtype=">i4").reshape(-1, degree).astype(np.int32)
-        layers.append(layer)
-        if len(seen) > cap:
-            raise OrderCapExceeded(f"group order exceeds cap {cap}")
-    return np.concatenate(layers)
+        elements, target, tree = _orbit_bfs(degree, gens, k, cap)
+        point = _split_point(elements, gens, target, tree)
+        if point is None:
+            return elements
+        k = point + 1
 
 
 def _is_int(x) -> bool:
@@ -303,10 +464,12 @@ def parse_group_doc(doc) -> PermGroup:
             raise NotABijection(str(exc), generator_index=k) from exc
 
     # a sharply 2-transitive group of degree d has order d(d - 1), so no
-    # degree above the order cap can be certified
+    # degree with d(d - 1) above the order cap can be certified; this also
+    # bounds the two-point key table of the enumeration to about cap slots
     cap = max_group_order()
-    if degree > cap:
-        raise OrderCapExceeded(f"degree {degree} exceeds the group order cap {cap}")
+    if degree * (degree - 1) > cap:
+        raise OrderCapExceeded(f"degree {degree} exceeds the group order cap {cap}: a sharply "
+                               f"2-transitive group of that degree has order {degree * (degree - 1)}")
     gen_arr = (
         np.array(gens, dtype=np.int32)
         if gens

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from involq import affine_group, make_dickson, make_field, parse_group_doc
@@ -92,3 +93,38 @@ def d9_relabelled_doc():
 @pytest.fixture(scope="session")
 def d9_relabelled(d9_relabelled_doc):
     return parse_group_doc(d9_relabelled_doc)
+
+
+def c2_power_doc(k):
+    """(C2)^k on 2k points: generator i swaps the points 2i and 2i+1. Only the
+    prefix of points 0..2k-2 tells its elements apart."""
+    gens = []
+    for i in range(k):
+        g = list(range(2 * k))
+        g[2 * i], g[2 * i + 1] = g[2 * i + 1], g[2 * i]
+        gens.append(g)
+    return {"degree": 2 * k, "generators": gens}
+
+
+@pytest.fixture(scope="session")
+def c2_10_doc():
+    """Degree 20, order 1,024: its 19-point keys overflow an int64 radix-20 key."""
+    return c2_power_doc(10)
+
+
+@pytest.fixture(scope="session")
+def c2_15_doc():
+    return c2_power_doc(15)
+
+
+@pytest.fixture(scope="session")
+def dickson_121_relabelled_doc():
+    """agl-dickson-11-2 under a seeded relabelling of its points, given by
+    three seeded random elements, as the ingest benchmark draws its
+    documents; this draw generates the whole group (order 14,520)."""
+    G = affine_group(make_dickson(11, 2))
+    rng = np.random.default_rng(21)
+    pi = rng.permutation(G.degree)
+    picks = rng.integers(1, G.order, 3)
+    return {"degree": G.degree,
+            "generators": [pi[G.elements[i][np.argsort(pi)]].tolist() for i in picks]}

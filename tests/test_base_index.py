@@ -32,24 +32,14 @@ def relabelled_doc(G, seed):
     }
 
 
-def c2_power_doc(k):
-    """(C2)^k on 2k points: generator i swaps the points 2i and 2i+1."""
-    gens = []
-    for i in range(k):
-        g = list(range(2 * k))
-        g[2 * i], g[2 * i + 1] = g[2 * i + 1], g[2 * i]
-        gens.append(g)
-    return {"degree": 2 * k, "generators": gens}
-
-
 @pytest.fixture(scope="module")
 def agl_f9_relabelled(agl_f9):
     return parse_group_doc(relabelled_doc(agl_f9, seed=3))
 
 
 @pytest.fixture(scope="module")
-def c2_15():
-    return parse_group_doc(c2_power_doc(15))
+def c2_15(c2_15_doc):
+    return parse_group_doc(c2_15_doc)
 
 
 def row_index(G):

@@ -4,7 +4,9 @@ Oracles are naive pure-Python loops over tuples (no numpy), independent of
 the vectorized paths, plus hand-frozen element lists for the BFS order.
 """
 
+import json
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from involq.permgroup import PermGroup, as_perm
 from involq.catalog import SYM4_DOC
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
+S3_ON_POINTS_2_TO_4_DOC = {"degree": 5, "generators": [[0, 1, 3, 4, 2], [0, 1, 3, 2, 4]]}
 
 # breadth-first from the identity, generators in document order, each layer
 # sorted by image sequence; derived by hand from the composition convention
@@ -118,26 +121,35 @@ def bfs_oracle(degree, gens):
     return np.array(ordered, dtype=np.int32)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        S3_DOC,
-        SYM4_DOC,
-        {"degree": 2, "generators": [[1, 0]]},
-        {"degree": 4, "generators": []},
-        {"degree": 4, "generators": [[1, 0, 3, 2], [0, 1, 2, 3], [1, 0, 3, 2], [1, 2, 3, 0]]},
-        "d9_relabelled_doc",  # a fixture
-        # (0 1) and (0 256): a layer whose order is wrong under little-endian
-        # keys, where 256 would sort before 1
-        {"degree": 257, "generators": [
-            [1, 0, *range(2, 257)],
-            [256, *range(1, 256), 0],
-        ]},
-    ],
-    ids=["s3", "sym4", "degree-2", "no-generators", "repeated-and-identity", "d9-relabelled",
-         "images-above-255"],
-)
+ENUMERATED_DOCS = [
+    S3_DOC,
+    SYM4_DOC,
+    {"degree": 2, "generators": [[1, 0]]},
+    {"degree": 4, "generators": []},
+    {"degree": 4, "generators": [[1, 0, 3, 2], [0, 1, 2, 3], [1, 0, 3, 2], [1, 2, 3, 0]]},
+    "d9_relabelled_doc",  # a fixture
+    # (0 1) and (0 256): a layer whose order is wrong under little-endian
+    # keys, where 256 would sort before 1
+    {"degree": 257, "generators": [
+        [1, 0, *range(2, 257)],
+        [256, *range(1, 256), 0],
+    ]},
+    "c2_10_doc",  # a fixture
+    S3_ON_POINTS_2_TO_4_DOC,
+    "dickson_121_relabelled_doc",  # a fixture
+]
+ENUMERATED_IDS = ["s3", "sym4", "degree-2", "no-generators", "repeated-and-identity",
+                  "d9-relabelled", "images-above-255", "c2-power-10", "s3-on-points-2-to-4",
+                  "dickson-121-relabelled"]
+
+
+@pytest.mark.parametrize("doc", ENUMERATED_DOCS, ids=ENUMERATED_IDS)
 def test_enumeration_order_matches_oracle(doc, request):
+    """The oracle compares whole rows. Besides the two-point keys of sharply
+    2-transitive groups, the inputs reach the restart: sym4 (a 3-point
+    prefix), S3 fixing points 0 and 1 (every element shares the key of the
+    identity until the prefix holds points 2 and 3), and (C2)^10, whose
+    19-point prefix is past any int64 key of radix 20."""
     if isinstance(doc, str):
         doc = request.getfixturevalue(doc)
     gens = [np.array(g, dtype=np.int32) for g in doc["generators"]]
@@ -145,12 +157,66 @@ def test_enumeration_order_matches_oracle(doc, request):
     assert np.array_equal(parse_group_doc(doc).elements, expected)
 
 
-def test_order_cap_at_the_boundary(d9_relabelled_doc, monkeypatch):
-    monkeypatch.setenv("INVOLQ_ORDER_CAP", "72")
-    assert parse_group_doc(d9_relabelled_doc).order == 72
-    monkeypatch.setenv("INVOLQ_ORDER_CAP", "71")
-    with pytest.raises(OrderCapExceeded):
-        parse_group_doc(d9_relabelled_doc)
+DATA_DOCS = sorted((Path(__file__).parent / "data").glob("*.json"))
+
+
+@pytest.mark.parametrize("doc", ENUMERATED_DOCS + ["c2_15_doc"] + DATA_DOCS,
+                         ids=ENUMERATED_IDS + ["c2-power-15"] + [p.stem for p in DATA_DOCS])
+def test_order_matches_sympy(doc, request):
+    """sympy's Schreier-Sims order of the generated group, found without
+    enumerating it, is the number of elements enumerated."""
+    comb = pytest.importorskip("sympy.combinatorics")
+    if isinstance(doc, Path):
+        doc = json.loads(doc.read_text())
+    elif isinstance(doc, str):
+        doc = request.getfixturevalue(doc)
+    gens = [comb.Permutation(g) for g in doc["generators"]]
+    S = comb.PermutationGroup(gens or [comb.Permutation(list(range(doc["degree"])))])
+    assert S.order() == parse_group_doc(doc).order
+
+
+def test_prefix_keys_restart_where_rows_with_one_key_differ(monkeypatch):
+    """Each restart extends the prefix through the point where two rows with
+    one key first differ: S3 on points 2..4 is searched with prefixes of 2,
+    3 and 4 points, S4 with prefixes of 2 and 3."""
+    calls = []
+    orbit_bfs = permgroup._orbit_bfs
+
+    def spy(degree, gens, k, cap):
+        calls.append(k)
+        return orbit_bfs(degree, gens, k, cap)
+
+    monkeypatch.setattr(permgroup, "_orbit_bfs", spy)
+    assert parse_group_doc(S3_ON_POINTS_2_TO_4_DOC).order == 6
+    assert calls == [2, 3, 4]
+    calls.clear()
+    assert parse_group_doc(SYM4_DOC).order == 24
+    assert calls == [2, 3]
+
+
+def test_prefix_words_are_exact_past_int64():
+    """Sort words of 19 columns of radix 20 (20^19 > 2^63) order and tell
+    apart the columns as tuples do."""
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 20, size=(19, 400))
+    keys[:, 200:] = keys[:, :200]  # repeated columns
+    keys[18, 300:] = (keys[18, 300:] + 1) % 20  # and ones differing in the last digit only
+    words = permgroup._lex_words(keys, 20)
+    tuples = [tuple(c) for c in keys.T.tolist()]
+    for a in range(0, 400, 7):
+        for b in range(400):
+            assert (words[a] < words[b]) == (tuples[a] < tuples[b])
+            assert (words[a] == words[b]) == (tuples[a] == tuples[b])
+
+
+def test_order_cap_at_the_boundary(monkeypatch):
+    """S4 (degree 4, 4 * 3 <= 23) passes the degree rule at both caps, so the
+    enumeration meets the order cap."""
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "24")
+    assert parse_group_doc(SYM4_DOC).order == 24
+    monkeypatch.setenv("INVOLQ_ORDER_CAP", "23")
+    with pytest.raises(OrderCapExceeded, match="group order exceeds cap 23"):
+        parse_group_doc(SYM4_DOC)
 
 
 def test_order_cap(monkeypatch):
@@ -164,16 +230,23 @@ def test_order_cap(monkeypatch):
 
 
 def test_degree_above_the_order_cap_is_refused(monkeypatch):
-    """A certifiable group of degree d has order d(d - 1), so a degree above
-    the group-order cap is refused before any permutation is built; a degree
-    at the cap is still enumerated."""
+    """A certifiable group of degree d has order d(d - 1), so a degree with
+    d(d - 1) above the group-order cap is refused before the group is
+    enumerated; a degree with d(d - 1) at the cap is still enumerated."""
+    monkeypatch.delenv("INVOLQ_ORDER_CAP", raising=False)
     cap = max_group_order()
+    assert cap == 10**6
     with pytest.raises(OrderCapExceeded, match=f"degree {cap + 1} exceeds"):
         parse_group_doc({"degree": cap + 1, "generators": []})
+    with pytest.raises(OrderCapExceeded, match="degree 1001 exceeds"):
+        parse_group_doc({"degree": 1001, "generators": []})  # 1001 * 1000 > 10^6
+    assert parse_group_doc({"degree": 1000, "generators": []}).order == 1
     monkeypatch.setenv("INVOLQ_ORDER_CAP", "30")
-    with pytest.raises(OrderCapExceeded, match="degree 31 exceeds"):
-        parse_group_doc({"degree": 31, "generators": []})
-    assert parse_group_doc({"degree": 30, "generators": []}).order == 1
+    for degree in (31, 30, 7):
+        with pytest.raises(OrderCapExceeded, match=f"degree {degree} exceeds .* order "
+                                                   f"{degree * (degree - 1)}$"):
+            parse_group_doc({"degree": degree, "generators": []})
+    assert parse_group_doc({"degree": 6, "generators": []}).order == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ its points is the same abstract permutation group, so every invariant the
 pipeline reports must come out the same, and a random non-bijection among
 the generators is an input error.
 
-Needs hypothesis, which CI does not install: the module skips without it.
+Needs hypothesis (CI installs it); the module skips without it.
 Examples are derandomized, so every run draws the same relabellings.
 """
 

@@ -23,7 +23,7 @@ from involq import (
     verify_xalpha_covering,
     x_alpha,
 )
-from involq.permgroup import perm_order
+from involq.permgroup import PermGroup, identity_perm, perm_order
 from involq.s2t import _element_orders, fixed_point_bijection_ok
 
 
@@ -56,8 +56,9 @@ def test_certificate_of_a_small_group_builds_no_pair_mask():
     """Fewer than d(d - 1) elements cannot reach every ordered pair, so the
     certificate fails on order without the (d, d) pair mask: at degree
     20,000, where the mask alone is 381 MiB, the trivial group's certificate
-    peaks under 8 MiB traced."""
-    G = parse_group_doc({"degree": 20000, "generators": []})
+    peaks under 8 MiB traced. The group is built directly: parse_group_doc
+    refuses this degree, as 20,000 * 19,999 exceeds the default order cap."""
+    G = PermGroup(20000, identity_perm(20000)[None, :], np.empty((0, 20000), dtype=np.int32))
     tracemalloc.start()
     try:
         cert = certify_sharply_2_transitive(G)
