@@ -9,10 +9,16 @@ A permutation of degree d is a 1-D int32 numpy array of images on the points
 A :class:`PermGroup` stores every element as a row of a single (order, degree)
 array and addresses elements by their row index. A base -- a few points whose
 images tell every element apart (0 and 1 for a sharply 2-transitive group) --
-indexes the rows through one dense table per base point, so a lookup is one
-gather per base point, and products, inverses, conjugates, membership tests,
-centralizers and conjugacy classes are vectorized scans over index arrays;
-one centralizer scan serves a whole class, filled in by conjugation.
+indexes the rows through one dense table per base point, and the images of
+each base point are kept as one contiguous column over the elements. A
+lookup walks the tables one base level at a time, reading each level's
+images with one 1-D gather from the flattened element array at
+``row * degree + point``, the points taken from a column; so products,
+inverses, conjugates, membership tests, centralizers and conjugacy classes
+are vectorized scans over index arrays, and no scan indexes the element
+array in two dimensions. One centralizer scan serves a whole class, filled
+in by conjugation, and a class is read off one conjugation pass without a
+sort.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is found by a
@@ -150,9 +156,15 @@ class PermGroup:
     """Immutable, fully enumerated permutation group.
 
     Elements are addressed by index. A base (points whose images tell every
-    element apart) indexes them through one dense table per base point; a
-    lookup is one gather per base point, so products, inverses and
-    conjugates of index arrays never hash, sort or compare whole rows.
+    element apart) indexes them through one dense table per base point, and
+    the images of base point k are kept as one contiguous int32 column,
+    ``_columns[k]``, one entry per element. A lookup walks the tables one
+    base level at a time, with one 1-D gather from the flat element array
+    per level: the image of base point k under a then b sits at
+    ``b * degree + _columns[k][a]``. So products, inverses and conjugates of
+    index arrays never hash, sort or compare whole rows, and never index the
+    (order, degree) array in two dimensions. The columns hold |base| int32
+    cells per element; the flat array is a view of the elements.
     """
 
     def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
@@ -164,16 +176,17 @@ class PermGroup:
         self.elements = elements
         self.generators = generators
         self.base, self._tables = _base_index(elements)
-        self._base_images = elements[:, self.base]
-        ident = self._locate(identity_perm(degree)[self.base])
+        self._flat = elements.reshape(-1)
+        self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
+        self._columns = [np.ascontiguousarray(elements[:, b]) for b in self.base]
+        ident = self._locate(self.base)
         if not np.array_equal(elements[ident], identity_perm(degree)):
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
-        # a^-1 sends base point b to the point that a sends to b
-        inverse_images = np.array(
-            [np.argmax(elements == b, axis=1) for b in self.base], dtype=np.int64
-        ).reshape(len(self.base), self.order).T
-        self._inverse = self._locate(inverse_images)
+        # a^-1 sends base point b to the point that a sends to b; a list, not a
+        # generator: a lookup between the masks splits the first one's freed
+        # memory, and the second mask then grows the heap
+        self._inverse = self._locate([np.argmax(elements == b, axis=1) for b in self.base])
         self._centralizer_cache: dict[int, np.ndarray] = {}
         self._s2t_certificate = None  # filled lazily by involq.s2t
 
@@ -185,7 +198,8 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def _locate(self, images) -> np.ndarray:
-        """Element indices with the given base images (shape (..., |base|)).
+        """Element indices with the given images of the base points: one
+        array per base point, in base order, broadcast together.
 
         One gather per base point. Exact for the base images of elements;
         other images in 0..degree-1 reach a sentinel slot and land on element
@@ -193,14 +207,19 @@ class PermGroup:
         confirms the full row.
         """
         slot = 0
-        for level, table in enumerate(self._tables):
-            slot = table[slot + images[..., level]]
+        for table, level in zip(self._tables, images):
+            slot = table[slot + level]
         return slot
+
+    def images(self, a, points):
+        """Images of the points under the elements with indices a, broadcast
+        over both: ``elements[a, points]`` as one 1-D gather."""
+        return self._flat[np.asarray(a) * self._stride + points]
 
     def mul(self, a, b):
         """Indices of (a then b), broadcast over index arrays a and b."""
-        b = np.asarray(b)
-        return self._locate(self.elements[b[..., None], self._base_images[a]])
+        at = np.asarray(b) * self._stride
+        return self._locate(self._flat[at + column[a]] for column in self._columns)
 
     def inv(self, a):
         """Indices of the inverses of the elements with indices a."""
@@ -208,8 +227,10 @@ class PermGroup:
 
     def conj(self, a, h):
         """Indices of h^-1 a h, broadcast over index arrays a and h."""
-        first = self.elements[np.expand_dims(a, -1), self._base_images[self._inverse[h]]]
-        return self._locate(self.elements[np.expand_dims(h, -1), first])
+        a_at, h_at = np.asarray(a) * self._stride, np.asarray(h) * self._stride
+        h_inv = self._inverse[h]
+        return self._locate(self._flat[h_at + self._flat[a_at + column[h_inv]]]
+                            for column in self._columns)
 
     def index_of(self, perm):
         """Index of a permutation, or an index array for a stack of rows.
@@ -224,7 +245,9 @@ class PermGroup:
         images = rows[..., self.base]
         if rows.dtype.kind not in "iu" or np.any((images < 0) | (images >= self.degree)):
             raise NotAMember(f"images must be integers in 0..{self.degree - 1}")
-        idx = self._locate(images)
+        # images.T puts the base points first and reverses the other axes;
+        # the second .T restores them
+        idx = self._locate(images.T).T
         # confirmed in row chunks, not by one full-size gather
         at, flat = idx.reshape(-1), rows.reshape(-1, self.degree)
         if hit := least_cell_in_chunks(lambda lo, hi: (self.elements[at[lo:hi]] != flat[lo:hi])
@@ -338,15 +361,19 @@ def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
     ``target[u, g]`` of the row with the key of u then g, for every edge (row
     u, generator g); and whether that edge is the tree edge that built its
     target row.
+
+    The search runs on keys alone and records each new key's tree edge; the
+    rows are then filled, layer by layer from those edges, into one array of
+    the final size, so no layer is held twice.
     """
     index = _PrefixIndex(degree, k)
-    layer = identity_perm(degree)[None, :]
-    index.insert(layer[:, :k].T, 0)
-    layers, targets, trees = [layer], [], []
-    count, step = 1, chunk_rows(degree)
-    while len(layer):
+    layer = identity_perm(degree)[:k, None]  # the keys of a layer, one column per row
+    index.insert(layer, 0)
+    edges, targets, trees = [], [], []
+    count = 1
+    while layer.shape[1]:
         # column u * len(gens) + g is the key of u then g: g of u's prefix
-        keys = np.take(gens.T, layer[:, :k].T, axis=0).reshape(k, -1)
+        keys = np.take(gens.T, layer, axis=0).reshape(k, -1)
         target = index.lookup(keys)
         fresh = np.flatnonzero(target < 0)
         word = _lex_words(keys[:, fresh], degree)
@@ -358,24 +385,33 @@ def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
         built = np.minimum.reduceat(fresh, np.flatnonzero(first))
         if count + len(built) > cap:
             raise OrderCapExceeded(f"group order exceeds cap {cap}")
-        index.insert(keys[:, built], count)
         target[fresh] = count - 1 + np.cumsum(first)
         tree = np.zeros(len(target), dtype=bool)
         tree[built] = True
-        targets.append(target.reshape(len(layer), len(gens)))
-        trees.append(tree.reshape(len(layer), len(gens)))
-        # full rows only for the new elements, from their tree edges,
-        # generator by generator, in row chunks
-        parent, by = np.divmod(built, len(gens))
-        rows = np.empty((len(built), degree), dtype=np.int32)
+        targets.append(target.reshape(layer.shape[1], len(gens)))
+        trees.append(tree.reshape(layer.shape[1], len(gens)))
+        # the layer's rows start at count - its size; edges number u * len(gens) + g
+        # over all rows u
+        edges.append((count - layer.shape[1]) * len(gens) + built)
+        layer = keys[:, built]
+        index.insert(layer, count)
+        count += len(built)
+
+    # full rows only for the new elements, from their tree edges, layer by
+    # layer (a parent is in the layer before), generator by generator, in row
+    # chunks
+    elements = np.empty((count, degree), dtype=np.int32)
+    elements[0] = identity_perm(degree)
+    start, step = 1, chunk_rows(degree)
+    for edge in edges:
+        parent, by = np.divmod(edge, len(gens))
         for g, perm in enumerate(gens):
             made = np.flatnonzero(by == g)
             for lo in range(0, len(made), step):
-                rows[made[lo:lo + step]] = np.take(perm, layer[parent[made[lo:lo + step]]])
-        layer = rows
-        layers.append(layer)
-        count += len(built)
-    return np.concatenate(layers), np.concatenate(targets), np.concatenate(trees)
+                rows = made[lo:lo + step]
+                elements[start + rows] = np.take(perm, elements[parent[rows]])
+        start += len(edge)
+    return elements, np.concatenate(targets), np.concatenate(trees)
 
 
 def _split_point(elements: np.ndarray, gens: np.ndarray, target: np.ndarray, tree: np.ndarray):
@@ -526,9 +562,14 @@ def _element_index(G: PermGroup, g) -> int:
 
 
 def _centralizer_scan(G: PermGroup, gi: int) -> np.ndarray:
-    """Cen(gi) by one scan of the group: h commutes with g on the base."""
+    """Cen(gi) by one scan of the group: h commutes with g on the base, one
+    column per base point (g(h(b)) from h's column, h(g(b)) from the
+    element column of g(b))."""
     grow = G.elements[gi]
-    return np.nonzero(np.all(grow[G._base_images] == G.elements[:, grow[G.base]], axis=1))[0]
+    commute = True
+    for b, column in zip(G.base, G._columns):
+        commute = commute & (grow[column] == G.elements[:, grow[b]])
+    return np.flatnonzero(commute)
 
 
 def centralizer(G: PermGroup, g) -> np.ndarray:
@@ -559,11 +600,13 @@ def distinct(values) -> np.ndarray:
 
 def _conjugators(G: PermGroup, gi: int):
     """The class of element gi in enumeration order, and beside each member c
-    the least h with h^-1 gi h = c: one conjugation pass and a stable sort."""
-    conj = G.conj(gi, np.arange(G.order))
-    h = np.argsort(conj, kind="stable")
-    first = np.diff(conj[h], prepend=-1) != 0
-    return conj[h][first], h[first]
+    the least h with h^-1 gi h = c: one conjugation pass, and the least h per
+    conjugate taken by one unbuffered minimum, without a sort."""
+    every = np.arange(G.order)
+    least = np.full(G.order, G.order)  # G.order: no h reaches this element
+    np.minimum.at(least, G.conj(gi, every), every)
+    cls = np.flatnonzero(least < G.order)
+    return cls, least[cls]
 
 
 def conjugacy_class(G: PermGroup, g) -> np.ndarray:

@@ -87,7 +87,7 @@ def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
 
 def _conjugate_fixed_points(G: PermGroup, cert: S2TCertificate, hs, positions):
     """fix(h^-1 j h) == h(fix j): rows h in hs, columns j at J ``positions``."""
-    return G.elements[np.asarray(hs)[:, None], cert._fix_points[positions][None, :]]
+    return G.images(np.asarray(hs)[:, None], cert._fix_points[positions][None, :])
 
 
 def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
@@ -276,7 +276,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     sized = int(wrong_size[0]) if len(wrong_size) else n
     stack = members[:sized * (n - 1)].reshape(sized, n - 1)
     regular = ((np.diff(np.sort(stack, axis=1), axis=1) != 0).all(axis=1)
-               & (G.elements[stack, fix[:sized, None]] == fix[:sized, None]).all(axis=1))
+               & (G.images(stack, fix[:sized, None]) == fix[:sized, None]).all(axis=1))
     witness = None
     if not regular.all():
         ipos = int(np.argmin(regular))

@@ -16,10 +16,12 @@ from involq import (
     NotAMember,
     centralizer,
     compose,
+    conjugacy_class,
     conjugate,
     invert,
     parse_group_doc,
 )
+from involq import permgroup
 
 
 def relabelled_doc(G, seed):
@@ -42,6 +44,21 @@ def c2_15(c2_15_doc):
     return parse_group_doc(c2_15_doc)
 
 
+@pytest.fixture(scope="module")
+def s3():
+    return parse_group_doc({"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]})
+
+
+@pytest.fixture(scope="module")
+def degree_2():
+    return parse_group_doc({"degree": 2, "generators": [[1, 0]]})
+
+
+@pytest.fixture(scope="module")
+def trivial():
+    return parse_group_doc({"degree": 3, "generators": []})
+
+
 def row_index(G):
     return {row.tobytes(): i for i, row in enumerate(G.elements)}
 
@@ -58,6 +75,23 @@ def check_pairs(G, a, b):
         assert got_mul[k] == index[compose(x, y).tobytes()]
         assert got_conj[k] == index[conjugate(x, y).tobytes()]
         assert got_inv[k] == index[invert(x).tobytes()]
+
+
+def row_arithmetic(G, a, b):
+    """mul and conj of the index arrays a, b (broadcast) and inv of a, each
+    from whole rows by compose / conjugate / invert, looked up by index_of."""
+    E = G.elements
+    a, b = np.asarray(a), np.asarray(b)
+    pairs = np.broadcast_shapes(a.shape, b.shape)
+    mul, conj = np.zeros(pairs, dtype=np.int64), np.zeros(pairs, dtype=np.int64)
+    for at in np.ndindex(pairs):
+        x, y = E[np.broadcast_to(a, pairs)[at]], E[np.broadcast_to(b, pairs)[at]]
+        mul[at] = G.index_of(compose(x, y))
+        conj[at] = G.index_of(conjugate(x, y))
+    inv = np.zeros(a.shape, dtype=np.int64)
+    for at in np.ndindex(a.shape):
+        inv[at] = G.index_of(invert(E[a[at]]))
+    return mul, conj, inv
 
 
 def check_non_member_on_base(G):
@@ -95,6 +129,49 @@ def test_small_groups_every_pair(name, request):
             centralizer(G, outside)
     if name != "sym4":  # S4 holds every permutation of its 4 points
         check_non_member_on_base(G)
+
+
+@pytest.mark.parametrize("name", ["agl_f5", "agl_d9", "d9_relabelled", "sym4", "s3",
+                                  "degree_2", "trivial"])
+def test_primitives_match_row_arithmetic(name, request):
+    """mul, conj and inv on a scalar pair, on 1-D arrays, broadcast (n, 1) x
+    (1, m) and on empty arrays give int64 indices of the shape the indices
+    broadcast to, equal to whole-row arithmetic, and images reads the rows;
+    sym4 has a 3-point base, the trivial group a 1-point one."""
+    G = request.getfixturevalue(name)
+    rng = np.random.default_rng(G.order)
+    every = np.arange(G.order)
+    sample = rng.integers(0, G.order, 7)
+    empty = np.empty(0, dtype=np.int64)
+    for a, b in [(int(sample[0]), int(sample[1])),
+                 (every, rng.permutation(G.order)),
+                 (sample[:, None], every[None, :]),
+                 (empty, empty),
+                 (empty[:, None], sample[None, :])]:
+        for got, want in zip((G.mul(a, b), G.conj(a, b), G.inv(a)), row_arithmetic(G, a, b)):
+            got = np.asarray(got)
+            assert got.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert np.array_equal(G.images(np.asarray(a)[..., None], np.arange(G.degree)),
+                              G.elements[a])
+
+
+@pytest.mark.parametrize("name", ["d9_relabelled", "sym4"])
+def test_conjugators_match_a_naive_loop(name, request):
+    """For every g: the class of g in enumeration order, and beside each
+    member c the least h with h^-1 g h = c, from a loop over whole rows."""
+    G = request.getfixturevalue(name)
+    index = row_index(G)
+    for g in range(G.order):
+        least = {}
+        for h in range(G.order):  # ascending, so the first h to reach c is the least
+            least.setdefault(index[conjugate(G.elements[g], G.elements[h]).tobytes()], h)
+        members = sorted(least)
+        cls, conjugators = permgroup._conjugators(G, g)
+        assert cls.tolist() == members
+        assert conjugators.tolist() == [least[c] for c in members]
+        assert conjugacy_class(G, g).tolist() == members
 
 
 def test_c2_power_sampled(c2_15):

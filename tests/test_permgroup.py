@@ -5,6 +5,7 @@ the vectorized paths, plus hand-frozen element lists for the BFS order.
 """
 
 import json
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -207,6 +208,23 @@ def test_prefix_words_are_exact_past_int64():
         for b in range(400):
             assert (words[a] < words[b]) == (tuples[a] < tuples[b])
             assert (words[a] == words[b]) == (tuples[a] == tuples[b])
+
+
+def test_orbit_search_holds_the_element_array_once(dickson_121_relabelled_doc):
+    """The search runs on prefix keys and fills the rows into one array of
+    the final size, so its traced peak is the element array (6.7 MiB, 14,520
+    rows of 121 points) plus under 5 MiB of keys, tables and row chunks;
+    keeping every layer and concatenating them at the end peaked at 14.3 MiB."""
+    doc = dickson_121_relabelled_doc
+    gens = np.array(doc["generators"], dtype=np.int32)
+    tracemalloc.start()
+    try:
+        elements, _, _ = permgroup._orbit_bfs(doc["degree"], gens, 2, max_group_order())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elements.shape == (14520, 121)
+    assert peak < elements.nbytes + 5 * 2**20
 
 
 def test_order_cap_at_the_boundary(monkeypatch):
