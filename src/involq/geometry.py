@@ -166,7 +166,7 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     sigmas = distinct(np.append(ij[~np.eye(n, dtype=bool)], nontrivial))
     row_of = np.full(G.order, -1, dtype=np.int64)
     row_of[sigmas] = np.arange(len(sigmas))
-    cens = [distinct(centralizer(G, t)) for t in sigmas.tolist()]
+    cens = [centralizer(G, t) for t in sigmas.tolist()]
     first_cen, set_of = _distinct_rows(_padded(cens, -1))
     sets = [cens[r] for r in first_cen]
     set_size = np.array([len(members) for members in sets])

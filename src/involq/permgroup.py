@@ -9,11 +9,11 @@ A permutation of degree d is a 1-D int32 numpy array of images on the points
 A :class:`PermGroup` stores every element as a row of a single (order, degree)
 array and addresses elements by their row index. A base -- a few points whose
 images tell every element apart (0 and 1 for a sharply 2-transitive group) --
-indexes the rows through one dense table per base point, and the images of
-each base point are kept as one contiguous column over the elements. A
-lookup walks the tables one base level at a time, reading each level's
-images with one 1-D gather from the flattened element array at
-``row * degree + point``, the points taken from a column; so products,
+indexes the rows through a dense trie (:class:`_Trie`), one table per base
+point, and the images of each base point are kept as one contiguous column
+over the elements. A lookup walks the tables one base level at a time,
+reading each level's images with one 1-D gather from the flattened element
+array at ``row * degree + point``, the points taken from a column; so products,
 inverses, conjugates, membership tests, centralizers and conjugacy classes
 are vectorized scans over index arrays, and no scan indexes the element
 array in two dimensions. One centralizer scan serves a whole class, filled
@@ -23,9 +23,9 @@ Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is found by a
 breadth-first search over the orbit of the prefix of points 0..k-1, keyed by
-the prefix images through one dense table per prefix point, and proved
-closed by a Schreier check on whole rows (:func:`_bfs_enumerate`), so no
-row is hashed and only new elements get whole rows.
+the prefix images through the same kind of trie, one table per prefix point,
+and proved closed by a Schreier check on whole rows (:func:`_bfs_enumerate`),
+so no row is hashed and only new elements get whole rows.
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -48,7 +48,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .nearfield import NearField, _require_axioms
-from .reporting import chunk_rows, least_cell_in_chunks
+from .reporting import chunk_rows, in_chunks, least_cell_in_chunks
 
 # ---------------------------------------------------------------------------
 # single-permutation helpers
@@ -98,73 +98,132 @@ def perm_order(g: np.ndarray) -> int:
 # the group container
 
 
+class _Trie:
+    """Exact index from image sequences, one image per keyed point, to
+    element indices: one dense table per keyed point.
+
+    Table j is indexed by ``offset + image``, where an offset is a row of
+    table j premultiplied by ``degree`` and a row stands for a j-point
+    prefix of the keys inserted. Row 0 of every table is the absent node,
+    the prefixes no key has; the root, the empty prefix, is row 1 of table
+    0. A table before the last holds the offset of each (j + 1)-point prefix
+    in the next table, 0 for an absent one; the last table holds element
+    indices, and -1 for keys no element has. So a lookup that leaves the
+    inserted prefixes stays in the absent rows and returns -1, and each
+    level is one add and one gather. Offsets are chained rows, never
+    products of powers of the degree, so keys are exact at any length.
+
+    Memory: a table holds one row per prefix inserted, plus the absent row.
+    It grows by doubling, never past one row per child slot of the table
+    before it, so it holds at most twice its rows in use, and exactly those
+    after one insert into an empty trie.
+    """
+
+    def __init__(self, degree: int, depth: int):
+        self.degree = degree
+        self.rows = [2] + [1] * (depth - 1)  # rows in use, the absent row included
+        self.tables = [np.zeros(rows * degree, dtype=np.int64) for rows in self.rows]
+        self.tables[-1].fill(-1)
+
+    def lookup(self, images):
+        """Element index of each key, -1 where none was inserted: one array
+        of int32 or int64 images per keyed point, in order, broadcast
+        together."""
+        at = self.degree
+        for table, level in zip(self.tables, images):
+            at = table[at + level]
+        return at
+
+    def insert(self, keys, ids) -> None:
+        """Insert keys not yet inserted, distinct and in lexicographic order,
+        as the elements ``ids``: one array of images per keyed point. Equal
+        prefixes of sorted keys are adjacent, so a new row starts wherever
+        the slot changes."""
+        at = np.full(len(ids), self.degree, dtype=np.int64)
+        for j in range(len(self.tables) - 1):
+            slot = at + keys[j]
+            at = self.tables[j][slot]
+            new = at == 0
+            start = new & _run_starts(slot)
+            at[new] = ((self.rows[j + 1] - 1 + np.cumsum(start)) * self.degree)[new]
+            self.tables[j][slot[start]] = at[start]
+            self.rows[j + 1] += int(np.count_nonzero(start))
+            self._grow(j + 1)
+        self.tables[-1][at + keys[-1]] = ids
+
+    def _grow(self, j: int) -> None:
+        """Room for the rows in use in table j, doubling, but never past one
+        row per child slot of table j - 1."""
+        table = self.tables[j]
+        if len(table) < self.rows[j] * self.degree:
+            rows = min(max(2 * len(table) // self.degree, self.rows[j]),
+                       (self.rows[j - 1] - 1) * self.degree + 1)
+            self.tables[j] = np.full(rows * self.degree, table[0])  # the absent value
+            self.tables[j][:len(table)] = table
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True where a value differs from the one before it, and at 0."""
+    starts = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def _base_index(elements: np.ndarray):
-    """Choose a base greedily and build one dense lookup table per base point.
+    """Choose a base greedily; return it and each element's rank in the
+    lexicographic order of its base images.
 
     Point b joins the base when its images split some class of elements that
     the images of the earlier base points leave together; the scan stops once
     every element is told apart (the trivial group still takes point 0, so
     every lookup passes through a table). An element's rank at level k
-    numbers its class, the elements agreeing with it on base points 0..k.
-    Table k is indexed by ``prev_rank * degree + image`` and holds
-    ``(classes_{k-1} + 1) * degree`` slots, with classes_{-1} = 1. Every
-    slot that no element reaches, the whole last row included, holds the
-    sentinel rank ``classes_k``, so an image sequence that no element has
-    falls into the last row of the next table and stays in the last rows.
-    The tables store ranks premultiplied by ``degree`` (row offsets into the
-    next table) and the last table stores element indices, with element 0
-    as its sentinel, so every lookup of images in 0..degree-1 lands on an
-    element.
+    numbers its class, the elements agreeing with it on base points 0..k, in
+    the lexicographic order of those images.
 
-    Memory: the classes at level k are the cosets of S_k, the pointwise
-    stabilizer of base points 0..k, so classes_k = classes_{k-1} times the
-    size of the S_{k-1}-orbit of b_k, and b_k joins only when that orbit has
-    two or more points. The classes thus at least double per level, so the
-    slots sum to at most ``(order + len(base)) * degree``, about one element
-    array.
+    The classes at level k are the cosets of S_k, the pointwise stabilizer
+    of base points 0..k, so classes_k = classes_{k-1} times the size of the
+    S_{k-1}-orbit of b_k, and b_k joins only when that orbit has two or more
+    points. The classes thus at least double per level, so the trie of the
+    base images, one row of ``degree`` slots per class before each level
+    plus the absent rows, holds at most ``(order + len(base)) * degree``
+    slots, about one element array.
     """
     order, degree = elements.shape
     rank = np.zeros(order, dtype=np.int64)
     classes = 1
     base: list[int] = []
-    tables: list[np.ndarray] = []
     for b in range(degree):
-        if classes == order and tables:
+        if classes == order and base:
             break
         keys = rank * degree + elements[:, b]
-        hit = np.zeros((classes + 1) * degree, dtype=bool)
+        hit = np.zeros(classes * degree, dtype=bool)
         hit[keys] = True
         table = np.cumsum(hit) - 1
         refined = int(table[-1]) + 1
         if refined > classes or classes == order:  # order 1 still takes point 0
-            table[~hit] = refined
             base.append(b)
-            tables.append(table)
             rank = table[keys]
             classes = refined
     if classes != order:
         raise ValueError("duplicate elements")
-    for table in tables[:-1]:
-        table *= degree
-    element_of_rank = np.zeros(order + 1, dtype=np.int64)
-    element_of_rank[rank] = np.arange(order)
-    tables[-1] = element_of_rank[tables[-1]]
-    return base, tables
+    return base, rank
 
 
 class PermGroup:
     """Immutable, fully enumerated permutation group.
 
     Elements are addressed by index. A base (points whose images tell every
-    element apart) indexes them through one dense table per base point, and
-    the images of base point k are kept as one contiguous int32 column,
-    ``_columns[k]``, one entry per element. A lookup walks the tables one
-    base level at a time, with one 1-D gather from the flat element array
-    per level: the image of base point k under a then b sits at
-    ``b * degree + _columns[k][a]``. So products, inverses and conjugates of
-    index arrays never hash, sort or compare whole rows, and never index the
-    (order, degree) array in two dimensions. The columns hold |base| int32
-    cells per element; the flat array is a view of the elements.
+    element apart) indexes them through a :class:`_Trie` of their base
+    images, one table per base point, and the images of base point k are
+    kept as one contiguous int32 column, ``_columns[k]``, one entry per
+    element. A lookup walks the tables one base level at a time, with one
+    1-D gather from the flat element array per level: the image of base
+    point k under a then b sits at ``b * degree + _columns[k][a]``. Base
+    images that no element has look up -1. So products, inverses and
+    conjugates of index arrays never hash, sort or compare whole rows, and
+    never index the (order, degree) array in two dimensions. The columns
+    hold |base| int32 cells per element; the flat array is a view of the
+    elements.
     """
 
     def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
@@ -175,18 +234,24 @@ class PermGroup:
         self.degree = int(degree)
         self.elements = elements
         self.generators = generators
-        self.base, self._tables = _base_index(elements)
+        self.base, rank = _base_index(elements)
         self._flat = elements.reshape(-1)
         self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
         self._columns = [np.ascontiguousarray(elements[:, b]) for b in self.base]
+        # the ranks number the elements in the order of their base images, so
+        # one scatter sorts them for the insert
+        by_key = np.empty_like(rank)
+        by_key[rank] = np.arange(len(rank))
+        self._trie = _Trie(self.degree, len(self.base))
+        self._trie.insert([column[by_key] for column in self._columns], by_key)
         ident = self._locate(self.base)
         if not np.array_equal(elements[ident], identity_perm(degree)):
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
-        # a^-1 sends base point b to the point that a sends to b; a list, not a
-        # generator: a lookup between the masks splits the first one's freed
-        # memory, and the second mask then grows the heap
-        self._inverse = self._locate([np.argmax(elements == b, axis=1) for b in self.base])
+        # a^-1 sends base point b to the point that a sends to b, found by
+        # (rows x degree) masks one row chunk at a time
+        self._inverse = in_chunks(lambda lo, hi: self._locate(
+            np.argmax(elements[lo:hi] == b, axis=1) for b in self.base), self.order, self.degree)
         self._centralizer_cache: dict[int, np.ndarray] = {}
         self._s2t_certificate = None  # filled lazily by involq.s2t
 
@@ -201,15 +266,11 @@ class PermGroup:
         """Element indices with the given images of the base points: one
         array per base point, in base order, broadcast together.
 
-        One gather per base point. Exact for the base images of elements;
-        other images in 0..degree-1 reach a sentinel slot and land on element
-        0, so a caller looking up outside input range-checks it first and
-        confirms the full row.
+        One add and one gather per base point. Exact for the base images of
+        elements; other images in 0..degree-1 give -1, so a caller looking up
+        outside input range-checks it first and confirms the full row.
         """
-        slot = 0
-        for table, level in zip(self._tables, images):
-            slot = table[slot + level]
-        return slot
+        return self._trie.lookup(images)
 
     def images(self, a, points):
         """Images of the points under the elements with indices a, broadcast
@@ -237,7 +298,9 @@ class PermGroup:
 
         The base lookup is confirmed on the full row, so a permutation that
         agrees with an element on the base only still raises NotAMember, as
-        does a row of non-integers or of images outside 0..degree-1.
+        does a row of non-integers or of images outside 0..degree-1. Base
+        images that no element has look up -1, whose row (the last element,
+        which has other base images) fails the same check.
         """
         rows = np.asarray(perm)
         if rows.ndim == 0 or rows.shape[-1] != self.degree:
@@ -246,8 +309,9 @@ class PermGroup:
         if rows.dtype.kind not in "iu" or np.any((images < 0) | (images >= self.degree)):
             raise NotAMember(f"images must be integers in 0..{self.degree - 1}")
         # images.T puts the base points first and reverses the other axes;
-        # the second .T restores them
-        idx = self._locate(images.T).T
+        # the second .T restores them. As int64: offset + image would wrap
+        # in a narrower type, and would turn float with uint64
+        idx = self._locate(images.T.astype(np.int64)).T
         # confirmed in row chunks, not by one full-size gather
         at, flat = idx.reshape(-1), rows.reshape(-1, self.degree)
         if hit := least_cell_in_chunks(lambda lo, hi: (self.elements[at[lo:hi]] != flat[lo:hi])
@@ -265,67 +329,6 @@ class PermGroup:
 
 # ---------------------------------------------------------------------------
 # ingestion
-
-
-class _PrefixIndex:
-    """Exact index from the images of points 0..k-1 to element indices.
-
-    One dense table per prefix point, in the slot scheme of
-    :func:`_base_index`: table j is indexed by ``node * degree + image``,
-    where a node numbers a j-point prefix already inserted, and holds the
-    node of the (j + 1)-point prefix; the last table holds element index + 1.
-    Nodes count from 1 (the root is the empty prefix); node 0 stands for
-    every prefix not inserted, and its table row is all 0, so a lookup that
-    leaves the inserted prefixes stays at 0 and returns -1. Keys are chained
-    ranks, never products of powers of the degree, so they are exact at any
-    prefix length.
-
-    Memory: table j holds a row of ``degree`` slots per j-point prefix
-    inserted, plus the row of node 0, and grows by doubling, so it has at
-    most twice as many rows as keys; the table of point 1 holds at most
-    (degree + 1) * degree slots.
-    """
-
-    def __init__(self, degree: int, k: int):
-        self.degree = degree
-        self.tables = [np.zeros(2 * degree, dtype=np.int64)] + [
-            np.zeros(degree, dtype=np.int64) for _ in range(k - 1)]
-        self.nodes = [1] + [0] * (k - 1)  # inserted prefixes of j points
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Element index of each key (a column of the (k, n) ``keys``), -1
-        where none was inserted."""
-        node = 1
-        for table, images in zip(self.tables, keys):
-            node = table[node * self.degree + images]
-        return node - 1
-
-    def insert(self, keys: np.ndarray, first: int) -> None:
-        """Insert keys (columns) that no element has, distinct and in
-        lexicographic order, as the elements first, first + 1, ...; equal
-        prefixes of sorted keys are adjacent, so a new node starts wherever
-        the slot changes."""
-        node = np.ones(keys.shape[1], dtype=np.int64)
-        for j in range(len(self.tables) - 1):
-            slot = node * self.degree + keys[j]
-            node = self.tables[j][slot]
-            new = node == 0
-            start = new & _run_starts(slot)
-            node[new] = (self.nodes[j + 1] + np.cumsum(start))[new]
-            self.tables[j][slot[start]] = node[start]
-            self.nodes[j + 1] += int(np.count_nonzero(start))
-            self._grow(j + 1)
-        self.tables[-1][node * self.degree + keys[-1]] = np.arange(first + 1, first + 1 + len(node))
-
-    def _grow(self, j: int) -> None:
-        """Room for a row per node of depth j, doubling, but never past one
-        row per child slot of depth j - 1."""
-        rows = len(self.tables[j]) // self.degree
-        if rows <= self.nodes[j]:
-            rows = min(max(2 * rows, self.nodes[j] + 1), self.nodes[j - 1] * self.degree + 1)
-            grown = np.zeros(rows * self.degree, dtype=np.int64)
-            grown[:len(self.tables[j])] = self.tables[j]
-            self.tables[j] = grown
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -347,13 +350,6 @@ def _lex_words(keys: np.ndarray, degree: int) -> np.ndarray:
     return word
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """True where a value differs from the one before it, and at 0."""
-    starts = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
-
-
 def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
     """Breadth-first search over the orbit of the prefix (0, ..., k-1).
 
@@ -366,9 +362,9 @@ def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
     rows are then filled, layer by layer from those edges, into one array of
     the final size, so no layer is held twice.
     """
-    index = _PrefixIndex(degree, k)
+    index = _Trie(degree, k)
     layer = identity_perm(degree)[:k, None]  # the keys of a layer, one column per row
-    index.insert(layer, 0)
+    index.insert(layer, [0])
     edges, targets, trees = [], [], []
     count = 1
     while layer.shape[1]:
@@ -394,7 +390,7 @@ def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
         # over all rows u
         edges.append((count - layer.shape[1]) * len(gens) + built)
         layer = keys[:, built]
-        index.insert(layer, count)
+        index.insert(layer, np.arange(count, count + len(built)))
         count += len(built)
 
     # full rows only for the new elements, from their tree edges, layer by
@@ -436,11 +432,11 @@ def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
 
     The search runs over the orbit of the prefix (0, ..., k-1), starting at
     k = 2: a candidate u then g is keyed by its prefix images (g applied to
-    u's) and looked up in a :class:`_PrefixIndex`. Only a new key gets a
-    full row, gathered from its parent u and generator g; these edges form a
-    Schreier tree. The Schreier check then compares every other edge u then
-    g, on its full row, with the row that has its key (a tree edge holds by
-    construction).
+    u's) and looked up in a :class:`_Trie`, the index :class:`PermGroup`
+    keeps of its base images. Only a new key gets a full row, gathered from
+    its parent u and generator g; these edges form a Schreier tree. The
+    Schreier check then compares every other edge u then g, on its full row,
+    with the row that has its key (a tree edge holds by construction).
 
     Why this is exact. Every row found is a product of generators. If every
     edge passes the check, the rows are closed under the generators and hold

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,15 @@ import pytest
 
 from involq import affine_group, make_dickson, make_field, parse_group_doc
 from involq.catalog import SYM4_DOC
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment for a child Python that imports involq from this
+    checkout: the repository's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,11 @@ are checked on every pair, the 32768-element group (C2)^15 (a base of 15
 points) on a seeded sample. Rows outside the group, out-of-range images
 among them, must raise NotAMember, and the dense tables must stay within
 one element array.
+
+The same trie class indexes the orbit search of group documents: inserted in
+sorted batches, one per layer, it answers every lookup as one insert does,
+gives -1 for keys no element has, and grows its tables by doubling to at
+most twice the rows in use.
 """
 
 import numpy as np
@@ -14,11 +19,13 @@ import pytest
 
 from involq import (
     NotAMember,
+    affine_group,
     centralizer,
     compose,
     conjugacy_class,
     conjugate,
     invert,
+    make_field,
     parse_group_doc,
 )
 from involq import permgroup
@@ -214,16 +221,29 @@ def test_rows_no_table_can_take_are_not_members(agl_f7, row):
     assert not agl_f7.contains(row)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint64])
+def test_rows_of_any_integer_type_are_found(dtype):
+    """Degree 121: the root offset plus an image passes 127, so rows read as
+    int8 would wrap if looked up in their own type; uint64 rows would turn
+    float. Every row of every integer type is found at its index."""
+    G = affine_group(make_field(11, 2))
+    at = np.arange(0, G.order, 97)
+    rows = G.elements[at].astype(dtype)
+    assert np.array_equal(G.index_of(rows), at)
+    assert G.index_of(rows[-1]) == at[-1]
+
+
 @pytest.mark.parametrize("name", ["agl_f7", "sym4", "c2_15"])
 def test_base_images_no_element_has_reach_the_sentinel(name, request):
-    """In-range images that no element has on the base: the lookup falls into
-    the sentinel slots and the full-row check refuses the row."""
+    """In-range images that no element has on the base: the lookup leaves the
+    inserted keys and gives -1, and the full-row check refuses the row."""
     G = request.getfixturevalue(name)
     row = np.arange(G.degree)
     if name == "c2_15":  # every element sends point 0 to 0 or 1
         row[0], row[4] = 4, 0
     else:  # every element keeps base points 0 and 1 apart
         row[1] = 0
+    assert G._locate(row[G.base]) == -1
     with pytest.raises(NotAMember):
         G.index_of(row)
     assert not G.contains(row)
@@ -232,12 +252,83 @@ def test_base_images_no_element_has_reach_the_sentinel(name, request):
 @pytest.mark.parametrize("name", ["agl_f5", "sym4", "agl_d9", "c2_15"])
 def test_tables_fit_in_one_element_array(name, request):
     G = request.getfixturevalue(name)
-    sizes = [t.size for t in G._tables]
+    sizes = [t.size for t in G._trie.tables]
     assert len(sizes) == len(G.base)
     assert sum(sizes) <= (G.order + len(G.base)) * G.degree
     classes = [size // G.degree - 1 for size in sizes]  # classes before each level
     assert classes[0] == 1
     assert all(later >= 2 * earlier for earlier, later in zip(classes, classes[1:]))
+    # one insert into an empty trie sizes every table to its rows in use
+    assert sizes == [rows * G.degree for rows in G._trie.rows]
+
+
+@pytest.mark.parametrize("doc", ["c2_15_doc", "dickson_121_relabelled_doc"])
+def test_search_tables_fit_in_twice_their_rows(doc, request, monkeypatch):
+    """The search inserts one sorted batch per layer, and its tables grow by
+    doubling: each holds at most twice its rows in use, a row per prefix
+    inserted plus the absent row. The last search's trie answers each
+    element's prefix with its index, as the group's own trie answers its
+    base images."""
+    tries = []
+
+    class Recorded(permgroup._Trie):
+        def __init__(self, degree, depth):
+            super().__init__(degree, depth)
+            tries.append(self)
+
+    monkeypatch.setattr(permgroup, "_Trie", Recorded)
+    G = parse_group_doc(request.getfixturevalue(doc))
+    assert tries[-1] is G._trie
+    for trie in tries[:-1]:
+        for table, rows in zip(trie.tables, trie.rows):
+            assert table.size <= 2 * rows * G.degree
+            assert rows <= G.order + 1
+    search = tries[-2]
+    prefix = G.elements[:, :len(search.tables)].T
+    assert np.array_equal(search.lookup(prefix), np.arange(G.order))
+
+
+@pytest.mark.parametrize("name", ["agl_f9_relabelled", "sym4", "c2_15"])
+def test_trie_in_sorted_batches_answers_as_one_insert(name, request):
+    """The base images inserted in seeded batches, each sorted, as the search
+    inserts its layers, answer every lookup as one insert of them all does
+    and as the group's trie does: a member's images give its index, and
+    images no element has give -1."""
+    G = request.getfixturevalue(name)
+    keys = np.stack(G._columns)  # one row of images per base point
+    rng = np.random.default_rng(G.order)
+    batched, once = (permgroup._Trie(G.degree, len(G.base)) for _ in range(2))
+    for batch in np.array_split(rng.permutation(G.order), 7):
+        batch = batch[np.lexsort(keys[::-1, batch])]
+        batched.insert(keys[:, batch], batch)
+    by_key = np.lexsort(keys[::-1])
+    once.insert(keys[:, by_key], by_key)
+
+    probes = np.concatenate([keys, rng.integers(0, G.degree, (len(G.base), 2000))], axis=1)
+    index = {tuple(key): i for i, key in enumerate(keys.T.tolist())}
+    want = [index.get(tuple(key), -1) for key in probes.T.tolist()]
+    assert want.count(-1) > 100
+    for trie in (batched, once, G._trie):
+        assert trie.lookup(probes).tolist() == want
+    for table, rows in zip(batched.tables, batched.rows):
+        assert table.size <= 2 * rows * G.degree
+
+
+def test_trie_tables_double_up_to_one_row_per_child_slot():
+    """Keys (0, 0), (1, 0), ..., (4, 0) of degree 5, one insert each: the
+    second table needs 2, 3, 4, 5, 6 rows (the absent row included). It
+    grows to 2 rows, doubles to 4, and then to 6, not 8: one row per slot
+    of the root (5) plus the absent row. Every key stays found."""
+    trie = permgroup._Trie(5, 2)
+    sizes = []
+    for a in range(5):
+        trie.insert([[a], [0]], [10 + a])
+        sizes.append(trie.tables[1].size // 5)
+        assert trie.lookup([np.arange(5), np.zeros(5, dtype=int)]).tolist() == \
+            [10 + b if b <= a else -1 for b in range(5)]
+    assert sizes == [2, 4, 4, 6, 6]
+    assert trie.rows == [2, 6]
+    assert trie.lookup([np.arange(5), np.ones(5, dtype=int)]).tolist() == [-1] * 5
 
 
 def test_trivial_group_lookups():

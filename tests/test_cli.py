@@ -384,10 +384,10 @@ def test_cli_unknown_target_exit_codes(capsys):
     assert main(["recover", "missing-entry"]) == 2
 
 
-def test_console_script_runs():
+def test_console_script_runs(src_env):
     out = subprocess.run(
         [sys.executable, "-m", "involq.cli", "catalog", "--max-degree", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     assert out.returncode == 0
     assert "agl-field-3" in out.stdout
