@@ -7,18 +7,21 @@ A permutation of degree d is a 1-D int32 numpy array of images on the points
     compose(g, h)(x) == h(g(x))        conjugate(g, h) == h^-1 g h
 
 A :class:`PermGroup` stores every element as a row of a single (order, degree)
-array and addresses elements by their row index. A base -- a few points whose
-images tell every element apart (0 and 1 for a sharply 2-transitive group) --
-indexes the rows through a dense trie (:class:`_Trie`), one table per base
-point, and the images of each base point are kept as one contiguous column
-over the elements. A lookup walks the tables one base level at a time,
-reading each level's images with one 1-D gather from the flattened element
-array at ``row * degree + point``, the points taken from a column; so products,
-inverses, conjugates, membership tests, centralizers and conjugacy classes
-are vectorized scans over index arrays, and no scan indexes the element
-array in two dimensions. One centralizer scan serves a whole class, filled
-in by conjugation, and a class is read off one conjugation pass without a
-sort.
+array and addresses elements by their row index. Once built, the group reads
+that array's cells through three methods only -- ``images`` (a 1-D gather),
+``rows`` (whole rows) and ``column`` (one point's images over every element)
+-- so every stage, and every other method, is blind to how the elements are
+stored. A base -- a few points whose images tell every element apart (0 and
+1 for a sharply 2-transitive group) -- indexes the rows through a dense trie
+(:class:`_Trie`), one table per base point, and the images of each base point
+are kept as one contiguous column over the elements. A lookup walks the
+tables one base level at a time, reading each level's images with one 1-D
+gather from the flattened element array at ``row * degree + point``, the
+points taken from a column; so products, inverses, conjugates, membership
+tests, centralizers and conjugacy classes are vectorized scans over index
+arrays, and no scan indexes the element array in two dimensions. One
+centralizer scan serves a whole class, filled in by conjugation, and a class
+is read off one conjugation pass without a sort.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is found by a
@@ -85,6 +88,7 @@ def conjugate(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def perm_order(g: np.ndarray) -> int:
+    g = as_perm(g)  # a non-bijection never reaches the identity
     ident = np.arange(len(g))
     cur = g
     n = 1
@@ -224,6 +228,13 @@ class PermGroup:
     never index the (order, degree) array in two dimensions. The columns
     hold |base| int32 cells per element; the flat array is a view of the
     elements.
+
+    Element cells are read, once the flat array is set, only by
+    :meth:`images`, :meth:`rows` and :meth:`column`: the constructor's
+    columns and inverse scan, ``index_of``, the centralizer scan and every
+    stage go through them. ``elements`` stays a public read-only array for
+    callers outside the package; no module of the package reads it after
+    construction.
     """
 
     def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
@@ -232,12 +243,13 @@ class PermGroup:
         elements.setflags(write=False)
         generators.setflags(write=False)
         self.degree = int(degree)
+        self.order = len(elements)
         self.elements = elements
         self.generators = generators
         self.base, rank = _base_index(elements)
         self._flat = elements.reshape(-1)
         self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
-        self._columns = [np.ascontiguousarray(elements[:, b]) for b in self.base]
+        self._columns = [np.ascontiguousarray(self.column(b)) for b in self.base]
         # the ranks number the elements in the order of their base images, so
         # one scatter sorts them for the insert
         by_key = np.empty_like(rank)
@@ -245,19 +257,16 @@ class PermGroup:
         self._trie = _Trie(self.degree, len(self.base))
         self._trie.insert([column[by_key] for column in self._columns], by_key)
         ident = self._locate(self.base)
-        if not np.array_equal(elements[ident], identity_perm(degree)):
+        if not np.array_equal(self.rows(ident), identity_perm(degree)):
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
         # a^-1 sends base point b to the point that a sends to b, found by
         # (rows x degree) masks one row chunk at a time
         self._inverse = in_chunks(lambda lo, hi: self._locate(
-            np.argmax(elements[lo:hi] == b, axis=1) for b in self.base), self.order, self.degree)
+            np.argmax(self.rows(slice(lo, hi)) == b, axis=1) for b in self.base),
+            self.order, self.degree)
         self._centralizer_cache: dict[int, np.ndarray] = {}
         self._s2t_certificate = None  # filled lazily by involq.s2t
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -277,10 +286,20 @@ class PermGroup:
         over both: ``elements[a, points]`` as one 1-D gather."""
         return self._flat[np.asarray(a) * self._stride + points]
 
+    def rows(self, a):
+        """Whole rows of the elements with indices a (an index, an index
+        array, a boolean mask or a slice): ``elements[a]`` as one row gather
+        from a (order, degree) view of the flat array."""
+        return self._flat.reshape(-1, self.degree)[a]
+
+    def column(self, point: int):
+        """The images of one point under every element, in enumeration
+        order: ``elements[:, point]`` as a strided view of the flat array."""
+        return self._flat.reshape(-1, self.degree)[:, point]
+
     def mul(self, a, b):
         """Indices of (a then b), broadcast over index arrays a and b."""
-        at = np.asarray(b) * self._stride
-        return self._locate(self._flat[at + column[a]] for column in self._columns)
+        return self._locate(self.images(b, column[a]) for column in self._columns)
 
     def inv(self, a):
         """Indices of the inverses of the elements with indices a."""
@@ -288,9 +307,8 @@ class PermGroup:
 
     def conj(self, a, h):
         """Indices of h^-1 a h, broadcast over index arrays a and h."""
-        a_at, h_at = np.asarray(a) * self._stride, np.asarray(h) * self._stride
         h_inv = self._inverse[h]
-        return self._locate(self._flat[h_at + self._flat[a_at + column[h_inv]]]
+        return self._locate(self.images(h, self.images(a, column[h_inv]))
                             for column in self._columns)
 
     def index_of(self, perm):
@@ -314,7 +332,7 @@ class PermGroup:
         idx = self._locate(images.T.astype(np.int64)).T
         # confirmed in row chunks, not by one full-size gather
         at, flat = idx.reshape(-1), rows.reshape(-1, self.degree)
-        if hit := least_cell_in_chunks(lambda lo, hi: (self.elements[at[lo:hi]] != flat[lo:hi])
+        if hit := least_cell_in_chunks(lambda lo, hi: (self.rows(at[lo:hi]) != flat[lo:hi])
                                        .any(axis=1), len(at), self.degree):
             raise NotAMember(f"{flat[hit[0]].tolist()} is not an element")
         return int(idx) if idx.ndim == 0 else idx
@@ -550,7 +568,7 @@ def affine_group(nf: NearField) -> PermGroup:
 
 def _element_index(G: PermGroup, g) -> int:
     """g given as an element index or as a permutation row."""
-    if not isinstance(g, (int, np.integer)):
+    if not _is_int(g):
         return G.index_of(g)
     if not 0 <= g < G.order:
         raise NotAMember(f"no element with index {g}")
@@ -561,10 +579,10 @@ def _centralizer_scan(G: PermGroup, gi: int) -> np.ndarray:
     """Cen(gi) by one scan of the group: h commutes with g on the base, one
     column per base point (g(h(b)) from h's column, h(g(b)) from the
     element column of g(b))."""
-    grow = G.elements[gi]
+    grow = G.rows(gi)
     commute = True
     for b, column in zip(G.base, G._columns):
-        commute = commute & (grow[column] == G.elements[:, grow[b]])
+        commute = commute & (grow[column] == G.column(grow[b]))
     return np.flatnonzero(commute)
 
 
@@ -612,11 +630,10 @@ def conjugacy_class(G: PermGroup, g) -> np.ndarray:
 
 
 def is_subgroup(G: PermGroup, indices) -> bool:
-    """True iff the listed elements contain the identity and are
-    product-closed, read off one product table built in row chunks."""
-    idxs = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
-    if np.any(idxs < 0) or np.any(idxs >= G.order):
-        raise NotAMember("index out of range")
+    """True iff the listed elements (element indices or permutation rows)
+    contain the identity and are product-closed, read off one product table
+    built in row chunks."""
+    idxs = np.asarray(sorted({_element_index(G, i) for i in indices}), dtype=np.int64)
     member = np.bincount(idxs, minlength=G.order) > 0
     return bool(member[G.identity_index]) and least_cell_in_chunks(
         lambda lo, hi: ~member[G.mul(idxs[lo:hi, None], idxs)], len(idxs), len(idxs)) is None

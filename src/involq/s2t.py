@@ -106,7 +106,7 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
     pair_transitive = False
     if order >= expected:
         unreached = ~np.eye(d, dtype=bool)
-        unreached[G.elements[:, 0], G.elements[:, 1]] = False
+        unreached[G.column(0), G.column(1)] = False
         pair_transitive = not unreached.any()
     cert = S2TCertificate(
         degree=d,
@@ -137,7 +137,7 @@ def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
     cert.involution_count = len(j_idx)
     cert._jj = G.mul(j_idx[:, None], j_idx[None, :])
 
-    fixed = G.elements[j_idx] == np.arange(d)
+    fixed = G.rows(j_idx) == np.arange(d)
     counts = fixed.sum(axis=1)
     if np.all(counts == 0):
         cert.fixed_point_profile = "all-zero-fixed"
@@ -204,7 +204,7 @@ def translations(G: PermGroup) -> np.ndarray:
     cert = _require_certified(G)
     trans = cert._translations
     nontrivial = trans[trans != G.identity_index]
-    rows = G.elements[nontrivial]
+    rows = G.rows(nontrivial)
     if np.any(np.any(rows == np.arange(G.degree), axis=1)):
         raise CharacteristicAnomaly("a nontrivial translation has a fixed point")
     if cert.characteristic != 2 and cert.j2_single_class is not True:
@@ -222,13 +222,13 @@ def swap_involution(G: PermGroup, x: int, y: int) -> np.ndarray:
     _require_certified(G)
     if x == y:
         raise PointsEqual(f"need two distinct points, got {x} twice")
-    mask = (G.elements[:, x] == y) & (G.elements[:, y] == x)
+    mask = (G.column(x) == y) & (G.column(y) == x)
     hits = np.nonzero(mask)[0]
     if len(hits) != 1:
         raise UniquenessViolated(
             f"{len(hits)} elements swap {x} and {y}; input is not sharply 2-transitive"
         )
-    row = G.elements[hits[0]]
+    row = G.rows(hits[0])
     if not np.array_equal(row[row], np.arange(G.degree)):
         raise UniquenessViolated(f"unique swapper of ({x},{y}) is not an involution")
     return row

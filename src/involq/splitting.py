@@ -82,6 +82,22 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
     )
 
 
+def _regular_table(rows: np.ndarray, point: int, what: str) -> np.ndarray:
+    """The (d, d) table whose column x is the row sending ``point`` to x, for
+    rows that fix the points below ``point``: refused unless exactly one row
+    does so for each x from ``point`` on; the columns below it are 0."""
+    d = rows.shape[1]
+    counts = np.bincount(rows[:, point], minlength=d)
+    bad = np.flatnonzero(counts[point:] != 1) + point
+    if len(bad):
+        raise AxiomRecoveryFailure(
+            f"{counts[bad[0]]} {what} send {point} to {bad[0]}; the action is not regular"
+        )
+    table = np.zeros((d, d), dtype=np.int32)
+    table[:, rows[:, point]] = rows.T
+    return table
+
+
 def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coordinatization:
     """Recover the coordinatizing near-field of a split group.
 
@@ -93,27 +109,8 @@ def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coord
     if not split_report.split:
         raise NotSplit("translations are not a subgroup")
     d = G.degree
-    trans_rows = G.elements[_require_certified(G)._translations]
-    counts = np.bincount(trans_rows[:, 0], minlength=d)
-    bad = np.flatnonzero(counts != 1)
-    if len(bad):
-        raise AxiomRecoveryFailure(
-            f"{counts[bad[0]]} translations send 0 to {bad[0]}; the action is not regular"
-        )
-    add = np.empty((d, d), dtype=np.int32)
-    add[:, trans_rows[:, 0]] = trans_rows.T
-
-    stab_rows = G.elements[G.elements[:, 0] == 0]
-    counts = np.bincount(stab_rows[:, 1], minlength=d)
-    bad = np.flatnonzero(counts[1:] != 1) + 1
-    if len(bad):
-        raise AxiomRecoveryFailure(
-            f"{counts[bad[0]]} stabilizer elements send 1 to {bad[0]}; the action is not regular"
-        )
-    mul = np.empty((d, d), dtype=np.int32)
-    mul[:, 0] = 0
-    mul[:, stab_rows[:, 1]] = stab_rows.T
-
+    add = _regular_table(G.rows(_require_certified(G)._translations), 0, "translations")
+    mul = _regular_table(G.rows(G.column(0) == 0), 1, "stabilizer elements")
     nf = _require_axioms(NearField(d, f"recovered({d})", add, mul), AxiomRecoveryFailure)
     return Coordinatization(zero_point=0, one_point=1, nearfield=nf)
 

@@ -104,6 +104,13 @@ def test_x_alpha_rejects_out_of_range_indices(agl_f5):
             x_alpha(agl_f5, alpha)
 
 
+@pytest.mark.parametrize("alpha", [True, 0.5, "0"])
+def test_x_alpha_refuses_indices_that_are_not_integers(agl_f5, alpha):
+    with pytest.raises(NotAMember):
+        x_alpha(agl_f5, alpha)
+    assert list(x_alpha(agl_f5, np.int16(agl_f5.identity_index))) == []
+
+
 def test_x_alpha_definition(agl_d9):
     """X_alpha is literally { i in J : i.alpha is a translation }."""
     G = agl_d9

@@ -522,6 +522,88 @@ def test_a_miss_keeps_cached_entries_of_its_class(agl_d9, monkeypatch):
     assert scans == [1]
 
 
+NOT_INTEGERS = [True, 0.5, "0"]
+
+
+@pytest.mark.parametrize("index", NOT_INTEGERS)
+def test_centralizer_refuses_indices_that_are_not_integers(agl_f5, index):
+    with pytest.raises(NotAMember):
+        centralizer(agl_f5, index)
+    assert np.array_equal(centralizer(agl_f5, np.int32(1)), centralizer(agl_f5, 1))
+
+
+@pytest.mark.parametrize("index", NOT_INTEGERS)
+def test_conjugacy_class_refuses_indices_that_are_not_integers(agl_f5, index):
+    with pytest.raises(NotAMember):
+        conjugacy_class(agl_f5, index)
+    assert np.array_equal(conjugacy_class(agl_f5, np.int64(1)), conjugacy_class(agl_f5, 1))
+
+
+@pytest.mark.parametrize("index", NOT_INTEGERS)
+def test_is_subgroup_refuses_indices_that_are_not_integers(agl_f5, index):
+    """0.5 and "0" were read as the identity by int(), True as element 1."""
+    with pytest.raises(NotAMember):
+        is_subgroup(agl_f5, [index])
+    assert is_subgroup(agl_f5, [np.uint8(agl_f5.identity_index)])
+    assert is_subgroup(agl_f5, [agl_f5.elements[agl_f5.identity_index]])  # a row
+
+
+def test_perm_order_refuses_a_non_bijection():
+    """A non-bijection never reaches the identity, so its powers are not
+    searched."""
+    with pytest.raises(NotABijection):
+        perm_order(np.array([0, 0]))
+    assert perm_order(np.array([1, 2, 0, 4, 3])) == 6
+
+
+@pytest.mark.parametrize("name", ["agl_f5", "agl_d9", "d9_relabelled", "sym4"])
+def test_rows_and_columns_read_the_element_array(name, request):
+    G = request.getfixturevalue(name)
+    assert np.array_equal(G.rows(np.arange(G.order)), G.elements)
+    assert np.array_equal(G.rows(slice(2, 5)), G.elements[2:5])
+    assert np.array_equal(G.rows(G.elements[:, 0] == 0), G.elements[G.elements[:, 0] == 0])
+    for point in range(G.degree):
+        assert np.array_equal(G.column(point), G.elements[:, point])
+    # the views cannot write the elements
+    assert not G.rows(3).flags.writeable and not G.column(1).flags.writeable
+
+
+class _Poisoned:
+    """Stands in for ``G.elements`` after construction: any read raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the element array was read after construction")
+
+    __getattribute__ = __getitem__ = __len__ = __iter__ = __array__ = _refuse
+    __eq__ = __ne__ = __bool__ = __index__ = __int__ = _refuse
+
+
+def test_nothing_reads_the_element_array_after_construction(monkeypatch):
+    """With ``G.elements`` replaced after construction by an object that
+    raises on any access, every stage gives the same output: only the
+    group's own reads (images, rows, column) touch the elements."""
+    from involq.catalog import build_entry, run_catalog
+    from involq.pipeline import census_target, recover_target, verify_group
+
+    doc = str(Path(__file__).parent / "data" / "dickson-9-relabelled.json")
+    entries = run_catalog(31)
+    assert {"agl-field-4", "sym4-fixture"} <= {entry.id for entry in entries}
+
+    def outputs():
+        reports = [verify_group(build_entry(entry), entry) for entry in entries]
+        return json.dumps([reports, recover_target(doc), census_target(doc)], sort_keys=True)
+
+    expected = outputs()
+    init = PermGroup.__init__
+
+    def poisoned_init(self, *args):
+        init(self, *args)
+        self.elements = _Poisoned()
+
+    monkeypatch.setattr(PermGroup, "__init__", poisoned_init)
+    assert outputs() == expected
+
+
 def test_index_of_rejects_outsiders(agl_f5):
     with pytest.raises(NotAMember):
         agl_f5.index_of(np.array([2, 1, 0, 3, 4], dtype=np.int32))  # a transposition

@@ -182,7 +182,7 @@ def test_coordinatize_refuses_irregular_stabilizer(agl_f7, replaced, by, message
     elements = agl_f7.elements.copy()
     stab = elements[:, 0] == 0
     elements[stab & (elements[:, 1] == replaced)] = elements[stab & (elements[:, 1] == by)]
-    monkeypatch.setattr(agl_f7, "elements", elements)
+    monkeypatch.setattr(agl_f7, "_flat", elements.reshape(-1))
     with pytest.raises(AxiomRecoveryFailure, match=f"^{message}; the action is not regular$"):
         coordinatize(agl_f7, SPLIT)
 
