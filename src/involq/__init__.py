@@ -31,6 +31,7 @@ from .errors import (
     NotSharply2Transitive,
     NotSplit,
     OrderCapExceeded,
+    PointOutOfRange,
     PointsEqual,
     UniquenessViolated,
 )
@@ -97,7 +98,7 @@ __all__ = [
     "GeometryConditionsFailed", "InputError", "InvolqError", "Line", "MalformedDocument",
     "NearField", "NoPlaneVerdict", "NotABijection", "NotAMember",
     "NotDicksonPair", "NotInJ3", "NotPrime", "NotSharply2Transitive",
-    "NotSplit", "OrderCapExceeded", "PermGroup", "PointsEqual",
+    "NotSplit", "OrderCapExceeded", "PermGroup", "PointOutOfRange", "PointsEqual",
     "S2TCertificate", "SplitReport", "UniquenessViolated", "affine_group",
     "build_entry", "build_geometry", "census", "centralizer",
     "certify_sharply_2_transitive", "characteristic", "check_geometry_conditions",

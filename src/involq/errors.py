@@ -65,6 +65,10 @@ class PointsEqual(InvolqError):
     pass
 
 
+class PointOutOfRange(InvolqError):
+    pass
+
+
 class UniquenessViolated(InvolqError):
     pass
 

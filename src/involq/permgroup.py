@@ -7,11 +7,14 @@ A permutation of degree d is a 1-D int32 numpy array of images on the points
     compose(g, h)(x) == h(g(x))        conjugate(g, h) == h^-1 g h
 
 A :class:`PermGroup` stores every element as a row of a single (order, degree)
-array and addresses elements by their row index. Once built, the group reads
-that array's cells through three methods only -- ``images`` (a 1-D gather),
-``rows`` (whole rows) and ``column`` (one point's images over every element)
--- so every stage, and every other method, is blind to how the elements are
-stored. A base -- a few points whose images tell every element apart (0 and
+array and addresses elements by their row index. Its cells are the narrowest
+unsigned type that holds a point: uint8 up to degree 256, uint16 up to
+65,536, uint32 above, so a quarter of int32's bytes up to degree 256.
+Once built, the group reads them through three methods only -- ``images`` (a
+1-D gather), ``rows`` (whole rows) and ``column`` (one point's images over
+every element) -- which return int32, so every stage, and every other method,
+is blind to how the elements are stored, and no arithmetic sees a narrow
+value. A base -- a few points whose images tell every element apart (0 and
 1 for a sharply 2-transitive group) -- indexes the rows through a dense trie
 (:class:`_Trie`), one table per base point, and the images of each base point
 are kept as one contiguous column over the elements. A lookup walks the
@@ -39,6 +42,7 @@ near-field.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +170,18 @@ class _Trie:
             self.tables[j][:len(table)] = table
 
 
+def _cell_type(degree: int) -> np.dtype:
+    """The narrowest unsigned type that holds every point 0..degree-1."""
+    return np.min_scalar_type(degree - 1)
+
+
+def _as_int32(cells: np.ndarray) -> np.ndarray:
+    """Cells read from a group, as a new read-only int32 array."""
+    wide = cells.astype(np.int32)
+    wide.setflags(write=False)
+    return wide
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """True where a value differs from the one before it, and at 0."""
     starts = np.ones(len(values), dtype=bool)
@@ -226,30 +242,37 @@ class PermGroup:
     images that no element has look up -1. So products, inverses and
     conjugates of index arrays never hash, sort or compare whole rows, and
     never index the (order, degree) array in two dimensions. The columns
-    hold |base| int32 cells per element; the flat array is a view of the
-    elements.
+    hold |base| int32 cells per element; the flat array holds every element
+    cell, in the narrowest unsigned type for the degree (``_cell_type``).
+    ``affine_group`` and the orbit search fill that type directly; any other
+    array is narrowed once, after a range check.
 
     Element cells are read, once the flat array is set, only by
-    :meth:`images`, :meth:`rows` and :meth:`column`: the constructor's
-    columns and inverse scan, ``index_of``, the centralizer scan and every
-    stage go through them. ``elements`` stays a public read-only array for
-    callers outside the package; no module of the package reads it after
-    construction.
+    :meth:`images`, :meth:`rows` and :meth:`column`, which widen what they
+    read to int32: the constructor's columns, ``index_of``, the centralizer
+    scan and every stage go through them. ``elements`` is an int32 copy for
+    callers outside the package, read-only and built on its first read; no
+    module of the package reads it.
     """
 
     def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
-        elements = np.ascontiguousarray(elements, dtype=np.int32)
+        cells = _cell_type(degree)
+        elements = np.asarray(elements)
+        if elements.dtype != cells:  # narrowing an image out of range would wrap it
+            if elements.size and not 0 <= elements.min() <= elements.max() < degree:
+                raise ValueError(f"element images must lie in 0..{degree - 1}")
+            elements = elements.astype(cells)
+        elements = np.ascontiguousarray(elements)
         generators = np.ascontiguousarray(generators, dtype=np.int32)
         elements.setflags(write=False)
         generators.setflags(write=False)
         self.degree = int(degree)
         self.order = len(elements)
-        self.elements = elements
         self.generators = generators
         self.base, rank = _base_index(elements)
         self._flat = elements.reshape(-1)
         self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
-        self._columns = [np.ascontiguousarray(self.column(b)) for b in self.base]
+        self._columns = [self.column(b) for b in self.base]
         # the ranks number the elements in the order of their base images, so
         # one scatter sorts them for the insert
         by_key = np.empty_like(rank)
@@ -261,12 +284,20 @@ class PermGroup:
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
         # a^-1 sends base point b to the point that a sends to b, found by
-        # (rows x degree) masks one row chunk at a time
+        # (rows x degree) masks one row chunk at a time; a comparison with a
+        # point cannot overflow, so the masks are read off the cells as they are
         self._inverse = in_chunks(lambda lo, hi: self._locate(
-            np.argmax(self.rows(slice(lo, hi)) == b, axis=1) for b in self.base),
+            [np.argmax(elements[lo:hi] == b, axis=1) for b in self.base]),
             self.order, self.degree)
         self._centralizer_cache: dict[int, np.ndarray] = {}
         self._s2t_certificate = None  # filled lazily by involq.s2t
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Every element as a read-only int32 row, in enumeration order: a
+        copy of the cells, built on the first read. No module of the package
+        reads it."""
+        return self.rows(slice(None))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -283,19 +314,21 @@ class PermGroup:
 
     def images(self, a, points):
         """Images of the points under the elements with indices a, broadcast
-        over both: ``elements[a, points]`` as one 1-D gather."""
-        return self._flat[np.asarray(a) * self._stride + points]
+        over both, as int32: ``elements[a, points]`` as one 1-D gather."""
+        return self._flat[np.asarray(a) * self._stride + points].astype(np.int32)
 
     def rows(self, a):
         """Whole rows of the elements with indices a (an index, an index
-        array, a boolean mask or a slice): ``elements[a]`` as one row gather
-        from a (order, degree) view of the flat array."""
-        return self._flat.reshape(-1, self.degree)[a]
+        array, a boolean mask or a slice), as read-only int32:
+        ``elements[a]`` as one row gather from a (order, degree) view of the
+        flat array."""
+        return _as_int32(self._flat.reshape(-1, self.degree)[a])
 
     def column(self, point: int):
         """The images of one point under every element, in enumeration
-        order: ``elements[:, point]`` as a strided view of the flat array."""
-        return self._flat.reshape(-1, self.degree)[:, point]
+        order, as read-only int32: ``elements[:, point]`` as a strided read
+        of the flat array."""
+        return _as_int32(self._flat.reshape(-1, self.degree)[:, point])
 
     def mul(self, a, b):
         """Indices of (a then b), broadcast over index arrays a and b."""
@@ -350,6 +383,9 @@ class PermGroup:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# a gather indexed by cells first copies them to intp, so its row chunks are
+# sized by the bytes of that copy
+_INDEX_BYTES = np.dtype(np.intp).itemsize
 
 
 def _lex_words(keys: np.ndarray, degree: int) -> np.ndarray:
@@ -414,12 +450,12 @@ def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
     # full rows only for the new elements, from their tree edges, layer by
     # layer (a parent is in the layer before), generator by generator, in row
     # chunks
-    elements = np.empty((count, degree), dtype=np.int32)
+    elements = np.empty((count, degree), dtype=_cell_type(degree))
     elements[0] = identity_perm(degree)
-    start, step = 1, chunk_rows(degree)
+    start, step = 1, chunk_rows(degree * _INDEX_BYTES)
     for edge in edges:
         parent, by = np.divmod(edge, len(gens))
-        for g, perm in enumerate(gens):
+        for g, perm in enumerate(gens.astype(elements.dtype)):
             made = np.flatnonzero(by == g)
             for lo in range(0, len(made), step):
                 rows = made[lo:lo + step]
@@ -434,11 +470,11 @@ def _split_point(elements: np.ndarray, gens: np.ndarray, target: np.ndarray, tre
     such edge lands on that row. Checked generator by generator, in row
     chunks."""
     degree = elements.shape[1]
-    for g, to, in_tree in zip(gens, target.T, tree.T):
+    for g, to, in_tree in zip(gens.astype(elements.dtype), target.T, tree.T):
         u = np.flatnonzero(~in_tree)
         hit = least_cell_in_chunks(
             lambda lo, hi: np.take(g, elements[u[lo:hi]]) != elements[to[u[lo:hi]]],
-            len(u), degree)
+            len(u), degree * _INDEX_BYTES)
         if hit is not None:
             return hit[1]
     return None
@@ -556,9 +592,10 @@ def affine_group(nf: NearField) -> PermGroup:
     # row (m - 1) q + a is x -> (x mul m) add a, copied per m from a gather of
     # whole rows of add (cache-friendly), so the elements are built once;
     # distinct (m, a) give distinct maps, and PermGroup refuses duplicates
-    elements = np.empty((q - 1, q, q), dtype=np.int32)
+    add = nf.add.astype(_cell_type(q))
+    elements = np.empty((q - 1, q, q), dtype=add.dtype)
     for m in range(1, q):
-        elements[m - 1] = nf.add[nf.mul[:, m]].T
+        elements[m - 1] = add[nf.mul[:, m]].T
     return PermGroup(q, elements.reshape(-1, q), gens)
 
 
@@ -567,8 +604,10 @@ def affine_group(nf: NearField) -> PermGroup:
 
 
 def _element_index(G: PermGroup, g) -> int:
-    """g given as an element index or as a permutation row."""
+    """g given as an element index or as one permutation row."""
     if not _is_int(g):
+        if np.ndim(g) != 1:  # a stack of rows would look up an index array
+            raise NotAMember(f"an element is an index or one row, got shape {np.shape(g)}")
         return G.index_of(g)
     if not 0 <= g < G.order:
         raise NotAMember(f"no element with index {g}")

@@ -26,10 +26,11 @@ from .errors import (
     CharacteristicAnomaly,
     CharacteristicTwo,
     NotSharply2Transitive,
+    PointOutOfRange,
     PointsEqual,
     UniquenessViolated,
 )
-from .permgroup import PermGroup, centralizer, conjugacy_class, distinct
+from .permgroup import PermGroup, _is_int, centralizer, conjugacy_class, distinct
 from .reporting import Check, CheckReport, field_dict, least_cell
 
 
@@ -219,6 +220,9 @@ def characteristic(G: PermGroup) -> int:
 
 def swap_involution(G: PermGroup, x: int, y: int) -> np.ndarray:
     """The unique element exchanging the points x and y; always order 2."""
+    for point in (x, y):
+        if not (_is_int(point) and 0 <= point < G.degree):
+            raise PointOutOfRange(f"point {point!r} is not in 0..{G.degree - 1}")
     _require_certified(G)
     if x == y:
         raise PointsEqual(f"need two distinct points, got {x} twice")

@@ -212,9 +212,10 @@ def test_prefix_words_are_exact_past_int64():
 
 def test_orbit_search_holds_the_element_array_once(dickson_121_relabelled_doc):
     """The search runs on prefix keys and fills the rows into one array of
-    the final size, so its traced peak is the element array (6.7 MiB, 14,520
-    rows of 121 points) plus under 5 MiB of keys, tables and row chunks;
-    keeping every layer and concatenating them at the end peaked at 14.3 MiB."""
+    the final size, so its traced peak is the element array (14,520 rows of
+    121 points: 1.7 MiB of uint8 cells, 6.7 MiB as int32) plus under 5 MiB of
+    keys, tables and row chunks; keeping every layer of int32 rows and
+    concatenating them at the end peaked at 14.3 MiB."""
     doc = dickson_121_relabelled_doc
     gens = np.array(doc["generators"], dtype=np.int32)
     tracemalloc.start()
@@ -231,11 +232,14 @@ def test_constructor_finds_inverses_in_row_chunks():
     """The constructor's inverse lookup builds its (rows x degree) masks one
     row chunk at a time: on agl-field-121 its traced peak stays below one
     full mask of 14,520 x 121 bools (1.68 MiB), where one mask per base
-    point at once peaked at 2.2 MiB."""
+    point at once peaked at 2.2 MiB. It is handed the group's own uint8
+    cells: an int32 array would first be narrowed, a copy of exactly that
+    many bytes."""
     G = affine_group(make_field(11, 2))
+    cells = G._flat.reshape(G.order, G.degree)
     tracemalloc.start()
     try:
-        H = PermGroup(G.degree, G.elements, G.generators)
+        H = PermGroup(G.degree, cells, G.generators)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,6 +536,17 @@ def test_centralizer_refuses_indices_that_are_not_integers(agl_f5, index):
     assert np.array_equal(centralizer(agl_f5, np.int32(1)), centralizer(agl_f5, 1))
 
 
+@pytest.mark.parametrize("scan", [centralizer, conjugacy_class])
+def test_scans_refuse_a_stack_of_rows(agl_f5, scan):
+    """A stack of rows looked up an index array: centralizer raised
+    TypeError (an unhashable cache key) and conjugacy_class a broadcasting
+    ValueError. One row is still an element."""
+    for stack in (agl_f5.elements[:2], agl_f5.elements[None, :2], agl_f5.elements[:1]):
+        with pytest.raises(NotAMember, match="an index or one row"):
+            scan(agl_f5, stack)
+    assert np.array_equal(scan(agl_f5, agl_f5.elements[3]), scan(agl_f5, 3))
+
+
 @pytest.mark.parametrize("index", NOT_INTEGERS)
 def test_conjugacy_class_refuses_indices_that_are_not_integers(agl_f5, index):
     with pytest.raises(NotAMember):
@@ -564,7 +579,7 @@ def test_rows_and_columns_read_the_element_array(name, request):
     assert np.array_equal(G.rows(G.elements[:, 0] == 0), G.elements[G.elements[:, 0] == 0])
     for point in range(G.degree):
         assert np.array_equal(G.column(point), G.elements[:, point])
-    # the views cannot write the elements
+    # the reads are read-only, like the elements
     assert not G.rows(3).flags.writeable and not G.column(1).flags.writeable
 
 
@@ -704,3 +719,67 @@ def test_bfs_ingestion_matches_direct_affine_construction(agl_f5):
     H = parse_group_doc(doc)
     assert H.order == agl_f5.order
     assert set(map(tuple, H.elements)) == set(map(tuple, agl_f5.elements))
+
+
+# ---------------------------------------------------------------------------
+# element storage: narrow cells, int32 reads
+
+
+def _one_cycle_doc(degree):
+    return {"degree": degree, "generators": [list(range(1, degree)) + [0]]}
+
+
+@pytest.mark.parametrize("degree, cells", [(256, np.uint8), (257, np.uint16)])
+def test_cells_are_the_narrowest_unsigned_type_for_the_degree(degree, cells):
+    """Up to degree 256 every point fits one byte; the accessors and
+    ``elements`` still give int32, and ``elements`` is read-only and equal to
+    the rows."""
+    G = parse_group_doc(_one_cycle_doc(degree))
+    assert G.order == degree and G._flat.dtype == cells
+    every = np.arange(G.order)
+    rows = G.rows(every)
+    reads = [rows, G.rows(slice(None)), G.rows(3), G.column(degree - 1),
+             G.images(every[:, None], np.arange(degree)), G.elements]
+    assert all(read.dtype == np.int32 for read in reads)
+    assert np.array_equal(G.images(every[:, None], np.arange(degree)), rows)
+    assert np.array_equal(G.elements, rows) and not G.elements.flags.writeable
+    assert G.elements is G.elements  # built once
+    assert rows[1].tolist() == list(range(1, degree)) + [0]
+
+
+def test_cell_type_at_the_two_byte_boundary():
+    """Degrees 65,536 and 65,537, without building a group."""
+    assert permgroup._cell_type(2) == np.uint8
+    assert permgroup._cell_type(256) == np.uint8
+    assert permgroup._cell_type(65536) == np.uint16
+    assert permgroup._cell_type(65537) == np.uint32
+
+
+def test_constructor_refuses_images_that_do_not_fit_the_cells():
+    """An int32 array is narrowed to the cells only when every image is a
+    point: 256 would otherwise wrap to 0 in a group of degree 256."""
+    rows = np.array([np.arange(256), np.roll(np.arange(256), 1)], dtype=np.int32)
+    bad = rows.copy()
+    bad[1, 0] = 256
+    with pytest.raises(ValueError, match=r"element images must lie in 0\.\.255"):
+        PermGroup(256, bad, rows[1:])
+    assert PermGroup(256, rows, rows[1:])._flat.dtype == np.uint8
+
+
+def test_building_a_degree_121_group_stays_below_twice_its_cells(dickson_121_relabelled_doc):
+    """affine_group and the orbit search fill uint8 cells directly, and the
+    gathers that fill and check them are chunked by the bytes of their
+    intp index, so neither build ever holds an int32 (order x degree) array:
+    both stay below 2 x 14,520 x 121 bytes traced (3.4 MiB). With int32
+    cells they peaked at 7.9 MiB (affine_group) and 11.4 MiB (the document)."""
+    nf = make_field(11, 2)
+    order, degree = 14520, 121
+    for build in (lambda: affine_group(nf), lambda: parse_group_doc(dickson_121_relabelled_doc)):
+        tracemalloc.start()
+        try:
+            G = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (G.order, G.degree) == (order, degree)
+        assert peak < 2 * order * degree

@@ -7,7 +7,9 @@ import pytest
 
 from involq import (
     CharacteristicTwo,
+    InvolqError,
     NotSharply2Transitive,
+    PointOutOfRange,
     PointsEqual,
     build_geometry,
     census,
@@ -211,6 +213,17 @@ def test_swap_fixed_point_count(agl_f7):
 def test_swap_points_equal(agl_f5):
     with pytest.raises(PointsEqual):
         swap_involution(agl_f5, 2, 2)
+
+
+@pytest.mark.parametrize("point", [5, -1])
+def test_swap_points_out_of_range(agl_f5, point):
+    """Point 5 raised numpy's IndexError; point -1 was read as point 4, and
+    the group was blamed: "0 elements swap -1 and 0; input is not sharply
+    2-transitive"."""
+    for x, y in ((point, 0), (0, point)):
+        with pytest.raises(PointOutOfRange, match=rf"^point {point} is not in 0\.\.4$") as err:
+            swap_involution(agl_f5, x, y)
+        assert isinstance(err.value, InvolqError)
 
 
 def test_translations_f5(agl_f5):
