@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotInJ3
 from .geometry import Geometry
-from .permgroup import PermGroup, _element_index, centralizer, distinct
+from .permgroup import PermGroup, _element_index, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
 
@@ -73,7 +73,7 @@ def _x_alpha_masks(G: PermGroup, cert, alphas: np.ndarray) -> tuple[np.ndarray, 
     """Per alpha (rows) and involution i (columns): the index of i.alpha, and
     whether it is a translation, i.e. whether i lies in X_alpha."""
     products = G.mul(cert._j[None, :], alphas[:, None])
-    return products, np.isin(products, cert._translations)
+    return products, member_mask(G, cert._translations)[products]
 
 
 def _alpha_sample(G: PermGroup, j3: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -92,7 +92,7 @@ def x_alpha(G: PermGroup, alpha) -> np.ndarray:
     """
     cert = _require_odd_characteristic(G)
     a_idx = _element_index(G, alpha)
-    if a_idx != G.identity_index and not np.isin(a_idx, _triple_products(G, cert)):
+    if a_idx != G.identity_index and not member_mask(G, _triple_products(G, cert))[a_idx]:
         raise NotInJ3(f"element {a_idx} is not a product of three involutions")
     _, in_x = _x_alpha_masks(G, cert, np.array([a_idx]))
     return np.nonzero(in_x[0])[0]
@@ -126,8 +126,8 @@ def census(G: PermGroup) -> CensusReport:
         j3_size=j3_size,
         lhat=j3_size - j2_size,
         fiber_identity_ok=j2_size * khat == nhat * nhat,
-        j_disjoint_from_j2=not np.isin(j_idx, trans).any(),
-        j3_contains_j=bool(np.isin(j_idx, j3).all()),
+        j_disjoint_from_j2=not member_mask(G, trans)[j_idx].any(),
+        j3_contains_j=bool(member_mask(G, j3)[j_idx].all()),
         xalpha_sizes=xalpha_sizes,
         alpha_sample_complete=complete,
     )

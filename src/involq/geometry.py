@@ -16,9 +16,10 @@ The build only proceeds when the four equivalent preconditions hold
 (commuting transitive on nontrivial translations; unique square roots in the
 products iJ meet kJ; centralizers equal to those products, abelian and
 inverted; centralizer classes partitioning the nontrivial translations).
-:func:`check_geometry_conditions` decides each for every pair from tables of
-about |J|^2 cells over the columns of J.J, by the exact reductions its
-docstring states.
+:func:`check_geometry_conditions` decides (a) from labels of the commuting
+rows of the translations, and the others for every pair from tables of about
+|J|^2 cells over the columns of J.J, by the exact reductions its docstring
+states.
 The finished structure satisfies the partial-plane axioms: two points span
 exactly one line, two lines meet in at most one point.
 
@@ -29,6 +30,10 @@ and ``Geometry.line_of_translation`` is an order-length array giving the
 line of each nontrivial translation (-1 on every other element). Closures,
 the no-proper-plane verdict, the line lemma and the X_alpha covering all
 read that matrix.
+
+The odd-subgroup scan (:func:`divisible_subgroup_scan`) closes all its
+candidate subgroups together, in rounds over a stack of masks, each distinct
+set grown once per round.
 
 Closures and the no-proper-plane verdict are batched kernels over an
 (S, n_points) stack of point masks: :func:`close_point_masks` grows every
@@ -51,7 +56,7 @@ from .errors import (
     GeometryConditionsFailed,
     PointsEqual,
 )
-from .permgroup import PermGroup, centralizer, distinct
+from .permgroup import PermGroup, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell, least_cells
 from .s2t import _require_certified, _require_odd_characteristic
 
@@ -67,6 +72,16 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[group]
+
+
+def _members(masks: np.ndarray, pad) -> tuple[np.ndarray, np.ndarray]:
+    """The True positions of each row of a boolean matrix, in order, as the
+    rows of one int64 matrix padded with ``pad``; and the count per row."""
+    rows, cols = np.nonzero(masks)
+    size = np.count_nonzero(masks, axis=1)
+    out = np.full((len(masks), size.max(initial=0)), pad, dtype=np.int64)
+    out[rows, np.arange(len(rows)) - (np.cumsum(size) - size)[rows]] = cols
+    return out, size
 
 
 def _padded(rows: list[np.ndarray], pad) -> np.ndarray:
@@ -86,9 +101,13 @@ _C_REASONS = ("centralizer-mismatch", "not-abelian", "not-inverted")
 def check_geometry_conditions(G: PermGroup) -> CheckReport:
     """Evaluate the four conditions independently and report agreement.
 
-    (b) and (c) are decided for every pair of involutions by exact
-    reductions to tables of about |J|^2 cells, and each witness is the least
-    failing tuple of the pair loop that the reduction replaces:
+    (a) is decided without the |T|^3 reachability product: commuting is
+    reflexive and symmetric, so it is transitive exactly when translations
+    that commute have equal commuting rows. The product is built only on
+    failure, to name the least failing triple. (b) and (c) are decided for
+    every pair of involutions by exact reductions to tables of about |J|^2
+    cells, and each witness is the least failing tuple of the pair loop that
+    the reduction replaces:
 
     * iJ is held as a boolean row over the columns of J.J only: iJ, and so
       every meet iJ ∩ kJ, lies inside J.J.
@@ -115,14 +134,17 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     nontrivial = trans[trans != G.identity_index].astype(np.int64)
     checks: list[Check] = []
 
-    # (a) commuting is transitive on the nontrivial translations
+    # (a) commuting is transitive on the nontrivial translations. It is
+    # reflexive and symmetric, so it is transitive exactly when translations
+    # that commute have equal commuting rows; the |T|^3 product is built only
+    # to name the least failing triple
     products = G.mul(nontrivial[:, None], nontrivial[None, :])
     commute = products == products.T
-    reach = (commute.astype(np.int64) @ commute.astype(np.int64)) > 0
-    bad = reach & ~commute
+    label = _distinct_rows(commute)[1]
     witness = None
-    if bad.any():
-        a, c = np.argwhere(bad)[0]
+    if (commute & (label[:, None] != label[None, :])).any():
+        reach = (commute.astype(np.int64) @ commute.astype(np.int64)) > 0
+        a, c = np.argwhere(reach & ~commute)[0]
         b = int(np.nonzero(commute[a] & commute[:, c])[0][0])
         witness = (int(nontrivial[a]), int(nontrivial[b]), int(nontrivial[c]))
     checks.append(Check("commuting-transitive-on-translations", witness is None,
@@ -204,9 +226,7 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     # (d) centralizer classes partition the nontrivial translations
     members = np.concatenate([sets[r] for r in distinct(set_of[row_of[nontrivial]])])
     members = members[members != G.identity_index]
-    is_translation = np.zeros(G.order, dtype=bool)
-    is_translation[nontrivial] = True
-    outside = members[~is_translation[members]]
+    outside = members[~member_mask(G, nontrivial)[members]]
     counts = np.bincount(members, minlength=G.order)[nontrivial]
     off = np.flatnonzero(counts != 1)
     witness = None
@@ -579,16 +599,21 @@ def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:
 
     * the cyclic subgroup of each nontrivial translation, from its powers,
       walked for all translations at once;
-    * the closure of each pair of distinct cyclic subgroups, grown in rounds
-      that multiply every member by every member.
+    * the closure of each pair of distinct cyclic subgroups, grown for all
+      pairs at once in rounds that multiply every member by every member.
+      A pair's later rounds depend only on its current set, so each round
+      grows every distinct set once, however many pairs hold it, with its
+      products formed in the row chunks of :mod:`involq.reporting`.
 
     A candidate with a power or product outside the translation set is
     discarded: it cannot be a subgroup contained in the translations. One
     that grows past DEFAULT_SUBGROUP_CAP members is abandoned and counted in
     skipped_over_cap (once per translation or pair), and the report is marked
-    incomplete; within a round an escaping product is found before the cap is
-    tested. Violations are listed in (size, sorted translation positions)
-    order.
+    incomplete; within a round an escaping product is found before a closed
+    set, and a closed set before the cap. Each subgroup is tested for an
+    involution normalizing it once per distinct conjugation action of the
+    involutions on the translations. Violations are listed in (size, sorted
+    translation positions) order.
     """
     G = geom.group
     trans = geom.translation_ids
@@ -624,33 +649,52 @@ def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:
     cyclic = cyclic[_distinct_rows(cyclic)[0]]
 
     # a pair generates what its two cyclic subgroups generate, so distinct
-    # cyclic subgroups are paired; the identity is a member of every closure,
-    # so each round's products hold its members
+    # cyclic subgroups are paired, one row of `current` per pair a < b. The
+    # rest of a pair's rounds depends only on its current set, so each round
+    # grows every distinct set once, for the `pairs` pairs that hold it: all
+    # member x member products of every set at once, in row chunks, members
+    # padded with the identity, whose products add nothing. Column nt of a
+    # grown set marks a product outside the translations
+    a, b = np.triu_indices(len(cyclic), 1)
+    current = cyclic[a] | cyclic[b]
+    pairs = np.ones(len(current), dtype=np.int64)
     closures = [cyclic]
-    for a, b in zip(*np.triu_indices(len(cyclic), 1)):
-        members = np.flatnonzero(cyclic[a] | cyclic[b])
-        while True:
-            products = table[members[:, None], members]
-            if products.min() < 0:
-                break
-            grown = np.zeros(nt, dtype=bool)
-            grown[products] = True
-            if np.count_nonzero(grown) == len(members):
-                closures.append(grown[None, :])
-                break
-            members = np.flatnonzero(grown)
-            if len(members) > DEFAULT_SUBGROUP_CAP:
-                skipped += 1
-                break
+    flat_table = table.ravel()
+    while len(current):
+        first, group = _distinct_rows(current)
+        current = current[first]
+        pairs = np.bincount(group, weights=pairs).astype(np.int64)
+        members, size = _members(current, ident)
+        width = members.shape[1]
+
+        def grow(lo, hi):
+            at = members[lo:hi]
+            products = flat_table[at[:, :, None] * nt + at[:, None, :]]
+            products[products < 0] = nt
+            grown = np.zeros((hi - lo, nt + 1), dtype=bool)
+            grown.ravel()[products + (np.arange(hi - lo) * (nt + 1))[:, None, None]] = True
+            return grown
+
+        grown = in_chunks(grow, len(current), width * width)
+        escaped = grown[:, nt]
+        grown_size = np.count_nonzero(grown[:, :nt], axis=1)
+        closed = ~escaped & (grown_size == size)
+        over = ~escaped & ~closed & (grown_size > DEFAULT_SUBGROUP_CAP)
+        closures.append(current[closed])
+        skipped += int(pairs[over].sum())
+        live = ~(escaped | closed | over)
+        current, pairs = grown[live, :nt], pairs[live]
 
     subgroups = np.concatenate(closures)
     subgroups = subgroups[_distinct_rows(subgroups)[0]]
     sizes = subgroups.sum(axis=1)
 
     # odd subgroups normalized by an involution whose conjugation keeps the
-    # translations: the conjugate of every member is a member
+    # translations: the conjugate of every member is a member. Involutions
+    # that act alike are tested once (in K x| K* every one inverts T)
     conj = t_pos[G.conj(trans[None, :], geom.points[:, None])]
     conj = conj[(conj >= 0).all(axis=1)]
+    conj = conj[_distinct_rows(conj)[0]]
     odd = subgroups[(sizes % 2 == 1) & (sizes > 1)]
     found = odd[in_chunks(lambda lo, hi: (odd[lo:hi, conj] | ~odd[lo:hi, None, :])
                           .all(axis=2).any(axis=1), len(odd), conj.size)]

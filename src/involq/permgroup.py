@@ -247,6 +247,13 @@ class PermGroup:
     ``affine_group`` and the orbit search fill that type directly; any other
     array is narrowed once, after a range check.
 
+    The constructor takes ownership of its input arrays. An element array
+    already of the cell type and C-contiguous, and a C-contiguous int32
+    generator array, are stored as they are, without a copy, and made
+    read-only in the caller's hands too. ``affine_group`` and the orbit
+    search hand over arrays they built, and a copy would double the peak
+    of a large build.
+
     Element cells are read, once the flat array is set, only by
     :meth:`images`, :meth:`rows` and :meth:`column`, which widen what they
     read to int32: the constructor's columns, ``index_of``, the centralizer
@@ -651,6 +658,16 @@ def distinct(values) -> np.ndarray:
     return flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
 
 
+def member_mask(G: PermGroup, members) -> np.ndarray:
+    """Membership of the element indices ``members`` as a boolean row over
+    the element indices of G, with one more False slot, so that an index of
+    -1 (no element) reads False: ``mask[a]`` is ``np.isin(a, members)``
+    without the sort, or the numpy.ma import of its first call."""
+    mask = np.zeros(G.order + 1, dtype=bool)
+    mask[members] = True
+    return mask
+
+
 def _conjugators(G: PermGroup, gi: int):
     """The class of element gi in enumeration order, and beside each member c
     the least h with h^-1 gi h = c: one conjugation pass, and the least h per
@@ -673,6 +690,6 @@ def is_subgroup(G: PermGroup, indices) -> bool:
     contain the identity and are product-closed, read off one product table
     built in row chunks."""
     idxs = np.asarray(sorted({_element_index(G, i) for i in indices}), dtype=np.int64)
-    member = np.bincount(idxs, minlength=G.order) > 0
+    member = member_mask(G, idxs)
     return bool(member[G.identity_index]) and least_cell_in_chunks(
         lambda lo, hi: ~member[G.mul(idxs[lo:hi, None], idxs)], len(idxs), len(idxs)) is None

@@ -46,7 +46,7 @@ from .catalog import (
     find_entry,
     run_catalog,
 )
-from .errors import CharacteristicTwo, InputError, InvolqError
+from .errors import CharacteristicTwo, InputError, InvolqError, MalformedDocument
 from .permgroup import PermGroup, parse_group_doc
 
 DEFAULT_CLOSURE_SEEDS = 100
@@ -240,8 +240,12 @@ def resolve_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE):
     if entry is not None:
         return entry, build_entry(entry)
     if os.path.exists(target):
-        with open(target, "r", encoding="utf-8") as fh:
-            doc = fh.read()
+        with open(target, "rb") as fh:
+            raw = fh.read()
+        try:
+            doc = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"document is not UTF-8: {exc}") from exc
         return None, parse_group_doc(doc)
     raise FileNotFoundError(f"no catalog entry or file named {target!r}")
 

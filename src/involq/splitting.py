@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AxiomRecoveryFailure, CharacteristicAnomaly, NotSplit
 from .nearfield import NearField, _require_axioms
-from .permgroup import PermGroup, affine_generators
+from .permgroup import PermGroup, affine_generators, member_mask
 from .reporting import field_dict, least_cell
 from .s2t import _require_certified
 
@@ -57,9 +57,10 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
     abelian and conjugation-stable, which is asserted rather than assumed."""
     cert = _require_certified(G)
     trans = cert._translations
+    is_trans = member_mask(G, trans)
 
     products = G.mul(trans[:, None], trans[None, :])  # a then b
-    outside = least_cell(~np.isin(products, trans))
+    outside = least_cell(~is_trans[products])
     if outside is not None:
         a, b = outside
         return SplitReport(
@@ -71,7 +72,7 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
         raise CharacteristicAnomaly("translation subgroup is not abelian")
 
     gens = G.index_of(G.generators)
-    if not np.isin(G.conj(trans[None, :], gens[:, None]), trans).all():
+    if not is_trans[G.conj(trans[None, :], gens[:, None])].all():
         raise CharacteristicAnomaly("translation subgroup is not normal")
 
     return SplitReport(

@@ -138,6 +138,18 @@ def test_cli_verify_refuses_a_degree_above_the_order_cap(tmp_path, capsys):
     assert err.startswith("verification failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "recover", "census"])
+def test_cli_document_not_utf8_is_an_input_error(command, tmp_path, capsys):
+    """A document whose bytes are not UTF-8 (here a UTF-16 byte-order mark)
+    is refused as malformed, not left to raise UnicodeDecodeError."""
+    doc = tmp_path / "d.json"
+    doc.write_bytes(b"\xff\xfe")
+    assert main([command, str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: document is not UTF-8")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog"], ["verify"], ["verify", "agl-field-3"], ["recover", "agl-field-3"],
     ["census", "agl-field-3"],

@@ -1,6 +1,7 @@
 """Incidence structure construction and the scans over it."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +101,27 @@ def test_condition_a_witness_matches_the_loop():
         witnesses.append(expected)
     assert witnesses[0] is witnesses[2] is None
     assert witnesses[1] is not None and witnesses[3] is not None
+
+
+ODD_UP_TO_49 = [e.id for e in run_catalog(49)
+                if e.expected_certified and e.expected_characteristic != 2]
+
+
+@pytest.mark.parametrize("entry_id", ODD_UP_TO_49)
+def test_condition_a_matches_the_loop_on_the_catalog(entry_id):
+    """The row labels decide (a) as the triple loop does on every odd entry up
+    to degree 49, as listed and with the stabilizer of point 0 listed among
+    the translations, where a Dickson near-field fails (a)."""
+    G = build_entry(find_entry(entry_id))
+    for tamper in (False, True):
+        if tamper:
+            cert = certify_sharply_2_transitive(G)
+            stabilizer = np.flatnonzero(G.elements[:, 0] == 0)
+            cert._translations = np.union1d(cert._translations, stabilizer)
+        expected = _condition_a_by_loop(G)
+        assert (expected is None) is (not tamper or entry_id.startswith("agl-field"))
+        check = check_geometry_conditions(G).check("commuting-transitive-on-translations")
+        assert check.passed is (expected is None) and check.witness == expected
 
 
 def test_build_refuses_failed_conditions(agl_f7, monkeypatch):
@@ -772,6 +794,60 @@ def test_subgroup_scan_matches_naive_oracle(entry_id, monkeypatch):
             report = divisible_subgroup_scan(geom)
             assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
             assert report.complete is (expected["skipped_over_cap"] == 0)
+
+
+@pytest.mark.slow
+def test_subgroup_scan_matches_naive_oracle_where_pairs_share_sets(monkeypatch):
+    """On agl-dickson-9-2 the 780 pairs of the 40 cyclic subgroups of order 3
+    close in two rounds, six pairs to each of the 130 subgroups of order 9:
+    the second round grows each shared set once. At cap 3 every pair is
+    counted over the cap, at cap 9 none is."""
+    geom = build_geometry(build_entry(find_entry("agl-dickson-9-2")))
+    for cap in (3, 9, 512):
+        monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
+        expected = naive_subgroup_scan(geom, cap)
+        assert expected["skipped_over_cap"] == (780 if cap == 3 else 0)
+        for chunk_cells in CHUNK_SIZES:
+            monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+            report = divisible_subgroup_scan(geom)
+            assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
+    assert expected["size_histogram"] == {3: 40, 9: 130}
+
+
+def test_subgroup_scan_counts_pairs_of_shared_sets_over_the_cap(sym4, monkeypatch):
+    """With the whole of S4 as the translation set, the 120 pairs of its 16
+    cyclic subgroups do not close in one round, and at some caps a set that
+    several pairs reach passes the cap in a later round: each of those pairs
+    is counted, as the oracle counts them."""
+    involutions = np.flatnonzero((sym4.mul(np.arange(24), np.arange(24)) == sym4.identity_index)
+                                 & (np.arange(24) != sym4.identity_index))
+    geom = SimpleNamespace(group=sym4, translation_ids=np.arange(24), points=involutions,
+                           classes=[])
+    skipped = {}
+    for cap in range(2, 25):
+        monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
+        expected = naive_subgroup_scan(geom, cap)
+        for chunk_cells in CHUNK_SIZES:
+            monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+            report = divisible_subgroup_scan(geom)
+            assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
+        skipped[cap] = expected["skipped_over_cap"]
+    assert skipped[24] == 0 and skipped[9] > skipped[12] > 0
+
+
+def test_subgroup_scan_traced_peak_at_degree_243():
+    """The scan of agl-field-243 (7,260 pairs, 1,331 subgroups) holds its
+    stack of pair masks and its products, built in row chunks, within twice
+    the 6.9 MiB traced peak of the per-pair loop it replaced."""
+    geom = build_geometry(build_entry(find_entry("agl-field-243", 243)))
+    tracemalloc.start()
+    try:
+        report = divisible_subgroup_scan(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.found == report.examined == 1331 and report.complete
+    assert peak <= 2 * 6.9 * 2**20
 
 
 def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9, monkeypatch):

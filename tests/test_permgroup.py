@@ -700,6 +700,29 @@ def test_verification_never_imports_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
+def test_ingest_of_a_degree_121_document_never_imports_numpy_ma(
+        dickson_121_relabelled_doc, tmp_path, src_env):
+    """At degree 121 np.isin would sort, through np.unique, and import
+    numpy.ma (about 14 ms) in every fresh ingest process: the split test and
+    the census read membership masks instead."""
+    import subprocess
+    import sys
+
+    doc = tmp_path / "d121.json"
+    doc.write_text(json.dumps(dickson_121_relabelled_doc))
+    script = (
+        "import sys\n"
+        "from involq import pipeline\n"
+        f"pipeline.recover_target({str(doc)!r})\n"
+        f"pipeline.census_target({str(doc)!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=src_env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_affine_needs_valid_nearfield():
     from involq import NearField, AxiomFailure
 
@@ -764,6 +787,21 @@ def test_constructor_refuses_images_that_do_not_fit_the_cells():
     with pytest.raises(ValueError, match=r"element images must lie in 0\.\.255"):
         PermGroup(256, bad, rows[1:])
     assert PermGroup(256, rows, rows[1:])._flat.dtype == np.uint8
+
+
+def test_constructor_takes_ownership_of_arrays_it_stores_as_they_are():
+    """Cells of the cell type and int32 generators are stored without a copy
+    and frozen in the caller's hands; an array that must be converted is
+    copied and left as the caller had it."""
+    cells = np.array([np.roll(np.arange(5), k) for k in range(5)], dtype=np.uint8)
+    gens = cells[1:2].astype(np.int32)
+    G = PermGroup(5, cells, gens)
+    assert np.shares_memory(G._flat, cells) and not cells.flags.writeable
+    assert G.generators is gens and not gens.flags.writeable
+    wide = cells.astype(np.int64)
+    G = PermGroup(5, wide, wide[1:2])
+    assert not np.shares_memory(G._flat, wide) and wide.flags.writeable
+    assert G.order == 5 and np.array_equal(G.rows(slice(None)), wide)
 
 
 def test_building_a_degree_121_group_stays_below_twice_its_cells(dickson_121_relabelled_doc):
