@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotInJ3
-from .geometry import Geometry
+from .geometry import Geometry, _lines_meet_once
 from .permgroup import PermGroup, _element_index, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
@@ -139,7 +139,15 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     * line-covering: whenever i.r.s == alpha and v is on the line of (r,s),
       the whole line of (i,v) sits inside X_alpha. Since the line of (r,s)
       depends only on the product r.s == i.alpha, the scan runs over the
-      deduplicated witnesses (i, i.alpha) instead of raw triples.
+      deduplicated witnesses (i, i.alpha) instead of raw triples. It is
+      decided per pair (alpha, p), with L the line of p.alpha: when
+      ``geometry._lines_meet_once`` holds and p lies on L, the line of
+      (p, v) is L for every v != p on L, so the pair is uncovered exactly
+      when L is not inside X_alpha and has two or more points. A pair with
+      p off L is not decided this way. The (n, n) slab of (p, v) cells is
+      built only for the alphas holding an uncovered pair or a pair with p
+      off L, to read the least triple, and for every alpha when the
+      premise fails.
     * point-line-saturation: every member of X_alpha lies on at least one
       line fully inside X_alpha.
     * fiber-size-identity: |X_alpha| * khat equals the number of triples
@@ -171,21 +179,28 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
 
     # (alpha, p, v): p in X_alpha, v != p on the line of p.alpha (none when
     # p.alpha is the identity: r == s carries no line), and the line of
-    # (p, v) leaves X_alpha; built for a chunk of alphas at a time
+    # (p, v) leaves X_alpha; built a chunk at a time for the alphas that
+    # the per-pair test leaves open
     line_of = geom.line_of_translation[products]
     on = (line_of >= 0) & in_x
     diagonal = np.arange(len(j_idx))
+    on_own_line = geom.incidence[line_of, diagonal]
+    open_line = ~np.take_along_axis(inside, line_of, axis=1) & (
+        np.count_nonzero(geom.incidence, axis=1)[line_of] >= 2)
+    rows = np.flatnonzero((on & (~on_own_line | open_line)).any(axis=1)
+                          | (not _lines_meet_once(geom)))
 
     def uncovered(lo, hi):
-        cube = geom.incidence[line_of[lo:hi]] & on[lo:hi, :, None]
+        at = rows[lo:hi]
+        cube = geom.incidence[line_of[at]] & on[at, :, None]
         cube[:, diagonal, diagonal] = False
-        return cube & ~inside[lo:hi, geom.line_of_pair]
+        return cube & ~inside[at][:, geom.line_of_pair]
 
-    hit = least_cell_in_chunks(uncovered, len(sample), len(j_idx) ** 2)
+    hit = least_cell_in_chunks(uncovered, len(rows), len(j_idx) ** 2)
     witness_cover = None
     if hit is not None:
         row, p, v = hit
-        witness_cover = (int(sample[row]), int(j_idx[p]), int(j_idx[v]))
+        witness_cover = (int(sample[rows[row]]), int(j_idx[p]), int(j_idx[v]))
 
     hit = least_cell(in_x & ~(inside @ geom.incidence))
     witness_sat = None

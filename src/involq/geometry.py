@@ -38,10 +38,13 @@ set grown once per round.
 Closures and the no-proper-plane verdict are batched kernels over an
 (S, n_points) stack of point masks: :func:`close_point_masks` grows every
 row by the lines holding two of its points until no row changes, and
-:func:`no_plane_verdicts` tests both hypotheses of every row, building its
-(S, n, n) and (S, L, L) masks in the row chunks of :mod:`involq.reporting`.
-:func:`plane_closure` and :func:`verify_no_proper_plane` are one-row calls
-of the same kernels.
+:func:`no_plane_verdicts` tests both hypotheses of every row. Hypothesis (a)
+is decided per line from member counts whenever :func:`_lines_meet_once`
+holds (a line holding two points is then their line), and its (n, n)
+point-pair masks are built only for the rows that fail, to name the least
+pair; hypothesis (b) builds (L, L) masks. Both go in the row chunks of
+:mod:`involq.reporting`. :func:`plane_closure` and
+:func:`verify_no_proper_plane` are one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -472,6 +475,24 @@ def close_point_masks(geom: Geometry, masks: np.ndarray) -> np.ndarray:
         current = grown
 
 
+def _lines_meet_once(geom: Geometry) -> bool:
+    """Whether every pair p != q lies on the line ``line_of_pair[p, q]`` and
+    two lines share at most one point. Then a line holding two points p, q
+    is the line of (p, q), as two lines through both would share them. A
+    geometry from :func:`build_geometry` satisfies both; a tampered or
+    hand-built one need not, so the per-line reductions of
+    :func:`no_plane_verdicts` and the X_alpha covering scan test this on
+    every call, in O(n^2 + L^2 n) cells."""
+    n = geom.n_points
+    at = np.arange(n)
+    flat = geom.incidence.ravel()  # cell l * n + p: p is on line l
+    start = geom.line_of_pair * n  # -1, as an index, is the last line
+    on_pair = flat[start + at] & flat[start + at[:, None]]
+    np.fill_diagonal(on_pair, True)
+    inc = geom.incidence.astype(np.int64)
+    return bool(on_pair.all() and (np.triu(inc @ inc.T, 1) <= 1).all())
+
+
 def _unmet_line_pairs(geom: Geometry, inside: np.ndarray) -> np.ndarray:
     """Per row of the (S, n_lines) mask ``inside``, the least pair of its lines
     that do not meet, or (-1, -1)."""
@@ -529,21 +550,33 @@ def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     0 when both hold, 1 when (a) fails, 2 when only (b) fails. ``witness[s]``
     is the least failing pair of that hypothesis (points for (a), lines for
     (b)), (-1, -1) when both hold. ``line_count[s]`` counts the lines inside
-    the set. The (S, n, n) and (S, L, L) masks are built in chunks of rows.
+    the set.
+
+    (a) is decided per line. When :func:`_lines_meet_once` holds, the line of
+    two members is the one line holding both, so a set fails (a) exactly
+    when a line holds two or more members and is not inside the set; the
+    members per line are an integer product, never float BLAS. The (n, n)
+    mask of member pairs whose line leaves the set is built only for those
+    rows, to read the least pair, and for every row when the premise fails.
+    It and the (L, L) masks of (b) are built in chunks of rows.
     """
     n = geom.n_points
     inside = geom.lines_inside(masks)
+    members = masks.astype(np.int32) @ geom.incidence.T.astype(np.int32)
+    rows = np.flatnonzero(((members >= 2) & ~inside).any(axis=1) | (not _lines_meet_once(geom)))
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
 
     def leaving(lo, hi):  # least member pair p < q whose line is not inside
-        on = masks[lo:hi]
-        out = np.take(~inside[lo:hi], geom.line_of_pair, axis=1)
+        at = rows[lo:hi]
+        on = masks[at]
+        out = np.take(~inside[at], geom.line_of_pair, axis=1)
         out &= on[:, :, None]
         out &= on[:, None, :]
         out &= upper
         return least_cells(out)
 
-    pairs_a = in_chunks(leaving, len(masks), n * n)
+    pairs_a = np.full((len(masks), 2), -1, dtype=np.int64)
+    pairs_a[rows] = in_chunks(leaving, len(rows), n * n)
     pairs_b = _unmet_line_pairs(geom, inside)
     fails_a = pairs_a[:, 0] >= 0
     failed = np.where(fails_a, 1, np.where(pairs_b[:, 0] >= 0, 2, 0))

@@ -1,5 +1,6 @@
 """Census quantities and the triple-product covering scan."""
 
+import copy
 import importlib
 import itertools
 
@@ -21,6 +22,7 @@ from involq import (
     verify_xalpha_covering,
     x_alpha,
 )
+from involq import geometry as geometry_mod
 from involq import reporting
 from involq.s2t import certify_sharply_2_transitive
 
@@ -232,6 +234,148 @@ def test_covering_witnesses_on_tampered_inputs_match_the_loops(tamper, chunk_cel
         assert expected[tamper] is not None
         report = verify_xalpha_covering(G, geom)
         assert {c.name: c.witness for c in report.checks} == expected
+
+
+FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+AG23_LINES = sorted({  # AG(2,3): the point (x, y) is 3x + y
+    tuple(sorted(3 * ((x + t * dx) % 3) + (y + t * dy) % 3 for t in range(3)))
+    for x, y in itertools.product(range(3), repeat=2)
+    for dx, dy in itertools.product(range(3), repeat=2) if (dx, dy) != (0, 0)
+})
+
+
+def with_lines(G, geom, lines):
+    """A copy of ``geom`` whose lines are ``lines``, a linear space on the
+    positions of J, with the k-th nontrivial translation sent to line k mod
+    the line count: so p.alpha may name a line that does not hold p."""
+    n = geom.n_points
+    out = copy.copy(geom)
+    out.incidence = np.zeros((len(lines), n), dtype=bool)
+    out.line_of_pair = np.full((n, n), -1)
+    for lid, line in enumerate(lines):
+        out.incidence[lid, list(line)] = True
+        for a, b in itertools.permutations(line, 2):
+            out.line_of_pair[a, b] = lid
+    nontrivial = geom.translation_ids[geom.translation_ids != G.identity_index]
+    out.line_of_translation = np.full(G.order, -1)
+    out.line_of_translation[nontrivial] = np.arange(len(nontrivial)) % len(lines)
+    return out
+
+
+def pair_off_its_line(geom):
+    """A copy of ``geom`` with line_of_pair[0, 1] sent to a line holding
+    neither point: the line {2}, appended, when every line holds one."""
+    out = copy.copy(geom)
+    away = np.flatnonzero(~geom.incidence[:, 0] & ~geom.incidence[:, 1])
+    if not len(away):
+        out.incidence = np.vstack([geom.incidence, np.eye(1, geom.n_points, 2, dtype=bool)])
+        away = [len(geom.incidence)]
+    out.line_of_pair = geom.line_of_pair.copy()
+    out.line_of_pair[0, 1] = out.line_of_pair[1, 0] = away[0]
+    return out
+
+
+def point_off_its_line(geom):
+    """A copy of ``geom`` with point 2 taken off the line of (0, 2) in the
+    incidence matrix only; line_of_pair still sends its pairs there."""
+    out = copy.copy(geom)
+    out.incidence = geom.incidence.copy()
+    out.incidence[geom.line_of_pair[0, 2], 2] = False
+    return out
+
+
+GEOMETRY_TAMPERS = {
+    "as-built": lambda G, geom, lines: geom,
+    "point-off-its-line": lambda G, geom, lines: point_off_its_line(geom),
+    "pair-off-its-line": lambda G, geom, lines: pair_off_its_line(geom),
+    "many-lines": with_lines,
+    "many-lines-pair-off-its-line": lambda G, geom, lines: pair_off_its_line(
+        with_lines(G, geom, lines)),
+}
+
+
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+@pytest.mark.parametrize("drop", [False, True], ids=["all-translations", "one-dropped"])
+@pytest.mark.parametrize("tamper", list(GEOMETRY_TAMPERS))
+def test_covering_witnesses_per_line_match_the_loops(tamper, drop, chunk_cells, monkeypatch):
+    """The per-pair test of line-covering against the loops, on the groups of
+    degree 7 and 9. "many-lines" lays the Fano plane or AG(2,3) over J, so
+    the premise of the test holds and some p lie off the line of p.alpha;
+    the other tampers break the premise (a point off its line, a pair sent
+    to a line that misses it), so every alpha goes to the cube. With one
+    translation dropped X_alpha misses a point, and some lines leave it."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    for G, lines in ((affine_group(make_field(7, 1)), FANO_LINES),
+                     (affine_group(make_dickson(3, 2)), AG23_LINES)):
+        geom = GEOMETRY_TAMPERS[tamper](G, build_geometry(G), lines)
+        assert geometry_mod._lines_meet_once(geom) is (tamper in ("as-built", "many-lines"))
+        if drop:
+            cert = certify_sharply_2_transitive(G)
+            cert._translations = np.delete(cert._translations, 1)
+        report = verify_xalpha_covering(G, geom)
+        assert {c.name: c.witness for c in report.checks} == naive_covering_witnesses(G, geom)
+
+
+def test_a_pair_sent_off_its_line_is_seen_behind_a_covered_line(monkeypatch):
+    """Every pair of the 7 involutions of AGL(1,7) is made a line of two
+    points, one translation is dropped so that X_alpha of the first alpha
+    misses one point q, and each p in X_alpha is sent to a line {p, v}
+    inside X_alpha. Then every p lies on a covered line, which would clear
+    the alpha; but line_of_pair sends the pair (p, v) of one such line to
+    {p, q}, which leaves X_alpha. The premise fails, the alpha goes to the
+    cube, and the witness is the loops'."""
+    G = affine_group(make_field(7, 1))
+    geom = copy.copy(build_geometry(G))
+    cert = certify_sharply_2_transitive(G)
+    cert._translations = np.delete(cert._translations, 1)
+    monkeypatch.setattr(census_mod, "_alpha_sample", lambda G, j3: (j3[:1], True))
+    J = cert._j
+    alpha = int(census_mod._triple_products(G, cert)[0])
+    products = G.mul(J, alpha)
+    in_x = np.isin(products, cert._translations)
+    (q,) = np.flatnonzero(~in_x)
+    on = np.flatnonzero(in_x & (products != G.identity_index))
+    ends = np.append(on, np.flatnonzero(products == G.identity_index))  # X_alpha, on first
+    lines = list(itertools.combinations(range(len(J)), 2))
+    geom.incidence = np.zeros((len(lines), len(J)), dtype=bool)
+    geom.line_of_pair = np.full((len(J), len(J)), -1)
+    for lid, (a, b) in enumerate(lines):
+        geom.incidence[lid, [a, b]] = True
+        geom.line_of_pair[a, b] = geom.line_of_pair[b, a] = lid
+    geom.line_of_translation = np.full(G.order, -1)
+    for p, v in zip(ends[0::2], ends[1::2]):  # one line {p, v} per pair of X_alpha
+        geom.line_of_translation[products[[p, v]]] = lines.index((min(p, v), max(p, v)))
+    geom.line_of_translation[G.identity_index] = -1  # r == s carries no line
+    p, v = ends[:2]
+    geom.line_of_pair[p, v] = geom.line_of_pair[v, p] = lines.index((min(p, q), max(p, q)))
+    expected = naive_covering_witnesses(G, geom)
+    assert expected["line-covering"] == (alpha, int(J[p]), int(J[v]))
+    assert not geometry_mod._lines_meet_once(geom)
+    report = verify_xalpha_covering(G, geom)
+    assert {c.name: c.witness for c in report.checks} == expected
+
+
+def test_a_point_off_its_covered_line_goes_to_the_cube(monkeypatch):
+    """The Fano plane over the 7 involutions of AGL(1,7), one translation
+    dropped so that X_alpha of the first alpha misses one point q, and every
+    translation sent to a line L inside X_alpha. The premise holds, and the
+    points on L are covered; a point p off L is not, as the three lines
+    joining p to L cover the plane and so one holds q. Only the cube sees
+    that, and its witness is the loops'."""
+    G = affine_group(make_field(7, 1))
+    geom = with_lines(G, build_geometry(G), FANO_LINES)
+    cert = certify_sharply_2_transitive(G)
+    cert._translations = np.delete(cert._translations, 1)
+    monkeypatch.setattr(census_mod, "_alpha_sample", lambda G, j3: (j3[:1], True))
+    alpha = int(census_mod._triple_products(G, cert)[0])
+    (q,) = np.flatnonzero(~np.isin(G.mul(cert._j, alpha), cert._translations))
+    covered = next(lid for lid, line in enumerate(FANO_LINES) if q not in line)
+    geom.line_of_translation[geom.line_of_translation >= 0] = covered
+    expected = naive_covering_witnesses(G, geom)
+    assert expected["line-covering"] is not None
+    assert geometry_mod._lines_meet_once(geom)
+    report = verify_xalpha_covering(G, geom)
+    assert {c.name: c.witness for c in report.checks} == expected
 
 
 def test_covering_sample_cap(agl_d25, monkeypatch):

@@ -915,7 +915,8 @@ def hand_geometry(lines, n_points) -> Geometry:
     return geom
 
 
-FANO = hand_geometry([(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)], 7)
+FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+FANO = hand_geometry(FANO_LINES, 7)
 AG22 = hand_geometry([(a, b) for a in range(4) for b in range(a + 1, 4)], 4)
 
 
@@ -1076,6 +1077,18 @@ def stage_seed_sets(count, n_points):
     return [np.flatnonzero(on).tolist() for on in pipeline._closure_seed_masks(count, n_points)]
 
 
+def assert_verdicts_match_naive(geom, masks):
+    """no_plane_verdicts of every row of ``masks`` equals naive_verdict."""
+    failed, witness, line_count = no_plane_verdicts(geom, masks)
+    for row, on in enumerate(masks):
+        point_set = np.flatnonzero(on).tolist()
+        hypothesis, pair, lines = naive_verdict(geom, point_set)
+        assert geometry_mod.HYPOTHESES[failed[row]] == hypothesis, point_set
+        assert tuple(witness[row]) == (pair or (-1, -1)), point_set
+        if hypothesis is None:
+            assert line_count[row] == lines, point_set
+
+
 def assert_kernels_match_naive(geom, seeds):
     masks = np.zeros((len(seeds), geom.n_points), dtype=bool)
     for row, seed in enumerate(seeds):
@@ -1083,13 +1096,9 @@ def assert_kernels_match_naive(geom, seeds):
     closed = close_point_masks(geom, masks)
     # the verdicts of the seeds themselves reach (a), those of closures (b)
     for stack, sets in ((masks, seeds), (closed, [naive_closure(geom, s) for s in seeds])):
-        failed, witness, line_count = no_plane_verdicts(geom, stack)
-        for row, point_set in enumerate(sets):
+        assert_verdicts_match_naive(geom, stack)
+        for point_set in sets:
             hypothesis, pair, lines = naive_verdict(geom, point_set)
-            assert geometry_mod.HYPOTHESES[failed[row]] == hypothesis, point_set
-            assert tuple(witness[row]) == (pair or (-1, -1)), point_set
-            if hypothesis is None:
-                assert line_count[row] == lines, point_set
             verdict = verify_no_proper_plane(geom, point_set)
             assert (verdict.failed_hypothesis, verdict.witness, verdict.line_count) == (
                 hypothesis, pair, lines)
@@ -1126,6 +1135,64 @@ def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
         seeds = stage_seed_sets(pipeline.DEFAULT_CLOSURE_SEEDS, geom.n_points)
         assert_kernels_match_naive(geom, seeds)
     assert_kernels_match_naive(PG32, stage_seed_sets(100, PG32.n_points))
+
+
+# a linear space with a line of one point, {3}
+ONE_POINT_LINE = hand_geometry([(0, 1, 2), (0, 3), (1, 3), (2, 3), (3,)], 4)
+
+
+def fano_with_pair_off_its_line():
+    """The Fano plane with line_of_pair[0, 1] sent to the line {2, 3, 5},
+    which holds neither point: no line holding two points of {0, 1, 3}
+    leaves it, yet the line read for the pair (0, 1) does."""
+    geom = hand_geometry(FANO_LINES, 7)
+    geom.line_of_pair[0, 1] = geom.line_of_pair[1, 0] = [line.points for line in FANO.lines].index((2, 3, 5))
+    return geom
+
+
+def with_point_off_its_line(geom, lid, point):
+    """A copy of a hand geometry with ``point`` taken off line ``lid``, whose
+    pairs with ``point`` line_of_pair still sends there."""
+    out = hand_geometry([line.points for line in geom.lines], geom.n_points)
+    out.incidence[lid, point] = False
+    out.lines[lid] = Line(tuple(p for p in out.lines[lid].points if p != point), lid)
+    return out
+
+
+def test_the_premise_of_the_per_line_test():
+    for geom in (FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE):
+        assert geometry_mod._lines_meet_once(geom)
+    assert not geometry_mod._lines_meet_once(fano_with_pair_off_its_line())
+    assert not geometry_mod._lines_meet_once(with_point_off_its_line(PG32, 0, 0))
+    doubled = hand_geometry(FANO_LINES + [(0, 1, 3)], 7)  # two lines share 3 points
+    assert not geometry_mod._lines_meet_once(doubled)
+
+
+def test_a_pair_off_its_line_fails_hypothesis_a():
+    """Member counts alone would pass {0, 1, 3}: line {0, 1, 3} is inside it
+    and every other line holds one member. The naive loop reads the line of
+    the pair (0, 1), which leaves the set."""
+    geom = fano_with_pair_off_its_line()
+    assert naive_verdict(geom, [0, 1, 3])[:2] == ("a", (0, 1))
+    verdict = verify_no_proper_plane(geom, [0, 1, 3])
+    assert (verdict.failed_hypothesis, verdict.witness) == ("a", (0, 1))
+
+
+@pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
+@pytest.mark.parametrize("geom", [
+    FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE,
+    fano_with_pair_off_its_line(), with_point_off_its_line(PG32, 0, 0),
+    with_point_off_its_line(AG23, 3, 4),
+], ids=["Fano", "AG(2,2)", "AG(2,3)", "PG(2,3)", "PG(3,2)", "one-point-line",
+        "Fano-pair-off-its-line", "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line"])
+def test_verdicts_match_naive_loops_on_random_masks(geom, chunk_cells, monkeypatch):
+    """Seeded random point sets of every density and their closures, on
+    geometries where the per-line test of (a) applies and on geometries
+    whose premise fails, with the default chunks and one row per chunk."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(geom.n_points)
+    masks = rng.random((80, geom.n_points)) < rng.random((80, 1))
+    assert_verdicts_match_naive(geom, np.concatenate([masks, close_point_masks(geom, masks)]))
 
 
 @pytest.mark.parametrize("geom, section", [

@@ -251,6 +251,8 @@ def test_field_errors():
         make_field(2, 13)  # 8192 > default cap 4096
     with pytest.raises(ValueError):
         make_field(3, 0)
+    with pytest.raises(TypeError, match="p and e must be integers"):
+        make_field(3.0, 1)
 
 
 @pytest.mark.slow
@@ -309,6 +311,12 @@ def test_env_cap_override(monkeypatch):
 )
 def test_is_dickson_pair(q, n, expected):
     assert is_dickson_pair(q, n) is expected
+
+
+@pytest.mark.parametrize("q,n", [(1, 2), (3, 0)])
+def test_is_dickson_pair_refuses_small_arguments(q, n):
+    with pytest.raises(ValueError, match=r"need q >= 2 and n >= 1"):
+        is_dickson_pair(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (9, 2), (11, 2)])

@@ -39,6 +39,12 @@ def test_certificate_agl_f5(agl_f5):
     assert cert.j_single_class and cert.j2_single_class
 
 
+def test_certificate_refuses_degree_below_two():
+    G = PermGroup(1, [[0]], np.empty((0, 1), dtype=np.int32))
+    with pytest.raises(ValueError, match="need degree >= 2"):
+        certify_sharply_2_transitive(G)
+
+
 def test_certificate_sym4_fails_on_order(sym4):
     cert = certify_sharply_2_transitive(sym4)
     assert not cert.valid
