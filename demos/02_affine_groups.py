@@ -5,6 +5,8 @@ regularly on ordered pairs of distinct points: exactly one map carries any
 pair to any other. The certificate below checks that by brute force.
 """
 
+import numpy as np
+
 from involq import (
     affine_group,
     centralizer,
@@ -13,7 +15,6 @@ from involq import (
     involutions,
     make_dickson,
     make_field,
-    swap_involution,
     translations,
 )
 
@@ -24,8 +25,8 @@ print(f"certificate: valid={cert.valid}, characteristic={cert.characteristic},")
 print(f"  involutions={cert.involution_count} ({cert.fixed_point_profile})")
 
 # the unique element swapping 0 and 1 is an involution: x -> -x + 1
-swap = swap_involution(G, 0, 1)
-print("swap(0,1) images:", swap.tolist())
+(swap,) = np.flatnonzero((G.column(0) == 1) & (G.column(1) == 0))
+print("swap(0,1) images:", G.rows(swap).tolist())
 
 J = involutions(G)
 T = translations(G)

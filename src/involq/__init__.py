@@ -10,7 +10,7 @@ capped and reported) scan with deterministic witnesses.
 """
 
 from .catalog import CatalogEntry, build_entry, find_entry, run_catalog
-from .census import CensusReport, census, verify_xalpha_covering, x_alpha
+from .census import CensusReport, census, verify_xalpha_covering
 from .errors import (
     AxiomFailure,
     AxiomRecoveryFailure,
@@ -26,27 +26,17 @@ from .errors import (
     NotABijection,
     NotAMember,
     NotDicksonPair,
-    NotInJ3,
     NotPrime,
     NotSharply2Transitive,
     NotSplit,
     OrderCapExceeded,
-    PointOutOfRange,
-    PointsEqual,
-    UniquenessViolated,
 )
 from .geometry import (
-    ClosureResult,
     Geometry,
-    Line,
-    NoPlaneVerdict,
     build_geometry,
     check_geometry_conditions,
     divisible_subgroup_scan,
-    line_through,
-    plane_closure,
     verify_line_lemma,
-    verify_no_proper_plane,
 )
 from .nearfield import (
     NearField,
@@ -66,9 +56,7 @@ from .permgroup import (
     conjugate,
     identity_perm,
     invert,
-    is_subgroup,
     parse_group_doc,
-    perm_order,
 )
 from .pipeline import recover_target, run_verify, verify_group
 from .s2t import (
@@ -76,7 +64,6 @@ from .s2t import (
     certify_sharply_2_transitive,
     characteristic,
     involutions,
-    swap_involution,
     translations,
     verify_basic_properties,
 )
@@ -91,25 +78,19 @@ from .splitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomFailure", "AxiomRecoveryFailure", "CatalogEntry",
-    "CensusReport", "CharacteristicAnomaly", "CharacteristicTwo",
-    "CharacterizationMismatch", "ClosureResult", "ConstructionSanityFailure",
-    "Coordinatization", "EvenCharacteristicUnsupported", "Geometry",
-    "GeometryConditionsFailed", "InputError", "InvolqError", "Line", "MalformedDocument",
-    "NearField", "NoPlaneVerdict", "NotABijection", "NotAMember",
-    "NotDicksonPair", "NotInJ3", "NotPrime", "NotSharply2Transitive",
-    "NotSplit", "OrderCapExceeded", "PermGroup", "PointOutOfRange", "PointsEqual",
-    "S2TCertificate", "SplitReport", "UniquenessViolated", "affine_group",
-    "build_entry", "build_geometry", "census", "centralizer",
-    "certify_sharply_2_transitive", "characteristic", "check_geometry_conditions",
-    "compose", "conjugacy_class", "conjugate", "coordinatize",
-    "divisible_subgroup_scan", "find_entry", "identity_perm", "invert",
-    "involutions", "is_dickson_pair", "is_subgroup", "line_through",
-    "make_dickson", "make_field", "multiplicative_group_summary",
-    "nearfield_from_json", "neumann_split_test", "parse_group_doc",
-    "perm_order", "plane_closure", "recover_target", "roundtrip_check",
-    "run_catalog", "run_verify", "swap_involution", "translations",
-    "verify_basic_properties", "verify_group", "verify_line_lemma",
-    "verify_nearfield_axioms", "verify_no_proper_plane", "verify_xalpha_covering",
-    "x_alpha",
+    "AxiomFailure", "AxiomRecoveryFailure", "CatalogEntry", "CensusReport",
+    "CharacteristicAnomaly", "CharacteristicTwo", "CharacterizationMismatch",
+    "ConstructionSanityFailure", "Coordinatization", "EvenCharacteristicUnsupported",
+    "Geometry", "GeometryConditionsFailed", "InputError", "InvolqError",
+    "MalformedDocument", "NearField", "NotABijection", "NotAMember", "NotDicksonPair",
+    "NotPrime", "NotSharply2Transitive", "NotSplit", "OrderCapExceeded", "PermGroup",
+    "S2TCertificate", "SplitReport", "affine_group", "build_entry", "build_geometry",
+    "census", "centralizer", "certify_sharply_2_transitive", "characteristic",
+    "check_geometry_conditions", "compose", "conjugacy_class", "conjugate",
+    "coordinatize", "divisible_subgroup_scan", "find_entry", "identity_perm", "invert",
+    "involutions", "is_dickson_pair", "make_dickson", "make_field",
+    "multiplicative_group_summary", "nearfield_from_json", "neumann_split_test",
+    "parse_group_doc", "recover_target", "roundtrip_check", "run_catalog", "run_verify",
+    "translations", "verify_basic_properties", "verify_group", "verify_line_lemma",
+    "verify_nearfield_axioms", "verify_xalpha_covering",
 ]

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotInJ3
 from .geometry import Geometry, _lines_meet_once
-from .permgroup import PermGroup, _element_index, centralizer, distinct, member_mask
+from .permgroup import PermGroup, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
 
@@ -76,26 +75,10 @@ def _x_alpha_masks(G: PermGroup, cert, alphas: np.ndarray) -> tuple[np.ndarray, 
     return products, member_mask(G, cert._translations)[products]
 
 
-def _alpha_sample(G: PermGroup, j3: np.ndarray) -> tuple[np.ndarray, bool]:
+def _alpha_sample(j3: np.ndarray) -> tuple[np.ndarray, bool]:
     if len(j3) <= DEFAULT_ALPHA_CAP:
         return j3, True
     return j3[:DEFAULT_ALPHA_CAP], False
-
-
-def x_alpha(G: PermGroup, alpha) -> np.ndarray:
-    """Positions in J of the involutions i with i.alpha in the translation set.
-
-    alpha may be an element index or an image row. It must lie in the triple
-    products of J, except that the identity is accepted as the degenerate
-    sanity input (its X set is always empty since no involution is a
-    translation).
-    """
-    cert = _require_odd_characteristic(G)
-    a_idx = _element_index(G, alpha)
-    if a_idx != G.identity_index and not member_mask(G, _triple_products(G, cert))[a_idx]:
-        raise NotInJ3(f"element {a_idx} is not a product of three involutions")
-    _, in_x = _x_alpha_masks(G, cert, np.array([a_idx]))
-    return np.nonzero(in_x[0])[0]
 
 
 def census(G: PermGroup) -> CensusReport:
@@ -114,7 +97,7 @@ def census(G: PermGroup) -> CensusReport:
     j3 = _triple_products(G, cert)
     j3_size = len(j3)
 
-    sample, complete = _alpha_sample(G, j3)
+    sample, complete = _alpha_sample(j3)
     _, in_x = _x_alpha_masks(G, cert, sample)
     xalpha_sizes = list(zip(sample.tolist(), in_x.sum(axis=1).tolist()))
 
@@ -163,7 +146,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     fiber = np.bincount(cert._jj.ravel(), minlength=G.order)
 
     j3 = _triple_products(G, cert)
-    sample, complete = _alpha_sample(G, j3)
+    sample, complete = _alpha_sample(j3)
     products, in_x = _x_alpha_masks(G, cert, sample)
 
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"

@@ -61,18 +61,6 @@ class NotSharply2Transitive(InvolqError):
     pass
 
 
-class PointsEqual(InvolqError):
-    pass
-
-
-class PointOutOfRange(InvolqError):
-    pass
-
-
-class UniquenessViolated(InvolqError):
-    pass
-
-
 class CharacteristicAnomaly(InvolqError):
     """A state the finite theory rules out was reached (bad input or bug)."""
 
@@ -88,12 +76,6 @@ class GeometryConditionsFailed(InvolqError):
 
 
 class CharacterizationMismatch(InvolqError):
-    pass
-
-
-# -- census -----------------------------------------------------------------
-
-class NotInJ3(InvolqError):
     pass
 
 

@@ -43,8 +43,7 @@ is decided per line from member counts whenever :func:`_lines_meet_once`
 holds (a line holding two points is then their line), and its (n, n)
 point-pair masks are built only for the rows that fail, to name the least
 pair; hypothesis (b) builds (L, L) masks. Both go in the row chunks of
-:mod:`involq.reporting`. :func:`plane_closure` and
-:func:`verify_no_proper_plane` are one-row calls of the same kernels.
+:mod:`involq.reporting`.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .errors import (
     CharacteristicAnomaly,
     CharacterizationMismatch,
     GeometryConditionsFailed,
-    PointsEqual,
 )
 from .permgroup import PermGroup, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell, least_cells
@@ -250,24 +248,18 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
 # geometry construction
 
 
-@dataclass(frozen=True)
-class Line:
-    points: tuple[int, ...]  # positions into Geometry.points, sorted
-    class_id: int            # defining translation class
-
-
+@dataclass(eq=False)
 class Geometry:
-    """Finished incidence structure; immutable after build."""
+    """Finished incidence structure; immutable after build. The points of
+    line l are the True cells of row l of ``incidence``."""
 
-    def __init__(self, G: PermGroup):
-        self.group = G
-        self.points: np.ndarray | None = None        # J positions -> element index
-        self.translation_ids: np.ndarray | None = None
-        self.classes: list[tuple[int, ...]] = []     # element indices per class
-        self.lines: list[Line] = []
-        self.incidence: np.ndarray | None = None     # (n_lines, n_points) bool
-        self.line_of_pair: np.ndarray | None = None  # (|J|,|J|), -1 on diagonal
-        self.line_of_translation: np.ndarray | None = None  # order-length, -1 off lines
+    group: PermGroup | None
+    points: np.ndarray                    # J positions -> element index
+    translation_ids: np.ndarray | None
+    classes: list[tuple[int, ...]]        # element indices per class
+    incidence: np.ndarray                 # (n_lines, n_points) bool
+    line_of_pair: np.ndarray              # (|J|,|J|), -1 on diagonal
+    line_of_translation: np.ndarray | None  # order-length, -1 off lines
 
     @property
     def n_points(self) -> int:
@@ -281,7 +273,7 @@ class Geometry:
     def as_json_dict(self) -> dict:
         return {
             "points": [int(p) for p in self.points],
-            "lines": [list(line.points) for line in self.lines],
+            "lines": [np.flatnonzero(on).tolist() for on in self.incidence],
             "classes": [sorted(cls) for cls in self.classes],
         }
 
@@ -299,28 +291,25 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
             f"failed: {[c.name for c in conditions.failures()]}"
         )
 
-    geom = Geometry(G)
     j_idx = cert._j
     n = len(j_idx)
-    geom.points = j_idx.copy()
-    geom.points.setflags(write=False)
-    geom.translation_ids = cert._translations
 
     # translation classes: Cen(sigma) minus identity, ordered by least member
+    classes: list[tuple[int, ...]] = []
     class_of = np.full(G.order, -1, dtype=np.int64)
     for t in cert._translations.tolist():
         if t == G.identity_index or class_of[t] >= 0:
             continue
         cls = centralizer(G, t)
         cls = cls[cls != G.identity_index]
-        class_of[cls] = len(geom.classes)
-        geom.classes.append(tuple(cls.tolist()))
+        class_of[cls] = len(classes)
+        classes.append(tuple(cls.tolist()))
 
     # the pairs a < b in row-major order, and the distinct translations ab in
     # order of first appearance, each with its first pair
     a, b = np.triu_indices(n, 1)
     sigma_of_pair = cert._jj[a, b]  # a then b
-    first_pair = _distinct_rows(sigma_of_pair[:, None])[0]
+    first_pair = np.sort(np.unique(sigma_of_pair, return_index=True)[1])
     sigmas = sigma_of_pair[first_pair]
 
     # membership form: k then sigma is an involution
@@ -357,23 +346,16 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
         raise CharacterizationMismatch(f"coset of pair ({x},{y}) {what}")
 
     first_sigma, line_of_sigma = _distinct_rows(member)
-    geom.incidence = member[first_sigma]
-    geom.incidence.setflags(write=False)
+    incidence = member[first_sigma]
     line_class = class_of[sigmas[first_sigma]]  # -1: the translation is in no class
-    geom.lines = [
-        Line(points=tuple(np.flatnonzero(on).tolist()), class_id=int(cid))
-        for on, cid in zip(geom.incidence, line_class)
-    ]
-    geom.line_of_translation = np.full(G.order, -1, dtype=np.int64)
-    geom.line_of_translation[sigmas] = line_of_sigma
-    geom.line_of_translation.setflags(write=False)
-    geom.line_of_pair = np.full((n, n), -1, dtype=np.int64)
-    geom.line_of_pair[a, b] = geom.line_of_pair[b, a] = geom.line_of_translation[sigma_of_pair]
-    geom.line_of_pair.setflags(write=False)
+    line_of_translation = np.full(G.order, -1, dtype=np.int64)
+    line_of_translation[sigmas] = line_of_sigma
+    line_of_pair = np.full((n, n), -1, dtype=np.int64)
+    line_of_pair[a, b] = line_of_pair[b, a] = line_of_translation[sigma_of_pair]
 
     # partial-plane axioms: every pair lies on its line by construction; two
     # lines share at most one point
-    inc = geom.incidence.astype(np.int64)
+    inc = incidence.astype(np.int64)
     shared = np.triu(inc @ inc.T, 1)
     pair = least_cell(shared > 1)
     if pair is not None:
@@ -388,21 +370,17 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # class. The diagonal (j j is the identity, which every class admits; -1
     # in line_of_pair) is masked. A line whose translation is in no class
     # fails explicitly, as its products, in no class either, would match it.
-    pair_class = line_class[geom.line_of_pair]
+    pair_class = line_class[line_of_pair]
     bad = ~np.eye(n, dtype=bool) & ((class_of[cert._jj] != pair_class) | (pair_class < 0))
     if bad.any():
         raise CharacterizationMismatch(
-            f"line {geom.line_of_pair[bad].min()} is not closed into its translation class"
+            f"line {line_of_pair[bad].min()} is not closed into its translation class"
         )
-    return geom
-
-
-def line_through(geom: Geometry, i: int, j: int) -> Line:
-    """The unique line through two distinct point positions."""
-    if i == j:
-        raise PointsEqual(f"need two distinct points, got {i} twice")
-    lid = int(geom.line_of_pair[i, j])
-    return geom.lines[lid]
+    points = j_idx.copy()
+    for array in (points, incidence, line_of_pair, line_of_translation):
+        array.setflags(write=False)
+    return Geometry(G, points, cert._translations, classes, incidence, line_of_pair,
+                    line_of_translation)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +430,6 @@ def verify_line_lemma(geom: Geometry) -> CheckReport:
 # closures and the no-proper-plane verdict
 
 
-def _point_mask(geom: Geometry, point_set) -> np.ndarray:
-    """The one-row stack (1, n_points) holding the mask of ``point_set``."""
-    on = np.zeros((1, geom.n_points), dtype=bool)
-    on[0, np.array([int(p) for p in point_set], dtype=np.int64)] = True
-    return on
-
-
 def close_point_masks(geom: Geometry, masks: np.ndarray) -> np.ndarray:
     """Close every row of an (S, n_points) stack of point masks under joining
     two points by their line: a line holding two points of a row joins them,
@@ -505,40 +476,6 @@ def _unmet_line_pairs(geom: Geometry, inside: np.ndarray) -> np.ndarray:
     return in_chunks(unmet, len(inside), apart.size)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    points: tuple[int, ...]
-    contained_lines: tuple[int, ...]
-    pairwise_meeting: bool  # condition (b): contained lines pairwise intersect
-
-
-def plane_closure(geom: Geometry, seed) -> ClosureResult:
-    """Least superset of ``seed`` closed under joining two points by their
-    line: one row of :func:`close_point_masks`."""
-    closed = close_point_masks(geom, _point_mask(geom, seed))
-    inside = geom.lines_inside(closed)
-    return ClosureResult(
-        points=tuple(np.flatnonzero(closed[0]).tolist()),
-        contained_lines=tuple(np.flatnonzero(inside[0]).tolist()),
-        pairwise_meeting=bool(_unmet_line_pairs(geom, inside)[0, 0] < 0),
-    )
-
-
-@dataclass(frozen=True)
-class NoPlaneVerdict:
-    hypotheses_met: bool
-    failed_hypothesis: str | None
-    witness: tuple | None
-    line_count: int | None
-
-    @property
-    def ok(self) -> bool:
-        return (not self.hypotheses_met) or self.line_count <= 1
-
-
-HYPOTHESES = (None, "a", "b")  # the failed hypothesis, by no_plane_verdicts code
-
-
 def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     """The no-proper-plane hypotheses of every row of an (S, n_points) stack
     of point masks, each tested on its own:
@@ -546,11 +483,10 @@ def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     (a) the line through every pair of members lies inside the set;
     (b) the lines inside the set pairwise meet.
 
-    Returns (failed, witness, line_count). ``failed[s]`` indexes HYPOTHESES:
-    0 when both hold, 1 when (a) fails, 2 when only (b) fails. ``witness[s]``
-    is the least failing pair of that hypothesis (points for (a), lines for
-    (b)), (-1, -1) when both hold. ``line_count[s]`` counts the lines inside
-    the set.
+    Returns (failed, witness, line_count). ``failed[s]`` is 0 when both hold,
+    1 when (a) fails and 2 when only (b) fails. ``witness[s]`` is the least
+    failing pair of that hypothesis (points for (a), lines for (b)), (-1, -1)
+    when both hold. ``line_count[s]`` counts the lines inside the set.
 
     (a) is decided per line. When :func:`_lines_meet_once` holds, the line of
     two members is the one line holding both, so a set fails (a) exactly
@@ -582,16 +518,6 @@ def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     failed = np.where(fails_a, 1, np.where(pairs_b[:, 0] >= 0, 2, 0))
     witness = np.where(fails_a[:, None], pairs_a, pairs_b)
     return failed, witness, np.count_nonzero(inside, axis=1)
-
-
-def verify_no_proper_plane(geom: Geometry, point_set) -> NoPlaneVerdict:
-    """If the set is line-closed and its lines pairwise meet, it holds <= 1
-    line: one row of :func:`no_plane_verdicts`."""
-    failed, witness, line_count = (v[0] for v in no_plane_verdicts(
-        geom, _point_mask(geom, point_set)))
-    if failed:
-        return NoPlaneVerdict(False, HYPOTHESES[failed], tuple(witness.tolist()), None)
-    return NoPlaneVerdict(True, None, None, int(line_count))
 
 
 # ---------------------------------------------------------------------------

@@ -91,17 +91,6 @@ def conjugate(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return h[g[invert(h)]]
 
 
-def perm_order(g: np.ndarray) -> int:
-    g = as_perm(g)  # a non-bijection never reaches the identity
-    ident = np.arange(len(g))
-    cur = g
-    n = 1
-    while not np.array_equal(cur, ident):
-        cur = compose(cur, g)
-        n += 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # the group container
 
@@ -683,13 +672,3 @@ def conjugacy_class(G: PermGroup, g) -> np.ndarray:
     """Element indices of { h^-1 g h : h in G } (g an element index or a
     permutation row), in enumeration order."""
     return _conjugators(G, _element_index(G, g))[0]
-
-
-def is_subgroup(G: PermGroup, indices) -> bool:
-    """True iff the listed elements (element indices or permutation rows)
-    contain the identity and are product-closed, read off one product table
-    built in row chunks."""
-    idxs = np.asarray(sorted({_element_index(G, i) for i in indices}), dtype=np.int64)
-    member = member_mask(G, idxs)
-    return bool(member[G.identity_index]) and least_cell_in_chunks(
-        lambda lo, hi: ~member[G.mul(idxs[lo:hi, None], idxs)], len(idxs), len(idxs)) is None

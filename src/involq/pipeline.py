@@ -104,8 +104,8 @@ def _geometry(s):
     return geom, {
         "status": "pass",
         "n_points": geom.n_points,
-        "n_lines": len(geom.lines),
-        "line_sizes": sorted(len(line.points) for line in geom.lines),
+        "n_lines": len(geom.incidence),
+        "line_sizes": sorted(np.count_nonzero(geom.incidence, axis=1).tolist()),
         "n_classes": len(geom.classes),
     }
 

@@ -22,15 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CharacteristicAnomaly,
-    CharacteristicTwo,
-    NotSharply2Transitive,
-    PointOutOfRange,
-    PointsEqual,
-    UniquenessViolated,
-)
-from .permgroup import PermGroup, _is_int, centralizer, conjugacy_class, distinct
+from .errors import CharacteristicAnomaly, CharacteristicTwo, NotSharply2Transitive
+from .permgroup import PermGroup, centralizer, conjugacy_class, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell
 
 
@@ -218,26 +211,6 @@ def characteristic(G: PermGroup) -> int:
     return int(cert.characteristic)
 
 
-def swap_involution(G: PermGroup, x: int, y: int) -> np.ndarray:
-    """The unique element exchanging the points x and y; always order 2."""
-    for point in (x, y):
-        if not (_is_int(point) and 0 <= point < G.degree):
-            raise PointOutOfRange(f"point {point!r} is not in 0..{G.degree - 1}")
-    _require_certified(G)
-    if x == y:
-        raise PointsEqual(f"need two distinct points, got {x} twice")
-    mask = (G.column(x) == y) & (G.column(y) == x)
-    hits = np.nonzero(mask)[0]
-    if len(hits) != 1:
-        raise UniquenessViolated(
-            f"{len(hits)} elements swap {x} and {y}; input is not sharply 2-transitive"
-        )
-    row = G.rows(hits[0])
-    if not np.array_equal(row[row], np.arange(G.degree)):
-        raise UniquenessViolated(f"unique swapper of ({x},{y}) is not an involution")
-    return row
-
-
 def verify_basic_properties(G: PermGroup) -> CheckReport:
     """Exhaustive check of the three standard regularity facts (char != 2):
 
@@ -303,8 +276,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
 
     # the centralizer of i meets the translations in {1} exactly when one
     # member is a translation and that member is 1
-    is_translation = np.zeros(G.order, dtype=bool)
-    is_translation[cert._translations] = True
+    is_translation = member_mask(G, cert._translations)
     meets = is_translation[members]
     trivial = ((np.bincount(owner[meets], minlength=n) == 1)
                & (np.bincount(owner[meets & (members == G.identity_index)], minlength=n) == 1))
@@ -317,8 +289,3 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
                         witness=witness))
 
     return CheckReport("basic regularity properties", checks)
-
-
-def fixed_point_bijection_ok(G: PermGroup) -> bool:
-    """True iff involution -> fixed point is a bijection, as the certificate checked."""
-    return _require_odd_characteristic(G)._j_of_point is not None

@@ -22,17 +22,17 @@ from involq import (
     make_dickson,
     multiplicative_group_summary,
     neumann_split_test,
-    plane_closure,
     roundtrip_check,
     verify_basic_properties,
     verify_line_lemma,
     verify_nearfield_axioms,
-    verify_no_proper_plane,
     verify_xalpha_covering,
 )
 from involq.catalog import build_entry, run_catalog
+from involq.geometry import no_plane_verdicts
 from involq.nearfield import prime_power
 from involq.pipeline import _closure_seed_masks, run_verify, verify_group
+from naive import line_sets, naive_closure, naive_verdict
 
 CRITERION_1_FIELDS = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 CRITERION_2_DICKSON = [(3, 2), (5, 2), (7, 2), (11, 2)]
@@ -89,7 +89,7 @@ def test_criterion_1_field_suite():
         conditions = check_geometry_conditions(G)
         ok &= conditions.ok and all(c.passed for c in conditions.checks)
         geom = geometry_of(entry)
-        ok &= len(geom.lines) == 1 and geom.lines[0].points == tuple(range(q))
+        ok &= line_sets(geom) == [set(range(q))]
         ok &= verify_basic_properties(G).ok
         split = neumann_split_test(G)
         ok &= split.split and split.j2_abelian
@@ -118,7 +118,8 @@ def test_criterion_2_dickson_suite():
         ok &= conditions.ok
         geom = geometry_of(entry)
         ok &= verify_line_lemma(geom).ok
-        ok &= verify_no_proper_plane(geom, range(geom.n_points)).ok
+        failed, _, line_count = no_plane_verdicts(geom, np.ones((1, geom.n_points), dtype=bool))
+        ok &= failed[0] != 0 or line_count[0] <= 1
         ok &= divisible_subgroup_scan(geom).ok
 
     q8 = multiplicative_group_summary(make_dickson(3, 2))
@@ -163,16 +164,17 @@ def test_criterion_4_negative_paths(tmp_path):
 
 
 def test_criterion_5_plane_closures():
+    """Each seed is closed and judged by the naive set loops, independent
+    of the batched kernels that the no_proper_plane stage calls."""
     ok = True
     for entry in odd_certified_entries():
         geom = geometry_of(entry)
         for seed in _closure_seed_masks(100, geom.n_points):
-            closure = plane_closure(geom, np.flatnonzero(seed))
-            again = plane_closure(geom, closure.points)
-            ok &= again.points == closure.points
-            verdict = verify_no_proper_plane(geom, closure.points)
-            if verdict.hypotheses_met:
-                ok &= verdict.line_count <= 1
+            closure = naive_closure(geom, np.flatnonzero(seed).tolist())
+            ok &= naive_closure(geom, closure) == closure
+            failed, _, line_count = naive_verdict(geom, closure)
+            if failed is None:
+                ok &= line_count <= 1
     report_line(5, ok, "100 deterministic closures per entry: idempotent, <= 1 line")
 
 

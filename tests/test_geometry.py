@@ -13,18 +13,13 @@ from involq import (
     CharacterizationMismatch,
     Geometry,
     GeometryConditionsFailed,
-    Line,
-    PointsEqual,
     build_geometry,
     centralizer,
     check_geometry_conditions,
     divisible_subgroup_scan,
     involutions,
-    line_through,
-    plane_closure,
     translations,
     verify_line_lemma,
-    verify_no_proper_plane,
 )
 from involq import geometry as geometry_mod
 from involq import pipeline, reporting
@@ -32,6 +27,17 @@ from involq.catalog import build_entry, find_entry, run_catalog
 from involq.geometry import close_point_masks, no_plane_verdicts
 from involq.reporting import least_cell, least_cells
 from involq.s2t import certify_sharply_2_transitive
+from naive import line_sets, naive_closure, naive_verdict
+
+CODES = {None: 0, "a": 1, "b": 2}  # no_plane_verdicts code of each failed hypothesis
+
+
+def mask_of(geom, *point_sets):
+    """An (S, n_points) stack of point masks, one row per point set."""
+    masks = np.zeros((len(point_sets), geom.n_points), dtype=bool)
+    for row, points in enumerate(point_sets):
+        masks[row, list(points)] = True
+    return masks
 
 
 def test_conditions_hold_and_agree(agl_f5, agl_f7, agl_d9):
@@ -411,22 +417,19 @@ def test_conditions_char2_raises(agl_f4):
 def test_single_line_geometry_f5(agl_f5):
     geom = build_geometry(agl_f5)
     assert geom.n_points == 5
-    assert len(geom.lines) == 1
-    assert geom.lines[0].points == tuple(range(5))
+    assert line_sets(geom) == [set(range(5))]
     assert len(geom.classes) == 1
 
 
 def test_single_line_geometry_dickson(agl_d9):
     geom = build_geometry(agl_d9)
     assert geom.n_points == 9
-    assert len(geom.lines) == 1
-    assert geom.lines[0].points == tuple(range(9))
+    assert line_sets(geom) == [set(range(9))]
 
 
 def test_line_size_equals_centralizer_size(agl_f7):
     geom = build_geometry(agl_f7)
-    line = line_through(geom, 0, 1)
-    assert len(line.points) == 7
+    assert np.count_nonzero(geom.incidence[geom.line_of_pair[0, 1]]) == 7
     sigma = int(np.flatnonzero(geom.line_of_translation >= 0)[0])
     assert len(centralizer(agl_f7, agl_f7.elements[sigma])) == 7
 
@@ -436,12 +439,11 @@ def test_line_through_basics(agl_f5):
     for i in range(5):
         for j in range(5):
             if i == j:
-                with pytest.raises(PointsEqual):
-                    line_through(geom, i, j)
+                assert geom.line_of_pair[i, j] == -1
             else:
-                line = line_through(geom, i, j)
-                assert line == line_through(geom, j, i)
-                assert i in line.points and j in line.points
+                lid = geom.line_of_pair[i, j]
+                assert lid == geom.line_of_pair[j, i]
+                assert geom.incidence[lid, i] and geom.incidence[lid, j]
 
 
 def test_unique_line_through_pairs(agl_f5, agl_d9):
@@ -452,19 +454,18 @@ def test_unique_line_through_pairs(agl_f5, agl_d9):
             for j in range(n):
                 if i != j:
                     containing = [
-                        lid for lid, line in enumerate(geom.lines)
-                        if i in line.points and j in line.points
+                        lid for lid, line in enumerate(line_sets(geom))
+                        if i in line and j in line
                     ]
                     assert len(containing) == 1
                     assert containing[0] == geom.line_of_pair[i, j]
 
 
 def test_lines_meet_in_at_most_one_point(agl_d25):
-    geom = build_geometry(agl_d25)
-    for a in range(len(geom.lines)):
-        for b in range(a + 1, len(geom.lines)):
-            common = set(geom.lines[a].points) & set(geom.lines[b].points)
-            assert len(common) <= 1
+    lines = line_sets(build_geometry(agl_d25))
+    for a in range(len(lines)):
+        for b in range(a + 1, len(lines)):
+            assert len(lines[a] & lines[b]) <= 1
 
 
 def test_incidence_constant_line_count(agl_f5, agl_d9):
@@ -487,17 +488,18 @@ def test_one_line_theorem_on_the_catalog():
         trans = translations(G)
         for t in trans[trans != G.identity_index].tolist():
             assert np.array_equal(centralizer(G, t), trans), (entry.id, t)
-        assert len(build_geometry(G).lines) == 1, entry.id
+        assert len(build_geometry(G).incidence) == 1, entry.id
 
 
 def test_line_products_lie_in_class(agl_f7):
     """The product of two points of a line centralizes the defining translation."""
     geom = build_geometry(agl_f7)
     G = agl_f7
-    line = geom.lines[0]
-    cls = set(geom.classes[line.class_id]) | {G.identity_index}
-    for a in line.points:
-        for b in line.points:
+    sigma = int(np.flatnonzero(geom.line_of_translation == 0)[0])
+    cls = next(set(c) for c in geom.classes if sigma in c) | {G.identity_index}
+    line = np.flatnonzero(geom.incidence[0])
+    for a in line:
+        for b in line:
             arow = G.elements[geom.points[a]]
             brow = G.elements[geom.points[b]]
             assert G.index_of(brow[arow]) in cls
@@ -515,7 +517,7 @@ def test_conjugation_inverts_defining_translation(agl_f5):
             arow, brow = G.elements[J[a]], G.elements[J[b]]
             sigma = brow[arow]        # a then b
             sigma_rev = arow[brow]    # b then a
-            for k in line_through(geom, a, b).points:
+            for k in np.flatnonzero(geom.incidence[geom.line_of_pair[a, b]]):
                 krow = G.elements[J[k]]
                 assert np.array_equal(krow[sigma[krow]], sigma_rev)
 
@@ -585,12 +587,18 @@ def test_line_lemma_witnesses_match_the_loop():
 
 
 def test_geometry_json(agl_f5):
+    """The catalog geometry has one line; the hand geometries, whose lines
+    are given, pin the order and the points of each exported line."""
     geom = build_geometry(agl_f5)
     doc = geom.as_json_dict()
     assert set(doc) == {"points", "lines", "classes"}
     assert doc["points"] == [int(j) for j in involutions(agl_f5)]
     assert doc["lines"] == [[0, 1, 2, 3, 4]]
     assert len(doc["classes"]) == 1
+    for lines, n_points in ((FANO_LINES, 7), (AG23_LINES, 9), (PG32_LINES, 15)):
+        doc = hand_geometry(lines, n_points).as_json_dict()
+        assert doc["lines"] == sorted(sorted(line) for line in lines)
+        assert doc["points"] == list(range(n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -599,51 +607,45 @@ def test_geometry_json(agl_f5):
 
 def test_closure_basics(agl_f5):
     geom = build_geometry(agl_f5)
-    assert plane_closure(geom, []).points == ()
-    assert plane_closure(geom, [2]).points == (2,)
-    full = plane_closure(geom, [0, 1])
-    assert full.points == (0, 1, 2, 3, 4)
-    assert full.contained_lines == (0,)
-    assert full.pairwise_meeting
+    closed = close_point_masks(geom, mask_of(geom, [], [2], [0, 1]))
+    assert [np.flatnonzero(on).tolist() for on in closed] == [[], [2], [0, 1, 2, 3, 4]]
+    assert np.flatnonzero(geom.lines_inside(closed)[2]).tolist() == [0]
+    failed, _, line_count = no_plane_verdicts(geom, closed)
+    assert failed.tolist() == [0, 0, 0] and line_count.tolist() == [0, 0, 1]
 
 
 def test_closure_idempotent(agl_d9):
     geom = build_geometry(agl_d9)
-    for seed in ([], [3], [0, 5], [1, 2, 7], list(range(9))):
-        once = plane_closure(geom, seed)
-        again = plane_closure(geom, once.points)
-        assert once.points == again.points
-        assert set(seed) <= set(once.points)
+    seeds = mask_of(geom, [], [3], [0, 5], [1, 2, 7], range(9))
+    once = close_point_masks(geom, seeds)
+    assert np.array_equal(close_point_masks(geom, once), once)
+    assert not (seeds & ~once).any()
 
 
 def test_no_proper_plane_on_full_point_set(agl_f5, agl_d9, agl_d25):
     for G in (agl_f5, agl_d9, agl_d25):
         geom = build_geometry(G)
-        verdict = verify_no_proper_plane(geom, range(geom.n_points))
-        assert verdict.hypotheses_met
-        assert verdict.line_count == 1
-        assert verdict.ok
+        failed, witness, line_count = no_plane_verdicts(geom, mask_of(geom, range(geom.n_points)))
+        assert (failed[0], tuple(witness[0]), line_count[0]) == (0, (-1, -1), 1)
 
 
 def test_no_proper_plane_on_single_line(agl_f7):
     geom = build_geometry(agl_f7)
-    verdict = verify_no_proper_plane(geom, geom.lines[0].points)
-    assert verdict.hypotheses_met and verdict.line_count == 1
+    failed, _, line_count = no_plane_verdicts(geom, geom.incidence[:1])
+    assert (failed[0], line_count[0]) == (0, 1)
 
 
 def test_no_proper_plane_detects_unclosed_set(agl_f5):
     geom = build_geometry(agl_f5)
-    verdict = verify_no_proper_plane(geom, [0, 1])  # the line through 0,1 leaves {0,1}
-    assert not verdict.hypotheses_met
-    assert verdict.failed_hypothesis == "a"
-    assert verdict.ok  # hypotheses not met: nothing to refute
+    # the line through 0,1 leaves {0,1}: hypotheses not met, nothing to refute
+    failed, witness, _ = no_plane_verdicts(geom, mask_of(geom, [0, 1]))
+    assert (failed[0], tuple(witness[0])) == (CODES["a"], (0, 1))
 
 
 def test_singleton_and_empty_sets_meet_hypotheses(agl_f5):
     geom = build_geometry(agl_f5)
-    for X in ([], [3]):
-        verdict = verify_no_proper_plane(geom, X)
-        assert verdict.hypotheses_met and verdict.line_count == 0
+    failed, _, line_count = no_plane_verdicts(geom, mask_of(geom, [], [3]))
+    assert failed.tolist() == [0, 0] and line_count.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -901,18 +903,15 @@ def hand_geometry(lines, n_points) -> Geometry:
     space: every pair of points on exactly one line), numbered in sorted
     order. It has no group, so only the closure and verdict scans apply."""
     lines = sorted(tuple(sorted(line)) for line in lines)
-    geom = Geometry(None)
-    geom.points = np.arange(n_points)
-    geom.lines = [Line(points=line, class_id=lid) for lid, line in enumerate(lines)]
-    geom.incidence = np.zeros((len(lines), n_points), dtype=bool)
-    geom.line_of_pair = np.full((n_points, n_points), -1)
+    incidence = np.zeros((len(lines), n_points), dtype=bool)
+    line_of_pair = np.full((n_points, n_points), -1)
     for lid, line in enumerate(lines):
-        geom.incidence[lid, list(line)] = True
+        incidence[lid, list(line)] = True
         for a in line:
             for b in line:
                 if a != b:
-                    geom.line_of_pair[a, b] = lid
-    return geom
+                    line_of_pair[a, b] = lid
+    return Geometry(None, np.arange(n_points), None, [], incidence, line_of_pair, None)
 
 
 FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
@@ -921,14 +920,13 @@ AG22 = hand_geometry([(a, b) for a in range(4) for b in range(a + 1, 4)], 4)
 
 
 def _affine_plane_3():
-    """AG(2,3): the point (x, y) of GF(3)^2 is 3x + y; a line is
-    {p + t d : t in GF(3)} for a point p and a direction d != 0."""
+    """The lines of AG(2,3): the point (x, y) of GF(3)^2 is 3x + y; a line
+    is {p + t d : t in GF(3)} for a point p and a direction d != 0."""
     vectors = list(itertools.product(range(3), repeat=2))
-    lines = {
+    return {
         tuple(sorted(3 * ((x + t * dx) % 3) + (y + t * dy) % 3 for t in range(3)))
         for x, y in vectors for dx, dy in vectors if (dx, dy) != (0, 0)
     }
-    return hand_geometry(lines, 9)
 
 
 def _projective_plane_3():
@@ -945,26 +943,27 @@ def _projective_plane_3():
 
 
 def _projective_space_2():
-    """PG(3,2): the point i is the nonzero vector i + 1 of GF(2)^4; the line
-    through a and b holds a, b and a + b."""
-    lines = {tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
-             for a in range(1, 16) for b in range(1, 16) if a != b}
-    return hand_geometry(lines, 15)
+    """The lines of PG(3,2): the point i is the nonzero vector i + 1 of
+    GF(2)^4; the line through a and b holds a, b and a + b."""
+    return {tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
+            for a in range(1, 16) for b in range(1, 16) if a != b}
 
 
-AG23 = _affine_plane_3()
+AG23_LINES = _affine_plane_3()
+PG32_LINES = _projective_space_2()
+AG23 = hand_geometry(AG23_LINES, 9)
 PG23 = _projective_plane_3()
-PG32 = _projective_space_2()
+PG32 = hand_geometry(PG32_LINES, 15)
 
 
 def test_hand_geometries_are_linear_spaces():
-    assert [line.points for line in FANO.lines] == [
+    assert [tuple(np.flatnonzero(on).tolist()) for on in FANO.incidence] == [
         (0, 1, 3), (0, 2, 6), (0, 4, 5), (1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6),
     ]
     for geom, n_points, n_lines, line_size in (
         (AG23, 9, 12, 3), (PG23, 13, 13, 4), (PG32, 15, 35, 3),
     ):
-        assert (geom.n_points, len(geom.lines)) == (n_points, n_lines)
+        assert (geom.n_points, len(geom.incidence)) == (n_points, n_lines)
         assert (geom.incidence.sum(axis=1) == line_size).all()
         inc = geom.incidence.astype(int)
         assert (np.triu(inc @ inc.T, 1) <= 1).all()  # two lines share at most a point
@@ -983,19 +982,21 @@ def test_hand_geometries_are_linear_spaces():
     (AG22, [0, 1, 2, 3], (0, 1, 2, 3), tuple(range(6)), False),
 ])
 def test_closures_with_many_lines(geom, seed, points, contained, meeting):
-    closure = plane_closure(geom, seed)
-    assert closure.points == points
-    assert closure.contained_lines == contained
-    assert closure.pairwise_meeting is meeting
-    assert plane_closure(geom, closure.points) == closure
+    """Each closure is closed, so it meets (a), and its lines pairwise meet
+    exactly when no_plane_verdicts does not fail (b)."""
+    closed = close_point_masks(geom, mask_of(geom, seed))
+    assert tuple(np.flatnonzero(closed[0]).tolist()) == points
+    assert tuple(np.flatnonzero(geom.lines_inside(closed)[0]).tolist()) == contained
+    assert no_plane_verdicts(geom, closed)[0][0] == (0 if meeting else CODES["b"])
+    assert np.array_equal(close_point_masks(geom, closed), closed)
 
 
 def test_whole_fano_plane_refutes_the_verdict():
-    verdict = verify_no_proper_plane(FANO, range(7))
-    assert verdict.hypotheses_met and verdict.line_count == 7
-    assert verdict.ok is False
-    triangle = verify_no_proper_plane(AG22, [0, 1, 2])
-    assert triangle.hypotheses_met and triangle.line_count == 3 and not triangle.ok
+    """Both sets meet both hypotheses and hold more than one line."""
+    failed, _, line_count = no_plane_verdicts(FANO, mask_of(FANO, range(7)))
+    assert (failed[0], line_count[0]) == (0, 7)
+    failed, _, line_count = no_plane_verdicts(AG22, mask_of(AG22, [0, 1, 2]))
+    assert (failed[0], line_count[0]) == (0, 3)
 
 
 @pytest.mark.parametrize("geom, n_points, n_lines, meeting, failed, ok", [
@@ -1008,59 +1009,27 @@ def test_closure_of_a_triangle_in_real_linear_spaces(geom, n_points, n_lines,
     """The closure of {0, 1, c}, c the least point off the line through 0
     and 1, is the plane the three points span."""
     c = int(np.flatnonzero(~geom.incidence[geom.line_of_pair[0, 1]])[0])
-    closure = plane_closure(geom, [0, 1, c])
-    assert len(closure.points) == n_points
-    assert len(closure.contained_lines) == n_lines
-    assert closure.pairwise_meeting is meeting
-    verdict = verify_no_proper_plane(geom, closure.points)
-    assert verdict.hypotheses_met is (failed is None)
-    assert verdict.failed_hypothesis == failed
-    assert verdict.line_count == (n_lines if failed is None else None)
-    assert verdict.ok is ok
+    closed = close_point_masks(geom, mask_of(geom, [0, 1, c]))
+    assert np.count_nonzero(closed) == n_points
+    inside = geom.lines_inside(closed)
+    assert np.count_nonzero(inside) == n_lines
+    assert bool(geometry_mod._unmet_line_pairs(geom, inside)[0, 0] < 0) is meeting
+    code, _, line_count = (v[0] for v in no_plane_verdicts(geom, closed))
+    assert code == CODES[failed]
+    assert line_count == n_lines
+    assert bool(code != 0 or line_count <= 1) is ok
 
 
 def test_failed_hypothesis_witnesses_with_many_lines():
-    for X in ([0, 1], [0, 1, 2]):
-        verdict = verify_no_proper_plane(FANO, X)
-        assert (verdict.failed_hypothesis, verdict.witness) == ("a", (0, 1))
-        assert verdict.ok
-    verdict = verify_no_proper_plane(AG22, range(4))  # lines {0,1} and {2,3} are parallel
-    assert (verdict.hypotheses_met, verdict.failed_hypothesis, verdict.witness) == (False, "b", (0, 5))
-    assert verdict.ok
+    failed, witness, _ = no_plane_verdicts(FANO, mask_of(FANO, [0, 1], [0, 1, 2]))
+    assert failed.tolist() == [CODES["a"]] * 2 and witness.tolist() == [[0, 1]] * 2
+    # lines {0,1} and {2,3} are parallel
+    failed, witness, _ = no_plane_verdicts(AG22, mask_of(AG22, range(4)))
+    assert (failed[0], tuple(witness[0])) == (CODES["b"], (0, 5))
 
 
 # ---------------------------------------------------------------------------
 # the batched closure and verdict kernels against naive set loops
-
-
-def naive_closure(geom, seed):
-    """The least superset of ``seed`` holding the line of each of its pairs,
-    by a loop over Python sets."""
-    lines = [set(line.points) for line in geom.lines]
-    current = set(seed)
-    while True:
-        grown = set(current)
-        for a, b in itertools.permutations(current, 2):
-            grown |= lines[geom.line_of_pair[a, b]]
-        if grown == current:
-            return current
-        current = grown
-
-
-def naive_verdict(geom, point_set):
-    """(failed hypothesis, witness, line count) of the set, pair by pair:
-    (a) the least member pair whose line leaves the set, then (b) the least
-    pair of contained lines that do not meet."""
-    X = set(point_set)
-    lines = [set(line.points) for line in geom.lines]
-    inside = [lid for lid, points in enumerate(lines) if points <= X]
-    for a, b in itertools.combinations(sorted(X), 2):
-        if not lines[geom.line_of_pair[a, b]] <= X:
-            return "a", (a, b), None
-    for l, m in itertools.combinations(inside, 2):
-        if not lines[l] & lines[m]:
-            return "b", (l, m), None
-    return None, None, len(inside)
 
 
 def test_least_cells_reads_the_witness_rule_per_mask():
@@ -1083,35 +1052,29 @@ def assert_verdicts_match_naive(geom, masks):
     for row, on in enumerate(masks):
         point_set = np.flatnonzero(on).tolist()
         hypothesis, pair, lines = naive_verdict(geom, point_set)
-        assert geometry_mod.HYPOTHESES[failed[row]] == hypothesis, point_set
+        assert failed[row] == CODES[hypothesis], point_set
         assert tuple(witness[row]) == (pair or (-1, -1)), point_set
         if hypothesis is None:
             assert line_count[row] == lines, point_set
 
 
 def assert_kernels_match_naive(geom, seeds):
-    masks = np.zeros((len(seeds), geom.n_points), dtype=bool)
-    for row, seed in enumerate(seeds):
-        masks[row, list(seed)] = True
+    """The closure of every seed, its lines, whether they pairwise meet and
+    the verdicts of seeds and closures equal the naive loops'."""
+    masks = mask_of(geom, *seeds)
     closed = close_point_masks(geom, masks)
     # the verdicts of the seeds themselves reach (a), those of closures (b)
-    for stack, sets in ((masks, seeds), (closed, [naive_closure(geom, s) for s in seeds])):
-        assert_verdicts_match_naive(geom, stack)
-        for point_set in sets:
-            hypothesis, pair, lines = naive_verdict(geom, point_set)
-            verdict = verify_no_proper_plane(geom, point_set)
-            assert (verdict.failed_hypothesis, verdict.witness, verdict.line_count) == (
-                hypothesis, pair, lines)
+    assert_verdicts_match_naive(geom, masks)
+    assert_verdicts_match_naive(geom, closed)
+    inside = geom.lines_inside(closed)
+    meeting = geometry_mod._unmet_line_pairs(geom, inside)[:, 0] < 0
+    lines = line_sets(geom)
     for row, seed in enumerate(seeds):
         points = naive_closure(geom, seed)
-        assert set(np.flatnonzero(closed[row])) == points, seed
-        closure = plane_closure(geom, seed)
-        inside = [lid for lid, line in enumerate(geom.lines) if set(line.points) <= points]
-        assert closure == geometry_mod.ClosureResult(
-            points=tuple(sorted(points)),
-            contained_lines=tuple(inside),
-            pairwise_meeting=naive_verdict(geom, points)[0] != "b",
-        ), seed
+        assert set(np.flatnonzero(closed[row]).tolist()) == points, seed
+        assert np.flatnonzero(inside[row]).tolist() == [
+            lid for lid, line in enumerate(lines) if line <= points], seed
+        assert meeting[row] == (naive_verdict(geom, points)[0] != "b"), seed
 
 
 @pytest.mark.parametrize("geom", [FANO, AG22, AG23, PG23, PG32],
@@ -1146,16 +1109,15 @@ def fano_with_pair_off_its_line():
     which holds neither point: no line holding two points of {0, 1, 3}
     leaves it, yet the line read for the pair (0, 1) does."""
     geom = hand_geometry(FANO_LINES, 7)
-    geom.line_of_pair[0, 1] = geom.line_of_pair[1, 0] = [line.points for line in FANO.lines].index((2, 3, 5))
+    geom.line_of_pair[0, 1] = geom.line_of_pair[1, 0] = line_sets(FANO).index({2, 3, 5})
     return geom
 
 
 def with_point_off_its_line(geom, lid, point):
     """A copy of a hand geometry with ``point`` taken off line ``lid``, whose
     pairs with ``point`` line_of_pair still sends there."""
-    out = hand_geometry([line.points for line in geom.lines], geom.n_points)
+    out = hand_geometry(line_sets(geom), geom.n_points)
     out.incidence[lid, point] = False
-    out.lines[lid] = Line(tuple(p for p in out.lines[lid].points if p != point), lid)
     return out
 
 
@@ -1174,8 +1136,8 @@ def test_a_pair_off_its_line_fails_hypothesis_a():
     the pair (0, 1), which leaves the set."""
     geom = fano_with_pair_off_its_line()
     assert naive_verdict(geom, [0, 1, 3])[:2] == ("a", (0, 1))
-    verdict = verify_no_proper_plane(geom, [0, 1, 3])
-    assert (verdict.failed_hypothesis, verdict.witness) == ("a", (0, 1))
+    failed, witness, _ = no_plane_verdicts(geom, mask_of(geom, [0, 1, 3]))
+    assert (failed[0], tuple(witness[0])) == (CODES["a"], (0, 1))
 
 
 @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
