@@ -31,7 +31,7 @@ print(f"\npoints: {geom.n_points}, lines: {len(geom.incidence)},"
 line = np.flatnonzero(geom.incidence[geom.line_of_pair[0, 1]]).tolist()
 print("the line through points 0 and 1 has", len(line), "points:", line)
 
-lemma = verify_line_lemma(geom)
+lemma = verify_line_lemma(G, geom)
 print("line conjugation lemma:", "pass" if lemma.ok else "FAIL")
 
 # closures and verdicts take a stack of point masks, here one row
@@ -39,11 +39,11 @@ seed = np.zeros((1, geom.n_points), dtype=bool)
 seed[0, [2, 5]] = True
 closure = close_point_masks(geom, seed)
 print(f"\nclosing {{2, 5}} under joins gives {np.count_nonzero(closure)} points")
-failed, _, line_count = no_plane_verdicts(geom, closure)
+failed, line_count = no_plane_verdicts(geom, closure)
 print(f"no-proper-plane verdict: hypotheses_met={failed[0] == 0},"
       f" contained lines={line_count[0]}")
 
-scan = divisible_subgroup_scan(geom)
+scan = divisible_subgroup_scan(G, geom)
 print(f"\nodd-order subgroups inside the translations, normalized by an involution:")
 print(f"  found {scan.found} (sizes {scan.size_histogram}),"
       f" violations: {len(scan.violations)}, complete: {scan.complete}")

@@ -14,6 +14,9 @@ enumeration order, all of them when there are no more, which keeps every run
 byte-identical. A certified group of degree d <= 9 has order d(d - 1) <= 72,
 so its alphas are always exhaustive. The cap is a constant; nothing sets it
 per call.
+
+The covering scan takes ``(G, geom)``, and decides line covering per line:
+every Geometry is a partial plane, checked when it was built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Geometry, _lines_meet_once
+from .geometry import Geometry
 from .permgroup import PermGroup, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
@@ -123,14 +126,13 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
       the whole line of (i,v) sits inside X_alpha. Since the line of (r,s)
       depends only on the product r.s == i.alpha, the scan runs over the
       deduplicated witnesses (i, i.alpha) instead of raw triples. It is
-      decided per pair (alpha, p), with L the line of p.alpha: when
-      ``geometry._lines_meet_once`` holds and p lies on L, the line of
-      (p, v) is L for every v != p on L, so the pair is uncovered exactly
-      when L is not inside X_alpha and has two or more points. A pair with
-      p off L is not decided this way. The (n, n) slab of (p, v) cells is
-      built only for the alphas holding an uncovered pair or a pair with p
-      off L, to read the least triple, and for every alpha when the
-      premise fails.
+      decided per pair (alpha, p), with L the line of p.alpha: when p lies
+      on L, the line of (p, v) is L for every v != p on L, as a Geometry is
+      a partial plane, so the pair is uncovered exactly when L is not
+      inside X_alpha and has two or more points. A pair with p off L is not
+      decided this way. The (n, n) slab of (p, v) cells is built only for
+      the alphas holding an uncovered pair or a pair with p off L, to read
+      the least triple.
     * point-line-saturation: every member of X_alpha lies on at least one
       line fully inside X_alpha.
     * fiber-size-identity: |X_alpha| * khat equals the number of triples
@@ -170,8 +172,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     on_own_line = geom.incidence[line_of, diagonal]
     open_line = ~np.take_along_axis(inside, line_of, axis=1) & (
         np.count_nonzero(geom.incidence, axis=1)[line_of] >= 2)
-    rows = np.flatnonzero((on & (~on_own_line | open_line)).any(axis=1)
-                          | (not _lines_meet_once(geom)))
+    rows = np.flatnonzero((on & (~on_own_line | open_line)).any(axis=1))
 
     def uncovered(lo, hi):
         at = rows[lo:hi]

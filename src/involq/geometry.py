@@ -20,8 +20,9 @@ inverted; centralizer classes partitioning the nontrivial translations).
 rows of the translations, and the others for every pair from tables of about
 |J|^2 cells over the columns of J.J, by the exact reductions its docstring
 states.
-The finished structure satisfies the partial-plane axioms: two points span
-exactly one line, two lines meet in at most one point.
+The finished structure is a partial plane: two points span exactly one
+line, two lines meet in at most one point. A :class:`Geometry` refuses to be
+built otherwise, however its arrays were made.
 
 Inside this module points are positions 0..|J|-1 into the involution list;
 the ``points`` array maps positions back to group element indices. Lines are
@@ -29,7 +30,9 @@ the rows of ``Geometry.incidence``, an (n_lines, n_points) boolean matrix,
 and ``Geometry.line_of_translation`` is an order-length array giving the
 line of each nontrivial translation (-1 on every other element). Closures,
 the no-proper-plane verdict, the line lemma and the X_alpha covering all
-read that matrix.
+read that matrix. A Geometry holds no group: the line lemma and the
+odd-subgroup scan take ``(G, geom)`` and read the involution conjugation
+table and the translations off the certificate of G.
 
 The odd-subgroup scan (:func:`divisible_subgroup_scan`) closes all its
 candidate subgroups together, in rounds over a stack of masks, each distinct
@@ -38,12 +41,11 @@ set grown once per round.
 Closures and the no-proper-plane verdict are batched kernels over an
 (S, n_points) stack of point masks: :func:`close_point_masks` grows every
 row by the lines holding two of its points until no row changes, and
-:func:`no_plane_verdicts` tests both hypotheses of every row. Hypothesis (a)
-is decided per line from member counts whenever :func:`_lines_meet_once`
-holds (a line holding two points is then their line), and its (n, n)
-point-pair masks are built only for the rows that fail, to name the least
-pair; hypothesis (b) builds (L, L) masks. Both go in the row chunks of
-:mod:`involq.reporting`.
+:func:`no_plane_verdicts` returns, per row, the code of the failed
+hypothesis and the count of contained lines, each hypothesis decided per
+line from member counts and one product of the contained lines with the
+pairs of lines that do not meet. Both rest on the partial-plane axioms,
+which every :class:`Geometry` checks when it is built.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .errors import (
     GeometryConditionsFailed,
 )
 from .permgroup import PermGroup, centralizer, distinct, member_mask
-from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell, least_cells
+from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell
 from .s2t import _require_certified, _require_odd_characteristic
 
 
@@ -248,18 +250,40 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
 # geometry construction
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Geometry:
-    """Finished incidence structure; immutable after build. The points of
+    """Finished incidence structure, a partial plane: every pair p != q lies
+    on the line ``line_of_pair[p, q]``, and two lines share at most one
+    point. Construction checks both axioms and raises
+    CharacterizationMismatch on a failure, so a line holding two points is
+    their line in every Geometry. The arrays are read-only. The points of
     line l are the True cells of row l of ``incidence``."""
 
-    group: PermGroup | None
     points: np.ndarray                    # J positions -> element index
-    translation_ids: np.ndarray | None
     classes: list[tuple[int, ...]]        # element indices per class
     incidence: np.ndarray                 # (n_lines, n_points) bool
     line_of_pair: np.ndarray              # (|J|,|J|), -1 on diagonal
-    line_of_translation: np.ndarray | None  # order-length, -1 off lines
+    line_of_translation: np.ndarray       # order-length, -1 off lines
+
+    def __post_init__(self):
+        inc = self.incidence.astype(np.int64)
+        shared = np.triu(inc @ inc.T, 1)
+        if (pair := least_cell(shared > 1)) is not None:
+            la, lb = pair
+            raise CharacterizationMismatch(f"lines {la} and {lb} share {shared[la, lb]} points")
+        # cell l * n + p of `flat`: p is on line l. The n cells past the last
+        # line are empty, so a pair naming no line is on none
+        n, n_lines, line = self.n_points, len(self.incidence), self.line_of_pair
+        start = np.where((line >= 0) & (line < n_lines), line, n_lines) * n
+        flat = np.append(self.incidence, np.zeros(n, dtype=bool))
+        at = np.arange(n)
+        held = flat[start + at] & flat[start + at[:, None]]
+        np.fill_diagonal(held, True)
+        if (pair := least_cell(~held)) is not None:
+            p, q = pair
+            raise CharacterizationMismatch(f"pair ({p},{q}) is not on its line {line[p, q]}")
+        for array in (self.points, self.incidence, self.line_of_pair, self.line_of_translation):
+            array.setflags(write=False)
 
     @property
     def n_points(self) -> int:
@@ -353,19 +377,10 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     line_of_pair = np.full((n, n), -1, dtype=np.int64)
     line_of_pair[a, b] = line_of_pair[b, a] = line_of_translation[sigma_of_pair]
 
-    # partial-plane axioms: every pair lies on its line by construction; two
-    # lines share at most one point
-    inc = incidence.astype(np.int64)
-    shared = np.triu(inc @ inc.T, 1)
-    pair = least_cell(shared > 1)
-    if pair is not None:
-        la, lb = pair
-        raise CharacterizationMismatch(
-            f"lines {la} and {lb} share {shared[la, lb]} points"
-        )
+    geom = Geometry(j_idx.copy(), classes, incidence, line_of_pair, line_of_translation)
 
     # product of two points of a line centralizes the defining translation
-    # class: after the check above, the pairs of distinct points of a line are
+    # class: in a partial plane, the pairs of distinct points of a line are
     # the pairs whose line it is, and each product must be in the line's
     # class. The diagonal (j j is the identity, which every class admits; -1
     # in line_of_pair) is masked. A line whose translation is in no class
@@ -376,18 +391,14 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
         raise CharacterizationMismatch(
             f"line {line_of_pair[bad].min()} is not closed into its translation class"
         )
-    points = j_idx.copy()
-    for array in (points, incidence, line_of_pair, line_of_translation):
-        array.setflags(write=False)
-    return Geometry(G, points, cert._translations, classes, incidence, line_of_pair,
-                    line_of_translation)
+    return geom
 
 
 # ---------------------------------------------------------------------------
 # conjugation action on lines
 
 
-def verify_line_lemma(geom: Geometry) -> CheckReport:
+def verify_line_lemma(G: PermGroup, geom: Geometry) -> CheckReport:
     """Conjugation facts about lines, scanned over every (line, involution):
 
     (a) if two distinct involutions conjugate a line to the same image, both
@@ -396,7 +407,7 @@ def verify_line_lemma(geom: Geometry) -> CheckReport:
         lies on the line;
     plus the sanity fact that points of a line fix it under conjugation.
     """
-    table = _require_certified(geom.group)._j_conj  # row k: the points conjugated by k
+    table = _require_certified(G)._j_conj  # row k: the points conjugated by k
     n = geom.n_points
     checks = []
 
@@ -446,36 +457,6 @@ def close_point_masks(geom: Geometry, masks: np.ndarray) -> np.ndarray:
         current = grown
 
 
-def _lines_meet_once(geom: Geometry) -> bool:
-    """Whether every pair p != q lies on the line ``line_of_pair[p, q]`` and
-    two lines share at most one point. Then a line holding two points p, q
-    is the line of (p, q), as two lines through both would share them. A
-    geometry from :func:`build_geometry` satisfies both; a tampered or
-    hand-built one need not, so the per-line reductions of
-    :func:`no_plane_verdicts` and the X_alpha covering scan test this on
-    every call, in O(n^2 + L^2 n) cells."""
-    n = geom.n_points
-    at = np.arange(n)
-    flat = geom.incidence.ravel()  # cell l * n + p: p is on line l
-    start = geom.line_of_pair * n  # -1, as an index, is the last line
-    on_pair = flat[start + at] & flat[start + at[:, None]]
-    np.fill_diagonal(on_pair, True)
-    inc = geom.incidence.astype(np.int64)
-    return bool(on_pair.all() and (np.triu(inc @ inc.T, 1) <= 1).all())
-
-
-def _unmet_line_pairs(geom: Geometry, inside: np.ndarray) -> np.ndarray:
-    """Per row of the (S, n_lines) mask ``inside``, the least pair of its lines
-    that do not meet, or (-1, -1)."""
-    apart = np.triu(~(geom.incidence @ geom.incidence.T), 1)
-
-    def unmet(lo, hi):
-        within = inside[lo:hi]
-        return least_cells(within[:, :, None] & within[:, None, :] & apart)
-
-    return in_chunks(unmet, len(inside), apart.size)
-
-
 def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     """The no-proper-plane hypotheses of every row of an (S, n_points) stack
     of point masks, each tested on its own:
@@ -483,41 +464,26 @@ def no_plane_verdicts(geom: Geometry, masks: np.ndarray):
     (a) the line through every pair of members lies inside the set;
     (b) the lines inside the set pairwise meet.
 
-    Returns (failed, witness, line_count). ``failed[s]`` is 0 when both hold,
-    1 when (a) fails and 2 when only (b) fails. ``witness[s]`` is the least
-    failing pair of that hypothesis (points for (a), lines for (b)), (-1, -1)
-    when both hold. ``line_count[s]`` counts the lines inside the set.
+    Returns (failed, line_count). ``failed[s]`` is 0 when both hold, 1 when
+    (a) fails and 2 when only (b) fails. ``line_count[s]`` counts the lines
+    inside the set.
 
-    (a) is decided per line. When :func:`_lines_meet_once` holds, the line of
-    two members is the one line holding both, so a set fails (a) exactly
-    when a line holds two or more members and is not inside the set; the
-    members per line are an integer product, never float BLAS. The (n, n)
-    mask of member pairs whose line leaves the set is built only for those
-    rows, to read the least pair, and for every row when the premise fails.
-    It and the (L, L) masks of (b) are built in chunks of rows.
+    Both are decided per line, with no point-pair mask. In a partial plane
+    the line of two members is the one line holding both, so a set fails (a)
+    exactly when a line holds two or more members and is not inside the set;
+    the members per line are an integer product, never float BLAS. A set
+    fails (b) when a line inside it is apart from another line inside it:
+    one boolean product of the contained lines with the pairs of distinct
+    lines that share no point.
     """
-    n = geom.n_points
     inside = geom.lines_inside(masks)
     members = masks.astype(np.int32) @ geom.incidence.T.astype(np.int32)
-    rows = np.flatnonzero(((members >= 2) & ~inside).any(axis=1) | (not _lines_meet_once(geom)))
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-
-    def leaving(lo, hi):  # least member pair p < q whose line is not inside
-        at = rows[lo:hi]
-        on = masks[at]
-        out = np.take(~inside[at], geom.line_of_pair, axis=1)
-        out &= on[:, :, None]
-        out &= on[:, None, :]
-        out &= upper
-        return least_cells(out)
-
-    pairs_a = np.full((len(masks), 2), -1, dtype=np.int64)
-    pairs_a[rows] = in_chunks(leaving, len(rows), n * n)
-    pairs_b = _unmet_line_pairs(geom, inside)
-    fails_a = pairs_a[:, 0] >= 0
-    failed = np.where(fails_a, 1, np.where(pairs_b[:, 0] >= 0, 2, 0))
-    witness = np.where(fails_a[:, None], pairs_a, pairs_b)
-    return failed, witness, np.count_nonzero(inside, axis=1)
+    apart = ~(geom.incidence @ geom.incidence.T)
+    np.fill_diagonal(apart, False)
+    fails_a = ((members >= 2) & ~inside).any(axis=1)
+    fails_b = ((inside @ apart) & inside).any(axis=1)
+    failed = np.where(fails_a, 1, np.where(fails_b, 2, 0))
+    return failed, np.count_nonzero(inside, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +514,7 @@ class SubgroupScanReport:
         )
 
 
-def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:
+def divisible_subgroup_scan(G: PermGroup, geom: Geometry) -> SubgroupScanReport:
     """Enumerate odd-order subgroups inside the translation set that some
     involution normalizes, and check each sits inside a translation centralizer.
 
@@ -574,8 +540,7 @@ def divisible_subgroup_scan(geom: Geometry) -> SubgroupScanReport:
     involutions on the translations. Violations are listed in (size, sorted
     translation positions) order.
     """
-    G = geom.group
-    trans = geom.translation_ids
+    trans = _require_certified(G)._translations
     nt = len(trans)
     t_pos = np.full(G.order, -1, dtype=np.int64)  # element -> translation position
     t_pos[trans] = np.arange(nt)

@@ -43,6 +43,7 @@ import numpy as np
 
 from .config import max_nearfield_order
 from .errors import (
+    AxiomFailure,
     ConstructionSanityFailure,
     EvenCharacteristicUnsupported,
     InvolqError,
@@ -138,9 +139,6 @@ class NearField:
     axioms are the business of :func:`verify_nearfield_axioms`, so that
     deliberately corrupted tables can be built and reported on.
     """
-
-    zero = 0
-    one = 1
 
     def __init__(self, order: int, family: str, add, mul):
         add = np.ascontiguousarray(add, dtype=np.int32)
@@ -544,11 +542,13 @@ class MultiplicativeGroupSummary:
 
 
 def multiplicative_group_summary(nf: NearField) -> MultiplicativeGroupSummary:
+    """Raises AxiomFailure when some nonzero element has no finite order
+    under ``mul``, which a hand-built table can have."""
     q = nf.order
     mul = nf.mul
     orders = [_order(mul, a, 1, q) for a in range(1, q)]
     if 0 in orders:
-        raise ConstructionSanityFailure(f"element {orders.index(0) + 1} has no finite order")
+        raise AxiomFailure(f"element {orders.index(0) + 1} has no finite order")
     sub = mul[1:, 1:]
     return MultiplicativeGroupSummary(
         order=q - 1,

@@ -22,7 +22,10 @@ closure seeds come from a fixed linear-congruential sequence, so two runs on
 the same input produce byte-identical files. The plane-closure stage builds
 its 100 seeds as one stack of point masks, closes the stack in one call of
 ``geometry.close_point_masks``, closes it again for the idempotence check,
-and judges every closure in one call of ``geometry.no_plane_verdicts``.
+and judges every closure in one call of ``geometry.no_plane_verdicts``,
+which returns the code of each closure's failed hypothesis and its count of
+contained lines. The line lemma, the odd-subgroup scan and the line
+covering take the group and the geometry, ``(G, geom)``.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _no_proper_plane(s):
     closures = geometry_mod.close_point_masks(geom, seeds)
     again = geometry_mod.close_point_masks(geom, closures)
     idempotence_ok = bool(np.array_equal(again, closures))
-    failed, _, line_counts = geometry_mod.no_plane_verdicts(geom, closures)
+    failed, line_counts = geometry_mod.no_plane_verdicts(geom, closures)
     met_line_counts = line_counts[failed == 0]
     closures_ok = bool((met_line_counts <= 1).all())
     return None, {
@@ -167,10 +170,10 @@ STAGES = (
      lambda s: _checked(geometry_mod.check_geometry_conditions(s.G))),
     ("geometry", "geometry_conditions", _geometry),
     ("line_lemma", "geometry",
-     lambda s: _checked(geometry_mod.verify_line_lemma(s.geometry))),
+     lambda s: _checked(geometry_mod.verify_line_lemma(s.G, s.geometry))),
     ("no_proper_plane", "geometry", _no_proper_plane),
     ("divisible_subgroups", "geometry",
-     lambda s: _checked(geometry_mod.divisible_subgroup_scan(s.geometry))),
+     lambda s: _checked(geometry_mod.divisible_subgroup_scan(s.G, s.geometry))),
     ("splitting", "certificate",
      lambda s: _checked(splitting.neumann_split_test(s.G), "split")),
     ("coordinatization", "splitting", _coordinatization),

@@ -26,9 +26,9 @@ def naive_closure(geom, seed):
 
 
 def naive_verdict(geom, point_set):
-    """(failed hypothesis, witness, line count) of the set, pair by pair:
-    (a) the least member pair whose line leaves the set, then (b) the least
-    pair of contained lines that do not meet."""
+    """(failed hypothesis, line count) of the set, pair by pair: (a) some
+    member pair whose line leaves the set, else (b) some pair of contained
+    lines that do not meet, else None; and the lines inside the set."""
     X = set(point_set)
     lines = line_sets(geom)
     line_of_pair = geom.line_of_pair.tolist()
@@ -39,11 +39,11 @@ def naive_verdict(geom, point_set):
         if lid not in leaves:
             leaves[lid] = not lines[lid] <= X
         if leaves[lid]:
-            return "a", (a, b), None
+            return "a", len(inside)
     for l, m in itertools.combinations(inside, 2):
         if not lines[l] & lines[m]:
-            return "b", (l, m), None
-    return None, None, len(inside)
+            return "b", len(inside)
+    return None, len(inside)
 
 
 def naive_order(images):

@@ -117,10 +117,10 @@ def test_criterion_2_dickson_suite():
         conditions = check_geometry_conditions(G)
         ok &= conditions.ok
         geom = geometry_of(entry)
-        ok &= verify_line_lemma(geom).ok
-        failed, _, line_count = no_plane_verdicts(geom, np.ones((1, geom.n_points), dtype=bool))
+        ok &= verify_line_lemma(G, geom).ok
+        failed, line_count = no_plane_verdicts(geom, np.ones((1, geom.n_points), dtype=bool))
         ok &= failed[0] != 0 or line_count[0] <= 1
-        ok &= divisible_subgroup_scan(geom).ok
+        ok &= divisible_subgroup_scan(G, geom).ok
 
     q8 = multiplicative_group_summary(make_dickson(3, 2))
     ok &= q8.order == 8 and q8.involution_count == 1 and q8.exponent == 4
@@ -172,7 +172,7 @@ def test_criterion_5_plane_closures():
         for seed in _closure_seed_masks(100, geom.n_points):
             closure = naive_closure(geom, np.flatnonzero(seed).tolist())
             ok &= naive_closure(geom, closure) == closure
-            failed, _, line_count = naive_verdict(geom, closure)
+            failed, line_count = naive_verdict(geom, closure)
             if failed is None:
                 ok &= line_count <= 1
     report_line(5, ok, "100 deterministic closures per entry: idempotent, <= 1 line")

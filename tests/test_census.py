@@ -1,14 +1,16 @@
 """Census quantities and the triple-product covering scan."""
 
-import copy
 import importlib
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from involq import (
     CharacteristicTwo,
+    CharacterizationMismatch,
     affine_group,
     build_geometry,
     census,
@@ -19,7 +21,6 @@ from involq import (
     translations,
     verify_xalpha_covering,
 )
-from involq import geometry as geometry_mod
 from involq import reporting
 from involq.s2t import certify_sharply_2_transitive
 
@@ -193,14 +194,17 @@ def test_covering_witnesses_on_tampered_inputs_match_the_loops(tamper, chunk_cel
       translation dropped from the certificate, X_alpha misses one point and
       the line through it leaves X_alpha. The alphas are taken in reverse, so
       the first one has its pair (p, v) = (0, 0) on the masked diagonal;
-    * point-line-saturation: a point taken off the only line of a perturbed
-      incidence matrix lies on no line inside X_alpha;
+    * point-line-saturation: the Fano plane or AG(2,3) laid over J, and for
+      the first alpha the translations i.alpha dropped for every point i
+      but 0 and the least other point of each line through 0, so that
+      every line through 0 leaves X_alpha;
     * fiber-size-identity: khat read through a centralizer cache that lost a
       member.
 
     Each witness equals the loops', in one chunk and in one alpha per chunk."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-    for G in (affine_group(make_field(7, 1)), affine_group(make_dickson(3, 2))):
+    for G, lines in ((affine_group(make_field(7, 1)), FANO_LINES),
+                     (affine_group(make_dickson(3, 2)), AG23_LINES)):
         geom = build_geometry(G)
         cert = certify_sharply_2_transitive(G)
         assert set(naive_covering_witnesses(G, geom).values()) == {None}
@@ -208,8 +212,11 @@ def test_covering_witnesses_on_tampered_inputs_match_the_loops(tamper, chunk_cel
             cert._translations = np.delete(cert._translations, 1)
             monkeypatch.setattr(census_mod, "_alpha_sample", lambda j3: (j3[::-1], True))
         elif tamper == "point-line-saturation":
-            geom.incidence = geom.incidence.copy()
-            geom.incidence[0, 2] = False
+            geom = with_lines(G, geom, lines)
+            alpha = int(census_mod._triple_products(G, cert)[0])
+            kept = {min(line - {0}) for line in map(set, lines) if 0 in line}
+            far = [p for p in range(1, geom.n_points) if p not in kept]
+            cert._translations = np.setdiff1d(cert._translations, G.mul(cert._j[far], alpha))
         else:
             t = int(cert._translations[cert._translations != G.identity_index][0])
             G._centralizer_cache[t] = centralizer(G, t)[:-1]
@@ -228,43 +235,43 @@ AG23_LINES = sorted({  # AG(2,3): the point (x, y) is 3x + y
 
 
 def with_lines(G, geom, lines):
-    """A copy of ``geom`` whose lines are ``lines``, a linear space on the
-    positions of J, with the k-th nontrivial translation sent to line k mod
+    """``geom`` with its lines replaced by ``lines``, a linear space on the
+    positions of J, and the k-th nontrivial translation sent to line k mod
     the line count: so p.alpha may name a line that does not hold p."""
     n = geom.n_points
-    out = copy.copy(geom)
-    out.incidence = np.zeros((len(lines), n), dtype=bool)
-    out.line_of_pair = np.full((n, n), -1)
+    incidence = np.zeros((len(lines), n), dtype=bool)
+    line_of_pair = np.full((n, n), -1)
     for lid, line in enumerate(lines):
-        out.incidence[lid, list(line)] = True
+        incidence[lid, list(line)] = True
         for a, b in itertools.permutations(line, 2):
-            out.line_of_pair[a, b] = lid
-    nontrivial = geom.translation_ids[geom.translation_ids != G.identity_index]
-    out.line_of_translation = np.full(G.order, -1)
-    out.line_of_translation[nontrivial] = np.arange(len(nontrivial)) % len(lines)
-    return out
+            line_of_pair[a, b] = lid
+    trans = certify_sharply_2_transitive(G)._translations
+    nontrivial = trans[trans != G.identity_index]
+    line_of_translation = np.full(G.order, -1)
+    line_of_translation[nontrivial] = np.arange(len(nontrivial)) % len(lines)
+    return replace(geom, incidence=incidence, line_of_pair=line_of_pair,
+                   line_of_translation=line_of_translation)
 
 
 def pair_off_its_line(geom):
-    """A copy of ``geom`` with line_of_pair[0, 1] sent to a line holding
-    neither point: the line {2}, appended, when every line holds one."""
-    out = copy.copy(geom)
+    """``geom`` with line_of_pair[0, 1] sent to a line holding neither
+    point: the line {2}, appended, when every line holds one."""
+    incidence = geom.incidence
     away = np.flatnonzero(~geom.incidence[:, 0] & ~geom.incidence[:, 1])
     if not len(away):
-        out.incidence = np.vstack([geom.incidence, np.eye(1, geom.n_points, 2, dtype=bool)])
+        incidence = np.vstack([geom.incidence, np.eye(1, geom.n_points, 2, dtype=bool)])
         away = [len(geom.incidence)]
-    out.line_of_pair = geom.line_of_pair.copy()
-    out.line_of_pair[0, 1] = out.line_of_pair[1, 0] = away[0]
-    return out
+    line_of_pair = geom.line_of_pair.copy()
+    line_of_pair[0, 1] = line_of_pair[1, 0] = away[0]
+    return replace(geom, incidence=incidence, line_of_pair=line_of_pair)
 
 
 def point_off_its_line(geom):
-    """A copy of ``geom`` with point 2 taken off the line of (0, 2) in the
-    incidence matrix only; line_of_pair still sends its pairs there."""
-    out = copy.copy(geom)
-    out.incidence = geom.incidence.copy()
-    out.incidence[geom.line_of_pair[0, 2], 2] = False
-    return out
+    """``geom`` with point 2 taken off the line of (0, 2) in the incidence
+    matrix only; line_of_pair still sends its pairs there."""
+    incidence = geom.incidence.copy()
+    incidence[geom.line_of_pair[0, 2], 2] = False
+    return replace(geom, incidence=incidence)
 
 
 GEOMETRY_TAMPERS = {
@@ -276,6 +283,15 @@ GEOMETRY_TAMPERS = {
         with_lines(G, geom, lines)),
 }
 
+# the message refusing each tamper that breaks an axiom, on the groups of
+# degree 7 and 9
+REFUSALS = {
+    "point-off-its-line": ["pair (0,2) is not on its line 0"] * 2,
+    "pair-off-its-line": ["pair (0,1) is not on its line 1"] * 2,
+    "many-lines-pair-off-its-line": ["pair (0,1) is not on its line 2",
+                                     "pair (0,1) is not on its line 7"],
+}
+
 
 @pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
 @pytest.mark.parametrize("drop", [False, True], ids=["all-translations", "one-dropped"])
@@ -283,15 +299,20 @@ GEOMETRY_TAMPERS = {
 def test_covering_witnesses_per_line_match_the_loops(tamper, drop, chunk_cells, monkeypatch):
     """The per-pair test of line-covering against the loops, on the groups of
     degree 7 and 9. "many-lines" lays the Fano plane or AG(2,3) over J, so
-    the premise of the test holds and some p lie off the line of p.alpha;
-    the other tampers break the premise (a point off its line, a pair sent
-    to a line that misses it), so every alpha goes to the cube. With one
-    translation dropped X_alpha misses a point, and some lines leave it."""
+    some p lie off the line of p.alpha. The other tampers break an axiom of
+    the geometry (a point off its line, a pair sent to a line that misses
+    it), so they are refused when built and no covering is read on them.
+    With one translation dropped X_alpha misses a point, and some lines
+    leave it."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-    for G, lines in ((affine_group(make_field(7, 1)), FANO_LINES),
-                     (affine_group(make_dickson(3, 2)), AG23_LINES)):
+    for k, (G, lines) in enumerate(((affine_group(make_field(7, 1)), FANO_LINES),
+                                    (affine_group(make_dickson(3, 2)), AG23_LINES))):
+        if tamper in REFUSALS:
+            with pytest.raises(CharacterizationMismatch,
+                               match=f"^{re.escape(REFUSALS[tamper][k])}$"):
+                GEOMETRY_TAMPERS[tamper](G, build_geometry(G), lines)
+            continue
         geom = GEOMETRY_TAMPERS[tamper](G, build_geometry(G), lines)
-        assert geometry_mod._lines_meet_once(geom) is (tamper in ("as-built", "many-lines"))
         if drop:
             cert = certify_sharply_2_transitive(G)
             cert._translations = np.delete(cert._translations, 1)
@@ -299,50 +320,25 @@ def test_covering_witnesses_per_line_match_the_loops(tamper, drop, chunk_cells, 
         assert {c.name: c.witness for c in report.checks} == naive_covering_witnesses(G, geom)
 
 
-def test_a_pair_sent_off_its_line_is_seen_behind_a_covered_line(monkeypatch):
-    """Every pair of the 7 involutions of AGL(1,7) is made a line of two
-    points, one translation is dropped so that X_alpha of the first alpha
-    misses one point q, and each p in X_alpha is sent to a line {p, v}
-    inside X_alpha. Then every p lies on a covered line, which would clear
-    the alpha; but line_of_pair sends the pair (p, v) of one such line to
-    {p, q}, which leaves X_alpha. The premise fails, the alpha goes to the
-    cube, and the witness is the loops'."""
+def test_a_pair_sent_off_its_line_is_refused():
+    """Every pair of the 7 involutions of AGL(1,7) made a line of two
+    points, and line_of_pair sending the pair (0, 1) to the line {0, 2}:
+    the geometry is refused when built, so no covering scan reads a pair
+    off its line."""
     G = affine_group(make_field(7, 1))
-    geom = copy.copy(build_geometry(G))
-    cert = certify_sharply_2_transitive(G)
-    cert._translations = np.delete(cert._translations, 1)
-    monkeypatch.setattr(census_mod, "_alpha_sample", lambda j3: (j3[:1], True))
-    J = cert._j
-    alpha = int(census_mod._triple_products(G, cert)[0])
-    products = G.mul(J, alpha)
-    in_x = np.isin(products, cert._translations)
-    (q,) = np.flatnonzero(~in_x)
-    on = np.flatnonzero(in_x & (products != G.identity_index))
-    ends = np.append(on, np.flatnonzero(products == G.identity_index))  # X_alpha, on first
-    lines = list(itertools.combinations(range(len(J)), 2))
-    geom.incidence = np.zeros((len(lines), len(J)), dtype=bool)
-    geom.line_of_pair = np.full((len(J), len(J)), -1)
-    for lid, (a, b) in enumerate(lines):
-        geom.incidence[lid, [a, b]] = True
-        geom.line_of_pair[a, b] = geom.line_of_pair[b, a] = lid
-    geom.line_of_translation = np.full(G.order, -1)
-    for p, v in zip(ends[0::2], ends[1::2]):  # one line {p, v} per pair of X_alpha
-        geom.line_of_translation[products[[p, v]]] = lines.index((min(p, v), max(p, v)))
-    geom.line_of_translation[G.identity_index] = -1  # r == s carries no line
-    p, v = ends[:2]
-    geom.line_of_pair[p, v] = geom.line_of_pair[v, p] = lines.index((min(p, q), max(p, q)))
-    expected = naive_covering_witnesses(G, geom)
-    assert expected["line-covering"] == (alpha, int(J[p]), int(J[v]))
-    assert not geometry_mod._lines_meet_once(geom)
-    report = verify_xalpha_covering(G, geom)
-    assert {c.name: c.witness for c in report.checks} == expected
+    lines = list(itertools.combinations(range(7), 2))
+    geom = with_lines(G, build_geometry(G), lines)
+    line_of_pair = geom.line_of_pair.copy()
+    line_of_pair[0, 1] = line_of_pair[1, 0] = lines.index((0, 2))
+    with pytest.raises(CharacterizationMismatch, match=r"^pair \(0,1\) is not on its line 1$"):
+        replace(geom, line_of_pair=line_of_pair)
 
 
 def test_a_point_off_its_covered_line_goes_to_the_cube(monkeypatch):
     """The Fano plane over the 7 involutions of AGL(1,7), one translation
     dropped so that X_alpha of the first alpha misses one point q, and every
-    translation sent to a line L inside X_alpha. The premise holds, and the
-    points on L are covered; a point p off L is not, as the three lines
+    translation sent to a line L inside X_alpha. The points on L are
+    covered; a point p off L is not, as the three lines
     joining p to L cover the plane and so one holds q. Only the cube sees
     that, and its witness is the loops'."""
     G = affine_group(make_field(7, 1))
@@ -353,10 +349,10 @@ def test_a_point_off_its_covered_line_goes_to_the_cube(monkeypatch):
     alpha = int(census_mod._triple_products(G, cert)[0])
     (q,) = np.flatnonzero(~np.isin(G.mul(cert._j, alpha), cert._translations))
     covered = next(lid for lid, line in enumerate(FANO_LINES) if q not in line)
-    geom.line_of_translation[geom.line_of_translation >= 0] = covered
+    line_of_translation = np.where(geom.line_of_translation >= 0, covered, -1)
+    geom = replace(geom, line_of_translation=line_of_translation)
     expected = naive_covering_witnesses(G, geom)
     assert expected["line-covering"] is not None
-    assert geometry_mod._lines_meet_once(geom)
     report = verify_xalpha_covering(G, geom)
     assert {c.name: c.witness for c in report.checks} == expected
 

@@ -1,7 +1,9 @@
 """Incidence structure construction and the scans over it."""
 
 import itertools
+import re
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +27,7 @@ from involq import geometry as geometry_mod
 from involq import pipeline, reporting
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.geometry import close_point_masks, no_plane_verdicts
-from involq.reporting import least_cell, least_cells
+from involq.reporting import least_cell
 from involq.s2t import certify_sharply_2_transitive
 from naive import line_sets, naive_closure, naive_verdict
 
@@ -524,11 +526,11 @@ def test_conjugation_inverts_defining_translation(agl_f5):
 
 def test_line_lemma(agl_f5, agl_f7, agl_d9, agl_d25):
     for G in (agl_f5, agl_f7, agl_d9, agl_d25):
-        report = verify_line_lemma(build_geometry(G))
+        report = verify_line_lemma(G, build_geometry(G))
         assert report.ok
 
 
-def _line_lemma_by_loop(geom):
+def _line_lemma_by_loop(G, geom):
     """The witnesses of verify_line_lemma, one (line, involution) at a time,
     each conjugate k^-1 j k composed from permutation rows:
 
@@ -539,7 +541,7 @@ def _line_lemma_by_loop(geom):
     the least point of the line whose image is not the line;
 
     each on the first line that has one."""
-    rows = geom.group.elements[geom.points]
+    rows = G.elements[geom.points]
     position = {tuple(row): k for k, row in enumerate(rows)}
     n = len(rows)
 
@@ -569,18 +571,24 @@ def test_line_lemma_witnesses_match_the_loop():
     fixing k reflects the fixed points through k, so a line on an additive
     subgroup is fixed by its own points and shares its image across a coset
     of involutions off it (a), while {0, 1, p} is moved by 0 (the sanity
-    fact) and meets its image under an involution off it (b)."""
+    fact) and meets its image under an involution off it (b). These lines
+    share points, which no Geometry allows; the scan reads only the points
+    and the incidence, so a stand-in holds them."""
     found = set()
     for G in _fresh_groups():
         geom = build_geometry(G)
-        assert _line_lemma_by_loop(geom) == (None, None, None)
+        assert _line_lemma_by_loop(G, geom) == (None, None, None)
         cert = certify_sharply_2_transitive(G)
         fix, p = cert._fix_points, cert.characteristic
         prime_field, other = fix < p, np.isin(fix, [0, 1, p])
         for lines in ([prime_field, other], [other, prime_field]):
-            geom.incidence = np.array([np.ones(geom.n_points, dtype=bool)] + lines)
-            expected = _line_lemma_by_loop(geom)
-            report = verify_line_lemma(geom)
+            incidence = np.array([np.ones(geom.n_points, dtype=bool)] + lines)
+            with pytest.raises(CharacterizationMismatch, match="^lines 0 and 1 share"):
+                replace(geom, incidence=incidence)
+            stand_in = SimpleNamespace(points=geom.points, n_points=geom.n_points,
+                                       incidence=incidence)
+            expected = _line_lemma_by_loop(G, stand_in)
+            report = verify_line_lemma(G, stand_in)
             assert tuple(c.witness for c in report.checks) == expected
             found.update(k for k, w in enumerate(expected) if w is not None)
     assert found == {0, 1, 2}
@@ -610,7 +618,7 @@ def test_closure_basics(agl_f5):
     closed = close_point_masks(geom, mask_of(geom, [], [2], [0, 1]))
     assert [np.flatnonzero(on).tolist() for on in closed] == [[], [2], [0, 1, 2, 3, 4]]
     assert np.flatnonzero(geom.lines_inside(closed)[2]).tolist() == [0]
-    failed, _, line_count = no_plane_verdicts(geom, closed)
+    failed, line_count = no_plane_verdicts(geom, closed)
     assert failed.tolist() == [0, 0, 0] and line_count.tolist() == [0, 0, 1]
 
 
@@ -625,26 +633,26 @@ def test_closure_idempotent(agl_d9):
 def test_no_proper_plane_on_full_point_set(agl_f5, agl_d9, agl_d25):
     for G in (agl_f5, agl_d9, agl_d25):
         geom = build_geometry(G)
-        failed, witness, line_count = no_plane_verdicts(geom, mask_of(geom, range(geom.n_points)))
-        assert (failed[0], tuple(witness[0]), line_count[0]) == (0, (-1, -1), 1)
+        failed, line_count = no_plane_verdicts(geom, mask_of(geom, range(geom.n_points)))
+        assert (failed[0], line_count[0]) == (0, 1)
 
 
 def test_no_proper_plane_on_single_line(agl_f7):
     geom = build_geometry(agl_f7)
-    failed, _, line_count = no_plane_verdicts(geom, geom.incidence[:1])
+    failed, line_count = no_plane_verdicts(geom, geom.incidence[:1])
     assert (failed[0], line_count[0]) == (0, 1)
 
 
 def test_no_proper_plane_detects_unclosed_set(agl_f5):
     geom = build_geometry(agl_f5)
     # the line through 0,1 leaves {0,1}: hypotheses not met, nothing to refute
-    failed, witness, _ = no_plane_verdicts(geom, mask_of(geom, [0, 1]))
-    assert (failed[0], tuple(witness[0])) == (CODES["a"], (0, 1))
+    failed, line_count = no_plane_verdicts(geom, mask_of(geom, [0, 1]))
+    assert (failed[0], line_count[0]) == (CODES["a"], 0)
 
 
 def test_singleton_and_empty_sets_meet_hypotheses(agl_f5):
     geom = build_geometry(agl_f5)
-    failed, _, line_count = no_plane_verdicts(geom, mask_of(geom, [], [3]))
+    failed, line_count = no_plane_verdicts(geom, mask_of(geom, [], [3]))
     assert failed.tolist() == [0, 0] and line_count.tolist() == [0, 0]
 
 
@@ -654,7 +662,7 @@ def test_singleton_and_empty_sets_meet_hypotheses(agl_f5):
 
 def test_subgroup_scan_f5(agl_f5):
     geom = build_geometry(agl_f5)
-    report = divisible_subgroup_scan(geom)
+    report = divisible_subgroup_scan(agl_f5, geom)
     assert report.ok and report.complete
     assert report.found == 1
     assert report.size_histogram == {5: 1}
@@ -662,7 +670,7 @@ def test_subgroup_scan_f5(agl_f5):
 
 def test_subgroup_scan_f7(agl_f7):
     geom = build_geometry(agl_f7)
-    report = divisible_subgroup_scan(geom)
+    report = divisible_subgroup_scan(agl_f7, geom)
     assert report.ok
     assert report.size_histogram == {7: 1}
 
@@ -671,7 +679,7 @@ def test_subgroup_scan_dickson9(agl_d9):
     # translations form an elementary abelian group of order 9:
     # four subgroups of order 3 plus the whole group
     geom = build_geometry(agl_d9)
-    report = divisible_subgroup_scan(geom)
+    report = divisible_subgroup_scan(agl_d9, geom)
     assert report.ok and report.complete
     assert report.found == 5
     assert report.size_histogram == {3: 4, 9: 1}
@@ -690,7 +698,7 @@ def test_subgroup_scan_found_groups_are_inverted(agl_d9):
             for j in involutions(G):
                 jrow = G.elements[j]
                 assert np.array_equal(jrow[trow[jrow]], np.argsort(trow))  # t^j == t^-1
-        report = divisible_subgroup_scan(build_geometry(G))
+        report = divisible_subgroup_scan(G, build_geometry(G))
         assert report.found == report.examined == found
         assert report.size_histogram == histogram
         assert report.violations == []
@@ -699,13 +707,13 @@ def test_subgroup_scan_found_groups_are_inverted(agl_d9):
 def test_subgroup_scan_cap(agl_d9, monkeypatch):
     monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", 5)
     geom = build_geometry(agl_d9)
-    report = divisible_subgroup_scan(geom)
+    report = divisible_subgroup_scan(agl_d9, geom)
     assert not report.complete
     assert report.skipped_over_cap > 0
     assert report.size_histogram == {3: 4}  # order-9 closure was abandoned
 
 
-def naive_subgroup_scan(geom, cap):
+def naive_subgroup_scan(G, geom, cap):
     """Test-local oracle for divisible_subgroup_scan on permutation rows.
 
     Cyclic subgroups come from walking the powers of each translation, pair
@@ -714,10 +722,9 @@ def naive_subgroup_scan(geom, cap):
     candidate, and passing ``cap`` members abandons it (counted once per
     translation or pair). Normalizers and centralizers are found by composing
     rows."""
-    G = geom.group
     rows = [tuple(int(x) for x in row) for row in G.elements]
     index = {row: i for i, row in enumerate(rows)}
-    trans = {int(t) for t in geom.translation_ids}
+    trans = {int(t) for t in certify_sharply_2_transitive(G)._translations}
     identity = G.identity_index
 
     def mul(a, b):  # a then b
@@ -787,13 +794,14 @@ CHUNK_SIZES = (reporting.CHUNK_CELLS, 1)  # the default, and one row per chunk
 @pytest.mark.parametrize("entry_id", ODD_UP_TO_27)
 def test_subgroup_scan_matches_naive_oracle(entry_id, monkeypatch):
     """With the default chunks and with one subgroup per normalizer chunk."""
-    geom = build_geometry(build_entry(find_entry(entry_id)))
+    G = build_entry(find_entry(entry_id))
+    geom = build_geometry(G)
     for cap in (3, 5, 512):
         monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
-        expected = naive_subgroup_scan(geom, cap)
+        expected = naive_subgroup_scan(G, geom, cap)
         for chunk_cells in CHUNK_SIZES:
             monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-            report = divisible_subgroup_scan(geom)
+            report = divisible_subgroup_scan(G, geom)
             assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
             assert report.complete is (expected["skipped_over_cap"] == 0)
 
@@ -804,14 +812,15 @@ def test_subgroup_scan_matches_naive_oracle_where_pairs_share_sets(monkeypatch):
     close in two rounds, six pairs to each of the 130 subgroups of order 9:
     the second round grows each shared set once. At cap 3 every pair is
     counted over the cap, at cap 9 none is."""
-    geom = build_geometry(build_entry(find_entry("agl-dickson-9-2")))
+    G = build_entry(find_entry("agl-dickson-9-2"))
+    geom = build_geometry(G)
     for cap in (3, 9, 512):
         monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
-        expected = naive_subgroup_scan(geom, cap)
+        expected = naive_subgroup_scan(G, geom, cap)
         assert expected["skipped_over_cap"] == (780 if cap == 3 else 0)
         for chunk_cells in CHUNK_SIZES:
             monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-            report = divisible_subgroup_scan(geom)
+            report = divisible_subgroup_scan(G, geom)
             assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
     assert expected["size_histogram"] == {3: 40, 9: 130}
 
@@ -820,18 +829,20 @@ def test_subgroup_scan_counts_pairs_of_shared_sets_over_the_cap(sym4, monkeypatc
     """With the whole of S4 as the translation set, the 120 pairs of its 16
     cyclic subgroups do not close in one round, and at some caps a set that
     several pairs reach passes the cap in a later round: each of those pairs
-    is counted, as the oracle counts them."""
+    is counted, as the oracle counts them. S4 is not sharply 2-transitive,
+    so a stand-in certificate lists its translations."""
     involutions = np.flatnonzero((sym4.mul(np.arange(24), np.arange(24)) == sym4.identity_index)
                                  & (np.arange(24) != sym4.identity_index))
-    geom = SimpleNamespace(group=sym4, translation_ids=np.arange(24), points=involutions,
-                           classes=[])
+    monkeypatch.setattr(sym4, "_s2t_certificate",
+                        SimpleNamespace(valid=True, _translations=np.arange(24)))
+    geom = SimpleNamespace(points=involutions, classes=[])
     skipped = {}
     for cap in range(2, 25):
         monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
-        expected = naive_subgroup_scan(geom, cap)
+        expected = naive_subgroup_scan(sym4, geom, cap)
         for chunk_cells in CHUNK_SIZES:
             monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-            report = divisible_subgroup_scan(geom)
+            report = divisible_subgroup_scan(sym4, geom)
             assert {key: getattr(report, key) for key in expected} == expected, (cap, chunk_cells)
         skipped[cap] = expected["skipped_over_cap"]
     assert skipped[24] == 0 and skipped[9] > skipped[12] > 0
@@ -841,10 +852,11 @@ def test_subgroup_scan_traced_peak_at_degree_243():
     """The scan of agl-field-243 (7,260 pairs, 1,331 subgroups) holds its
     stack of pair masks and its products, built in row chunks, within twice
     the 6.9 MiB traced peak of the per-pair loop it replaced."""
-    geom = build_geometry(build_entry(find_entry("agl-field-243", 243)))
+    G = build_entry(find_entry("agl-field-243", 243))
+    geom = build_geometry(G)
     tracemalloc.start()
     try:
-        report = divisible_subgroup_scan(geom)
+        report = divisible_subgroup_scan(G, geom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -860,18 +872,20 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
     The same holds with the default chunks and with one subgroup per chunk."""
     skipped = {}
     for G in (agl_f7, agl_d9):
-        thinned = build_geometry(G)
-        t = int(thinned.translation_ids[2])
-        thinned.translation_ids = np.setdiff1d(thinned.translation_ids, [t, G.inv(t)])
-        no_classes = build_geometry(G)
-        no_classes.classes = []
-        for name, geom in (("thinned", thinned), ("no classes", no_classes)):
+        cert = certify_sharply_2_transitive(G)
+        built = build_geometry(G)
+        no_classes = replace(built, classes=[])
+        t = int(cert._translations[2])
+        thinned = np.setdiff1d(cert._translations, [t, G.inv(t)])
+        for name, geom, trans in (("thinned", built, thinned),
+                                  ("no classes", no_classes, cert._translations)):
+            monkeypatch.setattr(cert, "_translations", trans)
             for cap in (2, 3, 512):
                 monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
-                expected = naive_subgroup_scan(geom, cap)
+                expected = naive_subgroup_scan(G, geom, cap)
                 for chunk_cells in CHUNK_SIZES:
                     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-                    report = divisible_subgroup_scan(geom)
+                    report = divisible_subgroup_scan(G, geom)
                     assert {key: getattr(report, key) for key in expected} == expected
                     skipped[G.degree, name, cap, chunk_cells] = report.skipped_over_cap
     for chunk_cells in CHUNK_SIZES:
@@ -880,18 +894,20 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
     monkeypatch.undo()
     for chunk_cells in CHUNK_SIZES:
         monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
-        assert divisible_subgroup_scan(no_classes).violations == [
+        assert divisible_subgroup_scan(agl_d9, no_classes).violations == [
             (0, 1, 2), (0, 3, 6), (0, 4, 8), (0, 5, 7), tuple(range(9)),
         ]
 
 
-def test_subgroup_scan_refuses_translations_without_the_identity(agl_f7):
+def test_subgroup_scan_refuses_translations_without_the_identity(agl_f7, monkeypatch):
     """The scan's Cayley table needs the identity among the translations."""
     geom = build_geometry(agl_f7)
-    geom.translation_ids = geom.translation_ids[geom.translation_ids != agl_f7.identity_index]
-    assert agl_f7.identity_index not in geom.translation_ids.tolist()
+    cert = certify_sharply_2_transitive(agl_f7)
+    monkeypatch.setattr(cert, "_translations",
+                        cert._translations[cert._translations != agl_f7.identity_index])
+    assert agl_f7.identity_index not in cert._translations.tolist()
     with pytest.raises(CharacteristicAnomaly, match="the identity is not a translation"):
-        divisible_subgroup_scan(geom)
+        divisible_subgroup_scan(agl_f7, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +917,8 @@ def test_subgroup_scan_refuses_translations_without_the_identity(agl_f7):
 def hand_geometry(lines, n_points) -> Geometry:
     """A Geometry on points 0..n_points-1 with the given lines (a linear
     space: every pair of points on exactly one line), numbered in sorted
-    order. It has no group, so only the closure and verdict scans apply."""
+    order. It has no group, so only the closure and verdict scans apply,
+    and no translation has a line."""
     lines = sorted(tuple(sorted(line)) for line in lines)
     incidence = np.zeros((len(lines), n_points), dtype=bool)
     line_of_pair = np.full((n_points, n_points), -1)
@@ -911,7 +928,7 @@ def hand_geometry(lines, n_points) -> Geometry:
             for b in line:
                 if a != b:
                     line_of_pair[a, b] = lid
-    return Geometry(None, np.arange(n_points), None, [], incidence, line_of_pair, None)
+    return Geometry(np.arange(n_points), [], incidence, line_of_pair, np.empty(0, dtype=np.int64))
 
 
 FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
@@ -993,9 +1010,9 @@ def test_closures_with_many_lines(geom, seed, points, contained, meeting):
 
 def test_whole_fano_plane_refutes_the_verdict():
     """Both sets meet both hypotheses and hold more than one line."""
-    failed, _, line_count = no_plane_verdicts(FANO, mask_of(FANO, range(7)))
+    failed, line_count = no_plane_verdicts(FANO, mask_of(FANO, range(7)))
     assert (failed[0], line_count[0]) == (0, 7)
-    failed, _, line_count = no_plane_verdicts(AG22, mask_of(AG22, [0, 1, 2]))
+    failed, line_count = no_plane_verdicts(AG22, mask_of(AG22, [0, 1, 2]))
     assert (failed[0], line_count[0]) == (0, 3)
 
 
@@ -1013,31 +1030,30 @@ def test_closure_of_a_triangle_in_real_linear_spaces(geom, n_points, n_lines,
     assert np.count_nonzero(closed) == n_points
     inside = geom.lines_inside(closed)
     assert np.count_nonzero(inside) == n_lines
-    assert bool(geometry_mod._unmet_line_pairs(geom, inside)[0, 0] < 0) is meeting
-    code, _, line_count = (v[0] for v in no_plane_verdicts(geom, closed))
+    lines = [line for line, on in zip(line_sets(geom), inside[0]) if on]
+    assert all(a & b for a, b in itertools.combinations(lines, 2)) is meeting
+    code, line_count = (v[0] for v in no_plane_verdicts(geom, closed))
     assert code == CODES[failed]
     assert line_count == n_lines
     assert bool(code != 0 or line_count <= 1) is ok
 
 
-def test_failed_hypothesis_witnesses_with_many_lines():
-    failed, witness, _ = no_plane_verdicts(FANO, mask_of(FANO, [0, 1], [0, 1, 2]))
-    assert failed.tolist() == [CODES["a"]] * 2 and witness.tolist() == [[0, 1]] * 2
+def test_failed_hypotheses_with_many_lines():
+    failed, line_count = no_plane_verdicts(FANO, mask_of(FANO, [0, 1], [0, 1, 2]))
+    assert failed.tolist() == [CODES["a"]] * 2 and line_count.tolist() == [0, 0]
     # lines {0,1} and {2,3} are parallel
-    failed, witness, _ = no_plane_verdicts(AG22, mask_of(AG22, range(4)))
-    assert (failed[0], tuple(witness[0])) == (CODES["b"], (0, 5))
+    failed, line_count = no_plane_verdicts(AG22, mask_of(AG22, range(4)))
+    assert (failed[0], line_count[0]) == (CODES["b"], 6)
 
 
 # ---------------------------------------------------------------------------
 # the batched closure and verdict kernels against naive set loops
 
 
-def test_least_cells_reads_the_witness_rule_per_mask():
+def test_least_cell_reads_the_witness_rule_per_mask():
     masks = np.zeros((3, 2, 4), dtype=bool)
     masks[0, 1, 2] = masks[0, 1, 3] = masks[2, 0, 3] = masks[2, 1, 0] = True
-    assert least_cells(masks).tolist() == [[1, 2], [-1, -1], [0, 3]]
     assert [least_cell(m) for m in masks] == [(1, 2), None, (0, 3)]
-    assert least_cells(np.zeros((2, 0, 0), dtype=bool)).tolist() == [[-1, -1], [-1, -1]]
     assert least_cell(np.zeros((0, 3), dtype=bool)) is None
 
 
@@ -1047,15 +1063,13 @@ def stage_seed_sets(count, n_points):
 
 
 def assert_verdicts_match_naive(geom, masks):
-    """no_plane_verdicts of every row of ``masks`` equals naive_verdict."""
-    failed, witness, line_count = no_plane_verdicts(geom, masks)
+    """no_plane_verdicts of every row of ``masks`` equals naive_verdict: the
+    code and the line count."""
+    failed, line_count = no_plane_verdicts(geom, masks)
     for row, on in enumerate(masks):
         point_set = np.flatnonzero(on).tolist()
-        hypothesis, pair, lines = naive_verdict(geom, point_set)
-        assert failed[row] == CODES[hypothesis], point_set
-        assert tuple(witness[row]) == (pair or (-1, -1)), point_set
-        if hypothesis is None:
-            assert line_count[row] == lines, point_set
+        hypothesis, lines = naive_verdict(geom, point_set)
+        assert (failed[row], line_count[row]) == (CODES[hypothesis], lines), point_set
 
 
 def assert_kernels_match_naive(geom, seeds):
@@ -1067,7 +1081,7 @@ def assert_kernels_match_naive(geom, seeds):
     assert_verdicts_match_naive(geom, masks)
     assert_verdicts_match_naive(geom, closed)
     inside = geom.lines_inside(closed)
-    meeting = geometry_mod._unmet_line_pairs(geom, inside)[:, 0] < 0
+    meeting = no_plane_verdicts(geom, closed)[0] != CODES["b"]
     lines = line_sets(geom)
     for row, seed in enumerate(seeds):
         points = naive_closure(geom, seed)
@@ -1089,7 +1103,8 @@ def test_kernels_match_naive_loops_on_small_subsets(geom):
 @pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
 def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
     """The 100 seeds of the no_proper_plane stage on every odd catalog entry
-    of degree <= 31, with the default chunks and with one seed per chunk."""
+    of degree <= 31. Neither kernel builds in chunks, so the default chunk
+    size and one row per chunk give the same rows."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     odd = [e for e in run_catalog(31)
            if e.expected_certified and e.expected_characteristic != 2]
@@ -1106,51 +1121,71 @@ ONE_POINT_LINE = hand_geometry([(0, 1, 2), (0, 3), (1, 3), (2, 3), (3,)], 4)
 
 def fano_with_pair_off_its_line():
     """The Fano plane with line_of_pair[0, 1] sent to the line {2, 3, 5},
-    which holds neither point: no line holding two points of {0, 1, 3}
-    leaves it, yet the line read for the pair (0, 1) does."""
-    geom = hand_geometry(FANO_LINES, 7)
-    geom.line_of_pair[0, 1] = geom.line_of_pair[1, 0] = line_sets(FANO).index({2, 3, 5})
-    return geom
+    which holds neither point: member counts alone would pass {0, 1, 3},
+    yet the line read for the pair (0, 1) leaves it."""
+    line_of_pair = FANO.line_of_pair.copy()
+    line_of_pair[0, 1] = line_of_pair[1, 0] = line_sets(FANO).index({2, 3, 5})
+    return replace(FANO, line_of_pair=line_of_pair)
 
 
 def with_point_off_its_line(geom, lid, point):
-    """A copy of a hand geometry with ``point`` taken off line ``lid``, whose
-    pairs with ``point`` line_of_pair still sends there."""
-    out = hand_geometry(line_sets(geom), geom.n_points)
-    out.incidence[lid, point] = False
-    return out
+    """A hand geometry with ``point`` taken off line ``lid``, whose pairs
+    with ``point`` line_of_pair still sends there."""
+    incidence = geom.incidence.copy()
+    incidence[lid, point] = False
+    return replace(geom, incidence=incidence)
+
+
+# geometries that break an axiom, each with the message that refuses it
+BROKEN = {
+    "Fano-pair-off-its-line": (fano_with_pair_off_its_line, "pair (0,1) is not on its line 5"),
+    "PG(3,2)-point-off-its-line": (lambda: with_point_off_its_line(PG32, 0, 0),
+                                   "pair (0,1) is not on its line 0"),
+    "AG(2,3)-point-off-its-line": (lambda: with_point_off_its_line(AG23, 3, 5),
+                                   "pair (0,5) is not on its line 3"),
+    "Fano-line-doubled": (lambda: hand_geometry(FANO_LINES + [(0, 1, 3)], 7),
+                          "lines 0 and 1 share 3 points"),
+}
 
 
 def test_the_premise_of_the_per_line_test():
+    """Every pair lies on its line and two lines share at most one point: a
+    Geometry checks both when it is built, by its constructor or by
+    dataclasses.replace, and is frozen after."""
     for geom in (FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE):
-        assert geometry_mod._lines_meet_once(geom)
-    assert not geometry_mod._lines_meet_once(fano_with_pair_off_its_line())
-    assert not geometry_mod._lines_meet_once(with_point_off_its_line(PG32, 0, 0))
-    doubled = hand_geometry(FANO_LINES + [(0, 1, 3)], 7)  # two lines share 3 points
-    assert not geometry_mod._lines_meet_once(doubled)
-
-
-def test_a_pair_off_its_line_fails_hypothesis_a():
-    """Member counts alone would pass {0, 1, 3}: line {0, 1, 3} is inside it
-    and every other line holds one member. The naive loop reads the line of
-    the pair (0, 1), which leaves the set."""
-    geom = fano_with_pair_off_its_line()
-    assert naive_verdict(geom, [0, 1, 3])[:2] == ("a", (0, 1))
-    failed, witness, _ = no_plane_verdicts(geom, mask_of(geom, [0, 1, 3]))
-    assert (failed[0], tuple(witness[0])) == (CODES["a"], (0, 1))
+        inc = geom.incidence.astype(int)
+        assert (np.triu(inc @ inc.T, 1) <= 1).all()
+        for p, q in itertools.permutations(range(geom.n_points), 2):
+            assert geom.incidence[geom.line_of_pair[p, q], [p, q]].all()
+    for make, message in BROKEN.values():
+        with pytest.raises(CharacterizationMismatch, match=f"^{re.escape(message)}$"):
+            make()
+    line_of_pair = FANO.line_of_pair.copy()
+    line_of_pair[0, 1] = -1
+    with pytest.raises(CharacterizationMismatch, match=r"^pair \(0,1\) is not on its line -1$"):
+        replace(FANO, line_of_pair=line_of_pair)
+    with pytest.raises(FrozenInstanceError):
+        FANO.incidence = AG22.incidence
+    with pytest.raises(ValueError, match="read-only"):
+        FANO.line_of_pair[0, 1] = 5
 
 
 @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
 @pytest.mark.parametrize("geom", [
     FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE,
-    fano_with_pair_off_its_line(), with_point_off_its_line(PG32, 0, 0),
-    with_point_off_its_line(AG23, 3, 4),
+    "Fano-pair-off-its-line", "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line",
 ], ids=["Fano", "AG(2,2)", "AG(2,3)", "PG(2,3)", "PG(3,2)", "one-point-line",
         "Fano-pair-off-its-line", "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line"])
 def test_verdicts_match_naive_loops_on_random_masks(geom, chunk_cells, monkeypatch):
-    """Seeded random point sets of every density and their closures, on
-    geometries where the per-line test of (a) applies and on geometries
-    whose premise fails, with the default chunks and one row per chunk."""
+    """Seeded random point sets of every density and their closures, at the
+    default chunk size and at one row per chunk, which no kernel here reads.
+    A geometry named by a key of BROKEN breaks an axiom, so it is refused
+    when built and no verdict is read on it."""
+    if isinstance(geom, str):
+        make, message = BROKEN[geom]
+        with pytest.raises(CharacterizationMismatch, match=f"^{re.escape(message)}$"):
+            make()
+        return
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(geom.n_points)
     masks = rng.random((80, geom.n_points)) < rng.random((80, 1))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from involq import (
+    AxiomFailure,
     EvenCharacteristicUnsupported,
     NearField,
     NotDicksonPair,
@@ -385,6 +386,16 @@ def test_dickson_9_quaternion_signature(d9):
     assert summary.involution_count == 1
     assert summary.exponent == 4
     assert summary.element_orders == (1, 2, 4, 4, 4, 4, 4, 4)
+
+
+def test_summary_refuses_a_unit_of_no_finite_order():
+    """GF(3) with 2 * 2 = 2: the powers of 2 never reach 1. A hand-built
+    table reaches this, so it is an axiom failure of the input."""
+    f3 = make_field(3, 1)
+    mul = f3.mul.copy()
+    mul[2, 2] = 2
+    with pytest.raises(AxiomFailure, match="^element 2 has no finite order$"):
+        multiplicative_group_summary(NearField(3, "tables", f3.add, mul))
 
 
 def test_dickson_25(d25):

@@ -10,7 +10,6 @@ from involq.reporting import (
     in_chunks,
     least_cell,
     least_cell_in_chunks,
-    least_cells,
 )
 
 SHAPES = [(0,), (1,), (9,), (0, 4), (5, 0), (6, 5), (0, 3, 4), (4, 0, 3), (4, 3, 0),
@@ -28,11 +27,6 @@ def chunked_least_cell(mask):
     return least_cell_in_chunks(lambda lo, hi: mask[lo:hi], rows, int(np.prod(mask.shape[1:])))
 
 
-def chunked_least_cells(masks):
-    return in_chunks(lambda lo, hi: least_cells(masks[lo:hi]), len(masks),
-                     int(np.prod(masks.shape[1:])))
-
-
 @pytest.mark.parametrize("chunk_cells", [1, 7, reporting.CHUNK_CELLS])
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_chunked_rules_equal_the_whole_mask_rules(shape, chunk_cells, monkeypatch):
@@ -43,10 +37,8 @@ def test_chunked_rules_equal_the_whole_mask_rules(shape, chunk_cells, monkeypatc
     for seed in range(4):
         for mask in random_masks(shape, seed):
             assert chunked_least_cell(mask) == least_cell(mask)
-            if mask.ndim > 1:
-                cells = chunked_least_cells(mask)
-                assert cells.shape == (shape[0], mask.ndim - 1)
-                assert np.array_equal(cells, least_cells(mask))
+            stacked = in_chunks(lambda lo, hi: mask[lo:hi], len(mask), int(np.prod(mask.shape[1:])))
+            assert stacked.shape == mask.shape and np.array_equal(stacked, mask)
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 7])
