@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Geometry
-from .permgroup import PermGroup, centralizer, distinct, member_mask
+from .permgroup import PermGroup, centralizer, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
 from .s2t import _require_odd_characteristic
 
@@ -64,18 +64,11 @@ class CensusReport:
         return field_dict(self, xalpha_sizes=[[int(a), int(s)] for a, s in self.xalpha_sizes])
 
 
-def _triple_products(G: PermGroup, cert) -> np.ndarray:
-    """Sorted element indices of { i.sigma : i in J, sigma in J.J }."""
-    if cert._j3 is None:
-        cert._j3 = distinct(G.mul(cert._j[:, None], cert._translations[None, :]))
-    return cert._j3
-
-
-def _x_alpha_masks(G: PermGroup, cert, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _x_alpha_masks(G: PermGroup, sets, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per alpha (rows) and involution i (columns): the index of i.alpha, and
     whether it is a translation, i.e. whether i lies in X_alpha."""
-    products = G.mul(cert._j[None, :], alphas[:, None])
-    return products, member_mask(G, cert._translations)[products]
+    products = G.mul(sets.j[None, :], alphas[:, None])
+    return products, member_mask(G, sets.translations)[products]
 
 
 def _alpha_sample(j3: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -86,9 +79,9 @@ def _alpha_sample(j3: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def census(G: PermGroup) -> CensusReport:
     """Compute all census quantities by exhaustive product enumeration."""
-    cert = _require_odd_characteristic(G)
-    j_idx = cert._j
-    trans = cert._translations
+    sets = _require_odd_characteristic(G)
+    j_idx = sets.j
+    trans = sets.translations
     nhat = len(j_idx)
     j2_size = len(trans)
 
@@ -97,11 +90,11 @@ def census(G: PermGroup) -> CensusReport:
     khat_constant = len(sizes) == 1
     khat = sorted(sizes)[0]
 
-    j3 = _triple_products(G, cert)
+    j3 = sets.j3
     j3_size = len(j3)
 
     sample, complete = _alpha_sample(j3)
-    _, in_x = _x_alpha_masks(G, cert, sample)
+    _, in_x = _x_alpha_masks(G, sets, sample)
     xalpha_sizes = list(zip(sample.tolist(), in_x.sum(axis=1).tolist()))
 
     return CensusReport(
@@ -138,18 +131,18 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     * fiber-size-identity: |X_alpha| * khat equals the number of triples
       (i, r, s) in J^3 with i.r.s == alpha.
     """
-    cert = _require_odd_characteristic(G)
-    j_idx = cert._j
-    trans = cert._translations
+    sets = _require_odd_characteristic(G)
+    j_idx = sets.j
+    trans = sets.translations
     nontrivial = trans[trans != G.identity_index]
     khat = len(centralizer(G, int(nontrivial[0])))
 
     # pair-product fibers: how many (r, s) in J x J give each element
-    fiber = np.bincount(cert._jj.ravel(), minlength=G.order)
+    fiber = np.bincount(sets.jj.ravel(), minlength=G.order)
 
-    j3 = _triple_products(G, cert)
+    j3 = sets.j3
     sample, complete = _alpha_sample(j3)
-    products, in_x = _x_alpha_masks(G, cert, sample)
+    products, in_x = _x_alpha_masks(G, sets, sample)
 
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"
     inside = geom.lines_inside(in_x)  # (alpha, line)

@@ -32,7 +32,8 @@ line of each nontrivial translation (-1 on every other element). Closures,
 the no-proper-plane verdict, the line lemma and the X_alpha covering all
 read that matrix. A Geometry holds no group: the line lemma and the
 odd-subgroup scan take ``(G, geom)`` and read the involution conjugation
-table and the translations off the certificate of G.
+table and the translations from the certified sets of G, which
+:mod:`involq.s2t` builds once and caches.
 
 The odd-subgroup scan (:func:`divisible_subgroup_scan`) closes all its
 candidate subgroups together, in rounds over a stack of masks, each distinct
@@ -130,10 +131,10 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     * The abelian test of (c), the count rows and (d) run once per distinct
       centralizer set.
     """
-    cert = _require_odd_characteristic(G)
+    sets = _require_odd_characteristic(G)
 
-    j_idx = cert._j
-    trans = cert._translations
+    j_idx = sets.j
+    trans = sets.translations
     nontrivial = trans[trans != G.identity_index].astype(np.int64)
     checks: list[Check] = []
 
@@ -156,7 +157,7 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
     # iJ as a membership row over the columns of J.J, row i for the
     # involution at position i; column m collects elements outside J.J
     n = len(j_idx)
-    ij = cert._jj  # row i: i then each involution
+    ij = sets.jj  # row i: i then each involution
     jj = distinct(ij)
     m = len(jj)
     column = np.full(G.order, m, dtype=np.int64)
@@ -260,7 +261,7 @@ class Geometry:
     line l are the True cells of row l of ``incidence``."""
 
     points: np.ndarray                    # J positions -> element index
-    classes: list[tuple[int, ...]]        # element indices per class
+    classes: tuple[tuple[int, ...], ...]  # element indices per class
     incidence: np.ndarray                 # (n_lines, n_points) bool
     line_of_pair: np.ndarray              # (|J|,|J|), -1 on diagonal
     line_of_translation: np.ndarray       # order-length, -1 off lines
@@ -307,7 +308,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     each once per distinct translation: the coset form on the first pair with
     that product, which decides every such pair as centralizer() returns a
     subgroup (the argument is stated at that step)."""
-    cert = _require_odd_characteristic(G)
+    sets = _require_odd_characteristic(G)
     if conditions is None:
         conditions = check_geometry_conditions(G)
     if not conditions.ok:
@@ -315,13 +316,13 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
             f"failed: {[c.name for c in conditions.failures()]}"
         )
 
-    j_idx = cert._j
+    j_idx = sets.j
     n = len(j_idx)
 
     # translation classes: Cen(sigma) minus identity, ordered by least member
     classes: list[tuple[int, ...]] = []
     class_of = np.full(G.order, -1, dtype=np.int64)
-    for t in cert._translations.tolist():
+    for t in sets.translations.tolist():
         if t == G.identity_index or class_of[t] >= 0:
             continue
         cls = centralizer(G, t)
@@ -332,12 +333,12 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # the pairs a < b in row-major order, and the distinct translations ab in
     # order of first appearance, each with its first pair
     a, b = np.triu_indices(n, 1)
-    sigma_of_pair = cert._jj[a, b]  # a then b
+    sigma_of_pair = sets.jj[a, b]  # a then b
     first_pair = np.sort(np.unique(sigma_of_pair, return_index=True)[1])
     sigmas = sigma_of_pair[first_pair]
 
     # membership form: k then sigma is an involution
-    member = cert._jpos[G.mul(j_idx[None, :], sigmas[:, None])] >= 0
+    member = sets.jpos[G.mul(j_idx[None, :], sigmas[:, None])] >= 0
     # conjugation form: k^-1 sigma k == sigma^-1 with k an involution
     by_conj = G.conj(sigmas[:, None], j_idx[None, :]) == G.inv(sigmas)[:, None]
     differ = np.flatnonzero((member != by_conj).any(axis=1))
@@ -358,7 +359,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # coset of sigma_r, and its last column the products outside J (-1).
     cens = [centralizer(G, sigma) for sigma in sigmas.tolist()]
     owner = np.repeat(np.arange(len(sigmas)), [len(cen) for cen in cens])
-    coset = cert._jpos[G.mul(j_idx[a[first_pair]][owner], np.concatenate(cens))]
+    coset = sets.jpos[G.mul(j_idx[a[first_pair]][owner], np.concatenate(cens))]
     on_coset = np.zeros((len(sigmas), n + 1), dtype=bool)
     on_coset[owner, coset] = True
     leaves = on_coset[:, n]
@@ -377,7 +378,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     line_of_pair = np.full((n, n), -1, dtype=np.int64)
     line_of_pair[a, b] = line_of_pair[b, a] = line_of_translation[sigma_of_pair]
 
-    geom = Geometry(j_idx.copy(), classes, incidence, line_of_pair, line_of_translation)
+    geom = Geometry(j_idx, tuple(classes), incidence, line_of_pair, line_of_translation)
 
     # product of two points of a line centralizes the defining translation
     # class: in a partial plane, the pairs of distinct points of a line are
@@ -386,7 +387,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # in line_of_pair) is masked. A line whose translation is in no class
     # fails explicitly, as its products, in no class either, would match it.
     pair_class = line_class[line_of_pair]
-    bad = ~np.eye(n, dtype=bool) & ((class_of[cert._jj] != pair_class) | (pair_class < 0))
+    bad = ~np.eye(n, dtype=bool) & ((class_of[sets.jj] != pair_class) | (pair_class < 0))
     if bad.any():
         raise CharacterizationMismatch(
             f"line {line_of_pair[bad].min()} is not closed into its translation class"
@@ -407,7 +408,7 @@ def verify_line_lemma(G: PermGroup, geom: Geometry) -> CheckReport:
         lies on the line;
     plus the sanity fact that points of a line fix it under conjugation.
     """
-    table = _require_certified(G)._j_conj  # row k: the points conjugated by k
+    table = _require_odd_characteristic(G).j_conj  # row k: the points conjugated by k
     n = geom.n_points
     checks = []
 
@@ -540,7 +541,7 @@ def divisible_subgroup_scan(G: PermGroup, geom: Geometry) -> SubgroupScanReport:
     involutions on the translations. Violations are listed in (size, sorted
     translation positions) order.
     """
-    trans = _require_certified(G)._translations
+    trans = _require_certified(G).translations
     nt = len(trans)
     t_pos = np.full(G.order, -1, dtype=np.int64)  # element -> translation position
     t_pos[trans] = np.arange(nt)

@@ -520,13 +520,15 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
 
 
 def _require_axioms(nf: NearField, error: type[InvolqError]) -> NearField:
-    """The axiom gate: decide every axiom of ``nf``, raise ``error`` naming the
-    first failed required axiom and its witness, else mark ``nf`` verified."""
-    report = verify_nearfield_axioms(nf)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise error(f"{nf.family} fails axiom {bad.name} at {bad.witness}")
-    nf._verified = True
+    """The axiom gate: decide every axiom of ``nf`` unless it is verified (its
+    tables are read-only), raise ``error`` naming the first failed required
+    axiom and its witness, else mark ``nf`` verified."""
+    if not nf._verified:
+        report = verify_nearfield_axioms(nf)
+        if not report.ok:
+            bad = report.failures()[0]
+            raise error(f"{nf.family} fails axiom {bad.name} at {bad.witness}")
+        nf._verified = True
     return nf
 
 

@@ -286,7 +286,6 @@ class PermGroup:
             [np.argmax(elements[lo:hi] == b, axis=1) for b in self.base]),
             self.order, self.degree)
         self._centralizer_cache: dict[int, np.ndarray] = {}
-        self._s2t_certificate = None  # filled lazily by involq.s2t
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -567,8 +566,7 @@ def affine_generators(nf: NearField) -> np.ndarray:
 
     The near-field axioms are checked first, unless already verified.
     """
-    if not nf._verified:
-        _require_axioms(nf, AxiomFailure)
+    _require_axioms(nf, AxiomFailure)
     return np.concatenate([nf.add.T[1:], nf.mul.T[2:]])
 
 

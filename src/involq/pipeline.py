@@ -303,7 +303,7 @@ def _verify(target, report_path, max_degree, quiet) -> int:
                           "error": _error(exc)}
             else:
                 result = verify_group(G, entry)
-                del G  # so the next entry is built without this group alive
+                del G  # so the next entry is built without it or what s2t caches for it
             report["entries"][entry.id] = result
             all_conform &= result["conforms"]
             say(f"{entry.id}: {'conforms' if result['conforms'] else 'DEVIATES'}")

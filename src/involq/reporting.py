@@ -51,9 +51,9 @@ def in_chunks(fn, rows: int, row_cells: int) -> np.ndarray:
 
 
 def field_dict(obj, **converted) -> dict:
-    """A dataclass's public fields in order, with the values in ``converted``."""
+    """A dataclass's fields in order, with the values in ``converted``."""
     return {f.name: converted[f.name] if f.name in converted else getattr(obj, f.name)
-            for f in fields(obj) if not f.name.startswith("_")}
+            for f in fields(obj)}
 
 
 @dataclass

@@ -2,32 +2,36 @@
 
 A degree-d group is sharply 2-transitive iff its order is d(d-1) and it is
 transitive on ordered distinct pairs; one pair orbit suffices for the latter
-since orbits partition the pairs. The certificate also records the involution
-set J, the J x J product table, the translation set (all products of two
-involutions), the permutation characteristic (2 when involutions are
-fixed-point-free, else the common prime order of nontrivial translations) and
-the conjugacy-class flags.
+since orbits partition the pairs. The certificate records the outcome, the
+permutation characteristic (2 when involutions are fixed-point-free, else
+the common prime order of nontrivial translations) and the conjugacy-class
+flags. A certified group also gets its CertifiedSets, built once as
+read-only arrays: J, the J x J table, the translations (all products of two
+involutions), the conjugation table of J and J.J.J.
 
-In odd characteristic the certificate raises CharacteristicAnomaly unless
+In odd characteristic certification raises CharacteristicAnomaly unless
 involution -> fixed point is a bijection onto the points; then h^-1 j h is the
 involution fixing h(fix j), so conjugates of J are gathers, not group products.
 
-Certificates are cached on the group object; all downstream modules
-(geometry, splitting, census) read the same certificate.
+This module alone caches both, keyed weakly by the group, so a dropped group
+frees them. Every later stage (geometry, splitting, census) reads the same
+sets through _require_certified or _require_odd_characteristic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CharacteristicAnomaly, CharacteristicTwo, NotSharply2Transitive
+from .nearfield import is_prime
 from .permgroup import PermGroup, centralizer, conjugacy_class, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell
 
 
-@dataclass
+@dataclass(frozen=True)
 class S2TCertificate:
     degree: int
     order: int
@@ -40,18 +44,33 @@ class S2TCertificate:
     characteristic: int | None = None
     j_single_class: bool | None = None
     j2_single_class: bool | None = None
-    # caches for downstream modules, not serialized
-    _j: np.ndarray | None = field(default=None, repr=False)
-    _jpos: np.ndarray | None = field(default=None, repr=False)  # -1 outside J
-    _jj: np.ndarray | None = field(default=None, repr=False)  # (|J|, |J|): i then j
-    _j_conj: np.ndarray | None = field(default=None, repr=False)  # odd char; row k: k^-1 j k
-    _translations: np.ndarray | None = field(default=None, repr=False)
-    _fix_points: np.ndarray | None = field(default=None, repr=False)  # J position -> point
-    _j_of_point: np.ndarray | None = field(default=None, repr=False)  # point -> J position
-    _j3: np.ndarray | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return field_dict(self)
+
+
+@dataclass(frozen=True, eq=False)
+class CertifiedSets:
+    """The element sets of a certified group, as read-only arrays of element
+    indices. The three fields that need fixed points are None in
+    characteristic 2."""
+
+    j: np.ndarray                   # the involutions, in enumeration order
+    jpos: np.ndarray                # order-length: J position, -1 outside J
+    jj: np.ndarray                  # (|J|, |J|): i then j
+    translations: np.ndarray        # sorted J.J, and J too in characteristic 2
+    fix_points: np.ndarray | None   # J position -> fixed point
+    j_conj: np.ndarray | None       # row k: the J positions of k^-1 j k
+    j3: np.ndarray | None           # sorted J.J.J
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            if array is not None:
+                array.setflags(write=False)
+
+
+# group -> (certificate, its sets or None): entries go with their groups
+_certified: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _involution_indices(G: PermGroup) -> np.ndarray:
@@ -60,10 +79,10 @@ def _involution_indices(G: PermGroup) -> np.ndarray:
     return np.nonzero(is_sq_id & (every != G.identity_index))[0].astype(np.int64)
 
 
-def _translation_indices(G: PermGroup, cert: S2TCertificate) -> np.ndarray:
+def _translation_indices(j: np.ndarray, jj: np.ndarray, char_two: bool) -> np.ndarray:
     """J.J, and in characteristic 2 also J: there the involutions are the
     nontrivial translations, and J.J may miss them (J.J = {1} at degree 2)."""
-    return distinct(np.append(cert._jj, cert._j) if cert.characteristic == 2 else cert._jj)
+    return distinct(np.append(jj, j) if char_two else jj)
 
 
 def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
@@ -79,15 +98,20 @@ def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
         n += 1
 
 
-def _conjugate_fixed_points(G: PermGroup, cert: S2TCertificate, hs, positions):
+def _conjugate_fixed_points(G: PermGroup, fix: np.ndarray, hs, positions):
     """fix(h^-1 j h) == h(fix j): rows h in hs, columns j at J ``positions``."""
-    return G.images(np.asarray(hs)[:, None], cert._fix_points[positions][None, :])
+    return G.images(np.asarray(hs)[:, None], fix[positions][None, :])
 
 
 def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
-    """Check regularity on ordered distinct pairs and fill the certificate."""
-    if G._s2t_certificate is not None:
-        return G._s2t_certificate
+    """Check regularity on ordered distinct pairs; on success also build the
+    certified sets. Both are cached for the life of G."""
+    if G not in _certified:
+        _certified[G] = _certify(G)
+    return _certified[G][0]
+
+
+def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
     d = G.degree
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -102,101 +126,82 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
         unreached = ~np.eye(d, dtype=bool)
         unreached[G.column(0), G.column(1)] = False
         pair_transitive = not unreached.any()
-    cert = S2TCertificate(
-        degree=d,
-        order=order,
-        order_ok=order_ok,
-        pair_transitive=pair_transitive,
-        valid=order_ok and pair_transitive,
-    )
-    if not order_ok:
-        cert.failure = {"check": "order", "expected": expected, "actual": order}
-    elif not pair_transitive:
-        cert.failure = {"check": "pair-orbit", "missing_pair": list(least_cell(unreached))}
+    if not (order_ok and pair_transitive):
+        failure = ({"check": "order", "expected": expected, "actual": order} if not order_ok
+                   else {"check": "pair-orbit", "missing_pair": list(least_cell(unreached))})
+        return S2TCertificate(d, order, order_ok, pair_transitive, False, failure), None
 
-    if cert.valid:
-        _fill_certificate(G, cert)
-    G._s2t_certificate = cert
-    return cert
-
-
-def _fill_certificate(G: PermGroup, cert: S2TCertificate) -> None:
-    d = G.degree
     j_idx = _involution_indices(G)
     if len(j_idx) == 0:
         raise CharacteristicAnomaly("a sharply 2-transitive group has involutions")
-    cert._j = j_idx
-    cert._jpos = np.full(G.order, -1, dtype=np.int64)
-    cert._jpos[j_idx] = np.arange(len(j_idx))
-    cert.involution_count = len(j_idx)
-    cert._jj = G.mul(j_idx[:, None], j_idx[None, :])
+    jpos = np.full(G.order, -1, dtype=np.int64)
+    jpos[j_idx] = np.arange(len(j_idx))
+    jj = G.mul(j_idx[:, None], j_idx[None, :])
 
     fixed = G.rows(j_idx) == np.arange(d)
     counts = fixed.sum(axis=1)
+    fix = j_conj = None
     if np.all(counts == 0):
-        cert.fixed_point_profile = "all-zero-fixed"
-        cert.characteristic = 2
+        profile = "all-zero-fixed"
     elif np.all(counts == 1):
-        cert.fixed_point_profile = "all-one-fixed"
+        profile = "all-one-fixed"
         fix = fixed.argmax(axis=1).astype(np.int64)
         if not np.array_equal(np.sort(fix), np.arange(d)):
             raise CharacteristicAnomaly("involution -> fixed point is not a bijection")
-        cert._fix_points = fix
-        cert._j_of_point = np.argsort(fix)  # fix is a permutation of the points
-        cert._j_conj = cert._j_of_point[_conjugate_fixed_points(G, cert, j_idx, slice(None))]
+        j_of_point = np.argsort(fix)  # fix is a permutation of the points
+        j_conj = j_of_point[_conjugate_fixed_points(G, fix, j_idx, slice(None))]
     else:
         raise CharacteristicAnomaly("mixed involution fixed-point counts")
 
-    trans = _translation_indices(G, cert)
-    cert._translations = trans
-
+    trans = _translation_indices(j_idx, jj, fix is None)
     nontrivial = trans[trans != G.identity_index]
-    if cert.characteristic != 2:
+    p, j3, j2_single = 2, None, None
+    if fix is not None:
         orders = distinct(_element_orders(G, nontrivial)).tolist()
         if len(orders) != 1:
             raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
         p = orders[0]
-        from .nearfield import is_prime
-
         if not is_prime(p):
             raise CharacteristicAnomaly(f"translation order {p} is not prime")
-        cert.characteristic = p
+        j3 = distinct(G.mul(j_idx[:, None], trans[None, :]))
+        # one order, so the nontrivial translations are not empty
+        j2_single = np.array_equal(conjugacy_class(G, int(nontrivial[0])), nontrivial)
 
-    cls = conjugacy_class(G, int(j_idx[0]))
-    cert.j_single_class = np.array_equal(cls, j_idx)
-    if cert.characteristic != 2 and len(nontrivial):
-        cls2 = conjugacy_class(G, int(nontrivial[0]))
-        cert.j2_single_class = np.array_equal(cls2, nontrivial)
+    j_single = np.array_equal(conjugacy_class(G, int(j_idx[0])), j_idx)
+    cert = S2TCertificate(d, order, True, True, True, involution_count=len(j_idx),
+                          fixed_point_profile=profile, characteristic=p,
+                          j_single_class=j_single, j2_single_class=j2_single)
+    return cert, CertifiedSets(j_idx, jpos, jj, trans, fix, j_conj, j3)
 
 
-def _require_certified(G: PermGroup) -> S2TCertificate:
+def _require_certified(G: PermGroup) -> CertifiedSets:
     cert = certify_sharply_2_transitive(G)
     if not cert.valid:
         raise NotSharply2Transitive(f"certificate failed: {cert.failure}")
-    return cert
+    return _certified[G][1]
 
 
-def _require_odd_characteristic(G: PermGroup) -> S2TCertificate:
-    """The certificate of G, refused in characteristic 2: the involution
+def _require_odd_characteristic(G: PermGroup) -> CertifiedSets:
+    """The certified sets of G, refused in characteristic 2: the involution
     geometry and everything built on it need involutions with fixed points."""
-    cert = _require_certified(G)
-    if cert.characteristic == 2:
+    sets = _require_certified(G)
+    if sets.fix_points is None:
         raise CharacteristicTwo("involutions have no fixed points in characteristic 2")
-    return cert
+    return sets
 
 
 def involutions(G: PermGroup) -> np.ndarray:
     """Element indices of all order-2 elements, in enumeration order."""
-    cert = _require_certified(G)
-    if cert.j_single_class is not True:
+    sets = _require_certified(G)
+    if certify_sharply_2_transitive(G).j_single_class is not True:
         raise CharacteristicAnomaly("involutions do not form a single conjugacy class")
-    return cert._j
+    return sets.j
 
 
 def translations(G: PermGroup) -> np.ndarray:
     """Element indices of all products of two involutions (identity included)."""
-    cert = _require_certified(G)
-    trans = cert._translations
+    trans = _require_certified(G).translations
+    cert = certify_sharply_2_transitive(G)
     nontrivial = trans[trans != G.identity_index]
     rows = G.rows(nontrivial)
     if np.any(np.any(rows == np.arange(G.degree), axis=1)):
@@ -207,8 +212,8 @@ def translations(G: PermGroup) -> np.ndarray:
 
 
 def characteristic(G: PermGroup) -> int:
-    cert = _require_certified(G)
-    return int(cert.characteristic)
+    _require_certified(G)
+    return int(certify_sharply_2_transitive(G).characteristic)
 
 
 def verify_basic_properties(G: PermGroup) -> CheckReport:
@@ -236,11 +241,11 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     and the column table is built only for the first failing i, to read its
     witness. (c) reads the same stack.
     """
-    cert = _require_odd_characteristic(G)
-    j_idx = cert._j
+    sets = _require_odd_characteristic(G)
+    j_idx = sets.j
     n = len(j_idx)
     positions = np.arange(n)
-    fix = cert._fix_points
+    fix = sets.fix_points
     checks = []
 
     cens = [centralizer(G, int(j)) for j in j_idx.tolist()]
@@ -259,7 +264,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
         ipos = int(np.argmin(regular))
         # column p: the points fixed by c^-1 j_p c over c in the centralizer
         others = positions[positions != ipos]
-        table = _conjugate_fixed_points(G, cert, stack[ipos], others)
+        table = _conjugate_fixed_points(G, fix, stack[ipos], others)
         rest = np.delete(np.arange(G.degree), fix[ipos])
         bad = np.nonzero(np.any(np.sort(table, axis=0) != rest[:, None], axis=0))[0]
         witness = (int(j_idx[ipos]), int(j_idx[others[bad[0]]]))
@@ -268,7 +273,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
     checks.append(Check("centralizer-regular-on-other-involutions", witness is None,
                         witness=witness))
 
-    bad = np.nonzero(np.any(np.sort(cert._j_conj, axis=0) != positions[:, None],
+    bad = np.nonzero(np.any(np.sort(sets.j_conj, axis=0) != positions[:, None],
                             axis=0))[0]
     witness = (int(j_idx[bad[0]]),) if len(bad) else None
     checks.append(Check("involution-conjugation-regular", witness is None,
@@ -276,7 +281,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
 
     # the centralizer of i meets the translations in {1} exactly when one
     # member is a translation and that member is 1
-    is_translation = member_mask(G, cert._translations)
+    is_translation = member_mask(G, sets.translations)
     meets = is_translation[members]
     trivial = ((np.bincount(owner[meets], minlength=n) == 1)
                & (np.bincount(owner[meets & (members == G.identity_index)], minlength=n) == 1))

@@ -55,8 +55,7 @@ class Coordinatization:
 def neumann_split_test(G: PermGroup) -> SplitReport:
     """Split iff the translation set is product-closed; then it must also be
     abelian and conjugation-stable, which is asserted rather than assumed."""
-    cert = _require_certified(G)
-    trans = cert._translations
+    trans = _require_certified(G).translations
     is_trans = member_mask(G, trans)
 
     products = G.mul(trans[:, None], trans[None, :])  # a then b
@@ -110,7 +109,7 @@ def coordinatize(G: PermGroup, split_report: SplitReport | None = None) -> Coord
     if not split_report.split:
         raise NotSplit("translations are not a subgroup")
     d = G.degree
-    add = _regular_table(G.rows(_require_certified(G)._translations), 0, "translations")
+    add = _regular_table(G.rows(_require_certified(G).translations), 0, "translations")
     mul = _regular_table(G.rows(G.column(0) == 0), 1, "stabilizer elements")
     nf = _require_axioms(NearField(d, f"recovered({d})", add, mul), AxiomRecoveryFailure)
     return Coordinatization(zero_point=0, one_point=1, nearfield=nf)

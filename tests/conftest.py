@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from involq import affine_group, make_dickson, make_field, parse_group_doc
+from involq import affine_group, make_dickson, make_field, parse_group_doc, s2t
 from involq.catalog import SYM4_DOC
 
 
@@ -138,3 +139,18 @@ def dickson_121_relabelled_doc():
     picks = rng.integers(1, G.order, 3)
     return {"degree": G.degree,
             "generators": [pi[G.elements[i][np.argsort(pi)]].tolist() for i in picks]}
+
+
+def tamper_sets(monkeypatch, G, **changes):
+    """Install ``dataclasses.replace(sets, **changes)`` for the certified sets
+    of G in the cache of involq.s2t, until the test ends; every stage then
+    reads the tampered sets. A group that fails certification gets a passing
+    stand-in certificate and sets that hold ``changes`` alone."""
+    cert = s2t.certify_sharply_2_transitive(G)
+    sets = s2t._certified[G][1]
+    if sets is None:
+        cert = dataclasses.replace(cert, valid=True)
+        sets = s2t.CertifiedSets(*[None] * len(dataclasses.fields(s2t.CertifiedSets)))
+    sets = dataclasses.replace(sets, **changes)
+    monkeypatch.setitem(s2t._certified, G, (cert, sets))
+    return sets

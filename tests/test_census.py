@@ -22,7 +22,8 @@ from involq import (
     verify_xalpha_covering,
 )
 from involq import reporting
-from involq.s2t import certify_sharply_2_transitive
+from involq.s2t import _require_certified
+from conftest import tamper_sets
 
 # the package's name `census` is the function, so reach the module by its path
 census_mod = importlib.import_module("involq.census")
@@ -82,7 +83,7 @@ def test_j3_equals_j_on_split_entries(agl_f5, agl_f7, agl_d9):
 def x_alpha_rows(G, alphas):
     """Per alpha, the positions in J of X_alpha: the rows of the census
     kernel's mask."""
-    in_x = census_mod._x_alpha_masks(G, certify_sharply_2_transitive(G), np.asarray(alphas))[1]
+    in_x = census_mod._x_alpha_masks(G, _require_certified(G), np.asarray(alphas))[1]
     return [np.flatnonzero(row).tolist() for row in in_x]
 
 
@@ -152,14 +153,14 @@ def naive_covering_witnesses(G, geom):
     alphas in sample order and p, v over the positions of J; None where a
     check holds. A triple (i, r, s) counts for alpha when i.r.s == alpha and
     i lies in X_alpha (every i does when the translations are J.J)."""
-    cert = certify_sharply_2_transitive(G)
-    J = cert._j.tolist()
-    trans = set(cert._translations.tolist())
+    sets = _require_certified(G)
+    J = sets.j.tolist()
+    trans = set(sets.translations.tolist())
     n = len(J)
-    khat = len(centralizer(G, next(t for t in cert._translations.tolist()
+    khat = len(centralizer(G, next(t for t in sets.translations.tolist()
                                    if t != G.identity_index)))
     lines = [set(np.flatnonzero(row).tolist()) for row in geom.incidence]
-    sample, _ = census_mod._alpha_sample(census_mod._triple_products(G, cert))
+    sample, _ = census_mod._alpha_sample(sets.j3)
     cover = saturation = fiber = None
     for alpha in sample.tolist():
         in_x = [int(G.mul(J[p], alpha)) in trans for p in range(n)]
@@ -206,19 +207,20 @@ def test_covering_witnesses_on_tampered_inputs_match_the_loops(tamper, chunk_cel
     for G, lines in ((affine_group(make_field(7, 1)), FANO_LINES),
                      (affine_group(make_dickson(3, 2)), AG23_LINES)):
         geom = build_geometry(G)
-        cert = certify_sharply_2_transitive(G)
+        sets = _require_certified(G)
         assert set(naive_covering_witnesses(G, geom).values()) == {None}
         if tamper == "line-covering":
-            cert._translations = np.delete(cert._translations, 1)
+            tamper_sets(monkeypatch, G, translations=np.delete(sets.translations, 1))
             monkeypatch.setattr(census_mod, "_alpha_sample", lambda j3: (j3[::-1], True))
         elif tamper == "point-line-saturation":
             geom = with_lines(G, geom, lines)
-            alpha = int(census_mod._triple_products(G, cert)[0])
+            alpha = int(sets.j3[0])
             kept = {min(line - {0}) for line in map(set, lines) if 0 in line}
             far = [p for p in range(1, geom.n_points) if p not in kept]
-            cert._translations = np.setdiff1d(cert._translations, G.mul(cert._j[far], alpha))
+            tamper_sets(monkeypatch, G, translations=np.setdiff1d(
+                sets.translations, G.mul(sets.j[far], alpha)))
         else:
-            t = int(cert._translations[cert._translations != G.identity_index][0])
+            t = int(sets.translations[sets.translations != G.identity_index][0])
             G._centralizer_cache[t] = centralizer(G, t)[:-1]
         expected = naive_covering_witnesses(G, geom)
         assert expected[tamper] is not None
@@ -245,7 +247,7 @@ def with_lines(G, geom, lines):
         incidence[lid, list(line)] = True
         for a, b in itertools.permutations(line, 2):
             line_of_pair[a, b] = lid
-    trans = certify_sharply_2_transitive(G)._translations
+    trans = _require_certified(G).translations
     nontrivial = trans[trans != G.identity_index]
     line_of_translation = np.full(G.order, -1)
     line_of_translation[nontrivial] = np.arange(len(nontrivial)) % len(lines)
@@ -314,8 +316,8 @@ def test_covering_witnesses_per_line_match_the_loops(tamper, drop, chunk_cells, 
             continue
         geom = GEOMETRY_TAMPERS[tamper](G, build_geometry(G), lines)
         if drop:
-            cert = certify_sharply_2_transitive(G)
-            cert._translations = np.delete(cert._translations, 1)
+            tamper_sets(monkeypatch, G,
+                        translations=np.delete(_require_certified(G).translations, 1))
         report = verify_xalpha_covering(G, geom)
         assert {c.name: c.witness for c in report.checks} == naive_covering_witnesses(G, geom)
 
@@ -343,11 +345,11 @@ def test_a_point_off_its_covered_line_goes_to_the_cube(monkeypatch):
     that, and its witness is the loops'."""
     G = affine_group(make_field(7, 1))
     geom = with_lines(G, build_geometry(G), FANO_LINES)
-    cert = certify_sharply_2_transitive(G)
-    cert._translations = np.delete(cert._translations, 1)
+    sets = tamper_sets(monkeypatch, G,
+                       translations=np.delete(_require_certified(G).translations, 1))
     monkeypatch.setattr(census_mod, "_alpha_sample", lambda j3: (j3[:1], True))
-    alpha = int(census_mod._triple_products(G, cert)[0])
-    (q,) = np.flatnonzero(~np.isin(G.mul(cert._j, alpha), cert._translations))
+    alpha = int(sets.j3[0])
+    (q,) = np.flatnonzero(~np.isin(G.mul(sets.j, alpha), sets.translations))
     covered = next(lid for lid, line in enumerate(FANO_LINES) if q not in line)
     line_of_translation = np.where(geom.line_of_translation >= 0, covered, -1)
     geom = replace(geom, line_of_translation=line_of_translation)

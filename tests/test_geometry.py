@@ -28,7 +28,8 @@ from involq import pipeline, reporting
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.geometry import close_point_masks, no_plane_verdicts
 from involq.reporting import least_cell
-from involq.s2t import certify_sharply_2_transitive
+from involq.s2t import _require_certified, certify_sharply_2_transitive
+from conftest import tamper_sets
 from naive import line_sets, naive_closure, naive_verdict
 
 CODES = {None: 0, "a": 1, "b": 2}  # no_plane_verdicts code of each failed hypothesis
@@ -62,8 +63,7 @@ def test_conditions_witnesses_on_tampered_certificate(group, outside, request, m
     """With the last translation dropped from the certificate, only (d) fails:
     its least element outside the listed translations is the dropped one."""
     G = request.getfixturevalue(group)
-    cert = certify_sharply_2_transitive(G)
-    monkeypatch.setattr(cert, "_translations", cert._translations[:-1])
+    tamper_sets(monkeypatch, G, translations=_require_certified(G).translations[:-1])
     report = check_geometry_conditions(G)
     assert [(c.name, c.passed, c.witness) for c in report.checks] == [
         ("commuting-transitive-on-translations", True, None),
@@ -78,8 +78,7 @@ def _condition_a_by_loop(G):
     """Condition (a) one triple at a time on permutation rows: the least pair
     (a, c) of listed nontrivial translations that do not commute although
     some b commutes with both, with the least such b."""
-    cert = certify_sharply_2_transitive(G)
-    listed = [t for t in cert._translations.tolist() if t != G.identity_index]
+    listed = [t for t in _require_certified(G).translations.tolist() if t != G.identity_index]
     rows = G.elements[listed]
     commute = [[np.array_equal(x[y], y[x]) for y in rows] for x in rows]
     for a, c in itertools.product(range(len(listed)), repeat=2):
@@ -90,7 +89,7 @@ def _condition_a_by_loop(G):
     return None
 
 
-def test_condition_a_witness_matches_the_loop():
+def test_condition_a_witness_matches_the_loop(monkeypatch):
     """With the stabilizer of point 0 listed among the translations, commuting
     stays transitive over a field, where the nonidentity elements fall into
     abelian centralizers, but not over a Dickson near-field, whose
@@ -99,10 +98,10 @@ def test_condition_a_witness_matches_the_loop():
 
     witnesses = []
     for G in _fresh_groups() + [affine_group(make_dickson(5, 2))]:
-        cert = certify_sharply_2_transitive(G)
         assert _condition_a_by_loop(G) is None
         stabilizer = np.flatnonzero(G.elements[:, 0] == 0)
-        cert._translations = np.union1d(cert._translations, stabilizer)
+        tamper_sets(monkeypatch, G,
+                    translations=np.union1d(_require_certified(G).translations, stabilizer))
         expected = _condition_a_by_loop(G)
         check = check_geometry_conditions(G).check("commuting-transitive-on-translations")
         assert check.passed is (expected is None) and check.witness == expected
@@ -116,16 +115,16 @@ ODD_UP_TO_49 = [e.id for e in run_catalog(49)
 
 
 @pytest.mark.parametrize("entry_id", ODD_UP_TO_49)
-def test_condition_a_matches_the_loop_on_the_catalog(entry_id):
+def test_condition_a_matches_the_loop_on_the_catalog(entry_id, monkeypatch):
     """The row labels decide (a) as the triple loop does on every odd entry up
     to degree 49, as listed and with the stabilizer of point 0 listed among
     the translations, where a Dickson near-field fails (a)."""
     G = build_entry(find_entry(entry_id))
     for tamper in (False, True):
         if tamper:
-            cert = certify_sharply_2_transitive(G)
             stabilizer = np.flatnonzero(G.elements[:, 0] == 0)
-            cert._translations = np.union1d(cert._translations, stabilizer)
+            tamper_sets(monkeypatch, G,
+                        translations=np.union1d(_require_certified(G).translations, stabilizer))
         expected = _condition_a_by_loop(G)
         assert (expected is None) is (not tamper or entry_id.startswith("agl-field"))
         check = check_geometry_conditions(G).check("commuting-transitive-on-translations")
@@ -134,8 +133,7 @@ def test_condition_a_matches_the_loop_on_the_catalog(entry_id):
 
 def test_build_refuses_failed_conditions(agl_f7, monkeypatch):
     """With the last translation dropped, (d) fails and the build names it."""
-    cert = certify_sharply_2_transitive(agl_f7)
-    monkeypatch.setattr(cert, "_translations", cert._translations[:-1])
+    tamper_sets(monkeypatch, agl_f7, translations=_require_certified(agl_f7).translations[:-1])
     with pytest.raises(GeometryConditionsFailed,
                        match="centralizer-classes-partition-translations"):
         build_geometry(agl_f7)
@@ -144,8 +142,8 @@ def test_build_refuses_failed_conditions(agl_f7, monkeypatch):
 def _condition_c_by_loop(G):
     """Condition (c) one involution at a time, with the masks built directly:
     the witness of the scan before it read the (i, k, c) cube."""
-    cert = certify_sharply_2_transitive(G)
-    j, ij = cert._j, cert._jj
+    sets = _require_certified(G)
+    j, ij = sets.j, sets.jj
     n = len(j)
     in_ij = np.zeros((n, G.order), dtype=bool)
     in_ij[np.arange(n)[:, None], ij] = True
@@ -191,15 +189,15 @@ def test_condition_c_witness_matches_the_loop(tamper, reason, chunk_cells, monke
     chunk per involution, the cube's witness is the loop's."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
+        sets = _require_certified(G)
         assert _condition_c_by_loop(G) is None
         if tamper == "drop-centralizer-member":
-            sigma = int(cert._jj[3, 5])
+            sigma = int(sets.jj[3, 5])
             cen = centralizer(G, sigma)
             G._centralizer_cache[sigma] = cen[cen != sigma]
         else:
             G._inverse = G._inverse.copy()
-            G._inverse[cert._j[0]] = G.identity_index
+            G._inverse[sets.j[0]] = G.identity_index
         expected = _condition_c_by_loop(G)
         assert expected is not None and expected[2] == reason
         check = check_geometry_conditions(G).check(
@@ -213,10 +211,10 @@ def test_condition_c_foreign_member_matches_the_loop(monkeypatch):
     lies outside every iJ, has the size of iJ meet kJ but is not inside it:
     (c) fails as a mismatch at the loop's pair."""
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
-        sigma = int(cert._jj[3, 5])
+        sets = _require_certified(G)
+        sigma = int(sets.jj[3, 5])
         cen = centralizer(G, sigma)
-        G._centralizer_cache[sigma] = np.sort(np.append(cen[:-1], cert._j[0]))
+        G._centralizer_cache[sigma] = np.sort(np.append(cen[:-1], sets.j[0]))
         expected = _condition_c_by_loop(G)
         assert expected is not None and expected[2] == "centralizer-mismatch"
         check = check_geometry_conditions(G).check(
@@ -228,8 +226,8 @@ def _condition_b_by_loop(G):
     """Condition (b) one pair i < k at a time, squaring the members of
     iJ meet kJ: the witness of the scan before it ran per pair of distinct
     iJ rows."""
-    cert = certify_sharply_2_transitive(G)
-    j, ij = cert._j, cert._jj
+    sets = _require_certified(G)
+    j, ij = sets.j, sets.jj
     n = len(j)
     for i in range(n):
         for k in range(i + 1, n):
@@ -258,14 +256,14 @@ def test_condition_b_on_distinct_product_sets(rows, column, expected, chunk_cell
     involution pair."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
-        ij = cert._jj.copy()
+        sets = _require_certified(G)
+        ij = sets.jj.copy()
         for r in rows:
-            ij[r, r if column == "diagonal" else r + 1] = cert._j[0]
-        monkeypatch.setattr(cert, "_jj", ij)
+            ij[r, r if column == "diagonal" else r + 1] = sets.j[0]
+        tamper_sets(monkeypatch, G, jj=ij)
         assert len(geometry_mod._distinct_rows(
             np.sort(ij, axis=1))[0]) == 2
-        want = None if expected is None else tuple(int(cert._j[p]) for p in expected)
+        want = None if expected is None else tuple(int(sets.j[p]) for p in expected)
         assert _condition_b_by_loop(G) == want
         check = check_geometry_conditions(G).check("unique-square-roots-in-product-meets")
         assert check.passed == (want is None)
@@ -276,15 +274,15 @@ def _coset_failure_by_loop(G):
     """The coset form one pair at a time, by distinct translation in order
     of first appearance: the message the build raised before every coset
     was a gather from one table."""
-    cert = certify_sharply_2_transitive(G)
-    j = cert._j
+    sets = _require_certified(G)
+    j = sets.j
     a, b = np.triu_indices(len(j), 1)
-    sigma_of_pair = cert._jj[a, b]
+    sigma_of_pair = sets.jj[a, b]
     sigmas = list(dict.fromkeys(sigma_of_pair.tolist()))
     for sigma in sigmas:
-        line = set(np.flatnonzero(cert._jpos[G.mul(j, sigma)] >= 0).tolist())
+        line = set(np.flatnonzero(sets.jpos[G.mul(j, sigma)] >= 0).tolist())
         for p in np.flatnonzero(sigma_of_pair == sigma):
-            coset = cert._jpos[G.mul(j[a[p]], centralizer(G, sigma))]
+            coset = sets.jpos[G.mul(j[a[p]], centralizer(G, sigma))]
             what = ("leaves J" if (coset < 0).any()
                     else "disagrees with membership" if set(coset.tolist()) != line else None)
             if what:
@@ -308,14 +306,14 @@ def test_coset_form_mismatch_matches_the_loop(tamper, what, chunk_cells, monkeyp
     another). The build raises the loop's message, naming its first pair."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
+        sets = _require_certified(G)
         conditions = check_geometry_conditions(G)
         assert conditions.ok and _coset_failure_by_loop(G) is None
-        sigma = int(cert._jj[3, 5])
+        sigma = int(sets.jj[3, 5])
         cen = centralizer(G, sigma)
         G._centralizer_cache[sigma] = {
-            "involution-member": np.sort(np.append(cen[:-1], cert._j[0])),
-            "involution-added": np.sort(np.append(cen, cert._j[0])),
+            "involution-member": np.sort(np.append(cen[:-1], sets.j[0])),
+            "involution-added": np.sort(np.append(cen, sets.j[0])),
             "drop-member": cen[:-1],
             "duplicate-member": np.sort(np.append(cen[:-1], cen[0])),
         }[tamper]
@@ -332,13 +330,13 @@ def _build_failure_by_loop(G):
     conjugation, the coset form (by :func:`_coset_failure_by_loop`), two
     lines sharing points, then a line whose point products leave the class
     of its first translation (no class when that is not a listed one)."""
-    cert = certify_sharply_2_transitive(G)
-    j = cert._j.tolist()
+    sets = _require_certified(G)
+    j = sets.j.tolist()
     n = len(j)
-    sigmas = dict.fromkeys(int(cert._jj[a, b]) for a, b in itertools.combinations(range(n), 2))
+    sigmas = dict.fromkeys(int(sets.jj[a, b]) for a, b in itertools.combinations(range(n), 2))
     lines = {}  # points -> the first translation of the line, in order of appearance
     for sigma in sigmas:
-        member = frozenset(k for k in range(n) if cert._jpos[G.mul(j[k], sigma)] >= 0)
+        member = frozenset(k for k in range(n) if sets.jpos[G.mul(j[k], sigma)] >= 0)
         by_conj = frozenset(k for k in range(n) if G.conj(sigma, j[k]) == G.inv(sigma))
         if member != by_conj:
             return f"membership and conjugation disagree for translation {sigma}"
@@ -349,7 +347,7 @@ def _build_failure_by_loop(G):
     for la, lb in itertools.combinations(range(len(points)), 2):
         if len(points[la] & points[lb]) > 1:
             return f"lines {la} and {lb} share {len(points[la] & points[lb])} points"
-    listed = set(cert._translations.tolist()) - {G.identity_index}
+    listed = set(sets.translations.tolist()) - {G.identity_index}
     for lid, (line, sigma) in enumerate(lines.items()):
         cls = set(centralizer(G, sigma).tolist()) if sigma in listed else {G.identity_index}
         if any(int(G.mul(j[p], j[q])) not in cls for p in line for q in line):
@@ -357,19 +355,19 @@ def _build_failure_by_loop(G):
     return None
 
 
-def _identity_as_a_point(G, cert):
-    """Append the identity to the points of the certificate, with the
+def _identity_as_a_point(G, monkeypatch):
+    """Append the identity to the points of the certified sets, with the
     products of the new pairs. The pair (j, 1) has product j, whose
     membership and conjugation lines are both {j, 1}, and caching {1, j} as
     the centralizer of each involution j makes its coset {j, 1} too."""
-    points = np.append(cert._j, G.identity_index)
-    jpos = cert._jpos.copy()
-    jpos[G.identity_index] = len(cert._j)
-    for k in cert._j.tolist():
+    sets = _require_certified(G)
+    points = np.append(sets.j, G.identity_index)
+    jpos = sets.jpos.copy()
+    jpos[G.identity_index] = len(sets.j)
+    for k in sets.j.tolist():
         G._centralizer_cache[k] = np.array(sorted([G.identity_index, k]))
-    cert._j, cert._jpos = points, jpos
-    cert._jj = G.mul(points[:, None], points[None, :])
-    return points
+    return tamper_sets(monkeypatch, G, j=points, jpos=jpos,
+                       jj=G.mul(points[:, None], points[None, :]))
 
 
 @pytest.mark.parametrize("tamper, what", [
@@ -377,7 +375,7 @@ def _identity_as_a_point(G, cert):
     ("identity-product", "share"),
     ("identity-point", "not closed into its translation class"),
 ])
-def test_partial_plane_raises_match_the_loop(tamper, what):
+def test_partial_plane_raises_match_the_loop(tamper, what, monkeypatch):
     """The raises after the coset form, reached after the conditions passed:
 
     * two translations given the identity as inverse: no involution
@@ -391,16 +389,18 @@ def test_partial_plane_raises_match_the_loop(tamper, what):
 
     The build raises the loop's message."""
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
+        sets = _require_certified(G)
         conditions = check_geometry_conditions(G)
         assert conditions.ok and _build_failure_by_loop(G) is None
         if tamper == "wrong-inverses":
             G._inverse = G._inverse.copy()
-            G._inverse[[cert._jj[3, 5], cert._jj[2, 6]]] = G.identity_index
+            G._inverse[[sets.jj[3, 5], sets.jj[2, 6]]] = G.identity_index
         else:
-            points = _identity_as_a_point(G, cert)
+            points = _identity_as_a_point(G, monkeypatch).j
             if tamper == "identity-product":
-                cert._jj[2, -1] = cert._jj[-1, 2] = G.identity_index
+                jj = _require_certified(G).jj.copy()
+                jj[2, -1] = jj[-1, 2] = G.identity_index
+                tamper_sets(monkeypatch, G, jj=jj)
                 G._centralizer_cache[G.identity_index] = np.sort(G.mul(points[2], points))
         expected = _build_failure_by_loop(G)
         assert expected is not None and what in expected
@@ -409,11 +409,13 @@ def test_partial_plane_raises_match_the_loop(tamper, what):
         assert str(raised.value) == expected
 
 
-def test_conditions_char2_raises(agl_f4):
+def test_conditions_char2_raises(agl_f4, agl_f5):
     with pytest.raises(CharacteristicTwo):
         check_geometry_conditions(agl_f4)
     with pytest.raises(CharacteristicTwo):
         build_geometry(agl_f4)
+    with pytest.raises(CharacteristicTwo):
+        verify_line_lemma(agl_f4, build_geometry(agl_f5))
 
 
 def test_single_line_geometry_f5(agl_f5):
@@ -421,6 +423,7 @@ def test_single_line_geometry_f5(agl_f5):
     assert geom.n_points == 5
     assert line_sets(geom) == [set(range(5))]
     assert len(geom.classes) == 1
+    assert type(geom.classes) is tuple and type(geom.classes[0]) is tuple
 
 
 def test_single_line_geometry_dickson(agl_d9):
@@ -578,8 +581,7 @@ def test_line_lemma_witnesses_match_the_loop():
     for G in _fresh_groups():
         geom = build_geometry(G)
         assert _line_lemma_by_loop(G, geom) == (None, None, None)
-        cert = certify_sharply_2_transitive(G)
-        fix, p = cert._fix_points, cert.characteristic
+        fix, p = _require_certified(G).fix_points, certify_sharply_2_transitive(G).characteristic
         prime_field, other = fix < p, np.isin(fix, [0, 1, p])
         for lines in ([prime_field, other], [other, prime_field]):
             incidence = np.array([np.ones(geom.n_points, dtype=bool)] + lines)
@@ -602,7 +604,7 @@ def test_geometry_json(agl_f5):
     assert set(doc) == {"points", "lines", "classes"}
     assert doc["points"] == [int(j) for j in involutions(agl_f5)]
     assert doc["lines"] == [[0, 1, 2, 3, 4]]
-    assert len(doc["classes"]) == 1
+    assert doc["classes"] == [sorted(geom.classes[0])]
     for lines, n_points in ((FANO_LINES, 7), (AG23_LINES, 9), (PG32_LINES, 15)):
         doc = hand_geometry(lines, n_points).as_json_dict()
         assert doc["lines"] == sorted(sorted(line) for line in lines)
@@ -724,7 +726,7 @@ def naive_subgroup_scan(G, geom, cap):
     rows."""
     rows = [tuple(int(x) for x in row) for row in G.elements]
     index = {row: i for i, row in enumerate(rows)}
-    trans = {int(t) for t in certify_sharply_2_transitive(G)._translations}
+    trans = {int(t) for t in _require_certified(G).translations}
     identity = G.identity_index
 
     def mul(a, b):  # a then b
@@ -833,9 +835,8 @@ def test_subgroup_scan_counts_pairs_of_shared_sets_over_the_cap(sym4, monkeypatc
     so a stand-in certificate lists its translations."""
     involutions = np.flatnonzero((sym4.mul(np.arange(24), np.arange(24)) == sym4.identity_index)
                                  & (np.arange(24) != sym4.identity_index))
-    monkeypatch.setattr(sym4, "_s2t_certificate",
-                        SimpleNamespace(valid=True, _translations=np.arange(24)))
-    geom = SimpleNamespace(points=involutions, classes=[])
+    tamper_sets(monkeypatch, sym4, translations=np.arange(24))
+    geom = SimpleNamespace(points=involutions, classes=())
     skipped = {}
     for cap in range(2, 25):
         monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
@@ -872,14 +873,14 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
     The same holds with the default chunks and with one subgroup per chunk."""
     skipped = {}
     for G in (agl_f7, agl_d9):
-        cert = certify_sharply_2_transitive(G)
+        listed = _require_certified(G).translations
         built = build_geometry(G)
-        no_classes = replace(built, classes=[])
-        t = int(cert._translations[2])
-        thinned = np.setdiff1d(cert._translations, [t, G.inv(t)])
+        no_classes = replace(built, classes=())
+        t = int(listed[2])
+        thinned = np.setdiff1d(listed, [t, G.inv(t)])
         for name, geom, trans in (("thinned", built, thinned),
-                                  ("no classes", no_classes, cert._translations)):
-            monkeypatch.setattr(cert, "_translations", trans)
+                                  ("no classes", no_classes, listed)):
+            tamper_sets(monkeypatch, G, translations=trans)
             for cap in (2, 3, 512):
                 monkeypatch.setattr(geometry_mod, "DEFAULT_SUBGROUP_CAP", cap)
                 expected = naive_subgroup_scan(G, geom, cap)
@@ -902,10 +903,9 @@ def test_subgroup_scan_escapes_and_violations_match_naive_oracle(agl_f7, agl_d9,
 def test_subgroup_scan_refuses_translations_without_the_identity(agl_f7, monkeypatch):
     """The scan's Cayley table needs the identity among the translations."""
     geom = build_geometry(agl_f7)
-    cert = certify_sharply_2_transitive(agl_f7)
-    monkeypatch.setattr(cert, "_translations",
-                        cert._translations[cert._translations != agl_f7.identity_index])
-    assert agl_f7.identity_index not in cert._translations.tolist()
+    listed = _require_certified(agl_f7).translations
+    tamper_sets(monkeypatch, agl_f7, translations=listed[listed != agl_f7.identity_index])
+    assert agl_f7.identity_index not in _require_certified(agl_f7).translations.tolist()
     with pytest.raises(CharacteristicAnomaly, match="the identity is not a translation"):
         divisible_subgroup_scan(agl_f7, geom)
 
@@ -928,7 +928,7 @@ def hand_geometry(lines, n_points) -> Geometry:
             for b in line:
                 if a != b:
                     line_of_pair[a, b] = lid
-    return Geometry(np.arange(n_points), [], incidence, line_of_pair, np.empty(0, dtype=np.int64))
+    return Geometry(np.arange(n_points), (), incidence, line_of_pair, np.empty(0, dtype=np.int64))
 
 
 FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
@@ -1100,12 +1100,9 @@ def test_kernels_match_naive_loops_on_small_subsets(geom):
     assert_kernels_match_naive(geom, seeds)
 
 
-@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
-def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
+def test_kernels_match_naive_loops_on_the_stage_seeds():
     """The 100 seeds of the no_proper_plane stage on every odd catalog entry
-    of degree <= 31. Neither kernel builds in chunks, so the default chunk
-    size and one row per chunk give the same rows."""
-    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    of degree <= 31."""
     odd = [e for e in run_catalog(31)
            if e.expected_certified and e.expected_characteristic != 2]
     for entry in odd:

@@ -1,6 +1,9 @@
 """Sharp 2-transitivity certificates and the derived element sets."""
 
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from involq import (
     verify_xalpha_covering,
 )
 from involq.permgroup import PermGroup, identity_perm
-from involq.s2t import _element_orders
+from involq.s2t import _element_orders, _require_certified
+from conftest import tamper_sets
 from naive import naive_order
 
 
@@ -135,7 +139,7 @@ def test_translation_order_errors(monkeypatch):
     negation = G.index_of(np.array([(-x) % 7 for x in range(7)], dtype=np.int32))
     real = s2t._translation_indices
     monkeypatch.setattr(s2t, "_translation_indices",
-                        lambda G, cert: np.union1d(real(G, cert), [negation]))
+                        lambda j, jj, char_two: np.union1d(real(j, jj, char_two), [negation]))
     with pytest.raises(CharacteristicAnomaly, match=r"translation orders not constant: \[2, 7\]"):
         certify_sharply_2_transitive(G)
 
@@ -144,20 +148,20 @@ def test_translation_order_errors(monkeypatch):
     times3 = [G.index_of(np.array([(3 * x + a) % 7 for x in range(7)], dtype=np.int32))
               for a in range(7)]
     monkeypatch.setattr(s2t, "_translation_indices",
-                        lambda G, cert: np.array([G.identity_index, *sorted(times3)]))
+                        lambda j, jj, char_two: np.array([G.identity_index, *sorted(times3)]))
     with pytest.raises(CharacteristicAnomaly, match="translation order 6 is not prime"):
         certify_sharply_2_transitive(G)
 
 
-def test_translations_meeting_a_centralizer_witness():
+def test_translations_meeting_a_centralizer_witness(monkeypatch):
     from involq import affine_group, make_field
 
     G = affine_group(make_field(7, 1))
-    cert = certify_sharply_2_transitive(G)
     first = int(involutions(G)[0])
     extra = int(centralizer(G, first)[-1])
     assert extra != G.identity_index
-    cert._translations = np.union1d(cert._translations, [extra])
+    tamper_sets(monkeypatch, G,
+                translations=np.union1d(_require_certified(G).translations, [extra]))
     check = verify_basic_properties(G).checks[2]
     assert check.name == "translations-meet-centralizers-trivially"
     assert not check.passed
@@ -344,31 +348,32 @@ def _odd_groups_up_to_31():
 
 
 def test_conjugation_by_fixed_points_matches_group_conjugation(d9_relabelled):
-    """cert._j_conj, and the fixed points of the conjugates scanned by
-    verify_basic_properties (a), agree with G.conj on every odd catalog entry
-    of degree <= 31 and on a group whose elements are not in affine order."""
+    """The conjugation table j_conj, and the fixed points of the conjugates
+    scanned by verify_basic_properties (a), agree with G.conj on every odd
+    catalog entry of degree <= 31 and on a group whose elements are not in
+    affine order."""
     from involq.s2t import _conjugate_fixed_points
 
     groups = list(_odd_groups_up_to_31()) + [("d9-relabelled", d9_relabelled)]
     assert len(groups) >= 10
     for _, G in groups:
-        cert = certify_sharply_2_transitive(G)
-        j = cert._j
+        sets = _require_certified(G)
+        j = sets.j
         n = len(j)
-        assert np.array_equal(cert._j_conj, cert._jpos[G.conj(j[None, :], j[:, None])])
+        assert np.array_equal(sets.j_conj, sets.jpos[G.conj(j[None, :], j[:, None])])
         for ipos in range(n):
             cen = centralizer(G, int(j[ipos]))
             others = np.delete(np.arange(n), ipos)
-            by_conj = cert._jpos[G.conj(j[others][None, :], cen[:, None])]
-            assert np.array_equal(_conjugate_fixed_points(G, cert, cen, others),
-                                  cert._fix_points[by_conj])
+            by_conj = sets.jpos[G.conj(j[others][None, :], cen[:, None])]
+            assert np.array_equal(_conjugate_fixed_points(G, sets.fix_points, cen, others),
+                                  sets.fix_points[by_conj])
 
 
 def _basic_a_by_conjugation(G):
     """Basic property (a) as one G.conj table per involution: the witness of
     the scan before conjugates were read through fixed points."""
-    cert = certify_sharply_2_transitive(G)
-    j = cert._j
+    sets = _require_certified(G)
+    j = sets.j
     n = len(j)
     positions = np.arange(n)
     for ipos in range(n):
@@ -376,7 +381,7 @@ def _basic_a_by_conjugation(G):
         if len(cen) != n - 1:
             return (int(j[ipos]), "centralizer-size", len(cen), n - 1)
         others = positions[positions != ipos]
-        table = cert._jpos[G.conj(j[others][None, :], cen[:, None])]
+        table = sets.jpos[G.conj(j[others][None, :], cen[:, None])]
         assert (table >= 0).all()
         bad = np.nonzero(np.any(np.sort(table, axis=0) != others[:, None], axis=0))[0]
         if len(bad):
@@ -398,8 +403,7 @@ def test_basic_a_witness_on_tampered_centralizers(tamper):
     fails on a column. Either way the witness is the one the G.conj table
     gives."""
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
-        j = cert._j
+        j = _require_certified(G).j
         target = int(j[3])
         cen = centralizer(G, target)
         if tamper == "drop-member":
@@ -420,10 +424,10 @@ def test_basic_a_witness_on_tampered_centralizers(tamper):
 def _basic_c_by_loop(G):
     """Basic property (c) one involution at a time: the scan before the
     centralizers were stacked."""
-    cert = certify_sharply_2_transitive(G)
+    sets = _require_certified(G)
     is_translation = np.zeros(G.order, dtype=bool)
-    is_translation[cert._translations] = True
-    for i in cert._j.tolist():
+    is_translation[sets.translations] = True
+    for i in sets.j.tolist():
         cen = centralizer(G, i)
         meet = cen[is_translation[cen]].tolist()
         if meet != [G.identity_index]:
@@ -437,16 +441,16 @@ def test_basic_c_witness_on_tampered_centralizers(tamper):
     1 meets the translations in something other than {1}; the stacked scan
     names the involution and the meet the loop names."""
     for G in _fresh_groups():
-        cert = certify_sharply_2_transitive(G)
+        sets = _require_certified(G)
         assert _basic_c_by_loop(G) is None
-        target = int(cert._j[3])
+        target = int(sets.j[3])
         cen = centralizer(G, target)
         if tamper == "drop-identity":
             tampered = cen[cen != G.identity_index]
         elif tamper == "duplicate-identity":
             tampered = np.sort(np.append(cen, G.identity_index))
         else:
-            tampered = np.sort(np.append(cen[:-1], cert._translations[-1]))
+            tampered = np.sort(np.append(cen[:-1], sets.translations[-1]))
         G._centralizer_cache[target] = tampered
         expected = _basic_c_by_loop(G)
         assert expected is not None and expected[0] == target
@@ -465,3 +469,37 @@ def test_fixed_point_map_must_be_a_bijection(monkeypatch):
     monkeypatch.setattr(s2t, "_involution_indices", lambda G: listed(G)[1:])
     with pytest.raises(CharacteristicAnomaly, match="not a bijection"):
         certify_sharply_2_transitive(G)
+
+
+@pytest.mark.parametrize("entry_id", ["agl-field-7", "agl-dickson-3-2", "agl-field-4"])
+def test_certified_sets_are_frozen_and_go_with_their_group(entry_id):
+    """After every stage has run, the certificate refuses a new field value,
+    every array of the certified sets refuses a write and still holds the
+    bytes it held right after certification, and the cache of involq.s2t
+    keeps no group alive. agl-field-4 has characteristic 2, where the sets
+    hold no fixed points, conjugation table or J.J.J."""
+    from involq.catalog import build_entry, find_entry
+    from involq.pipeline import verify_group
+
+    entry = find_entry(entry_id)
+    G = build_entry(entry)
+    cert = certify_sharply_2_transitive(G)
+    sets = _require_certified(G)
+    arrays = {name: value for name, value in vars(sets).items() if value is not None}
+    assert (len(arrays) == 4) is (entry_id == "agl-field-4")
+    before = {name: array.copy() for name, array in arrays.items()}
+    assert verify_group(G, entry)["conforms"]
+    assert certify_sharply_2_transitive(G) is cert and _require_certified(G) is sets
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.characteristic = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sets.j = sets.j[:1]
+    for name, array in arrays.items():
+        assert array.dtype == before[name].dtype and array.shape == before[name].shape
+        assert array.tobytes() == before[name].tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+    alive = weakref.ref(G)
+    del G
+    gc.collect()
+    assert alive() is None

@@ -28,8 +28,9 @@ from involq import (
     verify_group,
     verify_nearfield_axioms,
 )
-from involq.s2t import certify_sharply_2_transitive
+from involq.s2t import _require_certified, certify_sharply_2_transitive
 from involq.splitting import SplitReport
+from conftest import tamper_sets
 from naive import naive_order
 
 
@@ -162,11 +163,10 @@ SPLIT = SplitReport(j2_is_subgroup=True, j2_abelian=True, split=True)
 def test_coordinatize_refuses_irregular_translations(agl_f7, replaced, by, message, monkeypatch):
     """The translation taking 0 to ``replaced`` is swapped for the one taking
     0 to ``by``; the least point reached by no translation or by two is named."""
-    cert = certify_sharply_2_transitive(agl_f7)
-    to = agl_f7.elements[cert._translations, 0]
-    trans = cert._translations.copy()
+    trans = _require_certified(agl_f7).translations.copy()
+    to = agl_f7.elements[trans, 0]
     trans[to == replaced] = trans[to == by]
-    monkeypatch.setattr(cert, "_translations", trans)
+    tamper_sets(monkeypatch, agl_f7, translations=trans)
     with pytest.raises(AxiomRecoveryFailure, match=f"^{message}; the action is not regular$"):
         coordinatize(agl_f7, SPLIT)
 
@@ -262,11 +262,11 @@ def test_affine_generators_keep_their_order(nf):
 
 
 def _fresh_agl_f5_with_translations(monkeypatch, choose):
-    """A newly built AGL(1, 5) whose certificate lists ``choose(G, trans)``
+    """A newly built AGL(1, 5) whose certified sets list ``choose(G, trans)``
     as its translations."""
     G = affine_group(make_field(5, 1))
-    cert = certify_sharply_2_transitive(G)
-    monkeypatch.setattr(cert, "_translations", np.asarray(choose(G, cert._translations)))
+    tamper_sets(monkeypatch, G,
+                translations=np.asarray(choose(G, _require_certified(G).translations)))
     return G
 
 
@@ -286,7 +286,7 @@ def test_split_test_names_the_least_product_leaving_the_translations(monkeypatch
     """Without one nontrivial translation the set is not product-closed, and
     the group is not coordinatized."""
     G = _fresh_agl_f5_with_translations(monkeypatch, lambda G, trans: np.delete(trans, dropped))
-    trans = certify_sharply_2_transitive(G)._translations
+    trans = _require_certified(G).translations
     assert len(trans) == 4 and G.identity_index in trans
     report = neumann_split_test(G)
     witness = _least_product_outside(G, trans)
@@ -309,6 +309,6 @@ def test_split_test_refuses_a_translation_set_that_is_not_normal(monkeypatch):
     """The stabilizer of 0 is closed, cyclic of order 4, and not normal."""
     G = _fresh_agl_f5_with_translations(
         monkeypatch, lambda G, trans: np.flatnonzero(G.elements[:, 0] == 0))
-    assert len(certify_sharply_2_transitive(G)._translations) == 4
+    assert len(_require_certified(G).translations) == 4
     with pytest.raises(CharacteristicAnomaly, match="^translation subgroup is not normal$"):
         neumann_split_test(G)
