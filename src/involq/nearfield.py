@@ -119,11 +119,10 @@ def least_irreducible(p: int, e: int) -> list[int]:
     for d in range(1, e // 2 + 1):
         for t in range(p**d):
             divisors.append(_digits(t, p, d) + [1])
-    for k in range(p**e):
-        cand = _digits(k, p, e) + [1]
-        if all(not _poly_divisible(cand, den, p) for den in divisors):
-            return cand
-    raise ConstructionSanityFailure(f"no irreducible of degree {e} over GF({p})")
+    # an irreducible of every degree exists, so the scan always returns
+    candidates = (_digits(k, p, e) + [1] for k in range(p**e))
+    return next(cand for cand in candidates
+                if all(not _poly_divisible(cand, den, p) for den in divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +265,11 @@ def make_dickson(q: int, n: int) -> NearField:
     class of y. Classes: fix the least-index generator g of GF(q^n)*; the
     class of ``y = g**i`` is the unique r in 0..n-1 with
     ``i = (q**r - 1)/(q - 1) (mod n)``. One lookup of ``i mod n`` gives every
-    class, and one gather through the q^r-th power maps fills the table. The
-    classes must partition the nonzero elements into n blocks of size
-    (q^n - 1)/n and the finished table must pass every required near-field
-    axiom; both are enforced.
+    class, and one gather through the q^r-th power maps fills the table. For
+    a Dickson pair the classes partition the nonzero elements into n blocks
+    of size (q^n - 1)/n: the anchors (q^r - 1)/(q - 1), r < n, are distinct
+    mod n, and n divides q^n - 1. The finished table is then checked exactly
+    against every required near-field axiom.
     """
     pe = prime_power(q)
     if pe is None:
@@ -285,30 +285,21 @@ def make_dickson(q: int, n: int) -> NearField:
     K = make_field(p, e * n)
     m = order - 1
 
-    g = next((c for c in range(2, order) if _order(K.mul, c, 1, m) == m), 0)
-    if g == 0:
-        raise ConstructionSanityFailure("no multiplicative generator found")
-
+    # K passed the field gate, so K* is cyclic and g has order m: its powers
+    # are every nonzero element
+    g = next(c for c in range(2, order) if _order(K.mul, c, 1, m) == m)
     dlog = np.full(order, -1, dtype=np.int64)
     dlog[1] = 0
     cur = 1
     for i in range(1, m):
         cur = int(K.mul[cur, g])
         dlog[cur] = i
-    if np.any(dlog[1:] < 0):
-        raise ConstructionSanityFailure("generator powers do not cover nonzeros")
 
     # twist_class[i % n] is the r whose anchor exponent (q**r - 1)/(q - 1) is
     # i mod n; 0 (dlog -1) lands in some class, and its column is 0 whatever r
     anchors = [((q**r - 1) // (q - 1)) % n for r in range(n)]
-    if len(set(anchors)) != n:
-        raise ConstructionSanityFailure("twist anchors do not separate classes mod n")
-    twist_class = np.empty(n, dtype=np.int64)
-    twist_class[anchors] = np.arange(n)
+    twist_class = np.argsort(anchors)
     class_of = twist_class[dlog % n]
-    sizes = np.bincount(class_of[1:], minlength=n)
-    if not np.all(sizes == m // n):
-        raise ConstructionSanityFailure(f"twist classes have sizes {sizes.tolist()}")
 
     # x -> x^q as an index permutation; frob_qr[r] is its r-th iterate x^(q^r)
     idx = np.arange(order, dtype=np.int64)

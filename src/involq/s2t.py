@@ -131,27 +131,26 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
                    else {"check": "pair-orbit", "missing_pair": list(least_cell(unreached))})
         return S2TCertificate(d, order, order_ok, pair_transitive, False, failure), None
 
+    # J is not empty: the element swapping 0 and 1 squares to an element
+    # fixing both, which is the identity
     j_idx = _involution_indices(G)
-    if len(j_idx) == 0:
-        raise CharacteristicAnomaly("a sharply 2-transitive group has involutions")
     jpos = np.full(G.order, -1, dtype=np.int64)
     jpos[j_idx] = np.arange(len(j_idx))
     jj = G.mul(j_idx[:, None], j_idx[None, :])
 
     fixed = G.rows(j_idx) == np.arange(d)
-    counts = fixed.sum(axis=1)
     fix = j_conj = None
-    if np.all(counts == 0):
+    # the involutions are one conjugacy class, so they all fix as many
+    # points, and none fixes two
+    if not fixed.any():
         profile = "all-zero-fixed"
-    elif np.all(counts == 1):
+    else:
         profile = "all-one-fixed"
         fix = fixed.argmax(axis=1).astype(np.int64)
         if not np.array_equal(np.sort(fix), np.arange(d)):
             raise CharacteristicAnomaly("involution -> fixed point is not a bijection")
         j_of_point = np.argsort(fix)  # fix is a permutation of the points
         j_conj = j_of_point[_conjugate_fixed_points(G, fix, j_idx, slice(None))]
-    else:
-        raise CharacteristicAnomaly("mixed involution fixed-point counts")
 
     trans = _translation_indices(j_idx, jj, fix is None)
     nontrivial = trans[trans != G.identity_index]
@@ -191,24 +190,16 @@ def _require_odd_characteristic(G: PermGroup) -> CertifiedSets:
 
 
 def involutions(G: PermGroup) -> np.ndarray:
-    """Element indices of all order-2 elements, in enumeration order."""
-    sets = _require_certified(G)
-    if certify_sharply_2_transitive(G).j_single_class is not True:
-        raise CharacteristicAnomaly("involutions do not form a single conjugacy class")
-    return sets.j
+    """Element indices of all order-2 elements, in enumeration order. In a
+    certified group they are one conjugacy class."""
+    return _require_certified(G).j
 
 
 def translations(G: PermGroup) -> np.ndarray:
-    """Element indices of all products of two involutions (identity included)."""
-    trans = _require_certified(G).translations
-    cert = certify_sharply_2_transitive(G)
-    nontrivial = trans[trans != G.identity_index]
-    rows = G.rows(nontrivial)
-    if np.any(np.any(rows == np.arange(G.degree), axis=1)):
-        raise CharacteristicAnomaly("a nontrivial translation has a fixed point")
-    if cert.characteristic != 2 and cert.j2_single_class is not True:
-        raise CharacteristicAnomaly("nontrivial translations are not a single class")
-    return trans
+    """Element indices of all products of two involutions (identity included).
+    In a certified group the nontrivial ones have no fixed point, and in odd
+    characteristic they are one conjugacy class."""
+    return _require_certified(G).translations
 
 
 def characteristic(G: PermGroup) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import runpy
 import subprocess
 import sys
 
@@ -403,3 +404,22 @@ def test_console_script_runs(src_env):
     )
     assert out.returncode == 0
     assert "agl-field-3" in out.stdout
+
+
+@pytest.mark.parametrize("document, status", [
+    (None, 0),
+    ('{"degree": 1, "generators": [[0]]}', 2),
+], ids=["agl-field-5", "malformed-document"])
+def test_module_main_exits_through_the_entrypoint(document, status, tmp_path, monkeypatch):
+    """``python -m involq.cli`` in-process: the __main__ guard calls the
+    console-script entry point, which exits with main's status. involq.cli is
+    imported already, so runpy warns that it runs the module a second time."""
+    target = "agl-field-5"
+    if document is not None:
+        target = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(document)
+    monkeypatch.setattr(sys, "argv", ["involq", "verify", target, "--quiet"])
+    with pytest.warns(RuntimeWarning, match="'involq.cli' found in sys.modules"):
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("involq.cli", run_name="__main__")
+    assert exit_info.value.code == status

@@ -320,6 +320,20 @@ def test_is_dickson_pair_refuses_small_arguments(q, n):
         is_dickson_pair(q, n)
 
 
+def test_dickson_twist_anchors_are_a_residue_system():
+    """make_dickson relies on this without checking it: for a Dickson pair
+    (q, n), the anchors (q^r - 1)/(q - 1), r < n, are n distinct residues
+    mod n, and n divides q^n - 1, so the n twist classes of the q^n - 1
+    nonzero elements are equal in size."""
+    pairs = [(q, n) for q in range(3, 400, 2) if nearfield.prime_power(q)
+             for n in range(2, 60) if is_dickson_pair(q, n)]
+    assert len(pairs) == 901
+    for q, n in pairs:
+        anchors = {((q**r - 1) // (q - 1)) % n for r in range(n)}
+        assert len(anchors) == n, (q, n)
+        assert (q**n - 1) % n == 0, (q, n)
+
+
 @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (9, 2), (11, 2)])
 def test_catalog_dickson_matches_twisted_field_product(q, n):
     """x * y = frob^r(y)(x) . y over the field tables, with the twist class
