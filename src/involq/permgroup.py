@@ -22,16 +22,23 @@ tables one base level at a time, reading each level's images with one 1-D
 gather from the flattened element array at ``row * degree + point``, the
 points taken from a column; so products, inverses, conjugates, membership
 tests, centralizers and conjugacy classes are vectorized scans over index
-arrays, and no scan indexes the element array in two dimensions. One
-centralizer scan serves a whole class, filled in by conjugation, and a class
-is read off one conjugation pass without a sort.
+arrays, and no scan indexes the element array in two dimensions. Inverses
+are found once, in the constructor, by sifting each element's base images
+through the transversals of the base. One centralizer scan serves a whole
+class, filled in by conjugation, and a class is read off one conjugation
+pass without a sort.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is found by a
 breadth-first search over the orbit of the prefix of points 0..k-1, keyed by
 the prefix images through the same kind of trie, one table per prefix point,
-and proved closed by a Schreier check on whole rows (:func:`_bfs_enumerate`),
-so no row is hashed and only new elements get whole rows.
+so no row is hashed and only new elements get whole rows. Its keys give the
+exact basic orbits along the prefix, and its rows a transversal for each;
+the rows are proved to be the whole group when every Schreier generator
+sifts through those transversals to the identity (a Schreier-Sims
+verification). A residue that is not the identity fixes the prefix, which
+then grows through the least point the residue moves, and the search
+restarts (:func:`_bfs_enumerate`).
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -55,7 +62,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .nearfield import NearField, _require_axioms
-from .reporting import chunk_rows, in_chunks, least_cell_in_chunks
+from .reporting import chunk_rows, least_cell_in_chunks
 
 # ---------------------------------------------------------------------------
 # single-permutation helpers
@@ -218,6 +225,54 @@ def _base_index(elements: np.ndarray):
     return base, rank
 
 
+def _transversals(columns, points, degree: int, rows_of) -> list[tuple]:
+    """The stabilizer chain along ``points`` of the elements whose images of
+    those points are ``columns``: one level (point, offset, rows, inverse)
+    per point.
+
+    Level j's ``rows`` hold, for each point y of its orbit in ascending
+    order, the first element that fixes points[:j] and sends points[j] to y,
+    read from element indices by ``rows_of``; ``inverse`` holds their
+    inverse rows, flat, and ``offset[y]`` is where y's starts (-1 off the
+    orbit), so a gather from it is one add and one 1-D take. For a group the
+    orbits are the basic orbits, and each element is one product of one row
+    per level.
+    """
+    at = np.arange(len(columns[0]))
+    levels = []
+    for point, column in zip(points, columns):
+        images = column[at]
+        first = np.full(degree, len(column))
+        np.minimum.at(first, images, at)
+        orbit = np.flatnonzero(first < len(column))
+        offset = np.full(degree, -1)
+        offset[orbit] = np.arange(len(orbit)) * degree
+        rows = rows_of(first[orbit])
+        inverse = np.empty(rows.size, dtype=np.int32)
+        inverse[offset[orbit][:, None] + rows] = identity_perm(degree)
+        levels.append((point, offset, rows, inverse))
+        at = at[images == point]
+    return levels
+
+
+def _inverse_images(columns, levels) -> list[np.ndarray]:
+    """The images of the base points under the inverse of every element,
+    from its images of them and the transversals of the base: sifting
+    writes a = t_{m-1} ... t_0 (a then-product, one transversal row t_i per
+    level), so a^-1 = t_0^-1 ... t_{m-1}^-1. O(order |base|^2) gathers."""
+    images = list(columns)  # of each base point under the residue left so far
+    factors = []
+    for i, (_, offset, _, inverse) in enumerate(levels):
+        factors.append(offset[images[i]])
+        images[i + 1:] = [inverse[factors[-1] + x] for x in images[i + 1:]]
+    inverted = []
+    for point, *_ in levels:
+        for factor, (_, _, _, inverse) in zip(factors, levels):
+            point = inverse[factor + point]
+        inverted.append(point)
+    return inverted
+
+
 class PermGroup:
     """Immutable, fully enumerated permutation group.
 
@@ -279,12 +334,9 @@ class PermGroup:
         if not np.array_equal(self.rows(ident), identity_perm(degree)):
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
-        # a^-1 sends base point b to the point that a sends to b, found by
-        # (rows x degree) masks one row chunk at a time; a comparison with a
-        # point cannot overflow, so the masks are read off the cells as they are
-        self._inverse = in_chunks(lambda lo, hi: self._locate(
-            [np.argmax(elements[lo:hi] == b, axis=1) for b in self.base]),
-            self.order, self.degree)
+        # exact only for a group, which every caller hands over
+        self._inverse = self._locate(_inverse_images(
+            self._columns, _transversals(self._columns, self.base, self.degree, self.rows)))
         self._centralizer_cache: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -399,42 +451,31 @@ def _lex_words(keys: np.ndarray, degree: int) -> np.ndarray:
     return word
 
 
-def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
+def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int) -> np.ndarray:
     """Breadth-first search over the orbit of the prefix (0, ..., k-1).
 
-    Returns the rows found, one per key, in layers sorted by key; the index
-    ``target[u, g]`` of the row with the key of u then g, for every edge (row
-    u, generator g); and whether that edge is the tree edge that built its
-    target row.
-
-    The search runs on keys alone and records each new key's tree edge; the
-    rows are then filled, layer by layer from those edges, into one array of
-    the final size, so no layer is held twice.
+    Returns the rows found, one per key, in layers sorted by key, the
+    identity first. The search runs on keys alone and records each new key's
+    tree edge; the rows are then filled, layer by layer from those edges,
+    into one array of the final size, so no layer is held twice.
     """
     index = _Trie(degree, k)
     layer = identity_perm(degree)[:k, None]  # the keys of a layer, one column per row
     index.insert(layer, [0])
-    edges, targets, trees = [], [], []
+    edges = []
     count = 1
     while layer.shape[1]:
         # column u * len(gens) + g is the key of u then g: g of u's prefix
         keys = np.take(gens.T, layer, axis=0).reshape(k, -1)
-        target = index.lookup(keys)
-        fresh = np.flatnonzero(target < 0)
+        fresh = np.flatnonzero(index.lookup(keys) < 0)
         word = _lex_words(keys[:, fresh], degree)
         order = np.argsort(word)
         fresh, word = fresh[order], word[order]
-        first = _run_starts(word)
         # the least edge with a new key is its tree edge, whatever order
         # argsort leaves equal words in
-        built = np.minimum.reduceat(fresh, np.flatnonzero(first))
+        built = np.minimum.reduceat(fresh, np.flatnonzero(_run_starts(word)))
         if count + len(built) > cap:
             raise OrderCapExceeded(f"group order exceeds cap {cap}")
-        target[fresh] = count - 1 + np.cumsum(first)
-        tree = np.zeros(len(target), dtype=bool)
-        tree[built] = True
-        targets.append(target.reshape(layer.shape[1], len(gens)))
-        trees.append(tree.reshape(layer.shape[1], len(gens)))
         # the layer's rows start at count - its size; edges number u * len(gens) + g
         # over all rows u
         edges.append((count - layer.shape[1]) * len(gens) + built)
@@ -456,22 +497,79 @@ def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int):
                 rows = made[lo:lo + step]
                 elements[start + rows] = np.take(perm, elements[parent[rows]])
         start += len(edge)
-    return elements, np.concatenate(targets), np.concatenate(trees)
+    return elements
 
 
-def _split_point(elements: np.ndarray, gens: np.ndarray, target: np.ndarray, tree: np.ndarray):
-    """The Schreier check: the point where the first failing non-tree edge
-    u then g first differs from the row with its key, or None when every
-    such edge lands on that row. Checked generator by generator, in row
-    chunks."""
+def _sift(residues: np.ndarray, levels) -> np.ndarray:
+    """Each row r times the inverse of the transversal element of each level
+    in turn, the one that sends the level's point where r does: after a
+    level, the rows fix its point."""
+    for point, offset, _, inverse in levels:
+        residues = inverse[offset[residues[:, point]][:, None] + residues]
+    return residues
+
+
+def _point_orbit(perms: np.ndarray, point: int) -> np.ndarray:
+    """Mask of the orbit of point under the group the rows perms generate,
+    computed on points only."""
+    seen = np.zeros(perms.shape[1], dtype=bool)
+    frontier = np.array([point])
+    while len(frontier):
+        seen[frontier] = True
+        new = np.zeros_like(seen)
+        new[perms[:, frontier]] = True
+        frontier = np.flatnonzero(new & ~seen)
+    return seen
+
+
+def _first_residue(perms: np.ndarray, levels):
+    """The first Schreier generator t_y s t_s(y)^-1 of levels[0], for s in
+    the rows perms and y in the level's orbit (s-major), whose sift through
+    the deeper levels is not the identity: as that residue and the least
+    point it moves, or None. That sift is the sift of t_y s through every
+    level, built and sifted in chunks of the (s, y) pairs."""
+    rows = levels[0][2]
+    degree = rows.shape[1]
+
+    def residues(lo, hi):
+        s, y = np.divmod(np.arange(lo, hi), len(rows))
+        return _sift(perms.reshape(-1)[(s * degree)[:, None] + rows[y]], levels)  # t_y then s
+
+    identity = identity_perm(degree)
+    hit = least_cell_in_chunks(lambda lo, hi: residues(lo, hi) != identity,
+                               len(perms) * len(rows), degree * _INDEX_BYTES)
+    return None if hit is None else (residues(hit[0], hit[0] + 1)[0], hit[1])
+
+
+def _schreier_residue(elements: np.ndarray, gens: np.ndarray, k: int):
+    """The proof that the rows of the orbit search with prefix k are the
+    group: None, or the first residue that refutes it and the least point
+    that residue moves.
+
+    Level j's transversal holds, for each point y of its basic orbit, the
+    first row whose key starts (0, ..., j-1, y). Levels whose orbit is {j}
+    hold only the identity and are skipped, but for level 0. From the
+    deepest level up, S(j) is the generators that fix 0..j-1 and the
+    transversal rows picked at level j and deeper, picked (least missing
+    point first) until the orbit of j under S(j), computed on points, is the
+    basic orbit; at level 0 it is the generators. Every Schreier generator
+    of every level must sift to the identity (:func:`_first_residue`).
+    """
     degree = elements.shape[1]
-    for g, to, in_tree in zip(gens.astype(elements.dtype), target.T, tree.T):
-        u = np.flatnonzero(~in_tree)
-        hit = least_cell_in_chunks(
-            lambda lo, hi: np.take(g, elements[u[lo:hi]]) != elements[to[u[lo:hi]]],
-            len(u), degree * _INDEX_BYTES)
-        if hit is not None:
-            return hit[1]
+    levels = [level for level in _transversals([elements[:, j] for j in range(k)], range(k),
+                                               degree, lambda idx: elements[idx].astype(np.int32))
+              if level[0] == 0 or len(level[2]) > 1]
+    picks = np.empty((0, degree), dtype=np.int32)
+    for i in reversed(range(len(levels))):
+        point, _, rows, _ = levels[i]
+        perms = gens
+        if point:
+            perms = np.concatenate([gens[(gens[:, :point] == np.arange(point)).all(axis=1)], picks])
+            while not (covered := _point_orbit(perms, point)[rows[:, point]]).all():
+                picks = np.concatenate([picks, rows[np.argmin(covered)][None]])
+                perms = np.concatenate([perms, picks[-1:]])
+        if refuted := _first_residue(perms, levels[i:]):
+            return refuted
     return None
 
 
@@ -483,31 +581,36 @@ def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
     k = 2: a candidate u then g is keyed by its prefix images (g applied to
     u's) and looked up in a :class:`_Trie`, the index :class:`PermGroup`
     keeps of its base images. Only a new key gets a full row, gathered from
-    its parent u and generator g; these edges form a Schreier tree. The
-    Schreier check then compares every other edge u then g, on its full row,
-    with the row that has its key (a tree edge holds by construction).
+    its parent u and generator g. The keys are the exact orbit of the
+    prefix, so the rows give the exact basic orbits of the stabilizer chain
+    along 0..k-1 and a transversal row for each of their points, and
+    :func:`_schreier_residue` proves the rows closed with them.
 
-    Why this is exact. Every row found is a product of generators. If every
-    edge passes the check, the rows are closed under the generators and hold
-    the identity, so they are the whole group, one row per key; distinct
-    keys then mean distinct elements, so the search meets elements in the
-    order a search over whole rows would. Two distinct elements then differ
-    first at a prefix point, so the lexicographic order of their keys is
-    that of their image sequences, and sorting a new layer by key sorts it
-    by image sequence. The order cap counts keys, never more than elements.
+    Why this is exact. Every row found is a product of generators, and rows
+    have distinct keys. If every Schreier generator sifts to the identity,
+    then by downward induction over the levels the products T_{k-1}...T_j of
+    transversal rows are the group S(j) generates, for j >= 1, and
+    T_{k-1}...T_0 is closed under the generators and holds the identity; so
+    the group has as many elements as there are keys, and the rows are the
+    whole group, one per key. Distinct keys then mean distinct elements, so
+    the search meets elements in the order a search over whole rows would.
+    Two distinct elements differ first at a prefix point, so the
+    lexicographic order of their keys is that of their image sequences, and
+    sorting a new layer by key sorts it by image sequence. The order cap
+    counts keys, never more than elements.
 
-    The restart rule. If an edge fails, u then g and the row with its key
-    are two elements with one key, so they differ first at some point p >=
-    k; the prefix is extended through p (k = p + 1) and the search restarts.
-    At k = degree keys are whole rows, so the loop ends.
+    The restart rule. A residue that is not the identity is an element of
+    the group that fixes the prefix and moves some point p >= k; the prefix
+    is extended through the least such p (k = p + 1) and the search
+    restarts. At k = degree keys are whole rows, so the loop ends.
     """
     k = 2
     while True:
-        elements, target, tree = _orbit_bfs(degree, gens, k, cap)
-        point = _split_point(elements, gens, target, tree)
-        if point is None:
+        elements = _orbit_bfs(degree, gens, k, cap)
+        refuted = _schreier_residue(elements, gens, k)
+        if refuted is None:
             return elements
-        k = point + 1
+        k = refuted[1] + 1
 
 
 def _is_int(x) -> bool:

@@ -29,6 +29,9 @@ from involq import (
     parse_group_doc,
 )
 from involq import permgroup
+from involq.catalog import build_entry, run_catalog
+
+CATALOG_31 = {entry.id: entry for entry in run_catalog(31)}
 
 
 def relabelled_doc(G, seed):
@@ -49,6 +52,16 @@ def agl_f9_relabelled(agl_f9):
 @pytest.fixture(scope="module")
 def c2_15(c2_15_doc):
     return parse_group_doc(c2_15_doc)
+
+
+@pytest.fixture(scope="module")
+def c2_10(c2_10_doc):
+    return parse_group_doc(c2_10_doc)
+
+
+@pytest.fixture(scope="module")
+def s3_on_points_2_to_4():
+    return parse_group_doc({"degree": 5, "generators": [[0, 1, 3, 4, 2], [0, 1, 3, 2, 4]]})
 
 
 @pytest.fixture(scope="module")
@@ -139,13 +152,20 @@ def test_small_groups_every_pair(name, request):
 
 
 @pytest.mark.parametrize("name", ["agl_f5", "agl_d9", "d9_relabelled", "sym4", "s3",
-                                  "degree_2", "trivial"])
+                                  "degree_2", "trivial", "s3_on_points_2_to_4", "c2_10",
+                                  *CATALOG_31])
 def test_primitives_match_row_arithmetic(name, request):
     """mul, conj and inv on a scalar pair, on 1-D arrays, broadcast (n, 1) x
     (1, m) and on empty arrays give int64 indices of the shape the indices
     broadcast to, equal to whole-row arithmetic, and images reads the rows;
-    sym4 has a 3-point base, the trivial group a 1-point one."""
-    G = request.getfixturevalue(name)
+    sym4 has a 3-point base, the trivial group a 1-point one, S3 on points
+    2..4 the base (2, 3) and (C2)^10 a 10-point one. inv, found through the
+    transversals of the base, also meets its definition on every element:
+    a^-1(b) is the position of b in row a. The catalog entries of degree
+    <= 31 are built as the catalog builds them."""
+    G = build_entry(CATALOG_31[name]) if name in CATALOG_31 else request.getfixturevalue(name)
+    assert np.array_equal(G.inv(np.arange(G.order)),
+                          G._locate([np.argmax(G.elements == b, axis=1) for b in G.base]))
     rng = np.random.default_rng(G.order)
     every = np.arange(G.order)
     sample = rng.integers(0, G.order, 7)

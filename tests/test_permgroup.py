@@ -138,10 +138,13 @@ ENUMERATED_DOCS = [
     "c2_10_doc",  # a fixture
     S3_ON_POINTS_2_TO_4_DOC,
     "dickson_121_relabelled_doc",  # a fixture
+    # S5, whose stabilizer of point 0 fixes no generator: the proof must pick
+    # transversal rows into it, or it passes 60 of its 120 elements
+    {"degree": 5, "generators": [[1, 0, 2, 4, 3], [4, 1, 3, 0, 2]]},
 ]
 ENUMERATED_IDS = ["s3", "sym4", "degree-2", "no-generators", "repeated-and-identity",
                   "d9-relabelled", "images-above-255", "c2-power-10", "s3-on-points-2-to-4",
-                  "dickson-121-relabelled"]
+                  "dickson-121-relabelled", "s5-by-picked-rows"]
 
 
 @pytest.mark.parametrize("doc", ENUMERATED_DOCS, ids=ENUMERATED_IDS)
@@ -176,6 +179,43 @@ def test_order_matches_sympy(doc, request):
     assert S.order() == parse_group_doc(doc).order
 
 
+@pytest.mark.slow
+def test_random_generator_sets_enumerate_like_the_oracle():
+    """A property over random documents of degree 2..9 with 0..3 generators,
+    and at times a repeated generator or the identity put among them: many
+    prefixes of two points are no base for the groups drawn (S_n and A_n
+    among them), so the restart runs. The rows equal the oracle's, row for
+    row, the order is sympy's, and every element times its inverse is the
+    identity. Marked slow: the oracle's Python loop over S_9 alone takes
+    2 s, and far longer under a line tracer."""
+    hypothesis = pytest.importorskip("hypothesis")
+    comb = pytest.importorskip("sympy.combinatorics")
+    st = hypothesis.strategies
+
+    @st.composite
+    def documents(draw):
+        degree = draw(st.integers(2, 9))
+        generators = draw(st.lists(st.permutations(range(degree)), max_size=3))
+        if generators and draw(st.booleans()):  # a repeated generator or the identity
+            generators.insert(draw(st.integers(0, len(generators) - 1)),
+                              draw(st.sampled_from([*generators, list(range(degree))])))
+        return {"degree": degree, "generators": generators}
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(documents())
+    def check(doc):
+        G = parse_group_doc(doc)
+        gens = [np.array(g, dtype=np.int32) for g in doc["generators"]]
+        assert np.array_equal(G.elements, bfs_oracle(doc["degree"], gens))
+        S = comb.PermutationGroup([comb.Permutation(g) for g in doc["generators"]]
+                                  or [comb.Permutation(list(range(doc["degree"])))])
+        assert S.order() == G.order
+        every = np.arange(G.order)
+        assert np.array_equal(G.mul(every, G.inv(every)), np.full(G.order, G.identity_index))
+
+    check()
+
+
 def test_prefix_keys_restart_where_rows_with_one_key_differ(monkeypatch):
     """Each restart extends the prefix through the point where two rows with
     one key first differ: S3 on points 2..4 is searched with prefixes of 2,
@@ -193,6 +233,30 @@ def test_prefix_keys_restart_where_rows_with_one_key_differ(monkeypatch):
     calls.clear()
     assert parse_group_doc(SYM4_DOC).order == 24
     assert calls == [2, 3]
+
+
+@pytest.mark.parametrize("doc, k, residue, point", [
+    (S3_ON_POINTS_2_TO_4_DOC, 2, [0, 1, 3, 4, 2], 2),
+    (S3_ON_POINTS_2_TO_4_DOC, 3, [0, 1, 2, 4, 3], 3),
+    (S3_ON_POINTS_2_TO_4_DOC, 4, None, None),
+    (SYM4_DOC, 2, [0, 1, 3, 2], 2),
+    (SYM4_DOC, 3, None, None),
+], ids=["s3-on-points-2-to-4-k2", "s3-on-points-2-to-4-k3", "s3-on-points-2-to-4-k4",
+        "sym4-k2", "sym4-k3"])
+def test_the_proof_refutes_a_prefix_that_is_no_base(doc, k, residue, point):
+    """Fed the search rows of a prefix that is no base, the proof returns a
+    residue that is not the identity -- an element that fixes the prefix --
+    and the least point it moves, through which the search restarts; fed
+    the rows of a base, it returns None. S3 on points 2..4 at k = 2 has one
+    row and only level 0, whose Schreier generators are the generators
+    themselves; S4 at k = 2 has 12 rows, and the residue is (2 3)."""
+    gens = np.array(doc["generators"], dtype=np.int32)
+    rows = permgroup._orbit_bfs(doc["degree"], gens, k, max_group_order())
+    refuted = permgroup._schreier_residue(rows, gens, k)
+    if residue is None:
+        assert refuted is None and len(rows) == parse_group_doc(doc).order
+    else:
+        assert refuted[0].tolist() == residue and refuted[1] == point
 
 
 def test_prefix_words_are_exact_past_int64():
@@ -220,7 +284,7 @@ def test_orbit_search_holds_the_element_array_once(dickson_121_relabelled_doc):
     gens = np.array(doc["generators"], dtype=np.int32)
     tracemalloc.start()
     try:
-        elements, _, _ = permgroup._orbit_bfs(doc["degree"], gens, 2, max_group_order())
+        elements = permgroup._orbit_bfs(doc["degree"], gens, 2, max_group_order())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -228,11 +292,12 @@ def test_orbit_search_holds_the_element_array_once(dickson_121_relabelled_doc):
     assert peak < elements.nbytes + 5 * 2**20
 
 
-def test_constructor_finds_inverses_in_row_chunks():
-    """The constructor's inverse lookup builds its (rows x degree) masks one
-    row chunk at a time: on agl-field-121 its traced peak stays below one
-    full mask of 14,520 x 121 bools (1.68 MiB), where one mask per base
-    point at once peaked at 2.2 MiB. It is handed the group's own uint8
+def test_constructor_inverts_through_transversals_below_one_cell_per_element():
+    """The constructor finds each inverse by sifting the element's base
+    images through the transversals of its base -- per base level, a row
+    and its inverse for each point of the orbit -- not by (rows x degree)
+    masks: on agl-field-121 its traced peak stays below one full mask of
+    14,520 x 121 bools (1.68 MiB). It is handed the group's own uint8
     cells: an int32 array would first be narrowed, a copy of exactly that
     many bytes."""
     G = affine_group(make_field(11, 2))
