@@ -1,7 +1,9 @@
 """The input contract as a property: whatever document or INVOLQ_ORDER_CAP
 value ``involq verify``, ``recover`` or ``census`` is given, it exits 0, 1
 or 2, exit 2 prints ``input error:``, and no exception escapes ``cli.main``
-(on the command line that would be a traceback).
+(on the command line that would be a traceback). Each drawn input runs twice
+in one process, as a caller that resolves a document again would, and both
+runs give the same exit code and stderr.
 
 Runs in-process with stdout and stderr captured, over random bytes, JSON
 values of the wrong shape, mutated valid documents (the relabelled catalog
@@ -19,6 +21,7 @@ from unittest import mock
 
 import pytest
 
+from involq import pipeline
 from involq.catalog import build_entry, run_catalog
 from involq.cli import main
 
@@ -53,11 +56,15 @@ def run_cli(argv, env=None) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def assert_contract(code: int, err: str) -> None:
+def assert_contract(argv, env=None) -> None:
+    """Run argv twice and check the contract on the first run and that the
+    second gives the same exit code and stderr."""
+    code, err = run_cli(argv, env)
     assert code in (0, 1, 2), (code, err)
     if code == 2:
         assert err.startswith("input error:"), err
     assert "Traceback" not in err, err
+    assert run_cli(argv, env) == (code, err)
 
 
 def run_on_file(command, content: bytes, env=None) -> None:
@@ -65,7 +72,7 @@ def run_on_file(command, content: bytes, env=None) -> None:
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as fh:
             fh.write(content)
-        assert_contract(*run_cli([command[0], path, *command[1:]], env))
+        assert_contract([command[0], path, *command[1:]], env)
 
 
 @st.composite
@@ -122,4 +129,22 @@ def test_mutated_documents_keep_the_contract(command, doc):
        | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                  max_size=6))
 def test_order_cap_values_keep_the_contract(command, cap):
-    assert_contract(*run_cli([command[0], "agl-field-5", *command[1:]], cap))
+    assert_contract([command[0], "agl-field-5", *command[1:]], cap)
+
+
+@EXAMPLES
+@given(command=COMMANDS, G=st.sampled_from(SMALL), data=st.data(),
+       caps=st.lists(st.none() | st.integers(1, 50).map(str), min_size=2, max_size=2))
+def test_a_document_resolved_under_one_cap_answers_another_as_if_fresh(command, G, data, caps):
+    """A valid document run under the first cap and then the second gives,
+    under the second, what a process that never resolved it gives."""
+    doc = relabelled_doc(G, data.draw(st.permutations(range(G.degree))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command[0], path, *command[1:]]
+        run_cli(argv, caps[0])
+        after = run_cli(argv, caps[1])
+        pipeline._last_document = None
+        assert run_cli(argv, caps[1]) == after
