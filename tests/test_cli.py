@@ -211,8 +211,9 @@ def test_a_lower_order_cap_refuses_a_document_parsed_under_a_higher_one(tmp_path
     assert pipeline._last_document is None
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe", b'{"degree": 9', b'{"degree": 1, "generators": [[0]]}'],
-                         ids=["not-utf8", "truncated", "degree-1"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe", b'{"degree": 9', b'{"degree": 1, "generators": [[0]]}',
+], ids=["not-utf8", "truncated", "degree-1"])
 def test_a_refused_document_is_refused_again_and_holds_no_group(content, tmp_path, capsys):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_bytes(D9_DOC)

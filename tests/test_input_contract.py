@@ -21,7 +21,6 @@ from unittest import mock
 
 import pytest
 
-from involq import pipeline
 from involq.catalog import build_entry, run_catalog
 from involq.cli import main
 
@@ -130,21 +129,3 @@ def test_mutated_documents_keep_the_contract(command, doc):
                  max_size=6))
 def test_order_cap_values_keep_the_contract(command, cap):
     assert_contract([command[0], "agl-field-5", *command[1:]], cap)
-
-
-@EXAMPLES
-@given(command=COMMANDS, G=st.sampled_from(SMALL), data=st.data(),
-       caps=st.lists(st.none() | st.integers(1, 50).map(str), min_size=2, max_size=2))
-def test_a_document_resolved_under_one_cap_answers_another_as_if_fresh(command, G, data, caps):
-    """A valid document run under the first cap and then the second gives,
-    under the second, what a process that never resolved it gives."""
-    doc = relabelled_doc(G, data.draw(st.permutations(range(G.degree))))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "doc.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        argv = [command[0], path, *command[1:]]
-        run_cli(argv, caps[0])
-        after = run_cli(argv, caps[1])
-        pipeline._last_document = None
-        assert run_cli(argv, caps[1]) == after
