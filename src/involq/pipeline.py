@@ -26,10 +26,6 @@ and judges every closure in one call of ``geometry.no_plane_verdicts``,
 which returns the code of each closure's failed hypothesis and its count of
 contained lines. The line lemma, the odd-subgroup scan and the line
 covering take the group and the geometry, ``(G, geom)``.
-
-``resolve_target`` keeps the group of the last document it parsed, keyed by
-the document's exact bytes and the group order cap, so ``census_target``
-after ``recover_target`` on one document enumerates and certifies it once.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from .catalog import (
     find_entry,
     run_catalog,
 )
-from .config import max_group_order
 from .errors import CharacteristicTwo, InputError, InvolqError, MalformedDocument
 from .permgroup import PermGroup, parse_group_doc
 
@@ -242,37 +237,19 @@ def _conforms(entry: CatalogEntry, sections: dict, ok: bool) -> bool:
 # target resolution and report files
 
 
-# (raw bytes, order cap, group) of the last document resolve_target parsed,
-# or None; emptied before any other document is parsed, so it holds at most
-# one group, and never set by a document that raised
-_last_document: tuple[bytes, int, PermGroup] | None = None
-
-
 def resolve_target(target: str, max_degree: int = DEFAULT_MAX_DEGREE):
-    """An entry id or a GroupDoc file path -> (entry | None, PermGroup).
-
-    A document whose bytes and order cap are those of the last document
-    resolved gives that document's group again, and with it the group's
-    cached certificate.
-    """
-    global _last_document
+    """An entry id or a GroupDoc file path -> (entry | None, PermGroup)."""
     entry = find_entry(target, max_degree)
     if entry is not None:
         return entry, build_entry(entry)
     if os.path.exists(target):
         with open(target, "rb") as fh:
             raw = fh.read()
-        held = _last_document
-        if held is not None and held[0] == raw and held[1] == max_group_order():
-            return None, held[2]
-        _last_document = held = None  # no reference to the old group outlives the parse
         try:
             doc = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"document is not UTF-8: {exc}") from exc
-        G = parse_group_doc(doc)
-        _last_document = (raw, max_group_order(), G)
-        return None, G
+        return None, parse_group_doc(doc)
     raise FileNotFoundError(f"no catalog entry or file named {target!r}")
 
 

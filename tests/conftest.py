@@ -6,16 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from involq import affine_group, make_dickson, make_field, parse_group_doc, pipeline, s2t
+from involq import affine_group, make_dickson, make_field, parse_group_doc, s2t
 from involq.catalog import SYM4_DOC
-
-
-@pytest.fixture(autouse=True)
-def empty_document_slot(monkeypatch):
-    """Every test starts with no document group held by
-    ``pipeline.resolve_target``, so it enumerates and certifies the
-    documents it resolves itself, under whatever it patched."""
-    monkeypatch.setattr(pipeline, "_last_document", None)
 
 
 @pytest.fixture(scope="session")

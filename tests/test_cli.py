@@ -1,18 +1,15 @@
 """Catalog contents, pipeline wiring, CLI subcommands and exit codes."""
 
 import dataclasses
-import gc
 import json
 import runpy
 import subprocess
 import sys
-import weakref
-from pathlib import Path
 
 import pytest
 
 from involq import geometry as geometry_mod
-from involq import parse_group_doc, pipeline, s2t
+from involq import s2t
 from involq.catalog import CatalogEntry, build_entry, find_entry, run_catalog
 from involq.cli import main
 from involq.config import max_group_order
@@ -152,97 +149,6 @@ def test_cli_document_not_utf8_is_an_input_error(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: document is not UTF-8")
     assert "Traceback" not in captured.err and captured.out == ""
-
-
-D9_DOC = (Path(__file__).parent / "data" / "dickson-9-relabelled.json").read_bytes()
-F5_DOC = b'{"degree": 5, "generators": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]]}'
-
-
-@pytest.fixture
-def parses(monkeypatch):
-    """The documents pipeline.parse_group_doc is called on, in call order."""
-    seen = []
-
-    def spy(doc):
-        seen.append(doc)
-        return parse_group_doc(doc)
-
-    monkeypatch.setattr(pipeline, "parse_group_doc", spy)
-    return seen
-
-
-def test_recover_then_census_enumerate_and_certify_a_document_once(parses, tmp_path,
-                                                                   monkeypatch):
-    certified = []
-    certify = s2t._certify
-    monkeypatch.setattr(s2t, "_certify", lambda G: certified.append(G) or certify(G))
-    doc = tmp_path / "d.json"
-    doc.write_bytes(D9_DOC)
-    recovered, counted = recover_target(str(doc)), census_target(str(doc))
-    assert len(parses) == 1 and len(certified) == 1
-    monkeypatch.setattr(pipeline, "_last_document", None)
-    assert recover_target(str(doc)) == recovered
-    monkeypatch.setattr(pipeline, "_last_document", None)
-    assert census_target(str(doc)) == counted
-    assert len(parses) == 3 and len(certified) == 3
-    assert recovered["coordinatization"]["nearfield"]["order"] == counted["nhat"] == 9
-
-
-def test_other_bytes_at_the_same_path_are_parsed_again(parses, tmp_path):
-    doc = tmp_path / "d.json"
-    doc.write_bytes(D9_DOC)
-    assert recover_target(str(doc))["coordinatization"]["nearfield"]["order"] == 9
-    doc.write_bytes(F5_DOC)
-    assert census_target(str(doc))["nhat"] == 5
-    doc.write_bytes(D9_DOC + b"\n")
-    assert recover_target(str(doc))["coordinatization"]["nearfield"]["order"] == 9
-    assert len(parses) == 3
-
-
-def test_a_lower_order_cap_refuses_a_document_parsed_under_a_higher_one(tmp_path, monkeypatch,
-                                                                        capsys):
-    doc = tmp_path / "d.json"
-    doc.write_bytes(D9_DOC)
-    assert main(["recover", str(doc)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("INVOLQ_ORDER_CAP", "71")  # the group has order 72
-    assert main(["census", str(doc)]) == 1
-    assert capsys.readouterr().err.startswith("verification failure:")
-    assert pipeline._last_document is None
-
-
-@pytest.mark.parametrize("content", [
-    b"\xff\xfe", b'{"degree": 9', b'{"degree": 1, "generators": [[0]]}',
-], ids=["not-utf8", "truncated", "degree-1"])
-def test_a_refused_document_is_refused_again_and_holds_no_group(content, tmp_path, capsys):
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_bytes(D9_DOC)
-    bad.write_bytes(content)
-    recover_target(str(good))
-    for _ in range(2):
-        assert main(["census", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("input error:")
-        assert pipeline._last_document is None
-
-
-def test_a_second_document_frees_the_first_group_before_it_is_parsed(tmp_path, monkeypatch):
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    first.write_bytes(D9_DOC)
-    second.write_bytes(F5_DOC)
-    census_target(str(first))
-    held = weakref.ref(pipeline._last_document[2])
-    gc.collect()
-    assert held() is not None
-
-    def parse_once_freed(doc):
-        gc.collect()
-        assert held() is None
-        return parse_group_doc(doc)
-
-    monkeypatch.setattr(pipeline, "parse_group_doc", parse_once_freed)
-    assert recover_target(str(second))["coordinatization"]["nearfield"]["order"] == 5
-    gc.collect()
-    assert held() is None
 
 
 @pytest.mark.parametrize("argv", [

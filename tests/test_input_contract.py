@@ -1,9 +1,7 @@
 """The input contract as a property: whatever document or INVOLQ_ORDER_CAP
 value ``involq verify``, ``recover`` or ``census`` is given, it exits 0, 1
 or 2, exit 2 prints ``input error:``, and no exception escapes ``cli.main``
-(on the command line that would be a traceback). Each drawn input runs twice
-in one process, as a caller that resolves a document again would, and both
-runs give the same exit code and stderr.
+(on the command line that would be a traceback).
 
 Runs in-process with stdout and stderr captured, over random bytes, JSON
 values of the wrong shape, mutated valid documents (the relabelled catalog
@@ -55,15 +53,11 @@ def run_cli(argv, env=None) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def assert_contract(argv, env=None) -> None:
-    """Run argv twice and check the contract on the first run and that the
-    second gives the same exit code and stderr."""
-    code, err = run_cli(argv, env)
+def assert_contract(code: int, err: str) -> None:
     assert code in (0, 1, 2), (code, err)
     if code == 2:
         assert err.startswith("input error:"), err
     assert "Traceback" not in err, err
-    assert run_cli(argv, env) == (code, err)
 
 
 def run_on_file(command, content: bytes, env=None) -> None:
@@ -71,7 +65,7 @@ def run_on_file(command, content: bytes, env=None) -> None:
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as fh:
             fh.write(content)
-        assert_contract([command[0], path, *command[1:]], env)
+        assert_contract(*run_cli([command[0], path, *command[1:]], env))
 
 
 @st.composite
@@ -128,4 +122,4 @@ def test_mutated_documents_keep_the_contract(command, doc):
        | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                  max_size=6))
 def test_order_cap_values_keep_the_contract(command, cap):
-    assert_contract([command[0], "agl-field-5", *command[1:]], cap)
+    assert_contract(*run_cli([command[0], "agl-field-5", *command[1:]], cap))

@@ -27,7 +27,7 @@ from involq import (
     make_field,
     parse_group_doc,
 )
-from involq import permgroup, pipeline, reporting
+from involq import permgroup, reporting
 from involq.config import max_group_order
 from involq.permgroup import PermGroup, as_perm, member_mask
 from involq.reporting import least_cell_in_chunks
@@ -671,7 +671,6 @@ def test_nothing_reads_the_element_array_after_construction(monkeypatch):
         return json.dumps([reports, recover_target(doc), census_target(doc)], sort_keys=True)
 
     expected = outputs()
-    monkeypatch.setattr(pipeline, "_last_document", None)  # so the document is built poisoned
     init = PermGroup.__init__
 
     def poisoned_init(self, *args):
