@@ -51,7 +51,14 @@ from .errors import (
     NotPrime,
     OrderCapExceeded,
 )
-from .reporting import Check, CheckReport, chunk_rows, least_cell, least_cell_in_chunks
+from .reporting import (
+    Check,
+    CheckReport,
+    chunk_rows,
+    in_chunks,
+    least_cell,
+    least_cell_in_chunks,
+)
 
 # ---------------------------------------------------------------------------
 # small integer helpers
@@ -359,15 +366,20 @@ def _first_mismatch3(lhs_fn, q: int) -> tuple | None:
     return least_cell_in_chunks(lhs_fn, q, q * q)
 
 
-def _law_witness(reduced, gens: list[int] | None, cube, q: int, width: int) -> tuple | None:
+def _law_witness(reduced, gens: list[int] | None, cube, q: int, width: int,
+                 first=None) -> tuple | None:
     """None when ``reduced(g, lo, hi)``, the rows lo:hi of a q x ``width``
     mask of failures, is clear for every g in ``gens``; otherwise, or when no
-    ``gens`` apply, the cube's least witness."""
-    if gens is not None and not any(
-        least_cell_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, width) is not None
-        for g in gens
-    ):
-        return None
+    ``gens`` apply, the cube's least witness. When the ``gens`` apply and
+    ``first()`` gives the first coordinate of that witness, only its slab of
+    the cube is read."""
+    if gens is not None:
+        if not any(least_cell_in_chunks(lambda lo, hi: reduced(g, lo, hi), q, width) is not None
+                   for g in gens):
+            return None
+        if first is not None:
+            a = first()
+            return (a,) + least_cell(cube(a, a + 1))[1:]
     return _first_mismatch3(cube, q)
 
 
@@ -400,7 +412,10 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
     A failing reduced check exhibits a violating triple, so a law fails
     exactly when its reduction fails. Only then, or when a reduction's
     premise fails, is the cube scanned (chunked over the first coordinate)
-    to find the witness. Failures carry the lexicographically least
+    to find the witness; but left distributivity fails at a exactly when the
+    map x -> a mul x fails additivity, so with ``add`` associative the
+    reduction tried on every map gives the witness's a, and only that
+    q x q slab is read. Failures carry the lexicographically least
     violating tuple, read by :func:`involq.reporting.least_cell`. Every scan
     that would hold a q x q temporary other than a boolean mask runs in row
     chunks (:func:`involq.reporting.least_cell_in_chunks`), so the gate's
@@ -498,11 +513,21 @@ def verify_nearfield_axioms(nf: NearField) -> CheckReport:
         rhs = add[part[:, :, None], part[:, None, :]]
         return lhs != rhs
 
-    for name, f, cube, required in (
-        ("right-distributivity", mul[:, maps], rdist, True),           # x -> x mul c
-        ("left-distributivity", mul[maps].T, ldist, required_extra),   # x -> c mul x
+    def least_nonadditive():
+        """The least a whose map x -> a mul x some g in add_gens shows is not
+        additive, read from every map: a mul (b add c) fails for some b, c
+        exactly then, as the g that pass are closed under (associative) add."""
+        fails, mask = np.zeros(q, dtype=bool), additivity(mul.T)  # column a: x -> a mul x
+        for g in add_gens:
+            fails |= in_chunks(lambda lo, hi: mask(g, lo, hi).any(axis=0)[None], q, q).any(axis=0)
+        return int(np.argmax(fails))
+
+    for name, f, cube, first, required in (
+        ("right-distributivity", mul[:, maps], rdist, None, True),         # x -> x mul c
+        ("left-distributivity", mul[maps].T, ldist, least_nonadditive,    # x -> c mul x
+         required_extra),
     ):
-        w = _law_witness(additivity(f), add_gens, cube, q, f.shape[1])
+        w = _law_witness(additivity(f), add_gens, cube, q, f.shape[1], first)
         checks.append(Check(name, w is None, required=required, witness=w,
                             note="" if required else note))
 

@@ -548,10 +548,12 @@ def spy_on_cube(monkeypatch):
 @pytest.mark.parametrize("p,e,kind", [(5, 2, "field"), (3, 3, "field"), (5, 2, "dickson")])
 def test_cubic_fallback_witnesses_match_the_cube(p, e, kind, monkeypatch):
     """On single-cell corruptions of GF(25), GF(27) and the order-25 Dickson
-    tables, every cubic law that fails is located by the chunked scan, and
-    its witness is the least violating triple of the whole cube. While the
-    premises of the reductions hold (``add`` associative, zero annihilation,
-    nonzero closure), the scan runs for failing laws only."""
+    tables, the witness of every cubic law that fails is the least violating
+    triple of the whole cube. Left distributivity with ``add`` associative
+    is located from the one slab of its least non-additive map; every other
+    failing law by the chunked scan. While the premises of the reductions
+    hold (``add`` associative, zero annihilation, nonzero closure), the scan
+    runs for failing laws only, and never for left distributivity."""
     base = make_field(p, e) if kind == "field" else make_dickson(p, e)
     calls = spy_on_cube(monkeypatch)
     failed = set()
@@ -561,16 +563,19 @@ def test_cubic_fallback_witnesses_match_the_cube(p, e, kind, monkeypatch):
         report = verify_nearfield_axioms(
             NearField(base.order, base.family, tables["add"], tables["mul"]))
         cube = cube_witnesses(tables["add"], tables["mul"])
+        slab = report.check("add-associativity").passed
         for law in CUBIC:
             assert report.check(law).witness == cube[law], (name, cell, value, law)
             if cube[law] is not None:
                 failed.add(law)
-                assert cube[law] in calls
+                if not (slab and law == "left-distributivity"):
+                    assert cube[law] in calls
         premises = ("add-associativity", "mul-zero-annihilation", "mul-nonzero-closure")
         if all(report.check(c).passed for c in premises):
-            assert None not in calls, (name, cell, value)
+            scanned = [law for law in CUBIC[:3] if cube[law] is not None]
+            assert calls == [cube[law] for law in scanned], (name, cell, value)
         calls.clear()
-    assert failed >= {"add-associativity", "mul-associativity", "right-distributivity"}
+    assert failed == set(CUBIC)
 
 
 def corrupted_gf25_add():
@@ -638,7 +643,8 @@ def test_distributive_reduction_reads_the_maps_of_zero_and_the_units(tables, mon
     """With ``add`` and ``mul`` associative, the distributive laws are decided
     on the maps of 0 and of the multiplicative generators alone: each table
     fails both laws, and every witness equals the cube's and the naive
-    scan's."""
+    scan's. Right distributivity's is found by the chunked scan, left
+    distributivity's from the slab of its least non-additive map."""
     add, mul = tables()
     calls = spy_on_cube(monkeypatch)
     report = verify_nearfield_axioms(NearField(len(add), "tables", add, mul))
@@ -651,9 +657,19 @@ def test_distributive_reduction_reads_the_maps_of_zero_and_the_units(tables, mon
         assert report.check(law).witness == cube[law], law
     for check in report.checks:
         assert check.witness == naive[check.name], check.name
-    assert calls == [cube["right-distributivity"], cube["left-distributivity"]]
+    assert calls == [cube["right-distributivity"]]
     if tables is constant_one_add:
         assert cube["right-distributivity"] == cube["left-distributivity"] == (0, 0, 0)
+
+
+def least_left_distributivity_failure(add, mul):
+    """The least (a, b, c) with a mul (b add c) != a mul b add a mul c, from
+    the q x q slab of each a in turn, or None."""
+    for a in range(len(add)):
+        bad = mul[a][add] != add[mul[a][:, None], mul[a][None, :]]
+        if bad.any():
+            return (a,) + tuple(int(v) for v in np.argwhere(bad)[0])
+    return None
 
 
 def catalog_nearfields():
@@ -670,40 +686,42 @@ def catalog_nearfields():
 
 def test_valid_nearfields_never_scan_the_cube(monkeypatch, d9_relabelled):
     """The reductions decide every law of a valid near-field, so the cubic
-    scan runs only for left distributivity of a proper near-field, where it
-    is expected to fail. Each distributive reduction reads the maps of 0 and
-    of the multiplicative generators, 1 + len(mul_gens) of them, for each
-    additive generator. The recovered order-9 near-field carries arbitrary
-    labels, so no encoding is assumed."""
+    scan never runs: left distributivity of a proper near-field, which is
+    expected to fail, is located from the one slab of its least non-additive
+    map, and its witness is the cube's. Each distributive reduction reads
+    the maps of 0 and of the multiplicative generators, 1 + len(mul_gens) of
+    them, for each additive generator. The recovered order-9 near-field
+    carries arbitrary labels, so no encoding is assumed."""
     nfs = catalog_nearfields() + [coordinatize(d9_relabelled).nearfield]
     assert len(nfs) == 42 and sum(nf.is_field_family for nf in nfs) == 36
     scanned, widths = [], []
 
-    def cube_only_for_witness(lhs_fn, q):
+    def cube_never_scanned(lhs_fn, q):
         scanned.append(q)
         return (-1, -1, -1)
 
     law_witness = nearfield._law_witness
 
-    def read_widths(reduced, gens, cube, q, width):
+    def read_widths(reduced, gens, cube, q, width, first=None):
         widths.append([reduced(g, 0, q).shape for g in gens])
-        return law_witness(reduced, gens, cube, q, width)
+        return law_witness(reduced, gens, cube, q, width, first)
 
-    monkeypatch.setattr(nearfield, "_first_mismatch3", cube_only_for_witness)
+    monkeypatch.setattr(nearfield, "_first_mismatch3", cube_never_scanned)
     monkeypatch.setattr(nearfield, "_law_witness", read_widths)
     for nf in nfs:
         q = nf.order
         add_gens = _generators(nf.add, np.ones(q, dtype=bool))
         mul_gens = _generators(nf.mul, np.arange(q) > 0)
         report = verify_nearfield_axioms(nf)
-        expected = [] if nf.is_field_family else ["left-distributivity"]
-        assert [c.name for c in report.checks if c.witness == (-1, -1, -1)] == expected, nf
+        left = report.check("left-distributivity").witness
+        assert (left is None) == nf.is_field_family, nf
+        assert left == least_left_distributivity_failure(nf.add, nf.mul), nf
         assert report.ok
         # add and mul associativity (Light's test), then the two distributive laws
         assert widths == [[(q, q)] * len(add_gens), [(q, q)] * len(mul_gens)] + \
             [[(q, 1 + len(mul_gens))] * len(add_gens)] * 2, nf
         widths.clear()
-    assert len(scanned) == sum(not nf.is_field_family for nf in nfs)
+    assert scanned == []
 
 
 def naive_closure(t, gens):

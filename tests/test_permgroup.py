@@ -259,6 +259,40 @@ def test_the_proof_refutes_a_prefix_that_is_no_base(doc, k, residue, point):
         assert refuted[0].tolist() == residue and refuted[1] == point
 
 
+def point_orbit_oracle(perms, point):
+    """The orbit of point under the rows perms, by a pure-Python search."""
+    seen, todo = {point}, [point]
+    while todo:
+        x = todo.pop()
+        for s in perms:
+            if int(s[x]) not in seen:
+                seen.add(int(s[x]))
+                todo.append(int(s[x]))
+    return seen
+
+
+def test_point_orbits_match_a_search_on_points():
+    """The orbit of every point under random sets of 0..3 rows of degree
+    1..40, dense (random permutations) and sparse (one cycle on a random
+    subset each), is the set a search on points finds; a 1,000-cycle's
+    orbit of 0 is every point."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        degree, m = int(rng.integers(1, 41)), int(rng.integers(0, 4))
+        perms = np.tile(np.arange(degree, dtype=np.int32), (m, 1))
+        for s in perms:
+            if rng.random() < 0.5:
+                s[:] = rng.permutation(degree)
+            else:
+                cycle = rng.choice(degree, int(rng.integers(1, degree + 1)), replace=False)
+                s[cycle] = np.roll(cycle, 1)
+        for point in range(degree):
+            orbit = permgroup._point_orbit(perms, point)
+            assert set(np.flatnonzero(orbit).tolist()) == point_orbit_oracle(perms, point)
+    cycle = np.roll(np.arange(1000, dtype=np.int32), -1)[None]
+    assert permgroup._point_orbit(cycle, 0).all()
+
+
 def test_prefix_words_are_exact_past_int64():
     """Sort words of 19 columns of radix 20 (20^19 > 2^63) order and tell
     apart the columns as tuples do."""
