@@ -13,6 +13,7 @@ distinguish "this fixture failed as designed" from a real regression.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import InputError, InvolqError
@@ -40,11 +41,7 @@ class CatalogEntry:
 
 
 def _odd_prime_powers(limit: int) -> list[int]:
-    out = []
-    for q in range(3, limit + 1, 2):
-        if prime_power(q) is not None:
-            out.append(q)
-    return out
+    return [q for q in range(3, limit + 1, 2) if prime_power(q) is not None]
 
 
 def _affine(entry_id: str, family: str, params: tuple, q: int) -> CatalogEntry:
@@ -61,10 +58,23 @@ def _affine(entry_id: str, family: str, params: tuple, q: int) -> CatalogEntry:
     )
 
 
-def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
-    """All built-in entries of degree <= max_degree, in sorted id order."""
+def _require_max_degree(max_degree: int) -> None:
     if max_degree < 3:
         raise InputError(f"need max_degree >= 3, got {max_degree}")
+
+
+def _named_degree(entry_id: str) -> int:
+    """The degree an entry id names: q for agl-field-q, q^n for
+    agl-dickson-q-n, 4 for sym4-fixture, 0 for any other id. No catalog past
+    degree 10^9 can be built, so q has at most 9 digits and n at most 2."""
+    match = re.fullmatch(r"agl-field-(\d{1,9})|agl-dickson-(\d{1,9})-(\d{1,2})|sym4-fixture",
+                         entry_id)
+    return int(match[1] or match[2] or 4) ** int(match[3] or 1) if match else 0
+
+
+def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
+    """All built-in entries of degree <= max_degree, in sorted id order."""
+    _require_max_degree(max_degree)
     entries = [_affine(f"agl-field-{q}", "agl-field", prime_power(q), q)
                for q in _odd_prime_powers(max_degree)]
     if max_degree >= 4:
@@ -102,7 +112,9 @@ def build_entry(entry: CatalogEntry) -> PermGroup:
 
 
 def find_entry(entry_id: str, max_degree: int = DEFAULT_MAX_DEGREE) -> CatalogEntry | None:
-    for entry in run_catalog(max_degree):
-        if entry.id == entry_id:
-            return entry
+    """The entry of ``run_catalog(max_degree)`` with this id, or None, built
+    only up to the degree the id names: none for a document path."""
+    _require_max_degree(max_degree)
+    if 3 <= (degree := _named_degree(entry_id)) <= max_degree:
+        return next((entry for entry in run_catalog(degree) if entry.id == entry_id), None)
     return None

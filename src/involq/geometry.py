@@ -22,7 +22,7 @@ rows of the translations, and the others for every pair from tables of about
 states.
 The finished structure is a partial plane: two points span exactly one
 line, two lines meet in at most one point. A :class:`Geometry` refuses to be
-built otherwise, however its arrays were made.
+built otherwise, and derives the line of each pair from its incidence.
 
 Inside this module points are positions 0..|J|-1 into the involution list;
 the ``points`` array maps positions back to group element indices. Lines are
@@ -51,7 +51,7 @@ which every :class:`Geometry` checks when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,17 +254,16 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """Finished incidence structure, a partial plane: every pair p != q lies
-    on the line ``line_of_pair[p, q]``, and two lines share at most one
-    point. Construction checks both axioms and raises
-    CharacterizationMismatch on a failure, so a line holding two points is
-    their line in every Geometry. The arrays are read-only. The points of
-    line l are the True cells of row l of ``incidence``."""
+    on a line, and two lines share at most one point. Construction checks
+    both from ``incidence`` (CharacterizationMismatch on a failure) and
+    derives ``line_of_pair[p, q]``, their line (-1 on the diagonal). The
+    arrays are read-only; line l's points are the True cells of its row."""
 
     points: np.ndarray                    # J positions -> element index
     classes: tuple[tuple[int, ...], ...]  # element indices per class
     incidence: np.ndarray                 # (n_lines, n_points) bool
-    line_of_pair: np.ndarray              # (|J|,|J|), -1 on diagonal
     line_of_translation: np.ndarray       # order-length, -1 off lines
+    line_of_pair: np.ndarray = field(init=False)  # (|J|,|J|), -1 on diagonal
 
     def __post_init__(self):
         inc = self.incidence.astype(np.int64)
@@ -272,17 +271,14 @@ class Geometry:
         if (pair := least_cell(shared > 1)) is not None:
             la, lb = pair
             raise CharacterizationMismatch(f"lines {la} and {lb} share {shared[la, lb]} points")
-        # cell l * n + p of `flat`: p is on line l. The n cells past the last
-        # line are empty, so a pair naming no line is on none
-        n, n_lines, line = self.n_points, len(self.incidence), self.line_of_pair
-        start = np.where((line >= 0) & (line < n_lines), line, n_lines) * n
-        flat = np.append(self.incidence, np.zeros(n, dtype=bool))
-        at = np.arange(n)
-        held = flat[start + at] & flat[start + at[:, None]]
-        np.fill_diagonal(held, True)
-        if (pair := least_cell(~held)) is not None:
-            p, q = pair
-            raise CharacterizationMismatch(f"pair ({p},{q}) is not on its line {line[p, q]}")
+        # lines share at most one point, so a pair is on at most one line:
+        # the sum of 1 + l over the lines l holding it is 1 + its line, or 0
+        line = (inc.T * np.arange(1, len(inc) + 1)) @ inc - 1
+        np.fill_diagonal(line, 0)
+        if (pair := least_cell(line < 0)) is not None:
+            raise CharacterizationMismatch(f"pair ({pair[0]},{pair[1]}) is on no line")
+        np.fill_diagonal(line, -1)
+        object.__setattr__(self, "line_of_pair", line)
         for array in (self.points, self.incidence, self.line_of_pair, self.line_of_translation):
             array.setflags(write=False)
 
@@ -375,10 +371,7 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     line_class = class_of[sigmas[first_sigma]]  # -1: the translation is in no class
     line_of_translation = np.full(G.order, -1, dtype=np.int64)
     line_of_translation[sigmas] = line_of_sigma
-    line_of_pair = np.full((n, n), -1, dtype=np.int64)
-    line_of_pair[a, b] = line_of_pair[b, a] = line_of_translation[sigma_of_pair]
-
-    geom = Geometry(j_idx, tuple(classes), incidence, line_of_pair, line_of_translation)
+    geom = Geometry(j_idx, tuple(classes), incidence, line_of_translation)
 
     # product of two points of a line centralizes the defining translation
     # class: in a partial plane, the pairs of distinct points of a line are
@@ -386,11 +379,11 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # class. The diagonal (j j is the identity, which every class admits; -1
     # in line_of_pair) is masked. A line whose translation is in no class
     # fails explicitly, as its products, in no class either, would match it.
-    pair_class = line_class[line_of_pair]
+    pair_class = line_class[geom.line_of_pair]
     bad = ~np.eye(n, dtype=bool) & ((class_of[sets.jj] != pair_class) | (pair_class < 0))
     if bad.any():
         raise CharacterizationMismatch(
-            f"line {line_of_pair[bad].min()} is not closed into its translation class"
+            f"line {geom.line_of_pair[bad].min()} is not closed into its translation class"
         )
     return geom
 

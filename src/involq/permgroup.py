@@ -24,7 +24,8 @@ points taken from a column; so products, inverses, conjugates, membership
 tests, centralizers and conjugacy classes are vectorized scans over index
 arrays, and no scan indexes the element array in two dimensions. Inverses
 are found once, in the constructor, by sifting each element's base images
-through the transversals of the base. One centralizer scan serves a whole
+through the stabilizer chain of the base, built with the base in one walk
+over the points (:func:`_chain`). One centralizer scan serves a whole
 class, filled in by conjugation, and a class is read off one conjugation
 pass without a sort.
 Enumeration order is deterministic: breadth-first from the identity with
@@ -32,13 +33,13 @@ generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is found by a
 breadth-first search over the orbit of the prefix of points 0..k-1, keyed by
 the prefix images through the same kind of trie, one table per prefix point,
-so no row is hashed and only new elements get whole rows. Its keys give the
-exact basic orbits along the prefix, and its rows a transversal for each;
-the rows are proved to be the whole group when every Schreier generator
-sifts through those transversals to the identity (a Schreier-Sims
-verification). A residue that is not the identity fixes the prefix, which
-then grows through the least point the residue moves, and the search
-restarts (:func:`_bfs_enumerate`).
+so no row is hashed and only new elements get whole rows. The rows become a
+group whose chain holds the exact basic orbits along the prefix, and they
+are proved to be the whole group when every Schreier generator sifts
+through that chain to the identity (a Schreier-Sims verification). A
+residue that is not the identity fixes the prefix, which then grows through
+the least point the residue moves, and the search restarts
+(:func:`_bfs_enumerate`).
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -185,12 +186,13 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _base_index(elements: np.ndarray):
-    """Choose a base greedily; return it and each element's rank in the
-    lexicographic order of its base images.
+def _chain(G: PermGroup):
+    """One walk over the points of G: the stabilizer chain along a greedy
+    base, one level (point, offset, rows, inverse) per base point, the base
+    columns and each element's rank. Returns (levels, columns, rank).
 
     Point b joins the base when its images split some class of elements that
-    the images of the earlier base points leave together; the scan stops once
+    the images of the earlier base points leave together; the walk stops once
     every element is told apart (the trivial group still takes point 0, so
     every lookup passes through a table). An element's rank at level k
     numbers its class, the elements agreeing with it on base points 0..k, in
@@ -203,56 +205,45 @@ def _base_index(elements: np.ndarray):
     base images, one row of ``degree`` slots per class before each level
     plus the absent rows, holds at most ``(order + len(base)) * degree``
     slots, about one element array.
+
+    Level k's ``rows`` hold, for each point y of the S_{k-1}-orbit of b_k in
+    ascending order, the first element that fixes the earlier base points
+    and sends b_k to y; ``inverse`` holds their inverse rows, flat, and
+    ``offset[y]`` is where y's starts (-1 off the orbit), so a gather from
+    it is one add and one 1-D take. Each element is one product of one row
+    per level.
     """
-    order, degree = elements.shape
-    rank = np.zeros(order, dtype=np.int64)
+    rank = np.zeros(G.order, dtype=np.int64)
+    at = np.arange(G.order)  # the elements that fix the base points so far
     classes = 1
-    base: list[int] = []
-    for b in range(degree):
-        if classes == order and base:
+    levels, columns = [], []
+    for point in range(G.degree):
+        if classes == G.order and levels:
             break
-        keys = rank * degree + elements[:, b]
-        hit = np.zeros(classes * degree, dtype=bool)
+        column = G.column(point)
+        keys = rank * G.degree + column
+        hit = np.zeros(classes * G.degree, dtype=bool)
         hit[keys] = True
         table = np.cumsum(hit) - 1
         refined = int(table[-1]) + 1
-        if refined > classes or classes == order:  # order 1 still takes point 0
-            base.append(b)
-            rank = table[keys]
-            classes = refined
-    if classes != order:
-        raise ValueError("duplicate elements")
-    return base, rank
-
-
-def _transversals(columns, points, degree: int, rows_of) -> list[tuple]:
-    """The stabilizer chain along ``points`` of the elements whose images of
-    those points are ``columns``: one level (point, offset, rows, inverse)
-    per point.
-
-    Level j's ``rows`` hold, for each point y of its orbit in ascending
-    order, the first element that fixes points[:j] and sends points[j] to y,
-    read from element indices by ``rows_of``; ``inverse`` holds their
-    inverse rows, flat, and ``offset[y]`` is where y's starts (-1 off the
-    orbit), so a gather from it is one add and one 1-D take. For a group the
-    orbits are the basic orbits, and each element is one product of one row
-    per level.
-    """
-    at = np.arange(len(columns[0]))
-    levels = []
-    for point, column in zip(points, columns):
+        if refined == classes and classes < G.order:  # order 1 still takes point 0
+            continue
+        rank, classes = table[keys], refined
         images = column[at]
-        first = np.full(degree, len(column))
+        first = np.full(G.degree, G.order)
         np.minimum.at(first, images, at)
-        orbit = np.flatnonzero(first < len(column))
-        offset = np.full(degree, -1)
-        offset[orbit] = np.arange(len(orbit)) * degree
-        rows = rows_of(first[orbit])
+        orbit = np.flatnonzero(first < G.order)
+        offset = np.full(G.degree, -1)
+        offset[orbit] = np.arange(len(orbit)) * G.degree
+        rows = G.rows(first[orbit])
         inverse = np.empty(rows.size, dtype=np.int32)
-        inverse[offset[orbit][:, None] + rows] = identity_perm(degree)
+        inverse[offset[orbit][:, None] + rows] = identity_perm(G.degree)
         levels.append((point, offset, rows, inverse))
+        columns.append(column)
         at = at[images == point]
-    return levels
+    if classes != G.order:
+        raise ValueError("duplicate elements")
+    return levels, columns, rank
 
 
 def _inverse_images(columns, levels) -> list[np.ndarray]:
@@ -320,10 +311,10 @@ class PermGroup:
         self.degree = int(degree)
         self.order = len(elements)
         self.generators = generators
-        self.base, rank = _base_index(elements)
         self._flat = elements.reshape(-1)
         self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
-        self._columns = [self.column(b) for b in self.base]
+        self._levels, self._columns, rank = _chain(self)
+        self.base = [point for point, *_ in self._levels]
         # the ranks number the elements in the order of their base images, so
         # one scatter sorts them for the insert
         by_key = np.empty_like(rank)
@@ -334,9 +325,8 @@ class PermGroup:
         if not np.array_equal(self.rows(ident), identity_perm(degree)):
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
-        # exact only for a group, which every caller hands over
-        self._inverse = self._locate(_inverse_images(
-            self._columns, _transversals(self._columns, self.base, self.degree, self.rows)))
+        # exact only for a group; a refuted search candidate's is never read
+        self._inverse = self._locate(_inverse_images(self._columns, self._levels))
         self._centralizer_cache: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -552,29 +542,25 @@ def _first_residue(perms: np.ndarray, levels):
     return None if hit is None else (residues(hit[0], hit[0] + 1)[0], hit[1])
 
 
-def _schreier_residue(elements: np.ndarray, gens: np.ndarray, k: int):
-    """The proof that the rows of the orbit search with prefix k are the
-    group: None, or the first residue that refutes it and the least point
+def _schreier_residue(G: PermGroup):
+    """The proof that the elements of G are the group its generators
+    generate: None, or the first residue that refutes it and the least point
     that residue moves.
 
-    Level j's transversal holds, for each point y of its basic orbit, the
-    first row whose key starts (0, ..., j-1, y). Levels whose orbit is {j}
-    hold only the identity and are skipped, but for level 0. From the
-    deepest level up, S(j) is the generators that fix 0..j-1 and the
-    transversal rows picked at level j and deeper, picked (least missing
-    point first) until the orbit of j under S(j), computed on points, is the
-    basic orbit; at level 0 it is the generators. Every Schreier generator
-    of every level must sift to the identity (:func:`_first_residue`).
+    It reads G's own chain (:func:`_chain`). From the deepest level up, S(i)
+    is the generators that fix the points before level i's point and the
+    transversal rows picked at level i and deeper, picked (least missing
+    point first) until the orbit of the level's point under S(i), computed
+    on points, is the level's orbit; at the first level it is the
+    generators. Every Schreier generator of every level must sift to the
+    identity (:func:`_first_residue`).
     """
-    degree = elements.shape[1]
-    levels = [level for level in _transversals([elements[:, j] for j in range(k)], range(k),
-                                               degree, lambda idx: elements[idx].astype(np.int32))
-              if level[0] == 0 or len(level[2]) > 1]
-    picks = np.empty((0, degree), dtype=np.int32)
+    gens, levels = G.generators, G._levels
+    picks = np.empty((0, G.degree), dtype=np.int32)
     for i in reversed(range(len(levels))):
         point, _, rows, _ = levels[i]
         perms = gens
-        if point:
+        if i:
             perms = np.concatenate([gens[(gens[:, :point] == np.arange(point)).all(axis=1)], picks])
             while not (covered := _point_orbit(perms, point)[rows[:, point]]).all():
                 picks = np.concatenate([picks, rows[np.argmin(covered)][None]])
@@ -584,25 +570,33 @@ def _schreier_residue(elements: np.ndarray, gens: np.ndarray, k: int):
     return None
 
 
-def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
-    """Breadth-first closure from the identity, each new layer sorted by
-    image sequence, found as the orbit of a prefix of points.
+def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> PermGroup:
+    """The group the generators generate, enumerated by a breadth-first
+    closure from the identity, each new layer sorted by image sequence, and
+    found as the orbit of a prefix of points.
 
     The search runs over the orbit of the prefix (0, ..., k-1), starting at
     k = 2: a candidate u then g is keyed by its prefix images (g applied to
     u's) and looked up in a :class:`_Trie`, the index :class:`PermGroup`
     keeps of its base images. Only a new key gets a full row, gathered from
-    its parent u and generator g. The keys are the exact orbit of the
-    prefix, so the rows give the exact basic orbits of the stabilizer chain
-    along 0..k-1 and a transversal row for each of their points, and
-    :func:`_schreier_residue` proves the rows closed with them.
+    its parent u and generator g. The rows become a :class:`PermGroup`,
+    whose own chain :func:`_schreier_residue` reads to prove them closed.
+
+    Why that chain is the search's. The keys are the exact orbit of the
+    prefix tuple under the group, so the (j + 1)-point prefixes of the keys
+    outnumber the j-point ones exactly when the basic orbit of j, under the
+    stabilizer of 0..j-1, is nontrivial; then, and only then, j splits a
+    class of rows and joins the greedy base, and no point past the prefix
+    joins, as the keys tell the rows apart. A prefix point left out is fixed
+    by every element fixing the base points before it. So each level holds
+    the exact basic orbit of its point and a transversal row for each point.
 
     Why this is exact. Every row found is a product of generators, and rows
     have distinct keys. If every Schreier generator sifts to the identity,
-    then by downward induction over the levels the products T_{k-1}...T_j of
-    transversal rows are the group S(j) generates, for j >= 1, and
-    T_{k-1}...T_0 is closed under the generators and holds the identity; so
-    the group has as many elements as there are keys, and the rows are the
+    then by downward induction over the levels the products T_m...T_i of
+    transversal rows are the group S(i) generates, for i >= 1, and
+    T_m...T_0 is closed under the generators and holds the identity; so the
+    group has as many elements as there are keys, and the rows are the
     whole group, one per key. Distinct keys then mean distinct elements, so
     the search meets elements in the order a search over whole rows would.
     Two distinct elements differ first at a prefix point, so the
@@ -611,16 +605,17 @@ def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> np.ndarray:
     counts keys, never more than elements.
 
     The restart rule. A residue that is not the identity is an element of
-    the group that fixes the prefix and moves some point p >= k; the prefix
-    is extended through the least such p (k = p + 1) and the search
-    restarts. At k = degree keys are whole rows, so the loop ends.
+    the group that fixes every base point, and so every prefix point, and
+    moves some point p >= k; the prefix is extended through the least such
+    p (k = p + 1) and the search restarts. At k = degree keys are whole
+    rows, so the loop ends. The inverses of a refuted candidate, exact only
+    for a group, are never read.
     """
     k = 2
     while True:
-        elements = _orbit_bfs(degree, gens, k, cap)
-        refuted = _schreier_residue(elements, gens, k)
-        if refuted is None:
-            return elements
+        group = PermGroup(degree, _orbit_bfs(degree, gens, k, cap), gens)
+        if (refuted := _schreier_residue(group)) is None:
+            return group
         k = refuted[1] + 1
 
 
@@ -670,8 +665,7 @@ def parse_group_doc(doc) -> PermGroup:
         if gens
         else np.empty((0, degree), dtype=np.int32)
     )
-    elements = _bfs_enumerate(degree, gen_arr, cap)
-    return PermGroup(degree, elements, gen_arr)
+    return _bfs_enumerate(degree, gen_arr, cap)
 
 
 def affine_generators(nf: NearField) -> np.ndarray:

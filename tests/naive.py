@@ -11,14 +11,22 @@ def line_sets(geom):
     return [set(np.flatnonzero(on).tolist()) for on in geom.incidence]
 
 
+def naive_line_of_pair(geom):
+    """The line of every pair of distinct points, {(p, q): line}, by a loop
+    over the pairs of each line's points; a pair on two lines keeps the
+    last."""
+    return {(p, q): lid for lid, line in enumerate(line_sets(geom))
+            for p, q in itertools.permutations(sorted(line), 2)}
+
+
 def naive_closure(geom, seed):
     """The least superset of ``seed`` holding the line of each of its pairs,
     by a loop over Python sets."""
     lines = line_sets(geom)
-    line_of_pair = geom.line_of_pair.tolist()
+    line_of_pair = naive_line_of_pair(geom)
     current = set(seed)
     while True:
-        joined = {line_of_pair[a][b] for a, b in itertools.permutations(current, 2)}
+        joined = {line_of_pair[a, b] for a, b in itertools.permutations(current, 2)}
         grown = current.union(*(lines[lid] for lid in joined))
         if grown == current:
             return current
@@ -31,11 +39,11 @@ def naive_verdict(geom, point_set):
     lines that do not meet, else None; and the lines inside the set."""
     X = set(point_set)
     lines = line_sets(geom)
-    line_of_pair = geom.line_of_pair.tolist()
+    line_of_pair = naive_line_of_pair(geom)
     inside = [lid for lid, points in enumerate(lines) if points <= X]
     leaves = {}  # line -> whether it leaves X, read once per line
     for a, b in itertools.combinations(sorted(X), 2):
-        lid = line_of_pair[a][b]
+        lid = line_of_pair[a, b]
         if lid not in leaves:
             leaves[lid] = not lines[lid] <= X
         if leaves[lid]:

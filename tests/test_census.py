@@ -240,37 +240,19 @@ def with_lines(G, geom, lines):
     """``geom`` with its lines replaced by ``lines``, a linear space on the
     positions of J, and the k-th nontrivial translation sent to line k mod
     the line count: so p.alpha may name a line that does not hold p."""
-    n = geom.n_points
-    incidence = np.zeros((len(lines), n), dtype=bool)
-    line_of_pair = np.full((n, n), -1)
+    incidence = np.zeros((len(lines), geom.n_points), dtype=bool)
     for lid, line in enumerate(lines):
         incidence[lid, list(line)] = True
-        for a, b in itertools.permutations(line, 2):
-            line_of_pair[a, b] = lid
     trans = _require_certified(G).translations
     nontrivial = trans[trans != G.identity_index]
     line_of_translation = np.full(G.order, -1)
     line_of_translation[nontrivial] = np.arange(len(nontrivial)) % len(lines)
-    return replace(geom, incidence=incidence, line_of_pair=line_of_pair,
-                   line_of_translation=line_of_translation)
-
-
-def pair_off_its_line(geom):
-    """``geom`` with line_of_pair[0, 1] sent to a line holding neither
-    point: the line {2}, appended, when every line holds one."""
-    incidence = geom.incidence
-    away = np.flatnonzero(~geom.incidence[:, 0] & ~geom.incidence[:, 1])
-    if not len(away):
-        incidence = np.vstack([geom.incidence, np.eye(1, geom.n_points, 2, dtype=bool)])
-        away = [len(geom.incidence)]
-    line_of_pair = geom.line_of_pair.copy()
-    line_of_pair[0, 1] = line_of_pair[1, 0] = away[0]
-    return replace(geom, incidence=incidence, line_of_pair=line_of_pair)
+    return replace(geom, incidence=incidence, line_of_translation=line_of_translation)
 
 
 def point_off_its_line(geom):
-    """``geom`` with point 2 taken off the line of (0, 2) in the incidence
-    matrix only; line_of_pair still sends its pairs there."""
+    """``geom`` with point 2 taken off the line of (0, 2), so that the pair
+    (0, 2) is on no line."""
     incidence = geom.incidence.copy()
     incidence[geom.line_of_pair[0, 2], 2] = False
     return replace(geom, incidence=incidence)
@@ -279,19 +261,13 @@ def point_off_its_line(geom):
 GEOMETRY_TAMPERS = {
     "as-built": lambda G, geom, lines: geom,
     "point-off-its-line": lambda G, geom, lines: point_off_its_line(geom),
-    "pair-off-its-line": lambda G, geom, lines: pair_off_its_line(geom),
     "many-lines": with_lines,
-    "many-lines-pair-off-its-line": lambda G, geom, lines: pair_off_its_line(
-        with_lines(G, geom, lines)),
 }
 
 # the message refusing each tamper that breaks an axiom, on the groups of
 # degree 7 and 9
 REFUSALS = {
-    "point-off-its-line": ["pair (0,2) is not on its line 0"] * 2,
-    "pair-off-its-line": ["pair (0,1) is not on its line 1"] * 2,
-    "many-lines-pair-off-its-line": ["pair (0,1) is not on its line 2",
-                                     "pair (0,1) is not on its line 7"],
+    "point-off-its-line": ["pair (0,2) is on no line"] * 2,
 }
 
 
@@ -301,9 +277,9 @@ REFUSALS = {
 def test_covering_witnesses_per_line_match_the_loops(tamper, drop, chunk_cells, monkeypatch):
     """The per-pair test of line-covering against the loops, on the groups of
     degree 7 and 9. "many-lines" lays the Fano plane or AG(2,3) over J, so
-    some p lie off the line of p.alpha. The other tampers break an axiom of
-    the geometry (a point off its line, a pair sent to a line that misses
-    it), so they are refused when built and no covering is read on them.
+    some p lie off the line of p.alpha. "point-off-its-line" breaks an axiom
+    of the geometry (a pair on no line), so it is refused when built and no
+    covering is read on it.
     With one translation dropped X_alpha misses a point, and some lines
     leave it."""
     monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
@@ -324,15 +300,16 @@ def test_covering_witnesses_per_line_match_the_loops(tamper, drop, chunk_cells, 
 
 def test_a_pair_sent_off_its_line_is_refused():
     """Every pair of the 7 involutions of AGL(1,7) made a line of two
-    points, and line_of_pair sending the pair (0, 1) to the line {0, 2}:
-    the geometry is refused when built, so no covering scan reads a pair
-    off its line."""
+    points: the line of each pair is derived from the incidence, so the pair
+    (0, 1) is on the line {0, 1}, and a map sending it elsewhere is refused
+    as an input, so no covering scan reads a pair off its line."""
     G = affine_group(make_field(7, 1))
     lines = list(itertools.combinations(range(7), 2))
     geom = with_lines(G, build_geometry(G), lines)
+    assert geom.line_of_pair[0, 1] == geom.line_of_pair[1, 0] == lines.index((0, 1))
     line_of_pair = geom.line_of_pair.copy()
     line_of_pair[0, 1] = line_of_pair[1, 0] = lines.index((0, 2))
-    with pytest.raises(CharacterizationMismatch, match=r"^pair \(0,1\) is not on its line 1$"):
+    with pytest.raises(ValueError, match="line_of_pair is declared with init=False"):
         replace(geom, line_of_pair=line_of_pair)
 
 

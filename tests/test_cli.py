@@ -8,13 +8,14 @@ import sys
 
 import pytest
 
+from involq import catalog as catalog_mod
 from involq import geometry as geometry_mod
 from involq import s2t
 from involq.catalog import CatalogEntry, build_entry, find_entry, run_catalog
 from involq.cli import main
 from involq.config import max_group_order
 from involq.errors import (CharacterizationMismatch, CharacteristicAnomaly, CharacteristicTwo,
-                           InvolqError)
+                           InputError, InvolqError)
 from involq.pipeline import census_target, recover_target, run_verify, verify_group
 from involq.reporting import Check, CheckReport
 
@@ -52,6 +53,35 @@ def test_catalog_ids_unique_and_params_valid():
         if e.degree <= 9:  # keep the test quick; larger entries build elsewhere
             G = build_entry(e)
             assert G.degree == e.degree
+
+
+def test_find_entry_builds_the_catalog_only_up_to_the_named_degree(tmp_path, monkeypatch):
+    """A lookup builds no catalog for a document path, and only the entries
+    up to the degree an id names, whatever the bound; every id of the
+    degree-529 catalog still finds its entry, and an id past the bound, or
+    of no entry, finds none."""
+    every = run_catalog(529)
+    bounds = []
+    full = catalog_mod.run_catalog
+
+    def spy(max_degree=121):
+        bounds.append(max_degree)
+        return full(max_degree)
+
+    monkeypatch.setattr(catalog_mod, "run_catalog", spy)
+    doc = tmp_path / "sym4.json"
+    doc.write_text(json.dumps({"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]}))
+    assert find_entry(str(doc), 10**9) is None and bounds == []
+    assert find_entry("agl-field-5", 10**9) == next(e for e in every if e.id == "agl-field-5")
+    assert bounds and max(bounds) <= 5
+    assert all(find_entry(entry.id, 529) == entry for entry in every)
+    for entry_id, bound in [("agl-field-7", 5), ("agl-dickson-3-2", 8), ("agl-field-6", 121),
+                            ("agl-field-05", 121), ("agl-dickson-3-4", 121),
+                            ("agl-dickson-3-1000000", 10**9), ("agl-field-1", 121),
+                            ("agl-field-" + "9" * 5000, 121), ("sym4-fixture", 3)]:
+        assert find_entry(entry_id, bound) is None, entry_id
+    with pytest.raises(InputError, match="need max_degree >= 3, got 2"):
+        find_entry(str(doc), 2)
 
 
 def test_build_entry_refuses_an_unknown_family():

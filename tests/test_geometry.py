@@ -30,7 +30,7 @@ from involq.geometry import close_point_masks, no_plane_verdicts
 from involq.reporting import least_cell
 from involq.s2t import _require_certified, certify_sharply_2_transitive
 from conftest import tamper_sets
-from naive import line_sets, naive_closure, naive_verdict
+from naive import line_sets, naive_closure, naive_line_of_pair, naive_verdict
 
 CODES = {None: 0, "a": 1, "b": 2}  # no_plane_verdicts code of each failed hypothesis
 
@@ -921,14 +921,9 @@ def hand_geometry(lines, n_points) -> Geometry:
     and no translation has a line."""
     lines = sorted(tuple(sorted(line)) for line in lines)
     incidence = np.zeros((len(lines), n_points), dtype=bool)
-    line_of_pair = np.full((n_points, n_points), -1)
     for lid, line in enumerate(lines):
         incidence[lid, list(line)] = True
-        for a in line:
-            for b in line:
-                if a != b:
-                    line_of_pair[a, b] = lid
-    return Geometry(np.arange(n_points), (), incidence, line_of_pair, np.empty(0, dtype=np.int64))
+    return Geometry(np.arange(n_points), (), incidence, np.empty(0, dtype=np.int64))
 
 
 FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
@@ -1100,12 +1095,9 @@ def test_kernels_match_naive_loops_on_small_subsets(geom):
     assert_kernels_match_naive(geom, seeds)
 
 
-@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
-def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
+def test_kernels_match_naive_loops_on_the_stage_seeds():
     """The 100 seeds of the no_proper_plane stage on every odd catalog entry
-    of degree <= 31. Neither kernel builds in chunks, so the default chunk
-    size and one row per chunk give the same rows."""
-    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
+    of degree <= 31."""
     odd = [e for e in run_catalog(31)
            if e.expected_certified and e.expected_characteristic != 2]
     for entry in odd:
@@ -1119,18 +1111,9 @@ def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
 ONE_POINT_LINE = hand_geometry([(0, 1, 2), (0, 3), (1, 3), (2, 3), (3,)], 4)
 
 
-def fano_with_pair_off_its_line():
-    """The Fano plane with line_of_pair[0, 1] sent to the line {2, 3, 5},
-    which holds neither point: member counts alone would pass {0, 1, 3},
-    yet the line read for the pair (0, 1) leaves it."""
-    line_of_pair = FANO.line_of_pair.copy()
-    line_of_pair[0, 1] = line_of_pair[1, 0] = line_sets(FANO).index({2, 3, 5})
-    return replace(FANO, line_of_pair=line_of_pair)
-
-
 def with_point_off_its_line(geom, lid, point):
-    """A hand geometry with ``point`` taken off line ``lid``, whose pairs
-    with ``point`` line_of_pair still sends there."""
+    """A hand geometry with ``point`` taken off line ``lid``, so that its
+    pairs with the other points of that line are on no line."""
     incidence = geom.incidence.copy()
     incidence[lid, point] = False
     return replace(geom, incidence=incidence)
@@ -1138,20 +1121,21 @@ def with_point_off_its_line(geom, lid, point):
 
 # geometries that break an axiom, each with the message that refuses it
 BROKEN = {
-    "Fano-pair-off-its-line": (fano_with_pair_off_its_line, "pair (0,1) is not on its line 5"),
     "PG(3,2)-point-off-its-line": (lambda: with_point_off_its_line(PG32, 0, 0),
-                                   "pair (0,1) is not on its line 0"),
+                                   "pair (0,1) is on no line"),
     "AG(2,3)-point-off-its-line": (lambda: with_point_off_its_line(AG23, 3, 5),
-                                   "pair (0,5) is not on its line 3"),
+                                   "pair (0,5) is on no line"),
+    "Fano-line-dropped": (lambda: hand_geometry(FANO_LINES[1:], 7), "pair (0,1) is on no line"),
     "Fano-line-doubled": (lambda: hand_geometry(FANO_LINES + [(0, 1, 3)], 7),
                           "lines 0 and 1 share 3 points"),
 }
 
 
 def test_the_premise_of_the_per_line_test():
-    """Every pair lies on its line and two lines share at most one point: a
+    """Every pair lies on a line and two lines share at most one point: a
     Geometry checks both when it is built, by its constructor or by
-    dataclasses.replace, and is frozen after."""
+    dataclasses.replace, and is frozen after. The line of a pair is derived
+    from the incidence, so no pair can be sent off its line."""
     for geom in (FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE):
         inc = geom.incidence.astype(int)
         assert (np.triu(inc @ inc.T, 1) <= 1).all()
@@ -1160,22 +1144,39 @@ def test_the_premise_of_the_per_line_test():
     for make, message in BROKEN.values():
         with pytest.raises(CharacterizationMismatch, match=f"^{re.escape(message)}$"):
             make()
-    line_of_pair = FANO.line_of_pair.copy()
-    line_of_pair[0, 1] = -1
-    with pytest.raises(CharacterizationMismatch, match=r"^pair \(0,1\) is not on its line -1$"):
-        replace(FANO, line_of_pair=line_of_pair)
+    with pytest.raises(ValueError, match="line_of_pair is declared with init=False"):
+        replace(FANO, line_of_pair=FANO.line_of_pair)
     with pytest.raises(FrozenInstanceError):
         FANO.incidence = AG22.incidence
     with pytest.raises(ValueError, match="read-only"):
         FANO.line_of_pair[0, 1] = 5
 
 
+HAND = {"Fano": FANO, "AG(2,2)": AG22, "AG(2,3)": AG23, "PG(2,3)": PG23, "PG(3,2)": PG32,
+        "one-point-line": ONE_POINT_LINE}
+
+
+@pytest.mark.parametrize("name", [*HAND, *(e.id for e in run_catalog(31)
+                                           if e.expected_certified
+                                           and e.expected_characteristic != 2)])
+def test_the_line_of_each_pair_is_derived_from_the_incidence(name):
+    """line_of_pair equals the pair -> line map of a loop over the pairs of
+    each line's points, on the hand geometries and every odd catalog entry
+    of degree <= 31, and is -1 on the diagonal only."""
+    geom = HAND[name] if name in HAND else build_geometry(build_entry(find_entry(name)))
+    expected = np.full((geom.n_points,) * 2, -1)
+    for (p, q), lid in naive_line_of_pair(geom).items():
+        expected[p, q] = lid
+    assert np.array_equal(geom.line_of_pair, expected)
+    assert (np.diag(expected) == -1).all() and (expected + np.eye(geom.n_points) >= 0).all()
+
+
 @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
 @pytest.mark.parametrize("geom", [
     FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE,
-    "Fano-pair-off-its-line", "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line",
+    "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line",
 ], ids=["Fano", "AG(2,2)", "AG(2,3)", "PG(2,3)", "PG(3,2)", "one-point-line",
-        "Fano-pair-off-its-line", "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line"])
+        "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line"])
 def test_verdicts_match_naive_loops_on_random_masks(geom, chunk_cells, monkeypatch):
     """Seeded random point sets of every density and their closures, at the
     default chunk size and at one row per chunk, which no kernel here reads.

@@ -5,6 +5,7 @@ the vectorized paths, plus hand-frozen element lists for the BFS order.
 """
 
 import json
+import random
 import tracemalloc
 from itertools import permutations
 from pathlib import Path
@@ -31,7 +32,7 @@ from involq import permgroup, reporting
 from involq.config import max_group_order
 from involq.permgroup import PermGroup, as_perm, member_mask
 from involq.reporting import least_cell_in_chunks
-from involq.catalog import SYM4_DOC
+from involq.catalog import SYM4_DOC, build_entry, find_entry
 from naive import naive_order
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
@@ -235,6 +236,30 @@ def test_prefix_keys_restart_where_rows_with_one_key_differ(monkeypatch):
     assert calls == [2, 3]
 
 
+def test_one_chain_walk_per_search(monkeypatch):
+    """The rows of each search are walked once, by the constructor, and the
+    proof reads that group's chain: as many walks as searches, 2 for S4, 3
+    for S3 on points 2..4 and 1 for the first document of the ingest
+    benchmark's seed-1 pass, which the search with prefix 2 proves."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, ingest_document, known_answers
+
+    entry_id = WORKLOADS["ingest"].entries[0]
+    ingested = ingest_document(build_entry(find_entry(entry_id)).elements,
+                               known_answers(entry_id), 2, random.Random(1))
+    searches, walks = [], []
+    orbit_bfs, chain = permgroup._orbit_bfs, permgroup._chain
+    monkeypatch.setattr(permgroup, "_orbit_bfs",
+                        lambda *args: searches.append(args[2]) or orbit_bfs(*args))
+    monkeypatch.setattr(permgroup, "_chain", lambda G: walks.append(G) or chain(G))
+    for doc, count in [(SYM4_DOC, 2), (S3_ON_POINTS_2_TO_4_DOC, 3), (ingested, 1)]:
+        searches.clear()
+        walks.clear()
+        G = parse_group_doc(doc)
+        assert len(searches) == len(walks) == count
+        assert walks[-1] is G
+
+
 @pytest.mark.parametrize("doc, k, residue, point", [
     (S3_ON_POINTS_2_TO_4_DOC, 2, [0, 1, 3, 4, 2], 2),
     (S3_ON_POINTS_2_TO_4_DOC, 3, [0, 1, 2, 4, 3], 3),
@@ -252,7 +277,7 @@ def test_the_proof_refutes_a_prefix_that_is_no_base(doc, k, residue, point):
     themselves; S4 at k = 2 has 12 rows, and the residue is (2 3)."""
     gens = np.array(doc["generators"], dtype=np.int32)
     rows = permgroup._orbit_bfs(doc["degree"], gens, k, max_group_order())
-    refuted = permgroup._schreier_residue(rows, gens, k)
+    refuted = permgroup._schreier_residue(PermGroup(doc["degree"], rows, gens))
     if residue is None:
         assert refuted is None and len(rows) == parse_group_doc(doc).order
     else:
@@ -693,7 +718,7 @@ def test_nothing_reads_the_element_array_after_construction(monkeypatch):
     """With ``G.elements`` replaced after construction by an object that
     raises on any access, every stage gives the same output: only the
     group's own reads (images, rows, column) touch the elements."""
-    from involq.catalog import build_entry, run_catalog
+    from involq.catalog import run_catalog
     from involq.pipeline import census_target, recover_target, verify_group
 
     doc = str(Path(__file__).parent / "data" / "dickson-9-relabelled.json")
