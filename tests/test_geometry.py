@@ -1095,9 +1095,12 @@ def test_kernels_match_naive_loops_on_small_subsets(geom):
     assert_kernels_match_naive(geom, seeds)
 
 
-def test_kernels_match_naive_loops_on_the_stage_seeds():
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
     """The 100 seeds of the no_proper_plane stage on every odd catalog entry
-    of degree <= 31."""
+    of degree <= 31. Neither kernel builds in chunks, so the default chunk
+    size and one row per chunk give the same rows."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     odd = [e for e in run_catalog(31)
            if e.expected_certified and e.expected_characteristic != 2]
     for entry in odd:
