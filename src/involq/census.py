@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import Geometry
 from .permgroup import PermGroup, centralizer, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
-from .s2t import _require_odd_characteristic
+from .s2t import _require_odd_characteristic, triple_products
 
 DEFAULT_ALPHA_CAP = 100
 
@@ -90,7 +90,7 @@ def census(G: PermGroup) -> CensusReport:
     khat_constant = len(sizes) == 1
     khat = sorted(sizes)[0]
 
-    j3 = sets.j3
+    j3 = triple_products(G)
     j3_size = len(j3)
 
     sample, complete = _alpha_sample(j3)
@@ -140,7 +140,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     # pair-product fibers: how many (r, s) in J x J give each element
     fiber = np.bincount(sets.jj.ravel(), minlength=G.order)
 
-    j3 = sets.j3
+    j3 = triple_products(G)
     sample, complete = _alpha_sample(j3)
     products, in_x = _x_alpha_masks(G, sets, sample)
 

@@ -30,16 +30,18 @@ class, filled in by conjugation, and a class is read off one conjugation
 pass without a sort.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
-lexicographic order of its image sequences. A document's group is found by a
-breadth-first search over the orbit of the prefix of points 0..k-1, keyed by
-the prefix images through the same kind of trie, one table per prefix point,
-so no row is hashed and only new elements get whole rows. The rows become a
-group whose chain holds the exact basic orbits along the prefix, and they
-are proved to be the whole group when every Schreier generator sifts
-through that chain to the identity (a Schreier-Sims verification). A
-residue that is not the identity fixes the prefix, which then grows through
-the least point the residue moves, and the search restarts
-(:func:`_bfs_enumerate`).
+lexicographic order of its image sequences. A document's group is built
+from a stabilizer chain on points, by Schreier-Sims along the greedy base
+(:func:`_stabilizer_chain`): each level's orbit and transversal come from a
+Schreier tree on points, every Schreier generator off the tree sifts
+through the deeper levels to the identity, and a residue that does not
+extends the chain in place. So the base and the order, the product of the
+orbit sizes, are known, and the order cap checked, before any element row
+exists. The transversals give every element's base images, and so a dense
+index in lexicographic order; the breadth-first layers are computed over
+that index from one successor table per generator, and each row is written
+once, at its final position, as a product of transversal rows
+(:func:`_enumerate`).
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -50,7 +52,9 @@ near-field.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .nearfield import NearField, _require_axioms
-from .reporting import chunk_rows, least_cell_in_chunks
+from .reporting import chunk_rows, least_cell, least_cell_in_chunks
 
 # ---------------------------------------------------------------------------
 # single-permutation helpers
@@ -233,12 +237,7 @@ def _chain(G: PermGroup):
         first = np.full(G.degree, G.order)
         np.minimum.at(first, images, at)
         orbit = np.flatnonzero(first < G.order)
-        offset = np.full(G.degree, -1)
-        offset[orbit] = np.arange(len(orbit)) * G.degree
-        rows = G.rows(first[orbit])
-        inverse = np.empty(rows.size, dtype=np.int32)
-        inverse[offset[orbit][:, None] + rows] = identity_perm(G.degree)
-        levels.append((point, offset, rows, inverse))
+        levels.append(_level(point, orbit, G.rows(first[orbit])))
         columns.append(column)
         at = at[images == point]
     if classes != G.order:
@@ -246,16 +245,39 @@ def _chain(G: PermGroup):
     return levels, columns, rank
 
 
-def _inverse_images(columns, levels) -> list[np.ndarray]:
-    """The images of the base points under the inverse of every element,
-    from its images of them and the transversals of the base: sifting
-    writes a = t_{m-1} ... t_0 (a then-product, one transversal row t_i per
-    level), so a^-1 = t_0^-1 ... t_{m-1}^-1. O(order |base|^2) gathers."""
-    images = list(columns)  # of each base point under the residue left so far
+def _level(point: int, orbit: np.ndarray, rows: np.ndarray):
+    """A chain level (point, offset, rows, inverse): ``rows[i]`` sends point
+    to ``orbit[i]``, the orbit ascending; ``offset[y]`` is where y's row
+    starts in the flat rows, -1 off the orbit; ``inverse`` holds the inverse
+    rows, flat, at the same offsets."""
+    degree = rows.shape[1]
+    offset = np.full(degree, -1)
+    offset[orbit] = np.arange(len(orbit)) * degree
+    inverse = np.empty(rows.size, dtype=np.int32)
+    inverse[offset[orbit][:, None] + rows] = identity_perm(degree)
+    return point, offset, rows, inverse
+
+
+def _factors(images, levels) -> list[np.ndarray]:
+    """Sift base images through the transversals of a chain: for each level,
+    the offset of the transversal row that sends its point where the element
+    does, once the rows of the earlier levels are divided out. An element a
+    is the then-product t_m-1 ... t_0 of those rows."""
+    images = list(images)  # of each base point under the residue left so far
     factors = []
     for i, (_, offset, _, inverse) in enumerate(levels):
         factors.append(offset[images[i]])
         images[i + 1:] = [inverse[factors[-1] + x] for x in images[i + 1:]]
+    return factors
+
+
+def _inverse_images(columns, levels) -> list[np.ndarray]:
+    """The images of the base points under the inverse of every element,
+    from its images of them and the transversals of the base: sifting
+    writes a = t_{m-1} ... t_0 (a then-product, one transversal row t_i per
+    level, :func:`_factors`), so a^-1 = t_0^-1 ... t_{m-1}^-1.
+    O(order |base|^2) gathers."""
+    factors = _factors(columns, levels)
     inverted = []
     for point, *_ in levels:
         for factor, (_, _, _, inverse) in zip(factors, levels):
@@ -279,15 +301,15 @@ class PermGroup:
     never index the (order, degree) array in two dimensions. The columns
     hold |base| int32 cells per element; the flat array holds every element
     cell, in the narrowest unsigned type for the degree (``_cell_type``).
-    ``affine_group`` and the orbit search fill that type directly; any other
-    array is narrowed once, after a range check.
+    ``affine_group`` and the document enumeration fill that type directly;
+    any other array is narrowed once, after a range check.
 
     The constructor takes ownership of its input arrays. An element array
     already of the cell type and C-contiguous, and a C-contiguous int32
     generator array, are stored as they are, without a copy, and made
-    read-only in the caller's hands too. ``affine_group`` and the orbit
-    search hand over arrays they built, and a copy would double the peak
-    of a large build.
+    read-only in the caller's hands too. ``affine_group`` and the document
+    enumeration hand over arrays they built, and a copy would double the
+    peak of a large build.
 
     Element cells are read, once the flat array is set, only by
     :meth:`images`, :meth:`rows` and :meth:`column`, which widen what they
@@ -325,7 +347,7 @@ class PermGroup:
         if not np.array_equal(self.rows(ident), identity_perm(degree)):
             raise ValueError("identity missing from element list")
         self.identity_index = int(ident)
-        # exact only for a group; a refuted search candidate's is never read
+        # exact only when the rows are a group
         self._inverse = self._locate(_inverse_images(self._columns, self._levels))
         self._centralizer_cache: dict[int, np.ndarray] = {}
 
@@ -419,204 +441,261 @@ class PermGroup:
 # ingestion
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # a gather indexed by cells first copies them to intp, so its row chunks are
 # sized by the bytes of that copy
 _INDEX_BYTES = np.dtype(np.intp).itemsize
 
 
-def _lex_words(keys: np.ndarray, degree: int) -> np.ndarray:
-    """One int64 per column of the (k, n) ``keys`` that orders the columns
-    as image sequences and tells them apart: radix-degree digits, with the
-    partial word replaced by its rank among the columns wherever one more
-    digit could overflow, so it is exact at any k."""
-    word = np.zeros(keys.shape[1], dtype=np.int64)
-    bound = 0  # no word exceeds it
-    for images in keys:
-        if bound > (_INT64_MAX - degree) // degree:
-            word = np.unique(word, return_inverse=True)[1]
-            bound = len(word)
-        word = word * degree + images
-        bound = bound * degree + degree - 1
-    return word
+def _schreier_tree(point: int, gens: np.ndarray):
+    """The orbit of point under the rows gens, as a chain level in the form
+    of :func:`_chain`, with a Schreier tree: each orbit point y but point
+    has a parent x and a generator s with s(x) = y, and its row t_y is t_x
+    then s, so every row is a product of generators along the tree, and the
+    row of point is the identity. Also returns the mask of the tree edges:
+    edge ``s * len(orbit) + i`` is generator s at the i-th orbit point, and
+    for a tree edge t_y s is the row of s(y), so its Schreier generator
+    t_y s t_s(y)^-1 is the identity and is never built.
 
-
-def _orbit_bfs(degree: int, gens: np.ndarray, k: int, cap: int) -> np.ndarray:
-    """Breadth-first search over the orbit of the prefix (0, ..., k-1).
-
-    Returns the rows found, one per key, in layers sorted by key, the
-    identity first. The search runs on keys alone and records each new key's
-    tree edge; the rows are then filled, layer by layer from those edges,
-    into one array of the final size, so no layer is held twice.
+    The tree grows by whole chains of one generator at a time, the
+    generators taken in turn until none adds a point: each point that s
+    reaches by repeated steps from the points found is hung from its
+    predecessor under s. Its nearest found predecessor, and the number of
+    steps from it, take logarithmic rounds of pointer jumping, and its row
+    is that predecessor's row then a power of s; so a long cycle costs a
+    few rounds, where a breadth-first search takes one round per step.
     """
-    index = _Trie(degree, k)
-    layer = identity_perm(degree)[:k, None]  # the keys of a layer, one column per row
-    index.insert(layer, [0])
-    edges = []
-    count = 1
-    while layer.shape[1]:
-        # column u * len(gens) + g is the key of u then g: g of u's prefix
-        keys = np.take(gens.T, layer, axis=0).reshape(k, -1)
-        fresh = np.flatnonzero(index.lookup(keys) < 0)
-        word = _lex_words(keys[:, fresh], degree)
-        order = np.argsort(word)
-        fresh, word = fresh[order], word[order]
-        # the least edge with a new key is its tree edge, whatever order
-        # argsort leaves equal words in
-        built = np.minimum.reduceat(fresh, np.flatnonzero(_run_starts(word)))
-        if count + len(built) > cap:
-            raise OrderCapExceeded(f"group order exceeds cap {cap}")
-        # the layer's rows start at count - its size; edges number u * len(gens) + g
-        # over all rows u
-        edges.append((count - layer.shape[1]) * len(gens) + built)
-        layer = keys[:, built]
-        index.insert(layer, np.arange(count, count + len(built)))
-        count += len(built)
-
-    # full rows only for the new elements, from their tree edges, layer by
-    # layer (a parent is in the layer before), generator by generator, in row
-    # chunks
-    elements = np.empty((count, degree), dtype=_cell_type(degree))
-    elements[0] = identity_perm(degree)
-    start, step = 1, chunk_rows(degree * _INDEX_BYTES)
-    for edge in edges:
-        parent, by = np.divmod(edge, len(gens))
-        for g, perm in enumerate(gens.astype(elements.dtype)):
-            made = np.flatnonzero(by == g)
-            for lo in range(0, len(made), step):
-                rows = made[lo:lo + step]
-                elements[start + rows] = np.take(perm, elements[parent[rows]])
-        start += len(edge)
-    return elements
+    degree = gens.shape[1]
+    every = identity_perm(degree)
+    rows = np.empty((degree, degree), dtype=np.int32)  # rows[y] = t_y, for y found
+    rows[point] = every
+    found = np.zeros(degree, dtype=bool)
+    found[point] = True
+    parent = np.full(degree, -1)
+    by = np.full(degree, -1)
+    idle, g = 0, 0  # generators in a row that added nothing, the next one
+    while idle < len(gens) and not found.all():
+        s = gens[g]
+        back = np.empty_like(s)
+        back[s] = every
+        # the nearest found point before each point on its chain under s
+        anchor = np.where(found, every, back)
+        steps = (~found).astype(np.int64)
+        for _ in range((degree - 1).bit_length()):
+            steps, anchor = steps + steps[anchor], anchor[anchor]
+        new = np.flatnonzero(~found & found[anchor])
+        if len(new):
+            power, lift = every[None], s  # s^0, ..., s^(len(power) - 1); s^len(power)
+            while len(power) <= steps[new].max():
+                power = np.concatenate([power, lift[power]])
+                lift = lift[lift]
+            rows[new] = power.reshape(-1)[(steps[new] * degree)[:, None] + rows[anchor[new]]]
+            parent[new] = back[new]
+            by[new] = g
+            found[new] = True
+        idle = 1 if len(new) else idle + 1
+        g = (g + 1) % len(gens)
+    orbit = np.flatnonzero(found)
+    level = _level(point, orbit, rows[orbit])
+    child = orbit[by[orbit] >= 0]
+    tree = np.zeros(len(gens) * len(orbit), dtype=bool)
+    tree[by[child] * len(orbit) + level[1][parent[child]] // degree] = True
+    return level, tree
 
 
 def _sift(residues: np.ndarray, levels) -> np.ndarray:
-    """Each row r times the inverse of the transversal element of each level
-    in turn, the one that sends the level's point where r does: after a
-    level, the rows fix its point."""
+    """Each row r times the inverse of the transversal row of each level in
+    turn, the one that sends the level's point where r does: after a level,
+    the rows fix its point. A row that sends the point off the orbit is
+    divided by the level's first row, the identity, so it still moves the
+    point, and every deeper row fixes that point."""
     for point, offset, _, inverse in levels:
-        residues = inverse[offset[residues[:, point]][:, None] + residues]
+        at = np.maximum(offset[residues[:, point]], 0)
+        residues = inverse[at[:, None] + residues]
     return residues
 
 
-def _point_orbit(perms: np.ndarray, point: int) -> np.ndarray:
-    """Mask of the orbit of point under the group the rows perms generate,
-    computed on points only.
-
-    Each point carries a label, a point of its orbit, starting as itself. A
-    round lowers the labels of x and s(x) to the lesser of the two, for every
-    row s, then replaces each label by the label of that label; once a round
-    changes nothing, the labels agree along every row, so each orbit carries
-    one label. The least label spreads at least one step a round, so there are
-    at most one more rounds than the orbit's diameter; the jumps make them
-    logarithmic on a long cycle (10 rounds on a 1,000-cycle), where a
-    breadth-first search takes one round per step."""
-    label = np.arange(perms.shape[1])
-    while True:
-        low = label.copy()
-        for s in perms:
-            np.minimum(low, low[s], out=low)
-            low[s] = np.minimum(low[s], low)
-        low = low[low]
-        if np.array_equal(low, label):
-            return label == label[point]
-        label = low
-
-
-def _first_residue(perms: np.ndarray, levels):
+def _first_residue(levels, gens: np.ndarray, tree: np.ndarray, start: int):
     """The first Schreier generator t_y s t_s(y)^-1 of levels[0], for s in
-    the rows perms and y in the level's orbit (s-major), whose sift through
-    the deeper levels is not the identity: as that residue and the least
-    point it moves, or None. That sift is the sift of t_y s through every
-    level, built and sifted in chunks of the (s, y) pairs."""
+    the rows gens and y in the level's orbit (s-major), from candidate
+    ``start`` on and off the tree edges, whose sift through the deeper
+    levels is not the identity: as its candidate number, that residue and
+    the least point it moves, or None. That sift is the sift of t_y s
+    through every level. The candidates are built and sifted in chunks that
+    double up to the chunk size, as a residue is often among the first."""
     rows = levels[0][2]
     degree = rows.shape[1]
+    todo = np.flatnonzero(~tree[start:]) + start
 
     def residues(lo, hi):
-        s, y = np.divmod(np.arange(lo, hi), len(rows))
-        return _sift(perms.reshape(-1)[(s * degree)[:, None] + rows[y]], levels)  # t_y then s
+        s, y = np.divmod(todo[lo:hi], len(rows))
+        return _sift(gens.reshape(-1)[(s * degree)[:, None] + rows[y]], levels)  # t_y then s
 
     identity = identity_perm(degree)
-    hit = least_cell_in_chunks(lambda lo, hi: residues(lo, hi) != identity,
-                               len(perms) * len(rows), degree * _INDEX_BYTES)
-    return None if hit is None else (residues(hit[0], hit[0] + 1)[0], hit[1])
-
-
-def _schreier_residue(G: PermGroup):
-    """The proof that the elements of G are the group its generators
-    generate: None, or the first residue that refutes it and the least point
-    that residue moves.
-
-    It reads G's own chain (:func:`_chain`). From the deepest level up, S(i)
-    is the generators that fix the points before level i's point and the
-    transversal rows picked at level i and deeper, picked (least missing
-    point first) until the orbit of the level's point under S(i), computed
-    on points, is the level's orbit; at the first level it is the
-    generators. Every Schreier generator of every level must sift to the
-    identity (:func:`_first_residue`).
-    """
-    gens, levels = G.generators, G._levels
-    picks = np.empty((0, G.degree), dtype=np.int32)
-    for i in reversed(range(len(levels))):
-        point, _, rows, _ = levels[i]
-        perms = gens
-        if i:
-            perms = np.concatenate([gens[(gens[:, :point] == np.arange(point)).all(axis=1)], picks])
-            while not (covered := _point_orbit(perms, point)[rows[:, point]]).all():
-                picks = np.concatenate([picks, rows[np.argmin(covered)][None]])
-                perms = np.concatenate([perms, picks[-1:]])
-        if refuted := _first_residue(perms, levels[i:]):
-            return refuted
+    lo, step = 0, 32
+    while lo < len(todo):
+        hi = min(lo + step, len(todo))
+        if (hit := least_cell(residues(lo, hi) != identity)) is not None:
+            at = lo + hit[0]
+            return int(todo[at]), residues(at, at + 1)[0], hit[1]
+        lo, step = hi, min(2 * step, chunk_rows(degree * _INDEX_BYTES))
     return None
 
 
-def _bfs_enumerate(degree: int, gens: np.ndarray, cap: int) -> PermGroup:
-    """The group the generators generate, enumerated by a breadth-first
-    closure from the identity, each new layer sorted by image sequence, and
-    found as the orbit of a prefix of points.
+def _stabilizer_chain(gens: np.ndarray, cap: int) -> list:
+    """The stabilizer chain of the group the rows gens generate, along its
+    greedy base, by Schreier-Sims on points (Sims 1970; Seress, *Permutation
+    Group Algorithms*, 2003, ch. 4): levels in the form of :func:`_chain`.
 
-    The search runs over the orbit of the prefix (0, ..., k-1), starting at
-    k = 2: a candidate u then g is keyed by its prefix images (g applied to
-    u's) and looked up in a :class:`_Trie`, the index :class:`PermGroup`
-    keeps of its base images. Only a new key gets a full row, gathered from
-    its parent u and generator g. The rows become a :class:`PermGroup`,
-    whose own chain :func:`_schreier_residue` reads to prove them closed.
+    Level l keeps strong generators S(l), all fixing every point before its
+    point b_l, and the Schreier tree of b_l under them
+    (:func:`_schreier_tree`). At first b_0 < b_1 < ... are the least points
+    the generators move, and S(l) the generators moving none before b_l.
+    The proof runs from the deepest level up: every Schreier generator of
+    level i must sift through the deeper levels to the identity
+    (:func:`_first_residue`). A residue that does not is an element fixing
+    every point before the least point p it moves; it joins S(l) for the
+    levels past i up to the level of p, which is made, with the strong
+    generators of the next deeper level (they fix p), if p is no base point
+    yet. Those levels are rebuilt and proved again from the level of p up,
+    and level i resumes after the refuting candidate: every candidate that
+    sifted to the identity is in the group the deeper levels generate, which
+    only grows, so it still sifts to the identity once they are proved. No
+    search starts over.
 
-    Why that chain is the search's. The keys are the exact orbit of the
-    prefix tuple under the group, so the (j + 1)-point prefixes of the keys
-    outnumber the j-point ones exactly when the basic orbit of j, under the
-    stabilizer of 0..j-1, is nontrivial; then, and only then, j splits a
-    class of rows and joins the greedy base, and no point past the prefix
-    joins, as the keys tell the rows apart. A prefix point left out is fixed
-    by every element fixing the base points before it. So each level holds
-    the exact basic orbit of its point and a transversal row for each point.
-
-    Why this is exact. Every row found is a product of generators, and rows
-    have distinct keys. If every Schreier generator sifts to the identity,
-    then by downward induction over the levels the products T_m...T_i of
-    transversal rows are the group S(i) generates, for i >= 1, and
-    T_m...T_0 is closed under the generators and holds the identity; so the
-    group has as many elements as there are keys, and the rows are the
-    whole group, one per key. Distinct keys then mean distinct elements, so
-    the search meets elements in the order a search over whole rows would.
-    Two distinct elements differ first at a prefix point, so the
-    lexicographic order of their keys is that of their image sequences, and
-    sorting a new layer by key sorts it by image sequence. The order cap
-    counts keys, never more than elements.
-
-    The restart rule. A residue that is not the identity is an element of
-    the group that fixes every base point, and so every prefix point, and
-    moves some point p >= k; the prefix is extended through the least such
-    p (k = p + 1) and the search restarts. At k = degree keys are whole
-    rows, so the loop ends. The inverses of a refuted candidate, exact only
-    for a group, are never read.
+    Why the chain is exact. Once every level is proved, S(l + 1) generates
+    the stabilizer of b_l in the group S(l) generates (Schreier's lemma), so
+    the orbits are the basic orbits and the order is their product. The
+    group S(l) generates fixes every point before b_l and moves b_l, so b_l
+    is the least point moved by the pointwise stabilizer of the points
+    before it: the greedy base, the one :func:`_chain` finds in the rows.
+    Distinct transversal products have distinct base images, so the product
+    of the orbit sizes never exceeds the group order, and the order cap is
+    checked on it whenever a level is built, before any element row exists.
     """
-    k = 2
-    while True:
-        group = PermGroup(degree, _orbit_bfs(degree, gens, k, cap), gens)
-        if (refuted := _schreier_residue(group)) is None:
-            return group
-        k = refuted[1] + 1
+    degree = gens.shape[1]
+    moved = gens != identity_perm(degree)
+    least = np.where(moved.any(axis=1), moved.argmax(axis=1), degree)
+    points, strong, levels, trees = [], [], [], []
+
+    def build(l):
+        levels[l], trees[l] = _schreier_tree(points[l], strong[l])
+        if prod(len(level[2]) for level in levels if level is not None) > cap:
+            raise OrderCapExceeded(f"group order exceeds cap {cap}")
+
+    for point in sorted(set(least[least < degree].tolist())):
+        points.append(point)
+        strong.append(gens[least >= point])
+        levels.append(None)
+        trees.append(None)
+        build(len(points) - 1)
+    checked = [0] * len(points)  # candidates proved, per level
+    i = len(points) - 1
+    while i >= 0:
+        refuted = _first_residue(levels[i:], strong[i], trees[i], checked[i])
+        if refuted is None:
+            i -= 1
+            continue
+        checked[i], residue, p = refuted[0] + 1, refuted[1], refuted[2]
+        j = bisect_left(points, p)
+        if j == len(points) or points[j] != p:
+            points.insert(j, p)
+            strong.insert(j, strong[j] if j < len(strong) else gens[:0])
+            levels.insert(j, None)
+            trees.insert(j, None)
+            checked.insert(j, 0)
+        for l in range(i + 1, j + 1):
+            strong[l] = np.concatenate([strong[l], residue[None]])
+            checked[l] = 0
+            build(l)
+        i = j
+    return levels
+
+
+def _lex_index(levels):
+    """Each element of the chain, numbered by its transversal digits (i_0,
+    ..., i_m-1), the first level's most significant: the element t_0 ... t_m-1
+    (a composition of functions: t_m-1, the i_m-1-th row of the last level,
+    acts first). Returns its index in the lexicographic order of the
+    elements' image sequences, and the images of the base points.
+
+    The image of b_l depends on the digits up to i_l only, and those sharing
+    the digits before i_l send b_l onto a whole orbit of images, one per
+    i_l: so the lexicographic rank of an element is the mixed-radix number
+    of the ranks of its images among those sets. Two distinct elements of a
+    group first differ at a point of its greedy base, so that order of base
+    images is the order of whole rows. The images of b_l keep one axis per
+    digit, of length 1 past i_l, so that they broadcast together.
+    """
+    sizes = [len(rows) for _, _, rows, _ in levels]
+    lex = np.zeros((), dtype=np.int64)
+    images = []
+    for l, (_, offset, _, _) in enumerate(levels):
+        image = np.flatnonzero(offset >= 0)
+        for _, _, rows, _ in reversed(levels[:l]):
+            image = rows[:, image]  # one more leading digit
+        lex = lex[..., None] * sizes[l] + np.argsort(np.argsort(image, axis=-1), axis=-1)
+        images.append(image.reshape(image.shape + (1,) * (len(levels) - 1 - l)))
+    return lex.reshape(-1), images
+
+
+def _enumerate(gens: np.ndarray, levels) -> np.ndarray:
+    """The elements of the chain as rows, in enumeration order: breadth-first
+    from the identity, each new layer in the lexicographic order of its
+    image sequences.
+
+    The search runs on the lexicographic index (:func:`_lex_index`), over
+    one successor table per generator: the successor of a under s is found
+    by sifting the images of the base points under a then s
+    (:func:`_factors`). A layer is the distinct unvisited successors of the
+    one before in index order, so in the order of image sequences; the
+    identity has index 0. A large layer is found by marking it over every
+    index, a small one by a sort, so a search of many small layers (a long
+    cycle) pays no pass over the group per layer. Each row is then written once, at its final
+    position, as a product of transversal rows: the first k levels' product,
+    one table per prefix of digits, applied to the products of the other
+    levels, one gather per prefix; k balances the prefixes against the
+    rows of those products.
+    """
+    degree = gens.shape[1]
+    sizes = [len(rows) for _, _, rows, _ in levels]
+    order = prod(sizes)
+    lex, images = _lex_index(levels)
+    successor = np.empty((len(gens), order), dtype=np.int64)
+    for s, perm in zip(successor, gens):
+        digits = np.int64(0)  # times degree: the factors are row offsets
+        for factor, size in zip(_factors([perm[image] for image in images], levels), sizes):
+            digits = digits * size + factor
+        s[lex] = lex[digits.reshape(-1) // degree]
+
+    seen = np.zeros(order, dtype=bool)
+    seen[0] = True
+    layers = [np.zeros(1, dtype=np.int64)]
+    while len(layers[-1]):
+        reached = successor[:, layers[-1]].reshape(-1)
+        if 64 * len(reached) < order:
+            layers.append(distinct(reached[~seen[reached]]))
+        else:
+            mark = np.zeros(order, dtype=bool)
+            mark[reached] = True
+            layers.append(np.flatnonzero(mark & ~seen))
+        seen[layers[-1]] = True
+    position = np.empty(order, dtype=np.int64)
+    position[np.concatenate(layers)] = np.arange(order)
+    position = position[lex]  # by digits
+
+    prefixes = [prod(sizes[:k]) for k in range(len(sizes) + 1)]
+    k = min(range(len(prefixes)), key=lambda k: (max(prefixes[k], order // prefixes[k]), -k))
+    head = identity_perm(degree)[None]
+    for _, _, rows, _ in levels[:k]:
+        head = head[:, rows].reshape(-1, degree)
+    tail = identity_perm(degree)[None]
+    for _, _, rows, _ in reversed(levels[k:]):
+        tail = rows[:, tail].reshape(-1, degree)
+    elements = np.empty((order, degree), dtype=_cell_type(degree))
+    tail = np.ascontiguousarray(tail, dtype=np.intp)  # the gathers leave it column-major
+    for p, row in enumerate(head.astype(elements.dtype)):
+        elements[position[p * len(tail):(p + 1) * len(tail)]] = np.take(row, tail)
+    return elements
 
 
 def _is_int(x) -> bool:
@@ -665,7 +744,7 @@ def parse_group_doc(doc) -> PermGroup:
         if gens
         else np.empty((0, degree), dtype=np.int32)
     )
-    return _bfs_enumerate(degree, gen_arr, cap)
+    return PermGroup(degree, _enumerate(gen_arr, _stabilizer_chain(gen_arr, cap)), gen_arr)
 
 
 def affine_generators(nf: NearField) -> np.ndarray:

@@ -7,21 +7,23 @@ permutation characteristic (2 when involutions are fixed-point-free, else
 the common prime order of nontrivial translations) and the conjugacy-class
 flags. A certified group also gets its CertifiedSets, built once as
 read-only arrays: J, the J x J table, the translations (all products of two
-involutions), the conjugation table of J and J.J.J.
+involutions) and the conjugation table of J. J.J.J is built apart, on its
+first read (:func:`triple_products`): only the census reads it.
 
 In odd characteristic certification raises CharacteristicAnomaly unless
 involution -> fixed point is a bijection onto the points; then h^-1 j h is the
 involution fixing h(fix j), so conjugates of J are gathers, not group products.
 
-This module alone caches both, keyed weakly by the group, so a dropped group
-frees them. Every later stage (geometry, splitting, census) reads the same
-sets through _require_certified or _require_odd_characteristic.
+This module alone caches all three, keyed weakly by the group, so a dropped
+group frees them. Every later stage (geometry, splitting, census) reads the
+same sets through _require_certified or _require_odd_characteristic.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -61,7 +63,6 @@ class CertifiedSets:
     translations: np.ndarray        # sorted J.J, and J too in characteristic 2
     fix_points: np.ndarray | None   # J position -> fixed point
     j_conj: np.ndarray | None       # row k: the J positions of k^-1 j k
-    j3: np.ndarray | None           # sorted J.J.J
 
     def __post_init__(self):
         for array in vars(self).values():
@@ -69,8 +70,10 @@ class CertifiedSets:
                 array.setflags(write=False)
 
 
-# group -> (certificate, its sets or None): entries go with their groups
+# group -> (certificate, its sets or None), and group -> J.J.J: entries go
+# with their groups
 _certified: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_triples: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _involution_indices(G: PermGroup) -> np.ndarray:
@@ -85,8 +88,33 @@ def _translation_indices(j: np.ndarray, jj: np.ndarray, char_two: bool) -> np.nd
     return distinct(np.append(jj, j) if char_two else jj)
 
 
+def _perm_order(row) -> int:
+    """The order of one permutation row: the lcm of its cycle lengths."""
+    images, seen, order = row.tolist(), [False] * len(row), 1
+    for start in range(len(images)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x], x, length = True, images[x], length + 1
+        order = lcm(order, max(length, 1))
+    return order
+
+
+def _powers(G: PermGroup, idxs: np.ndarray, n: int) -> np.ndarray:
+    """The n-th powers of the elements idxs, by square-and-multiply over
+    G.mul: about 2 log2(n) rounds."""
+    power, square = np.full(len(idxs), G.identity_index), idxs
+    while n:
+        if n & 1:
+            power = G.mul(power, square)
+        n >>= 1
+        if n:
+            square = G.mul(square, square)
+    return power
+
+
 def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
-    """Orders of the elements idxs, from their powers taken all at once."""
+    """Orders of the elements idxs, from their powers taken all at once: one
+    G.mul round per unit of the largest order."""
     orders = np.zeros(len(idxs), dtype=np.int64)
     power = np.asarray(idxs)
     n = 1
@@ -154,23 +182,25 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
 
     trans = _translation_indices(j_idx, jj, fix is None)
     nontrivial = trans[trans != G.identity_index]
-    p, j3, j2_single = 2, None, None
+    p, j2_single = 2, None
     if fix is not None:
-        orders = distinct(_element_orders(G, nontrivial)).tolist()
-        if len(orders) != 1:
-            raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
-        p = orders[0]
-        if not is_prime(p):
+        # fix is a bijection, so there are degree >= 3 involutions, and two
+        # distinct ones give a nontrivial translation. With p the order of
+        # the first, the orders are one prime exactly when p is prime and
+        # every p-th power is the identity; only a refusal computes them all
+        p = _perm_order(G.rows(int(nontrivial[0])))
+        if not is_prime(p) or (_powers(G, nontrivial, p) != G.identity_index).any():
+            orders = distinct(_element_orders(G, nontrivial)).tolist()
+            if len(orders) != 1:
+                raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
             raise CharacteristicAnomaly(f"translation order {p} is not prime")
-        j3 = distinct(G.mul(j_idx[:, None], trans[None, :]))
-        # one order, so the nontrivial translations are not empty
         j2_single = np.array_equal(conjugacy_class(G, int(nontrivial[0])), nontrivial)
 
     j_single = np.array_equal(conjugacy_class(G, int(j_idx[0])), j_idx)
     cert = S2TCertificate(d, order, True, True, True, involution_count=len(j_idx),
                           fixed_point_profile=profile, characteristic=p,
                           j_single_class=j_single, j2_single_class=j2_single)
-    return cert, CertifiedSets(j_idx, jpos, jj, trans, fix, j_conj, j3)
+    return cert, CertifiedSets(j_idx, jpos, jj, trans, fix, j_conj)
 
 
 def _require_certified(G: PermGroup) -> CertifiedSets:
@@ -187,6 +217,18 @@ def _require_odd_characteristic(G: PermGroup) -> CertifiedSets:
     if sets.fix_points is None:
         raise CharacteristicTwo("involutions have no fixed points in characteristic 2")
     return sets
+
+
+def triple_products(G: PermGroup) -> np.ndarray:
+    """Element indices of J.J.J, sorted and read-only, in odd characteristic:
+    J times the translations, built on the first read and cached for the
+    life of G."""
+    sets = _require_odd_characteristic(G)
+    if G not in _triples:
+        j3 = distinct(G.mul(sets.j[:, None], sets.translations[None, :]))
+        j3.setflags(write=False)
+        _triples[G] = j3
+    return _triples[G]
 
 
 def involutions(G: PermGroup) -> np.ndarray:

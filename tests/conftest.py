@@ -107,8 +107,8 @@ def d9_relabelled(d9_relabelled_doc):
 
 
 def c2_power_doc(k):
-    """(C2)^k on 2k points: generator i swaps the points 2i and 2i+1. Only the
-    prefix of points 0..2k-2 tells its elements apart."""
+    """(C2)^k on 2k points: generator i swaps the points 2i and 2i+1. Its
+    greedy base is the points 0, 2, ..., 2k-2."""
     gens = []
     for i in range(k):
         g = list(range(2 * k))
@@ -119,7 +119,7 @@ def c2_power_doc(k):
 
 @pytest.fixture(scope="session")
 def c2_10_doc():
-    """Degree 20, order 1,024: its 19-point keys overflow an int64 radix-20 key."""
+    """Degree 20, order 1,024, a base of 10 points."""
     return c2_power_doc(10)
 
 

@@ -284,12 +284,12 @@ def test_tables_fit_in_one_element_array(name, request):
 
 @pytest.mark.parametrize("doc", ["c2_15_doc", "dickson_121_relabelled_doc"])
 def test_search_tables_fit_in_twice_their_rows(doc, request, monkeypatch):
-    """The search inserts one sorted batch per layer, and its tables grow by
-    doubling: each holds at most twice its rows in use, a row per prefix
-    inserted plus the absent row. The last search's trie answers each
-    element's prefix with its index, as the group's own trie answers its
-    base images."""
-    tries = []
+    """A parse builds one trie, the group's own: the search runs on the
+    lexicographic index of the chain on points, and keys nothing. Each table
+    holds at most twice its rows in use, a row per prefix inserted plus the
+    absent row, and the trie answers each element's base images with its
+    index."""
+    doc, tries = request.getfixturevalue(doc), []
 
     class Recorded(permgroup._Trie):
         def __init__(self, degree, depth):
@@ -297,15 +297,12 @@ def test_search_tables_fit_in_twice_their_rows(doc, request, monkeypatch):
             tries.append(self)
 
     monkeypatch.setattr(permgroup, "_Trie", Recorded)
-    G = parse_group_doc(request.getfixturevalue(doc))
-    assert tries[-1] is G._trie
-    for trie in tries[:-1]:
-        for table, rows in zip(trie.tables, trie.rows):
-            assert table.size <= 2 * rows * G.degree
-            assert rows <= G.order + 1
-    search = tries[-2]
-    prefix = G.elements[:, :len(search.tables)].T
-    assert np.array_equal(search.lookup(prefix), np.arange(G.order))
+    G = parse_group_doc(doc)
+    assert tries == [G._trie]
+    for table, rows in zip(G._trie.tables, G._trie.rows):
+        assert table.size <= 2 * rows * G.degree
+        assert rows <= G.order + 1
+    assert np.array_equal(G._trie.lookup(G._columns), np.arange(G.order))
 
 
 @pytest.mark.parametrize("name", ["agl_f9_relabelled", "sym4", "c2_15"])

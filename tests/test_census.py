@@ -22,7 +22,7 @@ from involq import (
     verify_xalpha_covering,
 )
 from involq import reporting
-from involq.s2t import _require_certified
+from involq.s2t import _require_certified, triple_products
 from conftest import tamper_sets
 
 # the package's name `census` is the function, so reach the module by its path
@@ -160,7 +160,7 @@ def naive_covering_witnesses(G, geom):
     khat = len(centralizer(G, next(t for t in sets.translations.tolist()
                                    if t != G.identity_index)))
     lines = [set(np.flatnonzero(row).tolist()) for row in geom.incidence]
-    sample, _ = census_mod._alpha_sample(sets.j3)
+    sample, _ = census_mod._alpha_sample(triple_products(G))
     cover = saturation = fiber = None
     for alpha in sample.tolist():
         in_x = [int(G.mul(J[p], alpha)) in trans for p in range(n)]
@@ -214,7 +214,7 @@ def test_covering_witnesses_on_tampered_inputs_match_the_loops(tamper, chunk_cel
             monkeypatch.setattr(census_mod, "_alpha_sample", lambda j3: (j3[::-1], True))
         elif tamper == "point-line-saturation":
             geom = with_lines(G, geom, lines)
-            alpha = int(sets.j3[0])
+            alpha = int(triple_products(G)[0])
             kept = {min(line - {0}) for line in map(set, lines) if 0 in line}
             far = [p for p in range(1, geom.n_points) if p not in kept]
             tamper_sets(monkeypatch, G, translations=np.setdiff1d(
@@ -325,7 +325,7 @@ def test_a_point_off_its_covered_line_goes_to_the_cube(monkeypatch):
     sets = tamper_sets(monkeypatch, G,
                        translations=np.delete(_require_certified(G).translations, 1))
     monkeypatch.setattr(census_mod, "_alpha_sample", lambda j3: (j3[:1], True))
-    alpha = int(sets.j3[0])
+    alpha = int(triple_products(G)[0])
     (q,) = np.flatnonzero(~np.isin(G.mul(sets.j, alpha), sets.translations))
     covered = next(lid for lid, line in enumerate(FANO_LINES) if q not in line)
     line_of_translation = np.where(geom.line_of_translation >= 0, covered, -1)

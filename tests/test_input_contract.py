@@ -1,7 +1,8 @@
 """The input contract as a property: whatever document or INVOLQ_ORDER_CAP
 value ``involq verify``, ``recover`` or ``census`` is given, it exits 0, 1
 or 2, exit 2 prints ``input error:``, and no exception escapes ``cli.main``
-(on the command line that would be a traceback).
+(on the command line that would be a traceback). Small documents of large
+groups keep it too, in a subprocess under a memory limit.
 
 Runs in-process with stdout and stderr captured, over random bytes, JSON
 values of the wrong shape, mutated valid documents (the relabelled catalog
@@ -14,7 +15,11 @@ import contextlib
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -123,3 +128,39 @@ def test_mutated_documents_keep_the_contract(command, doc):
                  max_size=6))
 def test_order_cap_values_keep_the_contract(command, cap):
     assert_contract(*run_cli([command[0], "agl-field-5", *command[1:]], cap))
+
+
+def symmetric_doc(degree: int) -> dict:
+    """S_degree by a degree-cycle and a transposition."""
+    return {"degree": degree, "generators": [[*range(1, degree), 0], [1, 0, *range(2, degree)]]}
+
+
+MEMORY_LIMIT = 512 * 2**20  # address space of the subprocess, in bytes
+
+
+@pytest.mark.parametrize("doc, message", [
+    (symmetric_doc(100), "verification failure: group order exceeds cap 1000000"),
+    (symmetric_doc(300), "verification failure: group order exceeds cap 1000000"),
+    (symmetric_doc(1000), "verification failure: group order exceeds cap 1000000"),
+    ({"degree": 1000, "generators": [[*range(1, 1000), 0]]},
+     "verification failure: certificate failed: {'check': 'order'"),
+], ids=["sym-100", "sym-300", "sym-1000", "cyclic-1000"])
+def test_small_documents_of_large_degree_end_in_a_message(doc, message, tmp_path):
+    """``involq recover`` on a document of a few KB, in a subprocess whose
+    address space this test limits to 512 MiB, exits 1 with a message and
+    no traceback. S_100, S_300 and S_1000 are refused by their order before
+    any element row is built; the 1,000-cycle is enumerated (order 1,000)
+    and fails the certificate. Enumerating S_1000's 999,000 rows of a
+    2-point prefix took 3.5 GB and ended in a numpy MemoryError traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "INVOLQ_ORDER_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", "from involq.cli import entrypoint; entrypoint()"]
+    proc = subprocess.run(
+        [*command, "recover", str(path)], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT)))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(message), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -37,6 +37,9 @@ from naive import naive_order
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
 S3_ON_POINTS_2_TO_4_DOC = {"degree": 5, "generators": [[0, 1, 3, 4, 2], [0, 1, 3, 2, 4]]}
+# S4 by (2 3) and (0 1 2 3): the generators move 0 and 2 first, and a
+# residue makes a level at 1, between those two
+BETWEEN_LEVELS_DOC = {"degree": 4, "generators": [[0, 1, 3, 2], [1, 2, 3, 0]]}
 
 # breadth-first from the identity, generators in document order, each layer
 # sorted by image sequence; derived by hand from the composition convention
@@ -139,22 +142,22 @@ ENUMERATED_DOCS = [
     "c2_10_doc",  # a fixture
     S3_ON_POINTS_2_TO_4_DOC,
     "dickson_121_relabelled_doc",  # a fixture
-    # S5, whose stabilizer of point 0 fixes no generator: the proof must pick
-    # transversal rows into it, or it passes 60 of its 120 elements
+    # S5, whose stabilizer of point 0 holds no generator: every strong
+    # generator past the first level comes from a residue
     {"degree": 5, "generators": [[1, 0, 2, 4, 3], [4, 1, 3, 0, 2]]},
+    BETWEEN_LEVELS_DOC,
 ]
 ENUMERATED_IDS = ["s3", "sym4", "degree-2", "no-generators", "repeated-and-identity",
                   "d9-relabelled", "images-above-255", "c2-power-10", "s3-on-points-2-to-4",
-                  "dickson-121-relabelled", "s5-by-picked-rows"]
+                  "dickson-121-relabelled", "s5-by-picked-rows", "base-point-between-levels"]
 
 
 @pytest.mark.parametrize("doc", ENUMERATED_DOCS, ids=ENUMERATED_IDS)
 def test_enumeration_order_matches_oracle(doc, request):
-    """The oracle compares whole rows. Besides the two-point keys of sharply
-    2-transitive groups, the inputs reach the restart: sym4 (a 3-point
-    prefix), S3 fixing points 0 and 1 (every element shares the key of the
-    identity until the prefix holds points 2 and 3), and (C2)^10, whose
-    19-point prefix is past any int64 key of radix 20."""
+    """The oracle compares whole rows. Besides the two-point bases of sharply
+    2-transitive groups, the inputs reach longer chains: sym4 (3 base
+    points), S3 fixing points 0 and 1 (base 2, 3), S4 with a level made
+    between two others, and (C2)^10, with 10 base points."""
     if isinstance(doc, str):
         doc = request.getfixturevalue(doc)
     gens = [np.array(g, dtype=np.int32) for g in doc["generators"]]
@@ -180,12 +183,69 @@ def test_order_matches_sympy(doc, request):
     assert S.order() == parse_group_doc(doc).order
 
 
+def sympy_levels(doc):
+    """(point, orbit size) along the greedy base, by sympy: each point the
+    least one moved by the pointwise stabilizer of the points before it."""
+    comb = pytest.importorskip("sympy.combinatorics")
+    G = comb.PermutationGroup([comb.Permutation(g) for g in doc["generators"]]
+                              or [comb.Permutation(list(range(doc["degree"])))])
+    levels, S = [], G
+    while moved := [p for g in S.generators for p in g.support()]:
+        point = min(moved)
+        levels.append((point, len(S.orbit(point))))
+        S = G.pointwise_stabilizer([point for point, _ in levels])
+    return levels
+
+
+@pytest.mark.parametrize("doc", ENUMERATED_DOCS + ["c2_15_doc"] + DATA_DOCS,
+                         ids=ENUMERATED_IDS + ["c2-power-15"] + [p.stem for p in DATA_DOCS])
+def test_base_matches_sympy(doc, request):
+    """The chain on points runs along sympy's greedy base, with sympy's
+    basic orbit sizes, and so does the chain the group walks in its rows
+    (where the trivial group takes point 0, with an orbit of one point)."""
+    if isinstance(doc, Path):
+        doc = json.loads(doc.read_text())
+    elif isinstance(doc, str):
+        doc = request.getfixturevalue(doc)
+    expected = sympy_levels(doc)
+    gens = np.array(doc["generators"], dtype=np.int32).reshape(-1, doc["degree"])
+    chain = permgroup._stabilizer_chain(gens, max_group_order())
+    assert [(point, len(rows)) for point, _, rows, _ in chain] == expected
+    G = parse_group_doc(doc)
+    assert [(point, len(rows)) for point, _, rows, _ in G._levels] == (expected or [(0, 1)])
+
+
+def test_random_generator_sets_have_sympys_base():
+    """The chain on points of random documents of degree 2..9 with 0..3
+    generators, and at times a repeated generator or the identity, runs
+    along sympy's greedy base with sympy's basic orbit sizes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def documents(draw):
+        degree = draw(st.integers(2, 9))
+        generators = draw(st.lists(st.permutations(range(degree)), max_size=3))
+        if generators and draw(st.booleans()):
+            generators.append(draw(st.sampled_from([*generators, list(range(degree))])))
+        return {"degree": degree, "generators": generators}
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(documents())
+    def check(doc):
+        gens = np.array(doc["generators"], dtype=np.int32).reshape(-1, doc["degree"])
+        chain = permgroup._stabilizer_chain(gens, max_group_order())
+        assert [(point, len(rows)) for point, _, rows, _ in chain] == sympy_levels(doc)
+
+    check()
+
+
 @pytest.mark.slow
 def test_random_generator_sets_enumerate_like_the_oracle():
     """A property over random documents of degree 2..9 with 0..3 generators,
     and at times a repeated generator or the identity put among them: many
-    prefixes of two points are no base for the groups drawn (S_n and A_n
-    among them), so the restart runs. The rows equal the oracle's, row for
+    groups drawn need residues at several levels (S_n and A_n among them).
+    The rows equal the oracle's, row for
     row, the order is sympy's, and every element times its inverse is the
     identity. Marked slow: the oracle's Python loop over S_9 alone takes
     2 s, and far longer under a line tracer."""
@@ -217,71 +277,60 @@ def test_random_generator_sets_enumerate_like_the_oracle():
     check()
 
 
-def test_prefix_keys_restart_where_rows_with_one_key_differ(monkeypatch):
-    """Each restart extends the prefix through the point where two rows with
-    one key first differ: S3 on points 2..4 is searched with prefixes of 2,
-    3 and 4 points, S4 with prefixes of 2 and 3."""
-    calls = []
-    orbit_bfs = permgroup._orbit_bfs
-
-    def spy(degree, gens, k, cap):
-        calls.append(k)
-        return orbit_bfs(degree, gens, k, cap)
-
-    monkeypatch.setattr(permgroup, "_orbit_bfs", spy)
-    assert parse_group_doc(S3_ON_POINTS_2_TO_4_DOC).order == 6
-    assert calls == [2, 3, 4]
-    calls.clear()
-    assert parse_group_doc(SYM4_DOC).order == 24
-    assert calls == [2, 3]
-
-
 def test_one_chain_walk_per_search(monkeypatch):
-    """The rows of each search are walked once, by the constructor, and the
-    proof reads that group's chain: as many walks as searches, 2 for S4, 3
-    for S3 on points 2..4 and 1 for the first document of the ingest
-    benchmark's seed-1 pass, which the search with prefix 2 proves."""
+    """A parse builds one stabilizer chain on points, enumerates it once, and
+    the constructor walks the rows once: one of each for S4, for S3 on points
+    2..4 (whose residue makes a level at point 3, which no generator moves
+    first) and for the first document of the ingest benchmark's seed-1 pass.
+    No search starts over."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import WORKLOADS, ingest_document, known_answers
 
     entry_id = WORKLOADS["ingest"].entries[0]
     ingested = ingest_document(build_entry(find_entry(entry_id)).elements,
                                known_answers(entry_id), 2, random.Random(1))
-    searches, walks = [], []
-    orbit_bfs, chain = permgroup._orbit_bfs, permgroup._chain
-    monkeypatch.setattr(permgroup, "_orbit_bfs",
-                        lambda *args: searches.append(args[2]) or orbit_bfs(*args))
+    chains, enumerations, walks = [], [], []
+    stabilizer_chain, enumerate_, chain = (permgroup._stabilizer_chain, permgroup._enumerate,
+                                           permgroup._chain)
+    monkeypatch.setattr(permgroup, "_stabilizer_chain",
+                        lambda *args: chains.append(args) or stabilizer_chain(*args))
+    monkeypatch.setattr(permgroup, "_enumerate",
+                        lambda *args: enumerations.append(args) or enumerate_(*args))
     monkeypatch.setattr(permgroup, "_chain", lambda G: walks.append(G) or chain(G))
-    for doc, count in [(SYM4_DOC, 2), (S3_ON_POINTS_2_TO_4_DOC, 3), (ingested, 1)]:
-        searches.clear()
-        walks.clear()
+    for doc in [SYM4_DOC, S3_ON_POINTS_2_TO_4_DOC, ingested]:
+        for calls in (chains, enumerations, walks):
+            calls.clear()
         G = parse_group_doc(doc)
-        assert len(searches) == len(walks) == count
-        assert walks[-1] is G
+        assert len(chains) == len(enumerations) == 1
+        assert walks == [G]
 
 
-@pytest.mark.parametrize("doc, k, residue, point", [
-    (S3_ON_POINTS_2_TO_4_DOC, 2, [0, 1, 3, 4, 2], 2),
-    (S3_ON_POINTS_2_TO_4_DOC, 3, [0, 1, 2, 4, 3], 3),
-    (S3_ON_POINTS_2_TO_4_DOC, 4, None, None),
-    (SYM4_DOC, 2, [0, 1, 3, 2], 2),
-    (SYM4_DOC, 3, None, None),
-], ids=["s3-on-points-2-to-4-k2", "s3-on-points-2-to-4-k3", "s3-on-points-2-to-4-k4",
-        "sym4-k2", "sym4-k3"])
-def test_the_proof_refutes_a_prefix_that_is_no_base(doc, k, residue, point):
-    """Fed the search rows of a prefix that is no base, the proof returns a
-    residue that is not the identity -- an element that fixes the prefix --
-    and the least point it moves, through which the search restarts; fed
-    the rows of a base, it returns None. S3 on points 2..4 at k = 2 has one
-    row and only level 0, whose Schreier generators are the generators
-    themselves; S4 at k = 2 has 12 rows, and the residue is (2 3)."""
-    gens = np.array(doc["generators"], dtype=np.int32)
-    rows = permgroup._orbit_bfs(doc["degree"], gens, k, max_group_order())
-    refuted = permgroup._schreier_residue(PermGroup(doc["degree"], rows, gens))
-    if residue is None:
-        assert refuted is None and len(rows) == parse_group_doc(doc).order
-    else:
-        assert refuted[0].tolist() == residue and refuted[1] == point
+@pytest.mark.parametrize("doc, residues, levels", [
+    (S3_ON_POINTS_2_TO_4_DOC, [([0, 1, 2, 4, 3], 3)], [(2, 3), (3, 2)]),
+    (SYM4_DOC, [([0, 3, 1, 2], 1), ([0, 1, 3, 2], 2)], [(0, 4), (1, 3), (2, 2)]),
+    (BETWEEN_LEVELS_DOC, [([0, 2, 1, 3], 1)], [(0, 4), (1, 3), (2, 2)]),
+], ids=["s3-on-points-2-to-4", "sym4", "base-point-between-levels"])
+def test_residues_extend_the_chain_at_the_least_point_they_move(doc, residues, levels,
+                                                                monkeypatch):
+    """Each residue the proof finds, with the least point it moves, and the
+    levels (point, orbit size) it leaves. The generators of S3 on points
+    2..4 move 2 first, and the residue (3 4) makes a level at 3; S4 grows a
+    level at 1 and then one at 2; the generators (2 3) and (0 1 2 3) make
+    levels at 0 and 2, and the residue (1 2) makes one between them."""
+    found = []
+    first_residue = permgroup._first_residue
+
+    def spy(*args):
+        refuted = first_residue(*args)
+        if refuted is not None:
+            found.append((refuted[1].tolist(), refuted[2]))
+        return refuted
+
+    monkeypatch.setattr(permgroup, "_first_residue", spy)
+    chain = permgroup._stabilizer_chain(np.array(doc["generators"], dtype=np.int32),
+                                        max_group_order())
+    assert found == residues
+    assert [(point, len(rows)) for point, _, rows, _ in chain] == levels
 
 
 def point_orbit_oracle(perms, point):
@@ -297,10 +346,13 @@ def point_orbit_oracle(perms, point):
 
 
 def test_point_orbits_match_a_search_on_points():
-    """The orbit of every point under random sets of 0..3 rows of degree
-    1..40, dense (random permutations) and sparse (one cycle on a random
-    subset each), is the set a search on points finds; a 1,000-cycle's
-    orbit of 0 is every point."""
+    """The Schreier tree of every point under random sets of 0..3 rows of
+    degree 1..40, dense (random permutations) and sparse (one cycle on a
+    random subset each), holds the orbit a search on points finds, in
+    ascending order, and a row per orbit point that sends the point there;
+    it has one tree edge per point but the root, and along each, the
+    parent's row then the generator is the child's row. A 1,000-cycle's
+    orbit of 0 is every point, its rows the powers of the cycle."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         degree, m = int(rng.integers(1, 41)), int(rng.integers(0, 4))
@@ -312,43 +364,48 @@ def test_point_orbits_match_a_search_on_points():
                 cycle = rng.choice(degree, int(rng.integers(1, degree + 1)), replace=False)
                 s[cycle] = np.roll(cycle, 1)
         for point in range(degree):
-            orbit = permgroup._point_orbit(perms, point)
-            assert set(np.flatnonzero(orbit).tolist()) == point_orbit_oracle(perms, point)
+            (_, offset, rows, _), tree = permgroup._schreier_tree(point, perms)
+            orbit = np.flatnonzero(offset >= 0)
+            assert set(orbit.tolist()) == point_orbit_oracle(perms, point)
+            assert np.array_equal(rows[:, point], orbit)
+            assert (np.sort(rows, axis=1) == np.arange(degree)).all()
+            assert np.count_nonzero(tree) == len(orbit) - 1
+            for s, i in zip(*np.divmod(np.flatnonzero(tree), len(orbit))):
+                child = offset[perms[s][orbit[i]]] // degree
+                assert np.array_equal(perms[s][rows[i]], rows[child])
     cycle = np.roll(np.arange(1000, dtype=np.int32), -1)[None]
-    assert permgroup._point_orbit(cycle, 0).all()
+    (_, offset, rows, _), _ = permgroup._schreier_tree(0, cycle)
+    assert (offset >= 0).all()
+    assert np.array_equal(rows, (np.arange(1000)[:, None] + np.arange(1000)) % 1000)
 
 
-def test_prefix_words_are_exact_past_int64():
-    """Sort words of 19 columns of radix 20 (20^19 > 2^63) order and tell
-    apart the columns as tuples do."""
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 20, size=(19, 400))
-    keys[:, 200:] = keys[:, :200]  # repeated columns
-    keys[18, 300:] = (keys[18, 300:] + 1) % 20  # and ones differing in the last digit only
-    words = permgroup._lex_words(keys, 20)
-    tuples = [tuple(c) for c in keys.T.tolist()]
-    for a in range(0, 400, 7):
-        for b in range(400):
-            assert (words[a] < words[b]) == (tuples[a] < tuples[b])
-            assert (words[a] == words[b]) == (tuples[a] == tuples[b])
+def test_prefix_words_are_exact_past_int64(c2_15_doc):
+    """The lexicographic index of the chain of (C2)^15, whose 15 base images
+    of radix 30 pass any int64 word (30^15 > 2^63), numbers its 32,768
+    elements 0..32,767 in the order of their base images as tuples."""
+    gens = np.array(c2_15_doc["generators"], dtype=np.int32)
+    lex, images = permgroup._lex_index(permgroup._stabilizer_chain(gens, max_group_order()))
+    tuples = [tuple(row) for row in np.stack(np.broadcast_arrays(*images), axis=-1)
+              .reshape(len(lex), -1).tolist()]
+    assert sorted(lex.tolist()) == list(range(2**15))
+    assert [tuples[i] for i in np.argsort(lex)] == sorted(tuples)
 
 
 def test_orbit_search_holds_the_element_array_once(dickson_121_relabelled_doc):
-    """The search runs on prefix keys and fills the rows into one array of
-    the final size, so its traced peak is the element array (14,520 rows of
-    121 points: 1.7 MiB of uint8 cells, 6.7 MiB as int32) plus under 5 MiB of
-    keys, tables and row chunks; keeping every layer of int32 rows and
-    concatenating them at the end peaked at 14.3 MiB."""
-    doc = dickson_121_relabelled_doc
-    gens = np.array(doc["generators"], dtype=np.int32)
+    """The parse writes each row once, at its final position, into one
+    array of the final size, so its traced peak is the element array
+    (14,520 rows of 121 points: 1.7 MiB of uint8 cells) plus under 5 MiB of
+    chain, index and successor tables and of the constructor's tables;
+    keeping every layer of int32 rows and concatenating them at the end
+    peaked at 14.3 MiB."""
     tracemalloc.start()
     try:
-        elements = permgroup._orbit_bfs(doc["degree"], gens, 2, max_group_order())
+        G = parse_group_doc(dickson_121_relabelled_doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elements.shape == (14520, 121)
-    assert peak < elements.nbytes + 5 * 2**20
+    assert G.order == 14520
+    assert peak < G.order * G.degree + 5 * 2**20
 
 
 def test_constructor_inverts_through_transversals_below_one_cell_per_element():
