@@ -22,12 +22,15 @@ tables one base level at a time, reading each level's images with one 1-D
 gather from the flattened element array at ``row * degree + point``, the
 points taken from a column; so products, inverses, conjugates, membership
 tests, centralizers and conjugacy classes are vectorized scans over index
-arrays, and no scan indexes the element array in two dimensions. Inverses
-are found once, in the constructor, by sifting each element's base images
-through the stabilizer chain of the base, built with the base in one walk
-over the points (:func:`_chain`). One centralizer scan serves a whole
-class, filled in by conjugation, and a class is read off one conjugation
-pass without a sort.
+arrays, and no scan indexes the element array in two dimensions. The
+constructor takes a stabilizer chain of the base: the one a document's
+parse proved, or, for a group given by its rows, one found in one walk over
+the points (:func:`_chain`). From the orbit sizes of the chain and the
+element at each lexicographic rank of the base images, it fills each trie
+table once, at its final size, and it finds every inverse by sifting each
+element's base images through the chain's transversals. One centralizer
+scan serves a whole class, filled in by conjugation, and a class is read
+off one conjugation pass without a sort.
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is built
@@ -41,7 +44,8 @@ exists. The transversals give every element's base images, and so a dense
 index in lexicographic order; the breadth-first layers are computed over
 that index from one successor table per generator, and each row is written
 once, at its final position, as a product of transversal rows
-(:func:`_enumerate`).
+(:func:`_enumerate`). The group is then built from that chain and the
+breadth-first position of each lexicographic rank, with no second walk.
 
 Groups enter either through :func:`parse_group_doc` (JSON documents of the
 form ``{"degree": d, "generators": [[...], ...]}``, 0-based) or through
@@ -108,72 +112,69 @@ def conjugate(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 class _Trie:
-    """Exact index from image sequences, one image per keyed point, to
-    element indices: one dense table per keyed point.
+    """Exact index from the base images of a group's elements to their
+    indices: one dense table per base level.
 
     Table j is indexed by ``offset + image``, where an offset is a row of
-    table j premultiplied by ``degree`` and a row stands for a j-point
-    prefix of the keys inserted. Row 0 of every table is the absent node,
-    the prefixes no key has; the root, the empty prefix, is row 1 of table
-    0. A table before the last holds the offset of each (j + 1)-point prefix
-    in the next table, 0 for an absent one; the last table holds element
-    indices, and -1 for keys no element has. So a lookup that leaves the
-    inserted prefixes stays in the absent rows and returns -1, and each
-    level is one add and one gather. Offsets are chained rows, never
-    products of powers of the degree, so keys are exact at any length.
+    table j premultiplied by ``degree``, and row c + 1 stands for class c
+    before level j: the elements that agree on base points 0..j-1, numbered
+    in the lexicographic order of those images. Row 0 of every table is the
+    absent node; the root, the one class before level 0, is row 1 of table
+    0. A table before the last holds the offset of each class before the
+    next level, 0 for an absent one; the last table holds element indices,
+    and -1 for base images no element has. So a lookup that leaves the
+    classes stays in the absent rows and returns -1, and each level is one
+    add and one gather. Offsets are chained rows, never products of powers
+    of the degree, so keys are exact at any length.
 
-    Memory: a table holds one row per prefix inserted, plus the absent row.
-    It grows by doubling, never past one row per child slot of the table
-    before it, so it holds at most twice its rows in use, and exactly those
-    after one insert into an empty trie.
+    The tables are filled once, each at its final size, from the level
+    sizes (the basic orbit sizes) and ``position``, the element at each
+    lexicographic rank of the base images. In a group the classes before
+    level j are the cosets of the pointwise stabilizer of base points
+    0..j-1, each a run of ``prod(sizes[j:])`` consecutive ranks, so the
+    class of rank r is ``r // prod(sizes[j:])``, and each class before
+    level j + 1 is written once, from the image of base point j under its
+    first element. On rows that are not a group the tables may be wrong,
+    never out of range; the constructor checks every element's lookup.
+
+    Memory: table j holds one row per class before level j, plus the absent
+    row. Every basic orbit past the trivial group's has two or more points,
+    so the classes at least double per level and the tables hold at most
+    ``(order + depth) * degree`` slots, about one element array.
     """
 
-    def __init__(self, degree: int, depth: int):
+    def __init__(self, degree: int, sizes: list[int], position: np.ndarray, columns):
         self.degree = degree
-        self.rows = [2] + [1] * (depth - 1)  # rows in use, the absent row included
-        self.tables = [np.zeros(rows * degree, dtype=np.int64) for rows in self.rows]
-        self.tables[-1].fill(-1)
+        self.tables = []
+        classes = 1  # before level j
+        for j, (size, column) in enumerate(zip(sizes, columns)):
+            child = np.arange(classes * size)  # the classes before level j + 1
+            first = position[child * (len(position) // len(child))]
+            last = j == len(sizes) - 1
+            table = np.full((classes + 1) * degree, -1 if last else 0)
+            table[(child // size + 1) * degree + column[first]] = (
+                first if last else (child + 1) * degree)
+            self.tables.append(table)
+            classes *= size
 
     def lookup(self, images):
-        """Element index of each key, -1 where none was inserted: one array
-        of int32 or int64 images per keyed point, in order, broadcast
+        """Element index of each key, -1 where no element has it: one array
+        of int32 or int64 images per base point, in order, broadcast
         together."""
         at = self.degree
         for table, level in zip(self.tables, images):
             at = table[at + level]
         return at
 
-    def insert(self, keys, ids) -> None:
-        """Insert keys not yet inserted, distinct and in lexicographic order,
-        as the elements ``ids``: one array of images per keyed point. Equal
-        prefixes of sorted keys are adjacent, so a new row starts wherever
-        the slot changes."""
-        at = np.full(len(ids), self.degree, dtype=np.int64)
-        for j in range(len(self.tables) - 1):
-            slot = at + keys[j]
-            at = self.tables[j][slot]
-            new = at == 0
-            start = new & _run_starts(slot)
-            at[new] = ((self.rows[j + 1] - 1 + np.cumsum(start)) * self.degree)[new]
-            self.tables[j][slot[start]] = at[start]
-            self.rows[j + 1] += int(np.count_nonzero(start))
-            self._grow(j + 1)
-        self.tables[-1][at + keys[-1]] = ids
-
-    def _grow(self, j: int) -> None:
-        """Room for the rows in use in table j, doubling, but never past one
-        row per child slot of table j - 1."""
-        table = self.tables[j]
-        if len(table) < self.rows[j] * self.degree:
-            rows = min(max(2 * len(table) // self.degree, self.rows[j]),
-                       (self.rows[j - 1] - 1) * self.degree + 1)
-            self.tables[j] = np.full(rows * self.degree, table[0])  # the absent value
-            self.tables[j][:len(table)] = table
-
 
 def _cell_type(degree: int) -> np.dtype:
     """The narrowest unsigned type that holds every point 0..degree-1."""
     return np.min_scalar_type(degree - 1)
+
+
+# a gather indexed by cells first copies them to intp, so its row chunks are
+# sized by the bytes of that copy
+_INDEX_BYTES = np.dtype(np.intp).itemsize
 
 
 def _as_int32(cells: np.ndarray) -> np.ndarray:
@@ -183,46 +184,35 @@ def _as_int32(cells: np.ndarray) -> np.ndarray:
     return wide
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """True where a value differs from the one before it, and at 0."""
-    starts = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
-
-
 def _chain(G: PermGroup):
-    """One walk over the points of G: the stabilizer chain along a greedy
-    base, one level (point, offset, rows, inverse) per base point, the base
-    columns and each element's rank. Returns (levels, columns, rank).
+    """One walk over the points of G, for groups given by their rows: the
+    stabilizer chain along a greedy base, one level (point, offset, rows,
+    inverse) per base point, and the element at each lexicographic rank of
+    the base images. Returns (levels, position).
 
     Point b joins the base when its images split some class of elements that
     the images of the earlier base points leave together; the walk stops once
-    every element is told apart (the trivial group still takes point 0, so
-    every lookup passes through a table). An element's rank at level k
-    numbers its class, the elements agreeing with it on base points 0..k, in
-    the lexicographic order of those images.
+    every element is told apart, so the trivial group has no level. An
+    element's rank at level k numbers its class, the elements agreeing with
+    it on base points 0..k, in the lexicographic order of those images.
 
     The classes at level k are the cosets of S_k, the pointwise stabilizer
     of base points 0..k, so classes_k = classes_{k-1} times the size of the
     S_{k-1}-orbit of b_k, and b_k joins only when that orbit has two or more
-    points. The classes thus at least double per level, so the trie of the
-    base images, one row of ``degree`` slots per class before each level
-    plus the absent rows, holds at most ``(order + len(base)) * degree``
-    slots, about one element array.
+    points: the greedy base, the one :func:`_stabilizer_chain` proves.
 
     Level k's ``rows`` hold, for each point y of the S_{k-1}-orbit of b_k in
     ascending order, the first element that fixes the earlier base points
-    and sends b_k to y; ``inverse`` holds their inverse rows, flat, and
-    ``offset[y]`` is where y's starts (-1 off the orbit), so a gather from
-    it is one add and one 1-D take. Each element is one product of one row
-    per level.
+    and sends b_k to y. Duplicate elements share a rank, so the walk ends
+    with fewer classes than elements, and the constructor's lookup refuses
+    them.
     """
     rank = np.zeros(G.order, dtype=np.int64)
     at = np.arange(G.order)  # the elements that fix the base points so far
     classes = 1
-    levels, columns = [], []
+    levels = []
     for point in range(G.degree):
-        if classes == G.order and levels:
+        if classes == G.order:
             break
         column = G.column(point)
         keys = rank * G.degree + column
@@ -230,7 +220,7 @@ def _chain(G: PermGroup):
         hit[keys] = True
         table = np.cumsum(hit) - 1
         refined = int(table[-1]) + 1
-        if refined == classes and classes < G.order:  # order 1 still takes point 0
+        if refined == classes:
             continue
         rank, classes = table[keys], refined
         images = column[at]
@@ -238,11 +228,10 @@ def _chain(G: PermGroup):
         np.minimum.at(first, images, at)
         orbit = np.flatnonzero(first < G.order)
         levels.append(_level(point, orbit, G.rows(first[orbit])))
-        columns.append(column)
         at = at[images == point]
-    if classes != G.order:
-        raise ValueError("duplicate elements")
-    return levels, columns, rank
+    position = np.zeros_like(rank)  # in range even where duplicates share a rank
+    position[rank] = np.arange(G.order)
+    return levels, position
 
 
 def _level(point: int, orbit: np.ndarray, rows: np.ndarray):
@@ -254,7 +243,9 @@ def _level(point: int, orbit: np.ndarray, rows: np.ndarray):
     offset = np.full(degree, -1)
     offset[orbit] = np.arange(len(orbit)) * degree
     inverse = np.empty(rows.size, dtype=np.int32)
-    inverse[offset[orbit][:, None] + rows] = identity_perm(degree)
+    step = chunk_rows(degree * _INDEX_BYTES)  # rows per chunk of the int64 scatter index
+    for lo in range(0, len(rows), step):
+        inverse[offset[orbit[lo:lo + step]][:, None] + rows[lo:lo + step]] = identity_perm(degree)
     return point, offset, rows, inverse
 
 
@@ -304,6 +295,15 @@ class PermGroup:
     ``affine_group`` and the document enumeration fill that type directly;
     any other array is narrowed once, after a range check.
 
+    The base and its chain come from ``_proved`` when the caller has them:
+    ``parse_group_doc`` passes the levels its proof built and the element
+    at each lexicographic rank of the base images, so the rows are never
+    walked. Without it (``affine_group``, and any caller with rows alone),
+    one walk over the points finds both (:func:`_chain`). Either way the
+    trie is filled from them, and the constructor refuses duplicate
+    elements (one lookup of every element's base images must give its own
+    index) and an element list without the identity.
+
     The constructor takes ownership of its input arrays. An element array
     already of the cell type and C-contiguous, and a C-contiguous int32
     generator array, are stored as they are, without a copy, and made
@@ -319,7 +319,8 @@ class PermGroup:
     module of the package reads it.
     """
 
-    def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray):
+    def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray,
+                 _proved=None):
         cells = _cell_type(degree)
         elements = np.asarray(elements)
         if elements.dtype != cells:  # narrowing an image out of range would wrap it
@@ -335,14 +336,15 @@ class PermGroup:
         self.generators = generators
         self._flat = elements.reshape(-1)
         self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
-        self._levels, self._columns, rank = _chain(self)
+        levels, position = _chain(self) if _proved is None else _proved
+        # the trivial group still takes point 0, so every lookup passes through a table
+        self._levels = levels or [_level(0, np.arange(1), identity_perm(degree)[None])]
         self.base = [point for point, *_ in self._levels]
-        # the ranks number the elements in the order of their base images, so
-        # one scatter sorts them for the insert
-        by_key = np.empty_like(rank)
-        by_key[rank] = np.arange(len(rank))
-        self._trie = _Trie(self.degree, len(self.base))
-        self._trie.insert([column[by_key] for column in self._columns], by_key)
+        self._columns = [self.column(point) for point in self.base]
+        self._trie = _Trie(self.degree, [len(rows) for _, _, rows, _ in self._levels],
+                           position, self._columns)
+        if not np.array_equal(self._trie.lookup(self._columns), np.arange(self.order)):
+            raise ValueError("duplicate elements")
         ident = self._locate(self.base)
         if not np.array_equal(self.rows(ident), identity_perm(degree)):
             raise ValueError("identity missing from element list")
@@ -441,14 +443,9 @@ class PermGroup:
 # ingestion
 
 
-# a gather indexed by cells first copies them to intp, so its row chunks are
-# sized by the bytes of that copy
-_INDEX_BYTES = np.dtype(np.intp).itemsize
-
-
 def _schreier_tree(point: int, gens: np.ndarray):
     """The orbit of point under the rows gens, as a chain level in the form
-    of :func:`_chain`, with a Schreier tree: each orbit point y but point
+    of :func:`_level`, with a Schreier tree: each orbit point y but point
     has a parent x and a generator s with s(x) = y, and its row t_y is t_x
     then s, so every row is a product of generators along the tree, and the
     row of point is the identity. Also returns the mask of the tree edges:
@@ -462,7 +459,11 @@ def _schreier_tree(point: int, gens: np.ndarray):
     predecessor under s. Its nearest found predecessor, and the number of
     steps from it, take logarithmic rounds of pointer jumping, and its row
     is that predecessor's row then a power of s; so a long cycle costs a
-    few rounds, where a breadth-first search takes one round per step.
+    few rounds, where a breadth-first search takes one round per step. The
+    new rows of a round are gathered, and the level's inverse rows
+    scattered (:func:`_level`), in row chunks of their int64 index, and the
+    (degree, degree) table of rows is freed before the inverse rows exist,
+    so a level of n points peaks near three (n, degree) int32 arrays.
     """
     degree = gens.shape[1]
     every = identity_perm(degree)
@@ -488,14 +489,17 @@ def _schreier_tree(point: int, gens: np.ndarray):
             while len(power) <= steps[new].max():
                 power = np.concatenate([power, lift[power]])
                 lift = lift[lift]
-            rows[new] = power.reshape(-1)[(steps[new] * degree)[:, None] + rows[anchor[new]]]
+            step = chunk_rows(degree * _INDEX_BYTES)  # rows per chunk of the int64 gather index
+            for at in (new[lo:lo + step] for lo in range(0, len(new), step)):
+                rows[at] = power.reshape(-1)[(steps[at] * degree)[:, None] + rows[anchor[at]]]
             parent[new] = back[new]
             by[new] = g
             found[new] = True
         idle = 1 if len(new) else idle + 1
         g = (g + 1) % len(gens)
     orbit = np.flatnonzero(found)
-    level = _level(point, orbit, rows[orbit])
+    rows = rows[orbit]  # the (degree, degree) table is freed before the inverse rows exist
+    level = _level(point, orbit, rows)
     child = orbit[by[orbit] >= 0]
     tree = np.zeros(len(gens) * len(orbit), dtype=bool)
     tree[by[child] * len(orbit) + level[1][parent[child]] // degree] = True
@@ -544,7 +548,7 @@ def _first_residue(levels, gens: np.ndarray, tree: np.ndarray, start: int):
 def _stabilizer_chain(gens: np.ndarray, cap: int) -> list:
     """The stabilizer chain of the group the rows gens generate, along its
     greedy base, by Schreier-Sims on points (Sims 1970; Seress, *Permutation
-    Group Algorithms*, 2003, ch. 4): levels in the form of :func:`_chain`.
+    Group Algorithms*, 2003, ch. 4): levels in the form of :func:`_level`.
 
     Level l keeps strong generators S(l), all fixing every point before its
     point b_l, and the Schreier tree of b_l under them
@@ -567,7 +571,8 @@ def _stabilizer_chain(gens: np.ndarray, cap: int) -> list:
     the orbits are the basic orbits and the order is their product. The
     group S(l) generates fixes every point before b_l and moves b_l, so b_l
     is the least point moved by the pointwise stabilizer of the points
-    before it: the greedy base, the one :func:`_chain` finds in the rows.
+    before it: the greedy base, the one :func:`_chain` finds in the rows,
+    so a parse hands this chain to the group and no walk runs.
     Distinct transversal products have distinct base images, so the product
     of the orbit sizes never exceeds the group order, and the order cap is
     checked on it whenever a level is built, before any element row exists.
@@ -638,10 +643,12 @@ def _lex_index(levels):
     return lex.reshape(-1), images
 
 
-def _enumerate(gens: np.ndarray, levels) -> np.ndarray:
+def _enumerate(gens: np.ndarray, levels):
     """The elements of the chain as rows, in enumeration order: breadth-first
     from the identity, each new layer in the lexicographic order of its
-    image sequences.
+    image sequences. Returns the rows and the position of the element at
+    each lexicographic rank of the base images, which the group's trie is
+    filled from.
 
     The search runs on the lexicographic index (:func:`_lex_index`), over
     one successor table per generator: the successor of a under s is found
@@ -650,11 +657,12 @@ def _enumerate(gens: np.ndarray, levels) -> np.ndarray:
     one before in index order, so in the order of image sequences; the
     identity has index 0. A large layer is found by marking it over every
     index, a small one by a sort, so a search of many small layers (a long
-    cycle) pays no pass over the group per layer. Each row is then written once, at its final
-    position, as a product of transversal rows: the first k levels' product,
-    one table per prefix of digits, applied to the products of the other
-    levels, one gather per prefix; k balances the prefixes against the
-    rows of those products.
+    cycle) pays no pass over the group per layer. Each row is then written
+    once, at its final position, as a product of transversal rows: the
+    first k levels' product, one table per prefix of digits, applied to the
+    products of the other levels; k balances the prefixes against the rows
+    of those products. The rows of a block of prefixes are one 3-D gather,
+    of about CHUNK_CELLS cells, and one scatter.
     """
     degree = gens.shape[1]
     sizes = [len(rows) for _, _, rows, _ in levels]
@@ -679,23 +687,25 @@ def _enumerate(gens: np.ndarray, levels) -> np.ndarray:
             mark[reached] = True
             layers.append(np.flatnonzero(mark & ~seen))
         seen[layers[-1]] = True
-    position = np.empty(order, dtype=np.int64)
-    position[np.concatenate(layers)] = np.arange(order)
-    position = position[lex]  # by digits
+    by_lex = np.empty(order, dtype=np.int64)
+    by_lex[np.concatenate(layers)] = np.arange(order)
 
     prefixes = [prod(sizes[:k]) for k in range(len(sizes) + 1)]
     k = min(range(len(prefixes)), key=lambda k: (max(prefixes[k], order // prefixes[k]), -k))
-    head = identity_perm(degree)[None]
+    elements = np.empty((order, degree), dtype=_cell_type(degree))
+    head = identity_perm(degree).astype(elements.dtype)[None]
     for _, _, rows, _ in levels[:k]:
         head = head[:, rows].reshape(-1, degree)
     tail = identity_perm(degree)[None]
     for _, _, rows, _ in reversed(levels[k:]):
         tail = rows[:, tail].reshape(-1, degree)
-    elements = np.empty((order, degree), dtype=_cell_type(degree))
     tail = np.ascontiguousarray(tail, dtype=np.intp)  # the gathers leave it column-major
-    for p, row in enumerate(head.astype(elements.dtype)):
-        elements[position[p * len(tail):(p + 1) * len(tail)]] = np.take(row, tail)
-    return elements
+    step = chunk_rows(tail.size)  # prefixes per block
+    for lo in range(0, len(head), step):
+        # row (p, t) of the block, digits p * len(tail) + t, is head[p] after tail[t]
+        elements[by_lex[lex[lo * len(tail):(lo + step) * len(tail)]]] = np.take(
+            head[lo:lo + step], tail, axis=1).reshape(-1, degree)
+    return elements, by_lex
 
 
 def _is_int(x) -> bool:
@@ -744,7 +754,9 @@ def parse_group_doc(doc) -> PermGroup:
         if gens
         else np.empty((0, degree), dtype=np.int32)
     )
-    return PermGroup(degree, _enumerate(gen_arr, _stabilizer_chain(gen_arr, cap)), gen_arr)
+    levels = _stabilizer_chain(gen_arr, cap)
+    elements, position = _enumerate(gen_arr, levels)
+    return PermGroup(degree, elements, gen_arr, _proved=(levels, position))
 
 
 def affine_generators(nf: NearField) -> np.ndarray:

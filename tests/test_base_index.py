@@ -8,10 +8,11 @@ points) on a seeded sample. Rows outside the group, out-of-range images
 among them, must raise NotAMember, and the dense tables must stay within
 one element array.
 
-The same trie class indexes the orbit search of group documents: inserted in
-sorted batches, one per layer, it answers every lookup as one insert does,
-gives -1 for keys no element has, and grows its tables by doubling to at
-most twice the rows in use.
+The trie is filled once, each table at its final size, from the chain of the
+base: the chain a document's parse proved, or the one the constructor finds
+in the rows. It answers every lookup as a dict of the base images does,
+gives -1 for keys no element has, and holds exactly one row per class of
+base images plus the absent row.
 """
 
 import numpy as np
@@ -278,74 +279,54 @@ def test_tables_fit_in_one_element_array(name, request):
     classes = [size // G.degree - 1 for size in sizes]  # classes before each level
     assert classes[0] == 1
     assert all(later >= 2 * earlier for earlier, later in zip(classes, classes[1:]))
-    # one insert into an empty trie sizes every table to its rows in use
-    assert sizes == [rows * G.degree for rows in G._trie.rows]
+    # each table is filled at its final size: one row per class, the
+    # product of the orbit sizes before its level, plus the absent row
+    orbits = [len(rows) for _, _, rows, _ in G._levels]
+    assert classes == [int(np.prod(orbits[:j])) for j in range(len(orbits))]
+
+
+def distinct_prefixes(G, j):
+    """The number of distinct images of base points 0..j-1 among the
+    elements: one, the empty prefix, for j = 0."""
+    return len(set(zip(*[column.tolist() for column in G._columns[:j]]))) if j else 1
 
 
 @pytest.mark.parametrize("doc", ["c2_15_doc", "dickson_121_relabelled_doc"])
 def test_search_tables_fit_in_twice_their_rows(doc, request, monkeypatch):
     """A parse builds one trie, the group's own: the search runs on the
     lexicographic index of the chain on points, and keys nothing. Each table
-    holds at most twice its rows in use, a row per prefix inserted plus the
-    absent row, and the trie answers each element's base images with its
-    index."""
+    holds exactly its rows, one per distinct prefix of the elements' base
+    images before its level plus the absent row, well inside twice them, and
+    the trie answers each element's base images with its index."""
     doc, tries = request.getfixturevalue(doc), []
 
     class Recorded(permgroup._Trie):
-        def __init__(self, degree, depth):
-            super().__init__(degree, depth)
+        def __init__(self, *args):
+            super().__init__(*args)
             tries.append(self)
 
     monkeypatch.setattr(permgroup, "_Trie", Recorded)
     G = parse_group_doc(doc)
     assert tries == [G._trie]
-    for table, rows in zip(G._trie.tables, G._trie.rows):
-        assert table.size <= 2 * rows * G.degree
-        assert rows <= G.order + 1
+    for j, table in enumerate(G._trie.tables):
+        assert table.size == (distinct_prefixes(G, j) + 1) * G.degree
     assert np.array_equal(G._trie.lookup(G._columns), np.arange(G.order))
 
 
-@pytest.mark.parametrize("name", ["agl_f9_relabelled", "sym4", "c2_15"])
-def test_trie_in_sorted_batches_answers_as_one_insert(name, request):
-    """The base images inserted in seeded batches, each sorted, as the search
-    inserts its layers, answer every lookup as one insert of them all does
-    and as the group's trie does: a member's images give its index, and
-    images no element has give -1."""
+@pytest.mark.parametrize("name", ["agl_f9_relabelled", "sym4", "c2_15", "trivial"])
+def test_trie_answers_a_dict_oracle(name, request):
+    """The group's trie, filled once from its chain, answers every lookup as
+    a dict from each element's base images to its index does: a member's
+    images give its index, and images no element has give -1, on the
+    members and on 2,000 seeded random probes."""
     G = request.getfixturevalue(name)
     keys = np.stack(G._columns)  # one row of images per base point
     rng = np.random.default_rng(G.order)
-    batched, once = (permgroup._Trie(G.degree, len(G.base)) for _ in range(2))
-    for batch in np.array_split(rng.permutation(G.order), 7):
-        batch = batch[np.lexsort(keys[::-1, batch])]
-        batched.insert(keys[:, batch], batch)
-    by_key = np.lexsort(keys[::-1])
-    once.insert(keys[:, by_key], by_key)
-
     probes = np.concatenate([keys, rng.integers(0, G.degree, (len(G.base), 2000))], axis=1)
     index = {tuple(key): i for i, key in enumerate(keys.T.tolist())}
     want = [index.get(tuple(key), -1) for key in probes.T.tolist()]
     assert want.count(-1) > 100
-    for trie in (batched, once, G._trie):
-        assert trie.lookup(probes).tolist() == want
-    for table, rows in zip(batched.tables, batched.rows):
-        assert table.size <= 2 * rows * G.degree
-
-
-def test_trie_tables_double_up_to_one_row_per_child_slot():
-    """Keys (0, 0), (1, 0), ..., (4, 0) of degree 5, one insert each: the
-    second table needs 2, 3, 4, 5, 6 rows (the absent row included). It
-    grows to 2 rows, doubles to 4, and then to 6, not 8: one row per slot
-    of the root (5) plus the absent row. Every key stays found."""
-    trie = permgroup._Trie(5, 2)
-    sizes = []
-    for a in range(5):
-        trie.insert([[a], [0]], [10 + a])
-        sizes.append(trie.tables[1].size // 5)
-        assert trie.lookup([np.arange(5), np.zeros(5, dtype=int)]).tolist() == \
-            [10 + b if b <= a else -1 for b in range(5)]
-    assert sizes == [2, 4, 4, 6, 6]
-    assert trie.rows == [2, 6]
-    assert trie.lookup([np.arange(5), np.ones(5, dtype=int)]).tolist() == [-1] * 5
+    assert G._trie.lookup(probes).tolist() == want
 
 
 def test_trivial_group_lookups():

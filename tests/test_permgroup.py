@@ -8,6 +8,7 @@ import json
 import random
 import tracemalloc
 from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,44 @@ def test_base_matches_sympy(doc, request):
     assert [(point, len(rows)) for point, _, rows, _ in G._levels] == (expected or [(0, 1)])
 
 
+CYCLE_1000_DOC = {"degree": 1000, "generators": [[*range(1, 1000), 0]]}
+
+
+@pytest.mark.parametrize("doc", ENUMERATED_DOCS + ["c2_15_doc", CYCLE_1000_DOC, 1, 2, 3]
+                         + DATA_DOCS,
+                         ids=ENUMERATED_IDS + ["c2-power-15", "cycle-1000", "ingest-seed-1",
+                                               "ingest-seed-2", "ingest-seed-3"]
+                         + [p.stem for p in DATA_DOCS])
+def test_the_proved_chain_builds_the_group_its_rows_build(doc, request, monkeypatch):
+    """A parse hands the constructor the chain its proof built; the same rows
+    handed over alone are walked for a chain of their own. Both give the
+    same base and levels (point, orbit size), inverse table and identity,
+    find every row at its index, and refuse the same random permutations.
+    An integer stands for the four documents of that seed's ingest pass;
+    the trivial group (no-generators) has a proved chain of no level and
+    still takes point 0."""
+    if isinstance(doc, int):
+        docs = ingest_documents(doc, monkeypatch)
+    elif isinstance(doc, Path):
+        docs = [json.loads(doc.read_text())]
+    else:
+        docs = [request.getfixturevalue(doc) if isinstance(doc, str) else doc]
+    rng = np.random.default_rng(7)
+    for doc in docs:
+        G = parse_group_doc(doc)
+        H = PermGroup(G.degree, G.elements, G.generators)
+        assert G.base == H.base
+        assert ([(point, len(rows)) for point, _, rows, _ in G._levels]
+                == [(point, len(rows)) for point, _, rows, _ in H._levels])
+        assert np.array_equal(G._inverse, H._inverse)
+        assert G.identity_index == H.identity_index
+        assert np.array_equal(G.index_of(H.elements), np.arange(G.order))
+        outside = [perm for perm in (rng.permutation(G.degree) for _ in range(20))
+                   if not H.contains(perm)]
+        assert not any(G.contains(perm) for perm in outside)
+        assert outside or G.order == factorial(G.degree)
+
+
 def test_random_generator_sets_have_sympys_base():
     """The chain on points of random documents of degree 2..9 with 0..3
     generators, and at times a repeated generator or the identity, runs
@@ -277,18 +316,27 @@ def test_random_generator_sets_enumerate_like_the_oracle():
     check()
 
 
-def test_one_chain_walk_per_search(monkeypatch):
-    """A parse builds one stabilizer chain on points, enumerates it once, and
-    the constructor walks the rows once: one of each for S4, for S3 on points
-    2..4 (whose residue makes a level at point 3, which no generator moves
-    first) and for the first document of the ingest benchmark's seed-1 pass.
-    No search starts over."""
+def ingest_documents(seed, monkeypatch):
+    """The documents of one seed's pass of the ingest benchmark, drawn as
+    its runner draws them: 2 or 3 generators, alternating by position."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import WORKLOADS, ingest_document, known_answers
 
-    entry_id = WORKLOADS["ingest"].entries[0]
-    ingested = ingest_document(build_entry(find_entry(entry_id)).elements,
-                               known_answers(entry_id), 2, random.Random(1))
+    rng = random.Random(seed)
+    return [ingest_document(build_entry(find_entry(entry_id)).elements, known_answers(entry_id),
+                            2 + position % 2, rng)
+            for position, entry_id in enumerate(WORKLOADS["ingest"].entries)]
+
+
+def test_one_chain_walk_per_search(monkeypatch):
+    """A parse builds one stabilizer chain on points and enumerates it once,
+    and the constructor takes that chain instead of walking the rows for
+    one: so for S4, for S3 on points 2..4 (whose residue makes a level at
+    point 3, which no generator moves first) and for the first document of
+    the ingest benchmark's seed-1 pass, one chain, one enumeration and no
+    walk. No search starts over. affine_group, which hands the constructor
+    rows, makes one walk."""
+    ingested = ingest_documents(1, monkeypatch)[0]
     chains, enumerations, walks = [], [], []
     stabilizer_chain, enumerate_, chain = (permgroup._stabilizer_chain, permgroup._enumerate,
                                            permgroup._chain)
@@ -300,9 +348,11 @@ def test_one_chain_walk_per_search(monkeypatch):
     for doc in [SYM4_DOC, S3_ON_POINTS_2_TO_4_DOC, ingested]:
         for calls in (chains, enumerations, walks):
             calls.clear()
-        G = parse_group_doc(doc)
+        parse_group_doc(doc)
         assert len(chains) == len(enumerations) == 1
-        assert walks == [G]
+        assert walks == []
+    G = affine_group(make_field(5))
+    assert walks == [G] and len(chains) == len(enumerations) == 1
 
 
 @pytest.mark.parametrize("doc, residues, levels", [
@@ -406,6 +456,24 @@ def test_orbit_search_holds_the_element_array_once(dickson_121_relabelled_doc):
         tracemalloc.stop()
     assert G.order == 14520
     assert peak < G.order * G.degree + 5 * 2**20
+
+
+def test_a_long_cycle_parses_within_its_chain_and_cells():
+    """The 1,000-cycle has one level of 1,000 transversal rows and their
+    inverses (7.6 MiB of int32) and 1.9 MiB of uint16 cells. The Schreier
+    tree gathers its new rows, and the level scatters its inverse rows, in
+    chunks of their int64 index, and the constructor keeps the proved chain
+    instead of walking the rows for a second one, so the traced parse peak
+    stays within 17.4 MiB; a full-size index and a second chain took it to
+    23.2 MiB."""
+    tracemalloc.start()
+    try:
+        G = parse_group_doc(CYCLE_1000_DOC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 1000 and G.base == [0]
+    assert peak <= 17.4 * 2**20
 
 
 def test_constructor_inverts_through_transversals_below_one_cell_per_element():
@@ -789,8 +857,8 @@ def test_nothing_reads_the_element_array_after_construction(monkeypatch):
     expected = outputs()
     init = PermGroup.__init__
 
-    def poisoned_init(self, *args):
-        init(self, *args)
+    def poisoned_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         self.elements = _Poisoned()
 
     monkeypatch.setattr(PermGroup, "__init__", poisoned_init)
