@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import Geometry
 from .permgroup import PermGroup, centralizer, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell, least_cell_in_chunks
-from .s2t import _require_odd_characteristic, triple_products
+from .s2t import _require_odd_characteristic, _shared_table, triple_products
 
 DEFAULT_ALPHA_CAP = 100
 
@@ -77,6 +77,20 @@ def _alpha_sample(j3: np.ndarray) -> tuple[np.ndarray, bool]:
     return j3[:DEFAULT_ALPHA_CAP], False
 
 
+def _x_alpha(G: PermGroup, sets):
+    """The alpha sample of G, whether it is every alpha, and its X_alpha
+    products and mask (:func:`_x_alpha_masks`), read-only: built on the
+    first read and kept for the life of the certified sets, one table per
+    alpha cap."""
+    def build():
+        sample, complete = _alpha_sample(triple_products(G))
+        products, in_x = _x_alpha_masks(G, sets, sample)
+        products.setflags(write=False)
+        in_x.setflags(write=False)
+        return sample, complete, products, in_x
+    return _shared_table(sets, ("x_alpha", DEFAULT_ALPHA_CAP), build)
+
+
 def census(G: PermGroup) -> CensusReport:
     """Compute all census quantities by exhaustive product enumeration."""
     sets = _require_odd_characteristic(G)
@@ -93,8 +107,7 @@ def census(G: PermGroup) -> CensusReport:
     j3 = triple_products(G)
     j3_size = len(j3)
 
-    sample, complete = _alpha_sample(j3)
-    _, in_x = _x_alpha_masks(G, sets, sample)
+    sample, complete, _, in_x = _x_alpha(G, sets)
     xalpha_sizes = list(zip(sample.tolist(), in_x.sum(axis=1).tolist()))
 
     return CensusReport(
@@ -141,8 +154,7 @@ def verify_xalpha_covering(G: PermGroup, geom: Geometry) -> CheckReport:
     fiber = np.bincount(sets.jj.ravel(), minlength=G.order)
 
     j3 = triple_products(G)
-    sample, complete = _alpha_sample(j3)
-    products, in_x = _x_alpha_masks(G, sets, sample)
+    sample, complete, products, in_x = _x_alpha(G, sets)
 
     checks_note = f"alphas checked: {len(sample)}/{len(j3)}"
     inside = geom.lines_inside(in_x)  # (alpha, line)

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .permgroup import PermGroup, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell
-from .s2t import _require_certified, _require_odd_characteristic
+from .s2t import _require_certified, _require_odd_characteristic, translation_products
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +135,15 @@ def check_geometry_conditions(G: PermGroup) -> CheckReport:
 
     j_idx = sets.j
     trans = sets.translations
-    nontrivial = trans[trans != G.identity_index].astype(np.int64)
+    keep = trans != G.identity_index
+    nontrivial = trans[keep].astype(np.int64)
     checks: list[Check] = []
 
     # (a) commuting is transitive on the nontrivial translations. It is
     # reflexive and symmetric, so it is transitive exactly when translations
     # that commute have equal commuting rows; the |T|^3 product is built only
     # to name the least failing triple
-    products = G.mul(nontrivial[:, None], nontrivial[None, :])
+    products = translation_products(G)[np.ix_(keep, keep)]
     commute = products == products.T
     label = _distinct_rows(commute)[1]
     witness = None
@@ -330,7 +331,9 @@ def build_geometry(G: PermGroup, conditions: CheckReport | None = None) -> Geome
     # order of first appearance, each with its first pair
     a, b = np.triu_indices(n, 1)
     sigma_of_pair = sets.jj[a, b]  # a then b
-    first_pair = np.sort(np.unique(sigma_of_pair, return_index=True)[1])
+    first = np.full(G.order, len(a))
+    np.minimum.at(first, sigma_of_pair, np.arange(len(a)))
+    first_pair = np.flatnonzero(first[sigma_of_pair] == np.arange(len(a)))
     sigmas = sigma_of_pair[first_pair]
 
     # membership form: k then sigma is an involution
@@ -543,7 +546,7 @@ def divisible_subgroup_scan(G: PermGroup, geom: Geometry) -> SubgroupScanReport:
         raise CharacteristicAnomaly("the identity is not a translation")
 
     # partial Cayley table on the translation set; -1 marks products outside it
-    table = t_pos[G.mul(trans[:, None], trans[None, :])]
+    table = t_pos[translation_products(G)]
 
     # cyclic subgroups: row r walks the powers of gens[r]; the first repeated
     # power is the identity, and every live row holds `size` members

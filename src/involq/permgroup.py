@@ -352,6 +352,7 @@ class PermGroup:
         # exact only when the rows are a group
         self._inverse = self._locate(_inverse_images(self._columns, self._levels))
         self._centralizer_cache: dict[int, np.ndarray] = {}
+        self._class_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -492,6 +493,7 @@ def _schreier_tree(point: int, gens: np.ndarray):
             step = chunk_rows(degree * _INDEX_BYTES)  # rows per chunk of the int64 gather index
             for at in (new[lo:lo + step] for lo in range(0, len(new), step)):
                 rows[at] = power.reshape(-1)[(steps[at] * degree)[:, None] + rows[anchor[at]]]
+            del power, lift  # the powers of s serve this round only
             parent[new] = back[new]
             by[new] = g
             found[new] = True
@@ -689,6 +691,7 @@ def _enumerate(gens: np.ndarray, levels):
         seen[layers[-1]] = True
     by_lex = np.empty(order, dtype=np.int64)
     by_lex[np.concatenate(layers)] = np.arange(order)
+    del successor, seen, layers, reached  # the search is done before any row is written
 
     prefixes = [prod(sizes[:k]) for k in range(len(sizes) + 1)]
     k = min(range(len(prefixes)), key=lambda k: (max(prefixes[k], order // prefixes[k]), -k))
@@ -825,10 +828,11 @@ def centralizer(G: PermGroup, g) -> np.ndarray:
     A cache miss scans Cen(g) once and caches Cen(h^-1 g h) = h^-1 Cen(g) h
     for the whole class of g, keeping entries already cached: three
     order-length passes (scan, conjugators, |class| x |Cen| = order cells)
-    instead of one scan per member of the class."""
+    instead of one scan per member of the class. The conjugators pass is
+    kept on G and shared with conjugacy_class (:func:`_class_pass`)."""
     gi = _element_index(G, g)
     if gi not in G._centralizer_cache:
-        cls, h = _conjugators(G, gi)
+        cls, h = _class_pass(G, gi)
         rows = np.sort(G.conj(_centralizer_scan(G, gi)[None, :], h[:, None]), axis=1)
         rows.setflags(write=False)
         for c, row in zip(cls.tolist(), rows):
@@ -855,17 +859,28 @@ def member_mask(G: PermGroup, members) -> np.ndarray:
 
 
 def _conjugators(G: PermGroup, gi: int):
-    """The class of element gi in enumeration order, and beside each member c
-    the least h with h^-1 gi h = c: one conjugation pass, and the least h per
-    conjugate taken by one unbuffered minimum, without a sort."""
+    """The class of element gi in enumeration order, read-only, and beside
+    each member c the least h with h^-1 gi h = c: one conjugation pass, and
+    the least h per conjugate taken by one unbuffered minimum, without a
+    sort."""
     every = np.arange(G.order)
     least = np.full(G.order, G.order)  # G.order: no h reaches this element
     np.minimum.at(least, G.conj(gi, every), every)
     cls = np.flatnonzero(least < G.order)
+    cls.setflags(write=False)
     return cls, least[cls]
+
+
+def _class_pass(G: PermGroup, gi: int):
+    """:func:`_conjugators` of gi, run once per element and kept on G, so a
+    class read by conjugacy_class and then by a centralizer miss on the same
+    element costs one pass."""
+    if gi not in G._class_cache:
+        G._class_cache[gi] = _conjugators(G, gi)
+    return G._class_cache[gi]
 
 
 def conjugacy_class(G: PermGroup, g) -> np.ndarray:
     """Element indices of { h^-1 g h : h in G } (g an element index or a
-    permutation row), in enumeration order."""
-    return _conjugators(G, _element_index(G, g))[0]
+    permutation row), in enumeration order, read-only."""
+    return _class_pass(G, _element_index(G, g))[0]

@@ -14,9 +14,28 @@ In odd characteristic certification raises CharacteristicAnomaly unless
 involution -> fixed point is a bijection onto the points; then h^-1 j h is the
 involution fixing h(fix j), so conjugates of J are gathers, not group products.
 
-This module alone caches all three, keyed weakly by the group, so a dropped
-group frees them. Every later stage (geometry, splitting, census) reads the
-same sets through _require_certified or _require_odd_characteristic.
+This module alone caches the certificate, the sets and J.J.J, keyed weakly by
+the group, so a dropped group frees them. Every later stage (geometry,
+splitting, census) reads the same sets through _require_certified or
+_require_odd_characteristic.
+
+The product tables that several stages read are built once per certified
+sets, on their first read, and kept read-only in a cache keyed weakly by the
+CertifiedSets object (:func:`_shared_table`): a dropped group frees them, and
+sets replaced under a group never meet a table of the old ones.
+
+* T.T (:func:`translation_products`), t_a then t_b over the translations:
+  the Neumann split test reads it whole, the odd-subgroup scan through its
+  translation positions, and geometry condition (a) its nontrivial block.
+* The X_alpha products and mask of the alpha sample (``census._x_alpha``),
+  one per alpha cap: the census and the covering scan read them.
+
+A stage reads a table only where its operands are the arrays it would
+multiply; build_geometry and condition (c) multiply distinct(J x J) and the
+sigmas, so they keep their own products. Beside these, each group keeps the
+conjugation pass of every class it has scanned (``permgroup._class_pass``):
+the certificate's conjugacy_class of J[0] and of T[0] and the first
+centralizer miss on either share one pass.
 """
 
 from __future__ import annotations
@@ -71,9 +90,10 @@ class CertifiedSets:
 
 
 # group -> (certificate, its sets or None), and group -> J.J.J: entries go
-# with their groups
+# with their groups; sets -> {name: product table}: entries go with their sets
 _certified: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _triples: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _involution_indices(G: PermGroup) -> np.ndarray:
@@ -229,6 +249,28 @@ def triple_products(G: PermGroup) -> np.ndarray:
         j3.setflags(write=False)
         _triples[G] = j3
     return _triples[G]
+
+
+def _shared_table(sets: CertifiedSets, key, build):
+    """The product table of ``sets`` under ``key``: ``build()`` on its first
+    read, then kept for the life of sets."""
+    tables = _tables.setdefault(sets, {})
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
+
+
+def translation_products(G: PermGroup) -> np.ndarray:
+    """The (|T|, |T|) table of element indices of t_a then t_b over the
+    certified translations t, read-only: built on the first read and kept
+    for the life of the certified sets."""
+    sets = _require_certified(G)
+
+    def build():
+        table = G.mul(sets.translations[:, None], sets.translations[None, :])
+        table.setflags(write=False)
+        return table
+    return _shared_table(sets, "translation products", build)
 
 
 def involutions(G: PermGroup) -> np.ndarray:

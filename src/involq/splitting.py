@@ -26,7 +26,7 @@ from .errors import AxiomRecoveryFailure, CharacteristicAnomaly, NotSplit
 from .nearfield import NearField, _require_axioms
 from .permgroup import PermGroup, affine_generators, member_mask
 from .reporting import field_dict, least_cell
-from .s2t import _require_certified
+from .s2t import _require_certified, translation_products
 
 
 @dataclass
@@ -58,7 +58,7 @@ def neumann_split_test(G: PermGroup) -> SplitReport:
     trans = _require_certified(G).translations
     is_trans = member_mask(G, trans)
 
-    products = G.mul(trans[:, None], trans[None, :])  # a then b
+    products = translation_products(G)  # a then b
     outside = least_cell(~is_trans[products])
     if outside is not None:
         a, b = outside

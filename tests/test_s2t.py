@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import importlib
 import tracemalloc
 import weakref
 
@@ -23,7 +24,10 @@ from involq import (
     verify_basic_properties,
     verify_xalpha_covering,
 )
+from involq import permgroup, s2t
+from involq.catalog import build_entry, find_entry
 from involq.permgroup import PermGroup, identity_perm
+from involq.pipeline import verify_group
 from involq.s2t import _element_orders, _require_certified
 from conftest import tamper_sets
 from naive import naive_order
@@ -475,12 +479,11 @@ def test_fixed_point_map_must_be_a_bijection(monkeypatch):
 def test_certified_sets_are_frozen_and_go_with_their_group(entry_id):
     """After every stage has run, the certificate refuses a new field value,
     every array of the certified sets refuses a write and still holds the
-    bytes it held right after certification, and the cache of involq.s2t
-    keeps no group alive. agl-field-4 has characteristic 2, where the sets
-    hold no fixed points, conjugation table or J.J.J."""
-    from involq.catalog import build_entry, find_entry
-    from involq.pipeline import verify_group
-
+    bytes it held right after certification, and the caches of involq.s2t
+    keep no group alive: once the group is dropped, none holds an entry for
+    it, its sets or their product tables. agl-field-4 has characteristic 2,
+    where the sets hold no fixed points, conjugation table or J.J.J, and
+    only the split test reads a shared table (T.T)."""
     entry = find_entry(entry_id)
     G = build_entry(entry)
     cert = certify_sharply_2_transitive(G)
@@ -499,7 +502,59 @@ def test_certified_sets_are_frozen_and_go_with_their_group(entry_id):
         assert array.tobytes() == before[name].tobytes(), name
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
-    alive = weakref.ref(G)
-    del G
+    tables = s2t._tables[sets]
+    assert len(tables) == 1 + (entry_id != "agl-field-4")
+    for table in tables.values():
+        for array in table if isinstance(table, tuple) else (table,):
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0
+    caches = (s2t._certified, s2t._triples, s2t._tables)
+    gc.collect()  # groups of earlier tests that wait in reference cycles go first
+    sizes = [len(cache) for cache in caches]
+    held = [G in s2t._certified, G in s2t._triples, True]
+    alive, sets_alive = weakref.ref(G), weakref.ref(sets)
+    del G, sets, arrays, tables
     gc.collect()
-    assert alive() is None
+    assert alive() is None and sets_alive() is None
+    assert [len(cache) for cache in caches] == [n - h for n, h in zip(sizes, held)]
+
+
+def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
+    """In one verify_group of agl-field-25, the certified translations are
+    multiplied by themselves once and the X_alpha products are built once:
+    the split test, the odd-subgroup scan and geometry condition (a) read
+    the one T.T table, the census and the covering scan the one X_alpha
+    table. (The abelian test of condition (c) multiplies each centralizer
+    set apart, a cross-check.) One conjugation pass runs per class
+    representative, the first nontrivial translation and J[0]:
+    conjugacy_class in the certificate and the first centralizer miss on
+    each share it."""
+    census_mod = importlib.import_module("involq.census")
+    entry = find_entry("agl-field-25")
+    G = build_entry(entry)
+    reads, builds, passes, tt_products = [], [], [], []
+    shared, conjugators, mul = s2t._shared_table, permgroup._conjugators, G.mul
+
+    def spy_table(sets, key, build):
+        reads.append(key)
+        return shared(sets, key, lambda: builds.append(key) or build())
+
+    def spy_mul(a, b):
+        tt_products.append(np.shares_memory(a, sets.translations)
+                           and np.shares_memory(b, sets.translations))
+        return mul(a, b)
+
+    monkeypatch.setattr(s2t, "_shared_table", spy_table)
+    monkeypatch.setattr(census_mod, "_shared_table", spy_table)
+    monkeypatch.setattr(permgroup, "_conjugators", lambda G, gi: passes.append(gi) or conjugators(G, gi))
+    sets = _require_certified(G)  # certified first: the product spy watches the stages
+    monkeypatch.setattr(G, "mul", spy_mul)
+    assert verify_group(G, entry)["conforms"]
+
+    tt, x_alpha = "translation products", ("x_alpha", census_mod.DEFAULT_ALPHA_CAP)
+    assert builds == [tt, x_alpha]
+    assert (reads.count(tt), reads.count(x_alpha), len(reads)) == (3, 2, 5)
+    assert sum(tt_products) == 1
+    nontrivial = sets.translations[sets.translations != G.identity_index]
+    assert passes == [int(nontrivial[0]), int(sets.j[0])]

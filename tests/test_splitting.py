@@ -1,5 +1,7 @@
 """Split decision and near-field recovery."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ from involq import (
     verify_group,
     verify_nearfield_axioms,
 )
-from involq.s2t import _require_certified, certify_sharply_2_transitive
+from involq import s2t
+from involq.s2t import _require_certified, certify_sharply_2_transitive, translation_products
 from involq.splitting import SplitReport
 from conftest import tamper_sets
 from naive import naive_order
@@ -296,6 +299,24 @@ def test_split_test_names_the_least_product_leaving_the_translations(monkeypatch
     assert report.as_dict()["closure_witness"] == list(witness)
     with pytest.raises(NotSplit, match="^translations are not a subgroup$"):
         coordinatize(G, report)
+
+
+def test_split_test_reads_the_table_of_tampered_translations(monkeypatch):
+    """A T.T table built before the translations are tampered is not read
+    after: the split test reads a table equal to the products over the
+    tampered set, and names the least product leaving it."""
+    splitting_mod = importlib.import_module("involq.splitting")
+    G = affine_group(make_field(5, 1))
+    untampered = translation_products(G)
+    trans = tamper_sets(monkeypatch, G,
+                        translations=np.delete(_require_certified(G).translations, 2)).translations
+    read = []
+    monkeypatch.setattr(splitting_mod, "translation_products",
+                        lambda G: read.append(s2t.translation_products(G)) or read[-1])
+    report = neumann_split_test(G)
+    assert len(read) == 1 and read[0] is not untampered
+    assert np.array_equal(read[0], G.mul(trans[:, None], trans[None, :]))
+    assert report.closure_witness == _least_product_outside(G, trans)
 
 
 def test_split_test_refuses_a_nonabelian_translation_set(monkeypatch):
