@@ -23,9 +23,10 @@ gather from the flattened element array at ``row * degree + point``, the
 points taken from a column; so products, inverses, conjugates, membership
 tests, centralizers and conjugacy classes are vectorized scans over index
 arrays, and no scan indexes the element array in two dimensions. The
-constructor takes a stabilizer chain of the base: the one a document's
-parse proved, or, for a group given by its rows, one found in one walk over
-the points (:func:`_chain`). From the orbit sizes of the chain and the
+constructor takes a stabilizer chain of the base from the builder, which
+knows it before any row exists: the one a document's parse proved, or the
+closed form of an affine group (base 0 and 1, the translations and then the
+maps x -> x mul m as transversals). From the orbit sizes of the chain and the
 element at each lexicographic rank of the base images, it fills each trie
 table once, at its final size, and it finds every inverse by sifting each
 element's base images through the chain's transversals. One centralizer
@@ -184,56 +185,6 @@ def _as_int32(cells: np.ndarray) -> np.ndarray:
     return wide
 
 
-def _chain(G: PermGroup):
-    """One walk over the points of G, for groups given by their rows: the
-    stabilizer chain along a greedy base, one level (point, offset, rows,
-    inverse) per base point, and the element at each lexicographic rank of
-    the base images. Returns (levels, position).
-
-    Point b joins the base when its images split some class of elements that
-    the images of the earlier base points leave together; the walk stops once
-    every element is told apart, so the trivial group has no level. An
-    element's rank at level k numbers its class, the elements agreeing with
-    it on base points 0..k, in the lexicographic order of those images.
-
-    The classes at level k are the cosets of S_k, the pointwise stabilizer
-    of base points 0..k, so classes_k = classes_{k-1} times the size of the
-    S_{k-1}-orbit of b_k, and b_k joins only when that orbit has two or more
-    points: the greedy base, the one :func:`_stabilizer_chain` proves.
-
-    Level k's ``rows`` hold, for each point y of the S_{k-1}-orbit of b_k in
-    ascending order, the first element that fixes the earlier base points
-    and sends b_k to y. Duplicate elements share a rank, so the walk ends
-    with fewer classes than elements, and the constructor's lookup refuses
-    them.
-    """
-    rank = np.zeros(G.order, dtype=np.int64)
-    at = np.arange(G.order)  # the elements that fix the base points so far
-    classes = 1
-    levels = []
-    for point in range(G.degree):
-        if classes == G.order:
-            break
-        column = G.column(point)
-        keys = rank * G.degree + column
-        hit = np.zeros(classes * G.degree, dtype=bool)
-        hit[keys] = True
-        table = np.cumsum(hit) - 1
-        refined = int(table[-1]) + 1
-        if refined == classes:
-            continue
-        rank, classes = table[keys], refined
-        images = column[at]
-        first = np.full(G.degree, G.order)
-        np.minimum.at(first, images, at)
-        orbit = np.flatnonzero(first < G.order)
-        levels.append(_level(point, orbit, G.rows(first[orbit])))
-        at = at[images == point]
-    position = np.zeros_like(rank)  # in range even where duplicates share a rank
-    position[rank] = np.arange(G.order)
-    return levels, position
-
-
 def _level(point: int, orbit: np.ndarray, rows: np.ndarray):
     """A chain level (point, offset, rows, inverse): ``rows[i]`` sends point
     to ``orbit[i]``, the orbit ascending; ``offset[y]`` is where y's row
@@ -295,14 +246,15 @@ class PermGroup:
     ``affine_group`` and the document enumeration fill that type directly;
     any other array is narrowed once, after a range check.
 
-    The base and its chain come from ``_proved`` when the caller has them:
-    ``parse_group_doc`` passes the levels its proof built and the element
-    at each lexicographic rank of the base images, so the rows are never
-    walked. Without it (``affine_group``, and any caller with rows alone),
-    one walk over the points finds both (:func:`_chain`). Either way the
-    trie is filled from them, and the constructor refuses duplicate
-    elements (one lookup of every element's base images must give its own
-    index) and an element list without the identity.
+    The base and its chain come from the builder, as ``chain = (levels,
+    position)``: the levels of a stabilizer chain along the greedy base, in
+    the form of :func:`_level`, and the element at each lexicographic rank
+    of the base images. ``parse_group_doc`` passes the chain its proof
+    built, ``affine_group`` the closed form of its own, so the rows are
+    never walked. The trie is filled from the chain, and the constructor
+    refuses rows the chain does not fit, duplicate elements among them (one
+    lookup of every element's base images must give its own index), and an
+    element list without the identity.
 
     The constructor takes ownership of its input arrays. An element array
     already of the cell type and C-contiguous, and a C-contiguous int32
@@ -319,8 +271,7 @@ class PermGroup:
     module of the package reads it.
     """
 
-    def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray,
-                 _proved=None):
+    def __init__(self, degree: int, elements: np.ndarray, generators: np.ndarray, chain):
         cells = _cell_type(degree)
         elements = np.asarray(elements)
         if elements.dtype != cells:  # narrowing an image out of range would wrap it
@@ -336,7 +287,7 @@ class PermGroup:
         self.generators = generators
         self._flat = elements.reshape(-1)
         self._stride = np.int64(degree)  # row offsets are int64 even for int32 indices
-        levels, position = _chain(self) if _proved is None else _proved
+        levels, position = chain
         # the trivial group still takes point 0, so every lookup passes through a table
         self._levels = levels or [_level(0, np.arange(1), identity_perm(degree)[None])]
         self.base = [point for point, *_ in self._levels]
@@ -573,8 +524,8 @@ def _stabilizer_chain(gens: np.ndarray, cap: int) -> list:
     the orbits are the basic orbits and the order is their product. The
     group S(l) generates fixes every point before b_l and moves b_l, so b_l
     is the least point moved by the pointwise stabilizer of the points
-    before it: the greedy base, the one :func:`_chain` finds in the rows,
-    so a parse hands this chain to the group and no walk runs.
+    before it: the greedy base, the one the group's trie is built along, so
+    a parse hands this chain to the group.
     Distinct transversal products have distinct base images, so the product
     of the orbit sizes never exceeds the group order, and the order cap is
     checked on it whenever a level is built, before any element row exists.
@@ -759,7 +710,7 @@ def parse_group_doc(doc) -> PermGroup:
     )
     levels = _stabilizer_chain(gen_arr, cap)
     elements, position = _enumerate(gen_arr, levels)
-    return PermGroup(degree, elements, gen_arr, _proved=(levels, position))
+    return PermGroup(degree, elements, gen_arr, (levels, position))
 
 
 def affine_generators(nf: NearField) -> np.ndarray:
@@ -778,6 +729,16 @@ def affine_group(nf: NearField) -> PermGroup:
 
     Element order is deterministic: m ascending, then a ascending, so the
     identity (m=1, a=0) is element 0.
+
+    The stabilizer chain is known before any row exists, as the group is
+    the translations extended by the maps x -> x mul m (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4). Its base is 0 and 1: the
+    translation x -> x add a, row a, is the first row sending 0 to a, and
+    x -> x mul m, row (m - 1) q, the first fixing 0 and sending 1 to m. At
+    q = 2 the translations are the whole group, and the base is 0 alone.
+    Element (m, a) sends 0 to a and 1 to m add a, so its rank in the
+    lexicographic order of those images is a (q - 1) plus the rank of
+    m add a among the points other than a.
     """
     gens = affine_generators(nf)
     q = nf.order
@@ -792,7 +753,15 @@ def affine_group(nf: NearField) -> PermGroup:
     elements = np.empty((q - 1, q, q), dtype=add.dtype)
     for m in range(1, q):
         elements[m - 1] = add[nf.mul[:, m]].T
-    return PermGroup(q, elements.reshape(-1, q), gens)
+    elements = elements.reshape(-1, q)
+    points = np.arange(q)
+    levels = [_level(0, points, elements[:q].astype(np.int32))]
+    if q > 2:
+        levels.append(_level(1, points[1:], elements[::q].astype(np.int32)))
+    one = nf.add[1:].astype(np.int64)  # the image of 1 under (m, a), at [m - 1, a]
+    position = np.empty(q * (q - 1), dtype=np.int64)
+    position[(points * (q - 1) + one - (one > points)).reshape(-1)] = np.arange(q * (q - 1))
+    return PermGroup(q, elements, gens, (levels, position))
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,27 @@ permutation characteristic (2 when involutions are fixed-point-free, else
 the common prime order of nontrivial translations) and the conjugacy-class
 flags. A certified group also gets its CertifiedSets, built once as
 read-only arrays: J, the J x J table, the translations (all products of two
-involutions) and the conjugation table of J. J.J.J is built apart, on its
-first read (:func:`triple_products`): only the census reads it.
+involutions) and the conjugation table of J.
 
 In odd characteristic certification raises CharacteristicAnomaly unless
 involution -> fixed point is a bijection onto the points; then h^-1 j h is the
 involution fixing h(fix j), so conjugates of J are gathers, not group products.
 
-This module alone caches the certificate, the sets and J.J.J, keyed weakly by
-the group, so a dropped group frees them. Every later stage (geometry,
-splitting, census) reads the same sets through _require_certified or
-_require_odd_characteristic.
+This module keeps two caches. The certificate and the sets are cached keyed
+weakly by the group, so a dropped group frees them. Every later stage
+(geometry, splitting, census) reads the same sets through _require_certified
+or _require_odd_characteristic.
 
-The product tables that several stages read are built once per certified
-sets, on their first read, and kept read-only in a cache keyed weakly by the
-CertifiedSets object (:func:`_shared_table`): a dropped group frees them, and
-sets replaced under a group never meet a table of the old ones.
+The product tables that stages read are built once per certified sets, on
+their first read, and kept read-only in the second cache, keyed weakly by
+the CertifiedSets object (:func:`_shared_table`): a dropped group frees
+them, and sets replaced under a group never meet a table of the old ones.
 
 * T.T (:func:`translation_products`), t_a then t_b over the translations:
   the Neumann split test reads it whole, the odd-subgroup scan through its
   translation positions, and geometry condition (a) its nontrivial block.
+* J.J.J (:func:`triple_products`), in odd characteristic: the census, the
+  covering scan and the alpha sample read it.
 * The X_alpha products and mask of the alpha sample (``census._x_alpha``),
   one per alpha cap: the census and the covering scan read them.
 
@@ -89,10 +90,9 @@ class CertifiedSets:
                 array.setflags(write=False)
 
 
-# group -> (certificate, its sets or None), and group -> J.J.J: entries go
-# with their groups; sets -> {name: product table}: entries go with their sets
+# group -> (certificate, its sets or None): entries go with their groups;
+# sets -> {name: product table}: entries go with their sets
 _certified: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_triples: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -239,18 +239,6 @@ def _require_odd_characteristic(G: PermGroup) -> CertifiedSets:
     return sets
 
 
-def triple_products(G: PermGroup) -> np.ndarray:
-    """Element indices of J.J.J, sorted and read-only, in odd characteristic:
-    J times the translations, built on the first read and cached for the
-    life of G."""
-    sets = _require_odd_characteristic(G)
-    if G not in _triples:
-        j3 = distinct(G.mul(sets.j[:, None], sets.translations[None, :]))
-        j3.setflags(write=False)
-        _triples[G] = j3
-    return _triples[G]
-
-
 def _shared_table(sets: CertifiedSets, key, build):
     """The product table of ``sets`` under ``key``: ``build()`` on its first
     read, then kept for the life of sets."""
@@ -271,6 +259,19 @@ def translation_products(G: PermGroup) -> np.ndarray:
         table.setflags(write=False)
         return table
     return _shared_table(sets, "translation products", build)
+
+
+def triple_products(G: PermGroup) -> np.ndarray:
+    """Element indices of J.J.J, sorted and read-only, in odd characteristic:
+    J times the translations, built on the first read and kept for the life
+    of the certified sets."""
+    sets = _require_odd_characteristic(G)
+
+    def build():
+        j3 = distinct(G.mul(sets.j[:, None], sets.translations[None, :]))
+        j3.setflags(write=False)
+        return j3
+    return _shared_table(sets, "triple products", build)
 
 
 def involutions(G: PermGroup) -> np.ndarray:

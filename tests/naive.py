@@ -62,3 +62,44 @@ def naive_order(images):
     while power != list(range(len(g))):
         power, n = [g[x] for x in power], n + 1
     return n
+
+
+def naive_chain(elements):
+    """The stabilizer chain of an element array along its greedy base, by one
+    walk over the points, and the element at each lexicographic rank of the
+    base images: (levels, position), levels in the form of
+    ``involq.permgroup._level`` (point, offset, rows, inverse).
+
+    Point b joins the base when its images split some class of elements
+    that the images of the earlier base points leave together; the walk
+    stops once every element is told apart, so the trivial group has no
+    level. Level k's rows hold, for each point y of the orbit of b_k under
+    the elements fixing the earlier base points, in ascending order, the
+    first such element that sends b_k to y. Duplicate elements share a
+    rank, so the walk ends with fewer classes than elements, and a group
+    built on it refuses them."""
+    elements = np.asarray(elements, dtype=np.int64)
+    order, degree = elements.shape
+    rank = np.zeros(order, dtype=np.int64)  # of each element's class
+    at = np.arange(order)  # the elements that fix the base points so far
+    classes, levels = 1, []
+    for point in range(degree):
+        if classes == order:
+            break
+        keys = rank * degree + elements[:, point]
+        hit = np.zeros(classes * degree, dtype=bool)
+        hit[keys] = True
+        table = np.cumsum(hit) - 1
+        if table[-1] + 1 == classes:
+            continue
+        rank, classes = table[keys], int(table[-1]) + 1
+        images = elements[at, point]
+        orbit = np.unique(images)
+        rows = elements[[at[images == y][0] for y in orbit]].astype(np.int32)
+        offset = np.full(degree, -1)
+        offset[orbit] = np.arange(len(orbit)) * degree
+        levels.append((point, offset, rows, np.argsort(rows, axis=1).astype(np.int32).reshape(-1)))
+        at = at[images == point]
+    position = np.zeros(order, dtype=np.int64)  # in range where duplicates share a rank
+    position[rank] = np.arange(order)
+    return levels, position

@@ -14,6 +14,7 @@ from involq import build_entry, centralizer, conjugacy_class, run_catalog
 from involq.config import DEFAULT_NEARFIELD_ORDER_CAP
 from involq.nearfield import least_irreducible, prime_power
 from involq.permgroup import PermGroup
+from naive import naive_chain
 
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 galoistools = pytest.importorskip("sympy.polys.galoistools")
@@ -32,7 +33,8 @@ def test_order_classes_and_centralizers_match_sympy(entry):
     """One miss per class fills every member's centralizer by conjugation; the
     member checked is the last of its class, so its entry is a filled one."""
     built = build_entry(entry)
-    G = PermGroup(built.degree, built.elements, built.generators)  # an empty cache
+    # an empty cache, on the oracle's chain of the rows
+    G = PermGroup(built.degree, built.elements, built.generators, naive_chain(built.elements))
     S = sympy_comb.PermutationGroup(
         [sympy_comb.Permutation(g.tolist()) for g in G.generators]
         or [sympy_comb.Permutation(list(range(G.degree)))])

@@ -7,6 +7,7 @@ the vectorized paths, plus hand-frozen element lists for the BFS order.
 import json
 import random
 import tracemalloc
+from functools import partial
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -33,8 +34,8 @@ from involq import permgroup, reporting
 from involq.config import max_group_order
 from involq.permgroup import PermGroup, as_perm, member_mask
 from involq.reporting import least_cell_in_chunks
-from involq.catalog import SYM4_DOC, build_entry, find_entry
-from naive import naive_order
+from involq.catalog import SYM4_DOC, build_entry, find_entry, run_catalog
+from naive import naive_chain, naive_order
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
 S3_ON_POINTS_2_TO_4_DOC = {"degree": 5, "generators": [[0, 1, 3, 4, 2], [0, 1, 3, 2, 4]]}
@@ -202,8 +203,9 @@ def sympy_levels(doc):
                          ids=ENUMERATED_IDS + ["c2-power-15"] + [p.stem for p in DATA_DOCS])
 def test_base_matches_sympy(doc, request):
     """The chain on points runs along sympy's greedy base, with sympy's
-    basic orbit sizes, and so does the chain the group walks in its rows
-    (where the trivial group takes point 0, with an orbit of one point)."""
+    basic orbit sizes, and so do the levels of the group the parse builds
+    on it (where the trivial group takes point 0, with an orbit of one
+    point)."""
     if isinstance(doc, Path):
         doc = json.loads(doc.read_text())
     elif isinstance(doc, str):
@@ -217,31 +219,62 @@ def test_base_matches_sympy(doc, request):
 
 
 CYCLE_1000_DOC = {"degree": 1000, "generators": [[*range(1, 1000), 0]]}
+# every affine catalog entry of degree <= 121, and the groups of GF(2) (one
+# level) and GF(4) (characteristic 2), each built by affine_group
+AFFINE_ENTRIES = [e for e in run_catalog() if e.family != "ingested"]
+AFFINE_BUILDS = ([partial(build_entry, e) for e in AFFINE_ENTRIES]
+                 + [lambda: affine_group(make_field(2)), lambda: affine_group(make_field(2, 2))])
+AFFINE_IDS = [e.id for e in AFFINE_ENTRIES] + ["field-2", "field-2-2"]
+
+
+def built_with_chain(build, monkeypatch):
+    """The group build() returns and the chain (levels, position) that its
+    builder handed the constructor."""
+    chains = []
+    monkeypatch.setattr(permgroup, "PermGroup",
+                        lambda *args: chains.append(args[3]) or PermGroup(*args))
+    return build(), chains[-1]
 
 
 @pytest.mark.parametrize("doc", ENUMERATED_DOCS + ["c2_15_doc", CYCLE_1000_DOC, 1, 2, 3]
-                         + DATA_DOCS,
+                         + DATA_DOCS + AFFINE_BUILDS,
                          ids=ENUMERATED_IDS + ["c2-power-15", "cycle-1000", "ingest-seed-1",
                                                "ingest-seed-2", "ingest-seed-3"]
-                         + [p.stem for p in DATA_DOCS])
+                         + [p.stem for p in DATA_DOCS] + AFFINE_IDS)
 def test_the_proved_chain_builds_the_group_its_rows_build(doc, request, monkeypatch):
-    """A parse hands the constructor the chain its proof built; the same rows
-    handed over alone are walked for a chain of their own. Both give the
-    same base and levels (point, orbit size), inverse table and identity,
-    find every row at its index, and refuse the same random permutations.
-    An integer stands for the four documents of that seed's ingest pass;
+    """A builder hands the constructor the chain it knows: a parse the chain
+    its proof built, affine_group its closed form. The oracle walks the
+    same rows for a chain of its own (naive.naive_chain), and a group built
+    on it has the same base and levels (point, orbit size), inverse table
+    and identity, finds every row at its index, and refuses the same random
+    permutations. Both chains put the same element at each lexicographic
+    rank; the affine chain is the oracle's array for array, as both take
+    the first element to each orbit point. An integer stands for the four
+    documents of that seed's ingest pass, a callable for an affine build;
     the trivial group (no-generators) has a proved chain of no level and
     still takes point 0."""
-    if isinstance(doc, int):
-        docs = ingest_documents(doc, monkeypatch)
+    if callable(doc):
+        builds = [doc]
+    elif isinstance(doc, int):
+        builds = [partial(parse_group_doc, d) for d in ingest_documents(doc, monkeypatch)]
     elif isinstance(doc, Path):
-        docs = [json.loads(doc.read_text())]
+        builds = [partial(parse_group_doc, json.loads(doc.read_text()))]
     else:
-        docs = [request.getfixturevalue(doc) if isinstance(doc, str) else doc]
+        builds = [partial(parse_group_doc, request.getfixturevalue(doc) if isinstance(doc, str)
+                          else doc)]
     rng = np.random.default_rng(7)
-    for doc in docs:
-        G = parse_group_doc(doc)
-        H = PermGroup(G.degree, G.elements, G.generators)
+    for build in builds:
+        G, (levels, position) = built_with_chain(build, monkeypatch)
+        oracle = naive_chain(G.elements)
+        H = PermGroup(G.degree, G.elements, G.generators, oracle)
+        assert np.array_equal(position, oracle[1])
+        if callable(doc):
+            assert len(levels) == len(oracle[0])
+            for level, expected in zip(levels, oracle[0]):
+                assert level[0] == expected[0]
+                assert all(np.array_equal(a, b) for a, b in zip(level[1:], expected[1:]))
+        assert ([(point, len(rows)) for point, _, rows, _ in levels]
+                == [(point, len(rows)) for point, _, rows, _ in oracle[0]])
         assert G.base == H.base
         assert ([(point, len(rows)) for point, _, rows, _ in G._levels]
                 == [(point, len(rows)) for point, _, rows, _ in H._levels])
@@ -330,29 +363,50 @@ def ingest_documents(seed, monkeypatch):
 
 def test_one_chain_walk_per_search(monkeypatch):
     """A parse builds one stabilizer chain on points and enumerates it once,
-    and the constructor takes that chain instead of walking the rows for
-    one: so for S4, for S3 on points 2..4 (whose residue makes a level at
-    point 3, which no generator moves first) and for the first document of
-    the ingest benchmark's seed-1 pass, one chain, one enumeration and no
-    walk. No search starts over. affine_group, which hands the constructor
-    rows, makes one walk."""
+    and affine_group runs neither: it hands the constructor its chain in
+    closed form. No module walks the rows for a chain of its own: while S4,
+    S3 on points 2..4 (whose residue makes a level at point 3, which no
+    generator moves first), the first document of the ingest benchmark's
+    seed-1 pass and agl-field-5 are built, the element cells are read only
+    by the constructor, once per base point (its column) and once for the
+    identity (its row)."""
     ingested = ingest_documents(1, monkeypatch)[0]
-    chains, enumerations, walks = [], [], []
-    stabilizer_chain, enumerate_, chain = (permgroup._stabilizer_chain, permgroup._enumerate,
-                                           permgroup._chain)
+    chains, enumerations, reads = [], [], []
+    stabilizer_chain, enumerate_ = permgroup._stabilizer_chain, permgroup._enumerate
     monkeypatch.setattr(permgroup, "_stabilizer_chain",
                         lambda *args: chains.append(args) or stabilizer_chain(*args))
     monkeypatch.setattr(permgroup, "_enumerate",
                         lambda *args: enumerations.append(args) or enumerate_(*args))
-    monkeypatch.setattr(permgroup, "_chain", lambda G: walks.append(G) or chain(G))
-    for doc in [SYM4_DOC, S3_ON_POINTS_2_TO_4_DOC, ingested]:
-        for calls in (chains, enumerations, walks):
+    for name in ("images", "rows", "column"):
+        read = getattr(PermGroup, name)
+        monkeypatch.setattr(PermGroup, name, lambda G, *args, name=name, read=read:
+                            reads.append((name, *args)) or read(G, *args))
+    for doc in [SYM4_DOC, S3_ON_POINTS_2_TO_4_DOC, ingested, None]:
+        for calls in (chains, enumerations, reads):
             calls.clear()
-        parse_group_doc(doc)
-        assert len(chains) == len(enumerations) == 1
-        assert walks == []
-    G = affine_group(make_field(5))
-    assert walks == [G] and len(chains) == len(enumerations) == 1
+        G = affine_group(make_field(5)) if doc is None else parse_group_doc(doc)
+        assert len(chains) == len(enumerations) == (doc is not None)
+        assert reads == [("column", point) for point in G.base] + [("rows", G.identity_index)]
+    assert G.base == [0, 1]
+
+
+def test_an_affine_chain_with_two_ranks_swapped_is_refused(monkeypatch):
+    """The constructor checks a chain its builder computed as it checks
+    one its builder proved: with the elements at the first and the last
+    lexicographic rank swapped in the closed-form chain of agl-field-5, the
+    trie finds some element's base images at another element, and the
+    build is refused. (Ranks that agree on the image of point 0 change no
+    table when swapped: the last table is keyed by each element's own
+    image of point 1.)"""
+    def swapped(degree, elements, generators, chain):
+        levels, position = chain
+        position = position.copy()
+        position[[0, -1]] = position[[-1, 0]]
+        return PermGroup(degree, elements, generators, (levels, position))
+
+    monkeypatch.setattr(permgroup, "PermGroup", swapped)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        affine_group(make_field(5))
 
 
 @pytest.mark.parametrize("doc, residues, levels", [
@@ -463,7 +517,7 @@ def test_a_long_cycle_parses_within_its_chain_and_cells():
     inverses (7.6 MiB of int32) and 1.9 MiB of uint16 cells. The Schreier
     tree gathers its new rows, and the level scatters its inverse rows, in
     chunks of their int64 index, and the constructor keeps the proved chain
-    instead of walking the rows for a second one, so the traced parse peak
+    rather than finding a second one in the rows, so the traced parse peak
     stays within 17.4 MiB; a full-size index and a second chain took it to
     23.2 MiB."""
     tracemalloc.start()
@@ -483,12 +537,14 @@ def test_constructor_inverts_through_transversals_below_one_cell_per_element():
     masks: on agl-field-121 its traced peak stays below one full mask of
     14,520 x 121 bools (1.68 MiB). It is handed the group's own uint8
     cells: an int32 array would first be narrowed, a copy of exactly that
-    many bytes."""
+    many bytes, and the oracle's chain of them, found before the trace
+    starts."""
     G = affine_group(make_field(11, 2))
     cells = G._flat.reshape(G.order, G.degree)
+    chain = naive_chain(cells)
     tracemalloc.start()
     try:
-        H = PermGroup(G.degree, cells, G.generators)
+        H = PermGroup(G.degree, cells, G.generators, chain)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -726,8 +782,9 @@ def test_is_subgroup_matches_the_naive_closure(sym4, agl_d9, chunk_cells, monkey
 
 
 def fresh(G):
-    """The same group with an empty centralizer cache (the fixtures share theirs)."""
-    return PermGroup(G.degree, G.elements, G.generators)
+    """The same group with an empty centralizer cache (the fixtures share
+    theirs), built on the oracle's chain of its rows."""
+    return PermGroup(G.degree, G.elements, G.generators, naive_chain(G.elements))
 
 
 def counted_scans(monkeypatch):
@@ -884,9 +941,9 @@ def test_as_perm_refuses_non_integers_and_stacks():
 def test_constructor_refuses_duplicates_and_a_missing_identity():
     cycle = np.array([[1, 2, 0], [2, 0, 1]], dtype=np.int32)
     with pytest.raises(ValueError, match="duplicate elements"):
-        PermGroup(3, cycle[[0, 0]], cycle[:1])
+        PermGroup(3, cycle[[0, 0]], cycle[:1], naive_chain(cycle[[0, 0]]))
     with pytest.raises(ValueError, match="identity missing"):
-        PermGroup(3, cycle, cycle[:1])
+        PermGroup(3, cycle, cycle[:1], naive_chain(cycle))
 
 
 def test_repr(agl_f5, sym4):
@@ -1026,13 +1083,15 @@ def test_cell_type_at_the_two_byte_boundary():
 
 def test_constructor_refuses_images_that_do_not_fit_the_cells():
     """An int32 array is narrowed to the cells only when every image is a
-    point: 256 would otherwise wrap to 0 in a group of degree 256."""
+    point: 256 would otherwise wrap to 0 in a group of degree 256. The
+    range is checked before the chain is read, so the bad rows come with
+    the chain of the good ones."""
     rows = np.array([np.arange(256), np.roll(np.arange(256), 1)], dtype=np.int32)
     bad = rows.copy()
     bad[1, 0] = 256
     with pytest.raises(ValueError, match=r"element images must lie in 0\.\.255"):
-        PermGroup(256, bad, rows[1:])
-    assert PermGroup(256, rows, rows[1:])._flat.dtype == np.uint8
+        PermGroup(256, bad, rows[1:], naive_chain(rows))
+    assert PermGroup(256, rows, rows[1:], naive_chain(rows))._flat.dtype == np.uint8
 
 
 def test_constructor_takes_ownership_of_arrays_it_stores_as_they_are():
@@ -1041,11 +1100,11 @@ def test_constructor_takes_ownership_of_arrays_it_stores_as_they_are():
     copied and left as the caller had it."""
     cells = np.array([np.roll(np.arange(5), k) for k in range(5)], dtype=np.uint8)
     gens = cells[1:2].astype(np.int32)
-    G = PermGroup(5, cells, gens)
+    G = PermGroup(5, cells, gens, naive_chain(cells))
     assert np.shares_memory(G._flat, cells) and not cells.flags.writeable
     assert G.generators is gens and not gens.flags.writeable
     wide = cells.astype(np.int64)
-    G = PermGroup(5, wide, wide[1:2])
+    G = PermGroup(5, wide, wide[1:2], naive_chain(wide))
     assert not np.shares_memory(G._flat, wide) and wide.flags.writeable
     assert G.order == 5 and np.array_equal(G.rows(slice(None)), wide)
 

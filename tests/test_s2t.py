@@ -30,7 +30,7 @@ from involq.permgroup import PermGroup, identity_perm
 from involq.pipeline import verify_group
 from involq.s2t import _element_orders, _require_certified
 from conftest import tamper_sets
-from naive import naive_order
+from naive import naive_chain, naive_order
 
 
 def naive_swappers(G, x, y):
@@ -50,7 +50,7 @@ def test_certificate_agl_f5(agl_f5):
 
 
 def test_certificate_refuses_degree_below_two():
-    G = PermGroup(1, [[0]], np.empty((0, 1), dtype=np.int32))
+    G = PermGroup(1, [[0]], np.empty((0, 1), dtype=np.int32), naive_chain([[0]]))
     with pytest.raises(ValueError, match="need degree >= 2"):
         certify_sharply_2_transitive(G)
 
@@ -76,7 +76,8 @@ def test_certificate_of_a_small_group_builds_no_pair_mask():
     20,000, where the mask alone is 381 MiB, the trivial group's certificate
     peaks under 8 MiB traced. The group is built directly: parse_group_doc
     refuses this degree, as 20,000 * 19,999 exceeds the default order cap."""
-    G = PermGroup(20000, identity_perm(20000)[None, :], np.empty((0, 20000), dtype=np.int32))
+    identity = identity_perm(20000)[None, :]
+    G = PermGroup(20000, identity, np.empty((0, 20000), dtype=np.int32), naive_chain(identity))
     tracemalloc.start()
     try:
         cert = certify_sharply_2_transitive(G)
@@ -482,8 +483,9 @@ def test_certified_sets_are_frozen_and_go_with_their_group(entry_id):
     bytes it held right after certification, and the caches of involq.s2t
     keep no group alive: once the group is dropped, none holds an entry for
     it, its sets or their product tables. agl-field-4 has characteristic 2,
-    where the sets hold no fixed points, conjugation table or J.J.J, and
-    only the split test reads a shared table (T.T)."""
+    where the sets hold no fixed points or conjugation table, and only the
+    split test reads a shared table (T.T); in odd characteristic J.J.J and
+    the X_alpha table join it."""
     entry = find_entry(entry_id)
     G = build_entry(entry)
     cert = certify_sharply_2_transitive(G)
@@ -503,16 +505,16 @@ def test_certified_sets_are_frozen_and_go_with_their_group(entry_id):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
     tables = s2t._tables[sets]
-    assert len(tables) == 1 + (entry_id != "agl-field-4")
+    assert len(tables) == 1 + 2 * (entry_id != "agl-field-4")
     for table in tables.values():
         for array in table if isinstance(table, tuple) else (table,):
             if isinstance(array, np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 0
-    caches = (s2t._certified, s2t._triples, s2t._tables)
+    caches = (s2t._certified, s2t._tables)
     gc.collect()  # groups of earlier tests that wait in reference cycles go first
     sizes = [len(cache) for cache in caches]
-    held = [G in s2t._certified, G in s2t._triples, True]
+    held = [G in s2t._certified, True]
     alive, sets_alive = weakref.ref(G), weakref.ref(sets)
     del G, sets, arrays, tables
     gc.collect()
@@ -522,18 +524,20 @@ def test_certified_sets_are_frozen_and_go_with_their_group(entry_id):
 
 def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
     """In one verify_group of agl-field-25, the certified translations are
-    multiplied by themselves once and the X_alpha products are built once:
-    the split test, the odd-subgroup scan and geometry condition (a) read
-    the one T.T table, the census and the covering scan the one X_alpha
-    table. (The abelian test of condition (c) multiplies each centralizer
-    set apart, a cross-check.) One conjugation pass runs per class
+    multiplied by themselves once, J by the translations once, and the
+    X_alpha products are built once: the split test, the odd-subgroup scan
+    and geometry condition (a) read the one T.T table, the census (twice:
+    its alpha sample is drawn from J.J.J) and the covering scan the one
+    J.J.J, and the census and the covering scan the one X_alpha table.
+    (The abelian test of condition (c) multiplies each centralizer set
+    apart, a cross-check.) One conjugation pass runs per class
     representative, the first nontrivial translation and J[0]:
     conjugacy_class in the certificate and the first centralizer miss on
     each share it."""
     census_mod = importlib.import_module("involq.census")
     entry = find_entry("agl-field-25")
     G = build_entry(entry)
-    reads, builds, passes, tt_products = [], [], [], []
+    reads, builds, passes, tt_products, jt_products = [], [], [], [], []
     shared, conjugators, mul = s2t._shared_table, permgroup._conjugators, G.mul
 
     def spy_table(sets, key, build):
@@ -543,6 +547,7 @@ def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
     def spy_mul(a, b):
         tt_products.append(np.shares_memory(a, sets.translations)
                            and np.shares_memory(b, sets.translations))
+        jt_products.append(np.shares_memory(a, sets.j) and np.shares_memory(b, sets.translations))
         return mul(a, b)
 
     monkeypatch.setattr(s2t, "_shared_table", spy_table)
@@ -552,9 +557,10 @@ def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
     monkeypatch.setattr(G, "mul", spy_mul)
     assert verify_group(G, entry)["conforms"]
 
-    tt, x_alpha = "translation products", ("x_alpha", census_mod.DEFAULT_ALPHA_CAP)
-    assert builds == [tt, x_alpha]
-    assert (reads.count(tt), reads.count(x_alpha), len(reads)) == (3, 2, 5)
-    assert sum(tt_products) == 1
+    tt, j3, x_alpha = ("translation products", "triple products",
+                       ("x_alpha", census_mod.DEFAULT_ALPHA_CAP))
+    assert builds == [tt, j3, x_alpha]
+    assert (reads.count(tt), reads.count(j3), reads.count(x_alpha), len(reads)) == (3, 3, 2, 8)
+    assert sum(tt_products) == sum(jt_products) == 1
     nontrivial = sets.translations[sets.translations != G.identity_index]
     assert passes == [int(nontrivial[0]), int(sets.j[0])]
