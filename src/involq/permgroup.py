@@ -31,7 +31,10 @@ element at each lexicographic rank of the base images, it fills each trie
 table once, at its final size, and it finds every inverse by sifting each
 element's base images through the chain's transversals. One centralizer
 scan serves a whole class, filled in by conjugation, and a class is read
-off one conjugation pass without a sort.
+without a sort off the conjugates of its representative by every element:
+one conjugation pass, or an array a caller already holds exactly (the
+certificate gathers those of J[0] and of a translation from the fixed
+points of the involutions).
 Enumeration order is deterministic: breadth-first from the identity with
 generators applied in document order, each new layer sorted in the
 lexicographic order of its image sequences. A document's group is built
@@ -252,9 +255,9 @@ class PermGroup:
     of the base images. ``parse_group_doc`` passes the chain its proof
     built, ``affine_group`` the closed form of its own, so the rows are
     never walked. The trie is filled from the chain, and the constructor
-    refuses rows the chain does not fit, duplicate elements among them (one
-    lookup of every element's base images must give its own index), and an
-    element list without the identity.
+    refuses an element list without the identity, and rows whose lookup
+    does not give every element its own index: as duplicate elements when
+    two rows share their base images, else as rows the chain does not fit.
 
     The constructor takes ownership of its input arrays. An element array
     already of the cell type and C-contiguous, and a C-contiguous int32
@@ -295,7 +298,10 @@ class PermGroup:
         self._trie = _Trie(self.degree, [len(rows) for _, _, rows, _ in self._levels],
                            position, self._columns)
         if not np.array_equal(self._trie.lookup(self._columns), np.arange(self.order)):
-            raise ValueError("duplicate elements")
+            keys = np.stack(self._columns, axis=1)[np.lexsort(self._columns[::-1])]
+            if (keys[1:] == keys[:-1]).all(axis=1).any():
+                raise ValueError("duplicate elements")
+            raise ValueError("the chain does not fit the element rows")
         ident = self._locate(self.base)
         if not np.array_equal(self.rows(ident), identity_perm(degree)):
             raise ValueError("identity missing from element list")
@@ -412,10 +418,13 @@ def _schreier_tree(point: int, gens: np.ndarray):
     steps from it, take logarithmic rounds of pointer jumping, and its row
     is that predecessor's row then a power of s; so a long cycle costs a
     few rounds, where a breadth-first search takes one round per step. The
-    new rows of a round are gathered, and the level's inverse rows
-    scattered (:func:`_level`), in row chunks of their int64 index, and the
-    (degree, degree) table of rows is freed before the inverse rows exist,
-    so a level of n points peaks near three (n, degree) int32 arrays.
+    powers of s are one table of 2^k rows, allocated at that size and
+    filled by doublings in place. The doublings and the new rows of a round
+    are gathered, and the level's inverse rows scattered (:func:`_level`),
+    in row chunks of their int64 index (a whole-block gather first copies
+    an int32 index to int64), and the (degree, degree) table of rows is
+    freed before the inverse rows exist, so a level of n points peaks near
+    three (n, degree) int32 arrays.
     """
     degree = gens.shape[1]
     every = identity_perm(degree)
@@ -437,11 +446,16 @@ def _schreier_tree(point: int, gens: np.ndarray):
             steps, anchor = steps + steps[anchor], anchor[anchor]
         new = np.flatnonzero(~found & found[anchor])
         if len(new):
-            power, lift = every[None], s  # s^0, ..., s^(len(power) - 1); s^len(power)
-            while len(power) <= steps[new].max():
-                power = np.concatenate([power, lift[power]])
-                lift = lift[lift]
             step = chunk_rows(degree * _INDEX_BYTES)  # rows per chunk of the int64 gather index
+            # s^0, ..., s^(2^k - 1), past the longest chain, filled in place: a
+            # doubling writes s^n ... s^(2n - 1) as s^0 ... s^(n - 1) then s^n
+            power = np.empty((1 << int(steps[new].max()).bit_length(), degree), dtype=np.int32)
+            power[0], lift, n = every, s, 1  # lift = s^n
+            while n < len(power):
+                for lo in range(0, n, step):
+                    hi = min(lo + step, n)
+                    power[n + lo:n + hi] = lift[power[lo:hi]]
+                lift, n = lift[lift], 2 * n
             for at in (new[lo:lo + step] for lo in range(0, len(new), step)):
                 rows[at] = power.reshape(-1)[(steps[at] * degree)[:, None] + rows[anchor[at]]]
             del power, lift  # the powers of s serve this round only
@@ -827,25 +841,32 @@ def member_mask(G: PermGroup, members) -> np.ndarray:
     return mask
 
 
-def _conjugators(G: PermGroup, gi: int):
+def _conjugators(G: PermGroup, gi: int, conjugates=None):
     """The class of element gi in enumeration order, read-only, and beside
-    each member c the least h with h^-1 gi h = c: one conjugation pass, and
-    the least h per conjugate taken by one unbuffered minimum, without a
-    sort."""
+    each member c the least h with h^-1 gi h = c, from the conjugates of gi:
+    an order-length array whose entry h is the index of h^-1 gi h. The
+    least h per conjugate is taken by one unbuffered minimum, without a
+    sort. Without the array, one conjugation pass over G computes it."""
     every = np.arange(G.order)
+    if conjugates is None:
+        conjugates = G.conj(gi, every)
     least = np.full(G.order, G.order)  # G.order: no h reaches this element
-    np.minimum.at(least, G.conj(gi, every), every)
+    np.minimum.at(least, conjugates, every)
     cls = np.flatnonzero(least < G.order)
     cls.setflags(write=False)
     return cls, least[cls]
 
 
-def _class_pass(G: PermGroup, gi: int):
+def _class_pass(G: PermGroup, gi: int, conjugates=None):
     """:func:`_conjugators` of gi, run once per element and kept on G, so a
     class read by conjugacy_class and then by a centralizer miss on the same
-    element costs one pass."""
+    element costs one pass. A caller that already has the conjugates of gi
+    exactly, as an order-length array of the indices of h^-1 gi h over every
+    h, hands them over and no conjugation pass runs (the certificate derives
+    them for J[0] and a translation from the fixed points of J); a class
+    already kept is read as it is."""
     if gi not in G._class_cache:
-        G._class_cache[gi] = _conjugators(G, gi)
+        G._class_cache[gi] = _conjugators(G, gi, conjugates)
     return G._class_cache[gi]
 
 

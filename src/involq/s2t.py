@@ -12,6 +12,12 @@ involutions) and the conjugation table of J.
 In odd characteristic certification raises CharacteristicAnomaly unless
 involution -> fixed point is a bijection onto the points; then h^-1 j h is the
 involution fixing h(fix j), so conjugates of J are gathers, not group products.
+So are the conjugates of a translation J[a] then J[b], read off the J x J
+table at the conjugates of J[a] and of J[b]: the certificate's classes of
+J[0] and of T[0], the first nontrivial translation, go through
+``permgroup._class_pass`` with their conjugates by every element gathered,
+and no conjugation pass over G runs. In characteristic 2 the class of J[0]
+takes one conjugation pass.
 
 This module keeps two caches. The certificate and the sets are cached keyed
 weakly by the group, so a dropped group frees them. Every later stage
@@ -34,9 +40,8 @@ them, and sets replaced under a group never meet a table of the old ones.
 A stage reads a table only where its operands are the arrays it would
 multiply; build_geometry and condition (c) multiply distinct(J x J) and the
 sigmas, so they keep their own products. Beside these, each group keeps the
-conjugation pass of every class it has scanned (``permgroup._class_pass``):
-the certificate's conjugacy_class of J[0] and of T[0] and the first
-centralizer miss on either share one pass.
+class pass of every element it has scanned (``permgroup._class_pass``): the
+first centralizer miss on J[0] or on T[0] reads the certificate's.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from .errors import CharacteristicAnomaly, CharacteristicTwo, NotSharply2Transitive
 from .nearfield import is_prime
-from .permgroup import PermGroup, centralizer, conjugacy_class, distinct, member_mask
+from .permgroup import PermGroup, _class_pass, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell
 
 
@@ -160,6 +165,20 @@ def certify_sharply_2_transitive(G: PermGroup) -> S2TCertificate:
 
 
 def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
+    """The certificate of G and, when it passes, the certified sets.
+
+    The two class flags compare the class of J[0] with J and the class of
+    t0, the first nontrivial translation, with the nontrivial translations,
+    through :func:`permgroup._class_pass`. In odd characteristic their
+    conjugates by every h are gathers, and exact. Once involution -> fixed
+    point is checked to be a bijection, h^-1 j h is an involution fixing
+    h(fix j), so it is the involution ``j_of_point[h(fix j)]``: over every
+    h, the J positions of the conjugates of J[k] are ``j_of_point`` at the
+    column of fix[k]. Conjugation by h is an automorphism, so with t0 =
+    J[a] then J[b], h^-1 t0 h = (h^-1 J[a] h) then (h^-1 J[b] h), the
+    entry of the certified J x J table at those two positions. In
+    characteristic 2 the involutions fix no point, and J[0] takes a
+    conjugation pass over G."""
     d = G.degree
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -202,21 +221,29 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
 
     trans = _translation_indices(j_idx, jj, fix is None)
     nontrivial = trans[trans != G.identity_index]
-    p, j2_single = 2, None
+    p, j2_single, j_conjugates = 2, None, None
     if fix is not None:
         # fix is a bijection, so there are degree >= 3 involutions, and two
         # distinct ones give a nontrivial translation. With p the order of
         # the first, the orders are one prime exactly when p is prime and
         # every p-th power is the identity; only a refusal computes them all
-        p = _perm_order(G.rows(int(nontrivial[0])))
+        t0 = int(nontrivial[0])
+        p = _perm_order(G.rows(t0))
         if not is_prime(p) or (_powers(G, nontrivial, p) != G.identity_index).any():
             orders = distinct(_element_orders(G, nontrivial)).tolist()
             if len(orders) != 1:
                 raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
             raise CharacteristicAnomaly(f"translation order {p} is not prime")
-        j2_single = np.array_equal(conjugacy_class(G, int(nontrivial[0])), nontrivial)
 
-    j_single = np.array_equal(conjugacy_class(G, int(j_idx[0])), j_idx)
+        def conjugated(k):  # over every h, the J position of h^-1 J[k] h
+            return j_of_point[G.column(int(fix[k]))]
+
+        a, b = least_cell(jj == t0)
+        j2_single = np.array_equal(_class_pass(G, t0, jj[conjugated(a), conjugated(b)])[0],
+                                   nontrivial)
+        j_conjugates = j_idx[conjugated(0)]
+
+    j_single = np.array_equal(_class_pass(G, int(j_idx[0]), j_conjugates)[0], j_idx)
     cert = S2TCertificate(d, order, True, True, True, involution_count=len(j_idx),
                           fixed_point_profile=profile, characteristic=p,
                           j_single_class=j_single, j2_single_class=j2_single)
@@ -224,10 +251,15 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
 
 
 def _require_certified(G: PermGroup) -> CertifiedSets:
-    cert = certify_sharply_2_transitive(G)
+    """The certified sets of G, read from the cache: G is certified through
+    certify_sharply_2_transitive on a miss only, so calls of that function
+    are certifications and explicit reads, never a stage's cached read."""
+    if G not in _certified:
+        certify_sharply_2_transitive(G)
+    cert, sets = _certified[G]
     if not cert.valid:
         raise NotSharply2Transitive(f"certificate failed: {cert.failure}")
-    return _certified[G][1]
+    return sets
 
 
 def _require_odd_characteristic(G: PermGroup) -> CertifiedSets:
@@ -289,7 +321,7 @@ def translations(G: PermGroup) -> np.ndarray:
 
 def characteristic(G: PermGroup) -> int:
     _require_certified(G)
-    return int(certify_sharply_2_transitive(G).characteristic)
+    return int(_certified[G][0].characteristic)
 
 
 def verify_basic_properties(G: PermGroup) -> CheckReport:

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import os
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from involq import affine_group, make_dickson, make_field, parse_group_doc, s2t
-from involq.catalog import SYM4_DOC
+from involq.catalog import SYM4_DOC, build_entry, find_entry
 
 
 @pytest.fixture(scope="session")
@@ -154,3 +155,15 @@ def tamper_sets(monkeypatch, G, **changes):
     sets = dataclasses.replace(sets, **changes)
     monkeypatch.setitem(s2t._certified, G, (cert, sets))
     return sets
+
+
+def ingest_documents(seed, monkeypatch):
+    """The documents of one seed's pass of the ingest benchmark, drawn as
+    its runner draws them: 2 or 3 generators, alternating by position."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, ingest_document, known_answers
+
+    rng = random.Random(seed)
+    return [ingest_document(build_entry(find_entry(entry_id)).elements, known_answers(entry_id),
+                            2 + position % 2, rng)
+            for position, entry_id in enumerate(WORKLOADS["ingest"].entries)]

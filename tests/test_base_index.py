@@ -22,6 +22,7 @@ from involq import (
     NotAMember,
     affine_group,
     centralizer,
+    certify_sharply_2_transitive,
     compose,
     conjugacy_class,
     conjugate,
@@ -188,17 +189,27 @@ def test_primitives_match_row_arithmetic(name, request):
 @pytest.mark.parametrize("name", ["d9_relabelled", "sym4"])
 def test_conjugators_match_a_naive_loop(name, request):
     """For every g: the class of g in enumeration order, and beside each
-    member c the least h with h^-1 g h = c, from a loop over whole rows."""
+    member c the least h with h^-1 g h = c, from a loop over whole rows. On
+    the relabelled Dickson group the two passes its certificate keeps (of
+    J[0] and of the first nontrivial translation), whose conjugates are
+    gathered from the fixed points of J, are checked too: on a fresh parse
+    of the document, whose class cache no other scan has filled."""
     G = request.getfixturevalue(name)
+    kept = {}
+    if name == "d9_relabelled":
+        H = parse_group_doc(request.getfixturevalue("d9_relabelled_doc"))
+        assert certify_sharply_2_transitive(H).valid
+        kept = H._class_cache
+        assert len(kept) == 2
     index = row_index(G)
     for g in range(G.order):
         least = {}
         for h in range(G.order):  # ascending, so the first h to reach c is the least
             least.setdefault(index[conjugate(G.elements[g], G.elements[h]).tobytes()], h)
         members = sorted(least)
-        cls, conjugators = permgroup._conjugators(G, g)
-        assert cls.tolist() == members
-        assert conjugators.tolist() == [least[c] for c in members]
+        for cls, conjugators in [permgroup._conjugators(G, g)] + ([kept[g]] if g in kept else []):
+            assert cls.tolist() == members
+            assert conjugators.tolist() == [least[c] for c in members]
         assert conjugacy_class(G, g).tolist() == members
 
 

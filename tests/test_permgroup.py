@@ -5,7 +5,6 @@ the vectorized paths, plus hand-frozen element lists for the BFS order.
 """
 
 import json
-import random
 import tracemalloc
 from functools import partial
 from itertools import permutations
@@ -35,6 +34,7 @@ from involq.config import max_group_order
 from involq.permgroup import PermGroup, as_perm, member_mask
 from involq.reporting import least_cell_in_chunks
 from involq.catalog import SYM4_DOC, build_entry, find_entry, run_catalog
+from conftest import ingest_documents
 from naive import naive_chain, naive_order
 
 S3_DOC = {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
@@ -349,18 +349,6 @@ def test_random_generator_sets_enumerate_like_the_oracle():
     check()
 
 
-def ingest_documents(seed, monkeypatch):
-    """The documents of one seed's pass of the ingest benchmark, drawn as
-    its runner draws them: 2 or 3 generators, alternating by position."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import WORKLOADS, ingest_document, known_answers
-
-    rng = random.Random(seed)
-    return [ingest_document(build_entry(find_entry(entry_id)).elements, known_answers(entry_id),
-                            2 + position % 2, rng)
-            for position, entry_id in enumerate(WORKLOADS["ingest"].entries)]
-
-
 def test_one_chain_walk_per_search(monkeypatch):
     """A parse builds one stabilizer chain on points and enumerates it once,
     and affine_group runs neither: it hands the constructor its chain in
@@ -395,9 +383,10 @@ def test_an_affine_chain_with_two_ranks_swapped_is_refused(monkeypatch):
     one its builder proved: with the elements at the first and the last
     lexicographic rank swapped in the closed-form chain of agl-field-5, the
     trie finds some element's base images at another element, and the
-    build is refused. (Ranks that agree on the image of point 0 change no
-    table when swapped: the last table is keyed by each element's own
-    image of point 1.)"""
+    build is refused as a chain that does not fit its rows, which are
+    distinct. (Ranks that agree on the image of point 0 change no table
+    when swapped: the last table is keyed by each element's own image of
+    point 1.)"""
     def swapped(degree, elements, generators, chain):
         levels, position = chain
         position = position.copy()
@@ -405,7 +394,7 @@ def test_an_affine_chain_with_two_ranks_swapped_is_refused(monkeypatch):
         return PermGroup(degree, elements, generators, (levels, position))
 
     monkeypatch.setattr(permgroup, "PermGroup", swapped)
-    with pytest.raises(ValueError, match="duplicate elements"):
+    with pytest.raises(ValueError, match="the chain does not fit the element rows"):
         affine_group(make_field(5))
 
 
@@ -528,6 +517,24 @@ def test_a_long_cycle_parses_within_its_chain_and_cells():
         tracemalloc.stop()
     assert G.order == 1000 and G.base == [0]
     assert peak <= 17.4 * 2**20
+
+
+def test_a_long_cycle_chain_fills_its_powers_in_place():
+    """The Schreier tree of the 1,000-cycle hangs every point from 0 by a
+    power of the cycle, from one table of 1,024 powers (3.9 MiB of int32)
+    allocated at that size and filled by doublings in row chunks, beside
+    the (degree, degree) table of rows (3.8 MiB): the traced peak of its
+    chain stays within 9.5 MiB. Concatenating each doubling held the old
+    and the new power tables at once and peaked at 11.7 MiB."""
+    cycle = np.array(CYCLE_1000_DOC["generators"], dtype=np.int32)
+    tracemalloc.start()
+    try:
+        levels = permgroup._stabilizer_chain(cycle, max_group_order())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(point, len(rows)) for point, _, rows, _ in levels] == [(0, 1000)]
+    assert peak <= 9.5 * 2**20
 
 
 def test_constructor_inverts_through_transversals_below_one_cell_per_element():

@@ -3,8 +3,10 @@
 import dataclasses
 import gc
 import importlib
+import json
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +27,11 @@ from involq import (
     verify_xalpha_covering,
 )
 from involq import permgroup, s2t
-from involq.catalog import build_entry, find_entry
+from involq.catalog import build_entry, find_entry, run_catalog
 from involq.permgroup import PermGroup, identity_perm
 from involq.pipeline import verify_group
 from involq.s2t import _element_orders, _require_certified
-from conftest import tamper_sets
+from conftest import ingest_documents, tamper_sets
 from naive import naive_chain, naive_order
 
 
@@ -374,6 +376,39 @@ def test_conjugation_by_fixed_points_matches_group_conjugation(d9_relabelled):
                                   sets.fix_points[by_conj])
 
 
+ODD_ENTRIES = [e.id for e in run_catalog() if e.expected_certified and e.degree % 2]
+DATA_DOCS = sorted((Path(__file__).parent / "data").glob("*.json"))
+
+
+@pytest.mark.parametrize("source", ODD_ENTRIES + [p.name for p in DATA_DOCS] + [1, 2, 3],
+                         ids=lambda s: f"ingest-seed-{s}" if isinstance(s, int) else s)
+def test_certificate_classes_equal_one_conjugation_pass(source, monkeypatch):
+    """The certificate gathers the conjugates of J[0] and of the first
+    nontrivial translation from the fixed points of J, and hands them to
+    the class pass, so no conjugation pass over G runs: the class and the
+    least conjugators it keeps for each equal those of one conjugation pass
+    (permgroup._conjugators), on every odd default catalog entry up to
+    degree 121, on the documents of tests/data and on the documents of the
+    ingest benchmark's seeds 1-3, whose elements are not in affine order."""
+    if isinstance(source, int):
+        groups = [parse_group_doc(doc) for doc in ingest_documents(source, monkeypatch)]
+    elif source.endswith(".json"):
+        groups = [parse_group_doc(json.loads((DATA_DOCS[0].parent / source).read_text()))]
+    else:
+        groups = [build_entry(find_entry(source))]
+    conjugators, handed = permgroup._conjugators, []
+    monkeypatch.setattr(permgroup, "_conjugators", lambda G, gi, conjugates=None:
+                        handed.append(conjugates is not None) or conjugators(G, gi, conjugates))
+    for G in groups:
+        sets = _require_certified(G)
+        t0 = int(sets.translations[sets.translations != G.identity_index][0])
+        assert sorted(G._class_cache) == sorted([t0, int(sets.j[0])])
+        for gi, (cls, least) in G._class_cache.items():
+            want_cls, want_least = conjugators(G, gi)
+            assert np.array_equal(cls, want_cls) and np.array_equal(least, want_least)
+    assert handed == [True, True] * len(groups)
+
+
 def _basic_a_by_conjugation(G):
     """Basic property (a) as one G.conj table per involution: the witness of
     the scan before conjugates were read through fixed points."""
@@ -530,10 +565,10 @@ def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
     its alpha sample is drawn from J.J.J) and the covering scan the one
     J.J.J, and the census and the covering scan the one X_alpha table.
     (The abelian test of condition (c) multiplies each centralizer set
-    apart, a cross-check.) One conjugation pass runs per class
-    representative, the first nontrivial translation and J[0]:
-    conjugacy_class in the certificate and the first centralizer miss on
-    each share it."""
+    apart, a cross-check.) No conjugation pass over G runs: the certificate
+    hands the class pass of the first nontrivial translation and of J[0]
+    the conjugates it gathers from the fixed points of J, and the first
+    centralizer miss on each reads the pass it keeps."""
     census_mod = importlib.import_module("involq.census")
     entry = find_entry("agl-field-25")
     G = build_entry(entry)
@@ -552,7 +587,8 @@ def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
 
     monkeypatch.setattr(s2t, "_shared_table", spy_table)
     monkeypatch.setattr(census_mod, "_shared_table", spy_table)
-    monkeypatch.setattr(permgroup, "_conjugators", lambda G, gi: passes.append(gi) or conjugators(G, gi))
+    monkeypatch.setattr(permgroup, "_conjugators", lambda G, gi, conjugates=None:
+                        passes.append((gi, conjugates is None)) or conjugators(G, gi, conjugates))
     sets = _require_certified(G)  # certified first: the product spy watches the stages
     monkeypatch.setattr(G, "mul", spy_mul)
     assert verify_group(G, entry)["conforms"]
@@ -563,4 +599,32 @@ def test_one_verify_group_builds_each_shared_table_once(monkeypatch):
     assert (reads.count(tt), reads.count(j3), reads.count(x_alpha), len(reads)) == (3, 3, 2, 8)
     assert sum(tt_products) == sum(jt_products) == 1
     nontrivial = sets.translations[sets.translations != G.identity_index]
-    assert passes == [int(nontrivial[0]), int(sets.j[0])]
+    assert passes == [(int(nontrivial[0]), False), (int(sets.j[0]), False)]
+
+
+def test_one_verify_group_certifies_once(monkeypatch):
+    """The stages read the certified sets from the cache, and certify only
+    on a miss: one verify_group of agl-field-25 calls
+    certify_sharply_2_transitive once, in the certificate stage, so a count
+    of its calls counts certifications, not cached reads."""
+    entry = find_entry("agl-field-25")
+    G = build_entry(entry)
+    certify, calls = s2t.certify_sharply_2_transitive, []
+    monkeypatch.setattr(s2t, "certify_sharply_2_transitive", lambda G: calls.append(G) or certify(G))
+    assert verify_group(G, entry)["conforms"]
+    assert calls == [G]
+
+
+def test_characteristic_two_finds_the_class_of_j_by_a_conjugation_pass(monkeypatch):
+    """In characteristic 2 the involutions fix no point, so one verify_group
+    of agl-field-4 runs the one conjugation pass over G, on J[0], and no
+    translation class is compared."""
+    entry = find_entry("agl-field-4")
+    G = build_entry(entry)
+    conjugators, passes = permgroup._conjugators, []
+    monkeypatch.setattr(permgroup, "_conjugators", lambda G, gi, conjugates=None:
+                        passes.append((gi, conjugates is None)) or conjugators(G, gi, conjugates))
+    assert verify_group(G, entry)["conforms"]
+    cert = certify_sharply_2_transitive(G)
+    assert cert.j_single_class and cert.j2_single_class is None
+    assert passes == [(int(involutions(G)[0]), True)]
