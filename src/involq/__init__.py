@@ -14,7 +14,6 @@ from .census import CensusReport, census, verify_xalpha_covering
 from .errors import (
     AxiomFailure,
     AxiomRecoveryFailure,
-    CharacteristicAnomaly,
     CharacteristicTwo,
     CharacterizationMismatch,
     ConstructionSanityFailure,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomFailure", "AxiomRecoveryFailure", "CatalogEntry", "CensusReport",
-    "CharacteristicAnomaly", "CharacteristicTwo", "CharacterizationMismatch",
+    "CharacteristicTwo", "CharacterizationMismatch",
     "ConstructionSanityFailure", "Coordinatization", "EvenCharacteristicUnsupported",
     "Geometry", "GeometryConditionsFailed", "InputError", "InvolqError",
     "MalformedDocument", "NearField", "NotABijection", "NotAMember", "NotDicksonPair",

@@ -40,7 +40,7 @@ class CatalogEntry:
         return field_dict(self, params=list(self.params))
 
 
-def _odd_prime_powers(limit: int) -> list[int]:
+def _odd_prime_power_degrees(limit: int) -> list[int]:
     return [q for q in range(3, limit + 1, 2) if prime_power(q) is not None]
 
 
@@ -76,7 +76,7 @@ def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
     """All built-in entries of degree <= max_degree, in sorted id order."""
     _require_max_degree(max_degree)
     entries = [_affine(f"agl-field-{q}", "agl-field", prime_power(q), q)
-               for q in _odd_prime_powers(max_degree)]
+               for q in _odd_prime_power_degrees(max_degree)]
     if max_degree >= 4:
         entries.append(_affine("agl-field-4", "agl-field", (2, 2), 4))
         entries.append(
@@ -90,7 +90,7 @@ def run_catalog(max_degree: int = DEFAULT_MAX_DEGREE) -> list[CatalogEntry]:
                 expected_characteristic=None,
             )
         )
-    for q in _odd_prime_powers(max_degree):
+    for q in _odd_prime_power_degrees(max_degree):
         n = 2
         while q**n <= max_degree:
             if is_dickson_pair(q, n):

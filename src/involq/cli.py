@@ -10,8 +10,8 @@ Subcommands:
 Targets are catalog entry ids (``involq catalog`` lists them) or paths to
 group documents ``{"degree": d, "generators": [[...], ...]}``. Exit codes:
 0 all applicable checks passed, 1 verification failure (a failing or raising
-stage, a target that cannot be recovered, or a group document whose
-degree exceeds the group-order cap), 2 input error. Every subcommand maps
+stage, a target that cannot be recovered, a group document whose degree
+exceeds the group-order cap, or a run out of memory), 2 input error. Every subcommand maps
 errors through :func:`involq.pipeline.exit_status`, so input errors always
 print ``input error: ...`` on stderr; ``--quiet`` silences the progress
 lines of ``verify`` only. Nothing is randomized. Every scan bound is a

@@ -1,4 +1,8 @@
-"""Exception types shared across the involq package."""
+"""Exception types shared across the involq package.
+
+Each names an outcome that some module of the package raises or catches;
+a state the finite theory rules out gets no type, as nothing reaches it.
+"""
 
 
 class InvolqError(Exception):
@@ -59,10 +63,6 @@ class AxiomFailure(InvolqError):
 
 class NotSharply2Transitive(InvolqError):
     pass
-
-
-class CharacteristicAnomaly(InvolqError):
-    """A state the finite theory rules out was reached (bad input or bug)."""
 
 
 class CharacteristicTwo(InvolqError):

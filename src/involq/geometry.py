@@ -55,11 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CharacteristicAnomaly,
-    CharacterizationMismatch,
-    GeometryConditionsFailed,
-)
+from .errors import CharacterizationMismatch, GeometryConditionsFailed
 from .permgroup import PermGroup, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, in_chunks, least_cell
 from .s2t import _require_certified, _require_odd_characteristic, translation_products
@@ -541,9 +537,7 @@ def divisible_subgroup_scan(G: PermGroup, geom: Geometry) -> SubgroupScanReport:
     nt = len(trans)
     t_pos = np.full(G.order, -1, dtype=np.int64)  # element -> translation position
     t_pos[trans] = np.arange(nt)
-    ident = int(t_pos[G.identity_index])
-    if ident < 0:
-        raise CharacteristicAnomaly("the identity is not a translation")
+    ident = int(t_pos[G.identity_index])  # j j = 1 for every involution j
 
     # partial Cayley table on the translation set; -1 marks products outside it
     table = t_pos[translation_products(G)]

@@ -259,7 +259,9 @@ def exit_status(run, *args) -> int:
     An unusable target, document, path or option prints ``input error: ...``
     on stderr and gives 2; any other involq error (one raised outside a
     stage, such as building an entry) prints ``verification failure: ...``
-    and gives 1.
+    and gives 1. Running out of memory, in a build or in a stage, stops the
+    run before any report is written, so a report never depends on the
+    host: it prints ``verification failure: out of memory: ...`` and gives 1.
     """
     try:
         return run(*args)
@@ -268,6 +270,9 @@ def exit_status(run, *args) -> int:
         return 2
     except InvolqError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"verification failure: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

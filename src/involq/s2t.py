@@ -9,15 +9,18 @@ flags. A certified group also gets its CertifiedSets, built once as
 read-only arrays: J, the J x J table, the translations (all products of two
 involutions) and the conjugation table of J.
 
-In odd characteristic certification raises CharacteristicAnomaly unless
-involution -> fixed point is a bijection onto the points; then h^-1 j h is the
-involution fixing h(fix j), so conjugates of J are gathers, not group products.
-So are the conjugates of a translation J[a] then J[b], read off the J x J
-table at the conjugates of J[a] and of J[b]: the certificate's classes of
-J[0] and of T[0], the first nontrivial translation, go through
-``permgroup._class_pass`` with their conjugates by every element gathered,
-and no conjugation pass over G runs. In characteristic 2 the class of J[0]
-takes one conjugation pass.
+The certificate checks the order and one pair orbit, and refuses nothing
+else: the facts it reads off a certified group are theorems of the finite
+theory (Dixon & Mortimer, Permutation Groups, section 7.6). In odd
+characteristic involution -> fixed point is a bijection onto the points, as
+each point stabilizer is a Frobenius complement of even order d - 1, with
+exactly one involution; so h^-1 j h is the involution fixing h(fix j), and
+conjugates of J are gathers, not group products. So are the conjugates of a
+translation J[a] then J[b], read off the J x J table at the conjugates of
+J[a] and of J[b]: the certificate's classes of J[0] and of T[0], the first
+nontrivial translation, go through ``permgroup._class_pass`` with their
+conjugates by every element gathered, and no conjugation pass over G runs.
+In characteristic 2 the class of J[0] takes one conjugation pass.
 
 This module keeps two caches. The certificate and the sets are cached keyed
 weakly by the group, so a dropped group frees them. Every later stage
@@ -52,8 +55,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import CharacteristicAnomaly, CharacteristicTwo, NotSharply2Transitive
-from .nearfield import is_prime
+from .errors import CharacteristicTwo, NotSharply2Transitive
 from .permgroup import PermGroup, _class_pass, centralizer, distinct, member_mask
 from .reporting import Check, CheckReport, field_dict, least_cell
 
@@ -124,33 +126,6 @@ def _perm_order(row) -> int:
     return order
 
 
-def _powers(G: PermGroup, idxs: np.ndarray, n: int) -> np.ndarray:
-    """The n-th powers of the elements idxs, by square-and-multiply over
-    G.mul: about 2 log2(n) rounds."""
-    power, square = np.full(len(idxs), G.identity_index), idxs
-    while n:
-        if n & 1:
-            power = G.mul(power, square)
-        n >>= 1
-        if n:
-            square = G.mul(square, square)
-    return power
-
-
-def _element_orders(G: PermGroup, idxs: np.ndarray) -> np.ndarray:
-    """Orders of the elements idxs, from their powers taken all at once: one
-    G.mul round per unit of the largest order."""
-    orders = np.zeros(len(idxs), dtype=np.int64)
-    power = np.asarray(idxs)
-    n = 1
-    while True:
-        orders[(orders == 0) & (power == G.identity_index)] = n
-        if orders.all():
-            return orders
-        power = G.mul(power, idxs)
-        n += 1
-
-
 def _conjugate_fixed_points(G: PermGroup, fix: np.ndarray, hs, positions):
     """fix(h^-1 j h) == h(fix j): rows h in hs, columns j at J ``positions``."""
     return G.images(np.asarray(hs)[:, None], fix[positions][None, :])
@@ -170,15 +145,14 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
     The two class flags compare the class of J[0] with J and the class of
     t0, the first nontrivial translation, with the nontrivial translations,
     through :func:`permgroup._class_pass`. In odd characteristic their
-    conjugates by every h are gathers, and exact. Once involution -> fixed
-    point is checked to be a bijection, h^-1 j h is an involution fixing
-    h(fix j), so it is the involution ``j_of_point[h(fix j)]``: over every
-    h, the J positions of the conjugates of J[k] are ``j_of_point`` at the
-    column of fix[k]. Conjugation by h is an automorphism, so with t0 =
-    J[a] then J[b], h^-1 t0 h = (h^-1 J[a] h) then (h^-1 J[b] h), the
-    entry of the certified J x J table at those two positions. In
-    characteristic 2 the involutions fix no point, and J[0] takes a
-    conjugation pass over G."""
+    conjugates by every h are gathers, and exact. Involution -> fixed point
+    is a bijection, so h^-1 j h, an involution fixing h(fix j), is the
+    involution ``j_of_point[h(fix j)]``: over every h, the J positions of
+    the conjugates of J[k] are ``j_of_point`` at the column of fix[k].
+    Conjugation by h is an automorphism, so with t0 = J[a] then J[b],
+    h^-1 t0 h = (h^-1 J[a] h) then (h^-1 J[b] h), the entry of the
+    certified J x J table at those two positions. In characteristic 2 the
+    involutions fix no point, and J[0] takes a conjugation pass over G."""
     d = G.degree
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -214,8 +188,6 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
     else:
         profile = "all-one-fixed"
         fix = fixed.argmax(axis=1).astype(np.int64)
-        if not np.array_equal(np.sort(fix), np.arange(d)):
-            raise CharacteristicAnomaly("involution -> fixed point is not a bijection")
         j_of_point = np.argsort(fix)  # fix is a permutation of the points
         j_conj = j_of_point[_conjugate_fixed_points(G, fix, j_idx, slice(None))]
 
@@ -224,16 +196,11 @@ def _certify(G: PermGroup) -> tuple[S2TCertificate, CertifiedSets | None]:
     p, j2_single, j_conjugates = 2, None, None
     if fix is not None:
         # fix is a bijection, so there are degree >= 3 involutions, and two
-        # distinct ones give a nontrivial translation. With p the order of
-        # the first, the orders are one prime exactly when p is prime and
-        # every p-th power is the identity; only a refusal computes them all
+        # distinct ones give a nontrivial translation. The translations are
+        # the Frobenius kernel, an elementary abelian p-group (Dixon &
+        # Mortimer, section 7.6), so p is the order of the first
         t0 = int(nontrivial[0])
         p = _perm_order(G.rows(t0))
-        if not is_prime(p) or (_powers(G, nontrivial, p) != G.identity_index).any():
-            orders = distinct(_element_orders(G, nontrivial)).tolist()
-            if len(orders) != 1:
-                raise CharacteristicAnomaly(f"translation orders not constant: {orders}")
-            raise CharacteristicAnomaly(f"translation order {p} is not prime")
 
         def conjugated(k):  # over every h, the J position of h^-1 J[k] h
             return j_of_point[G.column(int(fix[k]))]
@@ -333,7 +300,7 @@ def verify_basic_properties(G: PermGroup) -> CheckReport:
         k^-1 i k = j;
     (c) the translations meet every involution centralizer only in 1.
 
-    Involution -> fixed point is a bijection (the certificate checks it) and
+    Involution -> fixed point is a bijection (see the module docstring) and
     fix(c^-1 j c) == c(fix j), so (a) holds for i exactly when, for every
     other involution j, the column of points c(fix j) over c in Cen(i) lists
     every point but fix(i) once. That holds exactly when Cen(i) has n - 1

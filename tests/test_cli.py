@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import resource
 import runpy
 import subprocess
 import sys
@@ -14,8 +15,8 @@ from involq import s2t
 from involq.catalog import CatalogEntry, build_entry, find_entry, run_catalog
 from involq.cli import main
 from involq.config import max_group_order
-from involq.errors import (CharacterizationMismatch, CharacteristicAnomaly, CharacteristicTwo,
-                           InputError, InvolqError)
+from involq.errors import (CharacterizationMismatch, CharacteristicTwo, InputError, InvolqError,
+                           NotSharply2Transitive)
 from involq.pipeline import census_target, recover_target, run_verify, verify_group
 from involq.reporting import Check, CheckReport
 
@@ -226,6 +227,44 @@ def test_failed_entry_build_is_recorded_and_the_batch_goes_on(monkeypatch, tmp_p
     assert all(batch["entries"][name]["conforms"] for name in built)
 
 
+def test_a_stage_out_of_memory_stops_the_run_without_a_report(monkeypatch, tmp_path, capsys):
+    """A stage's MemoryError is not a stage failure: the run stops, writes no
+    report, and ends in a message, as the report must not depend on the host."""
+    def exhausted(G):
+        raise MemoryError("Unable to allocate 282. MiB")
+
+    monkeypatch.setattr(s2t, "certify_sharply_2_transitive", exhausted)
+    report_path = tmp_path / "r.json"
+    assert main(["verify", "agl-field-5", "--report", str(report_path), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification failure: out of memory: Unable to allocate 282. MiB\n"
+    assert captured.out == "" and not report_path.exists()
+
+
+MEMORY_LIMIT = 350_000 * 1024  # address space of the subprocess, in bytes
+
+
+def test_running_out_of_memory_in_a_build_ends_in_a_message(src_env, tmp_path):
+    """``involq verify agl-field-529`` in a subprocess whose address space
+    this test limits to 350,000 KiB: the build of the (528, 529, 529) element
+    array fails, and the run exits 1 with a message, no traceback and no
+    report. BLAS is pinned to one thread, so that its thread buffers do not
+    take the limit before the build."""
+    report_path = tmp_path / "r.json"
+    env = {**src_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    env.pop("INVOLQ_ORDER_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "involq.cli", "verify", "agl-field-529", "--max-degree", "529",
+         "--report", str(report_path), "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT)))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("verification failure: out of memory: "), proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert not report_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # the stage runner: skip inheritance and fault isolation
 
@@ -274,13 +313,13 @@ def test_failed_geometry_conditions_pin_every_inherited_skip(agl_f5, monkeypatch
 
 def test_raising_certificate_skips_every_stage(agl_f5, monkeypatch):
     def broken(G):
-        raise CharacteristicAnomaly("pair orbit out of range")
+        raise NotSharply2Transitive("pair orbit out of range")
 
     monkeypatch.setattr(s2t, "certify_sharply_2_transitive", broken)
     report = verify_group(agl_f5, find_entry("agl-field-5"))
     sections = report["sections"]
     assert sections["certificate"] == {
-        "status": "fail", "error": "CharacteristicAnomaly: pair orbit out of range",
+        "status": "fail", "error": "NotSharply2Transitive: pair orbit out of range",
     }
     assert {name: sec["status"] for name, sec in sections.items() if name != "certificate"} == {
         name: "skipped: not sharply 2-transitive" for name in list(sections)[1:]

@@ -30,7 +30,7 @@ from involq import permgroup, s2t
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.permgroup import PermGroup, identity_perm
 from involq.pipeline import verify_group
-from involq.s2t import _element_orders, _require_certified
+from involq.s2t import _require_certified
 from conftest import ingest_documents, tamper_sets
 from naive import naive_chain, naive_order
 
@@ -124,40 +124,41 @@ def test_certificate_pair_orbit_failure():
     assert cert.failure["missing_pair"] == [0, 4]  # (0,0) -> (1,1) unreachable
 
 
-@pytest.mark.parametrize("group", ["agl_f7", "agl_d9", "d9_relabelled"])
-def test_translation_orders_match_perm_order(group, request):
-    G = request.getfixturevalue(group)
-    trans = translations(G)
-    nontrivial = trans[trans != G.identity_index]
-    assert len(nontrivial) == G.degree - 1
-    expected = [naive_order(G.elements[t]) for t in nontrivial]
-    assert _element_orders(G, nontrivial).tolist() == expected
+def _finite_theory_groups(monkeypatch):
+    """Every odd default catalog entry of degree <= 49, the documents of
+    tests/data and the seed-1 ingest documents."""
+    entries = [build_entry(e) for e in run_catalog()
+               if e.expected_certified and e.expected_characteristic != 2 and e.degree <= 49]
+    documents = [json.loads(path.read_text())
+                 for path in sorted((Path(__file__).parent / "data").glob("*.json"))]
+    return entries + [parse_group_doc(doc) for doc in documents + ingest_documents(1, monkeypatch)]
 
 
-def test_translation_order_errors(monkeypatch):
-    """A translation set of mixed or composite element orders is refused.
-    AGL(1, 7) is rebuilt for each case: the certificate is cached on the group."""
-    from involq import CharacteristicAnomaly, affine_group, make_field
-    from involq import s2t
+def test_certified_sets_meet_the_finite_theory(monkeypatch):
+    """What the certificate reads off an odd certified group without checking
+    it, by loops over image lists: each involution fixes one point, and
+    fix(J) is every point; every nontrivial translation has the order of the
+    characteristic, a prime; J.J is conjugation-stable under the generators
+    and, where it is product-closed, abelian."""
+    for G in _finite_theory_groups(monkeypatch):
+        cert, d = certify_sharply_2_transitive(G), G.degree
+        fixed = [[x for x, y in enumerate(G.rows(int(j)).tolist()) if x == y]
+                 for j in involutions(G)]
+        assert sorted(fixed) == [[x] for x in range(d)]
 
-    f7 = make_field(7, 1)
-    G = affine_group(f7)
-    # add the involution x -> -x to the translations: orders 2 and 7
-    negation = G.index_of(np.array([(-x) % 7 for x in range(7)], dtype=np.int32))
-    real = s2t._translation_indices
-    monkeypatch.setattr(s2t, "_translation_indices",
-                        lambda j, jj, char_two: np.union1d(real(j, jj, char_two), [negation]))
-    with pytest.raises(CharacteristicAnomaly, match=r"translation orders not constant: \[2, 7\]"):
-        certify_sharply_2_transitive(G)
+        trans = translations(G)
+        p = cert.characteristic
+        assert {naive_order(G.rows(int(t))) for t in trans if t != G.identity_index} == {p}
+        assert p > 2 and all(p % k for k in range(2, p))
 
-    G = affine_group(f7)
-    # the maps x -> 3x + a all have order 6, as 3 is primitive mod 7
-    times3 = [G.index_of(np.array([(3 * x + a) % 7 for x in range(7)], dtype=np.int32))
-              for a in range(7)]
-    monkeypatch.setattr(s2t, "_translation_indices",
-                        lambda j, jj, char_two: np.array([G.identity_index, *sorted(times3)]))
-    with pytest.raises(CharacteristicAnomaly, match="translation order 6 is not prime"):
-        certify_sharply_2_transitive(G)
+        rows = G.rows(trans)
+        members = {row.tobytes() for row in rows}
+        for g in G.generators:
+            g_inv = np.argsort(g)
+            assert all(g[t[g_inv]].tobytes() in members for t in rows)
+        products = rows[:, rows]  # (a, b, x): a(b(x))
+        if all(row.tobytes() in members for row in products.reshape(-1, d)):
+            assert np.array_equal(products, products.transpose(1, 0, 2))
 
 
 def test_translations_meeting_a_centralizer_witness(monkeypatch):
@@ -497,18 +498,6 @@ def test_basic_c_witness_on_tampered_centralizers(tamper):
         check = verify_basic_properties(G).check("translations-meet-centralizers-trivially")
         assert not check.passed
         assert check.witness == expected
-
-
-def test_fixed_point_map_must_be_a_bijection(monkeypatch):
-    """With one involution missing, a point is fixed by no listed involution:
-    the certificate refuses to conjugate through fixed points."""
-    from involq import CharacteristicAnomaly, s2t
-
-    G = _fresh_groups()[0]
-    listed = s2t._involution_indices
-    monkeypatch.setattr(s2t, "_involution_indices", lambda G: listed(G)[1:])
-    with pytest.raises(CharacteristicAnomaly, match="not a bijection"):
-        certify_sharply_2_transitive(G)
 
 
 @pytest.mark.parametrize("entry_id", ["agl-field-7", "agl-dickson-3-2", "agl-field-4"])

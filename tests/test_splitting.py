@@ -8,7 +8,6 @@ import pytest
 from involq import (
     AxiomFailure,
     AxiomRecoveryFailure,
-    CharacteristicAnomaly,
     Coordinatization,
     InvolqError,
     NearField,
@@ -319,17 +318,20 @@ def test_split_test_reads_the_table_of_tampered_translations(monkeypatch):
     assert report.closure_witness == _least_product_outside(G, trans)
 
 
-def test_split_test_refuses_a_nonabelian_translation_set(monkeypatch):
-    """All of G is closed but not abelian."""
-    G = _fresh_agl_f5_with_translations(monkeypatch, lambda G, trans: np.arange(G.order))
-    with pytest.raises(CharacteristicAnomaly, match="^translation subgroup is not abelian$"):
-        neumann_split_test(G)
-
-
-def test_split_test_refuses_a_translation_set_that_is_not_normal(monkeypatch):
-    """The stabilizer of 0 is closed, cyclic of order 4, and not normal."""
-    G = _fresh_agl_f5_with_translations(
-        monkeypatch, lambda G, trans: np.flatnonzero(G.elements[:, 0] == 0))
-    assert len(_require_certified(G).translations) == 4
-    with pytest.raises(CharacteristicAnomaly, match="^translation subgroup is not normal$"):
-        neumann_split_test(G)
+@pytest.mark.parametrize("choose", [
+    lambda G, trans: np.arange(G.order),
+    lambda G, trans: np.flatnonzero(G.elements[:, 0] == 0),
+], ids=["nonabelian", "not-normal"])
+def test_coordinatize_refuses_a_closed_translation_set_that_is_not_the_kernel(choose,
+                                                                             monkeypatch):
+    """All of G is closed but not abelian; the stabilizer of 0 is closed,
+    cyclic of order 4, and not normal. The split test reads only closure, so
+    it finds each split; coordinatize refuses each, as 4 of its members send
+    0 to 0."""
+    G = _fresh_agl_f5_with_translations(monkeypatch, choose)
+    report = neumann_split_test(G)
+    assert report.split
+    assert report.abelian_normal_subgroup == _require_certified(G).translations.tolist()
+    with pytest.raises(AxiomRecoveryFailure,
+                       match="^4 translations send 0 to 0; the action is not regular$"):
+        coordinatize(G, report)
