@@ -1084,9 +1084,12 @@ def test_kernels_match_naive_loops_on_small_subsets(geom):
     assert_kernels_match_naive(geom, seeds)
 
 
-def test_kernels_match_naive_loops_on_the_stage_seeds():
+@pytest.mark.parametrize("chunk_cells", [reporting.CHUNK_CELLS, 1])
+def test_kernels_match_naive_loops_on_the_stage_seeds(chunk_cells, monkeypatch):
     """The 100 seeds of the no_proper_plane stage on every odd catalog entry
-    of degree <= 31."""
+    of degree <= 31. Neither kernel builds in chunks, so the default chunk
+    size and one row per chunk give the same rows."""
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     odd = [e for e in run_catalog(31)
            if e.expected_certified and e.expected_characteristic != 2]
     for entry in odd:
@@ -1160,20 +1163,23 @@ def test_the_line_of_each_pair_is_derived_from_the_incidence(name):
     assert (np.diag(expected) == -1).all() and (expected + np.eye(geom.n_points) >= 0).all()
 
 
+@pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
 @pytest.mark.parametrize("geom", [
     FANO, AG22, AG23, PG23, PG32, ONE_POINT_LINE,
     "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line",
 ], ids=["Fano", "AG(2,2)", "AG(2,3)", "PG(2,3)", "PG(3,2)", "one-point-line",
         "PG(3,2)-point-off-its-line", "AG(2,3)-point-off-its-line"])
-def test_verdicts_match_naive_loops_on_random_masks(geom):
-    """Seeded random point sets of every density and their closures. A
-    geometry named by a key of BROKEN breaks an axiom, so it is refused when
-    built and no verdict is read on it."""
+def test_verdicts_match_naive_loops_on_random_masks(geom, chunk_cells, monkeypatch):
+    """Seeded random point sets of every density and their closures, at the
+    default chunk size and at one row per chunk, which no kernel here reads.
+    A geometry named by a key of BROKEN breaks an axiom, so it is refused
+    when built and no verdict is read on it."""
     if isinstance(geom, str):
         make, message = BROKEN[geom]
         with pytest.raises(CharacterizationMismatch, match=f"^{re.escape(message)}$"):
             make()
         return
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(geom.n_points)
     masks = rng.random((80, geom.n_points)) < rng.random((80, 1))
     assert_verdicts_match_naive(geom, np.concatenate([masks, close_point_masks(geom, masks)]))

@@ -30,7 +30,7 @@ from involq import permgroup, s2t
 from involq.catalog import build_entry, find_entry, run_catalog
 from involq.permgroup import PermGroup, identity_perm
 from involq.pipeline import verify_group
-from involq.s2t import _require_certified
+from involq.s2t import _perm_order, _require_certified
 from conftest import ingest_documents, tamper_sets
 from naive import naive_chain, naive_order
 
@@ -122,6 +122,19 @@ def test_certificate_pair_orbit_failure():
     assert cert.order_ok and not cert.pair_transitive and not cert.valid
     assert cert.failure["check"] == "pair-orbit"
     assert cert.failure["missing_pair"] == [0, 4]  # (0,0) -> (1,1) unreachable
+
+
+@pytest.mark.parametrize("group", ["agl_f7", "agl_d9", "d9_relabelled"])
+def test_translation_orders_match_perm_order(group, request):
+    """The certificate reads the characteristic as the order of one
+    translation; every nontrivial translation has that order."""
+    G = request.getfixturevalue(group)
+    trans = translations(G)
+    nontrivial = trans[trans != G.identity_index]
+    assert len(nontrivial) == G.degree - 1
+    expected = [naive_order(G.rows(int(t))) for t in nontrivial]
+    assert [_perm_order(G.rows(int(t))) for t in nontrivial] == expected
+    assert set(expected) == {certify_sharply_2_transitive(G).characteristic}
 
 
 def _finite_theory_groups(monkeypatch):
